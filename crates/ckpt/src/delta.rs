@@ -1,11 +1,12 @@
-//! Incremental delta frames: O(churn) handoff bandwidth.
+//! Incremental delta frames: O(churn) state movement.
 //!
-//! A handoff that ships a shard's full checkpoint pays O(cache) bytes at
-//! cutover. In the intended deployment the destination pre-copies the
-//! shard's last *periodic* checkpoint asynchronously, so cutover only needs
-//! the difference between that base and the final cut — O(churn since the
-//! last boundary). [`DeltaFrame`] is that difference: an rsync-style
-//! block-aligned diff of two byte images.
+//! Shipping a shard's full checkpoint costs O(cache) bytes. A receiver that
+//! already holds an earlier cut of the same shard — a hot standby its last
+//! applied frame, a resize destination the pre-copied last *periodic*
+//! checkpoint — only needs the difference between that base and the new
+//! cut: O(churn since the base's boundary). [`DeltaFrame`] is that
+//! difference: an rsync-style block-aligned diff of two byte images, carried
+//! as the delta payload of a [`CutFrame`](crate::replica::CutFrame).
 //!
 //! ## Frame format (magic `DRBD`, version 1, CRC-64 sealed)
 //!
@@ -24,10 +25,7 @@
 //! layer or as `Malformed` from op decoding; the hostile-corpus proptests
 //! (`darwin-rebalance/tests/codec_props.rs`) pin all three.
 //!
-//! The codec lives here (not in `darwin-rebalance`, where it originated)
-//! because both the rebalance handoff path and the shard replication layer
-//! need it, and `darwin-shard` sits below `darwin-rebalance` in the crate
-//! graph. `darwin_rebalance::delta` re-exports this module unchanged.
+//! `darwin_rebalance::delta` re-exports this module.
 
 use crate::{crc64, open, seal, CkptError, Dec, Enc};
 

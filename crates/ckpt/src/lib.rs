@@ -34,16 +34,16 @@
 //! (hash maps are serialized sorted by key), so identical state always
 //! seals to identical frames — the property the roundtrip proptests pin.
 //!
-//! Two higher-level frame codecs live on top of the envelope, here rather
-//! than in `darwin-rebalance` so that `darwin-shard` (below rebalance in
-//! the crate graph) can use them too:
+//! Two higher-level frame codecs live on top of the envelope, in this crate
+//! because both `darwin-shard` (standby replication) and `darwin-rebalance`
+//! (resize handoff) move sealed checkpoints between holders:
 //!
 //! * [`delta`] — [`DeltaFrame`](delta::DeltaFrame): an rsync-style block
-//!   diff between two byte images, the O(churn) payload of shard handoffs
-//!   and standby replication.
-//! * [`replica`] — [`ReplicaFrame`](replica::ReplicaFrame): the role-tagged
-//!   envelope a primary shard ships its checkpoint cuts to a hot standby
-//!   in (full image to seed, delta thereafter).
+//!   diff between two byte images, the O(churn) payload of both flows.
+//! * [`replica`] — [`CutFrame`](replica::CutFrame): the one shard-,
+//!   generation- and role-addressed cut envelope (full image or delta) with
+//!   its one sender ([`ship`](replica::CutFrame::ship)) and one apply gate
+//!   ([`apply`](replica::CutFrame::apply)).
 
 pub mod delta;
 pub mod replica;

@@ -1,174 +1,219 @@
-//! Role-tagged replication envelopes: the frames a primary shard ships to
-//! its hot standby.
+//! The cut envelope: the one sealed shipment a checkpoint cut travels in
+//! whenever learned state moves between holders.
 //!
-//! Each periodic checkpoint cut the primary takes is forwarded to the
-//! standby as one [`ReplicaFrame`]: the first cut (and every re-seed after
-//! a promotion or a detected standby loss) travels as a
-//! [`ReplicaPayload::Full`] checkpoint image; every later cut travels as a
-//! [`ReplicaPayload::Delta`] — a [`DeltaFrame`] against the frame the
-//! standby already holds — so steady-state replication costs O(churn)
-//! bytes per checkpoint window, not O(cache).
+//! Two flows ship cuts, and both speak this format: a primary shard feeds
+//! its hot standby at every checkpoint cut ([`CutRole::Replica`]), and a
+//! resize hands each surviving shard's final cut to the successor
+//! generation ([`CutRole::Handoff`]). Either way the sender calls
+//! [`CutFrame::ship`] — a [`CutPayload::Delta`] against the boundary the
+//! receiver already holds when there is one, so steady-state movement costs
+//! O(churn) bytes, and a [`CutPayload::Full`] image otherwise — and the
+//! receiver calls [`CutFrame::apply`].
 //!
-//! ## Frame format (magic `DRBR`, version 1, CRC-64 sealed)
+//! ## Frame format (magic `DRBR`, version 2, CRC-64 sealed)
 //!
-//! | field        | type    | meaning                                      |
-//! |--------------|---------|----------------------------------------------|
-//! | `shard`      | `usize` | shard the replicated checkpoint belongs to    |
-//! | `generation` | `u32`   | fleet generation the primary serves in        |
-//! | `role`       | `u8`    | sender role: `0x01` primary, `0x02` standby   |
-//! | `seq`        | `u64`   | request-sequence boundary of the cut          |
-//! | payload tag  | `u8`    | `0x01` full, `0x02` delta                     |
-//! | payload      | bytes   | full image, or `base_seq` + sealed delta      |
+//! | field        | type    | meaning                                        |
+//! |--------------|---------|------------------------------------------------|
+//! | `shard`      | `usize` | shard the cut belongs to                       |
+//! | `generation` | `u32`   | fleet generation the receiver must be in       |
+//! | `role`       | `u8`    | flow: `0x01` replica feed, `0x02` handoff      |
+//! | `seq`        | `u64`   | request-sequence boundary of the cut           |
+//! | payload tag  | `u8`    | `0x01` full, `0x02` delta                      |
+//! | payload      | bytes   | full image, or `base_seq: u64` + sealed delta  |
 //!
-//! [`ReplicaFrame::resolve`] is the standby's apply gate: it rejects a
-//! frame addressed to the wrong shard ([`ReplicaError::WrongShard`]), from
-//! the wrong generation ([`ReplicaError::WrongGeneration`]) or carrying the
-//! wrong role tag ([`ReplicaError::WrongRole`] — only a *primary* may feed
-//! a standby), and a delta without its base ([`ReplicaError::MissingBase`]).
-//! Damage surfaces as [`CkptError`]s from the sealed-frame layer, and the
-//! embedded [`DeltaFrame`] refuses both the wrong base and a reconstruction
-//! that does not hash to its recorded checksum — a replica stream can fail
-//! loudly but never silently mis-apply.
+//! [`CutFrame::apply`] is the receiver's gate: it refuses a shipment
+//! addressed to another shard ([`CutError::WrongShard`]) or generation
+//! ([`CutError::WrongGeneration`]), one from the other flow
+//! ([`CutError::WrongRole`] — a standby never applies a handoff and a
+//! resize never boots from a replica feed), and a delta whose `base_seq` is
+//! not the boundary the receiver holds ([`CutError::WrongBase`]). Damage
+//! surfaces as [`CkptError`]s from the sealed-frame layer, and the embedded
+//! [`DeltaFrame`] refuses both the wrong base bytes and a reconstruction
+//! that does not hash to its recorded checksum — a shipment can fail loudly
+//! but never silently mis-apply. The resolved image still carries its own
+//! seal; callers re-validate it as their shard's checkpoint before trusting
+//! it.
 
 use crate::delta::DeltaFrame;
 use crate::{open, seal, CkptError, Dec, Enc};
 use std::fmt;
 
-/// Magic for sealed replica envelopes: `DRBR`.
-pub const REPLICA_MAGIC: u32 = 0x4452_4252;
-/// Current replica envelope version.
-pub const REPLICA_VERSION: u16 = 1;
+/// Magic for sealed cut envelopes: `DRBR`.
+pub const CUT_MAGIC: u32 = 0x4452_4252;
+/// Current cut envelope version.
+pub const CUT_VERSION: u16 = 2;
 
-/// Role tag for frames originated by a serving primary.
-const ROLE_PRIMARY: u8 = 0x01;
-/// Role tag for frames originated by a standby (promotion acks, future
-/// anti-entropy traffic). A standby never *applies* one of these.
-const ROLE_STANDBY: u8 = 0x02;
+/// Role tag for a primary → standby replication feed.
+const ROLE_REPLICA: u8 = 0x01;
+/// Role tag for a drained generation → successor handoff.
+const ROLE_HANDOFF: u8 = 0x02;
 
 /// Payload tag for a full checkpoint image.
 const PAYLOAD_FULL: u8 = 0x01;
-/// Payload tag for a delta against the standby's current frame.
+/// Payload tag for a delta against the receiver's held image.
 const PAYLOAD_DELTA: u8 = 0x02;
 
-/// Which replication endpoint originated a frame.
+/// Which flow a shipment belongs to. The receiver names the role it
+/// serves; a shipment from the other flow is refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaRole {
-    /// The serving primary — the only legal source of checkpoint cuts.
-    Primary,
-    /// The hot standby.
-    Standby,
+pub enum CutRole {
+    /// A primary's periodic cut, fed to its hot standby.
+    Replica,
+    /// A drained shard's final cut, handed to the successor generation.
+    Handoff,
 }
 
-impl ReplicaRole {
+impl CutRole {
     fn to_byte(self) -> u8 {
         match self {
-            ReplicaRole::Primary => ROLE_PRIMARY,
-            ReplicaRole::Standby => ROLE_STANDBY,
+            CutRole::Replica => ROLE_REPLICA,
+            CutRole::Handoff => ROLE_HANDOFF,
         }
     }
 
     fn from_byte(b: u8) -> Result<Self, CkptError> {
         match b {
-            ROLE_PRIMARY => Ok(ReplicaRole::Primary),
-            ROLE_STANDBY => Ok(ReplicaRole::Standby),
-            other => Err(CkptError::Malformed(format!("replica role byte {other:#x}"))),
+            ROLE_REPLICA => Ok(CutRole::Replica),
+            ROLE_HANDOFF => Ok(CutRole::Handoff),
+            other => Err(CkptError::Malformed(format!("cut role byte {other:#x}"))),
         }
     }
 }
 
-/// How the replicated checkpoint travels inside the envelope.
+/// How the cut travels inside the envelope.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplicaPayload {
-    /// The complete sealed checkpoint frame (seeding / re-seeding).
+pub enum CutPayload {
+    /// The complete sealed checkpoint frame — O(cache) bytes.
     Full(Vec<u8>),
-    /// A sealed [`DeltaFrame`] against the frame the standby applied at
-    /// `base_seq` (steady state — O(churn) bytes).
+    /// A sealed [`DeltaFrame`] against the image the receiver holds at
+    /// `base_seq` — O(churn) bytes.
     Delta {
         /// Request-sequence boundary of the base the delta was computed
-        /// against; the standby must hold exactly that frame.
+        /// against; the receiver must hold exactly that image.
         base_seq: u64,
         /// The sealed delta frame ([`DeltaFrame::to_frame`]).
         frame: Vec<u8>,
     },
 }
 
-/// Why a structurally valid replica envelope must not be applied.
+/// Why a shipment must not be applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplicaError {
-    /// The envelope (or its embedded delta) failed frame validation.
+pub enum CutError {
+    /// The envelope, its embedded delta or the image it stands for failed
+    /// frame validation.
     Frame(CkptError),
     /// Addressed to a different shard.
     WrongShard {
-        /// Shard the standby replicates.
+        /// Shard the receiver holds.
         expected: usize,
         /// Shard the envelope names.
         found: usize,
     },
-    /// From a different fleet generation.
+    /// Addressed to a different fleet generation.
     WrongGeneration {
-        /// Generation the standby tracks.
+        /// Generation the receiver is in.
         expected: u32,
         /// Generation the envelope names.
         found: u32,
     },
-    /// Originated by the wrong endpoint — only a primary feeds a standby.
+    /// Shipped by the other flow.
     WrongRole {
+        /// Role the receiver serves.
+        expected: CutRole,
         /// Role the envelope carries.
-        found: ReplicaRole,
+        found: CutRole,
     },
-    /// A delta payload arrived but the standby holds no base (or the wrong
-    /// boundary) to apply it against.
-    MissingBase {
+    /// A delta arrived against a boundary the receiver does not hold.
+    WrongBase {
         /// Base boundary the delta requires.
         base_seq: u64,
+        /// Boundary the receiver holds, if any.
+        held: Option<u64>,
     },
 }
 
-impl fmt::Display for ReplicaError {
+impl fmt::Display for CutError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ReplicaError::Frame(e) => write!(f, "replica frame: {e}"),
-            ReplicaError::WrongShard { expected, found } => {
-                write!(f, "replica for shard {found}, standby replicates shard {expected}")
+            CutError::Frame(e) => write!(f, "cut frame: {e}"),
+            CutError::WrongShard { expected, found } => {
+                write!(f, "cut for shard {found}, receiver holds shard {expected}")
             }
-            ReplicaError::WrongGeneration { expected, found } => {
-                write!(f, "replica from generation {found}, standby tracks generation {expected}")
+            CutError::WrongGeneration { expected, found } => {
+                write!(f, "cut addressed to generation {found}, receiver is in generation {expected}")
             }
-            ReplicaError::WrongRole { found } => {
-                write!(f, "replica originated by {found:?}, only a primary may feed a standby")
+            CutError::WrongRole { expected, found } => {
+                write!(f, "{found:?} cut offered to a {expected:?} receiver")
             }
-            ReplicaError::MissingBase { base_seq } => {
-                write!(f, "delta against base seq {base_seq} but no matching base is held")
+            CutError::WrongBase { base_seq, held: Some(held) } => {
+                write!(f, "delta against base seq {base_seq} but the receiver holds seq {held}")
+            }
+            CutError::WrongBase { base_seq, held: None } => {
+                write!(f, "delta against base seq {base_seq} but the receiver holds no base")
             }
         }
     }
 }
 
-impl std::error::Error for ReplicaError {}
+impl std::error::Error for CutError {}
 
-impl From<CkptError> for ReplicaError {
+impl From<CkptError> for CutError {
     fn from(e: CkptError) -> Self {
-        ReplicaError::Frame(e)
+        CutError::Frame(e)
     }
 }
 
-/// One replication shipment: a checkpoint cut addressed shard-, generation-
-/// and role-explicitly. See the module docs for the byte layout.
+/// What [`CutFrame::apply`] hands the receiver.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicaFrame {
-    /// Shard whose checkpoint this is.
-    pub shard: usize,
-    /// Fleet generation the primary serves in.
-    pub generation: u32,
-    /// Originating endpoint; a standby applies only `Primary` frames.
-    pub role: ReplicaRole,
-    /// Request-sequence boundary of the cut being replicated.
+pub struct AppliedCut {
+    /// Request-sequence boundary the envelope claims for the cut.
     pub seq: u64,
-    /// Full image or delta against the standby's held frame.
-    pub payload: ReplicaPayload,
+    /// Base boundary the payload was a delta against (`None`: full image).
+    pub base_seq: Option<u64>,
+    /// Bytes the payload shipped — a full image's length, or the sealed
+    /// delta's. The O(churn) accounting compares this against the image.
+    pub shipped_bytes: u64,
+    /// The resolved checkpoint frame, still under its own seal.
+    pub image: Vec<u8>,
 }
 
-impl ReplicaFrame {
+/// One shipment: a checkpoint cut addressed shard-, generation- and
+/// role-explicitly. See the module docs for the byte layout.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CutFrame {
+    /// Shard whose checkpoint this is.
+    pub shard: usize,
+    /// Fleet generation the receiver must be in.
+    pub generation: u32,
+    /// Flow the shipment belongs to.
+    pub role: CutRole,
+    /// Request-sequence boundary of the cut.
+    pub seq: u64,
+    /// Full image or delta against the receiver's held image.
+    pub payload: CutPayload,
+}
+
+impl CutFrame {
+    /// The sender: seals `image` (the cut at `seq`) into wire bytes — as a
+    /// delta against `held`, the `(base_seq, image)` the receiver already
+    /// holds, when there is one, as the full image otherwise.
+    pub fn ship(
+        shard: usize,
+        generation: u32,
+        role: CutRole,
+        seq: u64,
+        image: &[u8],
+        held: Option<(u64, &[u8])>,
+    ) -> Vec<u8> {
+        let payload = match held {
+            Some((base_seq, base)) => {
+                CutPayload::Delta { base_seq, frame: DeltaFrame::compute(base, image).to_frame() }
+            }
+            None => CutPayload::Full(image.to_vec()),
+        };
+        CutFrame { shard, generation, role, seq, payload }.to_frame()
+    }
+
     /// Serializes into a sealed, CRC-guarded envelope.
     pub fn to_frame(&self) -> Vec<u8> {
         let mut e = Enc::new();
@@ -177,77 +222,70 @@ impl ReplicaFrame {
         e.u8(self.role.to_byte());
         e.u64(self.seq);
         match &self.payload {
-            ReplicaPayload::Full(bytes) => {
+            CutPayload::Full(bytes) => {
                 e.u8(PAYLOAD_FULL);
                 e.bytes(bytes);
             }
-            ReplicaPayload::Delta { base_seq, frame } => {
+            CutPayload::Delta { base_seq, frame } => {
                 e.u8(PAYLOAD_DELTA);
                 e.u64(*base_seq);
                 e.bytes(frame);
             }
         }
-        seal(REPLICA_MAGIC, REPLICA_VERSION, &e.into_bytes())
+        seal(CUT_MAGIC, CUT_VERSION, &e.into_bytes())
     }
 
-    /// Parses a sealed replica envelope. Truncation, bit flips, a wrong
-    /// magic or version, an unknown role or payload tag all surface as
+    /// Parses a sealed envelope. Truncation, bit flips, a wrong magic or
+    /// version, an unknown role or payload tag all surface as
     /// [`CkptError`]s — never a panic.
-    pub fn from_frame(frame: &[u8]) -> Result<ReplicaFrame, CkptError> {
-        let body = open(frame, REPLICA_MAGIC, REPLICA_VERSION)?;
+    pub fn from_frame(frame: &[u8]) -> Result<CutFrame, CkptError> {
+        let body = open(frame, CUT_MAGIC, CUT_VERSION)?;
         let mut d = Dec::new(body);
         let shard = d.usize()?;
         let generation = d.u32()?;
-        let role = ReplicaRole::from_byte(d.u8()?)?;
+        let role = CutRole::from_byte(d.u8()?)?;
         let seq = d.u64()?;
         let payload = match d.u8()? {
-            PAYLOAD_FULL => ReplicaPayload::Full(d.bytes()?.to_vec()),
-            PAYLOAD_DELTA => ReplicaPayload::Delta { base_seq: d.u64()?, frame: d.bytes()?.to_vec() },
-            tag => return Err(CkptError::Malformed(format!("replica payload tag {tag:#x}"))),
+            PAYLOAD_FULL => CutPayload::Full(d.bytes()?.to_vec()),
+            PAYLOAD_DELTA => CutPayload::Delta { base_seq: d.u64()?, frame: d.bytes()?.to_vec() },
+            tag => return Err(CkptError::Malformed(format!("cut payload tag {tag:#x}"))),
         };
         d.finish()?;
-        Ok(ReplicaFrame { shard, generation, role, seq, payload })
+        Ok(CutFrame { shard, generation, role, seq, payload })
     }
 
-    /// Bytes the payload actually ships — a full image's length, or the
-    /// sealed delta's length. The O(churn) accounting compares this against
-    /// the full checkpoint size.
-    pub fn shipped_bytes(&self) -> u64 {
-        match &self.payload {
-            ReplicaPayload::Full(bytes) => bytes.len() as u64,
-            ReplicaPayload::Delta { frame, .. } => frame.len() as u64,
-        }
-    }
-
-    /// The standby's apply gate: checks addressing (shard, generation) and
-    /// role, then materializes the replicated checkpoint image — a copy of
-    /// the full payload, or the delta applied to `base` (which must be the
-    /// frame the standby applied at the delta's `base_seq`). The returned
-    /// bytes still carry their own seal; the caller re-validates them as a
-    /// shard checkpoint before trusting them.
-    pub fn resolve(
-        &self,
+    /// The receiver's gate: decodes `wire`, checks it is addressed to this
+    /// `shard`, `generation` and `role`, then materializes the image — the
+    /// full payload itself, or the delta applied to `held`, which must be
+    /// the `(seq, image)` the receiver holds at the delta's `base_seq`.
+    pub fn apply(
+        wire: &[u8],
         shard: usize,
         generation: u32,
-        base: Option<&[u8]>,
-    ) -> Result<Vec<u8>, ReplicaError> {
-        if self.role != ReplicaRole::Primary {
-            return Err(ReplicaError::WrongRole { found: self.role });
+        role: CutRole,
+        held: Option<(u64, &[u8])>,
+    ) -> Result<AppliedCut, CutError> {
+        let cut = CutFrame::from_frame(wire)?;
+        if cut.role != role {
+            return Err(CutError::WrongRole { expected: role, found: cut.role });
         }
-        if self.shard != shard {
-            return Err(ReplicaError::WrongShard { expected: shard, found: self.shard });
+        if cut.shard != shard {
+            return Err(CutError::WrongShard { expected: shard, found: cut.shard });
         }
-        if self.generation != generation {
-            return Err(ReplicaError::WrongGeneration { expected: generation, found: self.generation });
+        if cut.generation != generation {
+            return Err(CutError::WrongGeneration { expected: generation, found: cut.generation });
         }
-        match &self.payload {
-            ReplicaPayload::Full(bytes) => Ok(bytes.clone()),
-            ReplicaPayload::Delta { base_seq, frame } => {
-                let base = base.ok_or(ReplicaError::MissingBase { base_seq: *base_seq })?;
-                let delta = DeltaFrame::from_frame(frame)?;
-                Ok(delta.apply(base)?)
+        let (base_seq, shipped_bytes, image) = match cut.payload {
+            CutPayload::Full(bytes) => (None, bytes.len() as u64, bytes),
+            CutPayload::Delta { base_seq, frame } => {
+                let base = match held {
+                    Some((held_seq, base)) if held_seq == base_seq => base,
+                    _ => return Err(CutError::WrongBase { base_seq, held: held.map(|(s, _)| s) }),
+                };
+                (Some(base_seq), frame.len() as u64, DeltaFrame::from_frame(&frame)?.apply(base)?)
             }
-        }
+        };
+        Ok(AppliedCut { seq: cut.seq, base_seq, shipped_bytes, image })
     }
 }
 
@@ -265,154 +303,98 @@ mod tests {
             .collect()
     }
 
-    fn full(seq: u64, bytes: Vec<u8>) -> ReplicaFrame {
-        ReplicaFrame {
-            shard: 3,
-            generation: 2,
-            role: ReplicaRole::Primary,
-            seq,
-            payload: ReplicaPayload::Full(bytes),
+    #[test]
+    fn full_shipment_resolves_to_the_image() {
+        let img = image(4096, 1);
+        for role in [CutRole::Replica, CutRole::Handoff] {
+            let wire = CutFrame::ship(3, 2, role, 1_000, &img, None);
+            let applied = CutFrame::apply(&wire, 3, 2, role, None).unwrap();
+            assert_eq!(
+                applied,
+                AppliedCut {
+                    seq: 1_000,
+                    base_seq: None,
+                    shipped_bytes: img.len() as u64,
+                    image: img.clone()
+                }
+            );
         }
     }
 
     #[test]
-    fn full_roundtrip_resolves_to_the_image() {
-        let img = image(4096, 1);
-        let wire = full(1_000, img.clone()).to_frame();
-        let parsed = ReplicaFrame::from_frame(&wire).unwrap();
-        assert_eq!(parsed.seq, 1_000);
-        assert_eq!(parsed.shipped_bytes(), img.len() as u64);
-        assert_eq!(parsed.resolve(3, 2, None).unwrap(), img);
-    }
-
-    #[test]
-    fn delta_roundtrip_needs_and_uses_its_base() {
+    fn delta_shipment_needs_and_uses_the_held_base() {
         let base = image(64 * 1024, 2);
         let mut target = base.clone();
         for b in &mut target[1_000..1_200] {
             *b ^= 0x5A;
         }
-        let delta = DeltaFrame::compute(&base, &target);
-        let env = ReplicaFrame {
-            shard: 0,
-            generation: 0,
-            role: ReplicaRole::Primary,
-            seq: 2_000,
-            payload: ReplicaPayload::Delta { base_seq: 1_000, frame: delta.to_frame() },
-        };
-        let parsed = ReplicaFrame::from_frame(&env.to_frame()).unwrap();
-        assert!(parsed.shipped_bytes() < target.len() as u64 / 10, "delta ships O(churn)");
-        assert_eq!(parsed.resolve(0, 0, Some(&base)).unwrap(), target);
-        assert_eq!(parsed.resolve(0, 0, None), Err(ReplicaError::MissingBase { base_seq: 1_000 }));
-        // The wrong base is refused by the delta's own checksum, not applied.
-        let wrong = image(64 * 1024, 3);
-        assert_eq!(parsed.resolve(0, 0, Some(&wrong)), Err(ReplicaError::Frame(CkptError::BadCrc)));
-    }
-
-    #[test]
-    fn wrong_addressing_is_rejected_specifically() {
-        let env = full(500, image(256, 4));
-        let parsed = ReplicaFrame::from_frame(&env.to_frame()).unwrap();
-        assert_eq!(parsed.resolve(4, 2, None), Err(ReplicaError::WrongShard { expected: 4, found: 3 }));
+        let wire = CutFrame::ship(0, 0, CutRole::Replica, 2_000, &target, Some((1_000, &base)));
+        let applied = CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some((1_000, &base))).unwrap();
+        assert_eq!(applied.image, target);
+        assert_eq!(applied.base_seq, Some(1_000));
+        assert!(applied.shipped_bytes < target.len() as u64 / 10, "delta ships O(churn)");
+        // No base, or a base at another boundary, is refused before any
+        // delta work.
         assert_eq!(
-            parsed.resolve(3, 7, None),
-            Err(ReplicaError::WrongGeneration { expected: 7, found: 2 })
+            CutFrame::apply(&wire, 0, 0, CutRole::Replica, None),
+            Err(CutError::WrongBase { base_seq: 1_000, held: None })
+        );
+        assert_eq!(
+            CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some((500, &base))),
+            Err(CutError::WrongBase { base_seq: 1_000, held: Some(500) })
+        );
+        // The wrong bytes at the right boundary are refused by the delta's
+        // own checksum, not applied.
+        let wrong = image(64 * 1024, 3);
+        assert_eq!(
+            CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some((1_000, &wrong))),
+            Err(CutError::Frame(CkptError::BadCrc))
         );
     }
 
     #[test]
-    fn standby_role_is_rejected_never_applied() {
-        let mut env = full(500, image(256, 5));
-        env.role = ReplicaRole::Standby;
-        let parsed = ReplicaFrame::from_frame(&env.to_frame()).unwrap();
+    fn wrong_addressing_is_rejected_specifically() {
+        let wire = CutFrame::ship(3, 2, CutRole::Replica, 500, &image(256, 4), None);
         assert_eq!(
-            parsed.resolve(3, 2, None),
-            Err(ReplicaError::WrongRole { found: ReplicaRole::Standby })
+            CutFrame::apply(&wire, 4, 2, CutRole::Replica, None),
+            Err(CutError::WrongShard { expected: 4, found: 3 })
+        );
+        assert_eq!(
+            CutFrame::apply(&wire, 3, 7, CutRole::Replica, None),
+            Err(CutError::WrongGeneration { expected: 7, found: 2 })
+        );
+        assert_eq!(
+            CutFrame::apply(&wire, 3, 2, CutRole::Handoff, None),
+            Err(CutError::WrongRole { expected: CutRole::Handoff, found: CutRole::Replica })
         );
     }
 
     #[test]
     fn unknown_role_and_payload_tags_are_malformed() {
-        // Build a frame by hand with a bogus role byte.
-        let mut e = Enc::new();
-        e.usize(0);
-        e.u32(0);
-        e.u8(0x7F); // no such role
-        e.u64(100);
-        e.u8(PAYLOAD_FULL);
-        e.bytes(b"body");
-        let frame = seal(REPLICA_MAGIC, REPLICA_VERSION, &e.into_bytes());
-        assert!(matches!(ReplicaFrame::from_frame(&frame), Err(CkptError::Malformed(_))));
-
-        let mut e = Enc::new();
-        e.usize(0);
-        e.u32(0);
-        e.u8(ROLE_PRIMARY);
-        e.u64(100);
-        e.u8(0x7F); // no such payload
-        let frame = seal(REPLICA_MAGIC, REPLICA_VERSION, &e.into_bytes());
-        assert!(matches!(ReplicaFrame::from_frame(&frame), Err(CkptError::Malformed(_))));
+        for (role, payload) in [(0x7F, PAYLOAD_FULL), (ROLE_REPLICA, 0x7F)] {
+            let mut e = Enc::new();
+            e.usize(0);
+            e.u32(0);
+            e.u8(role);
+            e.u64(100);
+            e.u8(payload);
+            e.bytes(b"body");
+            let frame = seal(CUT_MAGIC, CUT_VERSION, &e.into_bytes());
+            assert!(matches!(CutFrame::from_frame(&frame), Err(CkptError::Malformed(_))));
+        }
     }
 
     #[test]
     fn damage_is_detected_not_applied() {
-        let wire = full(900, image(2048, 6)).to_frame();
+        let wire = CutFrame::ship(3, 2, CutRole::Handoff, 900, &image(2048, 6), None);
         for keep in [0, 1, wire.len() / 2, wire.len() - 1] {
-            assert!(ReplicaFrame::from_frame(&wire[..keep]).is_err(), "kept {keep} bytes");
+            assert!(CutFrame::from_frame(&wire[..keep]).is_err(), "kept {keep} bytes");
         }
         let mut flipped = wire.clone();
         flipped[wire.len() / 2] ^= 0x10;
-        assert!(ReplicaFrame::from_frame(&flipped).is_err());
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Decoding arbitrary bytes as a replica envelope never panics.
-        #[test]
-        fn from_frame_never_panics(junk in proptest::collection::vec(0u8..=255, 0..512)) {
-            let _ = ReplicaFrame::from_frame(&junk);
-        }
-
-        /// Any single bit flip in a sealed envelope is detected.
-        #[test]
-        fn any_bit_flip_detected(
-            body in proptest::collection::vec(0u8..=255, 0..256),
-            pos in 0.0f64..1.0,
-            bit in 0u8..8,
-        ) {
-            let wire = ReplicaFrame {
-                shard: 1,
-                generation: 1,
-                role: ReplicaRole::Primary,
-                seq: 42,
-                payload: ReplicaPayload::Full(body),
-            }
-            .to_frame();
-            let mut bad = wire.clone();
-            let byte = ((pos * bad.len() as f64) as usize).min(bad.len() - 1);
-            bad[byte] ^= 1 << bit;
-            prop_assert!(ReplicaFrame::from_frame(&bad).is_err());
-        }
-
-        /// Envelopes roundtrip bit-exactly for any payload.
-        #[test]
-        fn any_full_payload_roundtrips(
-            body in proptest::collection::vec(0u8..=255, 0..256),
-            seq in 0u64..1_000_000,
-        ) {
-            let env = ReplicaFrame {
-                shard: 2,
-                generation: 9,
-                role: ReplicaRole::Primary,
-                seq,
-                payload: ReplicaPayload::Full(body),
-            };
-            prop_assert_eq!(ReplicaFrame::from_frame(&env.to_frame()).unwrap(), env);
-        }
+        assert!(matches!(
+            CutFrame::apply(&flipped, 3, 2, CutRole::Handoff, None),
+            Err(CutError::Frame(_))
+        ));
     }
 }

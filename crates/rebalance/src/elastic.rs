@@ -6,26 +6,26 @@
 //! Because submission uses [`Backpressure::Block`](darwin_shard::Backpressure) semantics and the lock
 //! hands over atomically, a resize never answers `Unavailable` and never
 //! drops a request — the exactly-once conservation ledger
-//! (`processed + dropped + unavailable == submitted`) holds across any
+//! (`processed + dropped + unavailable + shed == submitted`) holds across any
 //! resize sequence, which `experiments rebalance` certifies.
 //!
 //! A resize `N → M` drains the serving generation through the handoff state
 //! machine, cuts every shard's final [`ShardCheckpoint`] at its
 //! end-of-stream request-sequence boundary, ships each *surviving* shard's
-//! cut to the successor generation in a [`TransferFrame`] (delta-compressed
-//! against the shard's last periodic checkpoint when one exists), and boots
-//! generation `g+1` with those frames as warm seeds. Keyspace slices that
-//! *move* between shards arrive cold by design: the ring bounds them to
-//! `|M−N|/max(N,M)` of the keyspace, which is exactly the bounded
-//! post-resize hit-ratio dip the benchmark measures.
+//! cut to the successor generation in a [`CutRole::Handoff`] [`CutFrame`]
+//! (delta-compressed against the shard's last periodic checkpoint when one
+//! exists), and boots generation `g+1` with those frames as warm seeds.
+//! Keyspace slices that *move* between shards arrive cold by design: the
+//! ring bounds them to `|M−N|/max(N,M)` of the keyspace, which is exactly
+//! the bounded post-resize hit-ratio dip the benchmark measures.
 
-use crate::handoff::{HandoffError, HandoffTracker, TransferFrame, TransferPayload};
+use crate::handoff::HandoffTracker;
 use crate::ring::RingRouter;
-use crate::DeltaFrame;
 use darwin_cache::CacheConfig;
+use darwin_ckpt::replica::{CutError, CutFrame, CutRole};
 use darwin_shard::{
-    Envelope, EventKind, FaultPlan, FleetBoot, FleetConfig, FleetMetrics, GenerationSummary,
-    MetricsHandle, ShardCheckpoint, ShardPhase, ShardedFleet,
+    CheckpointSlot, Envelope, EventKind, FaultPlan, FleetBoot, FleetConfig, FleetMetrics,
+    GenerationSummary, MetricsHandle, ShardCheckpoint, ShardPhase, ShardedFleet,
 };
 use darwin_testbed::AdmissionDriver;
 use darwin_trace::Request;
@@ -80,7 +80,8 @@ pub struct ElasticReport {
 impl ElasticReport {
     /// The exactly-once conservation ledger.
     pub fn conserved(&self) -> bool {
-        self.metrics.total_processed() + self.metrics.total_dropped() + self.metrics.total_unavailable()
+        let m = &self.metrics;
+        m.total_processed() + m.total_dropped() + m.total_unavailable() + m.total_shed()
             == self.submitted
     }
 }
@@ -228,6 +229,7 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
             processed: snap.total_processed(),
             dropped: snap.total_dropped(),
             unavailable: snap.total_unavailable(),
+            shed: snap.total_shed(),
             restarts: snap.total_restarts(),
             warm_restarts: snap.total_warm_restarts(),
             warm_boots: snap.total_warm_boots(),
@@ -236,12 +238,12 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
 
     /// Resizes the fleet to `to_shards` shards: drains the serving
     /// generation through the handoff state machine, ships every surviving
-    /// shard's final cut as a [`TransferFrame`] (delta-compressed when a
+    /// shard's final cut as a handoff [`CutFrame`] (delta-compressed when a
     /// pre-copied base exists) and boots the next generation warm from the
     /// resolved frames. Submitters blocked on the generation lock resume
     /// against the new generation; nothing is dropped or answered
     /// `Unavailable` by the resize itself.
-    pub fn resize(&self, to_shards: usize) -> Result<Vec<TransferStat>, HandoffError> {
+    pub fn resize(&self, to_shards: usize) -> Result<Vec<TransferStat>, CutError> {
         assert!(to_shards > 0, "fleet needs at least one shard");
         let mut st = self.state.write().expect("elastic state poisoned");
         let from_shards = st.shards;
@@ -250,12 +252,6 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
         let fleet = st.fleet.take().expect("fleet serving");
         let slots = fleet.checkpoint_slots();
         let old_handle = st.handle.clone();
-
-        // The "pre-copied" bases: each shard's newest checkpoint *before*
-        // the final cut — what a real destination would have replicated
-        // asynchronously while the source was still serving.
-        let bases: Vec<Option<Vec<u8>>> =
-            slots.iter().map(|slot| slot.candidates().into_iter().next()).collect();
 
         let mut tracker = HandoffTracker::new(from_shards);
         // Serving → Draining happens inside finish_with_cut (the fleet
@@ -274,55 +270,9 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
             tracker.advance(s, ShardPhase::Transferring).map_err(state_err)?;
             old_handle.cells()[s].set_phase(ShardPhase::Transferring);
             if s < survivors {
-                let final_frame = slot
-                    .candidates()
-                    .into_iter()
-                    .next()
-                    .ok_or_else(|| state_err(format!("shard {s}: no final cut to hand off")))?;
-                let seq = ShardCheckpoint::from_frame(&final_frame).map(|c| c.seq).unwrap_or(0);
-                let base = bases[s].as_ref().filter(|b| *b != &final_frame);
-                let payload = match base {
-                    Some(base_frame) => {
-                        let base_seq =
-                            ShardCheckpoint::from_frame(base_frame).map(|c| c.seq).unwrap_or(0);
-                        let delta = DeltaFrame::compute(base_frame, &final_frame);
-                        TransferPayload::Delta { base_seq, frame: delta.to_frame() }
-                    }
-                    None => TransferPayload::Full(final_frame.clone()),
-                };
-                let envelope = TransferFrame {
-                    source_shard: s,
-                    target_shard: s,
-                    from_generation: from_gen,
-                    to_generation: to_gen,
-                    seq,
-                    payload,
-                };
-                // Round-trip through wire bytes: the destination decodes,
-                // generation-checks and re-validates; the resolved frame
-                // must be bitwise the final cut or the handoff fails loudly.
-                let wire = envelope.to_frame();
-                let parsed = TransferFrame::from_frame(&wire)?;
-                let resolved = parsed.resolve(to_gen, base.map(|b| b.as_slice()))?;
-                if resolved != final_frame {
-                    return Err(HandoffError::Frame(darwin_ckpt::CkptError::Malformed(format!(
-                        "shard {s}: resolved transfer diverges from the final cut"
-                    ))));
-                }
-                let shipped = match &parsed.payload {
-                    TransferPayload::Full(bytes) => bytes.len() as u64,
-                    TransferPayload::Delta { frame, .. } => frame.len() as u64,
-                };
-                transfers.push(TransferStat {
-                    shard: s,
-                    from_generation: from_gen,
-                    to_generation: to_gen,
-                    seq,
-                    full_bytes: final_frame.len() as u64,
-                    shipped_bytes: shipped,
-                    delta: matches!(parsed.payload, TransferPayload::Delta { .. }),
-                });
-                seeds[s] = Some(resolved);
+                let (stat, seed) = hand_off(s, slot, from_gen, to_gen)?;
+                transfers.push(stat);
+                seeds[s] = Some(seed);
             } else {
                 // Retired shard: its keyspace disperses across survivors;
                 // its spill must not resurrect under a later warm boot.
@@ -418,7 +368,125 @@ fn mint<D: AdmissionDriver + Send + 'static>(
 }
 
 /// Wraps a state-machine violation (a bug, not an I/O condition) into the
-/// handoff error space so `resize` has one error type.
-fn state_err(msg: impl Into<String>) -> HandoffError {
-    HandoffError::Frame(darwin_ckpt::CkptError::Malformed(msg.into()))
+/// cut error space so `resize` has one error type.
+fn state_err(msg: impl Into<String>) -> CutError {
+    CutError::Frame(darwin_ckpt::CkptError::Malformed(msg.into()))
+}
+
+/// Validates `frame` as shard `shard`'s own checkpoint and returns the
+/// boundary it was cut at — the `seq` a handoff is addressed with. A frame
+/// that does not decode fails the resize instead of shipping as boundary 0.
+fn own_cut_seq(shard: usize, frame: &[u8]) -> Result<u64, CutError> {
+    let ckpt = ShardCheckpoint::from_frame(frame)?;
+    if ckpt.shard != shard {
+        return Err(CutError::WrongShard { expected: shard, found: ckpt.shard });
+    }
+    Ok(ckpt.seq)
+}
+
+/// Hands shard `s`'s final cut — the newest frame in `slot` — to generation
+/// `to_gen`, as a delta against the "pre-copied" base: the slot's next
+/// candidate, the shard's last checkpoint *before* the final cut, which a
+/// real destination would have replicated while the source was still
+/// serving. (Read after the drain, so which checkpoint that is depends on
+/// the request stream alone, never on how far the worker had got when the
+/// resize was called.) Both ends of the shipment run here: the cut goes
+/// through wire bytes, the destination decodes, address-checks and resolves
+/// it against that base, and the image must be bitwise the validated final
+/// cut at its boundary or the handoff fails loudly. Returns the transfer's
+/// accounting and the seed to boot from.
+fn hand_off(
+    s: usize,
+    slot: &CheckpointSlot,
+    from_gen: u32,
+    to_gen: u32,
+) -> Result<(TransferStat, Vec<u8>), CutError> {
+    let mut candidates = slot.candidates().into_iter();
+    let final_frame =
+        candidates.next().ok_or_else(|| state_err(format!("shard {s}: no final cut to hand off")))?;
+    let seq = own_cut_seq(s, &final_frame)?;
+    let base = candidates.next().filter(|b| *b != final_frame);
+    let held = match &base {
+        Some(base) => Some((own_cut_seq(s, base)?, base.as_slice())),
+        None => None,
+    };
+    let wire = CutFrame::ship(s, to_gen, CutRole::Handoff, seq, &final_frame, held);
+    let cut = CutFrame::apply(&wire, s, to_gen, CutRole::Handoff, held)?;
+    if cut.seq != seq || cut.image != final_frame {
+        return Err(state_err(format!("shard {s}: resolved transfer diverges from the final cut")));
+    }
+    let stat = TransferStat {
+        shard: s,
+        from_generation: from_gen,
+        to_generation: to_gen,
+        seq,
+        full_bytes: final_frame.len() as u64,
+        shipped_bytes: cut.shipped_bytes,
+        delta: cut.base_seq.is_some(),
+    };
+    Ok((stat, cut.image))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use darwin_cache::ThresholdPolicy;
+    use darwin_ckpt::CkptError;
+
+    fn ckpt_frame(shard: usize, seq: u64, fill: u8) -> Vec<u8> {
+        ShardCheckpoint {
+            shard,
+            seq,
+            policy: ThresholdPolicy::new(2, 64 * 1024),
+            cache: vec![fill; 4096],
+            driver: vec![fill ^ 0xFF; 128],
+            restarts: 0,
+            budget_marks: Vec::new(),
+        }
+        .to_frame()
+    }
+
+    fn slot_with(frames: &[Vec<u8>]) -> CheckpointSlot {
+        let slot = CheckpointSlot::new(1, None);
+        for f in frames {
+            slot.store(f.clone());
+        }
+        slot
+    }
+
+    #[test]
+    fn hand_off_ships_a_delta_at_the_decoded_boundaries() {
+        let slot = slot_with(&[ckpt_frame(1, 500, 7), ckpt_frame(1, 730, 7)]);
+        let (stat, seed) = hand_off(1, &slot, 4, 5).unwrap();
+        assert_eq!((stat.seq, stat.from_generation, stat.to_generation), (730, 4, 5));
+        assert!(stat.delta && stat.shipped_bytes < stat.full_bytes);
+        assert_eq!(seed, slot.candidates()[0]);
+        // No earlier checkpoint, or one identical to the final cut (the
+        // stream ended on a periodic boundary): the full image ships.
+        for frames in [vec![ckpt_frame(1, 730, 7)], vec![ckpt_frame(1, 730, 7); 2]] {
+            let (stat, _) = hand_off(1, &slot_with(&frames), 4, 5).unwrap();
+            assert!(!stat.delta && stat.shipped_bytes == stat.full_bytes);
+        }
+    }
+
+    #[test]
+    fn undecodable_cut_or_base_fails_the_handoff_instead_of_shipping_seq_zero() {
+        // A damaged base: the final cut is fine, the boundary it would be
+        // addressed against is unknowable.
+        let mut bad_base = ckpt_frame(1, 500, 7);
+        let mid = bad_base.len() / 2;
+        bad_base[mid] ^= 0x10;
+        let slot = slot_with(&[bad_base, ckpt_frame(1, 730, 7)]);
+        assert_eq!(hand_off(1, &slot, 4, 5), Err(CutError::Frame(CkptError::BadCrc)));
+        // Another shard's frame in this shard's slot is refused by name.
+        let slot = slot_with(&[ckpt_frame(0, 500, 7), ckpt_frame(1, 730, 7)]);
+        assert_eq!(hand_off(1, &slot, 4, 5), Err(CutError::WrongShard { expected: 1, found: 0 }));
+        // The final cut corrupted in the slot after it was taken, torn or
+        // bit-flipped: no boundary to address, so nothing ships.
+        for torn in [true, false] {
+            let slot = slot_with(&[ckpt_frame(1, 500, 7), ckpt_frame(1, 730, 7)]);
+            slot.corrupt(torn);
+            assert!(matches!(hand_off(1, &slot, 4, 5), Err(CutError::Frame(_))));
+        }
+    }
 }

@@ -1,185 +1,18 @@
-//! The live-handoff state machine and transfer envelope.
+//! The live-handoff state machine.
 //!
 //! A resize drains every shard of the serving generation through the
 //! one-way phase sequence `Serving → Draining → Transferring → Retired`
-//! ([`HandoffTracker`] enforces the order), cuts a final
+//! ([`HandoffTracker`] enforces the order) and cuts a final
 //! [`ShardCheckpoint`](darwin_shard::ShardCheckpoint) at each shard's
-//! request-sequence boundary, and ships it to the successor generation
-//! inside a [`TransferFrame`]:
-//!
-//! ## Frame format (magic `DRBT`, version 1, CRC-64 sealed)
-//!
-//! | field             | type    | meaning                                 |
-//! |-------------------|---------|-----------------------------------------|
-//! | `source_shard`    | `usize` | shard index in the source generation     |
-//! | `target_shard`    | `usize` | shard index in the destination           |
-//! | `from_generation` | `u32`   | router generation being drained          |
-//! | `to_generation`   | `u32`   | router generation being booted           |
-//! | `seq`             | `u64`   | request-sequence boundary of the cut     |
-//! | payload tag       | `u8`    | `0x01` full frame \| `0x02` delta        |
-//! | `Full`            | bytes   | the sealed checkpoint frame              |
-//! | `Delta`           | `u64` + bytes | base boundary + sealed [`DeltaFrame`] |
-//!
-//! [`TransferFrame::resolve`] is the destination's gate: it refuses a frame
-//! addressed to another generation (`WrongGeneration`), refuses a delta
-//! without its base (`MissingBase`), and re-validates the reconstructed
-//! checkpoint frame end to end — so a truncated, bit-flipped or misrouted
-//! transfer can fail loudly but never silently mis-restore.
+//! request-sequence boundary. Each surviving shard's cut then travels to
+//! the successor generation as a
+//! [`CutRole::Handoff`](darwin_ckpt::replica::CutRole) shipment of the cut
+//! envelope ([`darwin_ckpt::replica`] has the format, the sender and the
+//! apply gate — the same ones a standby feed uses), so a truncated,
+//! bit-flipped or misrouted transfer can fail loudly but never silently
+//! mis-restore.
 
-use crate::delta::DeltaFrame;
-use darwin_ckpt::{open, seal, CkptError, Dec, Enc};
-use darwin_shard::{ShardPhase, CKPT_MAGIC, CKPT_VERSION};
-
-/// Magic for sealed transfer frames: `DRBT`.
-pub const TRANSFER_MAGIC: u32 = 0x4452_4254;
-/// Current transfer frame version.
-pub const TRANSFER_VERSION: u16 = 1;
-
-/// Payload tag: the full sealed checkpoint frame rides inside.
-const PAYLOAD_FULL: u8 = 0x01;
-/// Payload tag: a delta against a base the destination already holds.
-const PAYLOAD_DELTA: u8 = 0x02;
-
-/// How the checkpoint bytes travel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TransferPayload {
-    /// The whole sealed checkpoint frame — O(cache) bytes.
-    Full(Vec<u8>),
-    /// A [`DeltaFrame`] against the shard's checkpoint at `base_seq`, which
-    /// the destination pre-copied — O(churn) bytes.
-    Delta {
-        /// Request-sequence boundary of the base image the delta needs.
-        base_seq: u64,
-        /// The sealed delta frame.
-        frame: Vec<u8>,
-    },
-}
-
-/// The envelope a draining shard ships its final cut in.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TransferFrame {
-    /// Shard index in the generation being drained.
-    pub source_shard: usize,
-    /// Shard index in the generation being booted.
-    pub target_shard: usize,
-    /// Generation the cut was taken from.
-    pub from_generation: u32,
-    /// Generation the frame is addressed to.
-    pub to_generation: u32,
-    /// Request-sequence boundary of the final cut.
-    pub seq: u64,
-    /// The checkpoint bytes, full or delta-compressed.
-    pub payload: TransferPayload,
-}
-
-/// Why a transfer failed to resolve into a restorable checkpoint frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HandoffError {
-    /// The frame is addressed to a different router generation; restoring
-    /// it would resurrect another epoch's keyspace.
-    WrongGeneration {
-        /// Generation the destination is booting.
-        expected: u32,
-        /// Generation the frame is addressed to.
-        found: u32,
-    },
-    /// A delta payload arrived but the destination holds no base image.
-    MissingBase,
-    /// The envelope or its payload failed frame validation.
-    Frame(CkptError),
-}
-
-impl std::fmt::Display for HandoffError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HandoffError::WrongGeneration { expected, found } => {
-                write!(f, "transfer addressed to generation {found}, booting {expected}")
-            }
-            HandoffError::MissingBase => write!(f, "delta transfer without its base image"),
-            HandoffError::Frame(e) => write!(f, "transfer frame invalid: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for HandoffError {}
-
-impl From<CkptError> for HandoffError {
-    fn from(e: CkptError) -> Self {
-        HandoffError::Frame(e)
-    }
-}
-
-impl TransferFrame {
-    /// Serializes into a sealed, CRC-guarded envelope.
-    pub fn to_frame(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.usize(self.source_shard);
-        e.usize(self.target_shard);
-        e.u32(self.from_generation);
-        e.u32(self.to_generation);
-        e.u64(self.seq);
-        match &self.payload {
-            TransferPayload::Full(bytes) => {
-                e.u8(PAYLOAD_FULL);
-                e.bytes(bytes);
-            }
-            TransferPayload::Delta { base_seq, frame } => {
-                e.u8(PAYLOAD_DELTA);
-                e.u64(*base_seq);
-                e.bytes(frame);
-            }
-        }
-        seal(TRANSFER_MAGIC, TRANSFER_VERSION, &e.into_bytes())
-    }
-
-    /// Parses a sealed envelope. Truncated, bit-flipped or wrong-versioned
-    /// envelopes surface as [`CkptError`]s.
-    pub fn from_frame(frame: &[u8]) -> Result<TransferFrame, CkptError> {
-        let body = open(frame, TRANSFER_MAGIC, TRANSFER_VERSION)?;
-        let mut d = Dec::new(body);
-        let source_shard = d.usize()?;
-        let target_shard = d.usize()?;
-        let from_generation = d.u32()?;
-        let to_generation = d.u32()?;
-        let seq = d.u64()?;
-        let payload = match d.u8()? {
-            PAYLOAD_FULL => TransferPayload::Full(d.bytes()?.to_vec()),
-            PAYLOAD_DELTA => TransferPayload::Delta { base_seq: d.u64()?, frame: d.bytes()?.to_vec() },
-            tag => return Err(CkptError::Malformed(format!("transfer payload tag {tag:#x}"))),
-        };
-        d.finish()?;
-        Ok(TransferFrame { source_shard, target_shard, from_generation, to_generation, seq, payload })
-    }
-
-    /// Resolves the payload into a restorable sealed checkpoint frame for a
-    /// destination booting `expected_generation` that pre-copied `base`
-    /// (the shard's periodic checkpoint frame, when it has one). Every
-    /// failure is loud; the returned bytes always re-validate as a
-    /// checkpoint frame of the expected shape before they are handed out.
-    pub fn resolve(
-        &self,
-        expected_generation: u32,
-        base: Option<&[u8]>,
-    ) -> Result<Vec<u8>, HandoffError> {
-        if self.to_generation != expected_generation {
-            return Err(HandoffError::WrongGeneration {
-                expected: expected_generation,
-                found: self.to_generation,
-            });
-        }
-        let bytes = match &self.payload {
-            TransferPayload::Full(bytes) => bytes.clone(),
-            TransferPayload::Delta { frame, .. } => {
-                let base = base.ok_or(HandoffError::MissingBase)?;
-                DeltaFrame::from_frame(frame)?.apply(base)?
-            }
-        };
-        // End-to-end re-validation: whatever the payload path, the result
-        // must be a sealed checkpoint frame before anyone restores from it.
-        open(&bytes, CKPT_MAGIC, CKPT_VERSION)?;
-        Ok(bytes)
-    }
-}
+use darwin_shard::ShardPhase;
 
 /// Enforces the one-way handoff phase order for every shard of a draining
 /// generation.
@@ -220,48 +53,6 @@ impl HandoffTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn envelope(payload: TransferPayload) -> TransferFrame {
-        TransferFrame {
-            source_shard: 3,
-            target_shard: 3,
-            from_generation: 1,
-            to_generation: 2,
-            seq: 9_000,
-            payload,
-        }
-    }
-
-    #[test]
-    fn envelope_round_trips() {
-        for payload in [
-            TransferPayload::Full(vec![1, 2, 3]),
-            TransferPayload::Delta { base_seq: 8_000, frame: vec![9, 9] },
-        ] {
-            let t = envelope(payload);
-            assert_eq!(TransferFrame::from_frame(&t.to_frame()).unwrap(), t);
-        }
-    }
-
-    #[test]
-    fn wrong_generation_is_refused() {
-        let ckpt = darwin_ckpt::seal(CKPT_MAGIC, CKPT_VERSION, b"body");
-        let t = envelope(TransferPayload::Full(ckpt));
-        assert_eq!(t.resolve(7, None), Err(HandoffError::WrongGeneration { expected: 7, found: 2 }));
-        assert!(t.resolve(2, None).is_ok());
-    }
-
-    #[test]
-    fn delta_without_base_is_refused() {
-        let t = envelope(TransferPayload::Delta { base_seq: 1, frame: vec![] });
-        assert_eq!(t.resolve(2, None), Err(HandoffError::MissingBase));
-    }
-
-    #[test]
-    fn resolved_bytes_must_be_a_checkpoint_frame() {
-        let t = envelope(TransferPayload::Full(b"not a checkpoint".to_vec()));
-        assert!(matches!(t.resolve(2, None), Err(HandoffError::Frame(_))));
-    }
 
     #[test]
     fn tracker_enforces_one_way_order() {

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //!  generation g (N shards)                generation g+1 (M shards)
-//!  ┌──────────────────────┐   transfer    ┌──────────────────────────┐
+//!  ┌──────────────────────┐      cut      ┌──────────────────────────┐
 //!  │ Serving → Draining   │   envelopes   │  warm boot from resolved │
 //!  │  final cut @ seq ────┼──────────────▶│  frames (survivors) /    │
 //!  │  Transferring        │  Full | Delta │  cold (moved keyspace)   │
@@ -24,13 +24,14 @@
 //!   exact per-object stability guarantees (see the module docs).
 //! * [`delta`] — [`DeltaFrame`]: rsync-style block diff between two
 //!   checkpoint images, so a handoff ships O(churn) not O(cache) bytes
-//!   (hosted in [`darwin_ckpt`], re-exported here; the shard replication
-//!   layer shares it).
-//! * [`replica`] — [`ReplicaFrame`]: the role-tagged envelope primaries
-//!   feed hot standbys with (also hosted in [`darwin_ckpt`]).
-//! * [`handoff`] — [`TransferFrame`] (the sealed transfer envelope, full or
-//!   delta payload, generation-addressed) and [`HandoffTracker`] (the
-//!   one-way `Serving → Draining → Transferring → Retired` state machine).
+//!   (hosted in [`darwin_ckpt`], which the shard replication layer shares).
+//! * [`replica`] — [`CutFrame`]: the sealed, role-tagged cut envelope
+//!   (full or delta payload, shard- and generation-addressed) with its one
+//!   sender and one apply gate; a resize ships [`CutRole::Handoff`]
+//!   frames, a standby feed [`CutRole::Replica`] ones (also hosted in
+//!   [`darwin_ckpt`]).
+//! * [`handoff`] — [`HandoffTracker`]: the one-way
+//!   `Serving → Draining → Transferring → Retired` state machine.
 //! * [`elastic`] — [`ElasticFleet`]: the orchestrator that drains a
 //!   generation, ships the envelopes and boots the successor warm, keeping
 //!   the exactly-once conservation ledger intact across any resize
@@ -45,19 +46,15 @@ pub mod elastic;
 pub mod handoff;
 pub mod ring;
 
-/// The block-delta codec, re-exported from [`darwin_ckpt`] where it now
-/// lives so the shard replication layer can share it (see that module's
-/// docs for the history).
+/// The block-delta codec, hosted in [`darwin_ckpt`].
 pub use darwin_ckpt::delta;
-/// The role-tagged replica envelope, re-exported from [`darwin_ckpt`].
+/// The cut envelope, hosted in [`darwin_ckpt`].
 pub use darwin_ckpt::replica;
 
 pub use darwin_ckpt::delta::{DeltaFrame, DELTA_MAGIC, DELTA_VERSION};
 pub use darwin_ckpt::replica::{
-    ReplicaError, ReplicaFrame, ReplicaPayload, ReplicaRole, REPLICA_MAGIC, REPLICA_VERSION,
+    AppliedCut, CutError, CutFrame, CutPayload, CutRole, CUT_MAGIC, CUT_VERSION,
 };
 pub use elastic::{ElasticFleet, ElasticReport, TransferStat};
-pub use handoff::{
-    HandoffError, HandoffTracker, TransferFrame, TransferPayload, TRANSFER_MAGIC, TRANSFER_VERSION,
-};
+pub use handoff::HandoffTracker;
 pub use ring::{theoretical_remap, RingRouter, DEFAULT_SEED, DEFAULT_VNODES};

@@ -1,117 +1,178 @@
-//! Corpus and property tests for the handoff wire formats.
+//! Corpus and property tests for the state-movement wire formats: the cut
+//! envelope (both roles) and the delta frame it can carry.
 //!
 //! The safety statement the fleet depends on: a truncated, bit-flipped,
-//! junk or wrong-generation transfer/delta frame never panics the decoder
-//! and never silently mis-restores — every failure is a typed error, and
-//! every success reconstructs the exact original bytes.
+//! junk, misaddressed, wrong-role or stale-base shipment never panics the
+//! decoder and never silently mis-applies — every failure is a typed error,
+//! and every success reconstructs the exact original bytes.
 
 use darwin_ckpt::{seal, CkptError};
-use darwin_rebalance::{
-    DeltaFrame, HandoffError, ReplicaError, ReplicaFrame, ReplicaPayload, ReplicaRole, TransferFrame,
-    TransferPayload, REPLICA_MAGIC, REPLICA_VERSION, TRANSFER_MAGIC, TRANSFER_VERSION,
-};
+use darwin_rebalance::{CutError, CutFrame, CutPayload, CutRole, DeltaFrame, CUT_MAGIC, CUT_VERSION};
 use darwin_shard::{CKPT_MAGIC, CKPT_VERSION};
 use proptest::prelude::*;
 
-/// A sealed checkpoint-shaped frame to ride inside transfer payloads.
+/// A sealed checkpoint-shaped frame to ride inside full payloads.
 fn ckpt_frame(body: &[u8]) -> Vec<u8> {
     seal(CKPT_MAGIC, CKPT_VERSION, body)
 }
 
-fn envelope(to_generation: u32, payload: TransferPayload) -> TransferFrame {
-    TransferFrame {
-        source_shard: 1,
-        target_shard: 1,
-        from_generation: to_generation.wrapping_sub(1),
-        to_generation,
-        seq: 4_000,
-        payload,
+/// Both flows run every property: nothing about the codec or the gate may
+/// depend on which one a shipment belongs to.
+fn role(handoff: bool) -> CutRole {
+    if handoff {
+        CutRole::Handoff
+    } else {
+        CutRole::Replica
     }
 }
 
-fn replica(shard: usize, generation: u32, role: ReplicaRole, payload: ReplicaPayload) -> ReplicaFrame {
-    ReplicaFrame { shard, generation, role, seq: 7_000, payload }
+fn cut(shard: usize, generation: u32, role: CutRole, payload: CutPayload) -> CutFrame {
+    CutFrame { shard, generation, role, seq: 7_000, payload }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Transfer envelopes round-trip exactly, for both payload kinds.
+    /// Envelopes round-trip exactly, for both payload kinds and both roles.
     #[test]
-    fn transfer_roundtrip(
-        source in 0usize..64, target in 0usize..64,
-        from_gen in 0u32..=u32::MAX, seq in 0u64..=u64::MAX,
+    fn cut_roundtrip(
+        shard in 0usize..64, generation in 0u32..=u32::MAX,
+        seq in 0u64..=u64::MAX, base_seq in 0u64..=u64::MAX,
         body in proptest::collection::vec(0u8..=255, 0..2048),
-        base_seq in 0u64..=u64::MAX, is_delta in proptest::bool::ANY,
+        is_delta in proptest::bool::ANY, handoff in proptest::bool::ANY,
     ) {
         let payload = if is_delta {
-            TransferPayload::Delta { base_seq, frame: body.clone() }
+            CutPayload::Delta { base_seq, frame: body.clone() }
         } else {
-            TransferPayload::Full(body.clone())
+            CutPayload::Full(body.clone())
         };
-        let t = TransferFrame {
-            source_shard: source,
-            target_shard: target,
-            from_generation: from_gen,
-            to_generation: from_gen.wrapping_add(1),
-            seq,
-            payload,
-        };
-        prop_assert_eq!(TransferFrame::from_frame(&t.to_frame()).unwrap(), t);
+        let c = CutFrame { shard, generation, role: role(handoff), seq, payload };
+        prop_assert_eq!(CutFrame::from_frame(&c.to_frame()).unwrap(), c);
     }
 
-    /// Truncating a transfer envelope at any point yields an error, never a
-    /// panic and never a decoded frame.
+    /// Truncating an envelope at any point yields an error, never a panic
+    /// and never a decoded frame.
     #[test]
-    fn truncated_transfer_never_decodes(
+    fn truncated_cut_never_decodes(
         body in proptest::collection::vec(0u8..=255, 0..512),
-        cut in 0usize..1 << 20,
+        cut_at in 0usize..1 << 20,
+        handoff in proptest::bool::ANY,
     ) {
-        let frame = envelope(3, TransferPayload::Full(ckpt_frame(&body))).to_frame();
-        let cut = cut % frame.len(); // 0..len, strictly shorter
-        prop_assert!(TransferFrame::from_frame(&frame[..cut]).is_err());
+        let frame = cut(2, 5, role(handoff), CutPayload::Full(ckpt_frame(&body))).to_frame();
+        let cut_at = cut_at % frame.len(); // 0..len, strictly shorter
+        prop_assert!(CutFrame::from_frame(&frame[..cut_at]).is_err());
     }
 
-    /// A single flipped bit anywhere in a transfer envelope is caught by
-    /// the CRC (or magic/version check) — corrupted envelopes never decode.
+    /// A single flipped bit anywhere in an envelope is caught by the CRC
+    /// (or magic/version check) — a corrupted shipment never applies.
     #[test]
-    fn bit_flipped_transfer_never_decodes(
+    fn bit_flipped_cut_never_applies(
         body in proptest::collection::vec(0u8..=255, 0..512),
         pos in 0usize..1 << 20,
         bit in 0u8..8,
+        handoff in proptest::bool::ANY,
     ) {
-        let mut frame = envelope(3, TransferPayload::Full(ckpt_frame(&body))).to_frame();
+        let mut frame = cut(2, 5, role(handoff), CutPayload::Full(ckpt_frame(&body))).to_frame();
         let pos = pos % frame.len();
         frame[pos] ^= 1 << bit;
-        prop_assert!(TransferFrame::from_frame(&frame).is_err());
+        prop_assert!(CutFrame::from_frame(&frame).is_err());
+        prop_assert!(matches!(
+            CutFrame::apply(&frame, 2, 5, role(handoff), None),
+            Err(CutError::Frame(_))
+        ));
     }
 
-    /// Arbitrary junk never decodes as a transfer envelope and never
-    /// panics the decoder.
+    /// Arbitrary junk never decodes as an envelope and never panics the
+    /// decoder.
     #[test]
-    fn junk_never_decodes_as_transfer(junk in proptest::collection::vec(0u8..=255, 0..512)) {
+    fn junk_never_decodes_as_cut(junk in proptest::collection::vec(0u8..=255, 0..512)) {
         // Skip the astronomically unlikely junk that opens with the real
         // magic AND carries a matching CRC-64 trailer; everything else must
         // be refused.
-        if junk.len() < 4 || junk[..4] != TRANSFER_MAGIC.to_le_bytes() {
-            prop_assert!(TransferFrame::from_frame(&junk).is_err());
+        if junk.len() < 4 || junk[..4] != CUT_MAGIC.to_le_bytes() {
+            prop_assert!(CutFrame::from_frame(&junk).is_err());
         }
     }
 
-    /// A wrong-generation envelope is refused before any payload work —
-    /// even a perfectly valid one never restores into the wrong epoch.
+    /// A wrong-generation shipment is refused before any payload work —
+    /// even a perfectly valid one never applies in the wrong epoch.
     #[test]
-    fn wrong_generation_never_resolves(
+    fn wrong_generation_never_applies(
         expect in 0u32..1 << 30,
         skew in 1u32..1 << 30,
         body in proptest::collection::vec(0u8..=255, 0..256),
+        handoff in proptest::bool::ANY,
     ) {
         let addressed = expect + skew; // always != expect
-        let t = envelope(addressed, TransferPayload::Full(ckpt_frame(&body)));
+        let wire = cut(0, addressed, role(handoff), CutPayload::Full(ckpt_frame(&body))).to_frame();
         prop_assert_eq!(
-            t.resolve(expect, None),
-            Err(HandoffError::WrongGeneration { expected: expect, found: addressed })
+            CutFrame::apply(&wire, 0, expect, role(handoff), None),
+            Err(CutError::WrongGeneration { expected: expect, found: addressed })
         );
+    }
+
+    /// A wrong-shard shipment is refused — cross-wired lanes fail loudly
+    /// instead of poisoning a standby or a successor shard.
+    #[test]
+    fn wrong_shard_never_applies(
+        expect in 0usize..1 << 16,
+        skew in 1usize..1 << 16,
+        body in proptest::collection::vec(0u8..=255, 0..256),
+        handoff in proptest::bool::ANY,
+    ) {
+        let addressed = expect + skew; // always != expect
+        let wire = cut(addressed, 3, role(handoff), CutPayload::Full(ckpt_frame(&body))).to_frame();
+        prop_assert_eq!(
+            CutFrame::apply(&wire, expect, 3, role(handoff), None),
+            Err(CutError::WrongShard { expected: expect, found: addressed })
+        );
+    }
+
+    /// A shipment from the other flow is never applied, in either
+    /// direction and whatever the payload: a standby refuses a handoff, a
+    /// resize refuses a replica feed.
+    #[test]
+    fn cross_role_never_applies(
+        body in proptest::collection::vec(0u8..=255, 0..256),
+        is_delta in proptest::bool::ANY,
+        handoff in proptest::bool::ANY,
+    ) {
+        let payload = if is_delta {
+            CutPayload::Delta { base_seq: 100, frame: body }
+        } else {
+            CutPayload::Full(body)
+        };
+        let (sent, serving) = (role(handoff), role(!handoff));
+        let wire = cut(1, 1, sent, payload).to_frame();
+        prop_assert_eq!(
+            CutFrame::apply(&wire, 1, 1, serving, Some((100, b"base"))),
+            Err(CutError::WrongRole { expected: serving, found: sent })
+        );
+    }
+
+    /// A delta against a boundary the receiver does not hold — no base at
+    /// all, or a base at another (stale) boundary — is refused before the
+    /// delta is even opened, although the base bytes on hand would apply.
+    #[test]
+    fn stale_base_seq_never_applies(
+        base in proptest::collection::vec(0u8..=255, 0..1024),
+        target in proptest::collection::vec(0u8..=255, 0..1024),
+        base_seq in 0u64..1 << 40,
+        skew in 1u64..1 << 40,
+        handoff in proptest::bool::ANY,
+    ) {
+        let wire = CutFrame::ship(0, 0, role(handoff), base_seq + skew, &target, Some((base_seq, &base)));
+        let held = base_seq + skew; // always != base_seq
+        prop_assert_eq!(
+            CutFrame::apply(&wire, 0, 0, role(handoff), Some((held, &base))),
+            Err(CutError::WrongBase { base_seq, held: Some(held) })
+        );
+        prop_assert_eq!(
+            CutFrame::apply(&wire, 0, 0, role(handoff), None),
+            Err(CutError::WrongBase { base_seq, held: None })
+        );
+        let applied = CutFrame::apply(&wire, 0, 0, role(handoff), Some((base_seq, &base))).unwrap();
+        prop_assert_eq!(applied.image, target);
     }
 
     /// Delta compute→apply is the identity on arbitrary image pairs, and
@@ -161,113 +222,6 @@ proptest! {
         prop_assert_eq!(delta.apply(&wrong), Err(CkptError::BadCrc));
     }
 
-    /// Replica envelopes round-trip exactly, for both payload kinds and
-    /// both roles.
-    #[test]
-    fn replica_roundtrip(
-        shard in 0usize..64, generation in 0u32..=u32::MAX,
-        seq in 0u64..=u64::MAX, base_seq in 0u64..=u64::MAX,
-        body in proptest::collection::vec(0u8..=255, 0..2048),
-        is_delta in proptest::bool::ANY, standby in proptest::bool::ANY,
-    ) {
-        let payload = if is_delta {
-            ReplicaPayload::Delta { base_seq, frame: body.clone() }
-        } else {
-            ReplicaPayload::Full(body.clone())
-        };
-        let role = if standby { ReplicaRole::Standby } else { ReplicaRole::Primary };
-        let r = ReplicaFrame { shard, generation, role, seq, payload };
-        prop_assert_eq!(ReplicaFrame::from_frame(&r.to_frame()).unwrap(), r);
-    }
-
-    /// Truncating a replica envelope at any point yields an error, never a
-    /// panic and never a decoded frame.
-    #[test]
-    fn truncated_replica_never_decodes(
-        body in proptest::collection::vec(0u8..=255, 0..512),
-        cut in 0usize..1 << 20,
-    ) {
-        let frame =
-            replica(2, 5, ReplicaRole::Primary, ReplicaPayload::Full(ckpt_frame(&body))).to_frame();
-        let cut = cut % frame.len(); // 0..len, strictly shorter
-        prop_assert!(ReplicaFrame::from_frame(&frame[..cut]).is_err());
-    }
-
-    /// A single flipped bit anywhere in a replica envelope is caught by the
-    /// CRC (or magic/version check) — corrupted replication never applies.
-    #[test]
-    fn bit_flipped_replica_never_decodes(
-        body in proptest::collection::vec(0u8..=255, 0..512),
-        pos in 0usize..1 << 20,
-        bit in 0u8..8,
-    ) {
-        let mut frame =
-            replica(2, 5, ReplicaRole::Primary, ReplicaPayload::Full(ckpt_frame(&body))).to_frame();
-        let pos = pos % frame.len();
-        frame[pos] ^= 1 << bit;
-        prop_assert!(ReplicaFrame::from_frame(&frame).is_err());
-    }
-
-    /// Arbitrary junk never decodes as a replica envelope and never panics
-    /// the decoder.
-    #[test]
-    fn junk_never_decodes_as_replica(junk in proptest::collection::vec(0u8..=255, 0..512)) {
-        if junk.len() < 4 || junk[..4] != REPLICA_MAGIC.to_le_bytes() {
-            prop_assert!(ReplicaFrame::from_frame(&junk).is_err());
-        }
-    }
-
-    /// A wrong-generation replica is refused before any payload work — a
-    /// standby never applies a cut from another fleet epoch.
-    #[test]
-    fn wrong_generation_replica_never_resolves(
-        expect in 0u32..1 << 30,
-        skew in 1u32..1 << 30,
-        body in proptest::collection::vec(0u8..=255, 0..256),
-    ) {
-        let addressed = expect + skew; // always != expect
-        let r = replica(0, addressed, ReplicaRole::Primary, ReplicaPayload::Full(ckpt_frame(&body)));
-        prop_assert_eq!(
-            r.resolve(0, expect, None),
-            Err(ReplicaError::WrongGeneration { expected: expect, found: addressed })
-        );
-    }
-
-    /// A wrong-shard replica is refused — cross-wired replication lanes
-    /// fail loudly instead of poisoning a standby.
-    #[test]
-    fn wrong_shard_replica_never_resolves(
-        expect in 0usize..1 << 16,
-        skew in 1usize..1 << 16,
-        body in proptest::collection::vec(0u8..=255, 0..256),
-    ) {
-        let addressed = expect + skew; // always != expect
-        let r = replica(addressed, 3, ReplicaRole::Primary, ReplicaPayload::Full(ckpt_frame(&body)));
-        prop_assert_eq!(
-            r.resolve(expect, 3, None),
-            Err(ReplicaError::WrongShard { expected: expect, found: addressed })
-        );
-    }
-
-    /// A standby-originated frame is never applied as replication input —
-    /// only a primary may feed a standby, whatever the payload.
-    #[test]
-    fn standby_role_never_resolves(
-        body in proptest::collection::vec(0u8..=255, 0..256),
-        is_delta in proptest::bool::ANY,
-    ) {
-        let payload = if is_delta {
-            ReplicaPayload::Delta { base_seq: 100, frame: body }
-        } else {
-            ReplicaPayload::Full(body)
-        };
-        let r = replica(1, 1, ReplicaRole::Standby, payload);
-        prop_assert_eq!(
-            r.resolve(1, 1, None),
-            Err(ReplicaError::WrongRole { found: ReplicaRole::Standby })
-        );
-    }
-
     /// Truncating or flipping a sealed delta frame yields an error, never a
     /// panic.
     #[test]
@@ -286,95 +240,55 @@ proptest! {
     }
 }
 
-/// Hand-built corpus: payload-tag and version corner cases the fuzz loops
-/// are unlikely to synthesize.
+/// Hand-built corpus: role/payload-tag, version and cross-format corner
+/// cases the fuzz loops are unlikely to synthesize.
 #[test]
 fn corpus_of_hostile_frames() {
-    // Unknown payload opcode inside an otherwise valid sealed body.
-    let mut e = darwin_ckpt::Enc::new();
-    e.usize(0);
-    e.usize(0);
-    e.u32(1);
-    e.u32(2);
-    e.u64(10);
-    e.u8(0x7F); // no such payload tag
-    let frame = seal(TRANSFER_MAGIC, TRANSFER_VERSION, &e.into_bytes());
-    assert!(matches!(TransferFrame::from_frame(&frame), Err(CkptError::Malformed(_))));
+    // Unknown role byte, then unknown payload opcode after a valid role
+    // byte, each inside an otherwise valid sealed body.
+    for (role_byte, payload_tag) in [(0x7F, 0x01), (0x01, 0x7F), (0x02, 0x7F)] {
+        let mut e = darwin_ckpt::Enc::new();
+        e.usize(0);
+        e.u32(0);
+        e.u8(role_byte);
+        e.u64(10);
+        e.u8(payload_tag);
+        e.bytes(b"body");
+        let frame = seal(CUT_MAGIC, CUT_VERSION, &e.into_bytes());
+        assert!(matches!(CutFrame::from_frame(&frame), Err(CkptError::Malformed(_))));
+    }
 
     // Right magic, wrong version.
-    let frame = seal(TRANSFER_MAGIC, TRANSFER_VERSION + 1, b"");
-    assert!(matches!(TransferFrame::from_frame(&frame), Err(CkptError::BadVersion { .. })));
+    let frame = seal(CUT_MAGIC, CUT_VERSION + 1, b"");
+    assert!(matches!(CutFrame::from_frame(&frame), Err(CkptError::BadVersion { .. })));
 
-    // A checkpoint frame is not a transfer envelope.
+    // Cross-format confusion: a checkpoint or delta frame is not a cut
+    // envelope.
     let frame = ckpt_frame(b"shard image");
-    assert!(matches!(TransferFrame::from_frame(&frame), Err(CkptError::BadMagic { .. })));
+    assert!(matches!(CutFrame::from_frame(&frame), Err(CkptError::BadMagic { .. })));
+    let frame = DeltaFrame::compute(b"a", b"b").to_frame();
+    assert!(matches!(CutFrame::from_frame(&frame), Err(CkptError::BadMagic { .. })));
 
-    // A resolved Full payload must itself be a sealed checkpoint frame.
-    let t = envelope(2, TransferPayload::Full(b"garbage".to_vec()));
-    assert!(matches!(t.resolve(2, None), Err(HandoffError::Frame(_))));
+    for role in [CutRole::Replica, CutRole::Handoff] {
+        // A delta with no base held at the receiver is refused, not applied.
+        let delta =
+            CutPayload::Delta { base_seq: 512, frame: DeltaFrame::compute(b"a", b"b").to_frame() };
+        assert_eq!(
+            CutFrame::apply(&cut(0, 0, role, delta).to_frame(), 0, 0, role, None),
+            Err(CutError::WrongBase { base_seq: 512, held: None })
+        );
+
+        // A delta whose embedded frame is garbage fails as a frame error
+        // even with the right base boundary on hand.
+        let garbage = CutPayload::Delta { base_seq: 512, frame: b"garbage".to_vec() };
+        assert!(matches!(
+            CutFrame::apply(&cut(0, 0, role, garbage).to_frame(), 0, 0, role, Some((512, b"base"))),
+            Err(CutError::Frame(_))
+        ));
+    }
 
     // Empty input.
-    assert!(TransferFrame::from_frame(&[]).is_err());
+    assert!(CutFrame::from_frame(&[]).is_err());
+    assert!(matches!(CutFrame::apply(&[], 0, 0, CutRole::Replica, None), Err(CutError::Frame(_))));
     assert!(DeltaFrame::from_frame(&[]).is_err());
-}
-
-/// Hand-built replica corpus: role/payload-tag, version and cross-format
-/// corner cases the fuzz loops are unlikely to synthesize.
-#[test]
-fn corpus_of_hostile_replica_frames() {
-    // Unknown role byte inside an otherwise valid sealed body.
-    let mut e = darwin_ckpt::Enc::new();
-    e.usize(0);
-    e.u32(0);
-    e.u8(0x7F); // no such role
-    e.u64(10);
-    e.u8(0x01); // full payload tag
-    e.bytes(b"body");
-    let frame = seal(REPLICA_MAGIC, REPLICA_VERSION, &e.into_bytes());
-    assert!(matches!(ReplicaFrame::from_frame(&frame), Err(CkptError::Malformed(_))));
-
-    // Unknown payload opcode after a valid role byte.
-    let mut e = darwin_ckpt::Enc::new();
-    e.usize(0);
-    e.u32(0);
-    e.u8(0x01); // primary
-    e.u64(10);
-    e.u8(0x7F); // no such payload tag
-    let frame = seal(REPLICA_MAGIC, REPLICA_VERSION, &e.into_bytes());
-    assert!(matches!(ReplicaFrame::from_frame(&frame), Err(CkptError::Malformed(_))));
-
-    // Right magic, wrong version.
-    let frame = seal(REPLICA_MAGIC, REPLICA_VERSION + 1, b"");
-    assert!(matches!(ReplicaFrame::from_frame(&frame), Err(CkptError::BadVersion { .. })));
-
-    // Cross-format confusion: a checkpoint or transfer frame is not a
-    // replica envelope, and a replica envelope is not a transfer frame.
-    let frame = ckpt_frame(b"shard image");
-    assert!(matches!(ReplicaFrame::from_frame(&frame), Err(CkptError::BadMagic { .. })));
-    let transfer = envelope(2, TransferPayload::Full(b"image".to_vec())).to_frame();
-    assert!(matches!(ReplicaFrame::from_frame(&transfer), Err(CkptError::BadMagic { .. })));
-    let rep = replica(0, 0, ReplicaRole::Primary, ReplicaPayload::Full(b"image".to_vec())).to_frame();
-    assert!(matches!(TransferFrame::from_frame(&rep), Err(CkptError::BadMagic { .. })));
-
-    // A delta with no base held at the standby is refused, not applied.
-    let r = replica(
-        0,
-        0,
-        ReplicaRole::Primary,
-        ReplicaPayload::Delta { base_seq: 512, frame: DeltaFrame::compute(b"a", b"b").to_frame() },
-    );
-    assert_eq!(r.resolve(0, 0, None), Err(ReplicaError::MissingBase { base_seq: 512 }));
-
-    // A delta whose embedded frame is garbage fails as a frame error even
-    // with a base on hand.
-    let r = replica(
-        0,
-        0,
-        ReplicaRole::Primary,
-        ReplicaPayload::Delta { base_seq: 512, frame: b"garbage".to_vec() },
-    );
-    assert!(matches!(r.resolve(0, 0, Some(b"base")), Err(ReplicaError::Frame(_))));
-
-    // Empty input.
-    assert!(ReplicaFrame::from_frame(&[]).is_err());
 }

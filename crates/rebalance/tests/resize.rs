@@ -3,7 +3,7 @@
 //! Certifies, at test scale, what `experiments rebalance` certifies at
 //! benchmark scale: a live fleet resized under load answers zero
 //! `Unavailable`, keeps the exactly-once conservation ledger
-//! (`processed + dropped + unavailable == submitted`) across every
+//! (`processed + dropped + unavailable + shed == submitted`) across every
 //! cutover, journals the full drain/handoff/cutover event sequence at
 //! deterministic request-sequence boundaries, ships survivor state as
 //! delta-compressed transfer envelopes, and reproduces bit-for-bit when
@@ -43,9 +43,17 @@ fn test_trace(len: usize) -> Trace {
 }
 
 fn elastic(shards: usize, dir: Option<std::path::PathBuf>, warm: bool) -> ElasticFleet<StaticDriver> {
+    elastic_with(fleet_cfg(shards), dir, warm)
+}
+
+fn elastic_with(
+    cfg: FleetConfig,
+    dir: Option<std::path::PathBuf>,
+    warm: bool,
+) -> ElasticFleet<StaticDriver> {
     let policy = ThresholdPolicy::new(2, 100 * 1024);
     ElasticFleet::new(
-        fleet_cfg(shards),
+        cfg,
         cache_cfg(),
         RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES),
         move |_| StaticDriver::new(policy),
@@ -146,7 +154,7 @@ fn resize_4_8_4_conserves_and_journals() {
     let report = fleet.finish(false);
 
     assert_eq!(report.submitted, trace.len() as u64);
-    assert!(report.conserved(), "processed + dropped + unavailable == submitted");
+    assert!(report.conserved(), "processed + dropped + unavailable + shed == submitted");
     assert_eq!(report.metrics.total_unavailable(), 0, "Block backpressure: zero Unavailable");
     assert_eq!(report.metrics.total_dropped(), 0);
     assert_eq!(report.metrics.total_processed(), trace.len() as u64);
@@ -209,6 +217,45 @@ fn live_submitters_see_zero_unavailable_across_resizes() {
     assert_eq!(report.metrics.total_unavailable(), 0, "a resize never answers Unavailable");
     assert_eq!(report.metrics.total_dropped(), 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Overload shedding across a cutover: with a watermark armed, flooded
+/// frames are answered `shed` in both generations. How many is up to the
+/// scheduler; that every one of them is on the ledger — in the fleet total
+/// and in its generation's row — is not.
+#[test]
+fn shed_requests_stay_on_the_ledger_across_a_resize() {
+    let trace = test_trace(24_000);
+    let fs = frames(&trace, 1_000);
+    let fleet = elastic_with(FleetConfig { shed_watermark: Some(1), ..fleet_cfg(2) }, None, false);
+    for f in &fs[..12] {
+        fleet.submit_frame(f.iter().cloned());
+    }
+    fleet.resize(4).expect("2 -> 4 resize");
+    for f in &fs[12..] {
+        fleet.submit_frame(f.iter().cloned());
+    }
+    let report = fleet.finish(false);
+
+    assert_eq!(report.submitted, trace.len() as u64);
+    let shed = report.metrics.total_shed();
+    assert!(shed > 0, "a 1-deep watermark under 1000-request frames must shed, or this checks nothing");
+    assert!(report.conserved(), "processed + dropped + unavailable + shed == submitted");
+    let gens = &report.metrics.generations;
+    assert_eq!(gens.iter().map(|g| (g.generation, g.shards)).collect::<Vec<_>>(), vec![(0, 2), (1, 4)]);
+    assert_eq!(
+        gens.iter().map(|g| g.shed).sum::<u64>(),
+        shed,
+        "per-generation shed rows sum to the total"
+    );
+    for g in gens {
+        assert_eq!(
+            g.processed + g.dropped + g.unavailable + g.shed,
+            12_000,
+            "generation {} balances its own 12 frames",
+            g.generation
+        );
+    }
 }
 
 /// Determinism certificate: the same seeded trace through the same resize

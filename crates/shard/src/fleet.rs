@@ -1336,6 +1336,37 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
                     }
                 };
             server.set_policy(current_policy);
+            // The one cut routine: seal the shard's state at `seq`, publish
+            // it to the slot, journal `event`, feed the standby. Periodic
+            // cuts time the serving pause (`timed`); the final handoff cut
+            // runs after the stream ended and pauses nobody.
+            let cut = |seq: u64,
+                       policy: darwin_cache::ThresholdPolicy,
+                       server: &CacheServer,
+                       dstate: Vec<u8>,
+                       event: EventKind,
+                       timed: bool| {
+                let pause = Instant::now();
+                let frame = ShardCheckpoint {
+                    shard,
+                    seq,
+                    policy,
+                    cache: server.save_state(),
+                    driver: dstate,
+                    restarts: budget_restarts,
+                    budget_marks: budget_marks.clone(),
+                }
+                .to_frame();
+                slot.store(frame.clone());
+                if timed {
+                    cell.obs().ckpt_pause.record_duration(pause.elapsed());
+                }
+                cell.record_checkpoint(seq);
+                cell.obs().journal.record(seq, event);
+                if let Some(st) = &standby {
+                    feed_standby(st, &cell, generation, seq, &frame);
+                }
+            };
             let mut processed = 0u64;
             let mut switch_cost = SwitchCostTracker::default();
             let mut buf: Vec<E> = Vec::with_capacity(batch);
@@ -1437,26 +1468,8 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
                     if let Some(every) = checkpoint_every {
                         if every > 0 && seq.is_multiple_of(every) {
                             if let Some(dstate) = driver.save_state() {
-                                let pause = Instant::now();
-                                let ckpt = ShardCheckpoint {
-                                    shard,
-                                    seq,
-                                    policy: current_policy,
-                                    cache: server.save_state(),
-                                    driver: dstate,
-                                    restarts: budget_restarts,
-                                    budget_marks: budget_marks.clone(),
-                                };
-                                let frame = ckpt.to_frame();
-                                slot.store(frame.clone());
-                                cell.obs().ckpt_pause.record_duration(pause.elapsed());
-                                cell.record_checkpoint(seq);
-                                cell.obs()
-                                    .journal
-                                    .record(seq, EventKind::CheckpointCut { checkpoint_seq: seq });
-                                if let Some(st) = &standby {
-                                    feed_standby(st, &cell, generation, seq, &frame);
-                                }
+                                let event = EventKind::CheckpointCut { checkpoint_seq: seq };
+                                cut(seq, current_policy, &server, dstate, event, true);
                             }
                         }
                     }
@@ -1479,22 +1492,8 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
                     cell.obs()
                         .journal
                         .record(seq, EventKind::DrainStart { target_shards: target as u32 });
-                    let ckpt = ShardCheckpoint {
-                        shard,
-                        seq,
-                        policy: current_policy,
-                        cache: server.save_state(),
-                        driver: dstate,
-                        restarts: budget_restarts,
-                        budget_marks: budget_marks.clone(),
-                    };
-                    let frame = ckpt.to_frame();
-                    slot.store(frame.clone());
-                    cell.record_checkpoint(seq);
-                    cell.obs().journal.record(seq, EventKind::HandoffCut { checkpoint_seq: seq });
-                    if let Some(st) = &standby {
-                        feed_standby(st, &cell, generation, seq, &frame);
-                    }
+                    let event = EventKind::HandoffCut { checkpoint_seq: seq };
+                    cut(seq, current_policy, &server, dstate, event, false);
                 }
             }
             WorkerResult {

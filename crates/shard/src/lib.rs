@@ -44,7 +44,7 @@
 //!   request sequence numbers, so fault runs reproduce bit-for-bit (no wall
 //!   clock anywhere).
 //! * [`standby`] — hot-standby replication: a per-shard [`StandbySlot`] fed
-//!   a role-tagged replica frame (full image, then O(churn) deltas) at every
+//!   a `Replica`-role cut envelope (full image, then O(churn) deltas) at every
 //!   checkpoint cut. When a shard's restart budget is exhausted the standby
 //!   is *promoted* — its last applied frame is installed and the worker
 //!   warm-restarts from it, bitwise-identical to an unfailed run from the

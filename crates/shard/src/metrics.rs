@@ -298,6 +298,9 @@ pub struct GenerationSummary {
     pub dropped: u64,
     /// Requests answered `Unavailable` by this generation.
     pub unavailable: u64,
+    /// Requests shed at the overload watermark by this generation.
+    #[serde(default)]
+    pub shed: u64,
     /// Restarts granted within this generation.
     pub restarts: u32,
     /// Warm restarts within this generation.
@@ -1128,6 +1131,7 @@ mod tests {
             processed,
             dropped: 0,
             unavailable: 0,
+            shed: 0,
             restarts: 0,
             warm_restarts: 0,
             warm_boots: shards,

@@ -1,13 +1,14 @@
 //! Hot-standby replication state for one shard.
 //!
 //! A [`StandbySlot`] is the in-process stand-in for a standby cache node:
-//! the primary's worker *feeds* it a [`ReplicaFrame`] at every checkpoint
-//! cut, and the slot plays both ends of the replication channel — it seals
-//! the envelope exactly as a primary would put it on the wire, then decodes,
-//! address-checks and applies it exactly as a remote standby would. The
-//! first cut (and every re-seed after a promotion or a detected loss) ships
-//! the full checkpoint image; steady-state cuts ship a
-//! [`DeltaFrame`] against the frame the
+//! the primary's worker *feeds* it every checkpoint cut, and the slot plays
+//! both ends of the replication channel — it ships the cut in a
+//! [`CutRole::Replica`] [`CutFrame`] exactly as a primary would put it on
+//! the wire, then decodes, address-checks and applies it exactly as a remote
+//! standby would (the format and the gate are in [`darwin_ckpt::replica`];
+//! a resize handoff goes through the same two calls). The first cut (and
+//! every re-seed after a promotion or a detected loss) ships the full
+//! checkpoint image; steady-state cuts ship a delta against the frame the
 //! standby already holds, so replication costs O(churn) bytes per
 //! checkpoint window. The standby therefore always trails the primary by at
 //! most one checkpoint window — the lag bound the failover contract quotes.
@@ -31,8 +32,7 @@
 //! the same path deterministically via [`poison`](StandbySlot::poison).
 
 use crate::ckpt::ShardCheckpoint;
-use darwin_ckpt::delta::DeltaFrame;
-use darwin_ckpt::replica::{ReplicaError, ReplicaFrame, ReplicaPayload, ReplicaRole};
+use darwin_ckpt::replica::{CutFrame, CutRole};
 use std::sync::Mutex;
 
 /// What one replication feed did to the standby.
@@ -100,57 +100,38 @@ impl StandbySlot {
 
     /// Feeds the checkpoint cut at `seq` (the sealed
     /// [`ShardCheckpoint`] frame bytes) through the replication channel:
-    /// seals a role-tagged [`ReplicaFrame`] on the primary side, then
-    /// decodes, address-checks, resolves and re-validates it on the standby
-    /// side before storing. The loopback is deliberate — the bytes that
-    /// reach the standby's state are exactly the bytes that survived the
-    /// wire format's gauntlet, so a corrupted or misrouted envelope can
-    /// fail loudly but never silently mis-apply.
+    /// [`CutFrame::ship`] seals a [`CutRole::Replica`] envelope on the
+    /// primary side, then [`CutFrame::apply`] decodes, address-checks and
+    /// resolves it on the standby side, and the image is re-validated as
+    /// this shard's checkpoint at `seq` before it is stored. The loopback is
+    /// deliberate — the bytes that reach the standby's state are exactly the
+    /// bytes that survived the wire format's gauntlet, so a corrupted or
+    /// misrouted envelope can fail loudly but never silently mis-apply.
     pub fn feed(&self, generation: u32, seq: u64, frame: &[u8]) -> FeedOutcome {
         let mut st = self.state.lock().expect("standby slot poisoned");
         let was_lost = std::mem::take(&mut st.lost);
         if was_lost {
             st.frame = None;
         }
-        // Primary side: delta against the standby's held frame when it has
-        // one, full image otherwise.
-        let (payload, lag) = match &st.frame {
-            Some(base) => {
-                let delta = DeltaFrame::compute(base, frame);
-                (
-                    ReplicaPayload::Delta { base_seq: st.seq, frame: delta.to_frame() },
-                    seq.saturating_sub(st.seq),
-                )
-            }
-            None => (ReplicaPayload::Full(frame.to_vec()), 0),
-        };
-        let envelope =
-            ReplicaFrame { shard: self.shard, generation, role: ReplicaRole::Primary, seq, payload };
-        let wire = envelope.to_frame();
-        // Standby side: full decode + apply gate + checkpoint re-validation.
-        let applied = ReplicaFrame::from_frame(&wire)
-            .map_err(ReplicaError::from)
-            .and_then(|env| {
-                let shipped = env.shipped_bytes();
-                env.resolve(self.shard, generation, st.frame.as_deref()).map(|img| (img, shipped))
-            })
-            .ok()
-            .filter(|(img, _)| {
-                ShardCheckpoint::from_frame(img)
+        let held = st.frame.as_deref().map(|base| (st.seq, base));
+        let wire = CutFrame::ship(self.shard, generation, CutRole::Replica, seq, frame, held);
+        let applied =
+            CutFrame::apply(&wire, self.shard, generation, CutRole::Replica, held).ok().filter(|cut| {
+                ShardCheckpoint::from_frame(&cut.image)
                     .map(|c| c.shard == self.shard && c.seq == seq)
                     .unwrap_or(false)
             });
         match applied {
-            Some((image, shipped_bytes)) => {
-                let seeded = st.frame.is_none();
-                st.frame = Some(image);
+            Some(cut) => {
+                st.frame = Some(cut.image);
                 st.seq = seq;
-                if was_lost {
-                    FeedOutcome::Replaced { shipped_bytes }
-                } else if seeded {
-                    FeedOutcome::Seeded { shipped_bytes }
-                } else {
-                    FeedOutcome::Applied { shipped_bytes, lag }
+                let shipped_bytes = cut.shipped_bytes;
+                match cut.base_seq {
+                    None if was_lost => FeedOutcome::Replaced { shipped_bytes },
+                    None => FeedOutcome::Seeded { shipped_bytes },
+                    Some(base_seq) => {
+                        FeedOutcome::Applied { shipped_bytes, lag: seq.saturating_sub(base_seq) }
+                    }
                 }
             }
             None => {

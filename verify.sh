@@ -43,7 +43,7 @@ cargo test -p darwin-shard --test restore -q -- \
 echo "== failover equivalence (standby promotion bitwise at 1, 2, 8 shards; zero Unavailable) =="
 cargo test -p darwin-shard --test failover -q
 
-echo "== replica + RESIZE wire hostile corpus (never panic, never silent mis-apply) =="
+echo "== cut envelope (both roles) + delta + RESIZE wire hostile corpus (never panic, never silent mis-apply) =="
 cargo test -p darwin-rebalance --test codec_props -q
 cargo test -p darwin-gateway --test wire_codec -q
 
