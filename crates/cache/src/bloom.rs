@@ -92,6 +92,11 @@ impl BloomFilter {
         enc.seq(&self.bits, |e, &w| e.u64(w));
     }
 
+    /// Exact number of bytes [`BloomFilter::encode_state`] writes.
+    pub fn encoded_len(&self) -> usize {
+        4 + 8 + 8 + 8 * self.bits.len()
+    }
+
     /// Rebuilds a filter from bytes written by [`BloomFilter::encode_state`].
     /// The word count must be a power of two (the mask is derived from it).
     pub fn decode_state(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
@@ -189,6 +194,11 @@ impl FrequencySketch {
         enc.u64(self.ops);
         enc.u64(self.aging_period);
         enc.bytes(&self.counters);
+    }
+
+    /// Exact number of bytes [`FrequencySketch::encode_state`] writes.
+    pub fn encoded_len(&self) -> usize {
+        4 + 8 + 8 + 8 + self.counters.len()
     }
 
     /// Rebuilds a sketch from bytes written by

@@ -333,6 +333,13 @@ impl Store {
         }
     }
 
+    /// Exact number of bytes [`Store::encode_state`] writes, so a caller can
+    /// size its buffer once.
+    pub fn encoded_len(&self) -> usize {
+        let kind = if matches!(self.kind, EvictionKind::SegmentedLru { .. }) { 2 } else { 1 };
+        kind + 3 * 8 + 8 * self.heads.len() + 32 * self.len()
+    }
+
     /// Rebuilds a store from bytes written by [`Store::encode_state`].
     ///
     /// Structural invariants (segment count matches the policy, no duplicate

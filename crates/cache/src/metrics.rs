@@ -159,6 +159,9 @@ impl CacheMetrics {
         }
     }
 
+    /// Exact number of bytes [`CacheMetrics::encode_state`] writes.
+    pub const ENCODED_LEN: usize = 14 * 8;
+
     /// Reads counters written by [`CacheMetrics::encode_state`].
     pub fn decode_state(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
         Ok(CacheMetrics {

@@ -269,15 +269,30 @@ impl CacheServer {
     /// canonical (hash maps sorted by key), so identical state always
     /// yields identical bytes.
     pub fn save_state(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
-        enc.bytes(&config_fingerprint(&self.config));
+        let fingerprint = config_fingerprint(&self.config);
+        // Every part's exact size is known before a byte is written, so the
+        // image — megabytes of it — is written once, never regrown.
+        let freq_len = match &self.freq {
+            FreqTracker::Exact(map) => 8 + 12 * map.len(),
+            FreqTracker::Sketch(s) => s.encoded_len(),
+        };
+        let mut enc = Enc::with_capacity(
+            (8 + fingerprint.len())
+                + self.hoc.encoded_len()
+                + self.dc.encoded_len()
+                + (1 + freq_len)
+                + (8 + 16 * self.last_access.len())
+                + self.dc_filter.encoded_len()
+                + CacheMetrics::ENCODED_LEN,
+        );
+        enc.bytes(&fingerprint);
         self.hoc.encode_state(&mut enc);
         self.dc.encode_state(&mut enc);
         match &self.freq {
             FreqTracker::Exact(map) => {
                 enc.u8(0);
                 let mut entries: Vec<(ObjectId, u32)> = map.iter().map(|(&id, &c)| (id, c)).collect();
-                entries.sort_unstable();
+                entries.sort_unstable_by_key(|&(id, _)| id);
                 enc.seq(&entries, |e, &(id, c)| {
                     e.u64(id);
                     e.u32(c);
@@ -290,7 +305,7 @@ impl CacheServer {
         }
         let mut last: Vec<(ObjectId, u64)> =
             self.last_access.iter().map(|(&id, &ts)| (id, ts)).collect();
-        last.sort_unstable();
+        last.sort_unstable_by_key(|&(id, _)| id);
         enc.seq(&last, |e, &(id, ts)| {
             e.u64(id);
             e.u64(ts);
@@ -622,6 +637,7 @@ mod tests {
         }
 
         let bytes = original.save_state();
+        assert_eq!(bytes.capacity(), bytes.len(), "the image is sized exactly, up front");
         let mut restored = CacheServer::restore_state(CacheConfig::small_test(), &bytes).unwrap();
         restored.set_policy(policy);
         assert_eq!(restored.metrics(), original.metrics());
@@ -651,6 +667,7 @@ mod tests {
             original.process(r);
         }
         let bytes = original.save_state();
+        assert_eq!(bytes.capacity(), bytes.len(), "the image is sized exactly, up front");
         let restored = CacheServer::restore_state(cfg, &bytes).unwrap();
         assert_eq!(restored.metrics(), original.metrics());
         assert_eq!(restored.save_state(), bytes);

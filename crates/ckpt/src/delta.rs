@@ -22,12 +22,18 @@
 //! refuses its own output if it does not hash to `target_sum` — a delta can
 //! fail loudly but never silently mis-restore. Unknown op tags, truncated
 //! bodies and bit flips surface as [`CkptError`]s from the sealed-frame
-//! layer or as `Malformed` from op decoding; the hostile-corpus proptests
-//! (`darwin-rebalance/tests/codec_props.rs`) pin all three.
+//! layer or as `Malformed` from op decoding, and so do well-sealed ops that
+//! reach outside the base or do not add up to `target_len` — checked before
+//! the target is allocated; the hostile-corpus proptests
+//! (`darwin-rebalance/tests/codec_props.rs`) pin all of it.
+//!
+//! [`DeltaFrame::compute`] is on the serving thread's critical path at every
+//! checkpoint cut; what it emits is pinned byte for byte against the matcher
+//! it replaced (`darwin-shard/tests/delta_identity.rs`).
 //!
 //! `darwin_rebalance::delta` re-exports this module.
 
-use crate::{crc64, open, seal, CkptError, Dec, Enc};
+use crate::{crc64, open, CkptError, Dec, Enc};
 
 /// Magic for sealed delta frames: `DRBD`.
 pub const DELTA_MAGIC: u32 = 0x4452_4244;
@@ -94,6 +100,103 @@ impl WeakHash {
     }
 }
 
+/// Every block of a base image, findable by weak key: a flat chained hash
+/// table over block numbers, with no allocation per block. A target scan
+/// probes it once per literal byte and nearly every probe misses, so a miss
+/// is made cheap: a multiply and one bit of `present`.
+struct BlockIndex {
+    /// Weak key of each base block.
+    keys: Vec<u64>,
+    /// Per bucket, 1 + the lowest block number in it (0: empty).
+    heads: Vec<u32>,
+    /// Per block, 1 + the next higher block number in its bucket (0: last).
+    next: Vec<u32>,
+    /// Right shift taking a hashed key to its bucket.
+    shift: u32,
+    /// [`FINE`] bits per bucket, set where some block's key hashes: answers
+    /// nineteen misses in twenty from a table half the size of `heads`,
+    /// through a branch that predicts (an occupied *bucket* is a coin toss).
+    present: Vec<u64>,
+}
+
+/// `present` bits per bucket.
+const FINE: usize = 16;
+
+/// Multiplicative hash of a weak key; buckets take its top bits.
+fn hash(key: u64) -> u64 {
+    key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+impl BlockIndex {
+    fn build(base: &[u8]) -> Self {
+        let keys: Vec<u64> = base.chunks_exact(BLOCK).map(|b| WeakHash::of(b).key()).collect();
+        assert!(!keys.is_empty() && keys.len() < u32::MAX as usize, "base of 1..2^32 blocks");
+        let buckets = (2 * keys.len()).next_power_of_two();
+        let mut index = BlockIndex {
+            heads: vec![0; buckets],
+            next: vec![0; keys.len()],
+            shift: 64 - buckets.trailing_zeros(),
+            present: vec![0; (buckets * FINE).div_ceil(64)],
+            keys,
+        };
+        // Highest block first, each pushed on the front of its bucket: every
+        // chain ends up in ascending base order.
+        for block in (0..index.keys.len()).rev() {
+            let hash = hash(index.keys[block]);
+            let (bucket, fine) = (index.bucket(hash), index.fine(hash));
+            index.next[block] = index.heads[bucket];
+            index.heads[bucket] = block as u32 + 1;
+            index.present[fine / 64] |= 1 << (fine % 64);
+        }
+        index
+    }
+
+    fn bucket(&self, hash: u64) -> usize {
+        (hash >> self.shift) as usize
+    }
+
+    fn fine(&self, hash: u64) -> usize {
+        (hash >> (self.shift - FINE.trailing_zeros())) as usize
+    }
+
+    /// Offset of the first block in base order that is byte-for-byte
+    /// `window` (a weak-key collision just costs a comparison). Kept out of
+    /// line so the scan around it stays a register-resident loop.
+    #[inline(never)]
+    fn find(&self, base: &[u8], hash: u64, key: u64, window: &[u8]) -> Option<usize> {
+        let mut link = self.heads[self.bucket(hash)];
+        while link != 0 {
+            let block = (link - 1) as usize;
+            let offset = block * BLOCK;
+            if self.keys[block] == key && &base[offset..offset + BLOCK] == window {
+                return Some(offset);
+            }
+            link = self.next[block];
+        }
+        None
+    }
+
+    /// Slides a window over `target` from `pos` to the first position where
+    /// it is a base block; returns that position and the block's offset.
+    fn next_match(&self, base: &[u8], target: &[u8], pos: usize) -> Option<(usize, usize)> {
+        let mut weak = WeakHash::of(target.get(pos..pos + BLOCK)?);
+        let mut at = pos;
+        let mut slide = target[pos..].iter().zip(&target[pos + BLOCK..]);
+        loop {
+            let (key, hash) = (weak.key(), hash(weak.key()));
+            let fine = self.fine(hash);
+            if self.present[fine / 64] & (1 << (fine % 64)) != 0 {
+                if let Some(offset) = self.find(base, hash, key, &target[at..at + BLOCK]) {
+                    return Some((at, offset));
+                }
+            }
+            let (&out, &inn) = slide.next()?;
+            weak.roll(out, inn, BLOCK);
+            at += 1;
+        }
+    }
+}
+
 impl DeltaFrame {
     /// Diffs `base → target`. Pure and deterministic: the same pair always
     /// yields the same frame.
@@ -112,82 +215,78 @@ impl DeltaFrame {
             frame.ops.push(DeltaOp::Literal(target.to_vec()));
             return frame;
         }
-        // Index every base block by weak hash; collisions keep all offsets
-        // (verified byte-for-byte before use, so a false positive just
-        // costs a comparison).
-        let mut index: std::collections::HashMap<u64, Vec<usize>> = std::collections::HashMap::new();
-        for (i, block) in base.chunks_exact(BLOCK).enumerate() {
-            index.entry(WeakHash::of(block).key()).or_default().push(i * BLOCK);
-        }
-        let mut pending = Vec::new(); // literal run under construction
-        let mut pos = 0usize;
-        let mut weak = WeakHash::of(&target[..BLOCK]);
-        loop {
-            let window = &target[pos..pos + BLOCK];
-            let matched = index.get(&weak.key()).and_then(|offsets| {
-                offsets.iter().find(|&&off| &base[off..off + BLOCK] == window).copied()
-            });
-            if let Some(off) = matched {
-                if !pending.is_empty() {
-                    frame.ops.push(DeltaOp::Literal(std::mem::take(&mut pending)));
-                }
-                // Coalesce with a preceding copy that this block extends.
-                match frame.ops.last_mut() {
-                    Some(DeltaOp::Copy { offset, len }) if *offset + *len == off as u64 => {
-                        *len += BLOCK as u64;
-                    }
-                    _ => frame.ops.push(DeltaOp::Copy { offset: off as u64, len: BLOCK as u64 }),
-                }
-                pos += BLOCK;
-                if pos + BLOCK > target.len() {
-                    break;
-                }
-                weak = WeakHash::of(&target[pos..pos + BLOCK]);
-            } else {
-                pending.push(target[pos]);
-                if pos + BLOCK + 1 > target.len() {
-                    pos += 1;
-                    break;
-                }
-                weak.roll(target[pos], target[pos + BLOCK], BLOCK);
-                pos += 1;
+        let index = BlockIndex::build(base);
+        // `target[literal..]` is not yet covered by an op.
+        let mut literal = 0usize;
+        while let Some((pos, off)) = index.next_match(base, target, literal) {
+            if literal < pos {
+                frame.ops.push(DeltaOp::Literal(target[literal..pos].to_vec()));
             }
+            // Coalesce with a preceding copy that this block extends.
+            match frame.ops.last_mut() {
+                Some(DeltaOp::Copy { offset, len }) if *offset + *len == off as u64 => {
+                    *len += BLOCK as u64;
+                }
+                _ => frame.ops.push(DeltaOp::Copy { offset: off as u64, len: BLOCK as u64 }),
+            }
+            literal = pos + BLOCK;
         }
-        // Tail shorter than a block: always literal.
-        pending.extend_from_slice(&target[pos..]);
-        if !pending.is_empty() {
-            frame.ops.push(DeltaOp::Literal(pending));
+        // Whatever no copy covered, the sub-block tail included, is literal.
+        if literal < target.len() {
+            frame.ops.push(DeltaOp::Literal(target[literal..].to_vec()));
         }
         frame
     }
 
     /// Reconstructs the target from `base`. Refuses a wrong base up front
-    /// (`BadCrc`) and refuses its own output when the reconstruction does
-    /// not hash to `target_sum` — corruption is loud, never silent.
+    /// (`BadCrc`), refuses ops that reach outside the base or do not add up
+    /// to `target_len` (`Malformed`) before a byte is allocated — a seal is
+    /// not a signature, and a sealed `target_len` must not size a buffer on
+    /// its own word — and refuses its own output when the reconstruction
+    /// does not hash to `target_sum`: corruption is loud, never silent.
     pub fn apply(&self, base: &[u8]) -> Result<Vec<u8>, CkptError> {
         if base.len() as u64 != self.base_len || crc64(base) != self.base_sum {
             return Err(CkptError::BadCrc);
         }
-        let mut out = Vec::with_capacity(self.target_len as usize);
+        let mut total = 0u64;
+        for op in &self.ops {
+            let len = match op {
+                DeltaOp::Copy { offset, len } => {
+                    if offset.checked_add(*len).is_none_or(|end| end > self.base_len) {
+                        return Err(CkptError::Malformed(format!(
+                            "copy of {len} bytes at {offset} leaves the {}-byte base",
+                            self.base_len
+                        )));
+                    }
+                    *len
+                }
+                DeltaOp::Literal(bytes) => bytes.len() as u64,
+            };
+            total = total
+                .checked_add(len)
+                .ok_or_else(|| CkptError::Malformed("delta op lengths overflow".into()))?;
+        }
+        if total != self.target_len {
+            return Err(CkptError::Malformed(format!(
+                "delta ops rebuild {total} bytes, not the {} declared",
+                self.target_len
+            )));
+        }
+        // Copies may repeat base blocks, so even a consistent delta can
+        // declare more than the machine holds: fail, don't abort.
+        let mut out = Vec::new();
+        if usize::try_from(total).map_or(true, |n| out.try_reserve_exact(n).is_err()) {
+            return Err(CkptError::Malformed(format!("no memory for a {total}-byte target")));
+        }
         for op in &self.ops {
             match op {
                 DeltaOp::Copy { offset, len } => {
-                    let start = *offset as usize;
-                    let end = start
-                        .checked_add(*len as usize)
-                        .ok_or_else(|| CkptError::Malformed("copy range overflow".into()))?;
-                    if end > base.len() {
-                        return Err(CkptError::Malformed(format!(
-                            "copy {start}..{end} past base end {}",
-                            base.len()
-                        )));
-                    }
-                    out.extend_from_slice(&base[start..end]);
+                    out.extend_from_slice(&base[*offset as usize..(*offset + *len) as usize]);
                 }
                 DeltaOp::Literal(bytes) => out.extend_from_slice(bytes),
             }
         }
-        if out.len() as u64 != self.target_len || crc64(&out) != self.target_sum {
+        if crc64(&out) != self.target_sum {
             return Err(CkptError::BadCrc);
         }
         Ok(out)
@@ -207,7 +306,8 @@ impl DeltaFrame {
 
     /// Serializes into a sealed, CRC-guarded frame.
     pub fn to_frame(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+        // The four sums, the op count, the ops.
+        let mut e = Enc::frame(40 + self.payload_bytes() as usize);
         e.u64(self.base_len);
         e.u64(self.base_sum);
         e.u64(self.target_len);
@@ -223,7 +323,7 @@ impl DeltaFrame {
                 e.bytes(bytes);
             }
         });
-        seal(DELTA_MAGIC, DELTA_VERSION, &e.into_bytes())
+        e.seal(DELTA_MAGIC, DELTA_VERSION)
     }
 
     /// Parses a sealed delta frame. Truncated, bit-flipped or
@@ -314,6 +414,42 @@ mod tests {
         let mut flipped = frame.clone();
         flipped[frame.len() / 2] ^= 0x10;
         assert!(DeltaFrame::from_frame(&flipped).is_err());
+    }
+
+    #[test]
+    fn hostile_but_well_sealed_deltas_are_malformed_not_fatal() {
+        let base = image(4096, 10);
+        let target = image(4096, 11);
+        let honest = DeltaFrame::compute(&base, &base);
+        let through_the_wire =
+            |d: &DeltaFrame| DeltaFrame::from_frame(&d.to_frame()).unwrap().apply(&base);
+        // A declared length no machine holds: refused before it sizes a
+        // buffer (this used to abort the process in the allocator).
+        let mut huge = DeltaFrame::compute(&base, &target);
+        huge.target_len = 1 << 60;
+        assert!(matches!(through_the_wire(&huge), Err(CkptError::Malformed(_))));
+        // ... and one merely off by a byte.
+        let mut off = honest.clone();
+        off.target_len += 1;
+        assert!(matches!(through_the_wire(&off), Err(CkptError::Malformed(_))));
+        // Copies that start or end outside the base, or wrap around.
+        for (offset, len) in [(4096, 1), (4000, 97), (u64::MAX, 2), (1, u64::MAX)] {
+            let mut bad = honest.clone();
+            bad.ops = vec![DeltaOp::Copy { offset, len }];
+            bad.target_len = len;
+            assert!(matches!(through_the_wire(&bad), Err(CkptError::Malformed(_))), "{offset}+{len}");
+        }
+        // Repeating a base range is legal, so a target may outgrow its base.
+        let mut twice = honest.clone();
+        twice.ops = vec![DeltaOp::Copy { offset: 0, len: 4096 }; 2];
+        twice.target_len = 2 * 4096;
+        twice.target_sum = crc64(&[&base[..], &base[..]].concat());
+        assert_eq!(through_the_wire(&twice).unwrap().len(), 2 * 4096);
+        // An honest length with a lying checksum still fails as damage.
+        let mut lying = honest.clone();
+        lying.target_sum ^= 1;
+        assert_eq!(through_the_wire(&lying), Err(CkptError::BadCrc));
+        assert_eq!(through_the_wire(&honest).unwrap(), base);
     }
 
     #[test]

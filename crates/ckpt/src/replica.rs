@@ -35,7 +35,7 @@
 //! it.
 
 use crate::delta::DeltaFrame;
-use crate::{open, seal, CkptError, Dec, Enc};
+use crate::{open, CkptError, Dec, Enc};
 use std::fmt;
 
 /// Magic for sealed cut envelopes: `DRBR`.
@@ -193,6 +193,60 @@ pub struct CutFrame {
     pub payload: CutPayload,
 }
 
+/// A payload where it already lies — in the sender's image and delta, or in
+/// the receiver's wire bytes — so neither end copies it into a
+/// [`CutPayload`] just to seal or resolve it.
+enum PayloadRef<'a> {
+    Full(&'a [u8]),
+    Delta { base_seq: u64, frame: &'a [u8] },
+}
+
+/// An envelope parsed in place over its wire bytes.
+struct CutRef<'a> {
+    shard: usize,
+    generation: u32,
+    role: CutRole,
+    seq: u64,
+    payload: PayloadRef<'a>,
+}
+
+impl<'a> CutRef<'a> {
+    fn encode(&self) -> Vec<u8> {
+        let (tag, base_seq, bytes) = match self.payload {
+            PayloadRef::Full(bytes) => (PAYLOAD_FULL, None, bytes),
+            PayloadRef::Delta { base_seq, frame } => (PAYLOAD_DELTA, Some(base_seq), frame),
+        };
+        // shard, generation, role, seq, tag, base_seq, length prefix: 46.
+        let mut e = Enc::frame(46 + bytes.len());
+        e.usize(self.shard);
+        e.u32(self.generation);
+        e.u8(self.role.to_byte());
+        e.u64(self.seq);
+        e.u8(tag);
+        if let Some(base_seq) = base_seq {
+            e.u64(base_seq);
+        }
+        e.bytes(bytes);
+        e.seal(CUT_MAGIC, CUT_VERSION)
+    }
+
+    fn decode(frame: &'a [u8]) -> Result<Self, CkptError> {
+        let body = open(frame, CUT_MAGIC, CUT_VERSION)?;
+        let mut d = Dec::new(body);
+        let shard = d.usize()?;
+        let generation = d.u32()?;
+        let role = CutRole::from_byte(d.u8()?)?;
+        let seq = d.u64()?;
+        let payload = match d.u8()? {
+            PAYLOAD_FULL => PayloadRef::Full(d.bytes()?),
+            PAYLOAD_DELTA => PayloadRef::Delta { base_seq: d.u64()?, frame: d.bytes()? },
+            tag => return Err(CkptError::Malformed(format!("cut payload tag {tag:#x}"))),
+        };
+        d.finish()?;
+        Ok(CutRef { shard, generation, role, seq, payload })
+    }
+}
+
 impl CutFrame {
     /// The sender: seals `image` (the cut at `seq`) into wire bytes — as a
     /// delta against `held`, the `(base_seq, image)` the receiver already
@@ -205,52 +259,41 @@ impl CutFrame {
         image: &[u8],
         held: Option<(u64, &[u8])>,
     ) -> Vec<u8> {
-        let payload = match held {
-            Some((base_seq, base)) => {
-                CutPayload::Delta { base_seq, frame: DeltaFrame::compute(base, image).to_frame() }
-            }
-            None => CutPayload::Full(image.to_vec()),
+        let delta = held.map(|(base_seq, base)| (base_seq, DeltaFrame::compute(base, image).to_frame()));
+        let payload = match &delta {
+            Some((base_seq, frame)) => PayloadRef::Delta { base_seq: *base_seq, frame },
+            None => PayloadRef::Full(image),
         };
-        CutFrame { shard, generation, role, seq, payload }.to_frame()
+        CutRef { shard, generation, role, seq, payload }.encode()
     }
 
     /// Serializes into a sealed, CRC-guarded envelope.
     pub fn to_frame(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.usize(self.shard);
-        e.u32(self.generation);
-        e.u8(self.role.to_byte());
-        e.u64(self.seq);
-        match &self.payload {
-            CutPayload::Full(bytes) => {
-                e.u8(PAYLOAD_FULL);
-                e.bytes(bytes);
-            }
-            CutPayload::Delta { base_seq, frame } => {
-                e.u8(PAYLOAD_DELTA);
-                e.u64(*base_seq);
-                e.bytes(frame);
-            }
+        let payload = match &self.payload {
+            CutPayload::Full(bytes) => PayloadRef::Full(bytes),
+            CutPayload::Delta { base_seq, frame } => PayloadRef::Delta { base_seq: *base_seq, frame },
+        };
+        CutRef {
+            shard: self.shard,
+            generation: self.generation,
+            role: self.role,
+            seq: self.seq,
+            payload,
         }
-        seal(CUT_MAGIC, CUT_VERSION, &e.into_bytes())
+        .encode()
     }
 
     /// Parses a sealed envelope. Truncation, bit flips, a wrong magic or
     /// version, an unknown role or payload tag all surface as
     /// [`CkptError`]s — never a panic.
     pub fn from_frame(frame: &[u8]) -> Result<CutFrame, CkptError> {
-        let body = open(frame, CUT_MAGIC, CUT_VERSION)?;
-        let mut d = Dec::new(body);
-        let shard = d.usize()?;
-        let generation = d.u32()?;
-        let role = CutRole::from_byte(d.u8()?)?;
-        let seq = d.u64()?;
-        let payload = match d.u8()? {
-            PAYLOAD_FULL => CutPayload::Full(d.bytes()?.to_vec()),
-            PAYLOAD_DELTA => CutPayload::Delta { base_seq: d.u64()?, frame: d.bytes()?.to_vec() },
-            tag => return Err(CkptError::Malformed(format!("cut payload tag {tag:#x}"))),
+        let CutRef { shard, generation, role, seq, payload } = CutRef::decode(frame)?;
+        let payload = match payload {
+            PayloadRef::Full(bytes) => CutPayload::Full(bytes.to_vec()),
+            PayloadRef::Delta { base_seq, frame } => {
+                CutPayload::Delta { base_seq, frame: frame.to_vec() }
+            }
         };
-        d.finish()?;
         Ok(CutFrame { shard, generation, role, seq, payload })
     }
 
@@ -265,7 +308,7 @@ impl CutFrame {
         role: CutRole,
         held: Option<(u64, &[u8])>,
     ) -> Result<AppliedCut, CutError> {
-        let cut = CutFrame::from_frame(wire)?;
+        let cut = CutRef::decode(wire)?;
         if cut.role != role {
             return Err(CutError::WrongRole { expected: role, found: cut.role });
         }
@@ -276,13 +319,13 @@ impl CutFrame {
             return Err(CutError::WrongGeneration { expected: generation, found: cut.generation });
         }
         let (base_seq, shipped_bytes, image) = match cut.payload {
-            CutPayload::Full(bytes) => (None, bytes.len() as u64, bytes),
-            CutPayload::Delta { base_seq, frame } => {
+            PayloadRef::Full(bytes) => (None, bytes.len() as u64, bytes.to_vec()),
+            PayloadRef::Delta { base_seq, frame } => {
                 let base = match held {
                     Some((held_seq, base)) if held_seq == base_seq => base,
                     _ => return Err(CutError::WrongBase { base_seq, held: held.map(|(s, _)| s) }),
                 };
-                (Some(base_seq), frame.len() as u64, DeltaFrame::from_frame(&frame)?.apply(base)?)
+                (Some(base_seq), frame.len() as u64, DeltaFrame::from_frame(frame)?.apply(base)?)
             }
         };
         Ok(AppliedCut { seq: cut.seq, base_seq, shipped_bytes, image })
@@ -379,7 +422,7 @@ mod tests {
             e.u64(100);
             e.u8(payload);
             e.bytes(b"body");
-            let frame = seal(CUT_MAGIC, CUT_VERSION, &e.into_bytes());
+            let frame = e.seal(CUT_MAGIC, CUT_VERSION);
             assert!(matches!(CutFrame::from_frame(&frame), Err(CkptError::Malformed(_))));
         }
     }

@@ -377,11 +377,11 @@ fn state_err(msg: impl Into<String>) -> CutError {
 /// boundary it was cut at — the `seq` a handoff is addressed with. A frame
 /// that does not decode fails the resize instead of shipping as boundary 0.
 fn own_cut_seq(shard: usize, frame: &[u8]) -> Result<u64, CutError> {
-    let ckpt = ShardCheckpoint::from_frame(frame)?;
-    if ckpt.shard != shard {
-        return Err(CutError::WrongShard { expected: shard, found: ckpt.shard });
+    let (found, seq) = ShardCheckpoint::header(frame)?;
+    if found != shard {
+        return Err(CutError::WrongShard { expected: shard, found });
     }
-    Ok(ckpt.seq)
+    Ok(seq)
 }
 
 /// Hands shard `s`'s final cut — the newest frame in `slot` — to generation

@@ -285,6 +285,17 @@ fn corpus_of_hostile_frames() {
             CutFrame::apply(&cut(0, 0, role, garbage).to_frame(), 0, 0, role, Some((512, b"base"))),
             Err(CutError::Frame(_))
         ));
+
+        // A well-sealed delta against the right base that declares a target
+        // no machine holds: refused as malformed before it sizes a buffer
+        // (the allocator used to abort the process here).
+        let mut huge = DeltaFrame::compute(b"base", b"target");
+        huge.target_len = 1 << 60;
+        let huge = CutPayload::Delta { base_seq: 512, frame: huge.to_frame() };
+        assert!(matches!(
+            CutFrame::apply(&cut(0, 0, role, huge).to_frame(), 0, 0, role, Some((512, b"base"))),
+            Err(CutError::Frame(CkptError::Malformed(_)))
+        ));
     }
 
     // Empty input.

@@ -20,10 +20,10 @@
 //! [`CacheServer::save_state`]: darwin_cache::CacheServer::save_state
 
 use darwin_cache::ThresholdPolicy;
-use darwin_ckpt::{open, seal, CkptError, Dec, Enc};
+use darwin_ckpt::{open, CkptError, Dec, Enc};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Frame magic: `"DSCK"` (Darwin Shard ChecKpoint), little-endian.
 pub const CKPT_MAGIC: u32 = 0x4453_434B;
@@ -59,7 +59,10 @@ pub struct ShardCheckpoint {
 impl ShardCheckpoint {
     /// Seals the checkpoint into a versioned, CRC-guarded frame.
     pub fn to_frame(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
+        // The two blobs plus under a hundred bytes of fixed fields: sized
+        // once, sealed where it lies.
+        let mut enc =
+            Enc::frame(96 + self.cache.len() + self.driver.len() + 8 * self.budget_marks.len());
         enc.usize(self.shard);
         enc.u64(self.seq);
         self.policy.encode_state(&mut enc);
@@ -67,7 +70,17 @@ impl ShardCheckpoint {
         enc.bytes(&self.driver);
         enc.u32(self.restarts);
         enc.seq(&self.budget_marks, |e, &m| e.u64(m));
-        seal(CKPT_MAGIC, CKPT_VERSION, &enc.into_bytes())
+        enc.seal(CKPT_MAGIC, CKPT_VERSION)
+    }
+
+    /// Validates `frame`'s seal — magic, CRC over every byte, version, body
+    /// length: everything [`from_frame`](Self::from_frame) checks before it
+    /// decodes — and reads the `(shard, seq)` it is addressed with, without
+    /// copying the payload out. For holders that move a frame on rather than
+    /// restore from it (the standby, a resize handoff).
+    pub fn header(frame: &[u8]) -> Result<(usize, u64), CkptError> {
+        let mut dec = Dec::new(open(frame, CKPT_MAGIC, CKPT_VERSION)?);
+        Ok((dec.usize()?, dec.u64()?))
     }
 
     /// Opens and decodes a frame written by [`ShardCheckpoint::to_frame`].
@@ -92,7 +105,7 @@ impl ShardCheckpoint {
 #[derive(Debug)]
 pub struct CheckpointSlot {
     shard: usize,
-    bufs: [Mutex<Option<Vec<u8>>>; 2],
+    bufs: [Mutex<Option<Arc<Vec<u8>>>>; 2],
     active: AtomicUsize,
     dir: Option<PathBuf>,
 }
@@ -114,8 +127,9 @@ impl CheckpointSlot {
     /// Publishes a new frame: fills the inactive buffer, then flips it
     /// active. The previously active frame survives as the second restore
     /// candidate, so a store torn by a crash never destroys the last good
-    /// checkpoint.
-    pub fn store(&self, frame: Vec<u8>) {
+    /// checkpoint. Returns the frame as stored — shared, not copied — for a
+    /// writer that goes on to feed it to a standby.
+    pub fn store(&self, frame: Vec<u8>) -> Arc<Vec<u8>> {
         let inactive = 1 - self.active.load(Ordering::Acquire);
         if let Some(path) = self.disk_path() {
             // Best-effort spill *before* the flip: write the whole frame to
@@ -126,8 +140,10 @@ impl CheckpointSlot {
                 let _ = std::fs::rename(&tmp, &path);
             }
         }
-        *self.bufs[inactive].lock().expect("checkpoint buffer poisoned") = Some(frame);
+        let frame = Arc::new(frame);
+        *self.bufs[inactive].lock().expect("checkpoint buffer poisoned") = Some(Arc::clone(&frame));
         self.active.store(inactive, Ordering::Release);
+        frame
     }
 
     /// Restore candidates, best-first: the active in-memory frame, the
@@ -138,7 +154,7 @@ impl CheckpointSlot {
         let mut out = Vec::new();
         for idx in [a, 1 - a] {
             if let Some(f) = self.bufs[idx].lock().expect("checkpoint buffer poisoned").as_ref() {
-                out.push(f.clone());
+                out.push(f.to_vec());
             }
         }
         if let Some(path) = self.disk_path() {
@@ -182,7 +198,7 @@ impl CheckpointSlot {
         };
         for b in &self.bufs {
             if let Some(f) = b.lock().expect("checkpoint buffer poisoned").as_mut() {
-                damage(f);
+                damage(Arc::make_mut(f));
             }
         }
         if let Some(path) = self.disk_path() {
@@ -203,9 +219,18 @@ pub fn clear_spill_dir(dir: &Path, shards: usize) {
     }
 }
 
+/// What each way into a frame — the full decode, and the payload-free
+/// [`ShardCheckpoint::header`] — makes of `frame`, reduced to the address
+/// both yield. Envelope damage must be refused by both, identically.
+#[cfg(test)]
+fn both_entry_points(frame: &[u8]) -> [Result<(usize, u64), CkptError>; 2] {
+    [ShardCheckpoint::from_frame(frame).map(|c| (c.shard, c.seq)), ShardCheckpoint::header(frame)]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use darwin_ckpt::seal;
 
     fn sample(shard: usize, seq: u64) -> ShardCheckpoint {
         ShardCheckpoint {
@@ -261,6 +286,30 @@ mod tests {
                 Err(CkptError::BadVersion { expected: CKPT_VERSION, found }),
                 "v{found} frame must be rejected — v1 frames lack budget state"
             );
+        }
+    }
+
+    #[test]
+    fn header_is_from_frame_without_the_payload() {
+        let frame = sample(2, 12_000).to_frame();
+        assert_eq!(ShardCheckpoint::header(&frame), Ok((2, 12_000)));
+        let body = &frame[14..frame.len() - 8];
+        // Another format's magic, either neighbouring version, and a body
+        // length that lies under a CRC that does not: the envelope refuses
+        // each the same way whichever entry point asks.
+        let mut lying = frame[..frame.len() - 8].to_vec();
+        lying[6..14].copy_from_slice(&(body.len() as u64 + 1).to_le_bytes());
+        let crc = darwin_ckpt::crc64(&lying);
+        lying.extend_from_slice(&crc.to_le_bytes());
+        for (bad, why) in [
+            (seal(CKPT_MAGIC ^ 1, CKPT_VERSION, body), "magic"),
+            (seal(CKPT_MAGIC, CKPT_VERSION + 1, body), "version"),
+            (seal(CKPT_MAGIC, CKPT_VERSION - 1, body), "version"),
+            (lying, "body length"),
+        ] {
+            let [decoded, header] = both_entry_points(&bad);
+            assert!(header.is_err(), "{why} accepted by header()");
+            assert_eq!(header, decoded, "{why}");
         }
     }
 
@@ -364,6 +413,7 @@ mod proptests {
             let c = arb_ckpt(shard, seq, freq, size, cache, driver);
             let frame = c.to_frame();
             prop_assert_eq!(ShardCheckpoint::from_frame(&frame).unwrap(), c.clone());
+            prop_assert_eq!(ShardCheckpoint::header(&frame), Ok((shard, seq)));
             prop_assert_eq!(c.to_frame(), frame);
         }
 
@@ -377,7 +427,9 @@ mod proptests {
         ) {
             let frame = arb_ckpt(1, 99, 2, 4096, cache, driver).to_frame();
             let keep = ((cut * frame.len() as f64) as usize).min(frame.len() - 1);
-            prop_assert!(ShardCheckpoint::from_frame(&frame[..keep]).is_err());
+            let [decoded, header] = both_entry_points(&frame[..keep]);
+            prop_assert!(decoded.is_err());
+            prop_assert_eq!(header, decoded);
         }
 
         /// Every single-bit flip anywhere in a frame is caught by the CRC.
@@ -392,13 +444,17 @@ mod proptests {
             let mut bad = frame.clone();
             let byte = ((pos * bad.len() as f64) as usize).min(bad.len() - 1);
             bad[byte] ^= 1 << bit;
-            prop_assert!(ShardCheckpoint::from_frame(&bad).is_err());
+            let [decoded, header] = both_entry_points(&bad);
+            prop_assert!(decoded.is_err());
+            prop_assert_eq!(header, decoded);
         }
 
-        /// Arbitrary junk bytes never panic the frame opener.
+        /// Arbitrary junk bytes never panic either frame opener, and
+        /// neither lets through what the other refuses.
         #[test]
         fn junk_never_panics(junk in proptest::collection::vec(0u8..=255, 0..192)) {
-            let _ = ShardCheckpoint::from_frame(&junk);
+            let [decoded, header] = both_entry_points(&junk);
+            prop_assert_eq!(header, decoded);
         }
     }
 }

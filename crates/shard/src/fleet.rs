@@ -1357,7 +1357,7 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
                     budget_marks: budget_marks.clone(),
                 }
                 .to_frame();
-                slot.store(frame.clone());
+                let frame = slot.store(frame);
                 if timed {
                     cell.obs().ckpt_pause.record_duration(pause.elapsed());
                 }

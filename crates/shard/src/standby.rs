@@ -115,12 +115,9 @@ impl StandbySlot {
         }
         let held = st.frame.as_deref().map(|base| (st.seq, base));
         let wire = CutFrame::ship(self.shard, generation, CutRole::Replica, seq, frame, held);
-        let applied =
-            CutFrame::apply(&wire, self.shard, generation, CutRole::Replica, held).ok().filter(|cut| {
-                ShardCheckpoint::from_frame(&cut.image)
-                    .map(|c| c.shard == self.shard && c.seq == seq)
-                    .unwrap_or(false)
-            });
+        let applied = CutFrame::apply(&wire, self.shard, generation, CutRole::Replica, held)
+            .ok()
+            .filter(|cut| ShardCheckpoint::header(&cut.image) == Ok((self.shard, seq)));
         match applied {
             Some(cut) => {
                 st.frame = Some(cut.image);

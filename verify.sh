@@ -47,6 +47,12 @@ echo "== cut envelope (both roles) + delta + RESIZE wire hostile corpus (never p
 cargo test -p darwin-rebalance --test codec_props -q
 cargo test -p darwin-gateway --test wire_codec -q
 
+echo "== delta matcher byte-identity (flat-index matcher ≡ the HashMap oracle, frame for frame) =="
+cargo test -p darwin-shard --test delta_identity -q
+
+echo "== repo benchmark still builds and runs (perf/: 1/100-size smoke of all four workloads + one traced run) =="
+cargo test --release --manifest-path perf/Cargo.toml -q
+
 echo "== chaos bench smoke (scripted shard deaths, exactly-once answering) =="
 cargo run --release -p darwin-bench --bin experiments -- chaos --out target/chaos_smoke
 
