@@ -14,10 +14,11 @@
 //! overflowing tails downward (evicting from the bottom) — so a one-hit
 //! scan can only churn the lowest segment.
 
+use crate::idmap::IdMap;
 use darwin_ckpt::{CkptError, Dec, Enc};
 use darwin_trace::ObjectId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// Which eviction policy a store uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -50,6 +51,7 @@ impl EvictionKind {
 /// `insert` admits an object unconditionally, evicting as needed to fit;
 /// objects larger than the whole store are rejected (returned as not
 /// inserted). `touch` records an access for recency/frequency bookkeeping.
+/// Each is one probe of the id map (plus one per victim).
 ///
 /// ```
 /// use darwin_cache::eviction::Store;
@@ -59,15 +61,16 @@ impl EvictionKind {
 /// hoc.insert(2, 10);
 /// hoc.insert(3, 10);
 /// hoc.touch(1); // 1 is now most-recent; 2 is the LRU victim
-/// let evicted = hoc.insert(4, 10);
-/// assert_eq!(evicted, vec![(2, 10)]);
+/// assert_eq!(hoc.peek_victim(), Some(2));
+/// assert_eq!(hoc.insert(4, 10), (true, 1));
+/// assert!(!hoc.contains(2));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Store {
     kind: EvictionKind,
     capacity: u64,
     used: u64,
-    map: HashMap<ObjectId, usize>,
+    map: IdMap<usize>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     /// Per-segment list heads (most-recent end) and tails (eviction end).
@@ -101,7 +104,7 @@ impl Store {
             kind,
             capacity: capacity_bytes,
             used: 0,
-            map: HashMap::new(),
+            map: IdMap::default(),
             nodes: Vec::new(),
             free: Vec::new(),
             heads: vec![NIL; segs],
@@ -155,6 +158,13 @@ impl Store {
     pub fn touch(&mut self, id: ObjectId) -> bool {
         self.clock += 1;
         let Some(&idx) = self.map.get(&id) else { return false };
+        self.touch_idx(idx);
+        true
+    }
+
+    /// The hit path behind [`Store::touch`] and a re-`insert`; the caller
+    /// has ticked the clock.
+    fn touch_idx(&mut self, idx: usize) {
         self.nodes[idx].hits += 1;
         self.nodes[idx].last_touch = self.clock;
         match self.kind {
@@ -170,29 +180,30 @@ impl Store {
             }
             EvictionKind::Fifo | EvictionKind::Lfu => {}
         }
-        true
     }
 
     /// Inserts `id` with `size` bytes, evicting victims as needed. Returns
-    /// the evicted `(id, size)` pairs. If `size > capacity`, nothing is
-    /// inserted or evicted and the object is silently rejected (matching a
-    /// real HOC, which cannot hold an object bigger than itself).
+    /// whether the object was inserted and how many victims were evicted
+    /// for it. If `size > capacity`, nothing is inserted or evicted and the
+    /// object is silently rejected (matching a real HOC, which cannot hold
+    /// an object bigger than itself).
     ///
-    /// Inserting an already-present object is treated as a touch.
-    pub fn insert(&mut self, id: ObjectId, size: u64) -> Vec<(ObjectId, u64)> {
-        if self.contains(id) {
-            self.touch(id);
-            return Vec::new();
-        }
+    /// Inserting an already-present object is treated as a touch (and
+    /// reported as not inserted).
+    pub fn insert(&mut self, id: ObjectId, size: u64) -> (bool, usize) {
+        let slot = match self.map.entry(id) {
+            Entry::Occupied(e) => {
+                let idx = *e.get();
+                self.clock += 1;
+                self.touch_idx(idx);
+                return (false, 0);
+            }
+            Entry::Vacant(slot) => slot,
+        };
         if size > self.capacity {
-            return Vec::new();
+            return (false, 0);
         }
         self.clock += 1;
-        let mut evicted = Vec::new();
-        while self.used + size > self.capacity {
-            let victim = self.pick_victim().expect("store is non-empty while over capacity");
-            evicted.push(self.remove_idx(victim));
-        }
         let node = Node { id, size, prev: NIL, next: NIL, segment: 0, hits: 1, last_touch: self.clock };
         let idx = match self.free.pop() {
             Some(i) => {
@@ -204,20 +215,28 @@ impl Store {
                 self.nodes.len() - 1
             }
         };
+        slot.insert(idx);
+        // The new node joins a list only after the victims left theirs, so
+        // no policy can pick it.
+        let mut evicted = 0;
+        while self.used + size > self.capacity {
+            let victim = self.pick_victim().expect("store is non-empty while over capacity");
+            self.map.remove(&self.nodes[victim].id);
+            self.release(victim);
+            evicted += 1;
+        }
         self.push_front(idx, 0);
-        self.map.insert(id, idx);
         self.used += size;
         if matches!(self.kind, EvictionKind::SegmentedLru { .. }) {
             self.rebalance();
         }
-        evicted
+        (true, evicted)
     }
 
     /// Removes `id` if present, returning its size.
     pub fn remove(&mut self, id: ObjectId) -> Option<u64> {
-        let idx = self.map.get(&id).copied()?;
-        let (_, size) = self.remove_idx(idx);
-        Some(size)
+        let idx = self.map.remove(&id)?;
+        Some(self.release(idx))
     }
 
     /// The ID that would be evicted next, if any.
@@ -263,22 +282,28 @@ impl Store {
                 // Evict from the lowest non-empty segment's tail.
                 self.tails.iter().find(|&&t| t != NIL).copied()
             }
-            EvictionKind::Lfu => self
-                .map
-                .values()
-                .copied()
-                .min_by_key(|&i| (self.nodes[i].hits, self.nodes[i].last_touch)),
+            // LFU keeps every resident on list 0 in insertion order; clock
+            // ticks are unique, so the minimum is too.
+            EvictionKind::Lfu => {
+                self.chain(0).min_by_key(|&i| (self.nodes[i].hits, self.nodes[i].last_touch))
+            }
         }
     }
 
-    fn remove_idx(&mut self, idx: usize) -> (ObjectId, u64) {
+    /// Node indices of segment `seg`, head (most recent) to tail.
+    fn chain(&self, seg: usize) -> impl Iterator<Item = usize> + '_ {
+        let link = |i: usize| (i != NIL).then_some(i);
+        std::iter::successors(link(self.heads[seg]), move |&i| link(self.nodes[i].next))
+    }
+
+    /// Unlinks node `idx`, already gone from the map, and frees its slot.
+    /// Returns the object's size.
+    fn release(&mut self, idx: usize) -> u64 {
         self.unlink(idx);
-        let id = self.nodes[idx].id;
         let size = self.nodes[idx].size;
-        self.map.remove(&id);
         self.used -= size;
         self.free.push(idx);
-        (id, size)
+        size
     }
 
     fn push_front(&mut self, idx: usize, segment: usize) {
@@ -317,12 +342,7 @@ impl Store {
         enc.usize(self.heads.len());
         for seg in 0..self.heads.len() {
             // Walk head → tail so decode can rebuild by pushing in reverse.
-            let mut chain = Vec::new();
-            let mut idx = self.heads[seg];
-            while idx != NIL {
-                chain.push(idx);
-                idx = self.nodes[idx].next;
-            }
+            let chain: Vec<usize> = self.chain(seg).collect();
             enc.seq(&chain, |e, &i| {
                 let n = &self.nodes[i];
                 e.u64(n.id);
@@ -421,8 +441,8 @@ mod tests {
         s.insert(2, 10);
         s.insert(3, 10);
         s.touch(1); // order now (MRU→LRU): 1,3,2
-        let ev = s.insert(4, 10);
-        assert_eq!(ev, vec![(2, 10)]);
+        assert_eq!(s.insert(4, 10), (true, 1));
+        assert!(!s.contains(2));
         assert!(s.contains(1) && s.contains(3) && s.contains(4));
     }
 
@@ -433,8 +453,8 @@ mod tests {
         s.insert(2, 10);
         s.insert(3, 10);
         s.touch(1);
-        let ev = s.insert(4, 10);
-        assert_eq!(ev, vec![(1, 10)], "FIFO must evict oldest insert despite touch");
+        assert_eq!(s.insert(4, 10), (true, 1));
+        assert!(!s.contains(1), "FIFO must evict oldest insert despite touch");
     }
 
     #[test]
@@ -446,8 +466,8 @@ mod tests {
         s.touch(1);
         s.touch(1);
         s.touch(3);
-        let ev = s.insert(4, 10);
-        assert_eq!(ev, vec![(2, 10)]);
+        assert_eq!(s.insert(4, 10), (true, 1));
+        assert!(!s.contains(2));
     }
 
     #[test]
@@ -463,8 +483,7 @@ mod tests {
     fn oversized_object_rejected_without_eviction() {
         let mut s = Store::lru(50);
         s.insert(1, 20);
-        let ev = s.insert(2, 60);
-        assert!(ev.is_empty());
+        assert_eq!(s.insert(2, 60), (false, 0));
         assert!(!s.contains(2));
         assert!(s.contains(1), "rejection must not evict residents");
     }
@@ -475,8 +494,7 @@ mod tests {
         s.insert(1, 10);
         s.insert(2, 10);
         s.insert(3, 10);
-        let ev = s.insert(4, 25);
-        assert_eq!(ev.len(), 3);
+        assert_eq!(s.insert(4, 25), (true, 3));
         assert_eq!(s.len(), 1);
         assert_eq!(s.used_bytes(), 25);
     }
@@ -487,10 +505,10 @@ mod tests {
         s.insert(1, 10);
         s.insert(2, 10);
         s.insert(3, 10);
-        s.insert(1, 10); // touch, not duplicate
+        assert_eq!(s.insert(1, 10), (false, 0)); // touch, not duplicate
         assert_eq!(s.used_bytes(), 30);
-        let ev = s.insert(4, 10);
-        assert_eq!(ev, vec![(2, 10)]);
+        assert_eq!(s.insert(4, 10), (true, 1));
+        assert!(!s.contains(2));
     }
 
     #[test]
@@ -522,8 +540,8 @@ mod tests {
         s.insert(1, 10);
         s.insert(2, 10);
         let victim = s.peek_victim().unwrap();
-        let ev = s.insert(3, 10);
-        assert_eq!(ev[0].0, victim);
+        assert_eq!(s.insert(3, 10), (true, 1));
+        assert!(!s.contains(victim));
     }
 
     #[test]
@@ -668,7 +686,7 @@ mod tests {
         // Keep inserting; capacity must hold and evictions must occur.
         let mut evicted = 0;
         for id in 10..20u64 {
-            evicted += s.insert(id, 25).len();
+            evicted += s.insert(id, 25).1;
             assert!(s.used_bytes() <= 100);
         }
         assert!(evicted > 0);
@@ -716,166 +734,184 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::VecDeque;
 
-    /// A naive reference LRU over a deque.
-    struct RefLru {
-        cap: u64,
-        q: VecDeque<(u64, u64)>, // front = MRU
+    #[derive(Debug, Clone, Copy)]
+    struct RefObj {
+        id: u64,
+        size: u64,
+        hits: u64,
+        last_touch: u64,
     }
-    impl RefLru {
-        fn touch(&mut self, id: u64) -> bool {
-            if let Some(pos) = self.q.iter().position(|&(i, _)| i == id) {
-                let e = self.q.remove(pos).unwrap();
-                self.q.push_front(e);
-                true
-            } else {
-                false
+
+    /// The policies restated over plain vectors, one per segment, index 0
+    /// the most recent end: linear scans, no slab, no map, no free list.
+    struct RefStore {
+        kind: EvictionKind,
+        cap: u64,
+        clock: u64,
+        segs: Vec<Vec<RefObj>>,
+    }
+
+    impl RefStore {
+        fn new(cap: u64, kind: EvictionKind) -> Self {
+            Self { kind, cap, clock: 0, segs: vec![Vec::new(); kind.num_segments()] }
+        }
+
+        fn used(&self) -> u64 {
+            self.segs.iter().flatten().map(|o| o.size).sum()
+        }
+
+        fn ids(&self) -> Vec<u64> {
+            let mut ids: Vec<u64> = self.segs.iter().flatten().map(|o| o.id).collect();
+            ids.sort_unstable();
+            ids
+        }
+
+        fn find(&self, id: u64) -> Option<(usize, usize)> {
+            self.segs
+                .iter()
+                .enumerate()
+                .find_map(|(s, seg)| seg.iter().position(|o| o.id == id).map(|p| (s, p)))
+        }
+
+        fn rebalance(&mut self) {
+            let budget = (self.cap / self.segs.len() as u64).max(1);
+            for s in (1..self.segs.len()).rev() {
+                while self.segs[s].iter().map(|o| o.size).sum::<u64>() > budget {
+                    let tail = self.segs[s].pop().unwrap();
+                    self.segs[s - 1].insert(0, tail);
+                }
             }
         }
-        fn insert(&mut self, id: u64, size: u64) {
-            if self.touch(id) {
-                return;
+
+        /// The hit path; the caller has ticked the clock.
+        fn hit(&mut self, seg: usize, pos: usize) {
+            let mut o = self.segs[seg].remove(pos);
+            o.hits += 1;
+            o.last_touch = self.clock;
+            match self.kind {
+                EvictionKind::Lru => self.segs[0].insert(0, o),
+                EvictionKind::SegmentedLru { .. } => {
+                    let target = (seg + 1).min(self.segs.len() - 1);
+                    self.segs[target].insert(0, o);
+                    self.rebalance();
+                }
+                EvictionKind::Fifo | EvictionKind::Lfu => self.segs[seg].insert(pos, o),
+            }
+        }
+
+        fn touch(&mut self, id: u64) -> bool {
+            self.clock += 1;
+            let Some((seg, pos)) = self.find(id) else { return false };
+            self.hit(seg, pos);
+            true
+        }
+
+        fn victim(&self) -> Option<(usize, usize)> {
+            match self.kind {
+                EvictionKind::Lfu => (0..self.segs[0].len())
+                    .min_by_key(|&p| (self.segs[0][p].hits, self.segs[0][p].last_touch))
+                    .map(|p| (0, p)),
+                _ => {
+                    self.segs.iter().position(|seg| !seg.is_empty()).map(|s| (s, self.segs[s].len() - 1))
+                }
+            }
+        }
+
+        fn peek_victim(&self) -> Option<u64> {
+            self.victim().map(|(s, p)| self.segs[s][p].id)
+        }
+
+        fn insert(&mut self, id: u64, size: u64) -> (bool, usize) {
+            if let Some((seg, pos)) = self.find(id) {
+                self.clock += 1;
+                self.hit(seg, pos);
+                return (false, 0);
             }
             if size > self.cap {
-                return;
+                return (false, 0);
             }
-            let mut used: u64 = self.q.iter().map(|&(_, s)| s).sum();
-            while used + size > self.cap {
-                let (_, s) = self.q.pop_back().unwrap();
-                used -= s;
+            self.clock += 1;
+            let mut evicted = 0;
+            while self.used() + size > self.cap {
+                let (s, p) = self.victim().unwrap();
+                self.segs[s].remove(p);
+                evicted += 1;
             }
-            self.q.push_front((id, size));
+            self.segs[0].insert(0, RefObj { id, size, hits: 1, last_touch: self.clock });
+            self.rebalance();
+            (true, evicted)
         }
+
+        fn remove(&mut self, id: u64) -> Option<u64> {
+            let (seg, pos) = self.find(id)?;
+            Some(self.segs[seg].remove(pos).size)
+        }
+    }
+
+    fn sorted_ids(s: &Store) -> Vec<u64> {
+        let mut ids: Vec<u64> = s.ids().collect();
+        ids.sort_unstable();
+        ids
     }
 
     proptest! {
-        /// The slab LRU must match a straightforward reference model under
-        /// arbitrary interleavings of inserts and touches.
+        /// Every policy against its naive restatement, over arbitrary
+        /// touch / insert / remove sequences (sizes up to past the whole
+        /// capacity): same return values — `inserted` and the evicted count
+        /// — same residents, bytes and next victim after every step, and the
+        /// same complete victim order when both are drained at the end.
         #[test]
-        fn lru_matches_reference(ops in proptest::collection::vec((0u64..20, 1u64..15, proptest::bool::ANY), 1..200)) {
-            let mut s = Store::lru(40);
-            let mut r = RefLru { cap: 40, q: VecDeque::new() };
-            for (id, size, is_touch) in ops {
-                if is_touch {
-                    prop_assert_eq!(s.touch(id), r.touch(id));
-                } else {
-                    s.insert(id, size);
-                    r.insert(id, size);
-                }
-                let mut a: Vec<u64> = s.ids().collect();
-                let mut b: Vec<u64> = r.q.iter().map(|&(i, _)| i).collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                prop_assert_eq!(a, b);
-                prop_assert!(s.used_bytes() <= 40);
-            }
-        }
-
-        /// Cache-server-shaped request sequences (touch on hit, insert on
-        /// miss): resident bytes never exceed capacity and every eviction the
-        /// store reports matches, in order, the victim a reference model of
-        /// the policy picks (LRU: least recent; FIFO: oldest insert; LFU:
-        /// fewest hits, least-recent tie-break).
-        #[test]
-        fn request_sequence_eviction_order_matches_policy(
-            kind_sel in 0usize..3,
-            reqs in proptest::collection::vec((0u64..40, 1u64..30), 1..400),
+        fn every_policy_matches_its_naive_reference(
+            kind_sel in 0usize..5,
+            ops in proptest::collection::vec((0u8..8, 0u64..24, 1u64..70), 1..300),
         ) {
-            const CAP: u64 = 100;
-            let kind = [EvictionKind::Lru, EvictionKind::Fifo, EvictionKind::Lfu][kind_sel];
+            const CAP: u64 = 60;
+            let kind = [
+                EvictionKind::Lru,
+                EvictionKind::Fifo,
+                EvictionKind::Lfu,
+                EvictionKind::SegmentedLru { segments: 4 },
+                EvictionKind::SegmentedLru { segments: 1 },
+            ][kind_sel];
             let mut s = Store::new(CAP, kind);
-            // Reference state: `order` is most-recent-first for LRU and
-            // most-recently-inserted-first for FIFO; `stats` tracks
-            // (hits, last_touch) for LFU with the same clock Store uses.
-            let mut sizes: std::collections::HashMap<u64, u64> = Default::default();
-            let mut order: Vec<u64> = Vec::new();
-            let mut stats: std::collections::HashMap<u64, (u64, u64)> = Default::default();
-            let mut used = 0u64;
-            let mut clock = 0u64;
-            for (id, size) in reqs {
-                let size = *sizes.entry(id).or_insert(size);
-                if s.touch(id) {
-                    clock += 1;
-                    prop_assert!(order.contains(&id), "store hit an absent object");
-                    if kind == EvictionKind::Lru {
-                        let pos = order.iter().position(|&i| i == id).unwrap();
-                        order.remove(pos);
-                        order.insert(0, id);
+            let mut r = RefStore::new(CAP, kind);
+            for (op, id, size) in ops {
+                match op {
+                    0..=2 => prop_assert_eq!(s.touch(id), r.touch(id), "touch({})", id),
+                    // Mostly small objects; one insert in four spans 1..70.
+                    3..=6 => {
+                        let size = if op == 3 { size } else { 1 + size % 20 };
+                        prop_assert_eq!(s.insert(id, size), r.insert(id, size), "insert({}, {})", id, size);
                     }
-                    let e = stats.get_mut(&id).unwrap();
-                    e.0 += 1;
-                    e.1 = clock;
-                } else {
-                    clock += 1; // the miss-side touch() also ticks the clock
-                    clock += 1; // insert() ticks again before evicting
-                    let mut expected: Vec<(u64, u64)> = Vec::new();
-                    while used + size > CAP {
-                        let victim = match kind {
-                            EvictionKind::Lfu => *stats
-                                .keys()
-                                .min_by_key(|i| stats[i])
-                                .expect("non-empty while over capacity"),
-                            _ => *order.last().expect("non-empty while over capacity"),
-                        };
-                        order.retain(|&i| i != victim);
-                        stats.remove(&victim);
-                        used -= sizes[&victim];
-                        expected.push((victim, sizes[&victim]));
-                    }
-                    prop_assert_eq!(s.insert(id, size), expected, "eviction order diverged");
-                    order.insert(0, id);
-                    stats.insert(id, (1, clock));
-                    used += size;
+                    _ => prop_assert_eq!(s.remove(id), r.remove(id), "remove({})", id),
                 }
+                prop_assert_eq!(s.used_bytes(), r.used());
                 prop_assert!(s.used_bytes() <= CAP);
-                prop_assert_eq!(s.used_bytes(), used);
-            }
-        }
-
-        /// Byte accounting stays consistent with the resident set.
-        #[test]
-        fn used_bytes_consistent(ops in proptest::collection::vec((0u64..50, 1u64..30), 1..300)) {
-            let mut s = Store::lru(100);
-            let mut sizes = std::collections::HashMap::new();
-            for (id, size) in ops {
-                // Re-inserting a resident object is a touch: the original
-                // size is retained, so only record the size that "won".
-                let was_present = s.contains(id);
-                s.insert(id, size);
-                if !was_present {
-                    sizes.insert(id, size);
-                }
-                let expect: u64 = s.ids().map(|i| sizes[&i]).sum();
-                prop_assert_eq!(s.used_bytes(), expect);
-            }
-        }
-
-        /// Segmented LRU never exceeds capacity and never loses objects it
-        /// did not report as evicted.
-        #[test]
-        fn segmented_invariants(ops in proptest::collection::vec((0u64..30, 1u64..25, proptest::bool::ANY), 1..300)) {
-            let mut s = Store::new(80, EvictionKind::SegmentedLru { segments: 4 });
-            let mut resident = std::collections::HashSet::new();
-            for (id, size, is_touch) in ops {
-                if is_touch {
-                    prop_assert_eq!(s.touch(id), resident.contains(&id));
-                } else if !resident.contains(&id) && size <= 80 {
-                    let evicted = s.insert(id, size);
-                    resident.insert(id);
-                    for (v, _) in evicted {
-                        resident.remove(&v);
+                prop_assert_eq!(sorted_ids(&s), r.ids());
+                prop_assert_eq!(s.len(), r.ids().len());
+                prop_assert_eq!(s.peek_victim(), r.peek_victim());
+                for (seg, objs) in r.segs.iter().enumerate() {
+                    for o in objs {
+                        prop_assert_eq!(s.segment_of(o.id), Some(seg));
                     }
-                } else {
-                    s.insert(id, size);
                 }
-                prop_assert!(s.used_bytes() <= 80);
-                let mut a: Vec<u64> = s.ids().collect();
-                let mut b: Vec<u64> = resident.iter().copied().collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                prop_assert_eq!(a, b);
             }
+            // The codec carries the same order: drain a decoded copy too.
+            let mut enc = Enc::new();
+            s.encode_state(&mut enc);
+            let bytes = enc.into_bytes();
+            prop_assert_eq!(bytes.len(), s.encoded_len());
+            let mut copy = Store::decode_state(&mut Dec::new(&bytes)).unwrap();
+            while let Some(victim) = r.peek_victim() {
+                prop_assert_eq!(s.peek_victim(), Some(victim));
+                prop_assert_eq!(copy.peek_victim(), Some(victim));
+                let size = r.remove(victim);
+                prop_assert_eq!(s.remove(victim), size);
+                prop_assert_eq!(copy.remove(victim), size);
+            }
+            prop_assert!(s.is_empty() && copy.is_empty());
+            prop_assert_eq!(s.used_bytes(), 0);
         }
     }
 }

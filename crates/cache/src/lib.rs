@@ -37,6 +37,7 @@
 
 pub mod bloom;
 pub mod eviction;
+pub mod idmap;
 pub mod metrics;
 pub mod objective;
 pub mod policy;

@@ -9,12 +9,13 @@
 
 use crate::bloom::{BloomFilter, FrequencySketch};
 use crate::eviction::{EvictionKind, Store};
+use crate::idmap::IdMap;
 use crate::metrics::CacheMetrics;
 use crate::policy::{AdmissionPolicy, ObjectView, ThresholdPolicy};
 use darwin_ckpt::{CkptError, Dec, Enc};
 use darwin_trace::{ObjectId, Request};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// Where a request was served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +39,7 @@ impl RequestOutcome {
 /// How the server tracks per-object request counts for the frequency knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FrequencyMode {
-    /// Exact `HashMap` counting: deterministic, memory ∝ unique objects.
+    /// Exact per-object counting: deterministic, memory ∝ unique objects.
     /// The simulator default (matches offline expert evaluation).
     Exact,
     /// TinyLFU-style counting sketch: bounded memory, slight over-counting,
@@ -98,33 +99,74 @@ impl CacheConfig {
     }
 }
 
-/// Exact or sketched frequency tracker.
-#[derive(Debug)]
-enum FreqTracker {
-    Exact(HashMap<ObjectId, u32>),
-    Sketch(FrequencySketch),
+/// What the server remembers about one object it has seen.
+#[derive(Debug, Clone, Copy)]
+struct ObjectMeta {
+    /// Timestamp of the latest request (the recency knob's input).
+    last_ts: u64,
+    /// Requests seen, saturating (the frequency knob's input; maintained
+    /// but never read under [`FrequencyMode::Sketch`]).
+    count: u32,
 }
 
-impl FreqTracker {
-    fn new(mode: FrequencyMode) -> Self {
-        match mode {
-            FrequencyMode::Exact => FreqTracker::Exact(HashMap::new()),
-            FrequencyMode::Sketch { expected_objects } => {
-                FreqTracker::Sketch(FrequencySketch::with_capacity(expected_objects))
+/// The per-object table both simulators keep: one entry per object ever
+/// requested, one probe per request for frequency and recency together.
+#[derive(Debug, Default)]
+struct ObjectTable {
+    map: IdMap<ObjectMeta>,
+}
+
+impl ObjectTable {
+    /// Records a request for `id` at `now_us`. Returns the object's request
+    /// count including this one, and the time since its previous request
+    /// (`None` on first sight).
+    #[inline]
+    fn record(&mut self, id: ObjectId, now_us: u64) -> (u32, Option<u64>) {
+        match self.map.entry(id) {
+            Entry::Occupied(mut e) => {
+                let meta = e.get_mut();
+                let gap = now_us.saturating_sub(meta.last_ts);
+                meta.last_ts = now_us;
+                meta.count = meta.count.saturating_add(1);
+                (meta.count, Some(gap))
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(ObjectMeta { last_ts: now_us, count: 1 });
+                (1, None)
             }
         }
     }
 
-    /// Records a request, returning the count including this request.
-    fn increment(&mut self, id: ObjectId) -> u32 {
-        match self {
-            FreqTracker::Exact(map) => {
-                let c = map.entry(id).or_insert(0);
-                *c = c.saturating_add(1);
-                *c
-            }
-            FreqTracker::Sketch(s) => s.increment(id),
+    /// Rebuilds the table from the saved sequences: `(id, last_ts)` for
+    /// every object and, in Exact mode, `(id, count)` for the same objects.
+    /// Both must be strictly ascending by id and name the same ids — what
+    /// [`ObjectTable::sorted`] writes; anything else is a corrupt image.
+    fn from_sequences(
+        counts: Option<&[(ObjectId, u32)]>,
+        last: &[(ObjectId, u64)],
+    ) -> Result<Self, CkptError> {
+        let malformed = |what: &str| Err(CkptError::Malformed(format!("per-object state: {what}")));
+        if last.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return malformed("recency ids not strictly ascending");
         }
+        if let Some(counts) = counts {
+            if counts.len() != last.len() || counts.iter().zip(last).any(|(c, l)| c.0 != l.0) {
+                return malformed("frequency and recency sequences name different objects");
+            }
+        }
+        let mut map = IdMap::with_capacity_and_hasher(last.len(), Default::default());
+        for (i, &(id, last_ts)) in last.iter().enumerate() {
+            map.insert(id, ObjectMeta { last_ts, count: counts.map_or(0, |c| c[i].1) });
+        }
+        Ok(Self { map })
+    }
+
+    /// Every entry as `(id, last_ts, count)`, sorted by id — the canonical
+    /// order state is saved in.
+    fn sorted(&self) -> Vec<(ObjectId, u64, u32)> {
+        let mut rows: Vec<_> = self.map.iter().map(|(&id, m)| (id, m.last_ts, m.count)).collect();
+        rows.sort_unstable_by_key(|&(id, ..)| id);
+        rows
     }
 }
 
@@ -134,10 +176,11 @@ pub struct CacheServer {
     hoc: Store,
     dc: Store,
     policy: Box<dyn AdmissionPolicy>,
-    freq: FreqTracker,
-    /// Last request timestamp per object (for the recency knob and per-object
-    /// inter-arrival bookkeeping).
-    last_access: HashMap<ObjectId, u64>,
+    /// Request count and last request timestamp per object (the frequency
+    /// and recency knobs' inputs).
+    objects: ObjectTable,
+    /// Counts requests instead of the table under [`FrequencyMode::Sketch`].
+    sketch: Option<FrequencySketch>,
     /// One-hit-wonder filter in front of the DC.
     dc_filter: BloomFilter,
     metrics: CacheMetrics,
@@ -149,15 +192,20 @@ impl CacheServer {
     pub fn new(config: CacheConfig) -> Self {
         let hoc = Store::new(config.hoc_bytes, config.hoc_eviction);
         let dc = Store::new(config.dc_bytes, config.dc_eviction);
-        let freq = FreqTracker::new(config.frequency);
+        let sketch = match config.frequency {
+            FrequencyMode::Exact => None,
+            FrequencyMode::Sketch { expected_objects } => {
+                Some(FrequencySketch::with_capacity(expected_objects))
+            }
+        };
         let dc_filter = BloomFilter::with_capacity(config.expected_unique_objects);
         Self {
             config,
             hoc,
             dc,
             policy: Box::new(ThresholdPolicy::new(2, 100 * 1024)),
-            freq,
-            last_access: HashMap::new(),
+            objects: ObjectTable::default(),
+            sketch,
             dc_filter,
             metrics: CacheMetrics::default(),
         }
@@ -198,11 +246,11 @@ impl CacheServer {
     /// Processes one request through the two-level hierarchy, returning where
     /// it was served from.
     pub fn process(&mut self, req: &Request) -> RequestOutcome {
-        let frequency = self.freq.increment(req.id);
-        let recency_us = self
-            .last_access
-            .insert(req.id, req.timestamp_us)
-            .map(|prev| req.timestamp_us.saturating_sub(prev));
+        let (count, recency_us) = self.objects.record(req.id, req.timestamp_us);
+        let frequency = match &mut self.sketch {
+            Some(sketch) => sketch.increment(req.id),
+            None => count,
+        };
 
         self.metrics.requests += 1;
         self.metrics.bytes_total += req.size;
@@ -224,12 +272,12 @@ impl CacheServer {
             self.metrics.bytes_origin += req.size;
             // DC admission: only on a repeat request (Bloom-filtered).
             if self.dc_filter.insert(req.id) {
-                let evicted = self.dc.insert(req.id, req.size);
-                if self.dc.contains(req.id) {
+                let (inserted, evicted) = self.dc.insert(req.id, req.size);
+                if inserted {
                     self.metrics.dc_writes += 1;
                     self.metrics.dc_write_bytes += req.size;
                 }
-                self.metrics.dc_evictions += evicted.len() as u64;
+                self.metrics.dc_evictions += evicted as u64;
             }
             RequestOutcome::OriginFetch
         };
@@ -238,12 +286,12 @@ impl CacheServer {
         let view =
             ObjectView { id: req.id, size: req.size, frequency, recency_us, now_us: req.timestamp_us };
         if self.policy.admit(&view) {
-            let evicted = self.hoc.insert(req.id, req.size);
-            if self.hoc.contains(req.id) {
+            let (inserted, evicted) = self.hoc.insert(req.id, req.size);
+            if inserted {
                 self.metrics.hoc_writes += 1;
                 self.metrics.hoc_write_bytes += req.size;
             }
-            self.metrics.hoc_evictions += evicted.len() as u64;
+            self.metrics.hoc_evictions += evicted as u64;
         }
         outcome
     }
@@ -270,45 +318,43 @@ impl CacheServer {
     /// yields identical bytes.
     pub fn save_state(&self) -> Vec<u8> {
         let fingerprint = config_fingerprint(&self.config);
+        // The table is saved as the two id-sorted sequences the format has
+        // always held: counts (Exact mode only), then timestamps.
+        let objects = self.objects.sorted();
         // Every part's exact size is known before a byte is written, so the
         // image — megabytes of it — is written once, never regrown.
-        let freq_len = match &self.freq {
-            FreqTracker::Exact(map) => 8 + 12 * map.len(),
-            FreqTracker::Sketch(s) => s.encoded_len(),
+        let freq_len = match &self.sketch {
+            None => 8 + 12 * objects.len(),
+            Some(s) => s.encoded_len(),
         };
         let mut enc = Enc::with_capacity(
             (8 + fingerprint.len())
                 + self.hoc.encoded_len()
                 + self.dc.encoded_len()
                 + (1 + freq_len)
-                + (8 + 16 * self.last_access.len())
+                + (8 + 16 * objects.len())
                 + self.dc_filter.encoded_len()
                 + CacheMetrics::ENCODED_LEN,
         );
         enc.bytes(&fingerprint);
         self.hoc.encode_state(&mut enc);
         self.dc.encode_state(&mut enc);
-        match &self.freq {
-            FreqTracker::Exact(map) => {
+        match &self.sketch {
+            None => {
                 enc.u8(0);
-                let mut entries: Vec<(ObjectId, u32)> = map.iter().map(|(&id, &c)| (id, c)).collect();
-                entries.sort_unstable_by_key(|&(id, _)| id);
-                enc.seq(&entries, |e, &(id, c)| {
+                enc.seq(&objects, |e, &(id, _, count)| {
                     e.u64(id);
-                    e.u32(c);
+                    e.u32(count);
                 });
             }
-            FreqTracker::Sketch(s) => {
+            Some(s) => {
                 enc.u8(1);
                 s.encode_state(&mut enc);
             }
         }
-        let mut last: Vec<(ObjectId, u64)> =
-            self.last_access.iter().map(|(&id, &ts)| (id, ts)).collect();
-        last.sort_unstable_by_key(|&(id, _)| id);
-        enc.seq(&last, |e, &(id, ts)| {
+        enc.seq(&objects, |e, &(id, last_ts, _)| {
             e.u64(id);
-            e.u64(ts);
+            e.u64(last_ts);
         });
         self.dc_filter.encode_state(&mut enc);
         self.metrics.encode_state(&mut enc);
@@ -333,22 +379,17 @@ impl CacheServer {
         if hoc.capacity() != config.hoc_bytes || dc.capacity() != config.dc_bytes {
             return Err(CkptError::Malformed("store capacity does not match config".into()));
         }
-        let freq = match (dec.u8()?, config.frequency) {
-            (0, FrequencyMode::Exact) => {
-                let entries = dec.seq(|d| Ok((d.u64()?, d.u32()?)))?;
-                FreqTracker::Exact(entries.into_iter().collect())
-            }
-            (1, FrequencyMode::Sketch { .. }) => {
-                FreqTracker::Sketch(FrequencySketch::decode_state(&mut dec)?)
-            }
+        let (counts, sketch) = match (dec.u8()?, config.frequency) {
+            (0, FrequencyMode::Exact) => (Some(dec.seq(|d| Ok((d.u64()?, d.u32()?)))?), None),
+            (1, FrequencyMode::Sketch { .. }) => (None, Some(FrequencySketch::decode_state(&mut dec)?)),
             (t, _) => {
                 return Err(CkptError::Malformed(format!(
                     "frequency tracker tag {t} does not match config"
                 )))
             }
         };
-        let last_access: HashMap<ObjectId, u64> =
-            dec.seq(|d| Ok((d.u64()?, d.u64()?)))?.into_iter().collect();
+        let last = dec.seq(|d| Ok((d.u64()?, d.u64()?)))?;
+        let objects = ObjectTable::from_sequences(counts.as_deref(), &last)?;
         let dc_filter = BloomFilter::decode_state(&mut dec)?;
         let metrics = CacheMetrics::decode_state(&mut dec)?;
         dec.finish()?;
@@ -357,8 +398,8 @@ impl CacheServer {
             hoc,
             dc,
             policy: Box::new(ThresholdPolicy::new(2, 100 * 1024)),
-            freq,
-            last_access,
+            objects,
+            sketch,
             dc_filter,
             metrics,
         })
@@ -404,8 +445,7 @@ fn config_fingerprint(cfg: &CacheConfig) -> Vec<u8> {
 pub struct HocSim {
     hoc: Store,
     policy: ThresholdPolicy,
-    freq: FreqTracker,
-    last_access: HashMap<ObjectId, u64>,
+    objects: ObjectTable,
     metrics: CacheMetrics,
 }
 
@@ -415,8 +455,7 @@ impl HocSim {
         Self {
             hoc: Store::new(hoc_bytes, eviction),
             policy,
-            freq: FreqTracker::new(FrequencyMode::Exact),
-            last_access: HashMap::new(),
+            objects: ObjectTable::default(),
             metrics: CacheMetrics::default(),
         }
     }
@@ -445,11 +484,7 @@ impl HocSim {
 
     /// Processes one request; returns true on a HOC hit.
     pub fn process(&mut self, req: &Request) -> bool {
-        let frequency = self.freq.increment(req.id);
-        let recency_us = self
-            .last_access
-            .insert(req.id, req.timestamp_us)
-            .map(|prev| req.timestamp_us.saturating_sub(prev));
+        let (frequency, recency_us) = self.objects.record(req.id, req.timestamp_us);
 
         self.metrics.requests += 1;
         self.metrics.bytes_total += req.size;
@@ -466,12 +501,12 @@ impl HocSim {
             ObjectView { id: req.id, size: req.size, frequency, recency_us, now_us: req.timestamp_us };
         let mut policy = self.policy;
         if policy.admit(&view) {
-            let evicted = self.hoc.insert(req.id, req.size);
-            if self.hoc.contains(req.id) {
+            let (inserted, evicted) = self.hoc.insert(req.id, req.size);
+            if inserted {
                 self.metrics.hoc_writes += 1;
                 self.metrics.hoc_write_bytes += req.size;
             }
-            self.metrics.hoc_evictions += evicted.len() as u64;
+            self.metrics.hoc_evictions += evicted as u64;
         }
         false
     }
@@ -689,6 +724,58 @@ mod tests {
         };
         assert!(CacheServer::restore_state(sketchy, &bytes).is_err());
     }
+
+    /// `image` with its two per-object sequences replaced. They sit between
+    /// the stores and the Bloom filter, so everything around them is kept.
+    fn with_sequences(
+        s: &CacheServer,
+        image: &[u8],
+        counts: &[(u64, u32)],
+        last: &[(u64, u64)],
+    ) -> Vec<u8> {
+        let n = s.objects.map.len();
+        let tail = s.dc_filter.encoded_len() + CacheMetrics::ENCODED_LEN;
+        let head = image.len() - tail - (8 + 16 * n) - (8 + 12 * n);
+        let mut enc = Enc::new();
+        enc.seq(counts, |e, &(id, c)| {
+            e.u64(id);
+            e.u32(c);
+        });
+        enc.seq(last, |e, &(id, ts)| {
+            e.u64(id);
+            e.u64(ts);
+        });
+        [&image[..head], &enc.into_bytes(), &image[image.len() - tail..]].concat()
+    }
+
+    #[test]
+    fn restore_rejects_per_object_sequences_that_disagree() {
+        let cfg = CacheConfig::small_test;
+        let mut s = CacheServer::new(cfg());
+        for (i, id) in [3u64, 1, 2, 3, 2, 3].into_iter().enumerate() {
+            s.process(&req(id, 100, 10 * i as u64));
+        }
+        let image = s.save_state();
+        let counts = [(1, 1), (2, 2), (3, 3)];
+        let last = [(1, 10), (2, 40), (3, 50)];
+        assert_eq!(with_sequences(&s, &image, &counts, &last), image, "the splice reproduces the image");
+
+        // Both sequences land in one table now: different key sets, unsorted
+        // keys and duplicate keys are all refused, typed, without a panic.
+        let refused = |counts: &[(u64, u32)], last: &[(u64, u64)]| {
+            let bad = with_sequences(&s, &image, counts, last);
+            assert!(
+                matches!(CacheServer::restore_state(cfg(), &bad), Err(CkptError::Malformed(_))),
+                "accepted counts {counts:?} / recency {last:?}"
+            );
+        };
+        refused(&[(1, 1), (2, 2), (4, 3)], &last); // an id only one side has
+        refused(&[(1, 1), (2, 2)], &last); // a count missing
+        refused(&counts, &[(1, 10), (2, 40)]); // a timestamp missing
+        refused(&[(2, 2), (1, 1), (3, 3)], &[(2, 40), (1, 10), (3, 50)]); // same keys, unsorted
+        refused(&[(1, 1), (2, 2), (2, 3)], &[(1, 10), (2, 40), (2, 50)]); // same keys, repeated
+        refused(&[], &[(7, 1)]); // counts empty, recency not
+    }
 }
 
 #[cfg(test)]
@@ -710,7 +797,7 @@ mod proptests {
                 ..CacheConfig::small_test()
             });
             s.set_policy(ThresholdPolicy::new(1, 100 * 1024));
-            let mut sizes = std::collections::HashMap::new();
+            let mut sizes = std::collections::BTreeMap::new();
             for (i, (id, size)) in reqs.iter().enumerate() {
                 // Object sizes must be consistent within a trace.
                 let size = *sizes.entry(*id).or_insert(*size);
@@ -742,7 +829,7 @@ mod proptests {
             let policy = ThresholdPolicy::new(1, 100 * 1024);
             let mut original = CacheServer::new(cfg.clone());
             original.set_policy(policy);
-            let mut sizes = std::collections::HashMap::new();
+            let mut sizes = std::collections::BTreeMap::new();
             for (i, (id, size)) in prefix.iter().enumerate() {
                 let size = *sizes.entry(*id).or_insert(*size);
                 original.process(&Request::new(*id, size, i as u64));
@@ -781,7 +868,7 @@ mod proptests {
                 ..CacheConfig::small_test()
             };
             let mut s = CacheServer::new(cfg.clone());
-            let mut sizes = std::collections::HashMap::new();
+            let mut sizes = std::collections::BTreeMap::new();
             for (i, (id, size)) in prefix.iter().enumerate() {
                 let size = *sizes.entry(*id).or_insert(*size);
                 s.process(&Request::new(*id, size, i as u64));

@@ -76,7 +76,6 @@ pub fn bucket_floor(index: u32) -> u64 {
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -91,21 +90,24 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         let buckets: Vec<AtomicU64> = (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect();
-        Self {
-            buckets: buckets.into_boxed_slice(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
+        Self { buckets: buckets.into_boxed_slice(), sum: AtomicU64::new(0), max: AtomicU64::new(0) }
     }
 
     /// Records one value (nanoseconds).
     #[inline]
     pub fn record(&self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` occurrences of `v` at the cost of one: exactly what `n`
+    /// calls of [`record`](Histogram::record) leave behind. A caller that
+    /// times one event in `n` records it with weight `n`, so `count`, `sum`
+    /// and the quantiles keep estimating the whole stream.
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
         let idx = bucket_index(v) as usize;
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.buckets[idx].fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
@@ -297,7 +299,9 @@ impl HistogramSnapshot {
 /// The three per-shard latency histograms the fleet records.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct LatencySnapshot {
-    /// Serve-path latency: one `CacheServer::process` call per request.
+    /// Serve-path latency: one `CacheServer::process` call. The shard worker
+    /// times one request in 16 and records it with weight 16
+    /// ([`Histogram::record_n`]), so `count` and `sum` estimate every request.
     pub serve: HistogramSnapshot,
     /// Producer-side queue wait: time a delivery blocked on a full shard
     /// queue (only under `Backpressure::Block`).
@@ -385,6 +389,23 @@ mod tests {
         assert_eq!(s.quantile(100.0), 4);
         assert_eq!(s.max, 4);
         assert_eq!(s.sum, 10);
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let (weighted, repeated) = (Histogram::new(), Histogram::new());
+        for (v, n) in [(0u64, 3u64), (17, 16), (950, 16), (1_000_003, 1), (u64::MAX / 32, 16), (40, 0)] {
+            weighted.record_n(v, n);
+            for _ in 0..n {
+                repeated.record(v);
+            }
+        }
+        let (w, r) = (weighted.snapshot(), repeated.snapshot());
+        assert_eq!(w, r, "count, sum, max and every bucket");
+        assert_eq!(w.count, 52);
+        for p in [0.0, 1.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0] {
+            assert_eq!(w.quantile(p), r.quantile(p), "p{p}");
+        }
     }
 
     #[test]

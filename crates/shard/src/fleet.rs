@@ -1263,6 +1263,45 @@ fn fault_label(kind: &FaultKind) -> String {
     }
 }
 
+/// One request in this many is timed for the serve histogram — chosen by
+/// per-shard sequence number, so the choice is a function of the stream —
+/// and recorded with this weight, so `count`, `sum` and the quantiles keep
+/// estimating every request. Timing every request cost the benchmark host
+/// 18 % of `lanes-darwin`'s throughput (DESIGN.md, "Cost of a request").
+const SERVE_SAMPLE: u64 = 16;
+
+/// A worker incarnation's cache server, and the publication of its counters.
+///
+/// The processed count is stored into the cell per request; the 112-byte
+/// `CacheMetrics` copy behind a lock is published once per drained batch and
+/// from `Drop` — which also runs when the worker unwinds. So a reader sees
+/// cache counters at most one batch behind `processed` while the worker
+/// runs, and exactly the counters of the `processed` requests once it has
+/// ended, at whatever request it died: the conservation suites assert that.
+/// (Every scripted fault fires between requests. A panic from inside
+/// `CacheServer::process` itself would leave that request half-counted.)
+struct Serving<'a> {
+    cell: &'a ShardCell,
+    server: CacheServer,
+    /// Counters the incarnation restored with. The cell already holds them
+    /// (folded by the supervisor), so only increments are published.
+    base: CacheMetrics,
+    /// Requests this incarnation has processed.
+    processed: u64,
+}
+
+impl Serving<'_> {
+    fn publish(&self) {
+        self.cell.publish(self.server.metrics().diff(&self.base), self.processed);
+    }
+}
+
+impl Drop for Serving<'_> {
+    fn drop(&mut self) {
+        self.publish();
+    }
+}
+
 /// The per-shard serving loop. Identical, request for request, to the
 /// sequential loop in `replay::run_partition` — that symmetry is the
 /// equivalence proof's other half. Each processed envelope is completed with
@@ -1306,7 +1345,7 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
             // only its increments or restored counters would double-count.
             let attempt = respawn || boot;
             let had_candidates = attempt && !slot.candidates().is_empty();
-            let (mut server, mut current_policy, base) =
+            let (server, mut current_policy, base) =
                 match attempt.then(|| try_restore(shard, &slot, &cache, &mut driver)).flatten() {
                     Some((server, policy, base, candidate, checkpoint_seq)) => {
                         if respawn {
@@ -1335,7 +1374,9 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
                         (CacheServer::new(cache), driver.initial_policy(), CacheMetrics::default())
                     }
                 };
-            server.set_policy(current_policy);
+            let mut serving = Serving { cell: &cell, server, base, processed: 0 };
+            serving.server.set_policy(current_policy);
+            cell.publish_policy(serving.server.policy_label());
             // The one cut routine: seal the shard's state at `seq`, publish
             // it to the slot, journal `event`, feed the standby. Periodic
             // cuts time the serving pause (`timed`); the final handoff cut
@@ -1367,22 +1408,20 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
                     feed_standby(st, &cell, generation, seq, &frame);
                 }
             };
-            let mut processed = 0u64;
             let mut switch_cost = SwitchCostTracker::default();
             let mut buf: Vec<E> = Vec::with_capacity(batch);
             let gauges = rx.gauges();
             while rx.pop_batch(&mut buf, batch) {
                 for env in buf.drain(..) {
-                    while let Some(kind) = faults.take(start + processed) {
-                        cell.obs().journal.record(
-                            start + processed,
-                            EventKind::FaultInjected { fault: fault_label(&kind) },
-                        );
+                    let at = start + serving.processed;
+                    while let Some(kind) = faults.take(at) {
+                        cell.obs()
+                            .journal
+                            .record(at, EventKind::FaultInjected { fault: fault_label(&kind) });
                         match kind {
-                            FaultKind::Panic => panic!(
-                                "scripted fault: shard {shard} dies at per-shard request {}",
-                                start + processed
-                            ),
+                            FaultKind::Panic => {
+                                panic!("scripted fault: shard {shard} dies at per-shard request {at}")
+                            }
                             FaultKind::Delay { spins } => {
                                 for _ in 0..spins {
                                     std::hint::spin_loop();
@@ -1409,28 +1448,33 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
                         }
                     }
                     let req = *env.request();
-                    let writes_before = server.metrics().hoc_writes;
-                    let served = Instant::now();
-                    let outcome = server.process(&req);
-                    cell.obs().serve.record_duration(served.elapsed());
-                    processed += 1;
+                    let writes_before = serving.server.metrics().hoc_writes;
+                    let served = at.is_multiple_of(SERVE_SAMPLE).then(Instant::now);
+                    let outcome = serving.server.process(&req);
+                    if let Some(served) = served {
+                        let ns = u64::try_from(served.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                        cell.obs().serve.record_n(ns, SERVE_SAMPLE);
+                    }
+                    serving.processed += 1;
                     // The *raw* cumulative metrics drive the driver and the
                     // admission indicator — they are part of the determinism
                     // contract. Only the published copy is re-based.
-                    let metrics = server.metrics();
+                    let metrics = serving.server.metrics();
                     env.complete(Verdict {
                         shard,
                         outcome,
                         admitted: metrics.hoc_writes > writes_before,
                     });
-                    // Per-request publication keeps the cell exact at any
-                    // crash point — the conservation law depends on it.
-                    cell.publish_request(metrics.diff(&base), processed);
+                    // The count is exact at any crash point — the
+                    // conservation law depends on it; the counters follow
+                    // per batch and from `Serving`'s drop.
+                    cell.publish_processed(serving.processed);
                     if let Some(policy) = driver.observe(&req, &metrics) {
                         current_policy = policy;
-                        server.set_policy(policy);
+                        serving.server.set_policy(policy);
+                        cell.publish_policy(serving.server.policy_label());
                     }
-                    let seq = start + processed;
+                    let seq = at + 1;
                     // Feed the switching-cost tracker, then journal any
                     // control-plane decisions this request triggered. Both
                     // are pure functions of the request stream, so the
@@ -1469,15 +1513,15 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
                         if every > 0 && seq.is_multiple_of(every) {
                             if let Some(dstate) = driver.save_state() {
                                 let event = EventKind::CheckpointCut { checkpoint_seq: seq };
-                                cut(seq, current_policy, &server, dstate, event, true);
+                                cut(seq, current_policy, &serving.server, dstate, event, true);
                             }
                         }
                     }
                 }
-                cell.publish(server.metrics().diff(&base), processed, server.policy_label());
+                serving.publish();
             }
-            cell.publish(server.metrics().diff(&base), processed, server.policy_label());
-            if let Some(done) = switch_cost.finish(start + processed) {
+            let end = start + serving.processed;
+            if let Some(done) = switch_cost.finish(end) {
                 cell.obs().journal.record(done.seq, done.kind);
             }
             // Final cut for a live handoff: the producer side has closed the
@@ -1488,17 +1532,16 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
             let target = cut_target.load(Ordering::Acquire);
             if target != u64::MAX {
                 if let Some(dstate) = driver.save_state() {
-                    let seq = start + processed;
                     cell.obs()
                         .journal
-                        .record(seq, EventKind::DrainStart { target_shards: target as u32 });
-                    let event = EventKind::HandoffCut { checkpoint_seq: seq };
-                    cut(seq, current_policy, &server, dstate, event, false);
+                        .record(end, EventKind::DrainStart { target_shards: target as u32 });
+                    let event = EventKind::HandoffCut { checkpoint_seq: end };
+                    cut(end, current_policy, &serving.server, dstate, event, false);
                 }
             }
             WorkerResult {
-                hoc_used_bytes: server.hoc_used_bytes(),
-                dc_used_bytes: server.dc_used_bytes(),
+                hoc_used_bytes: serving.server.hoc_used_bytes(),
+                dc_used_bytes: serving.server.dc_used_bytes(),
                 driver,
             }
         })

@@ -635,25 +635,33 @@ impl ShardCell {
         &self.obs
     }
 
-    /// Worker side, batch boundary: publish cumulative metrics *and* the
-    /// policy label (labels change rarely; per-request publication skips
-    /// them).
-    pub fn publish(&self, cache: CacheMetrics, processed: u64, policy: String) {
-        {
-            let mut st = self.state.lock().expect("cell poisoned");
-            st.cache = cache;
-            st.policy = policy;
-        }
+    /// Worker side, per request: publish the processed count. Keeping it
+    /// exact at every request is what makes the fleet's crash accounting
+    /// (`submitted = processed + dropped + unavailable + shed`) exact rather
+    /// than batch-granular.
+    #[inline]
+    pub fn publish_processed(&self, processed: u64) {
         self.processed.store(processed, Ordering::Release);
     }
 
-    /// Worker side, per request: publish cumulative metrics and the
-    /// processed count. Keeping the cell exact at every request is what
-    /// makes the fleet's crash accounting (`submitted = processed + dropped
-    /// + unavailable`) exact rather than batch-granular.
-    pub fn publish_request(&self, cache: CacheMetrics, processed: u64) {
-        self.state.lock().expect("cell poisoned").cache = cache;
+    /// Worker side, once per drained batch and once more when the worker
+    /// ends — normally or by unwinding: publish the incarnation's cumulative
+    /// cache metrics with the processed count they belong to. Between two
+    /// calls readers see cache counters at most one batch behind
+    /// `processed`; after the worker has ended they are exact.
+    ///
+    /// Called from a `Drop`, so a poisoned lock is entered, not propagated:
+    /// every update of the state is a whole-field assignment, valid at any
+    /// step.
+    pub fn publish(&self, cache: CacheMetrics, processed: u64) {
+        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner).cache = cache;
         self.processed.store(processed, Ordering::Release);
+    }
+
+    /// Worker side, at boot and whenever the deployed policy changes:
+    /// publish its label.
+    pub fn publish_policy(&self, policy: String) {
+        self.state.lock().expect("cell poisoned").policy = policy;
     }
 
     /// Producer side: account requests shed at this shard's queue or lost in
@@ -1279,7 +1287,7 @@ mod tests {
         assert_eq!(cell.checkpoint_seq(), None);
         assert_eq!(cell.snapshot().checkpoint_age, 0);
 
-        cell.publish_request(CacheMetrics { requests: 1_500, ..Default::default() }, 1_500);
+        cell.publish(CacheMetrics { requests: 1_500, ..Default::default() }, 1_500);
         cell.record_checkpoint(1_000);
         let s = cell.snapshot();
         assert_eq!(s.checkpoint_seq, Some(1_000));
@@ -1327,7 +1335,7 @@ mod tests {
         let handle = MetricsHandle::new(vec![Arc::clone(&cell)]);
         assert_eq!(handle.shards(), 1);
         assert_eq!(handle.snapshot().total_processed(), 0);
-        cell.publish(CacheMetrics { requests: 9, ..Default::default() }, 9, "f1s1".into());
+        cell.publish(CacheMetrics { requests: 9, ..Default::default() }, 9);
         let snap = handle.snapshot();
         assert_eq!(snap.total_processed(), 9);
         assert!(snap.gateway.is_none());
@@ -1337,7 +1345,8 @@ mod tests {
     fn cell_roundtrips_published_state() {
         let cell = ShardCell::new(3, Arc::new(QueueGauges::default()));
         let m = CacheMetrics { requests: 7, hoc_hits: 2, ..Default::default() };
-        cell.publish(m, 7, "f1s50".into());
+        cell.publish(m, 7);
+        cell.publish_policy("f1s50".into());
         cell.add_dropped(5);
         cell.add_unavailable(2);
         let s = cell.snapshot();
@@ -1354,13 +1363,13 @@ mod tests {
     fn fold_incarnation_accumulates_across_restarts() {
         let cell = ShardCell::new(0, Arc::new(QueueGauges::default()));
         let m1 = CacheMetrics { requests: 100, hoc_hits: 30, ..Default::default() };
-        cell.publish_request(m1, 100);
+        cell.publish(m1, 100);
         cell.fold_incarnation();
         cell.record_restart();
 
         // Fresh incarnation counts from zero; readers see the sum.
         let m2 = CacheMetrics { requests: 40, hoc_hits: 10, ..Default::default() };
-        cell.publish_request(m2, 40);
+        cell.publish(m2, 40);
         let s = cell.snapshot();
         assert_eq!(s.processed, 140);
         assert_eq!(s.cache.requests, 140);

@@ -275,3 +275,46 @@ fn stall_faults_are_result_invisible() {
         assert_eq!(c.processed, s.processed);
     }
 }
+
+/// Cache counters reach the cell once per drained batch and once more from
+/// the dying worker's unwind. A panic scripted *inside* a batch — at a
+/// sequence number that is a multiple of neither the batch size nor the
+/// serve-timer's sampling period — must therefore still leave the dead
+/// incarnation's counters exact: the requests before it counted, nothing
+/// after it, none lost with the unpublished tail of the batch.
+#[test]
+fn mid_batch_panic_publishes_exactly_the_processed_requests() {
+    const DIES_AT: u64 = 1_237;
+    const BATCH: usize = 32;
+    assert!(!DIES_AT.is_multiple_of(BATCH as u64) && !DIES_AT.is_multiple_of(16));
+    let t = trace(4_000, 21);
+    let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
+        FleetConfig {
+            shards: 1,
+            queue_capacity: 128,
+            batch: BATCH,
+            backpressure: Backpressure::Block,
+            snapshot_every: None,
+            restart_budget: RestartBudget { max_restarts: 0, window_requests: 100_000 },
+            checkpoint_every: None,
+            shed_watermark: None,
+            replicas: 0,
+        },
+        CacheConfig::small_test(),
+        Box::new(HashRouter),
+        driver,
+        FaultPlan::new(vec![FaultEvent { shard: 0, at: DIES_AT, kind: FaultKind::Panic }]),
+    );
+    fleet.submit_trace(&t);
+    let report = fleet.finish();
+    let dead = &report.shards[0];
+    assert!(dead.dead, "no budget: the first death is final");
+    assert_eq!(dead.processed, DIES_AT);
+    assert_eq!(dead.cache.requests, DIES_AT, "counters of the unpublished batch tail were flushed");
+    assert_eq!(dead.processed + dead.dropped + dead.unavailable, t.len() as u64);
+
+    // And they are the right counters: the sequential replay of the prefix.
+    let prefix = t.slice(0, DIES_AT as usize);
+    let seq = run_sequential(1, CacheConfig::small_test(), &HashRouter, driver, &prefix);
+    assert_eq!(dead.cache, seq[0].cache);
+}
