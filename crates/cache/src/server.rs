@@ -317,28 +317,41 @@ impl CacheServer {
     /// canonical (hash maps sorted by key), so identical state always
     /// yields identical bytes.
     pub fn save_state(&self) -> Vec<u8> {
-        let fingerprint = config_fingerprint(&self.config);
+        // The exact size is known before a byte is written, so the image —
+        // megabytes of it — is written once, never regrown.
+        let mut enc = Enc::with_capacity(self.state_len());
+        self.encode_state(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// Exactly how many bytes [`encode_state`](Self::encode_state) writes
+    /// (and [`save_state`](Self::save_state) returns), so a caller that
+    /// embeds the state in a larger encoding sizes that once.
+    pub fn state_len(&self) -> usize {
+        let objects = self.objects.map.len();
+        let freq_len = match &self.sketch {
+            None => 8 + 12 * objects,
+            Some(s) => s.encoded_len(),
+        };
+        (8 + config_fingerprint(&self.config).len())
+            + self.hoc.encoded_len()
+            + self.dc.encoded_len()
+            + (1 + freq_len)
+            + (8 + 16 * objects)
+            + self.dc_filter.encoded_len()
+            + CacheMetrics::ENCODED_LEN
+    }
+
+    /// Writes the bytes of [`save_state`](Self::save_state) onto `enc` —
+    /// straight into a checkpoint frame, say, instead of into a buffer the
+    /// frame then copies.
+    pub fn encode_state(&self, enc: &mut Enc) {
+        enc.bytes(&config_fingerprint(&self.config));
+        self.hoc.encode_state(enc);
+        self.dc.encode_state(enc);
         // The table is saved as the two id-sorted sequences the format has
         // always held: counts (Exact mode only), then timestamps.
         let objects = self.objects.sorted();
-        // Every part's exact size is known before a byte is written, so the
-        // image — megabytes of it — is written once, never regrown.
-        let freq_len = match &self.sketch {
-            None => 8 + 12 * objects.len(),
-            Some(s) => s.encoded_len(),
-        };
-        let mut enc = Enc::with_capacity(
-            (8 + fingerprint.len())
-                + self.hoc.encoded_len()
-                + self.dc.encoded_len()
-                + (1 + freq_len)
-                + (8 + 16 * objects.len())
-                + self.dc_filter.encoded_len()
-                + CacheMetrics::ENCODED_LEN,
-        );
-        enc.bytes(&fingerprint);
-        self.hoc.encode_state(&mut enc);
-        self.dc.encode_state(&mut enc);
         match &self.sketch {
             None => {
                 enc.u8(0);
@@ -349,16 +362,15 @@ impl CacheServer {
             }
             Some(s) => {
                 enc.u8(1);
-                s.encode_state(&mut enc);
+                s.encode_state(enc);
             }
         }
         enc.seq(&objects, |e, &(id, last_ts, _)| {
             e.u64(id);
             e.u64(last_ts);
         });
-        self.dc_filter.encode_state(&mut enc);
-        self.metrics.encode_state(&mut enc);
-        enc.into_bytes()
+        self.dc_filter.encode_state(enc);
+        self.metrics.encode_state(enc);
     }
 
     /// Rebuilds a server from bytes written by [`CacheServer::save_state`].

@@ -27,13 +27,15 @@
 //! the target is allocated; the hostile-corpus proptests
 //! (`darwin-rebalance/tests/codec_props.rs`) pin all of it.
 //!
-//! [`DeltaFrame::compute`] is on the serving thread's critical path at every
-//! checkpoint cut; what it emits is pinned byte for byte against the matcher
-//! it replaced (`darwin-shard/tests/delta_identity.rs`).
+//! The matcher is on the serving thread's critical path at every checkpoint
+//! cut — behind [`DeltaFrame::compute`], and behind
+//! [`CutFrame::ship`](crate::replica::CutFrame::ship), which writes the same
+//! plan straight into its envelope; what it emits is pinned byte for byte
+//! against the matcher it replaced (`darwin-shard/tests/delta_identity.rs`).
 //!
 //! `darwin_rebalance::delta` re-exports this module.
 
-use crate::{crc64, open, CkptError, Dec, Enc};
+use crate::{crc64, open, CkptError, Dec, Enc, HEADER_LEN, TRAILER_LEN};
 
 /// Magic for sealed delta frames: `DRBD`.
 pub const DELTA_MAGIC: u32 = 0x4452_4244;
@@ -48,13 +50,35 @@ const OP_COPY: u8 = 0x01;
 /// Op tag for literal bytes.
 const OP_LITERAL: u8 = 0x02;
 
-/// One reconstruction step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum DeltaOp {
+/// One reconstruction step, read where it lies in an encoded op sequence.
+enum Op<'a> {
     /// Copy `len` bytes starting at `offset` in the base image.
     Copy { offset: u64, len: u64 },
     /// Splice these bytes in verbatim.
-    Literal(Vec<u8>),
+    Literal(&'a [u8]),
+}
+
+/// Hands `each` every op of `ops` — a count, then that many encoded ops, as
+/// a frame body carries them — in order. An unknown tag, an op that runs off
+/// the end and bytes left over are errors; literals are borrowed, not copied.
+fn walk<'a>(
+    ops: &'a [u8],
+    mut each: impl FnMut(Op<'a>) -> Result<(), CkptError>,
+) -> Result<(), CkptError> {
+    let mut d = Dec::new(ops);
+    let count = d.usize()?;
+    // Every op occupies at least a byte: a lying count ends the walk here.
+    if count > d.remaining() {
+        return Err(CkptError::Truncated);
+    }
+    for _ in 0..count {
+        each(match d.u8()? {
+            OP_COPY => Op::Copy { offset: d.u64()?, len: d.u64()? },
+            OP_LITERAL => Op::Literal(d.bytes()?),
+            tag => return Err(CkptError::Malformed(format!("delta op tag {tag:#x}"))),
+        })?;
+    }
+    d.finish()
 }
 
 /// A checksummed block diff turning one byte image into another.
@@ -68,7 +92,18 @@ pub struct DeltaFrame {
     pub target_len: u64,
     /// Reconstructed image CRC-64.
     pub target_sum: u64,
-    ops: Vec<DeltaOp>,
+    /// The ops as the frame body carries them ([`walk`] reads them).
+    ops: Vec<u8>,
+}
+
+/// A delta frame opened over the bytes it arrived in: what a receiver
+/// applies, with no literal copied out of the wire first.
+pub(crate) struct DeltaRef<'a> {
+    base_len: u64,
+    base_sum: u64,
+    target_len: u64,
+    target_sum: u64,
+    ops: &'a [u8],
 }
 
 /// Weak rolling hash of one block (Adler-style): cheap to slide one byte at
@@ -103,7 +138,7 @@ impl WeakHash {
 /// Every block of a base image, findable by weak key: a flat chained hash
 /// table over block numbers, with no allocation per block. A target scan
 /// probes it once per literal byte and nearly every probe misses, so a miss
-/// is made cheap: a multiply and one bit of `present`.
+/// is made cheap: a multiply and one word of `seen`.
 struct BlockIndex {
     /// Weak key of each base block.
     keys: Vec<u64>,
@@ -113,14 +148,23 @@ struct BlockIndex {
     next: Vec<u32>,
     /// Right shift taking a hashed key to its bucket.
     shift: u32,
-    /// [`FINE`] bits per bucket, set where some block's key hashes: answers
-    /// nineteen misses in twenty from a table half the size of `heads`,
-    /// through a branch that predicts (an occupied *bucket* is a coin toss).
-    present: Vec<u64>,
+    /// A Bloom filter over the keys, each key's [`SEEN_BITS`] bits inside
+    /// one word: at 16–32 bits per block it answers about ninety-nine misses
+    /// in a hundred with one load from a table small enough to stay cached
+    /// under the scan, through a branch that predicts. What it lets through
+    /// costs a chain walk — three dependent loads from tables that do not.
+    seen: Vec<u64>,
+    /// Right shift taking a hashed key to its word of `seen`.
+    seen_shift: u32,
+    /// One bit per block, set where a lower-numbered block has the same
+    /// key. A block with the bit clear is the first in base order under its
+    /// key, so when it equals a window it is [`find`](Self::find)'s answer —
+    /// what lets a copy run be [followed](Self::follow) without a probe.
+    twin: Vec<u64>,
 }
 
-/// `present` bits per bucket.
-const FINE: usize = 16;
+/// Bits a key sets in its word of `seen`.
+const SEEN_BITS: u32 = 3;
 
 /// Multiplicative hash of a weak key; buckets take its top bits.
 fn hash(key: u64) -> u64 {
@@ -132,21 +176,40 @@ impl BlockIndex {
         let keys: Vec<u64> = base.chunks_exact(BLOCK).map(|b| WeakHash::of(b).key()).collect();
         assert!(!keys.is_empty() && keys.len() < u32::MAX as usize, "base of 1..2^32 blocks");
         let buckets = (2 * keys.len()).next_power_of_two();
+        let words = keys.len().div_ceil(4).next_power_of_two();
         let mut index = BlockIndex {
             heads: vec![0; buckets],
             next: vec![0; keys.len()],
             shift: 64 - buckets.trailing_zeros(),
-            present: vec![0; (buckets * FINE).div_ceil(64)],
+            seen: vec![0; words],
+            seen_shift: 64 - words.trailing_zeros(),
+            twin: vec![0; keys.len().div_ceil(64)],
             keys,
         };
         // Highest block first, each pushed on the front of its bucket: every
         // chain ends up in ascending base order.
         for block in (0..index.keys.len()).rev() {
-            let hash = hash(index.keys[block]);
-            let (bucket, fine) = (index.bucket(hash), index.fine(hash));
+            let key = index.keys[block];
+            let hash = hash(key);
+            let bucket = index.bucket(hash);
+            let (word, bits) = index.seen_at(hash);
+            if index.seen[word] & bits == bits {
+                // The chain holds only higher blocks, lowest first. The first
+                // of them under this key gains a lower twin here; the ones
+                // behind it gained theirs when it was pushed.
+                let mut link = index.heads[bucket];
+                while link != 0 {
+                    let higher = (link - 1) as usize;
+                    if index.keys[higher] == key {
+                        index.twin[higher / 64] |= 1 << (higher % 64);
+                        break;
+                    }
+                    link = index.next[higher];
+                }
+            }
             index.next[block] = index.heads[bucket];
             index.heads[bucket] = block as u32 + 1;
-            index.present[fine / 64] |= 1 << (fine % 64);
+            index.seen[word] |= bits;
         }
         index
     }
@@ -155,8 +218,14 @@ impl BlockIndex {
         (hash >> self.shift) as usize
     }
 
-    fn fine(&self, hash: u64) -> usize {
-        (hash >> (self.shift - FINE.trailing_zeros())) as usize
+    /// The word of `seen` a hashed key falls in, and its bits there: one per
+    /// six-bit field of the hash below the bits that chose the word.
+    fn seen_at(&self, hash: u64) -> (usize, u64) {
+        // A one-word filter (a one-block base) has shift 64.
+        let word = hash.checked_shr(self.seen_shift).unwrap_or(0) as usize;
+        let fields = hash >> (self.seen_shift - 6 * SEEN_BITS);
+        let bits = (0..SEEN_BITS).fold(0, |bits, i| bits | 1 << ((fields >> (6 * i)) & 63));
+        (word, bits)
     }
 
     /// Offset of the first block in base order that is byte-for-byte
@@ -184,8 +253,8 @@ impl BlockIndex {
         let mut slide = target[pos..].iter().zip(&target[pos + BLOCK..]);
         loop {
             let (key, hash) = (weak.key(), hash(weak.key()));
-            let fine = self.fine(hash);
-            if self.present[fine / 64] & (1 << (fine % 64)) != 0 {
+            let (word, bits) = self.seen_at(hash);
+            if self.seen[word] & bits == bits {
                 if let Some(offset) = self.find(base, hash, key, &target[at..at + BLOCK]) {
                     return Some((at, offset));
                 }
@@ -195,47 +264,221 @@ impl BlockIndex {
             at += 1;
         }
     }
+
+    /// How many bytes of whole blocks `target[pos..]` goes on matching
+    /// `base[off..]` for, `off` a block boundary, each of them a match
+    /// [`next_match`](Self::next_match) would have returned: the window at
+    /// `pos` equals the base block at `off`, and no lower-numbered block can
+    /// equal it too, because none shares its key. A long copy run — most of
+    /// an image between two cuts — costs a comparison per block this way
+    /// instead of a weak hash, a probe and a chain walk; where a block has a
+    /// twin (runs of zeros, repeated records) the scan decides as it always
+    /// did.
+    fn follow(&self, base: &[u8], target: &[u8], off: usize, pos: usize) -> usize {
+        let blocks = base[off..].chunks_exact(BLOCK).zip(target[pos..].chunks_exact(BLOCK));
+        let first = off / BLOCK;
+        let matched = blocks
+            .enumerate()
+            .take_while(|&(i, (b, t))| {
+                self.twin[(first + i) / 64] & (1 << ((first + i) % 64)) == 0 && b == t
+            })
+            .count();
+        matched * BLOCK
+    }
+}
+
+/// One planned op: a range of the base to copy, or of the target to splice
+/// in verbatim.
+#[derive(Clone, Copy)]
+enum Step {
+    Copy { offset: usize, len: usize },
+    Literal { start: usize, len: usize },
+}
+
+/// The ops turning a base into `target`, decided but not yet written: the
+/// literal bytes stay where they lie in `target` until a writer — which can
+/// now size its buffer exactly — copies them, once.
+pub(crate) struct Plan<'t> {
+    target: &'t [u8],
+    steps: Vec<Step>,
+}
+
+impl<'t> Plan<'t> {
+    pub(crate) fn new(base: &[u8], target: &'t [u8]) -> Self {
+        let mut plan = Plan { target, steps: Vec::new() };
+        if target.is_empty() {
+        } else if base.len() < BLOCK || target.len() < BLOCK {
+            plan.literal(0, target.len());
+        } else {
+            let index = BlockIndex::build(base);
+            // `target[covered..]` is not yet covered by an op.
+            let mut covered = 0usize;
+            while let Some((pos, off)) = index.next_match(base, target, covered) {
+                plan.literal(covered, pos);
+                let len = BLOCK + index.follow(base, target, off + BLOCK, pos + BLOCK);
+                // Coalesce with a preceding copy that this run extends.
+                match plan.steps.last_mut() {
+                    Some(Step::Copy { offset, len: run }) if *offset + *run == off => *run += len,
+                    _ => plan.steps.push(Step::Copy { offset: off, len }),
+                }
+                covered = pos + len;
+            }
+            // Whatever no copy covered, the sub-block tail included, is
+            // literal.
+            plan.literal(covered, target.len());
+        }
+        plan
+    }
+
+    /// Plans `target[start..end]` as a literal, unless it is empty.
+    fn literal(&mut self, start: usize, end: usize) {
+        if start < end {
+            self.steps.push(Step::Literal { start, len: end - start });
+        }
+    }
+
+    /// Encoded size of the ops, their count included.
+    fn ops_len(&self) -> usize {
+        let op = |step: &Step| match step {
+            Step::Copy { .. } => 17, // tag + offset + len
+            Step::Literal { len, .. } => 1 + 8 + len,
+        };
+        8 + self.steps.iter().map(op).sum::<usize>()
+    }
+
+    fn write_ops(&self, enc: &mut Enc) {
+        enc.seq(&self.steps, |e, step| match *step {
+            Step::Copy { offset, len } => {
+                e.u8(OP_COPY);
+                e.u64(offset as u64);
+                e.u64(len as u64);
+            }
+            Step::Literal { start, len } => {
+                e.u8(OP_LITERAL);
+                e.bytes(&self.target[start..start + len]);
+            }
+        });
+    }
+
+    /// Length of the sealed frame [`write_sealed`](Self::write_sealed)
+    /// writes (behind a length prefix): header, the four sums, the ops,
+    /// trailer.
+    pub(crate) fn frame_len(&self) -> usize {
+        HEADER_LEN + 32 + self.ops_len() + TRAILER_LEN
+    }
+
+    /// Writes the sealed delta frame onto `enc` as a byte string — exactly
+    /// `enc.bytes(&DeltaFrame::compute(base, target).to_frame())` — built
+    /// and sealed where it lies. `base_sum` is the checksum the holder of
+    /// `base` verified it under, taken on its word instead of hashed again.
+    pub(crate) fn write_sealed(&self, enc: &mut Enc, base_len: usize, base_sum: u64) {
+        let frame = enc.begin_inner();
+        enc.u64(base_len as u64);
+        enc.u64(base_sum);
+        enc.u64(self.target.len() as u64);
+        enc.u64(crc64(self.target));
+        self.write_ops(enc);
+        enc.seal_inner(frame, DELTA_MAGIC, DELTA_VERSION);
+    }
+}
+
+impl<'a> DeltaRef<'a> {
+    /// Opens a sealed delta frame in place. Truncated, bit-flipped or
+    /// wrong-versioned frames and undecodable ops surface as [`CkptError`]s.
+    pub(crate) fn open(frame: &'a [u8]) -> Result<Self, CkptError> {
+        let mut d = Dec::new(open(frame, DELTA_MAGIC, DELTA_VERSION)?);
+        let delta = DeltaRef {
+            base_len: d.u64()?,
+            base_sum: d.u64()?,
+            target_len: d.u64()?,
+            target_sum: d.u64()?,
+            ops: d.rest(),
+        };
+        walk(delta.ops, |_| Ok(()))?;
+        Ok(delta)
+    }
+
+    /// The CRC-64 a reconstruction must hash to for [`apply`](Self::apply)
+    /// to return it.
+    pub(crate) fn target_sum(&self) -> u64 {
+        self.target_sum
+    }
+
+    /// [`DeltaFrame::apply`] into `out`'s allocation (its contents are
+    /// discarded), with every refusal of it. `base_sum` is the CRC-64 of
+    /// `base` — hashed now, or remembered from the full pass that verified
+    /// `base` when its holder took it; a base that no longer is what its
+    /// remembered sum says rebuilds a target that fails `target_sum`.
+    pub(crate) fn apply(
+        &self,
+        base: &[u8],
+        base_sum: u64,
+        mut out: Vec<u8>,
+    ) -> Result<Vec<u8>, CkptError> {
+        if base.len() as u64 != self.base_len || base_sum != self.base_sum {
+            return Err(CkptError::BadCrc);
+        }
+        let mut total = 0u64;
+        walk(self.ops, |op| {
+            let len = match op {
+                Op::Copy { offset, len } => {
+                    if offset.checked_add(len).is_none_or(|end| end > self.base_len) {
+                        return Err(CkptError::Malformed(format!(
+                            "copy of {len} bytes at {offset} leaves the {}-byte base",
+                            self.base_len
+                        )));
+                    }
+                    len
+                }
+                Op::Literal(bytes) => bytes.len() as u64,
+            };
+            total = total
+                .checked_add(len)
+                .ok_or_else(|| CkptError::Malformed("delta op lengths overflow".into()))?;
+            Ok(())
+        })?;
+        if total != self.target_len {
+            return Err(CkptError::Malformed(format!(
+                "delta ops rebuild {total} bytes, not the {} declared",
+                self.target_len
+            )));
+        }
+        // Copies may repeat base blocks, so even a consistent delta can
+        // declare more than the machine holds: fail, don't abort.
+        out.clear();
+        if usize::try_from(total).map_or(true, |n| out.try_reserve_exact(n).is_err()) {
+            return Err(CkptError::Malformed(format!("no memory for a {total}-byte target")));
+        }
+        walk(self.ops, |op| {
+            match op {
+                Op::Copy { offset, len } => {
+                    out.extend_from_slice(&base[offset as usize..(offset + len) as usize]);
+                }
+                Op::Literal(bytes) => out.extend_from_slice(bytes),
+            }
+            Ok(())
+        })?;
+        if crc64(&out) != self.target_sum {
+            return Err(CkptError::BadCrc);
+        }
+        Ok(out)
+    }
 }
 
 impl DeltaFrame {
     /// Diffs `base → target`. Pure and deterministic: the same pair always
     /// yields the same frame.
     pub fn compute(base: &[u8], target: &[u8]) -> DeltaFrame {
-        let mut frame = DeltaFrame {
+        let plan = Plan::new(base, target);
+        let mut ops = Enc::with_capacity(plan.ops_len());
+        plan.write_ops(&mut ops);
+        DeltaFrame {
             base_len: base.len() as u64,
             base_sum: crc64(base),
             target_len: target.len() as u64,
             target_sum: crc64(target),
-            ops: Vec::new(),
-        };
-        if target.is_empty() {
-            return frame;
+            ops: ops.into_bytes(),
         }
-        if base.len() < BLOCK || target.len() < BLOCK {
-            frame.ops.push(DeltaOp::Literal(target.to_vec()));
-            return frame;
-        }
-        let index = BlockIndex::build(base);
-        // `target[literal..]` is not yet covered by an op.
-        let mut literal = 0usize;
-        while let Some((pos, off)) = index.next_match(base, target, literal) {
-            if literal < pos {
-                frame.ops.push(DeltaOp::Literal(target[literal..pos].to_vec()));
-            }
-            // Coalesce with a preceding copy that this block extends.
-            match frame.ops.last_mut() {
-                Some(DeltaOp::Copy { offset, len }) if *offset + *len == off as u64 => {
-                    *len += BLOCK as u64;
-                }
-                _ => frame.ops.push(DeltaOp::Copy { offset: off as u64, len: BLOCK as u64 }),
-            }
-            literal = pos + BLOCK;
-        }
-        // Whatever no copy covered, the sub-block tail included, is literal.
-        if literal < target.len() {
-            frame.ops.push(DeltaOp::Literal(target[literal..].to_vec()));
-        }
-        frame
     }
 
     /// Reconstructs the target from `base`. Refuses a wrong base up front
@@ -245,103 +488,34 @@ impl DeltaFrame {
     /// its own word — and refuses its own output when the reconstruction
     /// does not hash to `target_sum`: corruption is loud, never silent.
     pub fn apply(&self, base: &[u8]) -> Result<Vec<u8>, CkptError> {
-        if base.len() as u64 != self.base_len || crc64(base) != self.base_sum {
-            return Err(CkptError::BadCrc);
-        }
-        let mut total = 0u64;
-        for op in &self.ops {
-            let len = match op {
-                DeltaOp::Copy { offset, len } => {
-                    if offset.checked_add(*len).is_none_or(|end| end > self.base_len) {
-                        return Err(CkptError::Malformed(format!(
-                            "copy of {len} bytes at {offset} leaves the {}-byte base",
-                            self.base_len
-                        )));
-                    }
-                    *len
-                }
-                DeltaOp::Literal(bytes) => bytes.len() as u64,
-            };
-            total = total
-                .checked_add(len)
-                .ok_or_else(|| CkptError::Malformed("delta op lengths overflow".into()))?;
-        }
-        if total != self.target_len {
-            return Err(CkptError::Malformed(format!(
-                "delta ops rebuild {total} bytes, not the {} declared",
-                self.target_len
-            )));
-        }
-        // Copies may repeat base blocks, so even a consistent delta can
-        // declare more than the machine holds: fail, don't abort.
-        let mut out = Vec::new();
-        if usize::try_from(total).map_or(true, |n| out.try_reserve_exact(n).is_err()) {
-            return Err(CkptError::Malformed(format!("no memory for a {total}-byte target")));
-        }
-        for op in &self.ops {
-            match op {
-                DeltaOp::Copy { offset, len } => {
-                    out.extend_from_slice(&base[*offset as usize..(*offset + *len) as usize]);
-                }
-                DeltaOp::Literal(bytes) => out.extend_from_slice(bytes),
-            }
-        }
-        if crc64(&out) != self.target_sum {
-            return Err(CkptError::BadCrc);
-        }
-        Ok(out)
+        let DeltaFrame { base_len, base_sum, target_len, target_sum, ref ops } = *self;
+        DeltaRef { base_len, base_sum, target_len, target_sum, ops }.apply(base, crc64(base), Vec::new())
     }
 
     /// Encoded size of the ops payload — the bandwidth a handoff actually
     /// ships, compared against `target_len` for the O(churn) claim.
     pub fn payload_bytes(&self) -> u64 {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                DeltaOp::Copy { .. } => 17u64, // tag + offset + len
-                DeltaOp::Literal(bytes) => 1 + 8 + bytes.len() as u64,
-            })
-            .sum()
+        // Everything but the op count.
+        self.ops.len() as u64 - 8
     }
 
     /// Serializes into a sealed, CRC-guarded frame.
     pub fn to_frame(&self) -> Vec<u8> {
-        // The four sums, the op count, the ops.
-        let mut e = Enc::frame(40 + self.payload_bytes() as usize);
+        // The four sums, then the counted ops.
+        let mut e = Enc::frame(32 + self.ops.len());
         e.u64(self.base_len);
         e.u64(self.base_sum);
         e.u64(self.target_len);
         e.u64(self.target_sum);
-        e.seq(&self.ops, |e, op| match op {
-            DeltaOp::Copy { offset, len } => {
-                e.u8(OP_COPY);
-                e.u64(*offset);
-                e.u64(*len);
-            }
-            DeltaOp::Literal(bytes) => {
-                e.u8(OP_LITERAL);
-                e.bytes(bytes);
-            }
-        });
+        e.raw(&self.ops);
         e.seal(DELTA_MAGIC, DELTA_VERSION)
     }
 
     /// Parses a sealed delta frame. Truncated, bit-flipped or
     /// wrong-versioned frames surface as [`CkptError`]s.
     pub fn from_frame(frame: &[u8]) -> Result<DeltaFrame, CkptError> {
-        let body = open(frame, DELTA_MAGIC, DELTA_VERSION)?;
-        let mut d = Dec::new(body);
-        let base_len = d.u64()?;
-        let base_sum = d.u64()?;
-        let target_len = d.u64()?;
-        let target_sum = d.u64()?;
-        let ops = d.seq(|d| match d.u8()? {
-            OP_COPY => Ok(DeltaOp::Copy { offset: d.u64()?, len: d.u64()? }),
-            OP_LITERAL => Ok(DeltaOp::Literal(d.bytes()?.to_vec())),
-            tag => Err(CkptError::Malformed(format!("delta op tag {tag:#x}"))),
-        })?;
-        d.finish()?;
-        Ok(DeltaFrame { base_len, base_sum, target_len, target_sum, ops })
+        let DeltaRef { base_len, base_sum, target_len, target_sum, ops } = DeltaRef::open(frame)?;
+        Ok(DeltaFrame { base_len, base_sum, target_len, target_sum, ops: ops.to_vec() })
     }
 }
 
@@ -357,6 +531,17 @@ mod tests {
                 (x >> 56) as u8
             })
             .collect()
+    }
+
+    /// An encoded op sequence of just these `(offset, len)` copies.
+    fn copies(runs: &[(u64, u64)]) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.seq(runs, |e, &(offset, len)| {
+            e.u8(OP_COPY);
+            e.u64(offset);
+            e.u64(len);
+        });
+        e.into_bytes()
     }
 
     #[test]
@@ -435,13 +620,13 @@ mod tests {
         // Copies that start or end outside the base, or wrap around.
         for (offset, len) in [(4096, 1), (4000, 97), (u64::MAX, 2), (1, u64::MAX)] {
             let mut bad = honest.clone();
-            bad.ops = vec![DeltaOp::Copy { offset, len }];
+            bad.ops = copies(&[(offset, len)]);
             bad.target_len = len;
             assert!(matches!(through_the_wire(&bad), Err(CkptError::Malformed(_))), "{offset}+{len}");
         }
         // Repeating a base range is legal, so a target may outgrow its base.
         let mut twice = honest.clone();
-        twice.ops = vec![DeltaOp::Copy { offset: 0, len: 4096 }; 2];
+        twice.ops = copies(&[(0, 4096); 2]);
         twice.target_len = 2 * 4096;
         twice.target_sum = crc64(&[&base[..], &base[..]].concat());
         assert_eq!(through_the_wire(&twice).unwrap().len(), 2 * 4096);

@@ -28,14 +28,21 @@
 //! resize never boots from a replica feed), and a delta whose `base_seq` is
 //! not the boundary the receiver holds ([`CutError::WrongBase`]). Damage
 //! surfaces as [`CkptError`]s from the sealed-frame layer, and the embedded
-//! [`DeltaFrame`] refuses both the wrong base bytes and a reconstruction
-//! that does not hash to its recorded checksum — a shipment can fail loudly
-//! but never silently mis-apply. The resolved image still carries its own
-//! seal; callers re-validate it as their shard's checkpoint before trusting
-//! it.
+//! [`DeltaFrame`](crate::delta::DeltaFrame) refuses both the wrong base
+//! bytes and a reconstruction that does not hash to its recorded checksum —
+//! a shipment can fail loudly but never silently mis-apply. The resolved
+//! image still carries its own seal; callers re-validate it as their
+//! shard's checkpoint before trusting it.
+//!
+//! A holder hashes an image once, when it takes it: [`AppliedCut::sum`] is
+//! the CRC-64 `apply` verified the whole reconstruction under, and it comes
+//! back as [`Held::sum`] at the next cut, where `ship` writes it as the
+//! delta's base checksum and `apply` compares it — neither walks the base
+//! again. Nothing is trusted that was not hashed: a base damaged since its
+//! sum was taken rebuilds an image that fails the delta's target checksum.
 
-use crate::delta::DeltaFrame;
-use crate::{open, CkptError, Dec, Enc};
+use crate::delta::{DeltaRef, Plan};
+use crate::{crc64, open, CkptError, Dec, Enc};
 use std::fmt;
 
 /// Magic for sealed cut envelopes: `DRBR`.
@@ -85,13 +92,14 @@ impl CutRole {
 pub enum CutPayload {
     /// The complete sealed checkpoint frame — O(cache) bytes.
     Full(Vec<u8>),
-    /// A sealed [`DeltaFrame`] against the image the receiver holds at
-    /// `base_seq` — O(churn) bytes.
+    /// A sealed [`DeltaFrame`](crate::delta::DeltaFrame) against the image
+    /// the receiver holds at `base_seq` — O(churn) bytes.
     Delta {
         /// Request-sequence boundary of the base the delta was computed
         /// against; the receiver must hold exactly that image.
         base_seq: u64,
-        /// The sealed delta frame ([`DeltaFrame::to_frame`]).
+        /// The sealed delta frame
+        /// ([`DeltaFrame::to_frame`](crate::delta::DeltaFrame::to_frame)).
         frame: Vec<u8>,
     },
 }
@@ -163,6 +171,26 @@ impl From<CkptError> for CutError {
     }
 }
 
+/// The cut a receiver already holds, as both ends of a shipment name it: a
+/// delta is computed against it and applied to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Held<'a> {
+    /// Request-sequence boundary of the held cut.
+    pub seq: u64,
+    /// The held checkpoint frame.
+    pub image: &'a [u8],
+    /// CRC-64 of `image`, from the full pass its holder verified it by
+    /// ([`AppliedCut::sum`]) — remembered, not recomputed per cut.
+    pub sum: u64,
+}
+
+impl<'a> Held<'a> {
+    /// A held cut whose checksum nobody remembers: hashes `image`.
+    pub fn new(seq: u64, image: &'a [u8]) -> Self {
+        Self { seq, image, sum: crc64(image) }
+    }
+}
+
 /// What [`CutFrame::apply`] hands the receiver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppliedCut {
@@ -175,6 +203,10 @@ pub struct AppliedCut {
     pub shipped_bytes: u64,
     /// The resolved checkpoint frame, still under its own seal.
     pub image: Vec<u8>,
+    /// CRC-64 of `image`: hashed here for a full payload, and for a delta
+    /// the target checksum the reconstruction was just verified against.
+    /// The receiver keeps it for the next cut's [`Held`].
+    pub sum: u64,
 }
 
 /// One shipment: a checkpoint cut addressed shard-, generation- and
@@ -193,9 +225,8 @@ pub struct CutFrame {
     pub payload: CutPayload,
 }
 
-/// A payload where it already lies — in the sender's image and delta, or in
-/// the receiver's wire bytes — so neither end copies it into a
-/// [`CutPayload`] just to seal or resolve it.
+/// A payload where it lies in the receiver's wire bytes, not copied into a
+/// [`CutPayload`] just to be resolved.
 enum PayloadRef<'a> {
     Full(&'a [u8]),
     Delta { base_seq: u64, frame: &'a [u8] },
@@ -210,26 +241,19 @@ struct CutRef<'a> {
     payload: PayloadRef<'a>,
 }
 
-impl<'a> CutRef<'a> {
-    fn encode(&self) -> Vec<u8> {
-        let (tag, base_seq, bytes) = match self.payload {
-            PayloadRef::Full(bytes) => (PAYLOAD_FULL, None, bytes),
-            PayloadRef::Delta { base_seq, frame } => (PAYLOAD_DELTA, Some(base_seq), frame),
-        };
-        // shard, generation, role, seq, tag, base_seq, length prefix: 46.
-        let mut e = Enc::frame(46 + bytes.len());
-        e.usize(self.shard);
-        e.u32(self.generation);
-        e.u8(self.role.to_byte());
-        e.u64(self.seq);
-        e.u8(tag);
-        if let Some(base_seq) = base_seq {
-            e.u64(base_seq);
-        }
-        e.bytes(bytes);
-        e.seal(CUT_MAGIC, CUT_VERSION)
-    }
+/// Starts an envelope: everything before the payload tag, with room for a
+/// payload of `payload_len` bytes. The caller writes the payload and seals.
+fn envelope(payload_len: usize, shard: usize, generation: u32, role: CutRole, seq: u64) -> Enc {
+    // shard, generation, role, seq, tag, base_seq, length prefix.
+    let mut e = Enc::frame(8 + 4 + 1 + 8 + 1 + 8 + 8 + payload_len);
+    e.usize(shard);
+    e.u32(generation);
+    e.u8(role.to_byte());
+    e.u64(seq);
+    e
+}
 
+impl<'a> CutRef<'a> {
     fn decode(frame: &'a [u8]) -> Result<Self, CkptError> {
         let body = open(frame, CUT_MAGIC, CUT_VERSION)?;
         let mut d = Dec::new(body);
@@ -249,38 +273,47 @@ impl<'a> CutRef<'a> {
 
 impl CutFrame {
     /// The sender: seals `image` (the cut at `seq`) into wire bytes — as a
-    /// delta against `held`, the `(base_seq, image)` the receiver already
-    /// holds, when there is one, as the full image otherwise.
+    /// delta against `held`, the cut the receiver already holds, when there
+    /// is one, as the full image otherwise.
     pub fn ship(
         shard: usize,
         generation: u32,
         role: CutRole,
         seq: u64,
         image: &[u8],
-        held: Option<(u64, &[u8])>,
+        held: Option<Held<'_>>,
     ) -> Vec<u8> {
-        let delta = held.map(|(base_seq, base)| (base_seq, DeltaFrame::compute(base, image).to_frame()));
-        let payload = match &delta {
-            Some((base_seq, frame)) => PayloadRef::Delta { base_seq: *base_seq, frame },
-            None => PayloadRef::Full(image),
-        };
-        CutRef { shard, generation, role, seq, payload }.encode()
+        // The delta is planned first, so the envelope is sized exactly.
+        let delta = held.map(|base| (base, Plan::new(base.image, image)));
+        let room = delta.as_ref().map_or(image.len(), |(_, plan)| plan.frame_len());
+        let mut e = envelope(room, shard, generation, role, seq);
+        match delta {
+            Some((base, plan)) => {
+                e.u8(PAYLOAD_DELTA);
+                e.u64(base.seq);
+                plan.write_sealed(&mut e, base.image.len(), base.sum);
+            }
+            None => {
+                e.u8(PAYLOAD_FULL);
+                e.bytes(image);
+            }
+        }
+        e.seal(CUT_MAGIC, CUT_VERSION)
     }
 
     /// Serializes into a sealed, CRC-guarded envelope.
     pub fn to_frame(&self) -> Vec<u8> {
-        let payload = match &self.payload {
-            CutPayload::Full(bytes) => PayloadRef::Full(bytes),
-            CutPayload::Delta { base_seq, frame } => PayloadRef::Delta { base_seq: *base_seq, frame },
-        };
-        CutRef {
-            shard: self.shard,
-            generation: self.generation,
-            role: self.role,
-            seq: self.seq,
-            payload,
+        let (CutPayload::Full(bytes) | CutPayload::Delta { frame: bytes, .. }) = &self.payload;
+        let mut e = envelope(bytes.len(), self.shard, self.generation, self.role, self.seq);
+        match &self.payload {
+            CutPayload::Full(_) => e.u8(PAYLOAD_FULL),
+            CutPayload::Delta { base_seq, .. } => {
+                e.u8(PAYLOAD_DELTA);
+                e.u64(*base_seq);
+            }
         }
-        .encode()
+        e.bytes(bytes);
+        e.seal(CUT_MAGIC, CUT_VERSION)
     }
 
     /// Parses a sealed envelope. Truncation, bit flips, a wrong magic or
@@ -300,13 +333,27 @@ impl CutFrame {
     /// The receiver's gate: decodes `wire`, checks it is addressed to this
     /// `shard`, `generation` and `role`, then materializes the image — the
     /// full payload itself, or the delta applied to `held`, which must be
-    /// the `(seq, image)` the receiver holds at the delta's `base_seq`.
+    /// the cut the receiver holds at the delta's `base_seq`.
     pub fn apply(
         wire: &[u8],
         shard: usize,
         generation: u32,
         role: CutRole,
-        held: Option<(u64, &[u8])>,
+        held: Option<Held<'_>>,
+    ) -> Result<AppliedCut, CutError> {
+        Self::apply_into(Vec::new(), wire, shard, generation, role, held)
+    }
+
+    /// [`apply`](Self::apply), materializing the image in the allocation of
+    /// `image` (a retired one; its contents are discarded), for a receiver
+    /// that applies at every cut.
+    pub fn apply_into(
+        mut image: Vec<u8>,
+        wire: &[u8],
+        shard: usize,
+        generation: u32,
+        role: CutRole,
+        held: Option<Held<'_>>,
     ) -> Result<AppliedCut, CutError> {
         let cut = CutRef::decode(wire)?;
         if cut.role != role {
@@ -318,17 +365,23 @@ impl CutFrame {
         if cut.generation != generation {
             return Err(CutError::WrongGeneration { expected: generation, found: cut.generation });
         }
-        let (base_seq, shipped_bytes, image) = match cut.payload {
-            PayloadRef::Full(bytes) => (None, bytes.len() as u64, bytes.to_vec()),
+        let (base_seq, shipped_bytes, image, sum) = match cut.payload {
+            PayloadRef::Full(bytes) => {
+                image.clear();
+                image.extend_from_slice(bytes);
+                (None, bytes.len() as u64, image, crc64(bytes))
+            }
             PayloadRef::Delta { base_seq, frame } => {
                 let base = match held {
-                    Some((held_seq, base)) if held_seq == base_seq => base,
-                    _ => return Err(CutError::WrongBase { base_seq, held: held.map(|(s, _)| s) }),
+                    Some(base) if base.seq == base_seq => base,
+                    _ => return Err(CutError::WrongBase { base_seq, held: held.map(|h| h.seq) }),
                 };
-                (Some(base_seq), frame.len() as u64, DeltaFrame::from_frame(frame)?.apply(base)?)
+                let delta = DeltaRef::open(frame)?;
+                let image = delta.apply(base.image, base.sum, image)?;
+                (Some(base_seq), frame.len() as u64, image, delta.target_sum())
             }
         };
-        Ok(AppliedCut { seq: cut.seq, base_seq, shipped_bytes, image })
+        Ok(AppliedCut { seq: cut.seq, base_seq, shipped_bytes, image, sum })
     }
 }
 
@@ -358,7 +411,8 @@ mod tests {
                     seq: 1_000,
                     base_seq: None,
                     shipped_bytes: img.len() as u64,
-                    image: img.clone()
+                    image: img.clone(),
+                    sum: crc64(&img),
                 }
             );
         }
@@ -371,9 +425,11 @@ mod tests {
         for b in &mut target[1_000..1_200] {
             *b ^= 0x5A;
         }
-        let wire = CutFrame::ship(0, 0, CutRole::Replica, 2_000, &target, Some((1_000, &base)));
-        let applied = CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some((1_000, &base))).unwrap();
+        let held = Held::new(1_000, &base);
+        let wire = CutFrame::ship(0, 0, CutRole::Replica, 2_000, &target, Some(held));
+        let applied = CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some(held)).unwrap();
         assert_eq!(applied.image, target);
+        assert_eq!(applied.sum, crc64(&target), "the sum to remember is the image's");
         assert_eq!(applied.base_seq, Some(1_000));
         assert!(applied.shipped_bytes < target.len() as u64 / 10, "delta ships O(churn)");
         // No base, or a base at another boundary, is refused before any
@@ -383,16 +439,69 @@ mod tests {
             Err(CutError::WrongBase { base_seq: 1_000, held: None })
         );
         assert_eq!(
-            CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some((500, &base))),
+            CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some(Held { seq: 500, ..held })),
             Err(CutError::WrongBase { base_seq: 1_000, held: Some(500) })
         );
         // The wrong bytes at the right boundary are refused by the delta's
         // own checksum, not applied.
         let wrong = image(64 * 1024, 3);
         assert_eq!(
-            CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some((1_000, &wrong))),
+            CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some(Held::new(1_000, &wrong))),
             Err(CutError::Frame(CkptError::BadCrc))
         );
+    }
+
+    #[test]
+    fn a_remembered_sum_spares_no_check() {
+        let base = image(64 * 1024, 7);
+        let mut target = base.clone();
+        target[9_000..9_100].fill(0x33);
+        let held = Held::new(1_000, &base);
+        let wire = CutFrame::ship(0, 0, CutRole::Replica, 2_000, &target, Some(held));
+        // The sender wrote the sum it was given, where it used to hash.
+        let lying = Held { sum: held.sum ^ 1, ..held };
+        assert_ne!(CutFrame::ship(0, 0, CutRole::Replica, 2_000, &target, Some(lying)), wire);
+        // Another image under the held boundary, remembered with its own
+        // sum, is the wrong base whether or not anybody hashes it again.
+        let mut other = base.clone();
+        other[40_000] ^= 1;
+        assert_eq!(
+            CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some(Held::new(1_000, &other))),
+            Err(CutError::Frame(CkptError::BadCrc))
+        );
+        // The held image damaged *after* its sum was remembered, in a block
+        // the delta copies: the sums agree, the reconstruction is hashed
+        // whole, and that refuses it.
+        assert_eq!(
+            CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some(Held { image: &other, ..held })),
+            Err(CutError::Frame(CkptError::BadCrc))
+        );
+        // A remembered length that is not the image's is refused like a sum.
+        let short = Held { image: &base[..base.len() - 1], ..held };
+        assert_eq!(
+            CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some(short)),
+            Err(CutError::Frame(CkptError::BadCrc))
+        );
+        assert_eq!(CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some(held)).unwrap().image, target);
+    }
+
+    #[test]
+    fn a_retired_image_is_rebuilt_in_place() {
+        let base = image(64 * 1024, 8);
+        let mut target = base.clone();
+        target[100..300].fill(0x44);
+        let held = Held::new(1, &base);
+        let wire = CutFrame::ship(0, 0, CutRole::Replica, 2, &target, Some(held));
+        assert_eq!(wire.capacity(), wire.len(), "a delta is planned, then written to size");
+        let out = vec![0xEE; 128 * 1024];
+        let out_at = out.as_ptr();
+        let applied = CutFrame::apply_into(out, &wire, 0, 0, CutRole::Replica, Some(held)).unwrap();
+        assert_eq!(applied.image, target);
+        assert_eq!(applied.image.as_ptr(), out_at);
+        // A full payload lands in the retired buffer too.
+        let full = CutFrame::ship(0, 0, CutRole::Replica, 2, &target, None);
+        let applied = CutFrame::apply_into(applied.image, &full, 0, 0, CutRole::Replica, None).unwrap();
+        assert_eq!((applied.image.as_ptr(), &applied.image), (out_at, &target));
     }
 
     #[test]

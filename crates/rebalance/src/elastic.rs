@@ -22,7 +22,7 @@
 use crate::handoff::HandoffTracker;
 use crate::ring::RingRouter;
 use darwin_cache::CacheConfig;
-use darwin_ckpt::replica::{CutError, CutFrame, CutRole};
+use darwin_ckpt::replica::{CutError, CutFrame, CutRole, Held};
 use darwin_shard::{
     CheckpointSlot, Envelope, EventKind, FaultPlan, FleetBoot, FleetConfig, FleetMetrics,
     GenerationSummary, MetricsHandle, ShardCheckpoint, ShardPhase, ShardedFleet,
@@ -401,18 +401,18 @@ fn hand_off(
     from_gen: u32,
     to_gen: u32,
 ) -> Result<(TransferStat, Vec<u8>), CutError> {
-    let mut candidates = slot.candidates().into_iter();
+    let mut candidates = slot.candidates();
     let final_frame =
         candidates.next().ok_or_else(|| state_err(format!("shard {s}: no final cut to hand off")))?;
     let seq = own_cut_seq(s, &final_frame)?;
     let base = candidates.next().filter(|b| *b != final_frame);
     let held = match &base {
-        Some(base) => Some((own_cut_seq(s, base)?, base.as_slice())),
+        Some(base) => Some(Held::new(own_cut_seq(s, base)?, base)),
         None => None,
     };
     let wire = CutFrame::ship(s, to_gen, CutRole::Handoff, seq, &final_frame, held);
     let cut = CutFrame::apply(&wire, s, to_gen, CutRole::Handoff, held)?;
-    if cut.seq != seq || cut.image != final_frame {
+    if cut.seq != seq || cut.image != *final_frame {
         return Err(state_err(format!("shard {s}: resolved transfer diverges from the final cut")));
     }
     let stat = TransferStat {
@@ -460,7 +460,7 @@ mod tests {
         let (stat, seed) = hand_off(1, &slot, 4, 5).unwrap();
         assert_eq!((stat.seq, stat.from_generation, stat.to_generation), (730, 4, 5));
         assert!(stat.delta && stat.shipped_bytes < stat.full_bytes);
-        assert_eq!(seed, slot.candidates()[0]);
+        assert_eq!(seed, *slot.candidates().next().unwrap());
         // No earlier checkpoint, or one identical to the final cut (the
         // stream ended on a periodic boundary): the full image ships.
         for frames in [vec![ckpt_frame(1, 730, 7)], vec![ckpt_frame(1, 730, 7); 2]] {

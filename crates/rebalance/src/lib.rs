@@ -53,7 +53,7 @@ pub use darwin_ckpt::replica;
 
 pub use darwin_ckpt::delta::{DeltaFrame, DELTA_MAGIC, DELTA_VERSION};
 pub use darwin_ckpt::replica::{
-    AppliedCut, CutError, CutFrame, CutPayload, CutRole, CUT_MAGIC, CUT_VERSION,
+    AppliedCut, CutError, CutFrame, CutPayload, CutRole, Held, CUT_MAGIC, CUT_VERSION,
 };
 pub use elastic::{ElasticFleet, ElasticReport, TransferStat};
 pub use handoff::HandoffTracker;

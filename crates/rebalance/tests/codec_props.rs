@@ -7,7 +7,9 @@
 //! and every success reconstructs the exact original bytes.
 
 use darwin_ckpt::{seal, CkptError};
-use darwin_rebalance::{CutError, CutFrame, CutPayload, CutRole, DeltaFrame, CUT_MAGIC, CUT_VERSION};
+use darwin_rebalance::{
+    CutError, CutFrame, CutPayload, CutRole, DeltaFrame, Held, CUT_MAGIC, CUT_VERSION,
+};
 use darwin_shard::{CKPT_MAGIC, CKPT_VERSION};
 use proptest::prelude::*;
 
@@ -145,7 +147,7 @@ proptest! {
         let (sent, serving) = (role(handoff), role(!handoff));
         let wire = cut(1, 1, sent, payload).to_frame();
         prop_assert_eq!(
-            CutFrame::apply(&wire, 1, 1, serving, Some((100, b"base"))),
+            CutFrame::apply(&wire, 1, 1, serving, Some(Held::new(100, b"base"))),
             Err(CutError::WrongRole { expected: serving, found: sent })
         );
     }
@@ -161,17 +163,17 @@ proptest! {
         skew in 1u64..1 << 40,
         handoff in proptest::bool::ANY,
     ) {
-        let wire = CutFrame::ship(0, 0, role(handoff), base_seq + skew, &target, Some((base_seq, &base)));
+        let wire = CutFrame::ship(0, 0, role(handoff), base_seq + skew, &target, Some(Held::new(base_seq, &base)));
         let held = base_seq + skew; // always != base_seq
         prop_assert_eq!(
-            CutFrame::apply(&wire, 0, 0, role(handoff), Some((held, &base))),
+            CutFrame::apply(&wire, 0, 0, role(handoff), Some(Held::new(held, &base))),
             Err(CutError::WrongBase { base_seq, held: Some(held) })
         );
         prop_assert_eq!(
             CutFrame::apply(&wire, 0, 0, role(handoff), None),
             Err(CutError::WrongBase { base_seq, held: None })
         );
-        let applied = CutFrame::apply(&wire, 0, 0, role(handoff), Some((base_seq, &base))).unwrap();
+        let applied = CutFrame::apply(&wire, 0, 0, role(handoff), Some(Held::new(base_seq, &base))).unwrap();
         prop_assert_eq!(applied.image, target);
     }
 
@@ -282,7 +284,13 @@ fn corpus_of_hostile_frames() {
         // even with the right base boundary on hand.
         let garbage = CutPayload::Delta { base_seq: 512, frame: b"garbage".to_vec() };
         assert!(matches!(
-            CutFrame::apply(&cut(0, 0, role, garbage).to_frame(), 0, 0, role, Some((512, b"base"))),
+            CutFrame::apply(
+                &cut(0, 0, role, garbage).to_frame(),
+                0,
+                0,
+                role,
+                Some(Held::new(512, b"base"))
+            ),
             Err(CutError::Frame(_))
         ));
 
@@ -293,7 +301,13 @@ fn corpus_of_hostile_frames() {
         huge.target_len = 1 << 60;
         let huge = CutPayload::Delta { base_seq: 512, frame: huge.to_frame() };
         assert!(matches!(
-            CutFrame::apply(&cut(0, 0, role, huge).to_frame(), 0, 0, role, Some((512, b"base"))),
+            CutFrame::apply(
+                &cut(0, 0, role, huge).to_frame(),
+                0,
+                0,
+                role,
+                Some(Held::new(512, b"base"))
+            ),
             Err(CutError::Frame(CkptError::Malformed(_)))
         ));
     }

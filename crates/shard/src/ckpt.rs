@@ -13,17 +13,21 @@
 //! double-buffered in-memory pair (the writer always fills the *inactive*
 //! buffer and flips, so a panic mid-store can never tear the buffer a
 //! restore will read) plus an optional on-disk spill via write-to-temp +
-//! atomic rename. Restores walk [`CheckpointSlot::candidates`] newest-first
-//! and fall back cold when every candidate fails validation — corruption is
-//! a detected, counted event, never a panic.
+//! atomic rename, written off the worker by the fleet's [`Spiller`] and
+//! settled before anything reads the file. Restores walk
+//! [`CheckpointSlot::candidates`] newest-first and fall back cold when every
+//! candidate fails validation — corruption is a detected, counted event,
+//! never a panic.
 //!
 //! [`CacheServer::save_state`]: darwin_cache::CacheServer::save_state
 
-use darwin_cache::ThresholdPolicy;
+use darwin_cache::{CacheServer, ThresholdPolicy};
 use darwin_ckpt::{open, CkptError, Dec, Enc};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 
 /// Frame magic: `"DSCK"` (Darwin Shard ChecKpoint), little-endian.
 pub const CKPT_MAGIC: u32 = 0x4453_434B;
@@ -59,14 +63,34 @@ pub struct ShardCheckpoint {
 impl ShardCheckpoint {
     /// Seals the checkpoint into a versioned, CRC-guarded frame.
     pub fn to_frame(&self) -> Vec<u8> {
+        self.seal(self.cache.len(), |enc| enc.bytes(&self.cache))
+    }
+
+    /// [`to_frame`](Self::to_frame) of this checkpoint with `server`'s
+    /// [`save_state`](CacheServer::save_state) for its `cache` — which the
+    /// caller leaves empty: the state is encoded where the frame holds it,
+    /// never into a buffer of its own that the frame then copies.
+    pub fn to_frame_of(&self, server: &CacheServer) -> Vec<u8> {
+        debug_assert!(self.cache.is_empty(), "the server's state stands in for `cache`");
+        let len = server.state_len();
+        self.seal(len, |enc| {
+            enc.usize(len);
+            server.encode_state(enc);
+        })
+    }
+
+    /// The frame around a cache image of `cache_len` bytes that `cache`
+    /// writes as a byte string.
+    fn seal(&self, cache_len: usize, cache: impl FnOnce(&mut Enc)) -> Vec<u8> {
         // The two blobs plus under a hundred bytes of fixed fields: sized
         // once, sealed where it lies.
-        let mut enc =
-            Enc::frame(96 + self.cache.len() + self.driver.len() + 8 * self.budget_marks.len());
+        let mut enc = Enc::frame(96 + cache_len + self.driver.len() + 8 * self.budget_marks.len());
         enc.usize(self.shard);
         enc.u64(self.seq);
         self.policy.encode_state(&mut enc);
-        enc.bytes(&self.cache);
+        let before = enc.len();
+        cache(&mut enc);
+        assert_eq!(enc.len() - before, 8 + cache_len, "cache image is not the size it declared");
         enc.bytes(&self.driver);
         enc.u32(self.restarts);
         enc.seq(&self.budget_marks, |e, &m| e.u64(m));
@@ -102,12 +126,28 @@ impl ShardCheckpoint {
 /// Double-buffered checkpoint mailbox for one shard, with optional on-disk
 /// spill. Shared between the shard's worker (writer) and its supervisor
 /// (reader, on respawn).
+///
+/// The in-memory pair is the primary copy and is current when
+/// [`store`](Self::store) returns. The spill file follows: `store` only
+/// posts the frame as *unspilled* — latest wins — and the write (temp file +
+/// atomic rename) is done by whoever settles the slot next: the fleet's
+/// [`Spiller`] thread, woken by the store, or else the first caller that is
+/// about to read, remove or damage the file — each of them settles first, so
+/// none can observe the file behind the pair. A slot without a spiller
+/// settles inside `store`.
 #[derive(Debug)]
 pub struct CheckpointSlot {
     shard: usize,
     bufs: [Mutex<Option<Arc<Vec<u8>>>>; 2],
     active: AtomicUsize,
     dir: Option<PathBuf>,
+    /// The newest stored frame the spill file does not hold yet.
+    unspilled: Mutex<Option<Arc<Vec<u8>>>>,
+    /// Held across every access to the spill file, the settling write
+    /// included.
+    file: Mutex<()>,
+    /// Wakes the fleet's spiller for this shard.
+    spiller: Option<Sender<Option<usize>>>,
 }
 
 impl CheckpointSlot {
@@ -116,7 +156,15 @@ impl CheckpointSlot {
     /// atomic rename; spill failures are ignored (the in-memory pair is
     /// the primary copy).
     pub fn new(shard: usize, dir: Option<PathBuf>) -> Self {
-        Self { shard, bufs: [Mutex::new(None), Mutex::new(None)], active: AtomicUsize::new(0), dir }
+        Self {
+            shard,
+            bufs: [Mutex::new(None), Mutex::new(None)],
+            active: AtomicUsize::new(0),
+            dir,
+            unspilled: Mutex::new(None),
+            file: Mutex::new(()),
+            spiller: None,
+        }
     }
 
     /// The on-disk spill path, if spilling is configured.
@@ -127,42 +175,59 @@ impl CheckpointSlot {
     /// Publishes a new frame: fills the inactive buffer, then flips it
     /// active. The previously active frame survives as the second restore
     /// candidate, so a store torn by a crash never destroys the last good
-    /// checkpoint. Returns the frame as stored — shared, not copied — for a
-    /// writer that goes on to feed it to a standby.
-    pub fn store(&self, frame: Vec<u8>) -> Arc<Vec<u8>> {
+    /// checkpoint. The disk spill is posted, not awaited (see the type's
+    /// docs). Returns the frame as stored — shared, not copied — for a
+    /// writer that goes on to feed it to a standby, and the buffer of the
+    /// frame it replaced (empty if there was none, or if somebody still
+    /// holds it) for that feed to rebuild the standby's image in.
+    pub fn store(&self, frame: Vec<u8>) -> (Arc<Vec<u8>>, Vec<u8>) {
         let inactive = 1 - self.active.load(Ordering::Acquire);
-        if let Some(path) = self.disk_path() {
-            // Best-effort spill *before* the flip: write the whole frame to
-            // a temp file, then rename into place so readers only ever see
-            // complete frames (the "atomic rename" half of the contract).
+        let frame = Arc::new(frame);
+        let replaced =
+            self.bufs[inactive].lock().expect("checkpoint buffer poisoned").replace(Arc::clone(&frame));
+        self.active.store(inactive, Ordering::Release);
+        if self.dir.is_some() {
+            *self.unspilled.lock().expect("unspilled frame poisoned") = Some(Arc::clone(&frame));
+            // Posted before the wake-up: a spiller that has stopped taking
+            // wake-ups settles every slot once more after it said so.
+            let woken = self.spiller.as_ref().is_some_and(|tx| tx.send(Some(self.shard)).is_ok());
+            if !woken {
+                drop(self.settle());
+            }
+        }
+        (frame, replaced.and_then(Arc::into_inner).unwrap_or_default())
+    }
+
+    /// Brings the spill file up to the in-memory pair — writes the unspilled
+    /// frame, if there is one, to a temp file and renames it into place, so
+    /// readers only ever see complete frames — and returns the file lock.
+    /// Best effort: a failed write leaves the previous file.
+    fn settle(&self) -> MutexGuard<'_, ()> {
+        let file = self.file.lock().expect("spill file lock poisoned");
+        let unspilled = self.unspilled.lock().expect("unspilled frame poisoned").take();
+        if let (Some(frame), Some(path)) = (unspilled, self.disk_path()) {
             let tmp = path.with_extension("ckpt.tmp");
-            if std::fs::write(&tmp, &frame).is_ok() {
+            if std::fs::write(&tmp, &*frame).is_ok() {
                 let _ = std::fs::rename(&tmp, &path);
             }
         }
-        let frame = Arc::new(frame);
-        *self.bufs[inactive].lock().expect("checkpoint buffer poisoned") = Some(Arc::clone(&frame));
-        self.active.store(inactive, Ordering::Release);
-        frame
+        file
     }
 
     /// Restore candidates, best-first: the active in-memory frame, the
-    /// previous in-memory frame, then the on-disk spill. The restorer
-    /// validates each in turn and goes cold if all fail.
-    pub fn candidates(&self) -> Vec<Vec<u8>> {
+    /// previous in-memory frame, then the on-disk spill — shared, not
+    /// copied, and the file is settled and read only if the walk gets that
+    /// far. The restorer validates each in turn and goes cold if all fail.
+    pub fn candidates(&self) -> impl Iterator<Item = Arc<Vec<u8>>> + '_ {
         let a = self.active.load(Ordering::Acquire);
-        let mut out = Vec::new();
-        for idx in [a, 1 - a] {
-            if let Some(f) = self.bufs[idx].lock().expect("checkpoint buffer poisoned").as_ref() {
-                out.push(f.to_vec());
-            }
-        }
-        if let Some(path) = self.disk_path() {
-            if let Ok(f) = std::fs::read(&path) {
-                out.push(f);
-            }
-        }
-        out
+        let held =
+            [a, 1 - a].map(|idx| self.bufs[idx].lock().expect("checkpoint buffer poisoned").clone());
+        let spilled = std::iter::once_with(|| {
+            let path = self.disk_path()?;
+            let _file = self.settle();
+            std::fs::read(path).ok().map(Arc::new)
+        });
+        held.into_iter().chain(spilled).flatten()
     }
 
     /// True once at least one frame has been stored (in memory).
@@ -170,12 +235,15 @@ impl CheckpointSlot {
         self.bufs.iter().any(|b| b.lock().expect("checkpoint buffer poisoned").is_some())
     }
 
-    /// Removes the shard's on-disk spill file (and any temp leftover). The
-    /// warm-boot path calls this only *after* a restore attempt has
-    /// resolved detected-cold, so a valid spill is never destroyed before
-    /// it had its chance to serve a boot.
+    /// Removes the shard's on-disk spill file (and any temp leftover), and
+    /// forgets a frame still waiting to be spilled. The warm-boot path calls
+    /// this only *after* a restore attempt has resolved detected-cold, so a
+    /// valid spill is never destroyed before it had its chance to serve a
+    /// boot.
     pub fn clear_disk(&self) {
         if let Some(path) = self.disk_path() {
+            let _file = self.file.lock().expect("spill file lock poisoned");
+            self.unspilled.lock().expect("unspilled frame poisoned").take();
             let _ = std::fs::remove_file(&path);
             let _ = std::fs::remove_file(path.with_extension("ckpt.tmp"));
         }
@@ -202,6 +270,7 @@ impl CheckpointSlot {
             }
         }
         if let Some(path) = self.disk_path() {
+            let _file = self.settle();
             if let Ok(mut f) = std::fs::read(&path) {
                 damage(&mut f);
                 let _ = std::fs::write(&path, &f);
@@ -210,12 +279,61 @@ impl CheckpointSlot {
     }
 }
 
-/// Removes stale spill files for shards `0..shards` under `dir`, so a fleet
-/// reusing a checkpoint directory never restores a previous run's state.
-pub fn clear_spill_dir(dir: &Path, shards: usize) {
-    for s in 0..shards {
-        let _ = std::fs::remove_file(dir.join(format!("shard-{s}.ckpt")));
-        let _ = std::fs::remove_file(dir.join(format!("shard-{s}.ckpt.tmp")));
+/// A fleet's one spill thread: takes the disk write of every checkpoint cut
+/// off the shard worker that cut it (see [`CheckpointSlot`] for what that
+/// does and does not change about the file).
+#[derive(Debug)]
+pub struct Spiller {
+    /// `Some(shard)` wakes the thread for a shard; `None` stops it.
+    tx: Sender<Option<usize>>,
+    thread: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl Spiller {
+    /// Slots for shards `0..shards` spilling under `dir`, and the thread
+    /// that settles them.
+    pub fn start(shards: usize, dir: &Path) -> (Self, Vec<Arc<CheckpointSlot>>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let slots: Vec<_> = (0..shards)
+            .map(|s| {
+                let spiller = Some(tx.clone());
+                Arc::new(CheckpointSlot { spiller, ..CheckpointSlot::new(s, Some(dir.to_path_buf())) })
+            })
+            .collect();
+        let settled = slots.clone();
+        let thread = std::thread::Builder::new()
+            .name("ckpt-spill".into())
+            .spawn(move || {
+                while let Ok(Some(shard)) = rx.recv() {
+                    drop(settled[shard].settle());
+                }
+                // From here a store finds the channel closed and settles on
+                // its own thread; one that got its wake-up in before had
+                // posted its frame before, so this last round writes it.
+                drop(rx);
+                for slot in &settled {
+                    drop(slot.settle());
+                }
+            })
+            .expect("spawn checkpoint spiller");
+        (Self { tx, thread: Mutex::new(Some(thread)) }, slots)
+    }
+
+    /// Stops the thread once every posted frame is in its file. Idempotent;
+    /// stores after this spill on the storing thread.
+    pub fn join(&self) {
+        let _ = self.tx.send(None);
+        // A poisoned lock only means an earlier joiner panicked: join anyway.
+        let thread = self.thread.lock().unwrap_or_else(|e| e.into_inner()).take();
+        if let Some(thread) = thread {
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Drop for Spiller {
+    fn drop(&mut self) {
+        self.join();
     }
 }
 
@@ -313,18 +431,47 @@ mod tests {
         }
     }
 
+    fn frames(slot: &CheckpointSlot) -> Vec<Vec<u8>> {
+        slot.candidates().map(|f| f.to_vec()).collect()
+    }
+
+    /// A private spill directory, removed (with whatever is in it) on drop.
+    struct SpillDir(PathBuf);
+
+    impl SpillDir {
+        fn new(test: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("darwin-ckpt-{test}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            Self(dir)
+        }
+    }
+
+    impl Drop for SpillDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn slot_store_flips_and_keeps_previous() {
         let slot = CheckpointSlot::new(0, None);
         assert!(!slot.has_checkpoint());
-        assert!(slot.candidates().is_empty());
+        assert!(slot.candidates().next().is_none());
         let f1 = sample(0, 100).to_frame();
         let f2 = sample(0, 200).to_frame();
-        slot.store(f1.clone());
-        assert_eq!(slot.candidates(), vec![f1.clone()]);
-        slot.store(f2.clone());
+        let f3 = sample(0, 300).to_frame();
+        assert!(slot.store(f1.clone()).1.is_empty());
+        assert_eq!(frames(&slot), vec![f1.clone()]);
+        let (stored, retired) = slot.store(f2.clone());
+        assert!(retired.is_empty(), "nothing was replaced yet");
         // Newest first, previous frame retained as fallback.
-        assert_eq!(slot.candidates(), vec![f2, f1]);
+        assert_eq!(frames(&slot), vec![f2.clone(), f1.clone()]);
+        // The third store replaces the first frame and hands its buffer
+        // back — unless somebody still holds that frame.
+        assert_eq!(slot.store(f3.clone()).1, f1);
+        assert!(slot.store(f1).1.is_empty(), "a frame its writer still shares is not handed out");
+        assert_eq!(*stored, f2);
     }
 
     #[test]
@@ -334,7 +481,7 @@ mod tests {
             slot.store(sample(1, 100).to_frame());
             slot.store(sample(1, 200).to_frame());
             slot.corrupt(torn);
-            let cands = slot.candidates();
+            let cands = frames(&slot);
             assert_eq!(cands.len(), 2);
             for c in &cands {
                 assert!(
@@ -347,14 +494,12 @@ mod tests {
 
     #[test]
     fn disk_spill_atomic_rename_and_restore() {
-        let dir = std::env::temp_dir().join(format!("darwin-ckpt-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        clear_spill_dir(&dir, 4);
-
-        let slot = CheckpointSlot::new(3, Some(dir.clone()));
+        let dir = SpillDir::new("spill");
+        let slot = CheckpointSlot::new(3, Some(dir.0.clone()));
         let frame = sample(3, 4_000).to_frame();
         slot.store(frame.clone());
 
+        // No spiller: the file is there when `store` returns.
         let path = slot.disk_path().unwrap();
         assert!(path.exists(), "spill file missing");
         assert!(!path.with_extension("ckpt.tmp").exists(), "temp file left behind");
@@ -362,16 +507,95 @@ mod tests {
 
         // A *fresh* slot over the same dir (a restarted process) sees the
         // spilled frame as its only candidate.
-        let reborn = CheckpointSlot::new(3, Some(dir.clone()));
-        assert_eq!(reborn.candidates(), vec![frame.clone()]);
-        assert_eq!(ShardCheckpoint::from_frame(&reborn.candidates()[0]).unwrap(), sample(3, 4_000));
+        let reborn = CheckpointSlot::new(3, Some(dir.0.clone()));
+        assert_eq!(frames(&reborn), vec![frame.clone()]);
+        assert_eq!(ShardCheckpoint::from_frame(&frames(&reborn)[0]).unwrap(), sample(3, 4_000));
 
         // Corruption reaches the disk copy too.
         slot.corrupt(false);
         assert!(ShardCheckpoint::from_frame(&std::fs::read(&path).unwrap()).is_err());
 
-        clear_spill_dir(&dir, 4);
-        let _ = std::fs::remove_dir(&dir);
+        slot.clear_disk();
+        assert!(!path.exists());
+    }
+
+    /// Slots whose spiller never runs (its thread is parked on a wake-up
+    /// channel this test keeps but never reads): every spill stays posted
+    /// until something settles it, which is the interleaving a busy disk
+    /// produces.
+    fn stalled(shard: usize, dir: &Path) -> (CheckpointSlot, std::sync::mpsc::Receiver<Option<usize>>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        (CheckpointSlot { spiller: Some(tx), ..CheckpointSlot::new(shard, Some(dir.to_path_buf())) }, rx)
+    }
+
+    #[test]
+    fn a_posted_spill_is_settled_before_the_file_is_read_damaged_or_removed() {
+        let dir = SpillDir::new("settle");
+        let (slot, wakeups) = stalled(2, &dir.0);
+        let path = slot.disk_path().unwrap();
+        let cuts: Vec<_> = [100, 200, 300].map(|seq| sample(2, seq).to_frame()).into();
+        for frame in &cuts {
+            slot.store(frame.clone());
+        }
+        assert_eq!(wakeups.try_iter().count(), 3, "one wake-up per store");
+        assert!(!path.exists(), "nothing has settled the slot yet");
+        // Reading the candidates reaches the file, so it is settled first —
+        // to the last store, the only one still posted.
+        assert_eq!(frames(&slot), vec![cuts[2].clone(), cuts[1].clone(), cuts[2].clone()]);
+        assert_eq!(std::fs::read(&path).unwrap(), cuts[2]);
+        assert!(!path.with_extension("ckpt.tmp").exists());
+        assert_eq!(frames(&CheckpointSlot::new(2, Some(dir.0.clone()))), vec![cuts[2].clone()]);
+
+        // Corruption with a spill posted: the file ends up the damaged new
+        // frame, not a valid old one and not a valid new one written later.
+        slot.store(sample(2, 400).to_frame());
+        slot.corrupt(false);
+        let on_disk = std::fs::read(&path).unwrap();
+        assert_eq!(on_disk.len(), sample(2, 400).to_frame().len());
+        assert!(ShardCheckpoint::from_frame(&on_disk).is_err());
+        drop(slot.settle());
+        assert_eq!(std::fs::read(&path).unwrap(), on_disk, "nothing was left to write afterwards");
+
+        // Removal forgets the posted frame instead of resurrecting the file.
+        slot.store(sample(2, 500).to_frame());
+        slot.clear_disk();
+        drop(slot.settle());
+        assert!(!path.exists());
+    }
+
+    #[test]
+    fn the_spiller_writes_the_last_frame_and_joins() {
+        let dir = SpillDir::new("spiller");
+        let (spiller, slots) = Spiller::start(2, &dir.0);
+        for seq in [100, 200, 300] {
+            for (s, slot) in slots.iter().enumerate() {
+                slot.store(sample(s, seq).to_frame());
+            }
+        }
+        spiller.join();
+        for (s, slot) in slots.iter().enumerate() {
+            let fresh = CheckpointSlot::new(s, Some(dir.0.clone()));
+            assert_eq!(frames(&fresh), vec![sample(s, 300).to_frame()]);
+            // Joined twice, and stored into afterwards: the store spills.
+            spiller.join();
+            slot.store(sample(s, 400).to_frame());
+            assert_eq!(std::fs::read(slot.disk_path().unwrap()).unwrap(), sample(s, 400).to_frame());
+        }
+    }
+
+    #[test]
+    fn a_vanished_spill_dir_costs_the_file_only() {
+        let dir = SpillDir::new("vanished");
+        let (spiller, slots) = Spiller::start(1, &dir.0);
+        std::fs::remove_dir_all(&dir.0).unwrap();
+        let frame = sample(0, 100).to_frame();
+        slots[0].store(frame.clone());
+        slots[0].corrupt(true);
+        slots[0].clear_disk();
+        slots[0].store(frame.clone());
+        spiller.join();
+        assert_eq!(frames(&slots[0])[0], frame, "the in-memory pair is the primary copy");
+        assert_eq!(slots[0].candidates().count(), 2);
     }
 }
 

@@ -80,7 +80,7 @@
 //!
 //! [`DarwinDriver`]: darwin_testbed::DarwinDriver
 
-use crate::ckpt::{CheckpointSlot, ShardCheckpoint};
+use crate::ckpt::{CheckpointSlot, ShardCheckpoint, Spiller};
 use crate::fault::{FaultKind, FaultPlan, ShardFaultCursor};
 use crate::metrics::{FleetMetrics, MetricsHandle, ShardCell, ShardPhase};
 use crate::queue::{channel, Consumer, Producer, QueueGauges};
@@ -459,6 +459,10 @@ struct FleetCore<D, E> {
     /// end-of-stream and cut a final [`ShardCheckpoint`] at the exact drain
     /// boundary when set.
     cut_target: Arc<AtomicU64>,
+    /// Writes the shards' checkpoint spill files off their workers' threads
+    /// (`None` without a checkpoint directory). Joined by `finish` — and on
+    /// drop — so every cut's file is in place once the fleet is gone.
+    spiller: Option<Spiller>,
     shards: Vec<ShardState<D, E>>,
 }
 
@@ -548,10 +552,10 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetCore<D, E> {
                 match shard.standby.as_ref().and_then(|st| st.take_for_promotion()) {
                     Some((frame, checkpoint_seq)) => {
                         // Install the standby's frame as the newest restore
-                        // candidate (`store` writes the disk spill first,
-                        // then flips the active buffer, so the promoted
-                        // frame wins even after a scripted corruption
-                        // damaged every prior candidate), then warm-restart
+                        // candidate (`store` flips it active, so the
+                        // promoted frame wins even after a scripted
+                        // corruption damaged every prior candidate, and the
+                        // spill file follows), then warm-restart
                         // through the same validated restore path every
                         // respawn uses — which is what makes a promoted
                         // shard bitwise-identical to an unfailed run from
@@ -719,12 +723,17 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
     ) -> Self {
         assert!(cfg.shards > 0, "fleet needs at least one shard");
         assert!(cfg.batch > 0, "batch size must be positive");
-        if let Some(dir) = &boot.checkpoint_dir {
-            let _ = std::fs::create_dir_all(dir);
-            if !boot.warm_boot {
-                crate::ckpt::clear_spill_dir(dir, cfg.shards);
+        let (spiller, slots) = match &boot.checkpoint_dir {
+            Some(dir) => {
+                let _ = std::fs::create_dir_all(dir);
+                let (spiller, slots) = Spiller::start(cfg.shards, dir);
+                if !boot.warm_boot {
+                    slots.iter().for_each(|slot| slot.clear_disk());
+                }
+                (Some(spiller), slots)
             }
-        }
+            None => (None, (0..cfg.shards).map(|s| Arc::new(CheckpointSlot::new(s, None))).collect()),
+        };
         let panic_at = fault.panic_indices(cfg.shards);
         let core = Arc::new(FleetCore {
             cache,
@@ -735,8 +744,11 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
             warm_boot: boot.warm_boot,
             boot_handoff: boot.handoff,
             cut_target: Arc::new(AtomicU64::new(u64::MAX)),
-            shards: (0..cfg.shards)
-                .map(|s| ShardState {
+            spiller,
+            shards: slots
+                .into_iter()
+                .enumerate()
+                .map(|(s, slot)| ShardState {
                     lane: Mutex::new(LaneState {
                         producer: None,
                         handle: None,
@@ -744,7 +756,7 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
                         delivered: 0,
                     }),
                     cell: Arc::new(ShardCell::new(s, Arc::new(QueueGauges::default()))),
-                    slot: Arc::new(CheckpointSlot::new(s, boot.checkpoint_dir.clone())),
+                    slot,
                     standby: (cfg.replicas > 0).then(|| Arc::new(StandbySlot::new(s))),
                 })
                 .collect(),
@@ -784,7 +796,7 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
                 // The marks' submission clock restarted at 0; `with_state`
                 // keeps them conservatively until they age out of the new
                 // clock's window.
-                let carried = shard.slot.candidates().into_iter().find_map(|frame| {
+                let carried = shard.slot.candidates().find_map(|frame| {
                     ShardCheckpoint::from_frame(&frame)
                         .ok()
                         .filter(|c| c.shard == s)
@@ -1018,6 +1030,10 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
                 driver,
             });
         }
+        // The workers are gone; what they cut is on disk before this returns.
+        if let Some(spiller) = &self.core.spiller {
+            spiller.join();
+        }
         let mut snapshots = std::mem::take(&mut self.snapshots);
         snapshots.push(self.metrics_handle().snapshot());
         FleetReport { shards, snapshots, router: self.core.router.label() }
@@ -1199,8 +1215,15 @@ struct WorkerCtx<D, E> {
 /// journaled here — a failed or poisoned standby is never silent: the next
 /// feed records [`EventKind::StandbyLost`] and (when the feed itself
 /// succeeded) re-seeds a fresh standby with a full image.
-fn feed_standby(standby: &StandbySlot, cell: &ShardCell, generation: u32, seq: u64, frame: &[u8]) {
-    match standby.feed(generation, seq, frame) {
+fn feed_standby(
+    standby: &StandbySlot,
+    cell: &ShardCell,
+    generation: u32,
+    seq: u64,
+    frame: &[u8],
+    spare: Vec<u8>,
+) {
+    match standby.feed(generation, seq, frame, spare) {
         FeedOutcome::Seeded { shipped_bytes } => {
             cell.record_replica(seq, shipped_bytes);
             cell.obs().journal.record(seq, EventKind::ReplicaSeeded { checkpoint_seq: seq });
@@ -1227,15 +1250,18 @@ fn feed_standby(standby: &StandbySlot, cell: &ShardCell, generation: u32, seq: u
 /// metrics base the incarnation must subtract before publishing (its
 /// pre-existing history, already folded into the cell by the supervisor),
 /// and the journal facts: which candidate validated (0 = active buffer,
-/// 1 = previous buffer, 2 = disk spill) and the restored sequence number.
+/// 1 = previous buffer, 2 = disk spill) and the restored sequence number —
+/// or, when none validates, how many candidates there were to refuse.
 #[allow(clippy::type_complexity)]
 fn try_restore<D: AdmissionDriver>(
     shard: usize,
     slot: &CheckpointSlot,
     cache: &CacheConfig,
     driver: &mut D,
-) -> Option<(CacheServer, darwin_cache::ThresholdPolicy, CacheMetrics, u8, u64)> {
-    for (candidate, frame) in slot.candidates().into_iter().enumerate() {
+) -> Result<(CacheServer, darwin_cache::ThresholdPolicy, CacheMetrics, u8, u64), usize> {
+    let mut refused = 0;
+    for (candidate, frame) in slot.candidates().enumerate() {
+        refused = candidate + 1;
         let Ok(ckpt) = ShardCheckpoint::from_frame(&frame) else { continue };
         if ckpt.shard != shard {
             continue;
@@ -1245,9 +1271,9 @@ fn try_restore<D: AdmissionDriver>(
             continue;
         }
         let base = server.metrics();
-        return Some((server, ckpt.policy, base, candidate as u8, ckpt.seq));
+        return Ok((server, ckpt.policy, base, candidate as u8, ckpt.seq));
     }
-    None
+    Err(refused)
 }
 
 /// Stable journal label for a scripted fault. Part of the deterministic
@@ -1343,44 +1369,45 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
             // cell already holds the shard's whole pre-death history
             // (folded by the supervisor), so the incarnation must publish
             // only its increments or restored counters would double-count.
-            let attempt = respawn || boot;
-            let had_candidates = attempt && !slot.candidates().is_empty();
-            let (server, mut current_policy, base) =
-                match attempt.then(|| try_restore(shard, &slot, &cache, &mut driver)).flatten() {
-                    Some((server, policy, base, candidate, checkpoint_seq)) => {
-                        if respawn {
-                            cell.record_warm_restart();
-                            cell.obs()
-                                .journal
-                                .record(start, EventKind::RestoreWarm { candidate, checkpoint_seq });
-                        } else {
-                            cell.record_warm_boot();
-                            cell.obs().journal.record(
-                                start,
-                                EventKind::HandoffRestore { checkpoint_seq, warm_boot: !boot_handoff },
-                            );
-                        }
-                        (server, policy, base)
+            let attempt =
+                if respawn || boot { try_restore(shard, &slot, &cache, &mut driver) } else { Err(0) };
+            let (server, mut current_policy, base) = match attempt {
+                Ok((server, policy, base, candidate, checkpoint_seq)) => {
+                    if respawn {
+                        cell.record_warm_restart();
+                        cell.obs()
+                            .journal
+                            .record(start, EventKind::RestoreWarm { candidate, checkpoint_seq });
+                    } else {
+                        cell.record_warm_boot();
+                        cell.obs().journal.record(
+                            start,
+                            EventKind::HandoffRestore { checkpoint_seq, warm_boot: !boot_handoff },
+                        );
                     }
-                    None => {
-                        // A failed boot attempt detects cold: drop the
-                        // invalid spill so a later restart can't retry it.
-                        if boot && !respawn {
-                            slot.clear_disk();
-                        }
-                        if respawn || had_candidates {
-                            cell.obs().journal.record(start, EventKind::RestoreCold);
-                        }
-                        (CacheServer::new(cache), driver.initial_policy(), CacheMetrics::default())
+                    (server, policy, base)
+                }
+                Err(refused) => {
+                    // A failed boot attempt detects cold: drop the
+                    // invalid spill so a later restart can't retry it.
+                    if boot && !respawn {
+                        slot.clear_disk();
                     }
-                };
+                    if respawn || refused > 0 {
+                        cell.obs().journal.record(start, EventKind::RestoreCold);
+                    }
+                    (CacheServer::new(cache), driver.initial_policy(), CacheMetrics::default())
+                }
+            };
             let mut serving = Serving { cell: &cell, server, base, processed: 0 };
             serving.server.set_policy(current_policy);
             cell.publish_policy(serving.server.policy_label());
             // The one cut routine: seal the shard's state at `seq`, publish
-            // it to the slot, journal `event`, feed the standby. Periodic
-            // cuts time the serving pause (`timed`); the final handoff cut
-            // runs after the stream ended and pauses nobody.
+            // it to the slot, journal `event`, feed the standby — which
+            // rebuilds its image in the buffer of the frame the slot just
+            // rotated out. Periodic cuts time the serving pause, all of it,
+            // the feed included (`timed`); the final handoff cut runs after
+            // the stream ended and pauses nobody.
             let cut = |seq: u64,
                        policy: darwin_cache::ThresholdPolicy,
                        server: &CacheServer,
@@ -1392,20 +1419,20 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
                     shard,
                     seq,
                     policy,
-                    cache: server.save_state(),
+                    cache: Vec::new(),
                     driver: dstate,
                     restarts: budget_restarts,
                     budget_marks: budget_marks.clone(),
                 }
-                .to_frame();
-                let frame = slot.store(frame);
-                if timed {
-                    cell.obs().ckpt_pause.record_duration(pause.elapsed());
-                }
+                .to_frame_of(server);
+                let (frame, retired) = slot.store(frame);
                 cell.record_checkpoint(seq);
                 cell.obs().journal.record(seq, event);
                 if let Some(st) = &standby {
-                    feed_standby(st, &cell, generation, seq, &frame);
+                    feed_standby(st, &cell, generation, seq, &frame, retired);
+                }
+                if timed {
+                    cell.obs().ckpt_pause.record_duration(pause.elapsed());
                 }
             };
             let mut switch_cost = SwitchCostTracker::default();

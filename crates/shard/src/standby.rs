@@ -32,7 +32,7 @@
 //! the same path deterministically via [`poison`](StandbySlot::poison).
 
 use crate::ckpt::ShardCheckpoint;
-use darwin_ckpt::replica::{CutFrame, CutRole};
+use darwin_ckpt::replica::{CutFrame, CutRole, Held};
 use std::sync::Mutex;
 
 /// What one replication feed did to the standby.
@@ -74,6 +74,9 @@ struct StandbyState {
     frame: Option<Vec<u8>>,
     /// Request-sequence boundary of `frame`.
     seq: u64,
+    /// CRC-64 of `frame`, from the pass that verified it when it was
+    /// applied: what the next delta names its base by.
+    sum: u64,
     /// True once the standby is known-bad: poisoned by a scripted fault or
     /// failed a feed's validation. A lost standby never serves a promotion.
     lost: bool,
@@ -107,21 +110,26 @@ impl StandbySlot {
     /// deliberate — the bytes that reach the standby's state are exactly the
     /// bytes that survived the wire format's gauntlet, so a corrupted or
     /// misrouted envelope can fail loudly but never silently mis-apply.
-    pub fn feed(&self, generation: u32, seq: u64, frame: &[u8]) -> FeedOutcome {
+    ///
+    /// The image is rebuilt in the allocation of `spare` (a retired frame's
+    /// buffer, or an empty one; its contents are discarded), so a steady
+    /// feed writes over pages the feeder already owns.
+    pub fn feed(&self, generation: u32, seq: u64, frame: &[u8], spare: Vec<u8>) -> FeedOutcome {
         let mut st = self.state.lock().expect("standby slot poisoned");
         let was_lost = std::mem::take(&mut st.lost);
         if was_lost {
             st.frame = None;
         }
-        let held = st.frame.as_deref().map(|base| (st.seq, base));
+        let held = st.frame.as_deref().map(|image| Held { seq: st.seq, image, sum: st.sum });
         let wire = CutFrame::ship(self.shard, generation, CutRole::Replica, seq, frame, held);
-        let applied = CutFrame::apply(&wire, self.shard, generation, CutRole::Replica, held)
+        let applied = CutFrame::apply_into(spare, &wire, self.shard, generation, CutRole::Replica, held)
             .ok()
             .filter(|cut| ShardCheckpoint::header(&cut.image) == Ok((self.shard, seq)));
         match applied {
             Some(cut) => {
                 st.frame = Some(cut.image);
                 st.seq = seq;
+                st.sum = cut.sum;
                 let shipped_bytes = cut.shipped_bytes;
                 match cut.base_seq {
                     None if was_lost => FeedOutcome::Replaced { shipped_bytes },
@@ -198,6 +206,23 @@ mod tests {
         .to_frame()
     }
 
+    /// A feed from a feeder with no buffer to spare.
+    fn feed(slot: &StandbySlot, generation: u32, seq: u64, frame: &[u8]) -> FeedOutcome {
+        slot.feed(generation, seq, frame, Vec::new())
+    }
+
+    #[test]
+    fn a_feed_rebuilds_the_image_in_the_spare_buffer() {
+        let slot = StandbySlot::new(0);
+        let (f1, f2) = (ckpt_frame(0, 1_000, 0xAA), ckpt_frame(0, 2_000, 0xAB));
+        feed(&slot, 0, 1_000, &f1);
+        let spare = vec![0xEE; 2 * f2.len()];
+        let at = spare.as_ptr();
+        assert!(matches!(slot.feed(0, 2_000, &f2, spare), FeedOutcome::Applied { .. }));
+        let (promoted, seq) = slot.take_for_promotion().expect("ready standby");
+        assert_eq!((promoted.as_ptr(), seq, &promoted), (at, 2_000, &f2));
+    }
+
     #[test]
     fn seed_then_deltas_stay_within_one_window() {
         let slot = StandbySlot::new(0);
@@ -205,7 +230,7 @@ mod tests {
         assert_eq!(slot.applied_seq(), None);
 
         let f1 = ckpt_frame(0, 1_000, 0xAA);
-        match slot.feed(0, 1_000, &f1) {
+        match feed(&slot, 0, 1_000, &f1) {
             FeedOutcome::Seeded { shipped_bytes } => {
                 assert_eq!(shipped_bytes, f1.len() as u64, "first feed ships the full image");
             }
@@ -217,7 +242,7 @@ mod tests {
         // A lightly changed next cut ships O(churn), and the lag equals one
         // checkpoint window.
         let f2 = ckpt_frame(0, 2_000, 0xAA);
-        match slot.feed(0, 2_000, &f2) {
+        match feed(&slot, 0, 2_000, &f2) {
             FeedOutcome::Applied { shipped_bytes, lag } => {
                 assert_eq!(lag, 1_000);
                 assert!(
@@ -234,19 +259,19 @@ mod tests {
         assert_eq!(frame, f2);
         // Taking empties the slot: the next feed is a fresh seed.
         assert!(!slot.ready());
-        assert!(matches!(slot.feed(0, 3_000, &ckpt_frame(0, 3_000, 1)), FeedOutcome::Seeded { .. }));
+        assert!(matches!(feed(&slot, 0, 3_000, &ckpt_frame(0, 3_000, 1)), FeedOutcome::Seeded { .. }));
     }
 
     #[test]
     fn poison_is_detected_then_replaced() {
         let slot = StandbySlot::new(2);
-        slot.feed(0, 500, &ckpt_frame(2, 500, 7));
+        feed(&slot, 0, 500, &ckpt_frame(2, 500, 7));
         assert!(slot.ready());
         slot.poison();
         assert!(!slot.ready());
         assert_eq!(slot.take_for_promotion(), None, "a lost standby never promotes");
         // The next feed detects the loss and seeds a replacement.
-        match slot.feed(0, 1_000, &ckpt_frame(2, 1_000, 8)) {
+        match feed(&slot, 0, 1_000, &ckpt_frame(2, 1_000, 8)) {
             FeedOutcome::Replaced { .. } => {}
             other => panic!("expected Replaced, got {other:?}"),
         }
@@ -260,11 +285,11 @@ mod tests {
         // A frame that is not a valid checkpoint for shard 1 (wrong shard
         // inside the sealed image) must not be applied.
         let wrong_shard = ckpt_frame(0, 500, 3);
-        assert_eq!(slot.feed(0, 500, &wrong_shard), FeedOutcome::Lost);
+        assert_eq!(feed(&slot, 0, 500, &wrong_shard), FeedOutcome::Lost);
         assert!(!slot.ready());
         // Garbage bytes: same story.
         let slot = StandbySlot::new(1);
-        assert_eq!(slot.feed(0, 500, b"not a checkpoint"), FeedOutcome::Lost);
+        assert_eq!(feed(&slot, 0, 500, b"not a checkpoint"), FeedOutcome::Lost);
         assert!(!slot.ready());
         assert_eq!(slot.take_for_promotion(), None);
     }
@@ -274,7 +299,7 @@ mod tests {
         // The envelope says seq 900 but the image was cut at 500: the
         // standby's re-validation refuses the mismatch.
         let slot = StandbySlot::new(0);
-        assert_eq!(slot.feed(0, 900, &ckpt_frame(0, 500, 3)), FeedOutcome::Lost);
+        assert_eq!(feed(&slot, 0, 900, &ckpt_frame(0, 500, 3)), FeedOutcome::Lost);
         assert!(!slot.ready());
     }
 }

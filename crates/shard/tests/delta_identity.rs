@@ -1,8 +1,8 @@
 //! Byte-identity of the block-delta matcher.
 //!
 //! `DeltaFrame::compute` was rebuilt for speed (flat block index, literal
-//! runs sliced out of the target); what it *emits* must not have moved by a
-//! byte, because standbys and resize destinations account shipped bytes and
+//! runs sliced out of the target, copy runs followed block to block without
+//! a probe); what it *emits* must not have moved by a byte, because standbys and resize destinations account shipped bytes and
 //! re-validate images against what the old matcher would have sent. The
 //! oracle below is that old matcher — a `HashMap<weak key, Vec<offset>>`
 //! probed once per literal byte, the literal grown a byte at a time — written
@@ -208,6 +208,103 @@ fn long_runs_of_identical_blocks() {
     assert_identical(&base, &target, "moved runs");
     assert_identical(&target, &base, "moved runs, reversed");
     assert_identical(&vec![0u8; 256 * 1024], &vec![0u8; 200 * 1024 + 3], "all zeros");
+}
+
+/// A block with `block`'s weak key and other bytes: +1, −2, +1 at evenly
+/// spaced positions moves neither the byte sum nor the weighted sum.
+fn weak_twin(block: &[u8]) -> Vec<u8> {
+    let mut twin = block.to_vec();
+    (twin[10], twin[20], twin[30]) = (block[10] / 2 + 1, block[20] / 2 + 2, block[30] / 2 + 1);
+    let mut original = block.to_vec();
+    (original[10], original[20], original[30]) = (block[10] / 2, block[20] / 2 + 4, block[30] / 2);
+    assert_eq!(WeakHash::of(&twin).key(), WeakHash::of(&original).key());
+    assert_ne!(twin, original);
+    twin
+}
+
+#[test]
+fn a_copy_run_stops_following_where_the_next_block_has_an_earlier_twin() {
+    let mut rng = Lcg(21);
+    let (x, y, w, v) = (rng.bytes(BLOCK), rng.bytes(BLOCK), rng.bytes(BLOCK), rng.bytes(BLOCK));
+    // Base X Y W Y V, target W Y V: the block after W is Y's *second*
+    // appearance, so the copy of W must not run on into it — the oracle
+    // copies the first Y, then V from where it lies.
+    let base = [&x[..], &y, &w, &y, &v].concat();
+    let target = [&w[..], &y, &v].concat();
+    assert_identical(&base, &target, "second appearance after a match");
+    // The same with unaligned target offsets and a run long enough to follow.
+    let long: Vec<u8> = rng.bytes(20 * BLOCK);
+    let base = [&y[..], &long, &w, &y, &long, &v].concat();
+    let target = [&[7u8; 5][..], &w, &y, &long, &v, &[9u8; 3], &long, &y].concat();
+    assert_identical(&base, &target, "twins inside followed runs");
+    assert_identical(&target, &base, "twins inside followed runs, reversed");
+
+    // An earlier block that only shares the weak key is no twin to the
+    // bytes, whatever the flag says: the run goes on through the real block.
+    let mut c = rng.bytes(BLOCK);
+    (c[10], c[20], c[30]) = (c[10] / 2, c[20] / 2 + 4, c[30] / 2);
+    let fake = weak_twin(&c);
+    let base = [&x[..], &fake, &y, &w, &c, &v].concat();
+    let target = [&w[..], &c, &v, &fake, &c].concat();
+    assert_identical(&base, &target, "weak-key twin with other bytes");
+}
+
+#[test]
+fn zero_filled_and_repeated_blocks_around_copy_runs() {
+    let mut rng = Lcg(22);
+    let zeros = vec![0u8; 12 * BLOCK];
+    let pattern = rng.bytes(BLOCK);
+    let repeated: Vec<u8> = pattern.iter().cycle().take(9 * BLOCK).copied().collect();
+    let (head, tail) = (rng.bytes(6 * BLOCK), rng.bytes(6 * BLOCK));
+    // A unique run leading into zeros, into a repeated pattern, and out
+    // again: every block of the filled regions but the first has a twin.
+    let base = [&head[..], &zeros, &tail, &repeated, &head].concat();
+    for shift in [0usize, 1, 63] {
+        let lead = vec![0xC3u8; shift];
+        for (target, what) in [
+            ([&lead[..], &head, &zeros[..5 * BLOCK], &tail].concat(), "unique → zeros → unique"),
+            ([&lead[..], &tail, &repeated[..4 * BLOCK + 7], &head].concat(), "unique → repeated"),
+            ([&lead[..], &zeros, &zeros, &repeated, &repeated].concat(), "only filled regions"),
+            ([&lead[..], &base[3 * BLOCK..]].concat(), "the base from its fourth block on"),
+        ] {
+            assert_identical(&base, &target, &format!("{what}, shifted {shift}"));
+            assert_identical(&target, &base, &format!("{what}, shifted {shift}, reversed"));
+        }
+    }
+}
+
+#[test]
+fn images_drawn_from_a_few_blocks_are_all_twins() {
+    // Six distinct blocks, one of them zeros: nearly every block of the base
+    // has an earlier twin, copy runs start and stop everywhere, and inserted
+    // odd-length junk keeps the target off the block grid.
+    for seed in 31..=38u64 {
+        let mut rng = Lcg(seed);
+        let mut alphabet: Vec<Vec<u8>> = (0..5).map(|_| rng.bytes(BLOCK)).collect();
+        alphabet.push(vec![0; BLOCK]);
+        let draw = |rng: &mut Lcg, blocks: usize| -> Vec<u8> {
+            let mut image = Vec::new();
+            for _ in 0..blocks {
+                if rng.below(9) == 0 {
+                    let junk = 1 + rng.below(2 * BLOCK);
+                    image.extend(rng.bytes(junk));
+                }
+                image.extend_from_slice(&alphabet[rng.below(alphabet.len())]);
+            }
+            image
+        };
+        let base = draw(&mut rng, 300);
+        let mut target = draw(&mut rng, 100);
+        // Long stretches of the base itself, so runs do get followed.
+        for _ in 0..4 {
+            let at = rng.below(base.len() / 2);
+            target.extend_from_slice(&base[at..at + base.len() / 3]);
+            let junk = 1 + rng.below(40);
+            target.extend(rng.bytes(junk));
+        }
+        assert_identical(&base, &target, &format!("seed {seed}"));
+        assert_identical(&target, &base, &format!("seed {seed}, reversed"));
+    }
 }
 
 #[test]
