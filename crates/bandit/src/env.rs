@@ -77,7 +77,7 @@ impl SideInfo {
     /// Rebuilds side information from bytes written by
     /// [`SideInfo::encode_state`], re-validating squareness and positivity.
     pub fn decode_state(dec: &mut darwin_ckpt::Dec<'_>) -> Result<Self, darwin_ckpt::CkptError> {
-        let sigma2: Vec<Vec<f64>> = dec.seq(|d| d.seq(|d| d.f64()))?;
+        let sigma2: Vec<Vec<f64>> = dec.seq(8, |d| d.seq(8, |d| d.f64()))?;
         let k = sigma2.len();
         if k == 0
             || sigma2.iter().any(|row| row.len() != k)

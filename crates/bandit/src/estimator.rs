@@ -90,8 +90,8 @@ impl WeightedEstimator {
     /// [`WeightedEstimator::encode_state`].
     pub fn decode_state(dec: &mut darwin_ckpt::Dec<'_>) -> Result<Self, darwin_ckpt::CkptError> {
         let sigma = SideInfo::decode_state(dec)?;
-        let weighted_sum = dec.seq(|d| d.f64())?;
-        let precision = dec.seq(|d| d.f64())?;
+        let weighted_sum = dec.seq(8, |d| d.f64())?;
+        let precision = dec.seq(8, |d| d.f64())?;
         let rounds = dec.usize()?;
         if weighted_sum.len() != sigma.k() || precision.len() != sigma.k() {
             return Err(darwin_ckpt::CkptError::Malformed(

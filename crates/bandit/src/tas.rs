@@ -324,7 +324,7 @@ impl TrackAndStopSideInfo {
             forced_exploration: dec.bool()?,
         };
         let est = WeightedEstimator::decode_state(dec)?;
-        let counts = dec.seq(|d| d.f64())?;
+        let counts = dec.seq(8, |d| d.f64())?;
         let k = sigma.k();
         if est.k() != k || counts.len() != k {
             return Err(CkptError::Malformed("arm count mismatch".into()));

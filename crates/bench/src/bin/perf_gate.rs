@@ -1,4 +1,4 @@
-//! The throughput regression gate `verify.sh` runs after each benchmark run.
+//! The regression gate `verify.sh` runs after each benchmark run.
 //!
 //! ```text
 //! perf run <workload> --seed 1 | perf_gate <baseline.json> <workload>
@@ -6,23 +6,32 @@
 //!
 //! Reads the output of the repo benchmark (`perf/`) on stdin, echoes it, and
 //! exits non-zero unless its result line says `"correct": true` with zero
-//! failed operations and an end-to-end `rps` of at least half the committed
-//! baseline's for that workload. Half, because the benchmark's own 25 %
-//! bound is as fine as this kind of host resolves (`perf/README.md`, "How
-//! steady it is"): the gate is for a change that halves throughput and
-//! nobody notices, not for judging an optimisation.
+//! failed operations, an end-to-end `rps` of at least half the committed
+//! baseline's for that workload and a `heap_peak_mb` of at most 1.02× it.
+//! Half, because the benchmark's own 25 % bound is as fine as this kind of
+//! host resolves for a rate (`perf/README.md`, "How steady it is"): that
+//! gate is for a change that halves throughput and nobody notices, not for
+//! judging an optimisation. The heap peak is counted by the allocator, not
+//! timed, and repeats to 0.04 % run to run, so it is held to the
+//! benchmark's own 2 % bound.
 
 use serde::Deserialize;
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::process::ExitCode;
 
-/// `results/perf_baseline.json`: end-to-end `rps` per workload, and where
-/// the numbers were taken.
+/// How far below the baseline `rps` may fall.
+const RPS_FLOOR: f64 = 0.5;
+/// How far above the baseline `heap_peak_mb` may rise.
+const HEAP_CEILING: f64 = 1.02;
+
+/// `results/perf_baseline.json`: end-to-end `rps` and `heap_peak_mb` per
+/// workload, and where the numbers were taken.
 #[derive(Deserialize)]
 struct Baseline {
     taken_on: String,
     rps: BTreeMap<String, f64>,
+    heap_peak_mb: BTreeMap<String, f64>,
 }
 
 #[derive(Deserialize)]
@@ -41,8 +50,14 @@ struct RunResult {
 fn gate(baseline_path: &str, workload: &str, output: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(baseline_path).map_err(|e| format!("{baseline_path}: {e}"))?;
     let baseline: Baseline = serde_json::from_str(&text).map_err(|e| format!("{baseline_path}: {e}"))?;
-    let floor =
-        0.5 * baseline.rps.get(workload).ok_or(format!("{baseline_path} has no `{workload}`"))?;
+    let of = |metric: &str, per_workload: &BTreeMap<String, f64>| {
+        per_workload
+            .get(workload)
+            .copied()
+            .ok_or(format!("{baseline_path} has no `{metric}` for `{workload}`"))
+    };
+    let floor = RPS_FLOOR * of("rps", &baseline.rps)?;
+    let ceiling = HEAP_CEILING * of("heap_peak_mb", &baseline.heap_peak_mb)?;
     let result: RunResult = output
         .lines()
         .last()
@@ -51,14 +66,23 @@ fn gate(baseline_path: &str, workload: &str, output: &str) -> Result<String, Str
     if !result.correct || result.failed > 0 {
         return Err(format!("run incorrect ({} operations failed)", result.failed));
     }
-    let rps = result.metrics.get("rps").ok_or("the result line has no `rps`")?.value;
+    let measured = |metric: &str| {
+        result.metrics.get(metric).map(|m| m.value).ok_or(format!("the result line has no `{metric}`"))
+    };
+    let (rps, heap) = (measured("rps")?, measured("heap_peak_mb")?);
     if rps < floor {
         return Err(format!(
             "rps {rps:.0} is below half of the baseline ({floor:.0}; taken on {})",
             baseline.taken_on
         ));
     }
-    Ok(format!("rps {rps:.0} ≥ floor {floor:.0}"))
+    if heap > ceiling {
+        return Err(format!(
+            "heap_peak_mb {heap:.2} is above {HEAP_CEILING}× the baseline ({ceiling:.2}; taken on {})",
+            baseline.taken_on
+        ));
+    }
+    Ok(format!("rps {rps:.0} ≥ floor {floor:.0}, heap_peak_mb {heap:.2} ≤ ceiling {ceiling:.2}"))
 }
 
 fn main() -> ExitCode {

@@ -105,7 +105,7 @@ impl BloomFilter {
             return Err(CkptError::Malformed(format!("bloom hash count {k}")));
         }
         let inserted = dec.u64()?;
-        let bits = dec.seq(|d| d.u64())?;
+        let bits = dec.seq(8, |d| d.u64())?;
         let words = bits.len() as u64;
         if words == 0 || !words.is_power_of_two() {
             return Err(CkptError::Malformed(format!("bloom word count {words}")));

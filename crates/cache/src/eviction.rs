@@ -95,6 +95,9 @@ struct Node {
 
 const NIL: usize = usize::MAX;
 
+/// Encoded bytes of one resident: id, size, hits, last touch.
+const NODE_ROW: usize = 4 * 8;
+
 impl Store {
     /// Creates a store with the given byte capacity and eviction policy.
     pub fn new(capacity_bytes: u64, kind: EvictionKind) -> Self {
@@ -141,12 +144,12 @@ impl Store {
 
     /// Whether `id` is present.
     pub fn contains(&self, id: ObjectId) -> bool {
-        self.map.contains_key(&id)
+        self.map.contains_key(id)
     }
 
     /// The segment an object currently resides in (testing/diagnostics).
     pub fn segment_of(&self, id: ObjectId) -> Option<usize> {
-        self.map.get(&id).map(|&i| self.nodes[i].segment)
+        self.map.get(id).map(|&i| self.nodes[i].segment)
     }
 
     /// Per-segment byte budget (capacity split evenly).
@@ -157,7 +160,7 @@ impl Store {
     /// Records an access to `id`. Returns true if the object was present.
     pub fn touch(&mut self, id: ObjectId) -> bool {
         self.clock += 1;
-        let Some(&idx) = self.map.get(&id) else { return false };
+        let Some(&idx) = self.map.get(id) else { return false };
         self.touch_idx(idx);
         true
     }
@@ -221,7 +224,7 @@ impl Store {
         let mut evicted = 0;
         while self.used + size > self.capacity {
             let victim = self.pick_victim().expect("store is non-empty while over capacity");
-            self.map.remove(&self.nodes[victim].id);
+            self.map.remove(self.nodes[victim].id);
             self.release(victim);
             evicted += 1;
         }
@@ -235,7 +238,7 @@ impl Store {
 
     /// Removes `id` if present, returning its size.
     pub fn remove(&mut self, id: ObjectId) -> Option<u64> {
-        let idx = self.map.remove(&id)?;
+        let idx = self.map.remove(id)?;
         Some(self.release(idx))
     }
 
@@ -246,7 +249,7 @@ impl Store {
 
     /// Iterator over resident object IDs (arbitrary order).
     pub fn ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.map.keys().copied()
+        self.map.keys()
     }
 
     /// Clears all contents (capacity retained).
@@ -357,7 +360,7 @@ impl Store {
     /// size its buffer once.
     pub fn encoded_len(&self) -> usize {
         let kind = if matches!(self.kind, EvictionKind::SegmentedLru { .. }) { 2 } else { 1 };
-        kind + 3 * 8 + 8 * self.heads.len() + 32 * self.len()
+        kind + 3 * 8 + 8 * self.heads.len() + NODE_ROW * self.len()
     }
 
     /// Rebuilds a store from bytes written by [`Store::encode_state`].
@@ -386,10 +389,17 @@ impl Store {
                 kind
             )));
         }
+        // Every chain first, so the slab and each map segment are sized
+        // once for all of them instead of growing entry by entry.
+        let chains = (0..segs)
+            .map(|_| dec.seq(NODE_ROW, |d| Ok((d.u64()?, d.u64()?, d.u64()?, d.u64()?))))
+            .collect::<Result<Vec<_>, _>>()?;
+        let residents = chains.iter().map(Vec::len).sum();
         let mut store = Store::new(capacity, kind);
         store.clock = clock;
-        for seg in 0..segs {
-            let chain = dec.seq(|d| Ok((d.u64()?, d.u64()?, d.u64()?, d.u64()?)))?;
+        store.map = IdMap::with_capacity(residents);
+        store.nodes = Vec::with_capacity(residents);
+        for (seg, chain) in chains.iter().enumerate() {
             // Encoded head → tail; push_front in reverse restores the order.
             for &(id, size, hits, last_touch) in chain.iter().rev() {
                 let node = Node { id, size, prev: NIL, next: NIL, segment: seg, hits, last_touch };

@@ -4,8 +4,10 @@
 //! `Store` probes) may be rebuilt freely, but nothing a checkpoint holds or
 //! a counter reports may move. The constants below were captured at commit
 //! 32f191d — before the per-object table replaced the two SipHash maps — by
-//! running this file's `capture` output there.
+//! running this file's `capture` output there; `PINNED_LONG` at 91edcc8,
+//! before the id map was split into segments.
 
+use darwin_cache::idmap::{segment_of, SEGMENTS};
 use darwin_cache::server::FrequencyMode;
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, EvictionKind, ThresholdPolicy};
 use darwin_ckpt::{crc64, Enc};
@@ -33,9 +35,19 @@ const PINNED: [(u64, usize, u64, u64); 8] = [
     (11418797123254105342, 1931290, 8951360748970912455, 32556),
 ];
 
-fn trace() -> Trace {
+/// The same four numbers after [`LONG`] requests, Exact mode, LRU.
+const PINNED_LONG: (u64, usize, u64, u64) = (2453541034780981842, 6998594, 8149425235242627277, 96369);
+
+const SHORT: usize = 200_000;
+const LONG: usize = 700_000;
+
+fn trace_of(requests: usize) -> Trace {
     let mix = MixSpec::two_class(TrafficClass::image(), TrafficClass::download(), 0.5);
-    TraceGenerator::new(mix, 16).generate(200_000)
+    TraceGenerator::new(mix, 16).generate(requests)
+}
+
+fn trace() -> Trace {
+    trace_of(SHORT)
 }
 
 fn config(frequency: FrequencyMode, kind: EvictionKind) -> CacheConfig {
@@ -79,4 +91,34 @@ fn state_bytes_and_counters_match_the_parent_commit() {
     for (i, (g, p)) in got.iter().zip(&PINNED).enumerate() {
         assert_eq!(g, p, "row {i} ({:?} / {:?}); all rows: {got:#?}", MODES[i / 4], KINDS[i % 4]);
     }
+}
+
+/// The rows above end where every segment of the per-object table is still
+/// small. This trace runs on until each segment holds more than twice what
+/// it held there — so each has doubled at least once more on the way,
+/// whatever the table's load factor — and pins the same four numbers.
+#[test]
+fn state_bytes_match_the_parent_commit_across_a_segment_doubling() {
+    let trace = trace_of(LONG);
+    let mut held = [[0usize; SEGMENTS]; 2];
+    let mut seen = std::collections::BTreeSet::new();
+    for (i, r) in trace.iter().enumerate() {
+        if seen.insert(r.id) {
+            held[usize::from(i >= SHORT)][segment_of(r.id)] += 1;
+        }
+    }
+    for (segment, (early, late)) in held[0].iter().zip(&held[1]).enumerate() {
+        assert!(late > early, "segment {segment} holds {early} ids early and only {late} more late");
+    }
+
+    let cfg = config(FrequencyMode::Exact, EvictionKind::Lru);
+    let mut server = CacheServer::new(cfg.clone());
+    server.set_policy(ThresholdPolicy::with_recency(1, 200 * 1024, 600_000_000));
+    let m = server.process_trace(&trace);
+    let state = server.save_state();
+    assert_eq!((crc64(&state), state.len(), metrics_crc(&m), m.hoc_hits), PINNED_LONG);
+
+    let restored = CacheServer::restore_state(cfg, &state).expect("own image restores");
+    assert_eq!(restored.metrics(), m);
+    assert!(restored.save_state() == state, "re-save moved bytes");
 }

@@ -351,23 +351,39 @@ impl<'a> Dec<'a> {
         }
     }
 
-    /// Reads a sequence written by [`Enc::seq`]. The declared length is
-    /// sanity-bounded by the remaining input (every element occupies at
-    /// least one byte), so a corrupt length prefix cannot trigger a huge
-    /// allocation.
+    /// Reads the length prefix of a sequence written by [`Enc::seq`] whose
+    /// elements each occupy at least `min_width` encoded bytes, refusing a
+    /// count that what is left of the input cannot hold. Whoever allocates
+    /// for the count — [`Dec::seq`] or a caller that walks the elements
+    /// itself — therefore reserves no more than the input's own size,
+    /// however hostile the prefix.
+    pub fn seq_len(&mut self, min_width: usize) -> Result<usize, CkptError> {
+        let n = self.usize()?;
+        match n.checked_mul(min_width) {
+            Some(bytes) if bytes <= self.remaining() => Ok(n),
+            _ => Err(CkptError::Truncated),
+        }
+    }
+
+    /// Reads a sequence written by [`Enc::seq`]; `min_width` is the fewest
+    /// bytes one element encodes to (see [`Dec::seq_len`]).
     pub fn seq<T>(
         &mut self,
+        min_width: usize,
         mut f: impl FnMut(&mut Self) -> Result<T, CkptError>,
     ) -> Result<Vec<T>, CkptError> {
-        let n = self.usize()?;
-        if n > self.remaining() {
-            return Err(CkptError::Truncated);
-        }
+        let n = self.seq_len(min_width)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(f(self)?);
         }
         Ok(out)
+    }
+
+    /// Splits off a decoder over the next `n` bytes and moves past them, so
+    /// two regions of one input can be walked side by side.
+    pub fn sub(&mut self, n: usize) -> Result<Dec<'a>, CkptError> {
+        self.take(n).map(Dec::new)
     }
 }
 
@@ -584,7 +600,7 @@ mod tests {
         assert_eq!(dec.str().unwrap(), "caf\u{e9}");
         assert_eq!(dec.opt(|d| d.u64()).unwrap(), Some(42));
         assert_eq!(dec.opt(|d| d.u64()).unwrap(), None);
-        assert_eq!(dec.seq(|d| d.u64()).unwrap(), vec![1, 2, 3]);
+        assert_eq!(dec.seq(8, |d| d.u64()).unwrap(), vec![1, 2, 3]);
         dec.finish().unwrap();
     }
 
@@ -603,7 +619,47 @@ mod tests {
         enc.usize(usize::MAX / 2); // absurd sequence length
         let bytes = enc.into_bytes();
         let mut dec = Dec::new(&bytes);
-        assert_eq!(dec.seq(|d| d.u8()), Err(CkptError::Truncated));
+        assert_eq!(dec.seq(1, |d| d.u8()), Err(CkptError::Truncated));
+    }
+
+    /// A length prefix that passes "one byte per element" but not the rows'
+    /// real width: a well-sealed frame of `n` claimed 32-byte rows in `n`
+    /// bytes. It used to reserve 32× the frame before the first row came up
+    /// short; now it is refused before anything is reserved or read.
+    #[test]
+    fn a_sealed_frame_cannot_claim_more_rows_than_it_has_bytes_for() {
+        const ROW: usize = 32;
+        for (claimed, body_bytes) in
+            [(1 << 20, 1 << 20), (1 << 20, ROW * (1 << 20) - 1), (usize::MAX, 64)]
+        {
+            let mut enc = Enc::new();
+            enc.usize(claimed);
+            let mut body = enc.into_bytes();
+            body.resize(8 + body_bytes, 0xAB);
+            let frame = seal(0x4441_5257, 1, &body);
+
+            let mut dec = Dec::new(open(&frame, 0x4441_5257, 1).expect("the seal is good"));
+            let mut rows_read = 0;
+            let rows = dec.seq(ROW, |d| {
+                rows_read += 1;
+                d.u64()
+            });
+            assert_eq!(rows, Err(CkptError::Truncated), "{claimed} rows in {body_bytes} bytes");
+            assert_eq!(rows_read, 0, "refused before a row is read or a slot reserved");
+
+            let mut dec = Dec::new(open(&frame, 0x4441_5257, 1).expect("the seal is good"));
+            assert_eq!(dec.seq_len(ROW), Err(CkptError::Truncated));
+        }
+        // Exactly enough bytes is enough.
+        let mut enc = Enc::new();
+        enc.seq(&[[7u64; 4]; 3], |e, row| row.iter().for_each(|&v| e.u64(v)));
+        let bytes = enc.into_bytes();
+        let mut dec = Dec::new(&bytes);
+        assert_eq!(dec.seq_len(ROW), Ok(3));
+        let mut rows = dec.sub(2 * ROW).expect("two rows are there");
+        assert_eq!((rows.remaining(), dec.remaining()), (2 * ROW, ROW));
+        assert_eq!(rows.u64(), Ok(7));
+        assert_eq!(dec.sub(ROW + 1).err(), Some(CkptError::Truncated));
     }
 
     #[test]

@@ -502,7 +502,7 @@ impl OnlineController {
         let epoch_start_metrics = CacheMetrics::decode_state(&mut dec)?;
         let extended = dec.opt(FeatureVector::decode_state)?;
         let size_dist = dec.opt(SizeDistribution::decode_state)?;
-        let set: Vec<usize> = dec.seq(|d| d.usize())?;
+        let set: Vec<usize> = dec.seq(8, |d| d.usize())?;
         let cluster = dec.usize()?;
         let tas = dec.opt(TrackAndStopSideInfo::decode_state)?;
         let round_start_metrics = CacheMetrics::decode_state(&mut dec)?;
@@ -511,10 +511,10 @@ impl OnlineController {
         let rounds_this_epoch = dec.usize()?;
         let drift = dec.opt(DriftDetector::decode_state)?;
         let drift_restarts = dec.usize()?;
-        let switches: Vec<SwitchEvent> = dec.seq(|d| {
+        let switches: Vec<SwitchEvent> = dec.seq(8 + 8 + 1, |d| {
             Ok(SwitchEvent { at_request: d.u64()?, expert: d.usize()?, phase: phase_from_tag(d.u8()?)? })
         })?;
-        let epochs: Vec<EpochSummary> = dec.seq(|d| {
+        let epochs: Vec<EpochSummary> = dec.seq(4 * 8, |d| {
             Ok(EpochSummary {
                 cluster: d.usize()?,
                 set_size: d.usize()?,

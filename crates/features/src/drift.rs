@@ -48,7 +48,7 @@ impl TrafficSnapshot {
     }
 
     fn decode_state(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
-        Ok(Self { fractions: dec.seq(|d| d.f64())?, mean_size: dec.f64()? })
+        Ok(Self { fractions: dec.seq(8, |d| d.f64())?, mean_size: dec.f64()? })
     }
 }
 

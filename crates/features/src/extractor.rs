@@ -163,10 +163,10 @@ impl FeatureExtractor {
             return Err(CkptError::Malformed("feature orders must be positive".into()));
         }
         let cum_bytes = dec.u64()?;
-        let iat_sum = dec.seq(|d| d.f64())?;
-        let iat_cnt = dec.seq(|d| d.u64())?;
-        let sd_sum = dec.seq(|d| d.f64())?;
-        let sd_cnt = dec.seq(|d| d.u64())?;
+        let iat_sum = dec.seq(8, |d| d.f64())?;
+        let iat_cnt = dec.seq(8, |d| d.u64())?;
+        let sd_sum = dec.seq(8, |d| d.f64())?;
+        let sd_cnt = dec.seq(8, |d| d.u64())?;
         if iat_sum.len() != n_iat
             || iat_cnt.len() != n_iat
             || sd_sum.len() != m_sd
@@ -178,9 +178,9 @@ impl FeatureExtractor {
         let requests = dec.u64()?;
         let size_dist = SizeDistribution::decode_state(dec)?;
         let cap = n_iat.max(m_sd);
-        let entries = dec.seq(|d| {
+        let entries = dec.seq(8 + 8, |d| {
             let id = d.u64()?;
-            let ring = d.seq(|d| Ok((d.u64()?, d.u64()?)))?;
+            let ring = d.seq(16, |d| Ok((d.u64()?, d.u64()?)))?;
             Ok((id, ring))
         })?;
         let mut history: HashMap<ObjectId, VecDeque<(u64, u64)>> = HashMap::new();

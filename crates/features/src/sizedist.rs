@@ -118,9 +118,9 @@ impl SizeDistribution {
     /// invariants (ascending edges, bucket count = edges + 1, total =
     /// Σ counts).
     pub fn decode_state(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
-        let edges = dec.seq(|d| d.u64())?;
-        let counts = dec.seq(|d| d.u64())?;
-        let bytes = dec.seq(|d| d.u64())?;
+        let edges = dec.seq(8, |d| d.u64())?;
+        let counts = dec.seq(8, |d| d.u64())?;
+        let bytes = dec.seq(8, |d| d.u64())?;
         let total = dec.u64()?;
         if edges.is_empty() || edges.windows(2).any(|w| w[0] >= w[1]) {
             return Err(CkptError::Malformed("size-distribution edges not ascending".into()));

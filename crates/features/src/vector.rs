@@ -65,7 +65,7 @@ impl FeatureVector {
 
     /// Reads entries written by [`FeatureVector::encode_state`].
     pub fn decode_state(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
-        Ok(Self { values: dec.seq(|d| d.f64())? })
+        Ok(Self { values: dec.seq(8, |d| d.f64())? })
     }
 }
 

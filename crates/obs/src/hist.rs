@@ -248,7 +248,7 @@ impl HistogramSnapshot {
         let count = d.u64()?;
         let sum = d.u64()?;
         let max = d.u64()?;
-        let buckets = d.seq(|d| {
+        let buckets = d.seq(4 + 8, |d| {
             let i = d.u32()?;
             let c = d.u64()?;
             Ok((i, c))

@@ -323,6 +323,9 @@ impl Event {
         format!("[{:>10}] {body}", self.seq)
     }
 
+    /// The fewest bytes an event encodes to: its sequence number and tag.
+    const MIN_ENCODED: usize = 8 + 1;
+
     fn encode(&self, e: &mut Enc) {
         e.u64(self.seq);
         e.u8(self.kind.tag());
@@ -459,7 +462,7 @@ impl JournalSnapshot {
 
     /// Decodes what [`encode`](JournalSnapshot::encode) wrote.
     pub fn decode(d: &mut Dec) -> Result<Self, CkptError> {
-        Ok(Self { dropped: d.u64()?, events: d.seq(Event::decode)? })
+        Ok(Self { dropped: d.u64()?, events: d.seq(Event::MIN_ENCODED, Event::decode)? })
     }
 
     /// Seals the snapshot into a CRC-guarded frame. Byte-identical
@@ -497,7 +500,7 @@ pub fn encode_fleet_events(shards: &[(u32, JournalSnapshot)]) -> Vec<u8> {
 pub fn decode_fleet_events(frame: &[u8]) -> Result<Vec<(u32, JournalSnapshot)>, CkptError> {
     let body = open(frame, FLEET_EVENTS_MAGIC, JOURNAL_VERSION)?;
     let mut d = Dec::new(body);
-    let shards = d.seq(|d| Ok((d.u32()?, JournalSnapshot::decode(d)?)))?;
+    let shards = d.seq(4 + 8 + 8, |d| Ok((d.u32()?, JournalSnapshot::decode(d)?)))?;
     d.finish()?;
     Ok(shards)
 }

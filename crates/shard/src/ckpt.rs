@@ -117,7 +117,7 @@ impl ShardCheckpoint {
         let cache = dec.bytes()?.to_vec();
         let driver = dec.bytes()?.to_vec();
         let restarts = dec.u32()?;
-        let budget_marks = dec.seq(|d| d.u64())?;
+        let budget_marks = dec.seq(8, |d| d.u64())?;
         dec.finish()?;
         Ok(Self { shard, seq, policy, cache, driver, restarts, budget_marks })
     }

@@ -3,10 +3,13 @@
 //! A shard's tables only ever see ids of one `HashRouter` residue, drawn
 //! from a catalogue that namespaces traffic classes in an id's high bits
 //! and counts ranks up from zero in the low ones. The standard table takes
-//! its bucket from a hash's low bits and a 7-bit tag from its top, so both
-//! ends must stay flat over exactly such sets.
+//! its bucket from a hash's low bits and a 7-bit tag from its top, and the
+//! id map picks one of its segments by the bits right under the tag, so all
+//! three must stay flat over exactly such sets — a segment pick that echoed
+//! the router's `mix64` would fill a few segments of every shard and leave
+//! the rest empty.
 
-use darwin_cache::idmap::fold_id;
+use darwin_cache::idmap::{fold_id, segment_of, SEGMENTS};
 use darwin_shard::{HashRouter, Router};
 use darwin_trace::{MixSpec, TraceGenerator, TrafficClass};
 use std::collections::BTreeSet;
@@ -20,13 +23,13 @@ fn catalogue_ids() -> Vec<u64> {
 }
 
 /// Asserts that no bucket holds more than `mean + 6·√mean + 4` of `ids`
-/// when they are spread by `bucket_of` — the load a uniformly random hash
+/// when `bucket_of` spreads them — the load a uniformly random hash
 /// stays under with overwhelming probability (a Poisson tail six deviations
 /// out, plus slack for means below one).
 fn assert_flat(ids: &[u64], buckets: usize, what: &str, bucket_of: impl Fn(u64) -> usize) {
     let mut load = vec![0u32; buckets];
     for &id in ids {
-        load[bucket_of(fold_id(id))] += 1;
+        load[bucket_of(id)] += 1;
     }
     let max = f64::from(*load.iter().max().unwrap());
     let mean = ids.len() as f64 / buckets as f64;
@@ -46,8 +49,27 @@ fn per_shard_id_sets_spread_flat_at_both_ends_of_the_hash() {
             let mine: Vec<u64> =
                 ids.iter().copied().filter(|&id| HashRouter.route(id, shards) == residue).collect();
             let what = format!("residue {residue} of {shards}, {} ids", mine.len());
-            assert_flat(&mine, 1 << 16, &format!("{what}, low 16 bits"), |h| (h & 0xFFFF) as usize);
-            assert_flat(&mine, 1 << 7, &format!("{what}, top 7 bits"), |h| (h >> 57) as usize);
+            assert_flat(&mine, 1 << 16, &format!("{what}, low 16 bits"), |id| {
+                (fold_id(id) & 0xFFFF) as usize
+            });
+            assert_flat(&mine, 1 << 7, &format!("{what}, top 7 bits"), |id| {
+                (fold_id(id) >> 57) as usize
+            });
+            assert_flat(&mine, SEGMENTS, &format!("{what}, segment"), segment_of);
+            // Within the fullest segment the inner table's two ends are as
+            // flat as over the whole shard: the three bit fields are disjoint.
+            let fullest = (0..SEGMENTS)
+                .max_by_key(|&s| mine.iter().filter(|&&id| segment_of(id) == s).count())
+                .expect("at least one segment");
+            let inside: Vec<u64> =
+                mine.iter().copied().filter(|&id| segment_of(id) == fullest).collect();
+            let what = format!("{what}, segment {fullest} ({} ids)", inside.len());
+            assert_flat(&inside, 1 << 11, &format!("{what}, low 11 bits"), |id| {
+                (fold_id(id) & 0x7FF) as usize
+            });
+            assert_flat(&inside, 1 << 7, &format!("{what}, top 7 bits"), |id| {
+                (fold_id(id) >> 57) as usize
+            });
         }
     }
 }

@@ -53,7 +53,7 @@ cargo test -p darwin-shard --test delta_identity -q
 echo "== repo benchmark still builds and runs (perf/: 1/100-size smoke of all four workloads + one traced run) =="
 cargo test --release --manifest-path perf/Cargo.toml -q
 
-echo "== repo benchmark regression gate (every workload correct, rps >= half of results/perf_baseline.json) =="
+echo "== repo benchmark regression gate (every workload correct, rps >= half and heap_peak_mb <= 1.02x of results/perf_baseline.json) =="
 for workload in socket-bulk socket-pingpong socket-durable lanes-darwin; do
     cargo run --release --quiet --manifest-path perf/Cargo.toml -- run "$workload" --seed 1 \
         | cargo run --release --quiet -p darwin-bench --bin perf_gate -- results/perf_baseline.json "$workload"
