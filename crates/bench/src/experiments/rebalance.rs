@@ -35,7 +35,7 @@ use darwin_gateway::{loadgen, Gateway, GatewayConfig, LoadgenConfig};
 use darwin_rebalance::{
     theoretical_remap, ElasticFleet, RingRouter, TransferStat, DEFAULT_SEED, DEFAULT_VNODES,
 };
-use darwin_shard::{Backpressure, FleetConfig, GenerationSummary, Router};
+use darwin_shard::{Backpressure, FaultPlan, FleetConfig, GenerationSummary, Router};
 use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};
 use serde::Serialize;
@@ -160,11 +160,8 @@ fn fleet_cfg(shards: usize, checkpoint_every: u64) -> FleetConfig {
         queue_capacity: 4096,
         batch: 256,
         backpressure: Backpressure::Block,
-        snapshot_every: None,
-        restart_budget: Default::default(),
         checkpoint_every: Some(checkpoint_every),
-        shed_watermark: None,
-        replicas: 0,
+        ..Default::default()
     }
 }
 
@@ -198,7 +195,7 @@ pub fn run(scale: &Scale, out: &Path) {
 /// Like [`run`], but scaling the fleet to `resize_to` shards mid-run
 /// (the `--resize-to` flag): the schedule becomes `4 → resize_to → 4`.
 pub fn run_with(scale: &Scale, out: &Path, resize_to: usize) {
-    assert!(resize_to >= 1, "--resize-to needs at least one shard");
+    assert!(resize_to >= 1 && resize_to != 4, "--resize-to needs a shard count other than the base 4");
     let trace = bench_trace(scale);
     let n = trace.len();
     let cache = scale.cache_config();
@@ -214,8 +211,9 @@ pub fn run_with(scale: &Scale, out: &Path, resize_to: usize) {
     let fleet = ElasticFleet::new(
         fleet_cfg(schedule[0], checkpoint_every),
         cache.clone(),
-        ring.clone(),
+        Box::new(ring.clone()),
         move |_| StaticDriver::new(p),
+        FaultPlan::default(),
         Some(ckpt_dir.clone()),
         false,
     );

@@ -9,7 +9,7 @@
 //!         [--router ring|hash] [--vnodes N]
 //!         [--read-timeout-ms N] [--idle-timeout-ms N]
 //!         [--shed-watermark N] [--conn-rate N] [--write-stall-ms N]
-//!         [--replicas N] [--elastic]
+//!         [--replicas N]
 //! ```
 //!
 //! Serves until a client sends `SHUTDOWN` (e.g. `loadgen --shutdown`), then
@@ -41,10 +41,13 @@
 //! budget is exhausted then *promotes* its standby instead of being buried,
 //! so nothing is answered `Unavailable` past the budget.
 //!
-//! Elasticity: `--elastic` serves through an `ElasticFleet` on the
-//! consistent-hash ring (`--router` is implied `ring`), and clients may
-//! re-shard it live with `RESIZE` frames (`loadgen --resize M`); the
-//! `RESIZE_ACK` carries the per-generation ledger.
+//! Elasticity: clients may re-shard any gateway live with `RESIZE` frames
+//! (`loadgen --resize M`); the `RESIZE_ACK` carries the per-generation
+//! ledger. Surviving shards keep their state (handed over as a delta);
+//! the keyspace the router moves between the two shard counts arrives
+//! cold, so start a gateway that expects resizes with `--router ring`.
+//! With `--checkpoint-dir`, shutdown cuts a final checkpoint per shard for
+//! the next process to warm-boot from.
 
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_gateway::{Gateway, GatewayConfig};
@@ -69,7 +72,6 @@ fn main() {
     let mut vnodes = DEFAULT_VNODES;
     let mut shed_watermark: Option<usize> = None;
     let mut replicas = 0usize;
-    let mut elastic = false;
     let mut gw = GatewayConfig::default();
     let mut i = 0;
     while i < args.len() {
@@ -148,7 +150,6 @@ fn main() {
                 i += 1;
                 replicas = args[i].parse().expect("replicas per shard");
             }
-            "--elastic" => elastic = true,
             "--conn-rate" => {
                 i += 1;
                 gw.conn_rate = Some(args[i].parse().expect("records per second"));
@@ -167,43 +168,14 @@ fn main() {
         queue_capacity: queue,
         batch,
         backpressure,
-        snapshot_every: None,
         restart_budget,
         checkpoint_every,
         shed_watermark,
         replicas,
+        ..Default::default()
     };
     let cache = CacheConfig { hoc_bytes: hoc_mb * 1024 * 1024, ..CacheConfig::paper_default() };
     let policy = ThresholdPolicy::new(freq, size_kb * 1024);
-    if elastic {
-        let ring = RingRouter::new(DEFAULT_SEED, vnodes);
-        let gateway = Gateway::bind_elastic(addr.as_str(), cfg, cache, ring, gw, move |_| {
-            StaticDriver::new(policy)
-        })
-        .expect("bind gateway");
-        println!(
-            "gateway listening on {} ({} shards, ring(elastic), {:?})",
-            gateway.local_addr(),
-            shards,
-            backpressure
-        );
-        gateway.wait_shutdown();
-        let metrics = gateway.metrics();
-        let report = gateway.finish_elastic().expect("gateway finished cleanly");
-        println!("{}", metrics.to_json());
-        println!(
-            "served {} requests ({} dropped, {} unavailable, {} shed), fleet OHR {:.4}, {} generation(s), {} handoff transfer(s)",
-            report.metrics.total_processed(),
-            report.metrics.total_dropped(),
-            report.metrics.total_unavailable(),
-            report.metrics.total_shed(),
-            report.metrics.fleet_cache().hoc_ohr(),
-            report.metrics.generations.len(),
-            report.transfers.len(),
-        );
-        return;
-    }
-
     let routing: Box<dyn Router> = match router.as_str() {
         "ring" => Box::new(RingRouter::new(DEFAULT_SEED, vnodes)),
         _ => Box::new(HashRouter),
@@ -222,15 +194,17 @@ fn main() {
 
     gateway.wait_shutdown();
     let metrics = gateway.metrics();
-    let report = gateway.finish().expect("gateway finished cleanly");
+    let (report, life) = gateway.finish_with_ledger().expect("gateway finished cleanly");
     println!("{}", metrics.to_json());
     println!(
-        "served {} requests ({} dropped, {} unavailable, {} shed), fleet OHR {:.4}, {} restart(s) ({} warm), {} dead shard(s)",
-        report.total_processed(),
-        report.total_dropped(),
-        report.total_unavailable(),
-        report.total_shed(),
-        report.fleet_cache().hoc_ohr(),
+        "served {} requests ({} dropped, {} unavailable, {} shed), fleet OHR {:.4}, {} generation(s), {} handoff transfer(s); serving generation: {} restart(s) ({} warm), {} dead shard(s)",
+        life.metrics.total_processed(),
+        life.metrics.total_dropped(),
+        life.metrics.total_unavailable(),
+        life.metrics.total_shed(),
+        life.metrics.fleet_cache().hoc_ohr(),
+        life.metrics.generations.len(),
+        life.transfers.len(),
         report.total_restarts(),
         report.total_warm_restarts(),
         report.dead_shards(),

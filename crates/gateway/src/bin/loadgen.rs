@@ -9,7 +9,7 @@
 //!         [--shutdown]
 //! ```
 //!
-//! `--resize M` asks an elastic gateway to re-shard to M shards after the
+//! `--resize M` asks the gateway to re-shard to M shards after the
 //! replay (before `--stats`), printing the acked generation ledger;
 //! `--stats` fetches the gateway's JSON metrics snapshot after the replay;
 //! `--events` dumps the per-shard event journals (deaths, restarts, expert

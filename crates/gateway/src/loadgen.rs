@@ -569,10 +569,10 @@ pub fn fetch_events(addr: impl ToSocketAddrs) -> io::Result<Vec<(u32, JournalSna
     }
 }
 
-/// Asks an elastic gateway to re-shard to `shards` shards (`RESIZE`) and
-/// returns the parsed `RESIZE_ACK`. The ack arrives after the cutover
-/// completes; a non-elastic gateway answers with `error` set (the wire
-/// exchange itself still succeeds).
+/// Asks a gateway to re-shard to `shards` shards (`RESIZE`) and returns the
+/// parsed `RESIZE_ACK`. The ack arrives after the cutover completes; a
+/// refused target is answered with `error` set (the wire exchange itself
+/// still succeeds).
 pub fn send_resize(addr: impl ToSocketAddrs, shards: u32) -> io::Result<crate::ResizeAck> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;

@@ -3,38 +3,43 @@
 //! ```text
 //!            ┌──────────────────────────── Gateway ───────────────────────┐
 //!            │ acceptor thread (nonblocking accept + shutdown flag)       │
-//!            │   ├─ conn 0: reader ─▶ FleetProducer 0 ─▶ per-shard lanes  │
-//! clients ──▶│   │          writer ◀── ConnSink (seq-ordered replies) ◀───┼── verdicts
-//!            │   └─ conn k: reader ─▶ FleetProducer k ─▶ per-shard lanes  │
+//!            │   ├─ conn 0: reader ─▶ ElasticProducer 0 ─┐  ElasticFleet   │
+//! clients ──▶│   │          writer ◀── ConnSink ◀────────┼─ generation g ──┼── verdicts
+//!            │   └─ conn k: reader ─▶ ElasticProducer k ─┘  per-shard lanes│
 //!            │ STATS / EVENTS / SHUTDOWN bypass the ingest path entirely  │
+//!            │ RESIZE drains generation g and boots g+1 on its reader     │
 //!            └────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Each connection reader owns a private [`FleetProducer`]: it routes a
-//! whole decoded `GET` frame into per-shard runs and delivers each run with
-//! one batched queue operation, so N connections contend per *shard* (on
-//! that shard's lane) instead of serializing through one fleet-wide lock.
-//! Backpressure (a full shard queue under
+//! Every gateway serves through one [`ElasticFleet`]; one that is never
+//! sent a `RESIZE` is a plain [`ShardedFleet`](darwin_shard::ShardedFleet)
+//! behind the fleet's generation lock. Each connection reader owns a private
+//! [`ElasticProducer`](darwin_rebalance::ElasticProducer): per `GET` frame
+//! it takes the generation lock shared (one uncontended read lock and a
+//! generation compare), routes the whole frame into per-shard runs and
+//! delivers each run with one batched queue operation, so N connections
+//! contend per *shard* (on that shard's lane), never on a fleet-wide
+//! exclusive lock. Backpressure (a full shard queue under
 //! [`Backpressure::Block`](darwin_shard::Backpressure::Block)) therefore
-//! stalls only the submitting connections, never monitoring: `STATS` frames
-//! read the fleet through its non-blocking [`MetricsHandle`] and answer even
-//! while every submitter is blocked.
+//! stalls only the submitting connections, never monitoring: `STATS` and
+//! `EVENTS` read the shard cells and answer even while every submitter is
+//! blocked. Only a resize holds the lock exclusively — frames and `STATS`
+//! that arrive during one wait out the cutover.
 
 use crate::conn::{writer_loop, ConnSink, GatewayEnvelope, PendingBatch, Reply, SinkGuard};
 use crate::netfault::{spin, NetFaultKind, NetFaultPlan};
 use crate::wire::{FrameReader, Message, RecvError, WireVerdict};
 use darwin_cache::CacheConfig;
-use darwin_obs::{EventKind, Journal, JournalSnapshot};
-use darwin_rebalance::{ElasticFleet, ElasticReport, RingRouter};
+use darwin_obs::{EventKind, Journal};
+use darwin_rebalance::{ElasticFleet, ElasticReport};
 use darwin_shard::{
-    FaultPlan, FleetBoot, FleetConfig, FleetIngest, FleetMetrics, FleetProducer, FleetReport,
-    GatewaySnapshot, GenerationSummary, MetricsHandle, Router, ShardedFleet,
+    FaultPlan, FleetConfig, FleetMetrics, FleetReport, GatewaySnapshot, GenerationSummary, Router,
 };
 use darwin_testbed::AdmissionDriver;
 use serde::{Deserialize, Serialize};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -87,14 +92,17 @@ pub struct GatewayConfig {
     /// never). Resolution is bounded below by `read_timeout`: the idle clock
     /// is only consulted when a read times out.
     pub idle_timeout: Option<Duration>,
-    /// Scripted faults threaded into the shard workers
-    /// ([`ShardedFleet::with_fault_plan`]). The empty plan is the identity;
-    /// production paths leave it empty.
+    /// Scripted faults threaded into the boot generation's shard workers
+    /// (per-shard request indices restart at a cutover, so generations
+    /// booted by a `RESIZE` run fault-free). The empty plan is the
+    /// identity; production paths leave it empty.
     pub fault_plan: FaultPlan,
     /// Directory for on-disk warm-restart checkpoint spills
-    /// (`shard-{s}.ckpt`, written via atomic rename). `None` keeps
-    /// checkpoints in memory only. Only meaningful when the fleet's
-    /// `checkpoint_every` is set.
+    /// (`shard-{s}.ckpt`, written via atomic rename): every periodic cut
+    /// (the fleet's `checkpoint_every`), every resize handoff, and — when
+    /// set — a final cut per shard at [`Gateway::finish`], the artifact a
+    /// successor process warm-boots from. `None` keeps checkpoints in
+    /// memory only and shuts down without a final cut.
     pub checkpoint_dir: Option<std::path::PathBuf>,
     /// With `checkpoint_dir` set, restore each shard from its spill file at
     /// startup (the cross-process warm boot) instead of clearing the
@@ -202,13 +210,12 @@ impl Drop for ActiveGuard {
 }
 
 /// The JSON body of a `RESIZE_ACK` frame: the performed resize's ledger,
-/// or an `error` explaining the refusal (non-elastic gateway, degenerate
-/// target, or a failed handoff).
+/// or an `error` explaining the refusal (a target of zero, of the serving
+/// shard count, or above [`MAX_SHARDS`](darwin_rebalance::MAX_SHARDS)).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ResizeAck {
-    /// `Some` when the resize was refused or failed; the remaining fields
-    /// then describe the unchanged serving fleet (zeros on a non-elastic
-    /// gateway).
+    /// `Some` when the resize was refused; the remaining fields then
+    /// describe the unchanged serving fleet.
     #[serde(default)]
     pub error: Option<String>,
     /// Serving router generation after the ack.
@@ -218,107 +225,61 @@ pub struct ResizeAck {
     /// Shards whose final cut was shipped into the new generation by this
     /// resize (0 on a refusal).
     pub transferred_shards: u32,
+    /// Surviving shards that shipped nothing — their final cut was missing
+    /// or failed validation — and booted the new generation cold.
+    #[serde(default)]
+    pub cold_shards: u32,
     /// Retired generations' ledger rows, oldest first — the
     /// [`GenerationSummary`] audit trail `STATS` also carries.
     pub ledger: Vec<GenerationSummary>,
 }
 
-/// The fleet behind the gateway: fixed-size (the historical shape, with a
-/// lock-free per-connection ingest path) or elastic (re-shardable live by
-/// `RESIZE` frames, every access through its generation lock).
-enum FleetCore<D: AdmissionDriver + Send + 'static> {
-    /// A fixed [`ShardedFleet`]: the ingest and metrics handles are minted
-    /// once at bind and stay valid for the gateway's life.
-    Static {
-        /// Held only for [`Gateway::finish`]; the serving path never locks
-        /// it.
-        fleet: Mutex<Option<ShardedFleet<D, GatewayEnvelope>>>,
-        /// Multi-producer ingest front: each connection mints its own
-        /// producer.
-        ingest: FleetIngest<D, GatewayEnvelope>,
-        metrics: MetricsHandle,
-    },
-    /// An [`ElasticFleet`]: a `RESIZE` frame drains the serving generation
-    /// and boots the next one, so ingest and metrics go through the fleet's
-    /// generation lock on every call instead of a cached handle.
-    Elastic(Box<ElasticFleet<D, GatewayEnvelope>>),
-}
-
 struct Shared<D: AdmissionDriver + Send + 'static> {
-    core: FleetCore<D>,
+    fleet: ElasticFleet<D, GatewayEnvelope>,
+    /// The knobs the gateway was bound with (its fault plan went into the
+    /// fleet).
+    cfg: GatewayConfig,
     counters: Arc<Counters>,
     /// The gateway's own event journal (shed episodes, net faults, evicted
     /// slow clients). Rides the `EVENTS` reply as pseudo-shard
     /// [`GATEWAY_JOURNAL_SHARD`].
     journal: Journal,
     shutdown: AtomicBool,
-    read_timeout: Duration,
-    idle_timeout: Option<Duration>,
-    conn_rate: Option<u64>,
-    write_stall: Option<Duration>,
-    sink_backlog: u64,
-    net_fault_plan: NetFaultPlan,
 }
 
 impl<D: AdmissionDriver + Send + 'static> Shared<D> {
-    /// Fleet snapshot with the gateway counters folded in — non-blocking by
-    /// construction for a static fleet (shard cells + atomics, no fleet
-    /// mutex); an elastic fleet reads through its generation lock, so a
-    /// snapshot taken during a resize waits for the cutover.
+    /// Fleet snapshot (every generation merged, ledger rows attached) with
+    /// the gateway counters folded in. Reads shard cells and atomics behind
+    /// the generation lock's shared side: blocked submitters never delay
+    /// it, a resize in progress does.
     fn fleet_metrics(&self) -> FleetMetrics {
-        let snap = match &self.core {
-            FleetCore::Static { metrics, .. } => metrics.snapshot(),
-            FleetCore::Elastic(fleet) => fleet.metrics(),
-        };
-        snap.with_gateway(self.counters.snapshot())
+        self.fleet.metrics().with_gateway(self.counters.snapshot())
     }
 
-    /// The shard journals an `EVENTS` reply drains: the fixed fleet's, or
-    /// the elastic fleet's *serving* generation (retired generations' rings
-    /// retire with their cells).
-    fn journals(&self) -> Vec<(u32, JournalSnapshot)> {
-        match &self.core {
-            FleetCore::Static { metrics, .. } => metrics.journals(),
-            FleetCore::Elastic(fleet) => fleet.metrics_handle().journals(),
-        }
-    }
-
-    /// Answers one `RESIZE` frame. On an elastic gateway this *performs*
-    /// the resize inline on the connection's reader thread (concurrent
-    /// resizes serialize on the generation lock) and acks with the new
-    /// generation plus the retired-generation ledger; a static gateway — or
-    /// a degenerate target — refuses with an `{"error": …}` ack. The reply
-    /// is always a `RESIZE_ACK`: a refused resize is a protocol answer,
-    /// not a dropped connection.
+    /// Answers one `RESIZE` frame by *performing* the resize inline on the
+    /// connection's reader thread (concurrent resizes serialize on the
+    /// generation lock) and acking with the new generation plus the
+    /// retired-generation ledger; a target the fleet refuses is acked with
+    /// `{"error": …}` and changes nothing. The reply is always a
+    /// `RESIZE_ACK`: a refused resize is a protocol answer, not a dropped
+    /// connection.
     fn handle_resize(&self, target: u32) -> String {
-        let ack = match &self.core {
-            FleetCore::Static { .. } => ResizeAck {
-                error: Some("gateway is not elastic (start it with --elastic)".into()),
-                generation: 0,
-                shards: 0,
-                transferred_shards: 0,
-                ledger: Vec::new(),
-            },
-            FleetCore::Elastic(fleet) => {
-                let outcome = if target == 0 {
-                    Err("resize target must be at least one shard".to_string())
-                } else {
-                    fleet.resize(target as usize).map_err(|e| format!("resize failed: {e}"))
-                };
-                ResizeAck {
-                    transferred_shards: outcome.as_ref().map_or(0, |t| t.len() as u32),
-                    error: outcome.err(),
-                    generation: fleet.generation(),
-                    shards: fleet.shards() as u32,
-                    ledger: fleet.metrics().generations,
-                }
-            }
+        let outcome = self.fleet.resize(target as usize);
+        let transfers = outcome.as_deref().unwrap_or_default();
+        let cold = transfers.iter().filter(|t| t.shipped_bytes == 0).count();
+        let ack = ResizeAck {
+            transferred_shards: (transfers.len() - cold) as u32,
+            cold_shards: cold as u32,
+            error: outcome.as_ref().err().map(ToString::to_string),
+            generation: self.fleet.generation(),
+            shards: self.fleet.shards() as u32,
+            ledger: self.fleet.metrics().generations,
         };
         serde_json::to_string(&ack).expect("resize ack serialization cannot fail")
     }
 }
 
-/// A running TCP gateway over a [`ShardedFleet`].
+/// A running TCP gateway over an [`ElasticFleet`].
 ///
 /// Bind with [`Gateway::bind`], point clients (e.g. the `loadgen` binary or
 /// [`crate::loadgen`]) at [`local_addr`](Self::local_addr), then
@@ -334,7 +295,7 @@ impl<D: AdmissionDriver + Send + 'static> Gateway<D> {
     /// Binds `addr` (use port 0 for an ephemeral port) and spawns the fleet
     /// plus the acceptor thread with default [`GatewayConfig`] knobs.
     /// `factory(s)` builds shard `s`'s admission driver, exactly as in
-    /// [`ShardedFleet::new`].
+    /// [`ShardedFleet::new`](darwin_shard::ShardedFleet::new).
     pub fn bind(
         addr: impl ToSocketAddrs,
         cfg: FleetConfig,
@@ -346,89 +307,38 @@ impl<D: AdmissionDriver + Send + 'static> Gateway<D> {
     }
 
     /// [`bind`](Self::bind) with explicit gateway knobs: connection
-    /// deadlines and (for chaos tests) a scripted fault plan.
+    /// deadlines, the checkpoint directory and (for chaos tests) a scripted
+    /// fault plan. Every generation routes with `router`; a client `RESIZE`
+    /// frame re-shards the fleet live (drain, final cuts, delta-shipped
+    /// handoff, warm boot — answered with a `RESIZE_ACK` carrying the
+    /// generation ledger), moving as much of the keyspace as that router
+    /// moves between the two shard counts.
     pub fn bind_with(
         addr: impl ToSocketAddrs,
         cfg: FleetConfig,
         cache: CacheConfig,
         router: Box<dyn Router>,
-        gateway: GatewayConfig,
+        mut gateway: GatewayConfig,
         factory: impl FnMut(usize) -> D + Send + 'static,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let fleet: ShardedFleet<D, GatewayEnvelope> = ShardedFleet::with_boot(
+        let fleet = ElasticFleet::new(
             cfg,
             cache,
             router,
             factory,
-            gateway.fault_plan.clone(),
-            FleetBoot {
-                checkpoint_dir: gateway.checkpoint_dir.clone(),
-                warm_boot: gateway.warm_boot,
-                ..FleetBoot::default()
-            },
-        );
-        let core = FleetCore::Static {
-            metrics: fleet.metrics_handle(),
-            ingest: fleet.ingest(),
-            fleet: Mutex::new(Some(fleet)),
-        };
-        Self::launch(listener, addr, core, gateway)
-    }
-
-    /// Binds an *elastic* gateway: the fleet behind it is an
-    /// [`ElasticFleet`] routed by the consistent-hash `ring`, and a client
-    /// `RESIZE` frame re-shards it live (drain, final cuts, delta-shipped
-    /// handoff, warm boot — answered with a `RESIZE_ACK` carrying the
-    /// generation ledger). Collect the final report with
-    /// [`finish_elastic`](Self::finish_elastic), not
-    /// [`finish`](Self::finish).
-    ///
-    /// The scripted shard fault plan in `gateway` is ignored on this path:
-    /// [`ElasticFleet`] boots every generation fault-free.
-    pub fn bind_elastic(
-        addr: impl ToSocketAddrs,
-        cfg: FleetConfig,
-        cache: CacheConfig,
-        ring: RingRouter,
-        gateway: GatewayConfig,
-        factory: impl FnMut(usize) -> D + Send + 'static,
-    ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let fleet: ElasticFleet<D, GatewayEnvelope> = ElasticFleet::new(
-            cfg,
-            cache,
-            ring,
-            factory,
+            std::mem::take(&mut gateway.fault_plan),
             gateway.checkpoint_dir.clone(),
             gateway.warm_boot,
         );
-        Self::launch(listener, addr, FleetCore::Elastic(Box::new(fleet)), gateway)
-    }
-
-    /// Shared tail of the bind paths: wraps `core` in the connection-shared
-    /// state and spawns the acceptor.
-    fn launch(
-        listener: TcpListener,
-        addr: SocketAddr,
-        core: FleetCore<D>,
-        gateway: GatewayConfig,
-    ) -> std::io::Result<Self> {
         let shared = Arc::new(Shared {
-            core,
+            fleet,
+            cfg: gateway,
             counters: Arc::new(Counters::default()),
             journal: Journal::default(),
             shutdown: AtomicBool::new(false),
-            read_timeout: gateway.read_timeout,
-            idle_timeout: gateway.idle_timeout,
-            conn_rate: gateway.conn_rate,
-            write_stall: gateway.write_stall,
-            sink_backlog: gateway.sink_backlog.max(1),
-            net_fault_plan: gateway.net_fault_plan,
         });
         let acceptor_shared = Arc::clone(&shared);
         let acceptor = std::thread::Builder::new()
@@ -467,52 +377,21 @@ impl<D: AdmissionDriver + Send + 'static> Gateway<D> {
     }
 
     /// Graceful shutdown: stops accepting, drains and joins every
-    /// connection, joins the shard workers, and returns the final report.
-    /// Gateway-thread panics surface as `Err`; shard-worker deaths do not —
-    /// the supervisor has already absorbed them, and the report's
-    /// `total_restarts()` / `dead_shards()` say how bumpy the ride was.
-    /// Panics on an elastic gateway — use
-    /// [`finish_elastic`](Self::finish_elastic) there.
-    pub fn finish(mut self) -> Result<FleetReport<D>, GatewayError> {
-        let panicked = self.join_workers()?;
-        let FleetCore::Static { fleet, .. } = &self.shared.core else {
-            panic!("elastic gateway: collect the report with finish_elastic()");
-        };
-        let fleet = match fleet.lock() {
-            Ok(mut guard) => guard.take(),
-            // A reader that panicked mid-submit poisons the mutex; the fleet
-            // itself is still recoverable.
-            Err(poisoned) => poisoned.into_inner().take(),
-        }
-        .expect("fleet taken exactly once");
-        let report = fleet.finish();
-        if panicked > 0 {
-            return Err(GatewayError::ConnectionPanicked(panicked));
-        }
-        Ok(report)
+    /// connection, joins the shard workers, and returns the serving
+    /// generation's final report. Gateway-thread panics surface as `Err`;
+    /// shard-worker deaths do not — the supervisor has already absorbed
+    /// them, and the report's `total_restarts()` / `dead_shards()` say how
+    /// bumpy the ride was.
+    pub fn finish(self) -> Result<FleetReport<D>, GatewayError> {
+        self.finish_with_ledger().map(|(report, _)| report)
     }
 
-    /// [`finish`](Self::finish) for a gateway bound with
-    /// [`bind_elastic`](Self::bind_elastic): drains and joins every
-    /// connection, then drains the serving generation (cutting final
-    /// checkpoints into the spill directory when one is configured) and
-    /// returns the [`ElasticReport`] merged across every generation.
-    /// Panics on a static gateway.
-    pub fn finish_elastic(mut self) -> Result<ElasticReport, GatewayError> {
-        let panicked = self.join_workers()?;
-        let FleetCore::Elastic(fleet) = &self.shared.core else {
-            panic!("static gateway: collect the report with finish()");
-        };
-        let report = fleet.finish_live(true);
-        if panicked > 0 {
-            return Err(GatewayError::ConnectionPanicked(panicked));
-        }
-        Ok(report)
-    }
-
-    /// Stops accepting and joins the acceptor plus every connection worker;
-    /// returns how many connection workers panicked.
-    fn join_workers(&mut self) -> Result<usize, GatewayError> {
+    /// [`finish`](Self::finish), also returning the whole-life
+    /// [`ElasticReport`] the same drain closes: metrics merged across every
+    /// generation with the per-generation ledger, the transfers every
+    /// resize shipped, and the submitted total. With a checkpoint directory
+    /// configured, every shard cuts a final checkpoint into it first.
+    pub fn finish_with_ledger(mut self) -> Result<(FleetReport<D>, ElasticReport), GatewayError> {
         self.shutdown();
         let conns = self
             .acceptor
@@ -520,7 +399,12 @@ impl<D: AdmissionDriver + Send + 'static> Gateway<D> {
             .expect("finish consumes the gateway")
             .join()
             .map_err(|_| GatewayError::AcceptorPanicked)?;
-        Ok(conns.into_iter().map(|c| c.join()).filter(Result::is_err).count())
+        let panicked = conns.into_iter().map(|c| c.join()).filter(Result::is_err).count();
+        let reports = self.shared.fleet.finish_live(self.shared.cfg.checkpoint_dir.is_some());
+        if panicked > 0 {
+            return Err(GatewayError::ConnectionPanicked(panicked));
+        }
+        Ok(reports)
     }
 }
 
@@ -541,7 +425,7 @@ fn acceptor_loop<D: AdmissionDriver + Send + 'static>(
                 // Scripted listen-queue stall: spin before handing the
                 // connection to its worker, so every later frame on every
                 // connection observes the same accept ordering.
-                if let Some(spins) = shared.net_fault_plan.accept_pause(id) {
+                if let Some(spins) = shared.cfg.net_fault_plan.accept_pause(id) {
                     Counters::add(&shared.counters.net_faults, 1);
                     shared.journal.record(
                         id,
@@ -609,7 +493,7 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
     // The read timeout bounds how long a quiet connection takes to notice a
     // gateway-side shutdown request or its idle deadline (see
     // `GatewayConfig::read_timeout` for the tradeoff).
-    let _ = stream.set_read_timeout(Some(shared.read_timeout));
+    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -618,7 +502,7 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
     let writer = {
         let sink = Arc::clone(&sink);
         let writer_shared = Arc::clone(&shared);
-        let write_stall = shared.write_stall;
+        let write_stall = shared.cfg.write_stall;
         std::thread::Builder::new()
             .name("gw-write".into())
             .spawn(move || {
@@ -634,25 +518,20 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
     };
 
     let mut reader = FrameReader::new(stream);
-    // Static fleet: this connection's private ingest front. Routing and
-    // staging are lock-free; delivery serializes per shard on the shard's
-    // lane. Dropped (and thereby flushed) when the reader exits, before
-    // `finish` can join this thread — no envelope outlives its connection
-    // unanswered. An elastic fleet has no durable producer (a resize
-    // retires the generation a producer points into), so its frames go
-    // through the fleet's generation lock instead.
-    let mut producer: Option<FleetProducer<D, GatewayEnvelope>> = match &shared.core {
-        FleetCore::Static { ingest, .. } => Some(ingest.producer()),
-        FleetCore::Elastic(_) => None,
-    };
+    // This connection's private ingest front. Routing and staging touch no
+    // shared state but the generation lock's read side; delivery serializes
+    // per shard on the shard's lane. Every frame is flushed before
+    // `submit_frame` returns, and the reader exits before `finish` can join
+    // this thread — no envelope outlives its connection unanswered.
+    let mut producer = shared.fleet.producer();
     let mut seq = 0u64;
     let mut bytes_seen = 0u64;
     let mut last_frame = Instant::now();
-    let mut bucket = shared.conn_rate.map(TokenBucket::new);
+    let mut bucket = shared.cfg.conn_rate.map(TokenBucket::new);
     // `ConnThrottled` journals once per connection; the `throttled` counter
     // keeps counting records.
     let mut throttled_logged = false;
-    let mut faults = shared.net_fault_plan.cursor(id);
+    let mut faults = shared.cfg.net_fault_plan.cursor(id);
     let mut frames_decoded = 0u64;
     // True ⇒ drain replies through `seq` before closing; false ⇒ abort now.
     let drain = loop {
@@ -700,7 +579,7 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
                 // answered `Busy` for the whole frame without touching the
                 // fleet. The reply still occupies the frame's sequence slot,
                 // so pipelining clients keep their reply-order guarantee.
-                let backlogged = sink.backlog(seq) >= shared.sink_backlog;
+                let backlogged = sink.backlog(seq) >= shared.cfg.sink_backlog.max(1);
                 let throttled =
                     !backlogged && !bucket.as_mut().is_none_or(|b| b.admit(records.len() as u64));
                 if throttled {
@@ -728,13 +607,7 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
                     .into_iter()
                     .enumerate()
                     .map(|(index, req)| GatewayEnvelope::new(req, Arc::clone(&batch), index));
-                match (&shared.core, producer.as_mut()) {
-                    (_, Some(p)) => p.submit_frame(envelopes),
-                    (FleetCore::Elastic(fleet), None) => fleet.submit_frame(envelopes),
-                    (FleetCore::Static { .. }, None) => {
-                        unreachable!("static gateway mints a producer at connection start")
-                    }
-                }
+                producer.submit_frame(envelopes);
             }
             Ok(Some(Message::Stats)) => {
                 Counters::add(&counters.frames_in, 1);
@@ -745,11 +618,12 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
             Ok(Some(Message::Events)) => {
                 Counters::add(&counters.frames_in, 1);
                 Counters::add(&counters.events_served, 1);
-                // Journal rings are drained off the shard cells, never the
-                // fleet mutex — like STATS, this answers even under full
-                // backpressure. The gateway's own journal rides along as the
-                // final pseudo-shard entry.
-                let mut journals = shared.journals();
+                // Journal rings are drained off the serving generation's
+                // shard cells (a retired generation's rings retire with it)
+                // — like STATS, this answers even under full backpressure.
+                // The gateway's own journal rides along as the final
+                // pseudo-shard entry.
+                let mut journals = shared.fleet.metrics_handle().journals();
                 journals.push((GATEWAY_JOURNAL_SHARD, shared.journal.snapshot()));
                 let frame = darwin_obs::encode_fleet_events(&journals);
                 sink.push(seq, Reply::Events(frame));
@@ -760,7 +634,7 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
                 Counters::add(&counters.resizes_served, 1);
                 // Performed inline on this reader: the connection's later
                 // frames observe the post-resize fleet, and concurrent
-                // resizes serialize on the elastic generation lock. Other
+                // resizes serialize on the generation lock. Other
                 // connections' in-flight `GET` frames block on that lock's
                 // read side, so no frame splits across the cutover.
                 sink.push(seq, Reply::ResizeAck(shared.handle_resize(target)));
@@ -792,7 +666,7 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
                 if shared.shutdown.load(Ordering::Acquire) {
                     break true;
                 }
-                if shared.idle_timeout.is_some_and(|idle| last_frame.elapsed() >= idle) {
+                if shared.cfg.idle_timeout.is_some_and(|idle| last_frame.elapsed() >= idle) {
                     Counters::add(&counters.idle_closed, 1);
                     break true;
                 }

@@ -17,7 +17,7 @@
 //! the `EVENTS` opcode pair for draining the fleet's per-shard event
 //! journals; version 4 added the overload-control `Busy` outcome with its
 //! `retry_after` hint in the previously reserved bits 4–6 of the verdict
-//! byte; version 5 added the `RESIZE` opcode pair driving an elastic fleet
+//! byte; version 5 added the `RESIZE` opcode pair driving a live fleet
 //! resize over the wire. Older versions are rejected with
 //! [`WireError::BadVersion`] (both ends of this repo speak v5).
 //!
@@ -29,7 +29,7 @@
 //! | `0x02` | `STATS`    | empty |
 //! | `0x03` | `SHUTDOWN` | empty |
 //! | `0x04` | `EVENTS`   | empty |
-//! | `0x05` | `RESIZE`   | exactly 4 bytes: `target_shards:u32` (must be ≥ 1) |
+//! | `0x05` | `RESIZE`   | exactly 4 bytes: `target_shards:u32` (1..=`MAX_SHARDS` = 256, and not the serving shard count) |
 //!
 //! Server → client opcodes:
 //!
@@ -39,7 +39,7 @@
 //! | `0x82` | `STATS_REPLY`  | UTF-8 JSON of a `FleetMetrics` snapshot |
 //! | `0x83` | `SHUTDOWN_ACK` | empty |
 //! | `0x84` | `EVENTS_REPLY` | a sealed `darwin_obs` fleet-events frame (CRC-guarded, decodable with [`darwin_obs::decode_fleet_events`]) |
-//! | `0x85` | `RESIZE_ACK`   | UTF-8 JSON: the resize's `GenerationSummary` ledger on success, or `{"error": …}` when the gateway refused (not elastic, resize in flight, or a no-op target) |
+//! | `0x85` | `RESIZE_ACK`   | UTF-8 JSON: the resize's `GenerationSummary` ledger on success, or `{"error": …}` when the target was refused before the fleet was touched (zero, the serving shard count, or above `MAX_SHARDS`). Concurrent resizes serialize; none is refused as "in flight" |
 //!
 //! Each `GET` frame is answered by exactly one `VERDICTS` frame carrying one
 //! verdict per record, in record order; replies on a connection are emitted
@@ -208,8 +208,8 @@ pub enum Message {
     Shutdown,
     /// Client: reply with the fleet's per-shard event journals.
     Events,
-    /// Client: resize the elastic fleet to this many shards (drain, cut,
-    /// remap, warm-restore), then answer with one `RESIZE_ACK`.
+    /// Client: resize the fleet to this many shards (drain, cut, remap,
+    /// warm-restore), then answer with one `RESIZE_ACK`.
     Resize(u32),
     /// Server: one verdict per record of the corresponding `GET`.
     Verdicts(Vec<WireVerdict>),

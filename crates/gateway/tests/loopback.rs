@@ -68,11 +68,7 @@ fn fleet_cfg(shards: usize) -> FleetConfig {
         queue_capacity: 256,
         batch: 64,
         backpressure: Backpressure::Block,
-        snapshot_every: None,
-        restart_budget: Default::default(),
-        checkpoint_every: None,
-        shed_watermark: None,
-        replicas: 0,
+        ..Default::default()
     }
 }
 
@@ -218,11 +214,7 @@ fn contended_connections_preserve_per_shard_partition() {
         queue_capacity: 32, // small enough that Block backpressure engages
         batch: 16,
         backpressure: Backpressure::Block,
-        snapshot_every: None,
-        restart_budget: Default::default(),
-        checkpoint_every: None,
-        shed_watermark: None,
-        replicas: 0,
+        ..Default::default()
     };
     let gateway = Gateway::bind("127.0.0.1:0", cfg, cache_cfg(), Box::new(HashRouter), move |_| {
         StaticDriver::new(policy)
@@ -453,11 +445,7 @@ fn client_disconnect_mid_stream_keeps_counters_consistent() {
         queue_capacity: 64,
         batch: 16,
         backpressure: Backpressure::DropNewest,
-        snapshot_every: None,
-        restart_budget: Default::default(),
-        checkpoint_every: None,
-        shed_watermark: None,
-        replicas: 0,
+        ..Default::default()
     };
     let gateway = Gateway::bind("127.0.0.1:0", cfg, cache_cfg(), Box::new(HashRouter), |_| SlowDriver)
         .expect("bind loopback gateway");
@@ -543,28 +531,25 @@ fn pipelined_mixed_frames_reply_in_order() {
     gateway.finish().expect("clean gateway shutdown");
 }
 
-/// A `RESIZE` frame over a real socket re-shards a live elastic gateway:
-/// the ack carries the new generation plus the retired-generation ledger,
-/// later frames are served by the successor generation, and the fleet's
+/// A `RESIZE` frame over a real socket re-shards a live gateway: the ack
+/// carries the new generation plus the retired-generation ledger, later
+/// frames are served by the successor generation, and the fleet's
 /// exactly-once conservation ledger holds across the cutover.
 #[test]
-fn resize_frame_reshards_elastic_gateway() {
-    use darwin_gateway::GatewayConfig;
+fn resize_frame_reshards_a_ring_gateway() {
     use darwin_rebalance::{RingRouter, DEFAULT_SEED, DEFAULT_VNODES};
 
     let policy = ThresholdPolicy::new(2, 100 * 1024);
-    let mut cfg = fleet_cfg(2);
     // Periodic cuts give the handoff a pre-copied base to delta against.
-    cfg.checkpoint_every = Some(512);
-    let gateway = Gateway::bind_elastic(
+    let cfg = FleetConfig { checkpoint_every: Some(512), ..fleet_cfg(2) };
+    let gateway = Gateway::bind(
         "127.0.0.1:0",
         cfg,
         cache_cfg(),
-        RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES),
-        GatewayConfig::default(),
+        Box::new(RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES)),
         move |_| StaticDriver::new(policy),
     )
-    .expect("bind elastic gateway");
+    .expect("bind loopback gateway");
     let addr = gateway.local_addr();
 
     let before = test_trace(6_000);
@@ -573,9 +558,9 @@ fn resize_frame_reshards_elastic_gateway() {
     assert_eq!(first.tally.unavailable, 0);
 
     let ack = loadgen::send_resize(addr, 4).expect("resize acked");
-    assert_eq!(ack.error, None, "elastic gateway performs the resize");
+    assert_eq!(ack.error, None, "the gateway performs the resize");
     assert_eq!((ack.generation, ack.shards), (1, 4));
-    assert_eq!(ack.transferred_shards, 2, "both source shards survive a grow");
+    assert_eq!((ack.transferred_shards, ack.cold_shards), (2, 0), "both source shards survive a grow");
     assert_eq!(ack.ledger.len(), 1, "generation 0 retired into the ledger");
     assert_eq!(ack.ledger[0].generation, 0);
     assert_eq!(ack.ledger[0].shards, 2);
@@ -597,32 +582,124 @@ fn resize_frame_reshards_elastic_gateway() {
     assert_eq!(snapshot.generations.len(), 1, "ledger rides the snapshot");
     assert_eq!(snapshot.gateway.as_ref().expect("gateway counters").resizes_served, 1);
 
-    let report = gateway.finish_elastic().expect("clean elastic shutdown");
-    assert!(report.conserved(), "processed + dropped + unavailable == submitted across the resize");
-    assert_eq!(report.submitted, (before.len() + after.len()) as u64);
-    assert_eq!(report.metrics.total_unavailable(), 0);
-    assert_eq!(report.transfers.len(), 2);
+    let (serving, life) = gateway.finish_with_ledger().expect("clean shutdown");
+    assert_eq!(serving.shards.len(), 4, "the fleet report is the serving generation's");
+    assert!(life.conserved(), "processed + dropped + unavailable + shed == submitted across the resize");
+    assert_eq!(life.submitted, (before.len() + after.len()) as u64);
+    assert_eq!(life.metrics.total_unavailable(), 0);
+    assert_eq!(life.transfers.len(), 2);
 }
 
-/// A static gateway answers `RESIZE` with an error ack — a protocol-level
-/// refusal, not a dropped connection — and keeps serving afterwards.
+/// Any gateway can be resized, under load: a plain hash-routed `bind`
+/// gateway goes 2 → 4 while a connection is mid-replay. The resize is sent
+/// once the fleet has demonstrably started on the replay, and the ack's
+/// ledger proves it landed before the replay ended.
 #[test]
-fn static_gateway_refuses_resize_with_error_ack() {
+fn hash_gateway_resizes_under_a_live_connection() {
+    let policy = ThresholdPolicy::new(2, 100 * 1024);
+    let cfg = FleetConfig { checkpoint_every: Some(4_096), ..fleet_cfg(2) };
+    let gateway = Gateway::bind("127.0.0.1:0", cfg, cache_cfg(), Box::new(HashRouter), move |_| {
+        StaticDriver::new(policy)
+    })
+    .expect("bind loopback gateway");
+    let addr = gateway.local_addr();
+    let trace = test_trace(200_000);
+
+    let (report, ack) = std::thread::scope(|scope| {
+        let replay = scope.spawn(|| loadgen::run(addr, &trace, LoadgenConfig::default()));
+        while gateway.metrics().total_processed() < 10_000 {
+            std::thread::yield_now();
+        }
+        let ack = loadgen::send_resize(addr, 4).expect("resize acked");
+        (replay.join().expect("replay thread").expect("replay survives the cutover"), ack)
+    });
+
+    assert_eq!(ack.error, None);
+    assert_eq!((ack.generation, ack.shards, ack.transferred_shards), (1, 4, 2));
+    let retired = ack.ledger[0].processed;
+    assert!(0 < retired && retired < trace.len() as u64, "resized mid-replay, not around it: {retired}");
+    assert_eq!(report.tally.total(), trace.len() as u64, "every verdict arrives");
+    assert_eq!(report.tally.unavailable, 0, "a resize never answers Unavailable");
+
+    let (_, life) = gateway.finish_with_ledger().expect("clean shutdown");
+    assert!(life.conserved());
+    assert_eq!(life.submitted, trace.len() as u64);
+    assert_eq!(life.metrics.total_processed(), trace.len() as u64);
+}
+
+/// `RESIZE` targets outside the input — zero, the serving shard count, one
+/// past the ceiling, `u32::MAX` — are each answered with an error ack
+/// before the fleet is touched, and the connection that sent them keeps
+/// being served.
+#[test]
+fn hostile_resize_targets_get_error_acks_and_the_connection_keeps_serving() {
     let policy = ThresholdPolicy::new(2, 100 * 1024);
     let gateway =
-        Gateway::bind("127.0.0.1:0", fleet_cfg(1), cache_cfg(), Box::new(HashRouter), move |_| {
+        Gateway::bind("127.0.0.1:0", fleet_cfg(2), cache_cfg(), Box::new(HashRouter), move |_| {
             StaticDriver::new(policy)
         })
         .expect("bind loopback gateway");
+    let reqs = test_trace(64).requests().to_vec();
+    let mut stream = TcpStream::connect(gateway.local_addr()).expect("connect");
+    let mut reader = FrameReader::new(stream.try_clone().expect("clone stream"));
+
+    for target in [0, 2, darwin_rebalance::MAX_SHARDS as u32 + 1, u32::MAX] {
+        let mut burst = Vec::new();
+        darwin_gateway::wire::encode(&Message::Resize(target), &mut burst);
+        encode_get(&reqs, &mut burst);
+        stream.write_all(&burst).expect("write burst");
+        let ack: darwin_gateway::ResizeAck = match reader.recv().expect("ack") {
+            Some(Message::ResizeAck(json)) => serde_json::from_str(&json).expect("ack parses"),
+            other => panic!("RESIZE {target}: expected an ack, got {other:?}"),
+        };
+        assert!(ack.error.is_some(), "RESIZE {target} must be refused: {ack:?}");
+        assert_eq!((ack.generation, ack.shards, ack.transferred_shards), (0, 2, 0));
+        match reader.recv().expect("verdicts") {
+            Some(Message::Verdicts(vs)) => assert_eq!(vs.len(), reqs.len()),
+            other => panic!("RESIZE {target}: the connection stopped serving: {other:?}"),
+        }
+    }
+    drop((stream, reader));
+    let (_, life) = gateway.finish_with_ledger().expect("clean shutdown");
+    assert!(life.conserved() && life.metrics.generations.len() == 1 && life.transfers.is_empty());
+}
+
+/// The boot generation's fault plan and a later `RESIZE` compose: a shard
+/// worker dies mid-replay (supervised, restarted), the fleet is then
+/// resized, and the whole-life ledger still balances to the request.
+#[test]
+fn scripted_panic_then_resize_conserves_the_ledger() {
+    use darwin_gateway::GatewayConfig;
+    use darwin_shard::{FaultEvent, FaultKind, FaultPlan};
+
+    let policy = ThresholdPolicy::new(2, 100 * 1024);
+    let gateway = Gateway::bind_with(
+        "127.0.0.1:0",
+        fleet_cfg(2),
+        cache_cfg(),
+        Box::new(HashRouter),
+        GatewayConfig {
+            fault_plan: FaultPlan::new(vec![FaultEvent { shard: 0, at: 500, kind: FaultKind::Panic }]),
+            ..Default::default()
+        },
+        move |_| StaticDriver::new(policy),
+    )
+    .expect("bind loopback gateway");
     let addr = gateway.local_addr();
+    let trace = test_trace(6_000);
 
-    let ack = loadgen::send_resize(addr, 4).expect("refusal still acks");
-    assert!(ack.error.as_deref().is_some_and(|e| e.contains("not elastic")), "ack: {ack:?}");
+    let first = loadgen::run(addr, &trace, LoadgenConfig::default()).expect("replay over the panic");
+    assert_eq!(first.tally.total(), trace.len() as u64);
+    let ack = loadgen::send_resize(addr, 4).expect("resize acked");
+    assert_eq!((ack.error, ack.generation, ack.shards), (None, 1, 4));
+    assert_eq!(ack.ledger[0].restarts, 1, "generation 0 retired with its restart on the books");
+    let second = loadgen::run(addr, &trace, LoadgenConfig::default()).expect("replay after resize");
+    assert_eq!(second.tally.total(), trace.len() as u64);
+    assert_eq!(second.tally.dropped + second.tally.unavailable, 0, "generation 1 runs fault-free");
 
-    // The refusal did not wedge the gateway: a replay still completes.
-    let trace = test_trace(1_000);
-    let report = loadgen::run(addr, &trace, LoadgenConfig::default()).expect("replay after refusal");
-    assert_eq!(report.tally.total(), trace.len() as u64);
-    gateway.shutdown();
-    gateway.finish().expect("clean gateway shutdown");
+    let (_, life) = gateway.finish_with_ledger().expect("clean shutdown");
+    assert!(life.conserved(), "processed + dropped + unavailable + shed == submitted");
+    assert_eq!(life.submitted, 2 * trace.len() as u64);
+    assert_eq!(life.metrics.total_dropped(), first.tally.dropped, "client and fleet agree on the loss");
+    assert!(life.metrics.total_dropped() >= 1, "the request the panic fell on");
 }

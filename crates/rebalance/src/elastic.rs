@@ -3,11 +3,15 @@
 //! An [`ElasticFleet`] owns the serving generation behind an `RwLock`:
 //! submitters hold the read side (so a whole frame lands in exactly one
 //! generation), a [`resize`](ElasticFleet::resize) holds the write side.
-//! Because submission uses [`Backpressure::Block`](darwin_shard::Backpressure) semantics and the lock
-//! hands over atomically, a resize never answers `Unavailable` and never
-//! drops a request — the exactly-once conservation ledger
-//! (`processed + dropped + unavailable + shed == submitted`) holds across any
-//! resize sequence, which `experiments rebalance` certifies.
+//! Because submission uses [`Backpressure::Block`](darwin_shard::Backpressure)
+//! semantics and the lock hands over atomically, a resize never answers
+//! `Unavailable` and never drops a request — the exactly-once conservation
+//! ledger (`processed + dropped + unavailable + shed == submitted`) holds
+//! across any resize sequence, which `experiments rebalance` certifies.
+//! Each submitter owns an [`ElasticProducer`]: per frame, one uncontended
+//! read lock and a generation compare on top of the [`FleetProducer`] it
+//! wraps, re-minted only on the first frame after a cutover — so a fleet
+//! that is never resized is a [`ShardedFleet`] behind that one lock.
 //!
 //! A resize `N → M` drains the serving generation through the handoff state
 //! machine, cuts every shard's final [`ShardCheckpoint`] at its
@@ -15,17 +19,18 @@
 //! cut to the successor generation in a [`CutRole::Handoff`] [`CutFrame`]
 //! (delta-compressed against the shard's last periodic checkpoint when one
 //! exists), and boots generation `g+1` with those frames as warm seeds.
-//! Keyspace slices that *move* between shards arrive cold by design: the
-//! ring bounds them to `|M−N|/max(N,M)` of the keyspace, which is exactly
-//! the bounded post-resize hit-ratio dip the benchmark measures.
+//! Keyspace slices that *move* between shards arrive cold by design: a
+//! [`RingRouter`](crate::RingRouter) bounds them to `|M−N|/max(N,M)` of the
+//! keyspace, which is exactly the bounded post-resize hit-ratio dip the
+//! benchmark measures. Any [`Router`] works — `route(id, shards)` takes the
+//! shard count — the ring only keeps the moved slice small.
 
 use crate::handoff::HandoffTracker;
-use crate::ring::RingRouter;
 use darwin_cache::CacheConfig;
-use darwin_ckpt::replica::{CutError, CutFrame, CutRole, Held};
+use darwin_ckpt::replica::{AppliedCut, CutError, CutFrame, CutRole, Held};
 use darwin_shard::{
-    CheckpointSlot, Envelope, EventKind, FaultPlan, FleetBoot, FleetConfig, FleetMetrics,
-    GenerationSummary, MetricsHandle, ShardCheckpoint, ShardPhase, ShardedFleet,
+    CheckpointSlot, Envelope, EventKind, FaultPlan, FleetBoot, FleetConfig, FleetMetrics, FleetProducer,
+    FleetReport, GenerationSummary, MetricsHandle, Router, ShardCheckpoint, ShardPhase, ShardedFleet,
 };
 use darwin_testbed::AdmissionDriver;
 use darwin_trace::Request;
@@ -47,7 +52,7 @@ struct GenLive<D: AdmissionDriver + Send + 'static, E: Envelope> {
 }
 
 /// What one shard's handoff shipped at a cutover.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TransferStat {
     /// Shard index (same in source and destination generation).
     pub shard: usize,
@@ -63,7 +68,38 @@ pub struct TransferStat {
     pub shipped_bytes: u64,
     /// True when the payload was a delta against a pre-copied base.
     pub delta: bool,
+    /// Why validation made this handoff fall back, `None` for a clean one.
+    /// A refused *base* ships the final cut full; a refused or missing
+    /// *final cut* ships nothing (`shipped_bytes == 0`) and the shard boots
+    /// cold, journaling `RestoreCold` when there was a frame to refuse.
+    #[serde(default)]
+    pub refused: Option<String>,
 }
+
+/// Most shards a [`resize`](ElasticFleet::resize) will boot: every shard is
+/// a worker thread, a queue and a cache server, so a hostile target must not
+/// reach the allocator.
+pub const MAX_SHARDS: usize = 256;
+
+/// A resize refused before the serving generation was touched: the target
+/// is zero, the serving shard count, or above [`MAX_SHARDS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResizeRefused {
+    /// Shard count asked for.
+    pub target: usize,
+    /// Shard count serving, unchanged.
+    pub serving: usize,
+}
+
+impl std::fmt::Display for ResizeRefused {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Self { target, serving } = self;
+        write!(f, "resize target {target} refused: it must be within 1..={MAX_SHARDS} ")?;
+        write!(f, "and differ from the {serving} shard(s) serving")
+    }
+}
+
+impl std::error::Error for ResizeRefused {}
 
 /// Final accounting for an elastic run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -96,7 +132,7 @@ pub struct ElasticFleet<D: AdmissionDriver + Send + 'static, E: Envelope = Reque
     factory: DriverFactory<D>,
     cfg: FleetConfig,
     cache: CacheConfig,
-    ring: RingRouter,
+    router: Arc<dyn Router>,
     checkpoint_dir: Option<PathBuf>,
     submitted: AtomicU64,
     /// Retired generations: exact post-drain snapshots, their ledger rows,
@@ -112,30 +148,33 @@ struct Archive {
 }
 
 impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
-    /// Boots generation 0 with `cfg.shards` shards routed by `ring`. With
-    /// `warm` set (and a checkpoint directory in place), each shard
-    /// restores from its spill file — the cross-process warm-boot path.
+    /// Boots generation 0 with `cfg.shards` shards; every generation routes
+    /// with `router`. With `warm` set (and a checkpoint directory in
+    /// place), each shard restores from its spill file — the cross-process
+    /// warm-boot path. `fault` scripts generation 0 only: its per-shard
+    /// request indices restart at a cutover, so later generations boot with
+    /// the empty plan.
     pub fn new(
         cfg: FleetConfig,
         cache: CacheConfig,
-        ring: RingRouter,
+        router: Box<dyn Router>,
         factory: impl FnMut(usize) -> D + Send + 'static,
+        fault: FaultPlan,
         checkpoint_dir: Option<PathBuf>,
         warm: bool,
     ) -> Self {
         let factory: DriverFactory<D> = Arc::new(Mutex::new(Box::new(factory)));
+        let router: Arc<dyn Router> = Arc::from(router);
         let fleet: ShardedFleet<D, E> = ShardedFleet::with_boot(
             cfg,
             cache.clone(),
-            Box::new(ring.clone()),
+            Box::new(Arc::clone(&router)),
             mint(&factory),
-            FaultPlan::default(),
+            fault,
             FleetBoot {
                 checkpoint_dir: checkpoint_dir.clone(),
                 warm_boot: warm,
-                seeds: Vec::new(),
-                generation: 0,
-                handoff: false,
+                ..FleetBoot::default()
             },
         );
         let handle = fleet.metrics_handle();
@@ -149,16 +188,11 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
             factory,
             cfg,
             cache,
-            ring,
+            router,
             checkpoint_dir,
             submitted: AtomicU64::new(0),
             archive: Mutex::new(Archive::default()),
         }
-    }
-
-    /// The ring router every generation routes with.
-    pub fn ring(&self) -> &RingRouter {
-        &self.ring
     }
 
     /// Current router generation.
@@ -184,41 +218,30 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
         self.state.read().expect("elastic state poisoned").handle.clone()
     }
 
-    /// Routes one frame of requests into the serving generation. The whole
-    /// frame lands in exactly one generation: the generation lock is held
-    /// (shared) for the duration, so a concurrent resize waits for the
-    /// frame and the frame never splits across a cutover.
+    /// A submitter's private ingest front — one per connection reader or
+    /// load-generator thread. See [`ElasticProducer`].
+    pub fn producer(&self) -> ElasticProducer<'_, D, E> {
+        ElasticProducer { fleet: self, generation: 0, inner: None }
+    }
+
+    /// One frame through a throwaway [`producer`](Self::producer): the
+    /// convenience the bench and tests submit with.
     pub fn submit_frame(&self, reqs: impl IntoIterator<Item = E>) {
-        let st = self.state.read().expect("elastic state poisoned");
-        let fleet = st.fleet.as_ref().expect("fleet serving");
-        let reqs: Vec<E> = reqs.into_iter().collect();
-        self.submitted.fetch_add(reqs.len() as u64, Ordering::Relaxed);
-        let mut producer = fleet.ingest().producer();
-        producer.submit_frame(reqs);
+        self.producer().submit_frame(reqs);
     }
 
     /// Live metrics: the serving generation merged with every retired one,
-    /// ledger rows attached.
+    /// ledger rows attached. Waits out a resize in progress.
     pub fn metrics(&self) -> FleetMetrics {
-        let st = self.state.read().expect("elastic state poisoned");
-        let live = st.handle.snapshot();
-        drop(st);
+        let live = self.state.read().expect("elastic state poisoned").handle.snapshot();
         self.merged(live)
-    }
-
-    /// Metrics for the serving generation only (no archive folded in).
-    pub fn live_metrics(&self) -> FleetMetrics {
-        self.state.read().expect("elastic state poisoned").handle.snapshot()
     }
 
     fn merged(&self, live: FleetMetrics) -> FleetMetrics {
         let archive = self.archive.lock().expect("archive poisoned");
         let mut merged = archive.metrics.iter().cloned().fold(live, |acc, retired| acc.merge(retired));
-        let mut generations = archive.generations.clone();
-        merged.generations.clear();
-        merged.generations.append(&mut generations);
-        merged.generations.sort_by_key(|g| g.generation);
-        merged.generations.dedup_by_key(|g| g.generation);
+        // Rows are pushed in generation order, one per retired generation.
+        merged.generations = archive.generations.clone();
         merged
     }
 
@@ -242,43 +265,52 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
     /// pre-copied base exists) and boots the next generation warm from the
     /// resolved frames. Submitters blocked on the generation lock resume
     /// against the new generation; nothing is dropped or answered
-    /// `Unavailable` by the resize itself.
-    pub fn resize(&self, to_shards: usize) -> Result<Vec<TransferStat>, CutError> {
-        assert!(to_shards > 0, "fleet needs at least one shard");
+    /// `Unavailable` by the resize itself. Concurrent resizes serialize on
+    /// the lock.
+    ///
+    /// The target is checked before the fleet is touched (see
+    /// [`ResizeRefused`]); past that point the successor generation always
+    /// boots. A handoff that validation refuses degrades per shard — see
+    /// [`TransferStat::refused`] — and never fails the resize.
+    pub fn resize(&self, to_shards: usize) -> Result<Vec<TransferStat>, ResizeRefused> {
         let mut st = self.state.write().expect("elastic state poisoned");
         let from_shards = st.shards;
+        if to_shards == 0 || to_shards == from_shards || to_shards > MAX_SHARDS {
+            return Err(ResizeRefused { target: to_shards, serving: from_shards });
+        }
         let from_gen = st.generation;
         let to_gen = from_gen + 1;
         let fleet = st.fleet.take().expect("fleet serving");
         let slots = fleet.checkpoint_slots();
         let old_handle = st.handle.clone();
 
+        // The tracker machine-checks the phase order end to end; a refused
+        // transition is a bug in this function, not an I/O condition.
         let mut tracker = HandoffTracker::new(from_shards);
+        let mut advance = |s: usize, phase: ShardPhase| {
+            tracker.advance(s, phase).expect("handoff phases advance in order");
+        };
         // Serving → Draining happens inside finish_with_cut (the fleet
-        // flips its cells); mirror it in the tracker so the order is
-        // machine-checked end to end.
-        for s in 0..from_shards {
-            tracker.advance(s, ShardPhase::Draining).map_err(state_err)?;
-        }
-        let report = fleet.finish_with_cut(to_shards);
-        drop(report); // drivers retire with their generation
+        // flips its cells); mirror it in the tracker.
+        (0..from_shards).for_each(|s| advance(s, ShardPhase::Draining));
+        drop(fleet.finish_with_cut(to_shards)); // drivers retire with their generation
 
         let survivors = from_shards.min(to_shards);
         let mut seeds: Vec<Option<Vec<u8>>> = vec![None; to_shards];
         let mut transfers = Vec::with_capacity(survivors);
         for (s, slot) in slots.iter().enumerate() {
-            tracker.advance(s, ShardPhase::Transferring).map_err(state_err)?;
+            advance(s, ShardPhase::Transferring);
             old_handle.cells()[s].set_phase(ShardPhase::Transferring);
             if s < survivors {
-                let (stat, seed) = hand_off(s, slot, from_gen, to_gen)?;
+                let (stat, seed) = hand_off(s, slot, from_gen, to_gen);
                 transfers.push(stat);
-                seeds[s] = Some(seed);
+                seeds[s] = seed;
             } else {
                 // Retired shard: its keyspace disperses across survivors;
                 // its spill must not resurrect under a later warm boot.
                 slot.clear_disk();
             }
-            tracker.advance(s, ShardPhase::Retired).map_err(state_err)?;
+            advance(s, ShardPhase::Retired);
             old_handle.cells()[s].set_phase(ShardPhase::Retired);
         }
         debug_assert!(tracker.all_at(ShardPhase::Retired));
@@ -293,12 +325,10 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
         }
 
         // Boot the successor generation warm from the resolved transfers.
-        let mut cfg = self.cfg;
-        cfg.shards = to_shards;
         let fleet = ShardedFleet::with_boot(
-            cfg,
+            FleetConfig { shards: to_shards, ..self.cfg },
             self.cache.clone(),
-            Box::new(self.ring.clone()),
+            Box::new(Arc::clone(&self.router)),
             mint(&self.factory),
             FaultPlan::default(),
             FleetBoot {
@@ -329,33 +359,63 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
 
     /// Drains the serving generation and closes the book, by reference —
     /// the seam for callers that hold the fleet behind an `Arc` (the
-    /// gateway's shared state) and cannot move it out. With `final_cut`
-    /// set, every shard cuts a final checkpoint into the spill directory
-    /// first — the artifact a successor process warm-boots from. Panics on
-    /// a second call: the fleet serves (and finishes) exactly once.
-    pub fn finish_live(&self, final_cut: bool) -> ElasticReport {
+    /// gateway's shared state) and cannot move it out. Returns the serving
+    /// generation's own report (drivers inside) beside the whole-life one.
+    /// With `final_cut` set, every shard cuts a final checkpoint into the
+    /// spill directory first — the artifact a successor process warm-boots
+    /// from. Panics on a second call: the fleet serves (and finishes)
+    /// exactly once.
+    pub fn finish_live(&self, final_cut: bool) -> (FleetReport<D>, ElasticReport) {
         let mut st = self.state.write().expect("elastic state poisoned");
         let fleet = st.fleet.take().expect("fleet serving");
         let report = if final_cut { fleet.finish_with_cut(st.shards) } else { fleet.finish() };
-        drop(report);
         let snap = st.handle.snapshot();
-        let generation = st.generation;
-        let shards = st.shards;
-        drop(st);
         let transfers = {
             let mut archive = self.archive.lock().expect("archive poisoned");
-            archive.generations.push(Self::summarize(generation, shards, &snap));
+            archive.generations.push(Self::summarize(st.generation, st.shards, &snap));
             archive.transfers.clone()
         };
         let metrics = self.merged(snap);
-        ElasticReport { metrics, transfers, submitted: self.submitted.load(Ordering::Relaxed) }
+        (report, ElasticReport { metrics, transfers, submitted: self.submitted.load(Ordering::Relaxed) })
     }
 
-    /// Drains the serving generation and closes the book. With `final_cut`
-    /// set, every shard cuts a final checkpoint into the spill directory
-    /// first — the artifact a successor process warm-boots from.
+    /// [`finish_live`](Self::finish_live) for an owned fleet: the
+    /// whole-life report alone.
     pub fn finish(self, final_cut: bool) -> ElasticReport {
-        self.finish_live(final_cut)
+        self.finish_live(final_cut).1
+    }
+}
+
+/// One submitter's ingest front onto an [`ElasticFleet`]: a
+/// [`FleetProducer`] stamped with the generation it was minted in.
+///
+/// [`submit_frame`](Self::submit_frame) holds the generation lock (shared)
+/// for the whole frame, so the frame lands in exactly one generation and a
+/// concurrent resize waits for it. The inner producer is re-minted on the
+/// first frame after a cutover — the stale one dropped first, so it stops
+/// pinning the retired generation's lanes and checkpoint slots. A producer
+/// idle since before a cutover keeps that pin until its next frame or drop.
+pub struct ElasticProducer<'a, D: AdmissionDriver + Send + 'static, E: Envelope> {
+    fleet: &'a ElasticFleet<D, E>,
+    generation: u32,
+    inner: Option<FleetProducer<D, E>>,
+}
+
+impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticProducer<'_, D, E> {
+    /// Routes one frame into the serving generation and flushes it; see
+    /// [`FleetProducer::submit_frame`]. Allocates only when it re-mints.
+    pub fn submit_frame(&mut self, envs: impl IntoIterator<Item = E>) {
+        let st = self.fleet.state.read().expect("elastic state poisoned");
+        if self.generation != st.generation {
+            self.inner = None;
+            self.generation = st.generation;
+        }
+        let inner = self
+            .inner
+            .get_or_insert_with(|| st.fleet.as_ref().expect("fleet serving").ingest().producer());
+        let mut n = 0u64;
+        inner.submit_frame(envs.into_iter().inspect(|_| n += 1));
+        self.fleet.submitted.fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -368,14 +428,14 @@ fn mint<D: AdmissionDriver + Send + 'static>(
 }
 
 /// Wraps a state-machine violation (a bug, not an I/O condition) into the
-/// cut error space so `resize` has one error type.
+/// cut error space so a handoff attempt has one error type.
 fn state_err(msg: impl Into<String>) -> CutError {
     CutError::Frame(darwin_ckpt::CkptError::Malformed(msg.into()))
 }
 
 /// Validates `frame` as shard `shard`'s own checkpoint and returns the
 /// boundary it was cut at — the `seq` a handoff is addressed with. A frame
-/// that does not decode fails the resize instead of shipping as boundary 0.
+/// that does not decode fails the attempt instead of shipping as boundary 0.
 fn own_cut_seq(shard: usize, frame: &[u8]) -> Result<u64, CutError> {
     let (found, seq) = ShardCheckpoint::header(frame)?;
     if found != shard {
@@ -384,28 +444,28 @@ fn own_cut_seq(shard: usize, frame: &[u8]) -> Result<u64, CutError> {
     Ok(seq)
 }
 
-/// Hands shard `s`'s final cut — the newest frame in `slot` — to generation
-/// `to_gen`, as a delta against the "pre-copied" base: the slot's next
-/// candidate, the shard's last checkpoint *before* the final cut, which a
-/// real destination would have replicated while the source was still
-/// serving. (Read after the drain, so which checkpoint that is depends on
-/// the request stream alone, never on how far the worker had got when the
-/// resize was called.) Both ends of the shipment run here: the cut goes
-/// through wire bytes, the destination decodes, address-checks and resolves
-/// it against that base, and the image must be bitwise the validated final
-/// cut at its boundary or the handoff fails loudly. Returns the transfer's
-/// accounting and the seed to boot from.
-fn hand_off(
+/// One attempt to ship shard `s`'s final cut — the newest frame in `slot` —
+/// to generation `to_gen`; with `with_base`, as a delta against the
+/// "pre-copied" base: the slot's next candidate, the shard's last checkpoint
+/// *before* the final cut, which a real destination would have replicated
+/// while the source was still serving. (Read after the drain, so which
+/// checkpoint that is depends on the request stream alone, never on how far
+/// the worker had got when the resize was called.) Both ends of the shipment
+/// run here: the cut goes through wire bytes, the destination decodes,
+/// address-checks and resolves it against that base, and the image must be
+/// bitwise the validated final cut at its boundary or the attempt fails
+/// loudly.
+fn ship_final_cut(
     s: usize,
     slot: &CheckpointSlot,
-    from_gen: u32,
     to_gen: u32,
-) -> Result<(TransferStat, Vec<u8>), CutError> {
+    with_base: bool,
+) -> Result<AppliedCut, CutError> {
     let mut candidates = slot.candidates();
     let final_frame =
         candidates.next().ok_or_else(|| state_err(format!("shard {s}: no final cut to hand off")))?;
     let seq = own_cut_seq(s, &final_frame)?;
-    let base = candidates.next().filter(|b| *b != final_frame);
+    let base = candidates.next().filter(|b| with_base && *b != final_frame);
     let held = match &base {
         Some(base) => Some(Held::new(own_cut_seq(s, base)?, base)),
         None => None,
@@ -415,16 +475,42 @@ fn hand_off(
     if cut.seq != seq || cut.image != *final_frame {
         return Err(state_err(format!("shard {s}: resolved transfer diverges from the final cut")));
     }
-    let stat = TransferStat {
+    Ok(cut)
+}
+
+/// Hands shard `s` over, whatever validation says: the successor generation
+/// must boot. The base is only an optimisation, so when the delta attempt is
+/// refused the cut ships whole; when the final cut itself is refused (or was
+/// never taken) nothing ships and the shard boots cold — seeded with the raw
+/// frame, if any, so its worker refuses it and journals `RestoreCold` like
+/// any detected-cold restore. Returns the transfer's accounting
+/// ([`TransferStat::refused`] says which of those happened) and the seed.
+fn hand_off(
+    s: usize,
+    slot: &CheckpointSlot,
+    from_gen: u32,
+    to_gen: u32,
+) -> (TransferStat, Option<Vec<u8>>) {
+    let mut stat = TransferStat {
         shard: s,
         from_generation: from_gen,
         to_generation: to_gen,
-        seq,
-        full_bytes: final_frame.len() as u64,
-        shipped_bytes: cut.shipped_bytes,
-        delta: cut.base_seq.is_some(),
+        ..Default::default()
     };
-    Ok((stat, cut.image))
+    let shipped = ship_final_cut(s, slot, to_gen, true).or_else(|refused| {
+        stat.refused = Some(refused.to_string());
+        ship_final_cut(s, slot, to_gen, false)
+    });
+    match shipped {
+        Ok(cut) => {
+            stat.seq = cut.seq;
+            stat.full_bytes = cut.image.len() as u64;
+            stat.shipped_bytes = cut.shipped_bytes;
+            stat.delta = cut.base_seq.is_some();
+            (stat, Some(cut.image))
+        }
+        Err(_) => (stat, slot.candidates().next().map(|frame| frame.to_vec())),
+    }
 }
 
 #[cfg(test)]
@@ -457,36 +543,65 @@ mod tests {
     #[test]
     fn hand_off_ships_a_delta_at_the_decoded_boundaries() {
         let slot = slot_with(&[ckpt_frame(1, 500, 7), ckpt_frame(1, 730, 7)]);
-        let (stat, seed) = hand_off(1, &slot, 4, 5).unwrap();
+        let (stat, seed) = hand_off(1, &slot, 4, 5);
         assert_eq!((stat.seq, stat.from_generation, stat.to_generation), (730, 4, 5));
-        assert!(stat.delta && stat.shipped_bytes < stat.full_bytes);
-        assert_eq!(seed, *slot.candidates().next().unwrap());
+        assert!(stat.delta && stat.shipped_bytes < stat.full_bytes && stat.refused.is_none());
+        assert_eq!(seed.unwrap(), *slot.candidates().next().unwrap());
         // No earlier checkpoint, or one identical to the final cut (the
         // stream ended on a periodic boundary): the full image ships.
         for frames in [vec![ckpt_frame(1, 730, 7)], vec![ckpt_frame(1, 730, 7); 2]] {
-            let (stat, _) = hand_off(1, &slot_with(&frames), 4, 5).unwrap();
-            assert!(!stat.delta && stat.shipped_bytes == stat.full_bytes);
+            let (stat, _) = hand_off(1, &slot_with(&frames), 4, 5);
+            assert!(!stat.delta && stat.shipped_bytes == stat.full_bytes && stat.refused.is_none());
         }
+    }
+
+    fn bit_flipped(mut frame: Vec<u8>) -> Vec<u8> {
+        let mid = frame.len() / 2;
+        frame[mid] ^= 0x10;
+        frame
     }
 
     #[test]
     fn undecodable_cut_or_base_fails_the_handoff_instead_of_shipping_seq_zero() {
         // A damaged base: the final cut is fine, the boundary it would be
         // addressed against is unknowable.
-        let mut bad_base = ckpt_frame(1, 500, 7);
-        let mid = bad_base.len() / 2;
-        bad_base[mid] ^= 0x10;
-        let slot = slot_with(&[bad_base, ckpt_frame(1, 730, 7)]);
-        assert_eq!(hand_off(1, &slot, 4, 5), Err(CutError::Frame(CkptError::BadCrc)));
+        let slot = slot_with(&[bit_flipped(ckpt_frame(1, 500, 7)), ckpt_frame(1, 730, 7)]);
+        assert_eq!(ship_final_cut(1, &slot, 5, true), Err(CutError::Frame(CkptError::BadCrc)));
         // Another shard's frame in this shard's slot is refused by name.
         let slot = slot_with(&[ckpt_frame(0, 500, 7), ckpt_frame(1, 730, 7)]);
-        assert_eq!(hand_off(1, &slot, 4, 5), Err(CutError::WrongShard { expected: 1, found: 0 }));
+        assert_eq!(
+            ship_final_cut(1, &slot, 5, true),
+            Err(CutError::WrongShard { expected: 1, found: 0 })
+        );
         // The final cut corrupted in the slot after it was taken, torn or
         // bit-flipped: no boundary to address, so nothing ships.
         for torn in [true, false] {
             let slot = slot_with(&[ckpt_frame(1, 500, 7), ckpt_frame(1, 730, 7)]);
             slot.corrupt(torn);
-            assert!(matches!(hand_off(1, &slot, 4, 5), Err(CutError::Frame(_))));
+            assert!(matches!(ship_final_cut(1, &slot, 5, true), Err(CutError::Frame(_))));
         }
+    }
+
+    #[test]
+    fn a_refused_attempt_falls_back_to_a_full_shipment_then_to_a_cold_seed() {
+        // A base that does not validate: the valid final cut ships whole.
+        let final_cut = ckpt_frame(1, 730, 7);
+        let slot = slot_with(&[bit_flipped(ckpt_frame(1, 500, 7)), final_cut.clone()]);
+        let (stat, seed) = hand_off(1, &slot, 4, 5);
+        assert_eq!((stat.seq, stat.delta, stat.shipped_bytes), (730, false, stat.full_bytes));
+        assert_eq!(stat.refused, Some(CutError::Frame(CkptError::BadCrc).to_string()));
+        assert_eq!(seed, Some(final_cut));
+        // A final cut that does not validate: nothing ships, and the raw
+        // frame is the seed the successor's worker will refuse and journal.
+        let slot = slot_with(&[ckpt_frame(1, 500, 7), ckpt_frame(1, 730, 7)]);
+        slot.corrupt(false);
+        let (stat, seed) = hand_off(1, &slot, 4, 5);
+        assert_eq!((stat.seq, stat.full_bytes, stat.shipped_bytes, stat.delta), (0, 0, 0, false));
+        assert!(stat.refused.is_some());
+        assert_eq!(seed.as_ref(), slot.candidates().next().as_deref());
+        // No cut at all (a driver that cannot save its state): cold, unseeded.
+        let (stat, seed) = hand_off(1, &slot_with(&[]), 4, 5);
+        assert_eq!((stat.shipped_bytes, seed), (0, None));
+        assert!(stat.refused.is_some_and(|why| why.contains("no final cut")));
     }
 }

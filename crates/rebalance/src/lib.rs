@@ -15,13 +15,17 @@
 //!  │  Retired             │               │  Serving                 │
 //!  └──────────────────────┘               └──────────────────────────┘
 //!            ▲                                        ▲
-//!            └────────── RingRouter(seed, vnodes) ────┘
-//!                 same ring family at every fleet size
+//!            └──── one Router, asked route(id, N | M) ─┘
+//!              RingRouter(seed, vnodes) recommended: the
+//!              same ring family at every fleet size
 //! ```
 //!
 //! * [`ring`] — [`RingRouter`]: consistent-hash ring with virtual nodes;
 //!   resizing `N → M` remaps only `|M−N|/max(N,M)` of the keyspace, with
-//!   exact per-object stability guarantees (see the module docs).
+//!   exact per-object stability guarantees (see the module docs). The
+//!   recommended router, not the only one: an [`ElasticFleet`] resizes
+//!   under any [`Router`](darwin_shard::Router), a plain hash just moves
+//!   (and so cold-starts) most of the keyspace.
 //! * [`delta`] — [`DeltaFrame`]: rsync-style block diff between two
 //!   checkpoint images, so a handoff ships O(churn) not O(cache) bytes
 //!   (hosted in [`darwin_ckpt`], which the shard replication layer shares).
@@ -35,7 +39,8 @@
 //! * [`elastic`] — [`ElasticFleet`]: the orchestrator that drains a
 //!   generation, ships the envelopes and boots the successor warm, keeping
 //!   the exactly-once conservation ledger intact across any resize
-//!   sequence.
+//!   sequence; submitters feed it through per-submitter
+//!   [`ElasticProducer`]s.
 //!
 //! Every rebalance is byte-auditable: `DrainStart`, `HandoffCut`,
 //! `HandoffRestore`, `Cutover` and `RingResize` events land in the shards'
@@ -55,6 +60,8 @@ pub use darwin_ckpt::delta::{DeltaFrame, DELTA_MAGIC, DELTA_VERSION};
 pub use darwin_ckpt::replica::{
     AppliedCut, CutError, CutFrame, CutPayload, CutRole, Held, CUT_MAGIC, CUT_VERSION,
 };
-pub use elastic::{ElasticFleet, ElasticReport, TransferStat};
+pub use elastic::{
+    ElasticFleet, ElasticProducer, ElasticReport, ResizeRefused, TransferStat, MAX_SHARDS,
+};
 pub use handoff::HandoffTracker;
 pub use ring::{theoretical_remap, RingRouter, DEFAULT_SEED, DEFAULT_VNODES};

@@ -10,8 +10,13 @@
 //! rerun from the same seed.
 
 use darwin_cache::{CacheConfig, ThresholdPolicy};
-use darwin_rebalance::{ElasticFleet, RingRouter, DEFAULT_SEED, DEFAULT_VNODES};
-use darwin_shard::{Backpressure, EventKind, FleetConfig, ShardPhase};
+use darwin_rebalance::{
+    ElasticFleet, ResizeRefused, RingRouter, DEFAULT_SEED, DEFAULT_VNODES, MAX_SHARDS,
+};
+use darwin_shard::{
+    Backpressure, EventKind, FaultEvent, FaultKind, FaultPlan, FleetConfig, MetricsHandle, Router,
+    ShardPhase,
+};
 use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,11 +34,8 @@ fn fleet_cfg(shards: usize) -> FleetConfig {
         queue_capacity: 256,
         batch: 64,
         backpressure: Backpressure::Block,
-        snapshot_every: None,
-        restart_budget: Default::default(),
         checkpoint_every: Some(CKPT_EVERY),
-        shed_watermark: None,
-        replicas: 0,
+        ..Default::default()
     }
 }
 
@@ -51,12 +53,22 @@ fn elastic_with(
     dir: Option<std::path::PathBuf>,
     warm: bool,
 ) -> ElasticFleet<StaticDriver> {
+    elastic_faulty(cfg, FaultPlan::default(), dir, warm)
+}
+
+fn elastic_faulty(
+    cfg: FleetConfig,
+    fault: FaultPlan,
+    dir: Option<std::path::PathBuf>,
+    warm: bool,
+) -> ElasticFleet<StaticDriver> {
     let policy = ThresholdPolicy::new(2, 100 * 1024);
     ElasticFleet::new(
         cfg,
         cache_cfg(),
-        RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES),
+        Box::new(RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES)),
         move |_| StaticDriver::new(policy),
+        fault,
         dir,
         warm,
     )
@@ -316,4 +328,107 @@ fn second_elastic_process_warm_boots() {
     assert_eq!(tail.metrics.total_restarts(), 0, "a warm boot is not a restart");
     assert_eq!(head.metrics.total_processed() + tail.metrics.total_processed(), trace.len() as u64);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A target outside the input is refused before the serving generation is
+/// touched: same generation, same shards, still serving.
+#[test]
+fn hostile_resize_targets_are_refused_and_leave_the_fleet_serving() {
+    let trace = test_trace(4_000);
+    let fleet = elastic(2, None, false);
+    for target in [0, 2, MAX_SHARDS + 1, u32::MAX as usize] {
+        assert_eq!(fleet.resize(target), Err(ResizeRefused { target, serving: 2 }));
+        assert_eq!((fleet.generation(), fleet.shards()), (0, 2));
+    }
+    fleet.submit_frame(trace.iter().cloned());
+    let report = fleet.finish(false);
+    assert!(report.conserved());
+    assert_eq!(report.metrics.total_processed(), trace.len() as u64);
+    assert!(report.metrics.generations.len() == 1 && report.transfers.is_empty());
+}
+
+/// The successor generation boots whatever validation says about the cuts
+/// it is handed. Scripted through generation 0's fault plan: shard 0's
+/// checkpoints are damaged after its last periodic cut, so its (valid)
+/// final cut has no base to delta against and ships full; shard 1 dies on
+/// its last request with every checkpoint damaged, so it has no final cut,
+/// nothing ships, and its successor refuses the damaged frame and boots
+/// detected-cold. The ledger balances and every later request is served.
+#[test]
+fn a_damaged_base_ships_full_and_a_damaged_final_cut_boots_cold() {
+    let trace = test_trace(12_000);
+    let fs = frames(&trace, 1_000);
+    let ring = RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES);
+    let mut routed = [0u64; 2];
+    for req in fs[..6].iter().flatten() {
+        routed[ring.route(req.id, 2)] += 1;
+    }
+    assert!(
+        routed.iter().all(|n| n % CKPT_EVERY != 0),
+        "the final cuts must differ from the periodic ones"
+    );
+    let corrupt = FaultKind::CorruptCheckpoint { torn: false };
+    let plan = FaultPlan::new(vec![
+        FaultEvent { shard: 0, at: routed[0] - 1, kind: corrupt },
+        FaultEvent { shard: 1, at: routed[1] - 1, kind: corrupt },
+        FaultEvent { shard: 1, at: routed[1] - 1, kind: FaultKind::Panic },
+    ]);
+    let fleet = elastic_faulty(fleet_cfg(2), plan, None, false);
+    for f in &fs[..6] {
+        fleet.submit_frame(f.iter().cloned());
+    }
+    let transfers = fleet.resize(4).expect("the resize survives both refusals");
+    let gen1 = fleet.metrics_handle();
+    assert_eq!((fleet.generation(), fleet.shards()), (1, 4));
+
+    let [full, cold] = &transfers[..] else { panic!("two survivors of 2 -> 4: {transfers:?}") };
+    assert_eq!((full.shard, full.seq, full.delta), (0, routed[0], false));
+    assert!(full.shipped_bytes == full.full_bytes && full.refused.is_some(), "{full:?}");
+    assert_eq!((cold.shard, cold.seq, cold.shipped_bytes), (1, 0, 0));
+    assert!(cold.refused.is_some(), "{cold:?}");
+
+    for f in &fs[6..] {
+        fleet.submit_frame(f.iter().cloned());
+    }
+    let report = fleet.finish(false);
+    assert!(report.conserved());
+    assert_eq!(report.submitted, trace.len() as u64);
+    assert_eq!(report.metrics.total_dropped(), 1, "only the request the scripted panic fell on");
+    assert_eq!(report.metrics.total_unavailable(), 0);
+    assert_eq!(report.metrics.generations[1].warm_boots, 1, "shard 0 restored from its full shipment");
+    let journal = |shard: usize| gen1.cells()[shard].obs().journal.snapshot().events;
+    assert!(journal(0).iter().any(|e| matches!(e.kind, EventKind::HandoffRestore { .. })));
+    assert!(journal(1).iter().any(|e| e.kind == EventKind::RestoreCold), "detected cold, journaled");
+}
+
+/// A producer that sat out two cutovers re-mints once, on its next frame,
+/// and until then is the only thing keeping the generation it was minted
+/// in alive; a generation it never submitted to is never pinned.
+#[test]
+fn an_idle_producer_re_mints_once_and_releases_its_retired_generation() {
+    let trace = test_trace(4_000);
+    let fs = frames(&trace, 1_000);
+    let fleet = elastic(2, None, false);
+    let holders = |gen: &MetricsHandle| Arc::strong_count(&gen.cells()[0]);
+
+    let mut idle = fleet.producer();
+    idle.submit_frame(fs[0].iter().cloned());
+    let gen0 = fleet.metrics_handle();
+    fleet.resize(4).expect("2 -> 4");
+    let gen1 = fleet.metrics_handle();
+    fleet.submit_frame(fs[1].iter().cloned());
+    fleet.resize(2).expect("4 -> 2");
+    assert_eq!(holders(&gen0), 2, "this handle and the idle producer's fleet core");
+    assert_eq!(holders(&gen1), 1, "generation 1 is gone but for this handle");
+
+    idle.submit_frame(fs[2].iter().cloned());
+    assert_eq!(holders(&gen0), 1, "the stale inner producer was dropped at the re-mint");
+    idle.submit_frame(fs[3].iter().cloned());
+    drop(idle);
+    let report = fleet.finish(false);
+    assert!(report.conserved());
+    assert_eq!(
+        report.metrics.generations[2].processed, 2_000,
+        "both late frames landed in generation 2"
+    );
 }

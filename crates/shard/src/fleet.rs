@@ -765,18 +765,11 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
         if boot.warm_boot {
             for (s, shard) in core.shards.iter().enumerate() {
                 match boot.seeds.get(s).and_then(|o| o.as_ref()) {
-                    Some(frame) => {
-                        // A seed only enters the slot once it decodes as
-                        // this shard's checkpoint — a corrupted or
-                        // misrouted transfer never silently mis-restores.
-                        let valid =
-                            ShardCheckpoint::from_frame(frame).map(|c| c.shard == s).unwrap_or(false);
-                        if valid {
-                            shard.slot.store(frame.clone());
-                        } else {
-                            shard.slot.clear_disk();
-                        }
-                    }
+                    // The worker's restore attempt is the one validator: a
+                    // seed that does not decode as this shard's checkpoint
+                    // is refused there, journaled `RestoreCold` and its
+                    // spill cleared — never silently mis-restored.
+                    Some(frame) => drop(shard.slot.store(frame.clone())),
                     // A handoff boot with no seed for this shard must come
                     // up cold: any spill file on disk predates the resize.
                     None if boot.handoff => shard.slot.clear_disk(),

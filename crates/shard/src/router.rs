@@ -24,6 +24,19 @@ pub trait Router: Send + Sync {
     fn label(&self) -> String;
 }
 
+/// A shared router routes as the router it shares: an elastic fleet hands
+/// every generation a clone of one `Arc<dyn Router>`.
+impl<R: Router + ?Sized> Router for std::sync::Arc<R> {
+    #[inline]
+    fn route(&self, id: ObjectId, shards: usize) -> usize {
+        (**self).route(id, shards)
+    }
+
+    fn label(&self) -> String {
+        (**self).label()
+    }
+}
+
 /// Hash partitioning over a SplitMix64-style finalizer (the default).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HashRouter;

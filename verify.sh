@@ -24,8 +24,10 @@ cargo test -p darwin-gateway --test loopback -q -- \
     darwin_gateway_equivalent_to_sequential_replay \
     stats_frame_returns_parseable_snapshot \
     shutdown_frame_drains_gateway \
-    resize_frame_reshards_elastic_gateway \
-    static_gateway_refuses_resize_with_error_ack
+    resize_frame_reshards_a_ring_gateway \
+    hash_gateway_resizes_under_a_live_connection \
+    hostile_resize_targets_get_error_acks_and_the_connection_keeps_serving \
+    scripted_panic_then_resize_conserves_the_ledger
 
 echo "== chaos: fault-plan conservation (proptest + bitwise regression) =="
 cargo test -p darwin-shard --test chaos -q
