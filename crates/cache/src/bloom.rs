@@ -97,6 +97,15 @@ impl BloomFilter {
         4 + 8 + 8 + 8 * self.bits.len()
     }
 
+    /// Moves `dec` past a filter written by [`BloomFilter::encode_state`],
+    /// reading its length prefix only.
+    pub(crate) fn skip_state(dec: &mut Dec<'_>) -> Result<(), CkptError> {
+        dec.u32()?;
+        dec.u64()?;
+        let words = dec.seq_len(8)?;
+        dec.sub(8 * words).map(drop)
+    }
+
     /// Rebuilds a filter from bytes written by [`BloomFilter::encode_state`].
     /// The word count must be a power of two (the mask is derived from it).
     pub fn decode_state(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
@@ -199,6 +208,15 @@ impl FrequencySketch {
     /// Exact number of bytes [`FrequencySketch::encode_state`] writes.
     pub fn encoded_len(&self) -> usize {
         4 + 8 + 8 + 8 + self.counters.len()
+    }
+
+    /// Moves `dec` past a sketch written by
+    /// [`FrequencySketch::encode_state`], reading its length prefix only.
+    pub(crate) fn skip_state(dec: &mut Dec<'_>) -> Result<(), CkptError> {
+        dec.u32()?;
+        dec.u64()?;
+        dec.u64()?;
+        dec.bytes().map(drop)
     }
 
     /// Rebuilds a sketch from bytes written by

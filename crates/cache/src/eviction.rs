@@ -363,6 +363,21 @@ impl Store {
         kind + 3 * 8 + 8 * self.heads.len() + NODE_ROW * self.len()
     }
 
+    /// Moves `dec` past a store written by [`Store::encode_state`],
+    /// following its length prefixes and reading no row.
+    pub(crate) fn skip_state(dec: &mut Dec<'_>) -> Result<(), CkptError> {
+        if dec.u8()? == 3 {
+            dec.u8()?; // the segment count of a segmented LRU
+        }
+        dec.u64()?; // capacity
+        dec.u64()?; // clock
+        for _ in 0..dec.usize()? {
+            let rows = dec.seq_len(NODE_ROW)?;
+            dec.sub(NODE_ROW * rows)?;
+        }
+        Ok(())
+    }
+
     /// Rebuilds a store from bytes written by [`Store::encode_state`].
     ///
     /// Structural invariants (segment count matches the policy, no duplicate

@@ -12,6 +12,7 @@ use crate::eviction::{EvictionKind, Store};
 use crate::idmap::IdMap;
 use crate::metrics::CacheMetrics;
 use crate::policy::{AdmissionPolicy, ObjectView, ThresholdPolicy};
+use darwin_ckpt::rows::{Layout, Table};
 use darwin_ckpt::{CkptError, Dec, Enc};
 use darwin_trace::{ObjectId, Request};
 use serde::{Deserialize, Serialize};
@@ -403,6 +404,41 @@ impl CacheServer {
         });
         self.dc_filter.encode_state(enc);
         self.metrics.encode_state(enc);
+    }
+
+    /// Where [`encode_state`](Self::encode_state) put the per-object tables
+    /// in `image`: the frequency rows (`id u64, count u32`; Exact mode only)
+    /// and the recency rows (`id u64, last_ts u64`), both sorted by id —
+    /// what a cut's row delta diffs, while the rest of the image ships
+    /// whole. Follows the length prefixes only: no row is decoded and
+    /// nothing is hashed, so a damaged image may still lay out (the seal
+    /// around it is what refuses it). `None` when the prefixes do not add
+    /// up to `image`.
+    pub fn state_layout(image: &[u8]) -> Option<Layout> {
+        let mut dec = Dec::new(image);
+        let table = |dec: &mut Dec<'_>, width: usize| -> Result<Table, CkptError> {
+            let rows = dec.seq_len(width)?;
+            let offset = image.len() - dec.remaining();
+            dec.sub(rows * width)?;
+            Ok(Table { offset, rows, width })
+        };
+        let mut walk = || -> Result<Layout, CkptError> {
+            dec.bytes()?; // config fingerprint
+            Store::skip_state(&mut dec)?; // HOC
+            Store::skip_state(&mut dec)?; // DC
+            let mut tables = Vec::with_capacity(2);
+            match dec.u8()? {
+                0 => tables.push(table(&mut dec, COUNT_ROW)?),
+                1 => FrequencySketch::skip_state(&mut dec)?,
+                t => return Err(CkptError::Malformed(format!("frequency tracker tag {t}"))),
+            }
+            tables.push(table(&mut dec, LAST_ROW)?);
+            BloomFilter::skip_state(&mut dec)?;
+            dec.sub(CacheMetrics::ENCODED_LEN)?;
+            Ok(tables)
+        };
+        let tables = walk().ok()?;
+        dec.is_empty().then_some(tables)
     }
 
     /// Rebuilds a server from bytes written by [`CacheServer::save_state`].
@@ -824,6 +860,51 @@ mod tests {
         refused(&[(2, 2), (1, 1), (3, 3)], &[(2, 40), (1, 10), (3, 50)]); // same keys, unsorted
         refused(&[(1, 1), (2, 2), (2, 3)], &[(1, 10), (2, 40), (2, 50)]); // same keys, repeated
         refused(&[], &[(7, 1)]); // counts empty, recency not
+    }
+
+    /// `state_layout` finds the per-object sequences exactly where
+    /// `encode_state` wrote them, row for row, in both frequency modes and
+    /// under every store policy — and nothing in what does not lay out.
+    #[test]
+    fn state_layout_ranges_are_where_encode_state_wrote_the_sequences() {
+        let sketch = FrequencyMode::Sketch { expected_objects: 512 };
+        for (eviction, frequency) in [
+            (EvictionKind::Lru, FrequencyMode::Exact),
+            (EvictionKind::Fifo, FrequencyMode::Exact),
+            (EvictionKind::Lfu, sketch),
+            (EvictionKind::SegmentedLru { segments: 4 }, FrequencyMode::Exact),
+            (EvictionKind::SegmentedLru { segments: 4 }, sketch),
+        ] {
+            let cfg = CacheConfig {
+                hoc_eviction: eviction,
+                dc_eviction: eviction,
+                frequency,
+                ..CacheConfig::small_test()
+            };
+            let mut s = CacheServer::new(cfg);
+            s.set_policy(ThresholdPolicy::new(0, 1024));
+            for i in 0..600u64 {
+                s.process(&req((i % 200) * 7919 % 1000, 100, i));
+            }
+            let image = s.save_state();
+            let rows = s.objects.map.len();
+            let tail = s.dc_filter.encoded_len() + CacheMetrics::ENCODED_LEN;
+            let last = Table { offset: image.len() - tail - LAST_ROW * rows, rows, width: LAST_ROW };
+            let counts = Table { offset: last.offset - 8 - COUNT_ROW * rows, rows, width: COUNT_ROW };
+            let expected = if s.sketch.is_some() { vec![last] } else { vec![counts, last] };
+            assert_eq!(CacheServer::state_layout(&image), Some(expected), "{eviction:?} {frequency:?}");
+            for (i, (id, last_ts, count)) in s.objects.sorted().into_iter().enumerate() {
+                let row = &image[last.offset + LAST_ROW * i..];
+                assert_eq!(row[..16], [id.to_le_bytes(), last_ts.to_le_bytes()].concat());
+                if s.sketch.is_none() {
+                    let row = &image[counts.offset + COUNT_ROW * i..];
+                    assert_eq!(row[..12], [&id.to_le_bytes()[..], &count.to_le_bytes()].concat());
+                }
+            }
+            for bad in [&image[..image.len() - 1], &[&image[..], &[0]].concat(), &[]] {
+                assert_eq!(CacheServer::state_layout(bad), None, "{} bytes", bad.len());
+            }
+        }
     }
 
     /// A row count that fits "one byte per row" but not the rows' width is

@@ -1,12 +1,13 @@
-//! Incremental delta frames: O(churn) state movement.
+//! Block delta frames: an rsync-style diff of two byte images.
 //!
-//! Shipping a shard's full checkpoint costs O(cache) bytes. A receiver that
-//! already holds an earlier cut of the same shard — a hot standby its last
-//! applied frame, a resize destination the pre-copied last *periodic*
-//! checkpoint — only needs the difference between that base and the new
-//! cut: O(churn since the base's boundary). [`DeltaFrame`] is that
-//! difference: an rsync-style block-aligned diff of two byte images, carried
-//! as the delta payload of a [`CutFrame`](crate::replica::CutFrame).
+//! **Retired from serving.** Cuts used to ship a [`DeltaFrame`] between two
+//! checkpoint images; they now ship a [row delta](crate::rows), which finds
+//! the changed rows of the images' id-sorted tables by a merge walk instead
+//! of matching bytes. Nothing that serves requests computes or applies a
+//! `DeltaFrame` any more. It still compiles because the repository
+//! benchmark (`perf/src/shadow.rs`) times [`DeltaFrame::compute`] as its
+//! `ckpt.delta` kernel; a benchmark change that repoints that span deletes
+//! this module.
 //!
 //! ## Frame format (magic `DRBD`, version 1, CRC-64 sealed)
 //!
@@ -24,18 +25,10 @@
 //! bodies and bit flips surface as [`CkptError`]s from the sealed-frame
 //! layer or as `Malformed` from op decoding, and so do well-sealed ops that
 //! reach outside the base or do not add up to `target_len` — checked before
-//! the target is allocated; the hostile-corpus proptests
-//! (`darwin-rebalance/tests/codec_props.rs`) pin all of it.
-//!
-//! The matcher is on the serving thread's critical path at every checkpoint
-//! cut — behind [`DeltaFrame::compute`], and behind
-//! [`CutFrame::ship`](crate::replica::CutFrame::ship), which writes the same
-//! plan straight into its envelope; what it emits is pinned byte for byte
+//! the target is allocated. What the matcher emits is pinned byte for byte
 //! against the matcher it replaced (`darwin-shard/tests/delta_identity.rs`).
-//!
-//! `darwin_rebalance::delta` re-exports this module.
 
-use crate::{crc64, open, CkptError, Dec, Enc, HEADER_LEN, TRAILER_LEN};
+use crate::{crc64, open, CkptError, Dec, Enc};
 
 /// Magic for sealed delta frames: `DRBD`.
 pub const DELTA_MAGIC: u32 = 0x4452_4244;
@@ -94,16 +87,6 @@ pub struct DeltaFrame {
     pub target_sum: u64,
     /// The ops as the frame body carries them ([`walk`] reads them).
     ops: Vec<u8>,
-}
-
-/// A delta frame opened over the bytes it arrived in: what a receiver
-/// applies, with no literal copied out of the wire first.
-pub(crate) struct DeltaRef<'a> {
-    base_len: u64,
-    base_sum: u64,
-    target_len: u64,
-    target_sum: u64,
-    ops: &'a [u8],
 }
 
 /// Weak rolling hash of one block (Adler-style): cheap to slide one byte at
@@ -295,59 +278,48 @@ enum Step {
     Literal { start: usize, len: usize },
 }
 
-/// The ops turning a base into `target`, decided but not yet written: the
-/// literal bytes stay where they lie in `target` until a writer — which can
-/// now size its buffer exactly — copies them, once.
-pub(crate) struct Plan<'t> {
-    target: &'t [u8],
-    steps: Vec<Step>,
+/// The ops turning `base` into `target`, literals as ranges of `target`.
+fn plan(base: &[u8], target: &[u8]) -> Vec<Step> {
+    let mut steps = Vec::new();
+    let literal = |steps: &mut Vec<Step>, start: usize, end: usize| {
+        if start < end {
+            steps.push(Step::Literal { start, len: end - start });
+        }
+    };
+    if target.is_empty() {
+    } else if base.len() < BLOCK || target.len() < BLOCK {
+        literal(&mut steps, 0, target.len());
+    } else {
+        let index = BlockIndex::build(base);
+        // `target[covered..]` is not yet covered by an op.
+        let mut covered = 0usize;
+        while let Some((pos, off)) = index.next_match(base, target, covered) {
+            literal(&mut steps, covered, pos);
+            let len = BLOCK + index.follow(base, target, off + BLOCK, pos + BLOCK);
+            // Coalesce with a preceding copy that this run extends.
+            match steps.last_mut() {
+                Some(Step::Copy { offset, len: run }) if *offset + *run == off => *run += len,
+                _ => steps.push(Step::Copy { offset: off, len }),
+            }
+            covered = pos + len;
+        }
+        // Whatever no copy covered, the sub-block tail included, is literal.
+        literal(&mut steps, covered, target.len());
+    }
+    steps
 }
 
-impl<'t> Plan<'t> {
-    pub(crate) fn new(base: &[u8], target: &'t [u8]) -> Self {
-        let mut plan = Plan { target, steps: Vec::new() };
-        if target.is_empty() {
-        } else if base.len() < BLOCK || target.len() < BLOCK {
-            plan.literal(0, target.len());
-        } else {
-            let index = BlockIndex::build(base);
-            // `target[covered..]` is not yet covered by an op.
-            let mut covered = 0usize;
-            while let Some((pos, off)) = index.next_match(base, target, covered) {
-                plan.literal(covered, pos);
-                let len = BLOCK + index.follow(base, target, off + BLOCK, pos + BLOCK);
-                // Coalesce with a preceding copy that this run extends.
-                match plan.steps.last_mut() {
-                    Some(Step::Copy { offset, len: run }) if *offset + *run == off => *run += len,
-                    _ => plan.steps.push(Step::Copy { offset: off, len }),
-                }
-                covered = pos + len;
-            }
-            // Whatever no copy covered, the sub-block tail included, is
-            // literal.
-            plan.literal(covered, target.len());
-        }
-        plan
-    }
-
-    /// Plans `target[start..end]` as a literal, unless it is empty.
-    fn literal(&mut self, start: usize, end: usize) {
-        if start < end {
-            self.steps.push(Step::Literal { start, len: end - start });
-        }
-    }
-
-    /// Encoded size of the ops, their count included.
-    fn ops_len(&self) -> usize {
-        let op = |step: &Step| match step {
+impl DeltaFrame {
+    /// Diffs `base → target`. Pure and deterministic: the same pair always
+    /// yields the same frame.
+    pub fn compute(base: &[u8], target: &[u8]) -> DeltaFrame {
+        let steps = plan(base, target);
+        let op_len = |step: &Step| match step {
             Step::Copy { .. } => 17, // tag + offset + len
             Step::Literal { len, .. } => 1 + 8 + len,
         };
-        8 + self.steps.iter().map(op).sum::<usize>()
-    }
-
-    fn write_ops(&self, enc: &mut Enc) {
-        enc.seq(&self.steps, |e, step| match *step {
+        let mut ops = Enc::with_capacity(8 + steps.iter().map(op_len).sum::<usize>());
+        ops.seq(&steps, |e, step| match *step {
             Step::Copy { offset, len } => {
                 e.u8(OP_COPY);
                 e.u64(offset as u64);
@@ -355,71 +327,30 @@ impl<'t> Plan<'t> {
             }
             Step::Literal { start, len } => {
                 e.u8(OP_LITERAL);
-                e.bytes(&self.target[start..start + len]);
+                e.bytes(&target[start..start + len]);
             }
         });
+        DeltaFrame {
+            base_len: base.len() as u64,
+            base_sum: crc64(base),
+            target_len: target.len() as u64,
+            target_sum: crc64(target),
+            ops: ops.into_bytes(),
+        }
     }
 
-    /// Length of the sealed frame [`write_sealed`](Self::write_sealed)
-    /// writes (behind a length prefix): header, the four sums, the ops,
-    /// trailer.
-    pub(crate) fn frame_len(&self) -> usize {
-        HEADER_LEN + 32 + self.ops_len() + TRAILER_LEN
-    }
-
-    /// Writes the sealed delta frame onto `enc` as a byte string — exactly
-    /// `enc.bytes(&DeltaFrame::compute(base, target).to_frame())` — built
-    /// and sealed where it lies. `base_sum` is the checksum the holder of
-    /// `base` verified it under, taken on its word instead of hashed again.
-    pub(crate) fn write_sealed(&self, enc: &mut Enc, base_len: usize, base_sum: u64) {
-        let frame = enc.begin_inner();
-        enc.u64(base_len as u64);
-        enc.u64(base_sum);
-        enc.u64(self.target.len() as u64);
-        enc.u64(crc64(self.target));
-        self.write_ops(enc);
-        enc.seal_inner(frame, DELTA_MAGIC, DELTA_VERSION);
-    }
-}
-
-impl<'a> DeltaRef<'a> {
-    /// Opens a sealed delta frame in place. Truncated, bit-flipped or
-    /// wrong-versioned frames and undecodable ops surface as [`CkptError`]s.
-    pub(crate) fn open(frame: &'a [u8]) -> Result<Self, CkptError> {
-        let mut d = Dec::new(open(frame, DELTA_MAGIC, DELTA_VERSION)?);
-        let delta = DeltaRef {
-            base_len: d.u64()?,
-            base_sum: d.u64()?,
-            target_len: d.u64()?,
-            target_sum: d.u64()?,
-            ops: d.rest(),
-        };
-        walk(delta.ops, |_| Ok(()))?;
-        Ok(delta)
-    }
-
-    /// The CRC-64 a reconstruction must hash to for [`apply`](Self::apply)
-    /// to return it.
-    pub(crate) fn target_sum(&self) -> u64 {
-        self.target_sum
-    }
-
-    /// [`DeltaFrame::apply`] into `out`'s allocation (its contents are
-    /// discarded), with every refusal of it. `base_sum` is the CRC-64 of
-    /// `base` — hashed now, or remembered from the full pass that verified
-    /// `base` when its holder took it; a base that no longer is what its
-    /// remembered sum says rebuilds a target that fails `target_sum`.
-    pub(crate) fn apply(
-        &self,
-        base: &[u8],
-        base_sum: u64,
-        mut out: Vec<u8>,
-    ) -> Result<Vec<u8>, CkptError> {
-        if base.len() as u64 != self.base_len || base_sum != self.base_sum {
+    /// Reconstructs the target from `base`. Refuses a wrong base up front
+    /// (`BadCrc`), refuses ops that reach outside the base or do not add up
+    /// to `target_len` (`Malformed`) before a byte is allocated — a seal is
+    /// not a signature, and a sealed `target_len` must not size a buffer on
+    /// its own word — and refuses its own output when the reconstruction
+    /// does not hash to `target_sum`: corruption is loud, never silent.
+    pub fn apply(&self, base: &[u8]) -> Result<Vec<u8>, CkptError> {
+        if base.len() as u64 != self.base_len || crc64(base) != self.base_sum {
             return Err(CkptError::BadCrc);
         }
         let mut total = 0u64;
-        walk(self.ops, |op| {
+        walk(&self.ops, |op| {
             let len = match op {
                 Op::Copy { offset, len } => {
                     if offset.checked_add(len).is_none_or(|end| end > self.base_len) {
@@ -445,11 +376,11 @@ impl<'a> DeltaRef<'a> {
         }
         // Copies may repeat base blocks, so even a consistent delta can
         // declare more than the machine holds: fail, don't abort.
-        out.clear();
+        let mut out = Vec::new();
         if usize::try_from(total).map_or(true, |n| out.try_reserve_exact(n).is_err()) {
             return Err(CkptError::Malformed(format!("no memory for a {total}-byte target")));
         }
-        walk(self.ops, |op| {
+        walk(&self.ops, |op| {
             match op {
                 Op::Copy { offset, len } => {
                     out.extend_from_slice(&base[offset as usize..(offset + len) as usize]);
@@ -463,37 +394,9 @@ impl<'a> DeltaRef<'a> {
         }
         Ok(out)
     }
-}
 
-impl DeltaFrame {
-    /// Diffs `base → target`. Pure and deterministic: the same pair always
-    /// yields the same frame.
-    pub fn compute(base: &[u8], target: &[u8]) -> DeltaFrame {
-        let plan = Plan::new(base, target);
-        let mut ops = Enc::with_capacity(plan.ops_len());
-        plan.write_ops(&mut ops);
-        DeltaFrame {
-            base_len: base.len() as u64,
-            base_sum: crc64(base),
-            target_len: target.len() as u64,
-            target_sum: crc64(target),
-            ops: ops.into_bytes(),
-        }
-    }
-
-    /// Reconstructs the target from `base`. Refuses a wrong base up front
-    /// (`BadCrc`), refuses ops that reach outside the base or do not add up
-    /// to `target_len` (`Malformed`) before a byte is allocated — a seal is
-    /// not a signature, and a sealed `target_len` must not size a buffer on
-    /// its own word — and refuses its own output when the reconstruction
-    /// does not hash to `target_sum`: corruption is loud, never silent.
-    pub fn apply(&self, base: &[u8]) -> Result<Vec<u8>, CkptError> {
-        let DeltaFrame { base_len, base_sum, target_len, target_sum, ref ops } = *self;
-        DeltaRef { base_len, base_sum, target_len, target_sum, ops }.apply(base, crc64(base), Vec::new())
-    }
-
-    /// Encoded size of the ops payload — the bandwidth a handoff actually
-    /// ships, compared against `target_len` for the O(churn) claim.
+    /// Encoded size of the ops payload — the bandwidth the diff ships,
+    /// compared against `target_len` for the O(churn) claim.
     pub fn payload_bytes(&self) -> u64 {
         // Everything but the op count.
         self.ops.len() as u64 - 8
@@ -512,9 +415,13 @@ impl DeltaFrame {
     }
 
     /// Parses a sealed delta frame. Truncated, bit-flipped or
-    /// wrong-versioned frames surface as [`CkptError`]s.
+    /// wrong-versioned frames and undecodable ops surface as
+    /// [`CkptError`]s.
     pub fn from_frame(frame: &[u8]) -> Result<DeltaFrame, CkptError> {
-        let DeltaRef { base_len, base_sum, target_len, target_sum, ops } = DeltaRef::open(frame)?;
+        let mut d = Dec::new(open(frame, DELTA_MAGIC, DELTA_VERSION)?);
+        let (base_len, base_sum, target_len, target_sum) = (d.u64()?, d.u64()?, d.u64()?, d.u64()?);
+        let ops = d.rest();
+        walk(ops, |_| Ok(()))?;
         Ok(DeltaFrame { base_len, base_sum, target_len, target_sum, ops: ops.to_vec() })
     }
 }

@@ -17,10 +17,11 @@
 //! * [`crc64`] — CRC-64/XZ (ECMA-182 polynomial, reflected), the frame
 //!   integrity check. Detects all single-bit flips and all burst errors
 //!   up to 64 bits. Slice-by-8, three lanes side by side on long inputs: a
-//!   cut hashes its whole image several times over (each holder checks the
-//!   layer it is handed), on the thread that serves requests.
+//!   cut hashes its image twice (sealed, then opened by the holder it is
+//!   shipped to), on the thread that serves requests.
 //! * [`seal`] / [`open`] — the versioned frame envelope (an encoder that
-//!   owns its body seals in place: [`Enc::frame`], [`Enc::seal`]):
+//!   owns its body seals in place: [`Enc::frame`], [`Enc::seal`];
+//!   [`peek`] finds the body without hashing it):
 //!
 //!   ```text
 //!   magic: u32 LE | version: u16 LE | body_len: u64 LE | body | crc64: u64 LE
@@ -37,19 +38,24 @@
 //! (hash maps are serialized sorted by key), so identical state always
 //! seals to identical frames — the property the roundtrip proptests pin.
 //!
-//! Two higher-level frame codecs live on top of the envelope, in this crate
-//! because both `darwin-shard` (standby replication) and `darwin-rebalance`
-//! (resize handoff) move sealed checkpoints between holders:
+//! The codecs that move sealed checkpoints between holders live on top of
+//! the envelope, in this crate because both `darwin-shard` (standby
+//! replication) and `darwin-rebalance` (resize handoff) use them:
 //!
-//! * [`delta`] — [`DeltaFrame`](delta::DeltaFrame): an rsync-style block
-//!   diff between two byte images, the O(churn) payload of both flows.
+//! * [`rows`] — the row delta: the rows of an image's id-sorted tables that
+//!   changed since a base image, plus the image's other bytes whole. The
+//!   codec is format-agnostic: it sees an image through the
+//!   [`Layout`](rows::Layout) of tables its owner reports.
 //! * [`replica`] — [`CutFrame`](replica::CutFrame): the one shard-,
-//!   generation- and role-addressed cut envelope (full image or delta) with
-//!   its one sender ([`ship`](replica::CutFrame::ship)) and one apply gate
-//!   ([`apply`](replica::CutFrame::apply)).
+//!   generation- and role-addressed cut envelope (full image or row delta)
+//!   with its one sender ([`ship`](replica::CutFrame::ship)) and one apply
+//!   gate ([`apply`](replica::CutFrame::apply)).
+//! * [`delta`] — the rsync-style block diff the row delta replaced,
+//!   retired from serving (see its docs).
 
 pub mod delta;
 pub mod replica;
+pub mod rows;
 
 use std::fmt;
 
@@ -158,27 +164,14 @@ impl Enc {
             framed.buf.extend_from_slice(&self.buf[self.header..]);
             return framed.seal(magic, version);
         }
-        seal_from(&mut self.buf, 0, magic, version);
+        let body_len = (self.buf.len() - HEADER_LEN) as u64;
+        let header = &mut self.buf[..HEADER_LEN];
+        header[0..4].copy_from_slice(&magic.to_le_bytes());
+        header[4..6].copy_from_slice(&version.to_le_bytes());
+        header[6..].copy_from_slice(&body_len.to_le_bytes());
+        let crc = crc64(&self.buf);
+        self.buf.extend_from_slice(&crc.to_le_bytes());
         self.buf
-    }
-
-    /// Starts a sealed frame *inside* this encoding, written as a
-    /// length-prefixed byte string ([`Enc::bytes`]) whose bytes are not yet
-    /// known: reserves the prefix and the inner header and returns the mark
-    /// [`seal_inner`](Enc::seal_inner) closes. The inner body is whatever is
-    /// written in between, so a frame that travels inside another is sealed
-    /// where it is built instead of being built, sealed and copied in.
-    pub(crate) fn begin_inner(&mut self) -> usize {
-        let mark = self.buf.len();
-        self.buf.resize(mark + 8 + HEADER_LEN, 0);
-        mark
-    }
-
-    /// Seals the inner frame begun at `mark` and fills in its length prefix.
-    pub(crate) fn seal_inner(&mut self, mark: usize, magic: u32, version: u16) {
-        seal_from(&mut self.buf, mark + 8, magic, version);
-        let len = (self.buf.len() - (mark + 8)) as u64;
-        self.buf[mark..mark + 8].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Writes bytes as they are, with no length prefix.
@@ -510,22 +503,11 @@ pub fn crc64(bytes: &[u8]) -> u64 {
     !crc64_run(joined, tail)
 }
 
-/// Frame header length: magic (4) + version (2) + body length (8).
-const HEADER_LEN: usize = 14;
+/// Frame header length — magic (4) + version (2) + body length (8) — and
+/// so the offset of a frame's body.
+pub const HEADER_LEN: usize = 14;
 /// CRC trailer length.
 const TRAILER_LEN: usize = 8;
-
-/// Seals `buf[start..]` — [`HEADER_LEN`] reserved bytes, then the body — in
-/// place: fills the header in and appends the CRC of header and body.
-fn seal_from(buf: &mut Vec<u8>, start: usize, magic: u32, version: u16) {
-    let body_len = (buf.len() - start - HEADER_LEN) as u64;
-    let header = &mut buf[start..start + HEADER_LEN];
-    header[0..4].copy_from_slice(&magic.to_le_bytes());
-    header[4..6].copy_from_slice(&version.to_le_bytes());
-    header[6..].copy_from_slice(&body_len.to_le_bytes());
-    let crc = crc64(&buf[start..]);
-    buf.extend_from_slice(&crc.to_le_bytes());
-}
 
 /// Seals `body` into a versioned, CRC-guarded frame. An encoder that owns
 /// its body seals without this copy: [`Enc::frame`] + [`Enc::seal`].
@@ -539,6 +521,26 @@ pub fn seal(magic: u32, version: u16, body: &[u8]) -> Vec<u8> {
 /// Validation order: length, magic, CRC, version, body length — so damage
 /// and format drift produce the most specific error available.
 pub fn open(frame: &[u8], magic: u32, version: u16) -> Result<&[u8], CkptError> {
+    check_magic(frame, magic)?;
+    let split = frame.len() - TRAILER_LEN;
+    let stored = u64::from_le_bytes(frame[split..].try_into().expect("8 bytes"));
+    if crc64(&frame[..split]) != stored {
+        return Err(CkptError::BadCrc);
+    }
+    body(frame, version)
+}
+
+/// The body of a frame sealed by [`seal`], found the way [`open`] finds it
+/// but not hashed: length, magic, version and body length are checked, the
+/// CRC is not. For a caller that only finds its way around a frame whose
+/// integrity is checked where it is used.
+pub fn peek(frame: &[u8], magic: u32, version: u16) -> Result<&[u8], CkptError> {
+    check_magic(frame, magic)?;
+    body(frame, version)
+}
+
+/// A frame long enough for its header and trailer, opening with `magic`.
+fn check_magic(frame: &[u8], magic: u32) -> Result<(), CkptError> {
     if frame.len() < HEADER_LEN + TRAILER_LEN {
         return Err(CkptError::Truncated);
     }
@@ -546,11 +548,13 @@ pub fn open(frame: &[u8], magic: u32, version: u16) -> Result<&[u8], CkptError> 
     if found_magic != magic {
         return Err(CkptError::BadMagic { expected: magic, found: found_magic });
     }
+    Ok(())
+}
+
+/// The body of a frame [`check_magic`] passed, if its version and body
+/// length are right.
+fn body(frame: &[u8], version: u16) -> Result<&[u8], CkptError> {
     let split = frame.len() - TRAILER_LEN;
-    let stored = u64::from_le_bytes(frame[split..].try_into().expect("8 bytes"));
-    if crc64(&frame[..split]) != stored {
-        return Err(CkptError::BadCrc);
-    }
     let found_version = u16::from_le_bytes(frame[4..6].try_into().expect("2 bytes"));
     if found_version != version {
         return Err(CkptError::BadVersion { expected: version, found: found_version });
@@ -752,17 +756,20 @@ mod tests {
     }
 
     #[test]
-    fn an_inner_frame_sealed_in_place_is_the_frame_copied_in() {
-        let inner = seal(MAGIC + 1, 3, b"inner body");
-        let mut copied = Enc::frame(0);
-        copied.u8(9);
-        copied.bytes(&inner);
-        let mut built = Enc::frame(0);
-        built.u8(9);
-        let mark = built.begin_inner();
-        built.raw(b"inner body");
-        built.seal_inner(mark, MAGIC + 1, 3);
-        assert_eq!(built.seal(MAGIC, VERSION), copied.seal(MAGIC, VERSION));
+    fn peek_is_open_without_the_crc() {
+        let frame = seal(MAGIC, VERSION, b"laid out, not hashed");
+        assert_eq!(peek(&frame, MAGIC, VERSION), open(&frame, MAGIC, VERSION));
+        assert_eq!(&frame[HEADER_LEN..HEADER_LEN + 8], b"laid out");
+        let mut flipped = frame.clone();
+        flipped[HEADER_LEN] ^= 1;
+        assert_eq!(open(&flipped, MAGIC, VERSION), Err(CkptError::BadCrc));
+        assert_eq!(peek(&flipped, MAGIC, VERSION).unwrap()[0], b'l' ^ 1);
+        // Everything else `open` checks, `peek` checks the same way.
+        for bad in [seal(MAGIC + 1, VERSION, b"x"), seal(MAGIC, VERSION + 1, b"x"), frame[..5].to_vec()]
+        {
+            assert_eq!(peek(&bad, MAGIC, VERSION), open(&bad, MAGIC, VERSION));
+            assert!(peek(&bad, MAGIC, VERSION).is_err());
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! machine, cuts every shard's final [`ShardCheckpoint`] at its
 //! end-of-stream request-sequence boundary, ships each *surviving* shard's
 //! cut to the successor generation in a [`CutRole::Handoff`] [`CutFrame`]
-//! (delta-compressed against the shard's last periodic checkpoint when one
+//! (a row delta against the shard's last periodic checkpoint when one
 //! exists), and boots generation `g+1` with those frames as warm seeds.
 //! Keyspace slices that *move* between shards arrive cold by design: a
 //! [`RingRouter`](crate::RingRouter) bounds them to `|M−N|/max(N,M)` of the
@@ -25,7 +25,6 @@
 //! benchmark measures. Any [`Router`] works — `route(id, shards)` takes the
 //! shard count — the ring only keeps the moved slice small.
 
-use crate::handoff::HandoffTracker;
 use darwin_cache::CacheConfig;
 use darwin_ckpt::replica::{AppliedCut, CutError, CutFrame, CutRole, Held};
 use darwin_shard::{
@@ -66,7 +65,7 @@ pub struct TransferStat {
     pub full_bytes: u64,
     /// Bytes actually shipped in the transfer envelope payload.
     pub shipped_bytes: u64,
-    /// True when the payload was a delta against a pre-copied base.
+    /// True when the payload was a row delta against a pre-copied base.
     pub delta: bool,
     /// Why validation made this handoff fall back, `None` for a clean one.
     /// A refused *base* ships the final cut full; a refused or missing
@@ -260,9 +259,10 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
     }
 
     /// Resizes the fleet to `to_shards` shards: drains the serving
-    /// generation through the handoff state machine, ships every surviving
-    /// shard's final cut as a handoff [`CutFrame`] (delta-compressed when a
-    /// pre-copied base exists) and boots the next generation warm from the
+    /// generation — every shard `Serving → Draining → Transferring →
+    /// Retired`, in that order — ships every surviving shard's final cut as
+    /// a handoff [`CutFrame`] (a row delta when a pre-copied base exists)
+    /// and boots the next generation warm from the
     /// resolved frames. Submitters blocked on the generation lock resume
     /// against the new generation; nothing is dropped or answered
     /// `Unavailable` by the resize itself. Concurrent resizes serialize on
@@ -284,22 +284,13 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
         let slots = fleet.checkpoint_slots();
         let old_handle = st.handle.clone();
 
-        // The tracker machine-checks the phase order end to end; a refused
-        // transition is a bug in this function, not an I/O condition.
-        let mut tracker = HandoffTracker::new(from_shards);
-        let mut advance = |s: usize, phase: ShardPhase| {
-            tracker.advance(s, phase).expect("handoff phases advance in order");
-        };
-        // Serving → Draining happens inside finish_with_cut (the fleet
-        // flips its cells); mirror it in the tracker.
-        (0..from_shards).for_each(|s| advance(s, ShardPhase::Draining));
+        // Serving → Draining: the fleet flips its cells as it drains.
         drop(fleet.finish_with_cut(to_shards)); // drivers retire with their generation
 
         let survivors = from_shards.min(to_shards);
         let mut seeds: Vec<Option<Vec<u8>>> = vec![None; to_shards];
         let mut transfers = Vec::with_capacity(survivors);
         for (s, slot) in slots.iter().enumerate() {
-            advance(s, ShardPhase::Transferring);
             old_handle.cells()[s].set_phase(ShardPhase::Transferring);
             if s < survivors {
                 let (stat, seed) = hand_off(s, slot, from_gen, to_gen);
@@ -310,10 +301,8 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
                 // its spill must not resurrect under a later warm boot.
                 slot.clear_disk();
             }
-            advance(s, ShardPhase::Retired);
             old_handle.cells()[s].set_phase(ShardPhase::Retired);
         }
-        debug_assert!(tracker.all_at(ShardPhase::Retired));
 
         // Archive the drained generation (exact: the fleet is finished).
         let snap = old_handle.snapshot();
@@ -445,16 +434,18 @@ fn own_cut_seq(shard: usize, frame: &[u8]) -> Result<u64, CutError> {
 }
 
 /// One attempt to ship shard `s`'s final cut — the newest frame in `slot` —
-/// to generation `to_gen`; with `with_base`, as a delta against the
+/// to generation `to_gen`; with `with_base`, as a row delta against the
 /// "pre-copied" base: the slot's next candidate, the shard's last checkpoint
 /// *before* the final cut, which a real destination would have replicated
 /// while the source was still serving. (Read after the drain, so which
 /// checkpoint that is depends on the request stream alone, never on how far
 /// the worker had got when the resize was called.) Both ends of the shipment
-/// run here: the cut goes through wire bytes, the destination decodes,
-/// address-checks and resolves it against that base, and the image must be
-/// bitwise the validated final cut at its boundary or the attempt fails
-/// loudly.
+/// run here: the final cut and the base are each opened once as this
+/// shard's checkpoints, the cut goes through wire bytes, the destination
+/// decodes, address-checks and resolves it against that base, and opens
+/// the result once more as this shard's checkpoint at the final cut's
+/// boundary — whose CRC trailer is the final cut's own, so only the final
+/// cut's bytes pass — or the attempt fails loudly.
 fn ship_final_cut(
     s: usize,
     slot: &CheckpointSlot,
@@ -467,12 +458,13 @@ fn ship_final_cut(
     let seq = own_cut_seq(s, &final_frame)?;
     let base = candidates.next().filter(|b| with_base && *b != final_frame);
     let held = match &base {
-        Some(base) => Some(Held::new(own_cut_seq(s, base)?, base)),
+        Some(base) => Some(Held { seq: own_cut_seq(s, base)?, image: base }),
         None => None,
     };
-    let wire = CutFrame::ship(s, to_gen, CutRole::Handoff, seq, &final_frame, held);
-    let cut = CutFrame::apply(&wire, s, to_gen, CutRole::Handoff, held)?;
-    if cut.seq != seq || cut.image != *final_frame {
+    let layout = ShardCheckpoint::layout;
+    let wire = CutFrame::ship(s, to_gen, CutRole::Handoff, seq, &final_frame, held, layout);
+    let cut = CutFrame::apply(&wire, s, to_gen, CutRole::Handoff, held, layout)?;
+    if cut.seq != seq || own_cut_seq(s, &cut.image)? != seq {
         return Err(state_err(format!("shard {s}: resolved transfer diverges from the final cut")));
     }
     Ok(cut)
@@ -516,20 +508,34 @@ fn hand_off(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darwin_cache::ThresholdPolicy;
+    use darwin_cache::{CacheServer, ThresholdPolicy};
     use darwin_ckpt::CkptError;
 
-    fn ckpt_frame(shard: usize, seq: u64, fill: u8) -> Vec<u8> {
-        ShardCheckpoint {
+    /// A real cut: shard `shard`'s checkpoint after `seq` requests over a
+    /// catalogue of 5 000 objects (more seen than resident, as in a serving
+    /// shard).
+    fn ckpt_frame(shard: usize, seq: u64) -> Vec<u8> {
+        let config = CacheConfig {
+            dc_bytes: 4 * 1024 * 1024,
+            expected_unique_objects: 4096,
+            ..CacheConfig::small_test()
+        };
+        let policy = ThresholdPolicy::new(1, 64 * 1024);
+        let mut server = CacheServer::new(config);
+        server.set_policy(policy);
+        for i in 0..seq {
+            server.process(&Request::new(i.wrapping_mul(2_654_435_761) % 5_000, 20_000, i));
+        }
+        let ckpt = ShardCheckpoint {
             shard,
             seq,
-            policy: ThresholdPolicy::new(2, 64 * 1024),
-            cache: vec![fill; 4096],
-            driver: vec![fill ^ 0xFF; 128],
+            policy,
+            cache: Vec::new(),
+            driver: vec![seq as u8; 128],
             restarts: 0,
             budget_marks: Vec::new(),
-        }
-        .to_frame()
+        };
+        ckpt.to_frame_of(&server)
     }
 
     fn slot_with(frames: &[Vec<u8>]) -> CheckpointSlot {
@@ -542,14 +548,17 @@ mod tests {
 
     #[test]
     fn hand_off_ships_a_delta_at_the_decoded_boundaries() {
-        let slot = slot_with(&[ckpt_frame(1, 500, 7), ckpt_frame(1, 730, 7)]);
+        let slot = slot_with(&[ckpt_frame(1, 20_000), ckpt_frame(1, 20_730)]);
         let (stat, seed) = hand_off(1, &slot, 4, 5);
-        assert_eq!((stat.seq, stat.from_generation, stat.to_generation), (730, 4, 5));
-        assert!(stat.delta && stat.shipped_bytes < stat.full_bytes && stat.refused.is_none());
+        assert_eq!((stat.seq, stat.from_generation, stat.to_generation), (20_730, 4, 5));
+        assert!(
+            stat.delta && stat.shipped_bytes < stat.full_bytes / 2 && stat.refused.is_none(),
+            "{stat:?}"
+        );
         assert_eq!(seed.unwrap(), *slot.candidates().next().unwrap());
         // No earlier checkpoint, or one identical to the final cut (the
         // stream ended on a periodic boundary): the full image ships.
-        for frames in [vec![ckpt_frame(1, 730, 7)], vec![ckpt_frame(1, 730, 7); 2]] {
+        for frames in [vec![ckpt_frame(1, 20_730)], vec![ckpt_frame(1, 20_730); 2]] {
             let (stat, _) = hand_off(1, &slot_with(&frames), 4, 5);
             assert!(!stat.delta && stat.shipped_bytes == stat.full_bytes && stat.refused.is_none());
         }
@@ -565,10 +574,10 @@ mod tests {
     fn undecodable_cut_or_base_fails_the_handoff_instead_of_shipping_seq_zero() {
         // A damaged base: the final cut is fine, the boundary it would be
         // addressed against is unknowable.
-        let slot = slot_with(&[bit_flipped(ckpt_frame(1, 500, 7)), ckpt_frame(1, 730, 7)]);
+        let slot = slot_with(&[bit_flipped(ckpt_frame(1, 500)), ckpt_frame(1, 730)]);
         assert_eq!(ship_final_cut(1, &slot, 5, true), Err(CutError::Frame(CkptError::BadCrc)));
         // Another shard's frame in this shard's slot is refused by name.
-        let slot = slot_with(&[ckpt_frame(0, 500, 7), ckpt_frame(1, 730, 7)]);
+        let slot = slot_with(&[ckpt_frame(0, 500), ckpt_frame(1, 730)]);
         assert_eq!(
             ship_final_cut(1, &slot, 5, true),
             Err(CutError::WrongShard { expected: 1, found: 0 })
@@ -576,7 +585,7 @@ mod tests {
         // The final cut corrupted in the slot after it was taken, torn or
         // bit-flipped: no boundary to address, so nothing ships.
         for torn in [true, false] {
-            let slot = slot_with(&[ckpt_frame(1, 500, 7), ckpt_frame(1, 730, 7)]);
+            let slot = slot_with(&[ckpt_frame(1, 500), ckpt_frame(1, 730)]);
             slot.corrupt(torn);
             assert!(matches!(ship_final_cut(1, &slot, 5, true), Err(CutError::Frame(_))));
         }
@@ -585,15 +594,15 @@ mod tests {
     #[test]
     fn a_refused_attempt_falls_back_to_a_full_shipment_then_to_a_cold_seed() {
         // A base that does not validate: the valid final cut ships whole.
-        let final_cut = ckpt_frame(1, 730, 7);
-        let slot = slot_with(&[bit_flipped(ckpt_frame(1, 500, 7)), final_cut.clone()]);
+        let final_cut = ckpt_frame(1, 730);
+        let slot = slot_with(&[bit_flipped(ckpt_frame(1, 500)), final_cut.clone()]);
         let (stat, seed) = hand_off(1, &slot, 4, 5);
         assert_eq!((stat.seq, stat.delta, stat.shipped_bytes), (730, false, stat.full_bytes));
         assert_eq!(stat.refused, Some(CutError::Frame(CkptError::BadCrc).to_string()));
         assert_eq!(seed, Some(final_cut));
         // A final cut that does not validate: nothing ships, and the raw
         // frame is the seed the successor's worker will refuse and journal.
-        let slot = slot_with(&[ckpt_frame(1, 500, 7), ckpt_frame(1, 730, 7)]);
+        let slot = slot_with(&[ckpt_frame(1, 500), ckpt_frame(1, 730)]);
         slot.corrupt(false);
         let (stat, seed) = hand_off(1, &slot, 4, 5);
         assert_eq!((stat.seq, stat.full_bytes, stat.shipped_bytes, stat.delta), (0, 0, 0, false));

@@ -11,7 +11,7 @@
 //!  ┌──────────────────────┐      cut      ┌──────────────────────────┐
 //!  │ Serving → Draining   │   envelopes   │  warm boot from resolved │
 //!  │  final cut @ seq ────┼──────────────▶│  frames (survivors) /    │
-//!  │  Transferring        │  Full | Delta │  cold (moved keyspace)   │
+//!  │  Transferring        │  Full | Rows  │  cold (moved keyspace)   │
 //!  │  Retired             │               │  Serving                 │
 //!  └──────────────────────┘               └──────────────────────────┘
 //!            ▲                                        ▲
@@ -26,20 +26,20 @@
 //!   recommended router, not the only one: an [`ElasticFleet`] resizes
 //!   under any [`Router`](darwin_shard::Router), a plain hash just moves
 //!   (and so cold-starts) most of the keyspace.
-//! * [`delta`] — [`DeltaFrame`]: rsync-style block diff between two
-//!   checkpoint images, so a handoff ships O(churn) not O(cache) bytes
-//!   (hosted in [`darwin_ckpt`], which the shard replication layer shares).
 //! * [`replica`] — [`CutFrame`]: the sealed, role-tagged cut envelope
-//!   (full or delta payload, shard- and generation-addressed) with its one
-//!   sender and one apply gate; a resize ships [`CutRole::Handoff`]
-//!   frames, a standby feed [`CutRole::Replica`] ones (also hosted in
-//!   [`darwin_ckpt`]).
-//! * [`handoff`] — [`HandoffTracker`]: the one-way
-//!   `Serving → Draining → Transferring → Retired` state machine.
+//!   (full image or row delta, shard- and generation-addressed) with its
+//!   one sender and one apply gate; a resize ships [`CutRole::Handoff`]
+//!   frames, a standby feed [`CutRole::Replica`] ones. Hosted in
+//!   [`darwin_ckpt`], which the shard replication layer shares.
+//! * [`rows`] — the row delta a cut ships against the destination's base:
+//!   the per-object rows that changed since that base, laid out by
+//!   [`ShardCheckpoint::layout`](darwin_shard::ShardCheckpoint::layout),
+//!   plus the image's other bytes whole (also hosted in [`darwin_ckpt`]).
 //! * [`elastic`] — [`ElasticFleet`]: the orchestrator that drains a
-//!   generation, ships the envelopes and boots the successor warm, keeping
-//!   the exactly-once conservation ledger intact across any resize
-//!   sequence; submitters feed it through per-submitter
+//!   generation — every shard one way through `Serving → Draining →
+//!   Transferring → Retired` — ships the envelopes and boots the successor
+//!   warm, keeping the exactly-once conservation ledger intact across any
+//!   resize sequence; submitters feed it through per-submitter
 //!   [`ElasticProducer`]s.
 //!
 //! Every rebalance is byte-auditable: `DrainStart`, `HandoffCut`,
@@ -48,20 +48,17 @@
 //! bit-for-bit.
 
 pub mod elastic;
-pub mod handoff;
 pub mod ring;
 
-/// The block-delta codec, hosted in [`darwin_ckpt`].
-pub use darwin_ckpt::delta;
 /// The cut envelope, hosted in [`darwin_ckpt`].
 pub use darwin_ckpt::replica;
+/// The row-delta codec, hosted in [`darwin_ckpt`].
+pub use darwin_ckpt::rows;
 
-pub use darwin_ckpt::delta::{DeltaFrame, DELTA_MAGIC, DELTA_VERSION};
 pub use darwin_ckpt::replica::{
     AppliedCut, CutError, CutFrame, CutPayload, CutRole, Held, CUT_MAGIC, CUT_VERSION,
 };
 pub use elastic::{
     ElasticFleet, ElasticProducer, ElasticReport, ResizeRefused, TransferStat, MAX_SHARDS,
 };
-pub use handoff::HandoffTracker;
 pub use ring::{theoretical_remap, RingRouter, DEFAULT_SEED, DEFAULT_VNODES};

@@ -186,6 +186,55 @@ fn resize_4_8_4_conserves_and_journals() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The phase order a resize drives every drained shard through, watched
+/// from outside while it runs: each shard's cell only ever moves forward,
+/// one step at a time, `Serving → Draining → Transferring → Retired`
+/// (a watcher may miss a step, never see one undone), the drain is
+/// journaled before the final cut, and every shard ends `Retired` while
+/// its successor serves.
+#[test]
+fn tracker_enforces_one_way_order() {
+    let trace = test_trace(6_000);
+    let fleet = Arc::new(elastic(4, None, false));
+    fleet.submit_frame(trace.iter().cloned());
+    let gen0 = fleet.metrics_handle();
+    let resizing = {
+        let fleet = Arc::clone(&fleet);
+        std::thread::spawn(move || fleet.resize(2).expect("4 -> 2"))
+    };
+    let mut seen = vec![vec![ShardPhase::Serving]; 4];
+    while !resizing.is_finished() {
+        for (cell, seen) in gen0.cells().iter().zip(&mut seen) {
+            let phase = cell.phase();
+            if seen.last() != Some(&phase) {
+                seen.push(phase);
+            }
+        }
+        std::thread::yield_now();
+    }
+    resizing.join().unwrap();
+    for (shard, (cell, seen)) in gen0.cells().iter().zip(&mut seen).enumerate() {
+        if seen.last() != Some(&cell.phase()) {
+            seen.push(cell.phase());
+        }
+        assert!(seen.windows(2).all(|w| w[0].code() < w[1].code()), "shard {shard} went {seen:?}");
+        assert_eq!(seen.last(), Some(&ShardPhase::Retired), "shard {shard}");
+        let kinds: Vec<_> = cell.obs().journal.snapshot().events.into_iter().map(|e| e.kind).collect();
+        let drain = kinds.iter().position(|k| matches!(k, EventKind::DrainStart { target_shards: 2 }));
+        let cut = kinds.iter().position(|k| matches!(k, EventKind::HandoffCut { .. }));
+        assert!(drain.is_some() && drain < cut, "shard {shard}: drain then final cut, in {kinds:?}");
+    }
+    for (a, b) in
+        [(ShardPhase::Serving, ShardPhase::Transferring), (ShardPhase::Retired, ShardPhase::Serving)]
+    {
+        assert!(!a.can_advance_to(b), "{a:?} -> {b:?}");
+    }
+    let gen1 = fleet.metrics_handle();
+    assert!(gen1.cells().iter().all(|c| c.phase() == ShardPhase::Serving));
+    let fleet = Arc::into_inner(fleet).expect("the resize thread is joined");
+    assert!(fleet.finish(false).conserved());
+}
+
 /// Concurrent submitters across both resizes: nothing is refused, nothing
 /// is lost. The generation lock hands frames over atomically, so the
 /// ledger balances even with four threads racing the cutovers.

@@ -22,7 +22,8 @@
 //! [`CacheServer::save_state`]: darwin_cache::CacheServer::save_state
 
 use darwin_cache::{CacheServer, ThresholdPolicy};
-use darwin_ckpt::{open, CkptError, Dec, Enc};
+use darwin_ckpt::rows::Layout;
+use darwin_ckpt::{open, peek, CkptError, Dec, Enc, HEADER_LEN};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
@@ -105,6 +106,25 @@ impl ShardCheckpoint {
     pub fn header(frame: &[u8]) -> Result<(usize, u64), CkptError> {
         let mut dec = Dec::new(open(frame, CKPT_MAGIC, CKPT_VERSION)?);
         Ok((dec.usize()?, dec.u64()?))
+    }
+
+    /// Where the per-object tables of `frame`'s cache image lie, as frame
+    /// offsets ([`CacheServer::state_layout`], moved past the fields before
+    /// the image) — the [`LayoutFn`](darwin_ckpt::rows::LayoutFn) a cut's
+    /// row delta is shipped and applied under. Follows length prefixes
+    /// only: the frame is not hashed and no row is decoded. `None` for a
+    /// frame that does not lay out, which then ships whole.
+    pub fn layout(frame: &[u8]) -> Option<Layout> {
+        let body = peek(frame, CKPT_MAGIC, CKPT_VERSION).ok()?;
+        let mut dec = Dec::new(body);
+        dec.usize().ok()?;
+        dec.u64().ok()?;
+        ThresholdPolicy::decode_state(&mut dec).ok()?;
+        let len = dec.usize().ok().filter(|&len| len <= dec.remaining())?;
+        let at = HEADER_LEN + body.len() - dec.remaining();
+        let mut tables = CacheServer::state_layout(&frame[at..at + len])?;
+        tables.iter_mut().for_each(|t| t.offset += at);
+        Some(tables)
     }
 
     /// Opens and decodes a frame written by [`ShardCheckpoint::to_frame`].

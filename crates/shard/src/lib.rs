@@ -44,8 +44,9 @@
 //!   request sequence numbers, so fault runs reproduce bit-for-bit (no wall
 //!   clock anywhere).
 //! * [`standby`] — hot-standby replication: a per-shard [`StandbySlot`] fed
-//!   a `Replica`-role cut envelope (full image, then O(churn) deltas) at every
-//!   checkpoint cut. When a shard's restart budget is exhausted the standby
+//!   a `Replica`-role cut envelope (full image, then row deltas: the
+//!   per-object rows that changed) at every checkpoint cut. When a shard's
+//!   restart budget is exhausted the standby
 //!   is *promoted* — its last applied frame is installed and the worker
 //!   warm-restarts from it, bitwise-identical to an unfailed run from the
 //!   checkpoint boundary — instead of burying the shard

@@ -8,10 +8,12 @@
 //! standby would (the format and the gate are in [`darwin_ckpt::replica`];
 //! a resize handoff goes through the same two calls). The first cut (and
 //! every re-seed after a promotion or a detected loss) ships the full
-//! checkpoint image; steady-state cuts ship a delta against the frame the
-//! standby already holds, so replication costs O(churn) bytes per
-//! checkpoint window. The standby therefore always trails the primary by at
-//! most one checkpoint window — the lag bound the failover contract quotes.
+//! checkpoint image; steady-state cuts ship a row delta against the frame
+//! the standby already holds — the per-object rows that changed in the
+//! window, plus the image's other bytes — laid out by
+//! [`ShardCheckpoint::layout`]. The standby therefore always trails the
+//! primary by at most one checkpoint window — the lag bound the failover
+//! contract quotes.
 //!
 //! When the shard's restart budget is exhausted, the fleet asks
 //! [`ready`](StandbySlot::ready) and, on a
@@ -44,10 +46,11 @@ pub enum FeedOutcome {
         /// Payload bytes the envelope shipped.
         shipped_bytes: u64,
     },
-    /// Steady state: a delta against the standby's held frame was shipped
-    /// and applied.
+    /// Steady state: a row delta against the standby's held frame was
+    /// shipped and applied.
     Applied {
-        /// Payload bytes the envelope shipped (O(churn), not O(cache)).
+        /// Payload bytes the envelope shipped (the changed rows, not the
+        /// whole image).
         shipped_bytes: u64,
         /// Sequence distance the delta covered (`seq - base_seq`) — bounded
         /// by one checkpoint window.
@@ -72,11 +75,9 @@ pub enum FeedOutcome {
 struct StandbyState {
     /// Last applied, fully validated checkpoint frame.
     frame: Option<Vec<u8>>,
-    /// Request-sequence boundary of `frame`.
+    /// Request-sequence boundary of `frame`: what the next delta names its
+    /// base by.
     seq: u64,
-    /// CRC-64 of `frame`, from the pass that verified it when it was
-    /// applied: what the next delta names its base by.
-    sum: u64,
     /// True once the standby is known-bad: poisoned by a scripted fault or
     /// failed a feed's validation. A lost standby never serves a promotion.
     lost: bool,
@@ -105,11 +106,13 @@ impl StandbySlot {
     /// [`ShardCheckpoint`] frame bytes) through the replication channel:
     /// [`CutFrame::ship`] seals a [`CutRole::Replica`] envelope on the
     /// primary side, then [`CutFrame::apply`] decodes, address-checks and
-    /// resolves it on the standby side, and the image is re-validated as
-    /// this shard's checkpoint at `seq` before it is stored. The loopback is
-    /// deliberate — the bytes that reach the standby's state are exactly the
-    /// bytes that survived the wire format's gauntlet, so a corrupted or
-    /// misrouted envelope can fail loudly but never silently mis-apply.
+    /// resolves it on the standby side, and the image is opened as this
+    /// shard's checkpoint at `seq` before it is stored — the one hash of
+    /// the image on this side, and the check of a row delta's rebuild. The
+    /// loopback is deliberate — the bytes that reach the standby's state are
+    /// exactly the bytes that survived the wire format's gauntlet, so a
+    /// corrupted or misrouted envelope can fail loudly but never silently
+    /// mis-apply.
     ///
     /// The image is rebuilt in the allocation of `spare` (a retired frame's
     /// buffer, or an empty one; its contents are discarded), so a steady
@@ -120,16 +123,17 @@ impl StandbySlot {
         if was_lost {
             st.frame = None;
         }
-        let held = st.frame.as_deref().map(|image| Held { seq: st.seq, image, sum: st.sum });
-        let wire = CutFrame::ship(self.shard, generation, CutRole::Replica, seq, frame, held);
-        let applied = CutFrame::apply_into(spare, &wire, self.shard, generation, CutRole::Replica, held)
-            .ok()
-            .filter(|cut| ShardCheckpoint::header(&cut.image) == Ok((self.shard, seq)));
+        let held = st.frame.as_deref().map(|image| Held { seq: st.seq, image });
+        let layout = ShardCheckpoint::layout;
+        let wire = CutFrame::ship(self.shard, generation, CutRole::Replica, seq, frame, held, layout);
+        let applied =
+            CutFrame::apply_into(spare, &wire, self.shard, generation, CutRole::Replica, held, layout)
+                .ok()
+                .filter(|cut| ShardCheckpoint::header(&cut.image) == Ok((self.shard, seq)));
         match applied {
             Some(cut) => {
                 st.frame = Some(cut.image);
                 st.seq = seq;
-                st.sum = cut.sum;
                 let shipped_bytes = cut.shipped_bytes;
                 match cut.base_seq {
                     None if was_lost => FeedOutcome::Replaced { shipped_bytes },
@@ -191,19 +195,34 @@ impl StandbySlot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darwin_cache::ThresholdPolicy;
+    use darwin_cache::{CacheConfig, CacheServer, ThresholdPolicy};
+    use darwin_trace::Request;
 
-    fn ckpt_frame(shard: usize, seq: u64, fill: u8) -> Vec<u8> {
-        ShardCheckpoint {
+    /// A real cut: shard `shard`'s checkpoint after `seq` requests over a
+    /// catalogue of 5 000 objects — far more seen than resident, so the
+    /// per-object tables are most of the image, as in a serving shard.
+    fn ckpt_frame(shard: usize, seq: u64) -> Vec<u8> {
+        let config = CacheConfig {
+            dc_bytes: 4 * 1024 * 1024,
+            expected_unique_objects: 4096,
+            ..CacheConfig::small_test()
+        };
+        let policy = ThresholdPolicy::new(1, 64 * 1024);
+        let mut server = CacheServer::new(config);
+        server.set_policy(policy);
+        for i in 0..seq {
+            server.process(&Request::new(i.wrapping_mul(2_654_435_761) % 5_000, 20_000, i));
+        }
+        let ckpt = ShardCheckpoint {
             shard,
             seq,
-            policy: ThresholdPolicy::new(2, 64 * 1024),
-            cache: vec![fill; 4096],
-            driver: vec![fill ^ 0xFF; 128],
+            policy,
+            cache: Vec::new(),
+            driver: vec![seq as u8; 128],
             restarts: 1,
             budget_marks: vec![seq / 2],
-        }
-        .to_frame()
+        };
+        ckpt.to_frame_of(&server)
     }
 
     /// A feed from a feeder with no buffer to spare.
@@ -214,13 +233,13 @@ mod tests {
     #[test]
     fn a_feed_rebuilds_the_image_in_the_spare_buffer() {
         let slot = StandbySlot::new(0);
-        let (f1, f2) = (ckpt_frame(0, 1_000, 0xAA), ckpt_frame(0, 2_000, 0xAB));
-        feed(&slot, 0, 1_000, &f1);
+        let (f1, f2) = (ckpt_frame(0, 20_000), ckpt_frame(0, 21_000));
+        feed(&slot, 0, 20_000, &f1);
         let spare = vec![0xEE; 2 * f2.len()];
         let at = spare.as_ptr();
-        assert!(matches!(slot.feed(0, 2_000, &f2, spare), FeedOutcome::Applied { .. }));
+        assert!(matches!(slot.feed(0, 21_000, &f2, spare), FeedOutcome::Applied { .. }));
         let (promoted, seq) = slot.take_for_promotion().expect("ready standby");
-        assert_eq!((promoted.as_ptr(), seq, &promoted), (at, 2_000, &f2));
+        assert_eq!((promoted.as_ptr(), seq, &promoted), (at, 21_000, &f2));
     }
 
     #[test]
@@ -229,20 +248,20 @@ mod tests {
         assert!(!slot.ready());
         assert_eq!(slot.applied_seq(), None);
 
-        let f1 = ckpt_frame(0, 1_000, 0xAA);
-        match feed(&slot, 0, 1_000, &f1) {
+        let f1 = ckpt_frame(0, 20_000);
+        match feed(&slot, 0, 20_000, &f1) {
             FeedOutcome::Seeded { shipped_bytes } => {
                 assert_eq!(shipped_bytes, f1.len() as u64, "first feed ships the full image");
             }
             other => panic!("expected Seeded, got {other:?}"),
         }
         assert!(slot.ready());
-        assert_eq!(slot.applied_seq(), Some(1_000));
+        assert_eq!(slot.applied_seq(), Some(20_000));
 
-        // A lightly changed next cut ships O(churn), and the lag equals one
-        // checkpoint window.
-        let f2 = ckpt_frame(0, 2_000, 0xAA);
-        match feed(&slot, 0, 2_000, &f2) {
+        // The next cut ships the rows its window changed, and the lag
+        // equals one checkpoint window.
+        let f2 = ckpt_frame(0, 21_000);
+        match feed(&slot, 0, 21_000, &f2) {
             FeedOutcome::Applied { shipped_bytes, lag } => {
                 assert_eq!(lag, 1_000);
                 assert!(
@@ -255,23 +274,23 @@ mod tests {
         }
         // The applied frame is bitwise the primary's cut.
         let (frame, seq) = slot.take_for_promotion().expect("ready standby");
-        assert_eq!(seq, 2_000);
+        assert_eq!(seq, 21_000);
         assert_eq!(frame, f2);
         // Taking empties the slot: the next feed is a fresh seed.
         assert!(!slot.ready());
-        assert!(matches!(feed(&slot, 0, 3_000, &ckpt_frame(0, 3_000, 1)), FeedOutcome::Seeded { .. }));
+        assert!(matches!(feed(&slot, 0, 22_000, &ckpt_frame(0, 22_000)), FeedOutcome::Seeded { .. }));
     }
 
     #[test]
     fn poison_is_detected_then_replaced() {
         let slot = StandbySlot::new(2);
-        feed(&slot, 0, 500, &ckpt_frame(2, 500, 7));
+        feed(&slot, 0, 500, &ckpt_frame(2, 500));
         assert!(slot.ready());
         slot.poison();
         assert!(!slot.ready());
         assert_eq!(slot.take_for_promotion(), None, "a lost standby never promotes");
         // The next feed detects the loss and seeds a replacement.
-        match feed(&slot, 0, 1_000, &ckpt_frame(2, 1_000, 8)) {
+        match feed(&slot, 0, 1_000, &ckpt_frame(2, 1_000)) {
             FeedOutcome::Replaced { .. } => {}
             other => panic!("expected Replaced, got {other:?}"),
         }
@@ -284,7 +303,7 @@ mod tests {
         let slot = StandbySlot::new(1);
         // A frame that is not a valid checkpoint for shard 1 (wrong shard
         // inside the sealed image) must not be applied.
-        let wrong_shard = ckpt_frame(0, 500, 3);
+        let wrong_shard = ckpt_frame(0, 500);
         assert_eq!(feed(&slot, 0, 500, &wrong_shard), FeedOutcome::Lost);
         assert!(!slot.ready());
         // Garbage bytes: same story.
@@ -292,6 +311,15 @@ mod tests {
         assert_eq!(feed(&slot, 0, 500, b"not a checkpoint"), FeedOutcome::Lost);
         assert!(!slot.ready());
         assert_eq!(slot.take_for_promotion(), None);
+        // A cut damaged after it was sealed, fed as a row delta: the rows
+        // merge, the rebuild's open refuses it.
+        let slot = StandbySlot::new(1);
+        feed(&slot, 0, 500, &ckpt_frame(1, 500));
+        let mut damaged = ckpt_frame(1, 1_000);
+        let mid = damaged.len() / 2;
+        damaged[mid] ^= 0x10;
+        assert_eq!(feed(&slot, 0, 1_000, &damaged), FeedOutcome::Lost);
+        assert!(!slot.ready());
     }
 
     #[test]
@@ -299,7 +327,7 @@ mod tests {
         // The envelope says seq 900 but the image was cut at 500: the
         // standby's re-validation refuses the mismatch.
         let slot = StandbySlot::new(0);
-        assert_eq!(feed(&slot, 0, 900, &ckpt_frame(0, 500, 3)), FeedOutcome::Lost);
+        assert_eq!(feed(&slot, 0, 900, &ckpt_frame(0, 500)), FeedOutcome::Lost);
         assert!(!slot.ready());
     }
 }

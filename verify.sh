@@ -45,12 +45,12 @@ cargo test -p darwin-shard --test restore -q -- \
 echo "== failover equivalence (standby promotion bitwise at 1, 2, 8 shards; zero Unavailable) =="
 cargo test -p darwin-shard --test failover -q
 
-echo "== cut envelope (both roles) + delta + RESIZE wire hostile corpus (never panic, never silent mis-apply) =="
+echo "== cut envelope (both roles) + row delta + RESIZE wire hostile corpus (truncation, bit flips, lying counts, unsorted upserts, absent removals, width mismatch, stale bases: typed errors, never panic, never silent mis-apply) =="
 cargo test -p darwin-rebalance --test codec_props -q
 cargo test -p darwin-gateway --test wire_codec -q
 
-echo "== delta matcher byte-identity (flat-index matcher ≡ the HashMap oracle, frame for frame) =="
-cargo test -p darwin-shard --test delta_identity -q
+echo "== row-delta oracle (real cache images, every store, Exact and Sketch, Darwin driver state: rebuilt bitwise) =="
+cargo test -p darwin-shard --test row_delta -q
 
 echo "== repo benchmark still builds and runs (perf/: 1/100-size smoke of all four workloads + one traced run) =="
 cargo test --release --manifest-path perf/Cargo.toml -q
