@@ -1,33 +1,63 @@
 //! The experiment driver: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! experiments <what> [--scale N] [--out DIR] [--resize-to M]
-//!
-//! what: all | fig2 | fig4a | fig4b | fig4c | fig5a | fig5b | fig5c | fig5d
-//!     | fig6 | fig7a | fig7b | table2 | fig8 | fig9 | fig10 | fig11
-//!     | ablations | timeline | hindsight | shard | gateway | chaos | recovery
-//!     | failover | switching | rebalance | overload
+//! experiments <what> [--scale N] [--out DIR] [--cache]
 //! ```
 //!
-//! `--scale 1` (default) is the laptop configuration; larger factors move
-//! toward the paper's trace lengths and cache sizes proportionally.
-//! `--cache` persists the expensive expert evaluations under the output
-//! directory and reuses them on later invocations at the same scale.
-//! `--resize-to M` (rebalance only, default 8) sets the mid-run shard
-//! count: the elastic schedule becomes 4 → M → 4.
+//! `what` is `all` or one name of the `EXPERIMENTS` table (the usage line
+//! lists them). `--scale 1` (default) is the laptop configuration; larger
+//! factors move toward the paper's trace lengths and cache sizes
+//! proportionally. `--cache` persists the expensive expert evaluations under
+//! the output directory and reuses them on later invocations at the same
+//! scale.
 
 use darwin::offline::OfflineTrainer;
+use darwin::DarwinModel;
 use darwin_bench::experiments::{
-    ablations, chaos, failover, fig2, fig4, fig5, fig6, fig7, fig8_11, gateway, hindsight, overload,
-    rebalance, recovery, shard, switching, table2, timeline,
+    ablations, fig2, fig4, fig5, fig6, fig7, fig8_11, hindsight, switching, table2, timeline,
 };
 use darwin_bench::{Scale, SharedContext};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+/// What an experiment is built from.
+#[derive(Clone, Copy)]
+enum Runner {
+    /// Its own inputs only: runs without the shared offline context.
+    Standalone(fn(&Scale, &Path)),
+    /// The shared offline context.
+    Context(fn(&SharedContext, &Path)),
+    /// The shared context and the all-pairs predictor model.
+    AllPairs(fn(&SharedContext, &DarwinModel, &Path)),
+}
+
+/// Every experiment, in the order `all` runs them. The usage line, name
+/// validation, dispatch and `all` read this one table.
+const EXPERIMENTS: &[(&str, Runner)] = &[
+    ("fig2", Runner::Standalone(fig2::run)),
+    ("fig4a", Runner::Context(fig4::run_a)),
+    ("fig4b", Runner::Context(fig4::run_b)),
+    ("fig4c", Runner::Context(fig4::run_c)),
+    ("fig5a", Runner::Context(fig5::run_a)),
+    ("fig5b", Runner::Context(fig5::run_b)),
+    ("fig5c", Runner::AllPairs(fig5::run_c)),
+    ("fig5d", Runner::Context(fig5::run_d)),
+    ("fig6", Runner::Context(fig6::run)),
+    ("fig7a", Runner::Context(fig7::run_a)),
+    ("fig7b", Runner::Context(fig7::run_b)),
+    ("table2", Runner::Context(table2::run)),
+    ("fig8", Runner::Context(fig8_11::run_fig8)),
+    ("fig9", Runner::Context(fig8_11::run_fig9)),
+    ("fig10", Runner::AllPairs(fig8_11::run_fig10)),
+    ("fig11", Runner::Context(fig8_11::run_fig11)),
+    ("ablations", Runner::Context(ablations::run)),
+    ("timeline", Runner::Context(timeline::run)),
+    ("hindsight", Runner::Context(hindsight::run)),
+    ("switching", Runner::Standalone(switching::run)),
+];
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: experiments <all|fig2|fig4a|fig4b|fig4c|fig5a|fig5b|fig5c|fig5d|fig6|fig7a|fig7b|table2|fig8|fig9|fig10|fig11|ablations|timeline|hindsight|shard|gateway|chaos|recovery|failover|switching|rebalance|overload> [--scale N] [--out DIR] [--cache] [--resize-to M]"
-    );
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    eprintln!("usage: experiments <all|{}> [--scale N] [--out DIR] [--cache]", names.join("|"));
     std::process::exit(2);
 }
 
@@ -40,7 +70,6 @@ fn main() {
     let mut scale_factor = 1usize;
     let mut out = PathBuf::from("results");
     let mut use_cache = false;
-    let mut resize_to = 8usize;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -55,10 +84,6 @@ fn main() {
             "--cache" => {
                 use_cache = true;
             }
-            "--resize-to" => {
-                i += 1;
-                resize_to = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
             _ => usage(),
         }
         i += 1;
@@ -66,162 +91,50 @@ fn main() {
     let scale = Scale::new(scale_factor);
 
     // Validate the experiment name before building anything expensive.
-    const KNOWN: &[&str] = &[
-        "all",
-        "fig2",
-        "fig4a",
-        "fig4b",
-        "fig4c",
-        "fig5a",
-        "fig5b",
-        "fig5c",
-        "fig5d",
-        "fig6",
-        "fig7a",
-        "fig7b",
-        "table2",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "ablations",
-        "timeline",
-        "hindsight",
-        "shard",
-        "gateway",
-        "chaos",
-        "recovery",
-        "failover",
-        "switching",
-        "rebalance",
-        "overload",
-    ];
-    if !KNOWN.contains(&what.as_str()) {
-        eprintln!("unknown experiment {what:?}");
-        usage();
-    }
+    let all = what == "all";
+    let selected: Vec<(&str, Runner)> = if all {
+        EXPERIMENTS.to_vec()
+    } else {
+        match EXPERIMENTS.iter().find(|(name, _)| *name == what) {
+            Some(&experiment) => vec![experiment],
+            None => {
+                eprintln!("unknown experiment {what:?}");
+                usage();
+            }
+        }
+    };
 
-    // fig2 and the serving-layer sweeps need no shared context.
-    if what == "fig2" {
-        fig2::run(&scale, &out);
-        return;
-    }
-    if what == "shard" {
-        shard::run(&scale, &out);
-        return;
-    }
-    if what == "gateway" {
-        gateway::run(&scale, &out);
-        return;
-    }
-    if what == "chaos" {
-        chaos::run(&scale, &out);
-        return;
-    }
-    if what == "recovery" {
-        recovery::run(&scale, &out);
-        return;
-    }
-    if what == "failover" {
-        failover::run(&scale, &out);
-        return;
-    }
-    if what == "switching" {
-        switching::run(&scale, &out);
-        return;
-    }
-    if what == "rebalance" {
-        rebalance::run_with(&scale, &out, resize_to);
-        return;
-    }
-    if what == "overload" {
-        overload::run(&scale, &out);
+    // A lone standalone experiment needs no shared context.
+    if let [(_, Runner::Standalone(run))] = selected[..] {
+        run(&scale, &out);
         return;
     }
 
-    // Experiments needing the all-pairs predictor model.
-    let needs_all_pairs = matches!(what.as_str(), "all" | "fig5c" | "fig10");
     eprintln!("[experiments] building shared context at scale {scale_factor} ...");
     let t0 = std::time::Instant::now();
     let ctx = SharedContext::build_with_cache(scale, false, use_cache.then_some(out.as_path()));
     eprintln!("[experiments] context ready in {:.1}s", t0.elapsed().as_secs_f64());
 
-    let all_pairs_model = if needs_all_pairs {
+    let needs_all_pairs = selected.iter().any(|(_, runner)| matches!(runner, Runner::AllPairs(_)));
+    let all_pairs_model = needs_all_pairs.then(|| {
         eprintln!("[experiments] training all-pairs predictor model (Fig 5c / Fig 10) ...");
         let mut cfg = ctx.offline_cfg.clone();
         cfg.train_all_pairs = true;
-        Some(OfflineTrainer::new(cfg).train_from_evaluations(&ctx.train_evals))
-    } else {
-        None
-    };
+        OfflineTrainer::new(cfg).train_from_evaluations(&ctx.train_evals)
+    });
 
-    let run_one = |name: &str| match name {
-        "fig2" => fig2::run(&scale, &out),
-        "fig4a" => fig4::run_a(&ctx, &out),
-        "fig4b" => fig4::run_b(&ctx, &out),
-        "fig4c" => fig4::run_c(&ctx, &out),
-        "fig5a" => fig5::run_a(&ctx, &out),
-        "fig5b" => fig5::run_b(&ctx, &out),
-        "fig5c" => fig5::run_c(&ctx, all_pairs_model.as_ref().expect("all-pairs model"), &out),
-        "fig5d" => fig5::run_d(&ctx, &out),
-        "fig6" => fig6::run(&ctx, &out),
-        "fig7a" => fig7::run_a(&ctx, &out),
-        "fig7b" => fig7::run_b(&ctx, &out),
-        "table2" => table2::run(&ctx, &out),
-        "fig8" => fig8_11::run_fig8(&ctx, &out),
-        "fig9" => fig8_11::run_fig9(&ctx, &out),
-        "fig10" => fig8_11::run_fig10(&ctx, all_pairs_model.as_ref().expect("all-pairs model"), &out),
-        "fig11" => fig8_11::run_fig11(&ctx, &out),
-        "ablations" => ablations::run(&ctx, &out),
-        "timeline" => timeline::run(&ctx, &out),
-        "hindsight" => hindsight::run(&ctx, &out),
-        "shard" => shard::run(&scale, &out),
-        "gateway" => gateway::run(&scale, &out),
-        "chaos" => chaos::run(&scale, &out),
-        "recovery" => recovery::run(&scale, &out),
-        "failover" => failover::run(&scale, &out),
-        "switching" => switching::run(&scale, &out),
-        "rebalance" => rebalance::run_with(&scale, &out, resize_to),
-        "overload" => overload::run(&scale, &out),
-        _ => usage(),
-    };
-
-    if what == "all" {
-        for name in [
-            "fig2",
-            "fig4a",
-            "fig4b",
-            "fig4c",
-            "fig5a",
-            "fig5b",
-            "fig5c",
-            "fig5d",
-            "fig6",
-            "fig7a",
-            "fig7b",
-            "table2",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "ablations",
-            "timeline",
-            "hindsight",
-            "shard",
-            "gateway",
-            "chaos",
-            "recovery",
-            "failover",
-            "switching",
-            "rebalance",
-            "overload",
-        ] {
-            let t = std::time::Instant::now();
+    for (name, runner) in selected {
+        let t = std::time::Instant::now();
+        if all {
             eprintln!("\n[experiments] ===== {name} =====");
-            run_one(name);
+        }
+        match runner {
+            Runner::Standalone(run) => run(&scale, &out),
+            Runner::Context(run) => run(&ctx, &out),
+            Runner::AllPairs(run) => run(&ctx, all_pairs_model.as_ref().expect("all-pairs model"), &out),
+        }
+        if all {
             eprintln!("[experiments] {name} done in {:.1}s", t.elapsed().as_secs_f64());
         }
-    } else {
-        run_one(&what);
     }
 }

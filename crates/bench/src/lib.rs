@@ -18,20 +18,13 @@ pub mod watch;
 pub mod experiments {
     //! One module per paper table/figure (see DESIGN.md's experiment index).
     pub mod ablations;
-    pub mod chaos;
-    pub mod failover;
     pub mod fig2;
     pub mod fig4;
     pub mod fig5;
     pub mod fig6;
     pub mod fig7;
     pub mod fig8_11;
-    pub mod gateway;
     pub mod hindsight;
-    pub mod overload;
-    pub mod rebalance;
-    pub mod recovery;
-    pub mod shard;
     pub mod switching;
     pub mod table2;
     pub mod timeline;

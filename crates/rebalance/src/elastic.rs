@@ -7,7 +7,7 @@
 //! semantics and the lock hands over atomically, a resize never answers
 //! `Unavailable` and never drops a request — the exactly-once conservation
 //! ledger (`processed + dropped + unavailable + shed == submitted`) holds
-//! across any resize sequence, which `experiments rebalance` certifies.
+//! across any resize sequence, which `tests/resize.rs` checks.
 //! Each submitter owns an [`ElasticProducer`]: per frame, one uncontended
 //! read lock and a generation compare on top of the [`FleetProducer`] it
 //! wraps, re-minted only on the first frame after a cutover — so a fleet
@@ -21,8 +21,9 @@
 //! exists), and boots generation `g+1` with those frames as warm seeds.
 //! Keyspace slices that *move* between shards arrive cold by design: a
 //! [`RingRouter`](crate::RingRouter) bounds them to `|M−N|/max(N,M)` of the
-//! keyspace, which is exactly the bounded post-resize hit-ratio dip the
-//! benchmark measures. Any [`Router`] works — `route(id, shards)` takes the
+//! keyspace, which is exactly the bounded post-resize hit-ratio dip
+//! `tests/resize.rs::hit_ratio_dip_recovers_within_one_checkpoint_window`
+//! measures. Any [`Router`] works — `route(id, shards)` takes the
 //! shard count — the ring only keeps the moved slice small.
 
 use darwin_cache::CacheConfig;

@@ -38,7 +38,8 @@ pub const DEFAULT_VNODES: usize = 64;
 /// sample) so the measured remap fraction for every resize pair in
 /// `{1,2,4,8}²` sits within 10% of the theoretical `|M−N|/max(N,M)` and
 /// load skew stays ≤ 2× mean at 1, 2, 8 and 9 shards — the acceptance
-/// bounds `experiments rebalance` certifies.
+/// bounds the unit test `default_seed_certifies_remap_and_skew_bounds`
+/// checks.
 pub const DEFAULT_SEED: u64 = 0xDA00_0000;
 
 /// The 64-bit avalanche mix (SplitMix64 finalizer) shared with the fleet's
@@ -119,8 +120,9 @@ impl RingRouter {
 
     /// Fraction of a deterministic `sample`-object sample whose owner
     /// changes when resizing `from → to` shards. The theoretical value is
-    /// [`theoretical_remap`]; `experiments rebalance` certifies the two
-    /// agree within 10% for the default seed.
+    /// [`theoretical_remap`]; the unit test
+    /// `default_seed_certifies_remap_and_skew_bounds` checks the two agree
+    /// within 10% for the default seed.
     pub fn remap_fraction(&self, from: usize, to: usize, sample: u64) -> f64 {
         assert!(sample > 0, "remap fraction needs a sample");
         let moved = (0..sample).filter(|&id| self.route(id, from) != self.route(id, to)).count();
@@ -204,8 +206,8 @@ mod tests {
 
     #[test]
     fn default_seed_certifies_remap_and_skew_bounds() {
-        // The offline-searched DEFAULT_SEED must hold the acceptance bounds
-        // exactly as `experiments rebalance` measures them.
+        // The offline-searched DEFAULT_SEED must hold the acceptance bounds:
+        // remap within 10% of theory for every pair in {1,2,4,8}², skew ≤ 2×.
         let r = RingRouter::default();
         const SAMPLE: u64 = 200_000;
         for from in [1usize, 2, 4, 8] {

@@ -91,7 +91,7 @@ proptest! {
     /// The measured remap fraction tracks `|M−N|/max(N,M)` for every resize
     /// pair in {1,2,4,8}², within a loose 50% relative band for arbitrary
     /// seeds (the tight 10% band is certified for the searched default
-    /// seed by the unit tests and `experiments rebalance`).
+    /// seed by the unit test `default_seed_certifies_remap_and_skew_bounds`).
     #[test]
     fn remap_fraction_tracks_theory(seed in 0u64..=u64::MAX) {
         let r = RingRouter::new(seed, DEFAULT_VNODES);

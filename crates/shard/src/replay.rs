@@ -20,8 +20,7 @@
 //!
 //! The replay side is also the measurement instrument for scale-out
 //! projections: the wall time of the slowest partition bounds the fleet's
-//! serving time on one-core-per-shard hardware (see the `shard` bench
-//! experiment).
+//! serving time on one-core-per-shard hardware.
 
 use crate::router::Router;
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer};

@@ -284,6 +284,11 @@ fn without_replicas_the_same_plan_buries_and_degrades() {
         trace.len() as u64,
         "conservation still exact in degraded mode"
     );
+    // Degradation is bounded by the buried shard's keyspace: every
+    // `Unavailable` comes from it, and its own ledger covers its partition.
+    let part0 = partition(&trace, &HashRouter, 2)[0].len() as u64;
+    assert_eq!(s0.unavailable, report.total_unavailable(), "only the buried shard degrades");
+    assert_eq!(s0.processed + s0.dropped + s0.unavailable, part0, "the buried shard's ledger");
 }
 
 /// Standby failure falls back to today's behavior — detected, journaled,

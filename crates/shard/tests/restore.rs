@@ -13,7 +13,9 @@
 //! equals head-run + fresh tail-run ground truth. A disk-spill test proves
 //! the atomic-rename spill file parses into a restorable checkpoint after
 //! the fleet exits, and the conservation-law test (satellite: FleetMetrics
-//! merge + warm/cold partition of `total_restarts`) closes the ledger.
+//! merge + warm/cold partition of `total_restarts`) closes the ledger. The
+//! payoff is pinned too: after a boundary kill, a warm restart regains 95 %
+//! of the steady-state hit ratio in fewer requests than a cold one.
 
 use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, OnlineConfig};
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, ThresholdPolicy};
@@ -329,6 +331,93 @@ fn disk_spill_parses_and_restores_after_exit() {
         assert_eq!(server.metrics().requests, expect_requests, "shard {s}: restored request count");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Sequential one-server replay of `trace` under the static policy:
+/// checkpoint every `ckpt_every` requests when set, and at index `kill_at`
+/// drop that request and replace the server — restored from the latest
+/// checkpoint when there is one, cold otherwise. Returns the cumulative
+/// metrics over every incarnation and the windowed HOC hit-ratio curve as
+/// `(sequence at window end, ohr)` points.
+fn recovery_replay(
+    trace: &Trace,
+    kill_at: Option<u64>,
+    ckpt_every: Option<u64>,
+    window: u64,
+) -> (CacheMetrics, Vec<(u64, f64)>) {
+    let policy = ThresholdPolicy::new(2, 100 * 1024);
+    let mut server = CacheServer::new(cache_cfg());
+    server.set_policy(policy);
+    // The dead incarnation's metrics on the cold path; a warm restore
+    // carries them inside the checkpoint.
+    let mut folded = CacheMetrics::default();
+    let mut saved: Option<Vec<u8>> = None;
+    let (mut curve, mut prev, mut processed) = (Vec::new(), CacheMetrics::default(), 0u64);
+    for (i, req) in trace.iter().enumerate() {
+        let i = i as u64;
+        if kill_at == Some(i) {
+            server = match &saved {
+                Some(frame) => CacheServer::restore_state(cache_cfg(), frame).expect("boundary restore"),
+                None => {
+                    folded = folded.merge(&server.metrics());
+                    CacheServer::new(cache_cfg())
+                }
+            };
+            server.set_policy(policy);
+            continue;
+        }
+        server.process(req);
+        processed += 1;
+        if ckpt_every.is_some_and(|every| (i + 1).is_multiple_of(every)) {
+            saved = Some(server.save_state());
+        }
+        if processed.is_multiple_of(window) {
+            let cum = folded.merge(&server.metrics());
+            let (reqs, hits) = (cum.requests - prev.requests, cum.hoc_hits - prev.hoc_hits);
+            curve.push((i + 1, hits as f64 / reqs as f64));
+            prev = cum;
+        }
+    }
+    (folded.merge(&server.metrics()), curve)
+}
+
+/// Warm recovery pays: a shard killed at a checkpoint boundary gets back to
+/// 95 % of its steady-state windowed hit ratio in strictly fewer post-crash
+/// requests restored warm than restarted cold. The curves come from the
+/// sequential replay, held bitwise against the threaded fleet's shard.
+#[test]
+fn warm_restart_recovers_hit_ratio_sooner_than_cold() {
+    const RECOVERY_THRESHOLD: f64 = 0.95;
+    let trace = test_trace();
+    let window = CKPT_EVERY;
+    let kill_at = (trace.len() as u64 * 2 / 5 / window) * window;
+    let (_, clean) = recovery_replay(&trace, None, None, window);
+    let tail = &clean[clean.len() * 3 / 4..];
+    let steady = tail.iter().map(|&(_, ohr)| ohr).sum::<f64>() / tail.len() as f64;
+
+    let recovery_requests = |ckpt_every: Option<u64>| {
+        let (total, curve) = recovery_replay(&trace, Some(kill_at), ckpt_every, window);
+        let policy = ThresholdPolicy::new(2, 100 * 1024);
+        let mut fleet = ShardedFleet::with_fault_plan(
+            FleetConfig { checkpoint_every: ckpt_every, ..fleet_cfg(1) },
+            cache_cfg(),
+            Box::new(HashRouter),
+            move |_| StaticDriver::new(policy),
+            FaultPlan::new(vec![FaultEvent { shard: 0, at: kill_at, kind: FaultKind::Panic }]),
+        );
+        fleet.submit_trace(&trace);
+        let s0 = &fleet.finish().shards[0];
+        assert_eq!(s0.cache, total, "fleet ≡ sequential replay across the restart");
+        assert_eq!((s0.restarts, s0.dropped), (1, 1), "one death, one dropped request");
+        assert_eq!(s0.warm_restarts, u32::from(ckpt_every.is_some()), "restart temperature");
+        curve
+            .iter()
+            .find(|&&(seq, ohr)| seq > kill_at && ohr >= RECOVERY_THRESHOLD * steady)
+            .map(|&(seq, _)| seq - kill_at)
+    };
+    let warm = recovery_requests(Some(CKPT_EVERY)).expect("the warm restart recovers");
+    let cold = recovery_requests(None).expect("the cold restart recovers within the tail");
+    assert!(warm < cold, "warm recovery ({warm} requests) must beat cold ({cold} requests)");
 }
 
 /// Satellite: `FleetMetrics::merge` and the conservation law across warm
