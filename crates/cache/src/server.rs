@@ -12,11 +12,12 @@ use crate::eviction::{EvictionKind, Store};
 use crate::idmap::IdMap;
 use crate::metrics::CacheMetrics;
 use crate::policy::{AdmissionPolicy, ObjectView, ThresholdPolicy};
-use darwin_ckpt::rows::{Layout, Table};
+use darwin_ckpt::rows::{Changes, Layout, Table};
 use darwin_ckpt::{CkptError, Dec, Enc};
 use darwin_trace::{ObjectId, Request};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
+use std::sync::Arc;
 
 /// Where a request was served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,7 +109,13 @@ struct ObjectMeta {
     /// Requests seen, saturating (the frequency knob's input; maintained
     /// but never read under [`FrequencyMode::Sketch`]).
     count: u32,
+    /// The table's [`stamp`](ObjectTable::stamp) at the latest request:
+    /// an object whose stamp is not the current one is unchanged since the
+    /// base was recorded. (It fills what was padding.)
+    stamp: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<ObjectMeta>() == 16, "the stamp must fit the padding");
 
 /// Encoded bytes of one `(id, count)` row of the saved frequency sequence.
 const COUNT_ROW: usize = 8 + 4;
@@ -120,7 +127,13 @@ const LAST_ROW: usize = 8 + 8;
 #[derive(Debug, Default)]
 struct ObjectTable {
     map: IdMap<ObjectMeta>,
+    /// The cut epoch: stamped on every object a request touches, moved on
+    /// when a base is recorded.
+    stamp: u32,
 }
+
+/// One object as the saved sequences hold it: `(id, last_ts, count)`.
+type Row = (ObjectId, u64, u32);
 
 impl ObjectTable {
     /// Records a request for `id` at `now_us`. Returns the object's request
@@ -128,16 +141,18 @@ impl ObjectTable {
     /// (`None` on first sight).
     #[inline]
     fn record(&mut self, id: ObjectId, now_us: u64) -> (u32, Option<u64>) {
+        let stamp = self.stamp;
         match self.map.entry(id) {
             Entry::Occupied(mut e) => {
                 let meta = e.get_mut();
                 let gap = now_us.saturating_sub(meta.last_ts);
                 meta.last_ts = now_us;
                 meta.count = meta.count.saturating_add(1);
+                meta.stamp = stamp;
                 (meta.count, Some(gap))
             }
             Entry::Vacant(slot) => {
-                slot.insert(ObjectMeta { last_ts: now_us, count: 1 });
+                slot.insert(ObjectMeta { last_ts: now_us, count: 1, stamp });
                 (1, None)
             }
         }
@@ -147,7 +162,7 @@ impl ObjectTable {
     /// where they lie in the frame: `last` over `(id, last_ts)` rows for
     /// every object and, in Exact mode, `counts` over `(id, count)` rows for
     /// the same objects. Both must be strictly ascending by id and name the
-    /// same ids — what [`ObjectTable::sorted`] writes; anything else is a
+    /// same ids — what [`CacheServer::encode_state`] writes; anything else is a
     /// corrupt image.
     fn from_sequences(mut counts: Option<Dec<'_>>, mut last: Dec<'_>) -> Result<Self, CkptError> {
         /// Rows decoded and checked between two runs of inserts. An insert
@@ -181,25 +196,102 @@ impl ObjectTable {
                     }
                     None => 0,
                 };
-                block.push((id, ObjectMeta { last_ts, count }));
+                block.push((id, ObjectMeta { last_ts, count, stamp: 0 }));
             }
             for &(id, meta) in &block {
                 map.insert(id, meta);
             }
         }
-        Ok(Self { map })
+        Ok(Self { map, stamp: 0 })
     }
 
-    /// Every entry as `(id, last_ts, count)`, sorted by id — the canonical
-    /// order state is saved in.
-    fn sorted(&self) -> Vec<(ObjectId, u64, u32)> {
-        // Sized up front: the map's iterator chains its segments and has no
-        // exact size hint, so a `collect` would double its way up to as much
-        // as twice the half-million rows a cut needs.
-        let mut rows = Vec::with_capacity(self.map.len());
-        rows.extend(self.map.iter().map(|(id, m)| (id, m.last_ts, m.count)));
+    /// The rows an encode writes itself, sorted by id — the canonical order
+    /// state is saved in: those stamped in the current epoch when there is
+    /// a base to merge them into, every row otherwise.
+    fn sorted(&self, since_base: bool) -> Vec<Row> {
+        // Every row is sized up front: the map's iterator chains its
+        // segments and has no exact size hint, so a `collect` would double
+        // its way up to as much as twice the half-million rows a full sort
+        // needs. The rows stamped since a base are about a quarter of them.
+        let mut rows = Vec::with_capacity(if since_base { 0 } else { self.map.len() });
+        let changed = |m: &ObjectMeta| !since_base || m.stamp == self.stamp;
+        rows.extend(self.map.iter().filter(|(_, m)| changed(m)).map(|(id, m)| (id, m.last_ts, m.count)));
         rows.sort_unstable_by_key(|&(id, ..)| id);
         rows
+    }
+}
+
+/// `row` as the sequence of `W`-byte rows holds it: `id u64, count u32` in
+/// the frequency sequence ([`COUNT_ROW`]), `id u64, last_ts u64` in the
+/// recency one ([`LAST_ROW`]).
+fn encode_row<const W: usize>(&(id, last_ts, count): &Row) -> [u8; W] {
+    let mut bytes = [0; W];
+    bytes[..8].copy_from_slice(&id.to_le_bytes());
+    if W == COUNT_ROW {
+        bytes[8..].copy_from_slice(&count.to_le_bytes());
+    } else {
+        bytes[8..].copy_from_slice(&last_ts.to_le_bytes());
+    }
+    bytes
+}
+
+/// Writes one id-sorted sequence's rows (`W` bytes each) onto `enc`: the
+/// rows of `base` — the same sequence as a base image holds it — with
+/// `rows` (sorted by id) merged in, each replacing the base row of its id
+/// or going in where its id sorts, and the runs of base rows between them
+/// copied as they are. With `track`, returns the positions of the rows
+/// written whose bytes `base` does not hold. (The width is a constant so
+/// that every row is a fixed-size copy: a full sort, merged into nothing,
+/// costs what writing the rows field by field did.)
+fn merge_rows<const W: usize>(enc: &mut Enc, base: &[u8], rows: &[Row], track: bool) -> Vec<u32> {
+    let held = base.len() / W;
+    let base_row = |i: usize| &base[i * W..(i + 1) * W];
+    let key = |i: usize| u64::from_le_bytes(base_row(i)[..8].try_into().expect("8 bytes"));
+    let mut changed = Vec::new();
+    // Base rows passed so far, and rows inserted before them: a row goes
+    // to position `b + inserted`.
+    let (mut b, mut inserted) = (0, 0);
+    for row in rows {
+        let from = b;
+        while b < held && key(b) < row.0 {
+            b += 1;
+        }
+        if b > from {
+            enc.raw(&base[from * W..b * W]);
+        }
+        let new = encode_row::<W>(row);
+        let replaces = b < held && key(b) == row.0;
+        if track && (!replaces || *base_row(b) != new) {
+            changed.push(u32::try_from(b + inserted).expect("fewer than 2^32 rows"));
+        }
+        if replaces {
+            b += 1;
+        } else {
+            inserted += 1;
+        }
+        enc.raw(&new);
+    }
+    enc.raw(&base[b * W..]);
+    changed
+}
+
+/// The image of a cut this server's state was at: the base its next encode
+/// merges into ([`CacheServer::record_base`]).
+#[derive(Debug)]
+struct Base {
+    /// Boundary the cut was taken at, handed back with the changes.
+    seq: u64,
+    /// The frame that holds the image.
+    frame: Arc<Vec<u8>>,
+    /// Where the image's per-object sequences lie in `frame`.
+    tables: Layout,
+}
+
+impl Base {
+    /// The rows of the image's `i`-th per-object sequence.
+    fn rows(&self, i: usize) -> &[u8] {
+        let t = self.tables[i];
+        &self.frame[t.offset..t.offset + t.rows * t.width]
     }
 }
 
@@ -217,6 +309,8 @@ pub struct CacheServer {
     /// One-hit-wonder filter in front of the DC.
     dc_filter: BloomFilter,
     metrics: CacheMetrics,
+    /// The last cut's image, which the next encode merges into.
+    base: Option<Base>,
 }
 
 impl CacheServer {
@@ -241,6 +335,7 @@ impl CacheServer {
             sketch,
             dc_filter,
             metrics: CacheMetrics::default(),
+            base: None,
         }
     }
 
@@ -353,7 +448,7 @@ impl CacheServer {
         // The exact size is known before a byte is written, so the image —
         // megabytes of it — is written once, never regrown.
         let mut enc = Enc::with_capacity(self.state_len());
-        self.encode_state(&mut enc);
+        self.encode(&mut enc, None);
         enc.into_bytes()
     }
 
@@ -378,32 +473,80 @@ impl CacheServer {
     /// Writes the bytes of [`save_state`](Self::save_state) onto `enc` —
     /// straight into a checkpoint frame, say, instead of into a buffer the
     /// frame then copies.
-    pub fn encode_state(&self, enc: &mut Enc) {
+    ///
+    /// With a base recorded ([`record_base`](Self::record_base)), the
+    /// per-object sequences are the base's with the rows requested since
+    /// merged in: only those are sorted, and the rest are copied from the
+    /// base as they lie. The bytes are the same (debug builds check that
+    /// against the full sort at every encode), and the positions of the
+    /// rows that differ from the base's come back as the [`Changes`] a row
+    /// delta against that base ships. `None` without a base.
+    pub fn encode_state(&self, enc: &mut Enc) -> Option<Changes> {
+        let start = enc.len();
+        let changes = self.encode(enc, self.base.as_ref());
+        debug_assert!(
+            self.base.is_none() || enc.as_bytes()[start..] == self.save_state()[..],
+            "the image merged into the base is not the full sort's"
+        );
+        changes
+    }
+
+    /// The one encoder: into `base` when there is one, from a full sort of
+    /// the table when there is not.
+    fn encode(&self, enc: &mut Enc, base: Option<&Base>) -> Option<Changes> {
         enc.bytes(&config_fingerprint(&self.config));
         self.hoc.encode_state(enc);
         self.dc.encode_state(enc);
         // The table is saved as the two id-sorted sequences the format has
         // always held: counts (Exact mode only), then timestamps.
-        let objects = self.objects.sorted();
+        let rows = self.objects.sorted(base.is_some());
+        let held = |i: usize| base.map_or(&[][..], |base| base.rows(i));
+        let (objects, track) = (self.objects.map.len(), base.is_some());
+        let mut upserts = Vec::with_capacity(2);
         match &self.sketch {
             None => {
                 enc.u8(0);
-                enc.seq(&objects, |e, &(id, _, count)| {
-                    e.u64(id);
-                    e.u32(count);
-                });
+                enc.usize(objects);
+                upserts.push(merge_rows::<COUNT_ROW>(enc, held(0), &rows, track));
             }
             Some(s) => {
                 enc.u8(1);
                 s.encode_state(enc);
             }
         }
-        enc.seq(&objects, |e, &(id, last_ts, _)| {
-            e.u64(id);
-            e.u64(last_ts);
-        });
+        enc.usize(objects);
+        let last = held(upserts.len());
+        upserts.push(merge_rows::<LAST_ROW>(enc, last, &rows, track));
         self.dc_filter.encode_state(enc);
         self.metrics.encode_state(enc);
+        base.map(|base| Changes { base_seq: base.seq, upserts })
+    }
+
+    /// Records `frame` as the base the next [`encode_state`](Self::encode_state)
+    /// merges into: a frame that holds the image of this server's state as
+    /// it is now — the cut at `seq` it just encoded, or the image it was
+    /// restored from — with its per-object sequences where `tables` says
+    /// (the image's [`state_layout`](Self::state_layout), as offsets into
+    /// `frame`). Starts a new stamp epoch in the same call, so the base and
+    /// the rows merged into it cannot drift apart: from here, exactly the
+    /// objects requested are merged. A base that is never recorded costs no
+    /// correctness — the rows stamped since the last one are a superset of
+    /// what changed since — and tables that do not fit this state (another
+    /// number or width of sequences, another row count) record none: the
+    /// next encode sorts every row.
+    pub fn record_base(&mut self, seq: u64, frame: Arc<Vec<u8>>, tables: Option<Layout>) {
+        let widths: &[usize] = if self.sketch.is_some() { &[LAST_ROW] } else { &[COUNT_ROW, LAST_ROW] };
+        let rows = self.objects.map.len();
+        let fits = |tables: &Layout| {
+            tables.len() == widths.len()
+                && tables.iter().zip(widths).all(|(t, &width)| {
+                    t.width == width
+                        && t.rows == rows
+                        && t.offset.saturating_add(rows * width) <= frame.len()
+                })
+        };
+        self.base = tables.filter(fits).map(|tables| Base { seq, frame, tables });
+        self.objects.stamp = self.objects.stamp.wrapping_add(1);
     }
 
     /// Where [`encode_state`](Self::encode_state) put the per-object tables
@@ -487,6 +630,7 @@ impl CacheServer {
             sketch,
             dc_filter,
             metrics,
+            base: None,
         })
     }
 }
@@ -893,7 +1037,7 @@ mod tests {
             let counts = Table { offset: last.offset - 8 - COUNT_ROW * rows, rows, width: COUNT_ROW };
             let expected = if s.sketch.is_some() { vec![last] } else { vec![counts, last] };
             assert_eq!(CacheServer::state_layout(&image), Some(expected), "{eviction:?} {frequency:?}");
-            for (i, (id, last_ts, count)) in s.objects.sorted().into_iter().enumerate() {
+            for (i, (id, last_ts, count)) in s.objects.sorted(false).into_iter().enumerate() {
                 let row = &image[last.offset + LAST_ROW * i..];
                 assert_eq!(row[..16], [id.to_le_bytes(), last_ts.to_le_bytes()].concat());
                 if s.sketch.is_none() {
@@ -1059,5 +1203,100 @@ mod proptests {
                 prop_assert!(r.dc_used_bytes() <= cfg.dc_bytes);
             }
         }
+
+        /// The oracle for the merged encode: over random streams, every
+        /// store, both frequency modes and random cut points, the image
+        /// merged into the recorded base is the full sort's byte for byte,
+        /// and its change list is what a diff of the two images finds. At
+        /// one cut the base is recorded from a restore of the image, at
+        /// another the recording is skipped; cut points may repeat (a cut
+        /// with nothing requested since the last), and a last cut always
+        /// follows one with nothing requested in between.
+        #[test]
+        fn merged_encode_is_the_full_sort(
+            stream in proptest::collection::vec(0u64..300, 1..1_500),
+            mut cuts in proptest::collection::vec(0.0f64..1.0, 1..6),
+            store in 0usize..4,
+            sketch in proptest::bool::ANY,
+            skip in 0usize..8,
+            restore in 0usize..8,
+        ) {
+            let cfg = CacheConfig {
+                hoc_bytes: 256 * 1024,
+                dc_bytes: 2 * 1024 * 1024,
+                hoc_eviction: [
+                    EvictionKind::Lru,
+                    EvictionKind::Fifo,
+                    EvictionKind::Lfu,
+                    EvictionKind::SegmentedLru { segments: 4 },
+                ][store],
+                frequency: if sketch {
+                    FrequencyMode::Sketch { expected_objects: 512 }
+                } else {
+                    FrequencyMode::Exact
+                },
+                ..CacheConfig::small_test()
+            };
+            let policy = ThresholdPolicy::new(1, 64 * 1024);
+            let mut server = CacheServer::new(cfg.clone());
+            server.set_policy(policy);
+            cuts.sort_by(f64::total_cmp);
+            let ends = cuts.iter().map(|c| (c * stream.len() as f64) as usize).chain([stream.len()]);
+            // The base recorded last, by its boundary.
+            let mut base: Option<(u64, Vec<u8>)> = None;
+            let mut done = 0;
+            for (k, end) in ends.enumerate() {
+                for (i, &id) in stream.iter().enumerate().take(end).skip(done) {
+                    server.process(&Request::new(id, 1 + id * 7_919 % 120_000, i as u64));
+                }
+                done = done.max(end);
+                let mut enc = Enc::new();
+                let changes = server.encode_state(&mut enc);
+                let image = enc.into_bytes();
+                prop_assert!(image == server.save_state(), "cut {} merged other bytes", k);
+                let expected = base.as_ref().map(|(seq, base)| Changes {
+                    base_seq: *seq,
+                    upserts: diff_upserts(base, &image),
+                });
+                prop_assert_eq!(changes, expected, "cut {}", k);
+                if k == skip {
+                    continue;
+                }
+                if k == restore {
+                    server = CacheServer::restore_state(cfg.clone(), &image).unwrap();
+                    server.set_policy(policy);
+                }
+                let tables = CacheServer::state_layout(&image);
+                server.record_base(k as u64, Arc::new(image.clone()), tables);
+                base = Some((k as u64, image));
+            }
+            // Nothing requested since the base: nothing changed.
+            let image = server.save_state();
+            server.record_base(u64::MAX, Arc::new(image.clone()), CacheServer::state_layout(&image));
+            let mut enc = Enc::new();
+            let changes = server.encode_state(&mut enc).expect("a base is recorded");
+            prop_assert!(enc.into_bytes() == image);
+            prop_assert_eq!(changes.base_seq, u64::MAX);
+            prop_assert!(changes.upserts.iter().all(Vec::is_empty), "{:?}", changes);
+            prop_assert_eq!(changes.upserts.len(), if sketch { 1 } else { 2 });
+        }
+    }
+
+    /// Per sequence, the positions of `target`'s rows that `base` lacks or
+    /// holds with other bytes, found by looking every row up.
+    fn diff_upserts(base: &[u8], target: &[u8]) -> Vec<Vec<u32>> {
+        let rows = |image: &[u8], t: &Table| -> Vec<Vec<u8>> {
+            image[t.offset..t.offset + t.rows * t.width].chunks(t.width).map(<[u8]>::to_vec).collect()
+        };
+        let (old, new) =
+            (CacheServer::state_layout(base).unwrap(), CacheServer::state_layout(target).unwrap());
+        old.iter()
+            .zip(&new)
+            .map(|(o, n)| {
+                let held: std::collections::HashSet<Vec<u8>> = rows(base, o).into_iter().collect();
+                let target = rows(target, n);
+                (0..n.rows as u32).filter(|&i| !held.contains(&target[i as usize])).collect()
+            })
+            .collect()
     }
 }

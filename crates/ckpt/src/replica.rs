@@ -10,7 +10,11 @@
 //! steady cut ships the rows that changed plus the image's other bytes, and
 //! a [`CutPayload::Full`] image otherwise — and the receiver calls
 //! [`CutFrame::apply`]. Both take the holder's [`LayoutFn`]: this crate
-//! does not know what a checkpoint looks like inside.
+//! does not know what a checkpoint looks like inside. A sender that knows
+//! which rows its image changed since the cut the receiver holds — the
+//! replica feed, whose writer merged the image into that cut — passes its
+//! list to [`CutFrame::ship_changes`], which ships the same bytes without
+//! walking either image.
 //!
 //! ## Frame format (magic `DRBR`, version 3, CRC-64 sealed)
 //!
@@ -43,7 +47,7 @@
 //! trailer is the sender's own, shipped with the untabled bytes, so a row
 //! merged from a base that is not the sender's fails it.
 
-use crate::rows::{self, LayoutFn, RowPlan};
+use crate::rows::{self, Changes, LayoutFn, RowPlan};
 use crate::{open, CkptError, Dec, Enc};
 use std::fmt;
 
@@ -271,8 +275,33 @@ impl CutFrame {
         held: Option<Held<'_>>,
         layout: LayoutFn,
     ) -> Vec<u8> {
+        Self::ship_changes(shard, generation, role, seq, image, held, None, layout)
+    }
+
+    /// [`ship`](Self::ship) for a sender that knows which rows its image
+    /// changed since the cut it wrote before: when `changes` were taken
+    /// against the cut the receiver holds (`held.seq == changes.base_seq`),
+    /// the row delta is planned from their list and neither image's tables
+    /// are walked; against any other base it is planned by diffing, as
+    /// `ship` does. The envelope is the same bytes either way.
+    #[allow(clippy::too_many_arguments)]
+    pub fn ship_changes(
+        shard: usize,
+        generation: u32,
+        role: CutRole,
+        seq: u64,
+        image: &[u8],
+        held: Option<Held<'_>>,
+        changes: Option<&Changes>,
+        layout: LayoutFn,
+    ) -> Vec<u8> {
         // The rows are counted first, so the envelope is sized exactly.
-        let plan = held.and_then(|base| Some((base.seq, RowPlan::new(base.image, image, layout)?)));
+        let plan = held.and_then(|base| {
+            let listed = changes
+                .filter(|changes| changes.base_seq == base.seq)
+                .and_then(|changes| RowPlan::from_changes(base.image, image, layout, &changes.upserts));
+            Some((base.seq, listed.or_else(|| RowPlan::new(base.image, image, layout))?))
+        });
         let room = plan.as_ref().map_or(image.len(), |(_, rows)| rows.len());
         let mut e = envelope(room, shard, generation, role, seq);
         match plan {
@@ -465,6 +494,33 @@ mod tests {
             resolve(&wire, Some(Held { seq: 1_000, image: &wrong })),
             Err(CutError::Frame(CkptError::BadCrc))
         );
+    }
+
+    /// A sender's own list of the rows it changed ships the envelope the
+    /// diff ships — when it was taken against the cut the receiver holds;
+    /// otherwise the diff is what ships. A list that leaves a changed row
+    /// out rebuilds an image its holder's open refuses.
+    #[test]
+    fn a_change_list_ships_what_the_diff_ships() {
+        let base = base();
+        let target = image(
+            (0..4_000).map(|id| (2 * id, if id % 100 == 3 { id + 1 } else { id })).chain([(9_000, 1)]),
+            &[0xB2; 300],
+        );
+        let held = Some(Held { seq: 1_000, image: &base });
+        let ship = |changes: Option<&Changes>| {
+            CutFrame::ship_changes(0, 0, CutRole::Replica, 2_000, &target, held, changes, layout)
+        };
+        let diffed = CutFrame::ship(0, 0, CutRole::Replica, 2_000, &target, held, layout);
+        let upserts: Vec<u32> = (0..4_000).filter(|id| id % 100 == 3).chain([4_000]).collect();
+        let changes = Changes { base_seq: 1_000, upserts: vec![upserts.clone()] };
+        assert_eq!(ship(Some(&changes)), diffed);
+        assert_eq!(ship(None), diffed);
+        let elsewhere = Changes { base_seq: 999, upserts: vec![Vec::new()] };
+        assert_eq!(ship(Some(&elsewhere)), diffed, "a list against another base is not used");
+        let short = Changes { base_seq: 1_000, upserts: vec![upserts[1..].to_vec()] };
+        assert_eq!(resolve(&ship(Some(&short)), held), Err(CutError::Frame(CkptError::BadCrc)));
+        assert_eq!(resolve(&diffed, held), Ok(target.clone()));
     }
 
     /// Nothing carries a checksum of a base or a target any more, and no

@@ -30,14 +30,17 @@
 //!
 //! The sender (`RowPlan`) merge-walks the two images' tables side by side,
 //! counts the changes in one pass and writes them in the next, into an
-//! envelope sized exactly. The receiver (`apply`) merges base rows and
-//! upserts with two pointers into a buffer it already owns, refusing —
-//! before anything is sized from a sealed count — a base of another length,
-//! a table of another width, counts the payload cannot hold and row counts
-//! that could not add up; then, while merging, unsorted or repeated keys, a
-//! removal of a key the base lacks and a merge that does not produce the
-//! declared rows. A rebuild that passes all of it is still only as good as
-//! the base it merged: the holder opens the result under its own seal.
+//! envelope sized exactly — or, when the target's writer names the rows it
+//! changed since the base ([`Changes`]), takes them from that list and
+//! walks neither table, writing the same bytes. The receiver (`apply`)
+//! merges base rows and upserts with two pointers into a buffer it already
+//! owns, refusing — before anything is sized from a sealed count — a base
+//! of another length, a table of another width, counts the payload cannot
+//! hold and row counts that could not add up; then, while merging, unsorted
+//! or repeated keys, a removal of a key the base lacks and a merge that does
+//! not produce the declared rows. A rebuild that passes all of it is still
+//! only as good as the base it merged: the holder opens the result under
+//! its own seal.
 
 use crate::{CkptError, Dec, Enc};
 
@@ -148,12 +151,29 @@ fn diff<'r>(
     }
 }
 
+/// What the writer of a target image knows changed since the base image it
+/// wrote before: per table of the layout, the positions of the target rows
+/// that the base lacks or holds with other bytes, ascending — the upserts a
+/// diff of the two images would find. There are no removals: the writer's
+/// tables only grow.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Changes {
+    /// Boundary of the base the positions were taken against: a receiver
+    /// that holds that cut holds the base.
+    pub base_seq: u64,
+    /// Per table, the changed rows' positions in the target.
+    pub upserts: Vec<Vec<u32>>,
+}
+
 /// One table's share of a [`RowPlan`].
-struct TablePlan {
+struct TablePlan<'a> {
     base: Table,
     target: Table,
     upserts: usize,
     removals: usize,
+    /// The upserts' positions, when the writer named them; otherwise
+    /// [`write`](RowPlan::write) walks the diff again to find them.
+    known: Option<&'a [u32]>,
 }
 
 /// The sender's half: the changes that turn `base` into `target`, counted
@@ -161,7 +181,15 @@ struct TablePlan {
 pub(crate) struct RowPlan<'a> {
     base: &'a [u8],
     target: &'a [u8],
-    tables: Vec<TablePlan>,
+    tables: Vec<TablePlan<'a>>,
+}
+
+/// Both images' layouts, if they have the same shape: as many tables, of
+/// the same widths.
+fn shapes(base: &[u8], target: &[u8], layout: LayoutFn) -> Option<(Layout, Layout)> {
+    let (old, new) = (tables(layout, base)?, tables(layout, target)?);
+    let same = old.len() == new.len() && old.iter().zip(&new).all(|(o, n)| o.width == n.width);
+    same.then_some((old, new))
 }
 
 impl<'a> RowPlan<'a> {
@@ -169,10 +197,7 @@ impl<'a> RowPlan<'a> {
     /// their layouts differ in shape, or a table's keys do not ascend: the
     /// target then ships whole.
     pub(crate) fn new(base: &'a [u8], target: &'a [u8], layout: LayoutFn) -> Option<Self> {
-        let (old, new) = (tables(layout, base)?, tables(layout, target)?);
-        if old.len() != new.len() || old.iter().zip(&new).any(|(o, n)| o.width != n.width) {
-            return None;
-        }
+        let (old, new) = shapes(base, target, layout)?;
         let mut tables = Vec::with_capacity(new.len());
         for (base_t, target_t) in old.into_iter().zip(new) {
             let (mut upserts, mut removals) = (0, 0);
@@ -180,7 +205,44 @@ impl<'a> RowPlan<'a> {
                 Change::Upsert(_) => upserts += 1,
                 Change::Remove(_) => removals += 1,
             })?;
-            tables.push(TablePlan { base: base_t, target: target_t, upserts, removals });
+            tables.push(TablePlan { base: base_t, target: target_t, upserts, removals, known: None });
+        }
+        Some(RowPlan { base, target, tables })
+    }
+
+    /// Plans `base → target` from the `upserts` the target's writer names
+    /// ([`Changes::upserts`]), without walking either table. `None` when
+    /// the images do not lay out alike, or a list is not one per table,
+    /// ascending, inside the target, and enough for the rows the target
+    /// added — the sender then diffs. Whether the list is *true* of `base`
+    /// is the writer's word; a false one rebuilds an image whose holder's
+    /// open refuses it.
+    pub(crate) fn from_changes(
+        base: &'a [u8],
+        target: &'a [u8],
+        layout: LayoutFn,
+        upserts: &'a [Vec<u32>],
+    ) -> Option<Self> {
+        let (old, new) = shapes(base, target, layout)?;
+        if upserts.len() != new.len() {
+            return None;
+        }
+        let mut tables = Vec::with_capacity(new.len());
+        for ((base_t, target_t), known) in old.into_iter().zip(new).zip(upserts) {
+            let ascends = known.windows(2).all(|w| w[0] < w[1]);
+            let inside = known.last().is_none_or(|&p| (p as usize) < target_t.rows);
+            let added = target_t.rows.checked_sub(base_t.rows)?;
+            if !ascends || !inside || added > known.len() {
+                return None;
+            }
+            let upserts = known.len();
+            tables.push(TablePlan {
+                base: base_t,
+                target: target_t,
+                upserts,
+                removals: 0,
+                known: Some(known),
+            });
         }
         Some(RowPlan { base, target, tables })
     }
@@ -206,11 +268,21 @@ impl<'a> RowPlan<'a> {
             enc.usize(width);
             enc.usize(t.target.rows);
             enc.usize(t.upserts);
-            diff(old, new, width, |change| {
-                if let Change::Upsert(row) = change {
-                    enc.raw(row);
+            match t.known {
+                Some(known) => {
+                    for &at in known {
+                        let at = at as usize * width;
+                        enc.raw(&new[at..at + width]);
+                    }
                 }
-            });
+                None => {
+                    diff(old, new, width, |change| {
+                        if let Change::Upsert(row) = change {
+                            enc.raw(row);
+                        }
+                    });
+                }
+            }
             enc.usize(t.removals);
             if t.removals > 0 {
                 diff(old, new, width, |change| {
@@ -418,6 +490,31 @@ mod tests {
         // Unchanged rows cost nothing: the spans, the headers, the one row.
         let target = image(&[(1, 10), (3, 30), (5, 55), (7, 70), (9, 90)]);
         assert_eq!(rebuild(&base, &target).0, 8 + 8 + (8 + 8) + 3 * 8 + 12 + 8 + (8 + 5));
+    }
+
+    #[test]
+    fn a_named_change_list_writes_what_the_diff_writes() {
+        let base = image(&[(1, 10), (3, 30), (5, 50), (7, 70)]);
+        let target = image(&[(1, 10), (2, 20), (3, 31), (5, 50), (7, 70), (8, 80)]);
+        let write = |plan: RowPlan<'_>| {
+            let mut e = Enc::new();
+            plan.write(&mut e);
+            assert_eq!(e.len(), plan.len(), "the plan sizes its encoding exactly");
+            e.into_bytes()
+        };
+        let diffed = write(RowPlan::new(&base, &target, layout).unwrap());
+        let listed = [vec![1, 2, 5]];
+        assert_eq!(write(RowPlan::from_changes(&base, &target, layout, &listed).unwrap()), diffed);
+        // Lists no writer of these images could have made are not planned.
+        for bad in [
+            vec![vec![2, 1, 5]],         // not ascending
+            vec![vec![1, 2, 6]],         // past the target's rows
+            vec![vec![1]],               // fewer upserts than rows added
+            vec![vec![1, 2, 5], vec![]], // a list for a table there is not
+            vec![],                      // no list for the table there is
+        ] {
+            assert!(RowPlan::from_changes(&base, &target, layout, &bad).is_none(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! [`CacheServer::save_state`]: darwin_cache::CacheServer::save_state
 
 use darwin_cache::{CacheServer, ThresholdPolicy};
-use darwin_ckpt::rows::Layout;
+use darwin_ckpt::rows::{Changes, Layout};
 use darwin_ckpt::{open, peek, CkptError, Dec, Enc, HEADER_LEN};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,7 +64,7 @@ pub struct ShardCheckpoint {
 impl ShardCheckpoint {
     /// Seals the checkpoint into a versioned, CRC-guarded frame.
     pub fn to_frame(&self) -> Vec<u8> {
-        self.seal(self.cache.len(), |enc| enc.bytes(&self.cache))
+        self.seal(self.cache.len(), |enc| enc.bytes(&self.cache)).0
     }
 
     /// [`to_frame`](Self::to_frame) of this checkpoint with `server`'s
@@ -72,17 +72,25 @@ impl ShardCheckpoint {
     /// caller leaves empty: the state is encoded where the frame holds it,
     /// never into a buffer of its own that the frame then copies.
     pub fn to_frame_of(&self, server: &CacheServer) -> Vec<u8> {
+        self.cut_of(server).0
+    }
+
+    /// [`to_frame_of`](Self::to_frame_of), and the rows of the frame's
+    /// per-object tables that changed since the server's base
+    /// ([`CacheServer::encode_state`]), for a row delta against the cut
+    /// that holds that base.
+    pub fn cut_of(&self, server: &CacheServer) -> (Vec<u8>, Option<Changes>) {
         debug_assert!(self.cache.is_empty(), "the server's state stands in for `cache`");
         let len = server.state_len();
         self.seal(len, |enc| {
             enc.usize(len);
-            server.encode_state(enc);
+            server.encode_state(enc)
         })
     }
 
     /// The frame around a cache image of `cache_len` bytes that `cache`
-    /// writes as a byte string.
-    fn seal(&self, cache_len: usize, cache: impl FnOnce(&mut Enc)) -> Vec<u8> {
+    /// writes as a byte string, and what `cache` returned.
+    fn seal<R>(&self, cache_len: usize, cache: impl FnOnce(&mut Enc) -> R) -> (Vec<u8>, R) {
         // The two blobs plus under a hundred bytes of fixed fields: sized
         // once, sealed where it lies.
         let mut enc = Enc::frame(96 + cache_len + self.driver.len() + 8 * self.budget_marks.len());
@@ -90,12 +98,12 @@ impl ShardCheckpoint {
         enc.u64(self.seq);
         self.policy.encode_state(&mut enc);
         let before = enc.len();
-        cache(&mut enc);
+        let returned = cache(&mut enc);
         assert_eq!(enc.len() - before, 8 + cache_len, "cache image is not the size it declared");
         enc.bytes(&self.driver);
         enc.u32(self.restarts);
         enc.seq(&self.budget_marks, |e, &m| e.u64(m));
-        enc.seal(CKPT_MAGIC, CKPT_VERSION)
+        (enc.seal(CKPT_MAGIC, CKPT_VERSION), returned)
     }
 
     /// Validates `frame`'s seal — magic, CRC over every byte, version, body

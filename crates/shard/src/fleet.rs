@@ -88,6 +88,7 @@ use crate::router::Router;
 use crate::standby::{FeedOutcome, StandbySlot};
 use crate::supervisor::{RestartBudget, Supervisor, SupervisorVerdict};
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, RequestOutcome};
+use darwin_ckpt::rows::Changes;
 use darwin_obs::{EventKind, SwitchCostTracker};
 use darwin_testbed::{AdmissionDriver, ControlEvent};
 use darwin_trace::{Request, Trace};
@@ -1214,9 +1215,10 @@ fn feed_standby(
     generation: u32,
     seq: u64,
     frame: &[u8],
+    changes: Option<&Changes>,
     spare: Vec<u8>,
 ) {
-    match standby.feed(generation, seq, frame, spare) {
+    match standby.feed(generation, seq, frame, changes, spare) {
         FeedOutcome::Seeded { shipped_bytes } => {
             cell.record_replica(seq, shipped_bytes);
             cell.obs().journal.record(seq, EventKind::ReplicaSeeded { checkpoint_seq: seq });
@@ -1239,12 +1241,13 @@ fn feed_standby(
 }
 
 /// Attempts a warm restore from the slot's best candidate. Returns the
-/// restored server, the policy deployed at the checkpoint boundary, the
-/// metrics base the incarnation must subtract before publishing (its
-/// pre-existing history, already folded into the cell by the supervisor),
-/// and the journal facts: which candidate validated (0 = active buffer,
-/// 1 = previous buffer, 2 = disk spill) and the restored sequence number —
-/// or, when none validates, how many candidates there were to refuse.
+/// restored server — the frame it restored from recorded as its base — the
+/// policy deployed at the checkpoint boundary, the metrics base the
+/// incarnation must subtract before publishing (its pre-existing history,
+/// already folded into the cell by the supervisor), and the journal facts:
+/// which candidate validated (0 = active buffer, 1 = previous buffer, 2 =
+/// disk spill) and the restored sequence number — or, when none validates,
+/// how many candidates there were to refuse.
 #[allow(clippy::type_complexity)]
 fn try_restore<D: AdmissionDriver>(
     shard: usize,
@@ -1259,10 +1262,12 @@ fn try_restore<D: AdmissionDriver>(
         if ckpt.shard != shard {
             continue;
         }
-        let Ok(server) = CacheServer::restore_state(cache.clone(), &ckpt.cache) else { continue };
+        let Ok(mut server) = CacheServer::restore_state(cache.clone(), &ckpt.cache) else { continue };
         if !driver.load_state(&ckpt.driver) {
             continue;
         }
+        let tables = ShardCheckpoint::layout(&frame);
+        server.record_base(ckpt.seq, frame, tables);
         let base = server.metrics();
         return Ok((server, ckpt.policy, base, candidate as u8, ckpt.seq));
     }
@@ -1395,20 +1400,22 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
             let mut serving = Serving { cell: &cell, server, base, processed: 0 };
             serving.server.set_policy(current_policy);
             cell.publish_policy(serving.server.policy_label());
-            // The one cut routine: seal the shard's state at `seq`, publish
-            // it to the slot, journal `event`, feed the standby — which
-            // rebuilds its image in the buffer of the frame the slot just
-            // rotated out. Periodic cuts time the serving pause, all of it,
-            // the feed included (`timed`); the final handoff cut runs after
-            // the stream ended and pauses nobody.
+            // The one cut routine: seal the shard's state at `seq` — merged
+            // into the server's base, the previous cut — publish it to the
+            // slot, record it as the server's next base, journal `event`,
+            // feed the standby the rows that changed — which rebuilds its
+            // image in the buffer of the frame the slot just rotated out.
+            // Periodic cuts time the serving pause, all of it, the feed
+            // included (`timed`); the final handoff cut runs after the
+            // stream ended and pauses nobody.
             let cut = |seq: u64,
                        policy: darwin_cache::ThresholdPolicy,
-                       server: &CacheServer,
+                       server: &mut CacheServer,
                        dstate: Vec<u8>,
                        event: EventKind,
                        timed: bool| {
                 let pause = Instant::now();
-                let frame = ShardCheckpoint {
+                let (frame, changes) = ShardCheckpoint {
                     shard,
                     seq,
                     policy,
@@ -1417,12 +1424,13 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
                     restarts: budget_restarts,
                     budget_marks: budget_marks.clone(),
                 }
-                .to_frame_of(server);
+                .cut_of(server);
                 let (frame, retired) = slot.store(frame);
+                server.record_base(seq, Arc::clone(&frame), ShardCheckpoint::layout(&frame));
                 cell.record_checkpoint(seq);
                 cell.obs().journal.record(seq, event);
                 if let Some(st) = &standby {
-                    feed_standby(st, &cell, generation, seq, &frame, retired);
+                    feed_standby(st, &cell, generation, seq, &frame, changes.as_ref(), retired);
                 }
                 if timed {
                     cell.obs().ckpt_pause.record_duration(pause.elapsed());
@@ -1533,7 +1541,7 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
                         if every > 0 && seq.is_multiple_of(every) {
                             if let Some(dstate) = driver.save_state() {
                                 let event = EventKind::CheckpointCut { checkpoint_seq: seq };
-                                cut(seq, current_policy, &serving.server, dstate, event, true);
+                                cut(seq, current_policy, &mut serving.server, dstate, event, true);
                             }
                         }
                     }
@@ -1556,7 +1564,7 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
                         .journal
                         .record(end, EventKind::DrainStart { target_shards: target as u32 });
                     let event = EventKind::HandoffCut { checkpoint_seq: end };
-                    cut(end, current_policy, &serving.server, dstate, event, false);
+                    cut(end, current_policy, &mut serving.server, dstate, event, false);
                 }
             }
             WorkerResult {

@@ -11,9 +11,11 @@
 //! checkpoint image; steady-state cuts ship a row delta against the frame
 //! the standby already holds — the per-object rows that changed in the
 //! window, plus the image's other bytes — laid out by
-//! [`ShardCheckpoint::layout`]. The standby therefore always trails the
-//! primary by at most one checkpoint window — the lag bound the failover
-//! contract quotes.
+//! [`ShardCheckpoint::layout`], and planned from the worker's own list of
+//! the rows it changed when the standby holds the cut that list is against
+//! (by diffing the two frames otherwise). The standby therefore always
+//! trails the primary by at most one checkpoint window — the lag bound the
+//! failover contract quotes.
 //!
 //! When the shard's restart budget is exhausted, the fleet asks
 //! [`ready`](StandbySlot::ready) and, on a
@@ -35,6 +37,7 @@
 
 use crate::ckpt::ShardCheckpoint;
 use darwin_ckpt::replica::{CutFrame, CutRole, Held};
+use darwin_ckpt::rows::Changes;
 use std::sync::Mutex;
 
 /// What one replication feed did to the standby.
@@ -114,10 +117,23 @@ impl StandbySlot {
     /// corrupted or misrouted envelope can fail loudly but never silently
     /// mis-apply.
     ///
+    /// `changes` are the rows the cut changed since the one its writer
+    /// merged it into ([`ShardCheckpoint::cut_of`]): when that is the cut
+    /// the standby holds, the delta is planned from them; otherwise — a
+    /// re-seeded standby, a worker restored from an older cut — by diffing
+    /// the two images, and the envelope is the same bytes either way.
+    ///
     /// The image is rebuilt in the allocation of `spare` (a retired frame's
     /// buffer, or an empty one; its contents are discarded), so a steady
     /// feed writes over pages the feeder already owns.
-    pub fn feed(&self, generation: u32, seq: u64, frame: &[u8], spare: Vec<u8>) -> FeedOutcome {
+    pub fn feed(
+        &self,
+        generation: u32,
+        seq: u64,
+        frame: &[u8],
+        changes: Option<&Changes>,
+        spare: Vec<u8>,
+    ) -> FeedOutcome {
         let mut st = self.state.lock().expect("standby slot poisoned");
         let was_lost = std::mem::take(&mut st.lost);
         if was_lost {
@@ -125,7 +141,8 @@ impl StandbySlot {
         }
         let held = st.frame.as_deref().map(|image| Held { seq: st.seq, image });
         let layout = ShardCheckpoint::layout;
-        let wire = CutFrame::ship(self.shard, generation, CutRole::Replica, seq, frame, held, layout);
+        let (shard, role) = (self.shard, CutRole::Replica);
+        let wire = CutFrame::ship_changes(shard, generation, role, seq, frame, held, changes, layout);
         let applied =
             CutFrame::apply_into(spare, &wire, self.shard, generation, CutRole::Replica, held, layout)
                 .ok()
@@ -225,9 +242,9 @@ mod tests {
         ckpt.to_frame_of(&server)
     }
 
-    /// A feed from a feeder with no buffer to spare.
+    /// A feed from a feeder with no buffer to spare and no change list.
     fn feed(slot: &StandbySlot, generation: u32, seq: u64, frame: &[u8]) -> FeedOutcome {
-        slot.feed(generation, seq, frame, Vec::new())
+        slot.feed(generation, seq, frame, None, Vec::new())
     }
 
     #[test]
@@ -237,7 +254,7 @@ mod tests {
         feed(&slot, 0, 20_000, &f1);
         let spare = vec![0xEE; 2 * f2.len()];
         let at = spare.as_ptr();
-        assert!(matches!(slot.feed(0, 21_000, &f2, spare), FeedOutcome::Applied { .. }));
+        assert!(matches!(slot.feed(0, 21_000, &f2, None, spare), FeedOutcome::Applied { .. }));
         let (promoted, seq) = slot.take_for_promotion().expect("ready standby");
         assert_eq!((promoted.as_ptr(), seq, &promoted), (at, 21_000, &f2));
     }

@@ -9,14 +9,19 @@
 //! resize handoff do, under `ShardCheckpoint::layout`; the rebuilt image is
 //! compared with the target byte for byte, and must open as the target's
 //! checkpoint.
+//!
+//! The change list a cut's encode returns is held to the same oracle: the
+//! envelope planned from it is the one the diff plans, cut after cut, and a
+//! standby that holds another cut than the list's base gets the diff.
 
 use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, OnlineConfig};
 use darwin_cache::server::FrequencyMode;
 use darwin_cache::{CacheConfig, CacheServer, EvictionKind, ThresholdPolicy};
 use darwin_ckpt::replica::{CutFrame, CutPayload, CutRole, Held};
+use darwin_ckpt::rows::Changes;
 use darwin_ckpt::Dec;
 use darwin_nn::TrainConfig;
-use darwin_shard::ShardCheckpoint;
+use darwin_shard::{FeedOutcome, ShardCheckpoint, StandbySlot};
 use darwin_testbed::{AdmissionDriver, DarwinDriver};
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};
 use proptest::prelude::*;
@@ -48,8 +53,9 @@ fn request(i: usize, id: u64) -> Request {
     Request::new(id, 1 + id * 7_919 % 120_000, i as u64)
 }
 
-/// Shard 3's checkpoint of `server` after `seq` requests, carrying `driver`.
-fn cut(server: &CacheServer, seq: u64, driver: Vec<u8>) -> Vec<u8> {
+/// Shard 3's checkpoint after `seq` requests, carrying `driver`, for a
+/// server to fill in.
+fn checkpoint(seq: u64, driver: Vec<u8>) -> ShardCheckpoint {
     let policy = ThresholdPolicy::new(1, 64 * 1024);
     ShardCheckpoint {
         shard: 3,
@@ -60,7 +66,19 @@ fn cut(server: &CacheServer, seq: u64, driver: Vec<u8>) -> Vec<u8> {
         restarts: 2,
         budget_marks: vec![seq / 3],
     }
-    .to_frame_of(server)
+}
+
+/// Shard 3's checkpoint of `server` after `seq` requests, carrying `driver`.
+fn cut(server: &CacheServer, seq: u64, driver: Vec<u8>) -> Vec<u8> {
+    checkpoint(seq, driver).to_frame_of(server)
+}
+
+/// What a worker's cut does: `server`'s checkpoint at `seq`, merged into its
+/// base, which it then replaces. Returns the frame and the rows it changed.
+fn cut_and_record(server: &mut CacheServer, seq: u64) -> (Vec<u8>, Option<Changes>) {
+    let (frame, changes) = checkpoint(seq, vec![seq as u8; 48]).cut_of(server);
+    server.record_base(seq, Arc::new(frame.clone()), ShardCheckpoint::layout(&frame));
+    (frame, changes)
 }
 
 /// Ships `target` against `base` through a replica envelope and returns the
@@ -103,6 +121,172 @@ proptest! {
         prop_assert!(ship(&earlier, &later).1 == later, "forward delta moved a byte");
         prop_assert!(ship(&later, &earlier).1 == earlier, "backward delta moved a byte");
     }
+
+    /// Every consecutive pair of real cuts — any stream, store, frequency
+    /// mode and cut points, repeated points included — ships the envelope
+    /// planned from the encode's change list byte for byte as the one
+    /// `CutFrame::ship` plans by diffing, and it rebuilds the later cut.
+    #[test]
+    fn change_list_envelopes_are_the_diffs(
+        stream in proptest::collection::vec(0u64..600, 1..1_500),
+        mut cuts in proptest::collection::vec(0.0f64..1.0, 1..5),
+        store in 0usize..4,
+        sketch in proptest::bool::ANY,
+    ) {
+        let layout = ShardCheckpoint::layout;
+        let mut server = CacheServer::new(config(STORES[store], sketch));
+        server.set_policy(ThresholdPolicy::new(1, 64 * 1024));
+        cuts.sort_by(f64::total_cmp);
+        let ends = cuts.iter().map(|c| (c * stream.len() as f64) as usize).chain([stream.len()]);
+        let (mut done, mut previous) = (0, None::<(u64, Vec<u8>)>);
+        for (k, end) in ends.enumerate() {
+            for (i, &id) in stream.iter().enumerate().take(end).skip(done) {
+                server.process(&request(i, id));
+            }
+            done = done.max(end);
+            let seq = k as u64 + 1;
+            let (frame, changes) = cut_and_record(&mut server, seq);
+            prop_assert_eq!(changes.as_ref().map(|c| c.base_seq), previous.as_ref().map(|(s, _)| *s));
+            if let Some((base_seq, base)) = &previous {
+                let held = Some(Held { seq: *base_seq, image: base });
+                let (role, changes) = (CutRole::Replica, changes.as_ref());
+                let listed = CutFrame::ship_changes(3, 0, role, seq, &frame, held, changes, layout);
+                let diffed = CutFrame::ship(3, 0, role, seq, &frame, held, layout);
+                prop_assert!(listed == diffed, "cut {}: the list planned another envelope", seq);
+                let rebuilt = CutFrame::apply(&listed, 3, 0, role, held, layout).unwrap().image;
+                prop_assert!(rebuilt == frame, "cut {}: the rebuild moved a byte", seq);
+            }
+            previous = Some((seq, frame));
+        }
+    }
+}
+
+/// A worker's stream, requests `from..to` over 2 000 objects.
+fn serve(server: &mut CacheServer, from: usize, to: usize) {
+    for i in from..to {
+        server.process(&request(i, (i as u64).wrapping_mul(2_654_435_761) % 2_000));
+    }
+}
+
+/// Feeds a cut and its change list, as the worker does.
+fn fed(slot: &StandbySlot, seq: u64, (frame, changes): &(Vec<u8>, Option<Changes>)) -> FeedOutcome {
+    slot.feed(0, seq, frame, changes.as_ref(), Vec::new())
+}
+
+/// What a feed that applied a delta shipped, and the lag it closed; `None`
+/// for any other outcome.
+fn applied(outcome: FeedOutcome) -> Option<(u64, u64)> {
+    match outcome {
+        FeedOutcome::Applied { shipped_bytes, lag } => Some((shipped_bytes, lag)),
+        _ => None,
+    }
+}
+
+/// The bytes of the row delta the diff plans for `target` against `held`.
+fn diffed(held: &[u8], held_seq: u64, target: &[u8]) -> u64 {
+    let held = Some(Held { seq: held_seq, image: held });
+    let wire = CutFrame::ship(3, 0, CutRole::Replica, 0, target, held, ShardCheckpoint::layout);
+    match CutFrame::from_frame(&wire).unwrap().payload {
+        CutPayload::Rows { rows, .. } => rows.len() as u64,
+        CutPayload::Full(_) => panic!("real cuts lay out"),
+    }
+}
+
+/// After a `CorruptStandby` loss the standby is re-seeded whole. A list
+/// whose base is not the cut it was re-seeded with — the worker did not
+/// record that cut as its base — is not used: the feed ships what the diff
+/// plans. The next list is against the cut the standby holds and is used.
+/// Every feed rebuilds the primary's cut bit for bit (a rebuild that is not
+/// fails its open and loses the standby).
+#[test]
+fn a_replaced_standby_takes_the_diff_until_the_list_is_against_its_cut() {
+    for sketch in [false, true] {
+        let slot = StandbySlot::new(3);
+        let mut server = CacheServer::new(config(EvictionKind::Lru, sketch));
+        server.set_policy(ThresholdPolicy::new(1, 64 * 1024));
+        serve(&mut server, 0, 1_000);
+        let first = cut_and_record(&mut server, 1_000);
+        assert!(first.1.is_none(), "nothing to merge into yet");
+        assert!(matches!(fed(&slot, 1_000, &first), FeedOutcome::Seeded { .. }));
+        serve(&mut server, 1_000, 2_000);
+        let second = cut_and_record(&mut server, 2_000);
+        let expected = (diffed(&first.0, 1_000, &second.0), 1_000);
+        assert_eq!(applied(fed(&slot, 2_000, &second)), Some(expected), "sketch: {sketch}");
+
+        slot.poison();
+        serve(&mut server, 2_000, 3_000);
+        let unrecorded = checkpoint(3_000, vec![0; 48]).cut_of(&server);
+        assert!(matches!(fed(&slot, 3_000, &unrecorded), FeedOutcome::Replaced { .. }));
+        serve(&mut server, 3_000, 4_000);
+        let against_older = cut_and_record(&mut server, 4_000);
+        assert_eq!(against_older.1.as_ref().map(|c| c.base_seq), Some(2_000));
+        let expected = (diffed(&unrecorded.0, 3_000, &against_older.0), 1_000);
+        assert_eq!(applied(fed(&slot, 4_000, &against_older)), Some(expected), "sketch: {sketch}");
+        serve(&mut server, 4_000, 5_000);
+        let last = cut_and_record(&mut server, 5_000);
+        let expected = (diffed(&against_older.0, 4_000, &last.0), 1_000);
+        assert_eq!(applied(fed(&slot, 5_000, &last)), Some(expected), "sketch: {sketch}");
+        assert_eq!(slot.take_for_promotion(), Some((last.0, 5_000)));
+    }
+}
+
+/// A worker restored from the previous buffer's cut merges into that cut,
+/// while its standby holds the newer one: the feed ships what the diff
+/// against the newer cut plans, and rebuilds the new cut bit for bit; the
+/// next feed is against the cut the standby holds.
+#[test]
+fn a_worker_restored_from_the_previous_cut_ships_the_diff() {
+    for sketch in [false, true] {
+        let (cfg, policy) = (
+            config(EvictionKind::SegmentedLru { segments: 4 }, sketch),
+            ThresholdPolicy::new(1, 64 * 1024),
+        );
+        let slot = StandbySlot::new(3);
+        let mut server = CacheServer::new(cfg.clone());
+        server.set_policy(policy);
+        serve(&mut server, 0, 1_000);
+        let previous = cut_and_record(&mut server, 1_000);
+        fed(&slot, 1_000, &previous);
+        serve(&mut server, 1_000, 2_000);
+        let newer = cut_and_record(&mut server, 2_000);
+        assert!(matches!(fed(&slot, 2_000, &newer), FeedOutcome::Applied { .. }));
+
+        let image = ShardCheckpoint::from_frame(&previous.0).unwrap().cache;
+        let mut restored = CacheServer::restore_state(cfg, &image).unwrap();
+        restored.set_policy(policy);
+        let tables = ShardCheckpoint::layout(&previous.0);
+        restored.record_base(1_000, Arc::new(previous.0), tables);
+        serve(&mut restored, 1_000, 2_500);
+        let from_previous = cut_and_record(&mut restored, 2_500);
+        assert_eq!(from_previous.1.as_ref().map(|c| c.base_seq), Some(1_000));
+        let expected = (diffed(&newer.0, 2_000, &from_previous.0), 500);
+        assert_eq!(applied(fed(&slot, 2_500, &from_previous)), Some(expected), "sketch: {sketch}");
+        serve(&mut restored, 2_500, 3_000);
+        let next = cut_and_record(&mut restored, 3_000);
+        let expected = (diffed(&from_previous.0, 2_500, &next.0), 500);
+        assert_eq!(applied(fed(&slot, 3_000, &next)), Some(expected), "sketch: {sketch}");
+        assert_eq!(slot.take_for_promotion(), Some((next.0, 3_000)));
+    }
+}
+
+/// A list against a cut the standby never got — it holds an older one —
+/// names too few rows for what the standby holds, and is not used: the
+/// feed diffs and rebuilds the cut bit for bit.
+#[test]
+fn a_list_against_a_cut_the_standby_missed_is_not_used() {
+    let slot = StandbySlot::new(3);
+    let mut server = CacheServer::new(config(EvictionKind::Fifo, false));
+    server.set_policy(ThresholdPolicy::new(1, 64 * 1024));
+    serve(&mut server, 0, 1_000);
+    let held = cut_and_record(&mut server, 1_000);
+    fed(&slot, 1_000, &held);
+    serve(&mut server, 1_000, 2_000);
+    cut_and_record(&mut server, 2_000);
+    serve(&mut server, 2_000, 3_000);
+    let cut = cut_and_record(&mut server, 3_000);
+    assert_eq!(cut.1.as_ref().map(|c| c.base_seq), Some(2_000));
+    assert_eq!(applied(fed(&slot, 3_000, &cut)), Some((diffed(&held.0, 1_000, &cut.0), 2_000)));
+    assert_eq!(slot.take_for_promotion(), Some((cut.0, 3_000)));
 }
 
 /// The ids a row delta removes, per table, read off the documented
