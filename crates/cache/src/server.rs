@@ -130,6 +130,9 @@ struct ObjectTable {
     /// The cut epoch: stamped on every object a request touches, moved on
     /// when a base is recorded.
     stamp: u32,
+    /// Objects stamped in the current epoch: the rows the next merged
+    /// encode sorts (fewer only if a stamp wrapped onto an old one).
+    stamped: usize,
 }
 
 /// One object as the saved sequences hold it: `(id, last_ts, count)`.
@@ -148,11 +151,13 @@ impl ObjectTable {
                 let gap = now_us.saturating_sub(meta.last_ts);
                 meta.last_ts = now_us;
                 meta.count = meta.count.saturating_add(1);
+                self.stamped += usize::from(meta.stamp != stamp);
                 meta.stamp = stamp;
                 (meta.count, Some(gap))
             }
             Entry::Vacant(slot) => {
                 slot.insert(ObjectMeta { last_ts: now_us, count: 1, stamp });
+                self.stamped += 1;
                 (1, None)
             }
         }
@@ -202,7 +207,8 @@ impl ObjectTable {
                 map.insert(id, meta);
             }
         }
-        Ok(Self { map, stamp: 0 })
+        let stamped = map.len();
+        Ok(Self { map, stamp: 0, stamped })
     }
 
     /// The rows an encode writes itself, sorted by id — the canonical order
@@ -211,9 +217,10 @@ impl ObjectTable {
     fn sorted(&self, since_base: bool) -> Vec<Row> {
         // Every row is sized up front: the map's iterator chains its
         // segments and has no exact size hint, so a `collect` would double
-        // its way up to as much as twice the half-million rows a full sort
-        // needs. The rows stamped since a base are about a quarter of them.
-        let mut rows = Vec::with_capacity(if since_base { 0 } else { self.map.len() });
+        // its way up to as much as twice the rows it holds — the
+        // half-million of a full sort, or the quarter of them stamped since
+        // a base, which the table counts as it stamps them.
+        let mut rows = Vec::with_capacity(if since_base { self.stamped } else { self.map.len() });
         let changed = |m: &ObjectMeta| !since_base || m.stamp == self.stamp;
         rows.extend(self.map.iter().filter(|(_, m)| changed(m)).map(|(id, m)| (id, m.last_ts, m.count)));
         rows.sort_unstable_by_key(|&(id, ..)| id);
@@ -247,7 +254,8 @@ fn merge_rows<const W: usize>(enc: &mut Enc, base: &[u8], rows: &[Row], track: b
     let held = base.len() / W;
     let base_row = |i: usize| &base[i * W..(i + 1) * W];
     let key = |i: usize| u64::from_le_bytes(base_row(i)[..8].try_into().expect("8 bytes"));
-    let mut changed = Vec::new();
+    // Every merged row may differ from the base's: sized once, not doubled.
+    let mut changed = Vec::with_capacity(if track { rows.len() } else { 0 });
     // Base rows passed so far, and rows inserted before them: a row goes
     // to position `b + inserted`.
     let (mut b, mut inserted) = (0, 0);
@@ -547,6 +555,7 @@ impl CacheServer {
         };
         self.base = tables.filter(fits).map(|tables| Base { seq, frame, tables });
         self.objects.stamp = self.objects.stamp.wrapping_add(1);
+        self.objects.stamped = 0;
     }
 
     /// Where [`encode_state`](Self::encode_state) put the per-object tables
@@ -1259,6 +1268,11 @@ mod proptests {
                     upserts: diff_upserts(base, &image),
                 });
                 prop_assert_eq!(changes, expected, "cut {}", k);
+                // The table counted the rows a merged encode sorts as it
+                // stamped them: their vector is sized exactly.
+                let rows = server.objects.sorted(true);
+                let stamped = server.objects.stamped;
+                prop_assert_eq!((rows.len(), rows.capacity()), (stamped, stamped), "cut {}", k);
                 if k == skip {
                     continue;
                 }

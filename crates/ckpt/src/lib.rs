@@ -54,7 +54,9 @@
 //!   generation- and role-addressed cut envelope (full image or row delta)
 //!   with its one sender ([`ship`](replica::CutFrame::ship), or
 //!   [`ship_changes`](replica::CutFrame::ship_changes) with the writer's
-//!   list) and one apply gate ([`apply`](replica::CutFrame::apply)).
+//!   list) and one gate with one rebuild behind it, in place over an image
+//!   the receiver owns ([`rebuild`](replica::CutFrame::rebuild)) or over a
+//!   copy of one it borrows ([`apply`](replica::CutFrame::apply)).
 //! * [`delta`] — the rsync-style block diff the row delta replaced,
 //!   retired from serving (see its docs).
 
@@ -138,7 +140,15 @@ impl Enc {
     /// and the trailer's is allocated, so sealing neither copies the body nor
     /// reallocates.
     pub fn frame(body_capacity: usize) -> Self {
-        let mut buf = Vec::with_capacity(HEADER_LEN + body_capacity + TRAILER_LEN);
+        Self::frame_in(Vec::new(), body_capacity)
+    }
+
+    /// [`Enc::frame`] written into the allocation of `buf`, whose contents
+    /// are discarded: a writer that seals at every cut writes over pages it
+    /// already owns. Grown, if it must grow, to exactly the frame's room.
+    pub fn frame_in(mut buf: Vec<u8>, body_capacity: usize) -> Self {
+        buf.clear();
+        buf.reserve_exact(HEADER_LEN + body_capacity + TRAILER_LEN);
         buf.resize(HEADER_LEN, 0);
         Self { buf, header: HEADER_LEN }
     }
@@ -929,6 +939,18 @@ mod tests {
         write(&mut framed);
         assert_eq!(framed.into_bytes(), body);
         assert!(Enc::frame(8).is_empty());
+        // Into a buffer that holds an older frame: same bytes, same pages.
+        let old = vec![0xEE; 4096];
+        let at = old.as_ptr();
+        let mut reused = Enc::frame_in(old, 29);
+        write(&mut reused);
+        let resealed = reused.seal(MAGIC, VERSION);
+        assert_eq!((resealed.as_ptr(), &resealed), (at, &sealed));
+        // A buffer too small grows to the frame's room and no further.
+        let mut grown = Enc::frame_in(vec![1; 3], 29);
+        write(&mut grown);
+        let grown = grown.seal(MAGIC, VERSION);
+        assert_eq!((grown.capacity(), &grown), (grown.len(), &sealed));
     }
 
     #[test]

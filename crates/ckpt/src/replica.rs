@@ -9,8 +9,12 @@
 //! receiver already holds when there is one and both images lay out, so a
 //! steady cut ships the rows that changed plus the image's other bytes, and
 //! a [`CutPayload::Full`] image otherwise — and the receiver calls
-//! [`CutFrame::apply`]. Both take the holder's [`LayoutFn`]: this crate
-//! does not know what a checkpoint looks like inside. A sender that knows
+//! [`CutFrame::rebuild`], which rebuilds the cut over the image it owns, in
+//! that image's allocation (the standby), or [`CutFrame::apply`], which
+//! rebuilds it over a copy of a base it borrows (a resize handoff); both
+//! run the one rebuild of [`rows`]. Both ends take the holder's
+//! [`LayoutFn`]: this crate does not know what a checkpoint looks like
+//! inside. A sender that knows
 //! which rows its image changed since the cut the receiver holds — the
 //! replica feed, whose writer merged the image into that cut — passes its
 //! list to [`CutFrame::ship_changes`], which ships the same bytes without
@@ -30,15 +34,15 @@
 //! Version 2 carried a block delta instead; envelopes never persist, so a
 //! version 2 envelope is simply refused ([`CkptError::BadVersion`]).
 //!
-//! [`CutFrame::apply`] is the receiver's gate: it refuses a shipment
-//! addressed to another shard ([`CutError::WrongShard`]) or generation
+//! [`CutFrame::apply`] and [`CutFrame::rebuild`] are the receiver's gate:
+//! each refuses a shipment addressed to another shard ([`CutError::WrongShard`]) or generation
 //! ([`CutError::WrongGeneration`]), one from the other flow
 //! ([`CutError::WrongRole`] — a standby never applies a handoff and a
 //! resize never boots from a replica feed), and a delta whose `base_seq` is
 //! not the boundary the receiver holds ([`CutError::WrongBase`]). The row
 //! codec then refuses a base of another length and anything malformed (see
-//! [`rows`]); damage to the envelope surfaces as
-//! [`CkptError`]s from the sealed-frame layer.
+//! [`rows`]) before a byte of the held image moves; damage to the envelope
+//! surfaces as [`CkptError`]s from the sealed-frame layer.
 //!
 //! Nothing here hashes an image. The resolved image is still under its own
 //! seal, and its holder opens it once before trusting it — in the fleet,
@@ -199,6 +203,18 @@ pub struct AppliedCut {
     pub image: Vec<u8>,
 }
 
+/// What [`CutFrame::rebuild`] made of the holder's image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RebuiltCut {
+    /// Request-sequence boundary the envelope claims for the cut.
+    pub seq: u64,
+    /// Base boundary the payload was a delta against (`None`: full image).
+    pub base_seq: Option<u64>,
+    /// Bytes the payload shipped — a full image's length, or the row
+    /// delta's.
+    pub shipped_bytes: u64,
+}
+
 /// One shipment: a checkpoint cut addressed shard-, generation- and
 /// role-explicitly. See the module docs for the byte layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -258,6 +274,22 @@ impl<'a> CutRef<'a> {
         };
         d.finish()?;
         Ok(CutRef { shard, generation, role, seq, payload })
+    }
+
+    /// Decodes `wire` and refuses it unless it is addressed to this
+    /// `role`, `shard` and `generation`.
+    fn gate(wire: &'a [u8], shard: usize, generation: u32, role: CutRole) -> Result<Self, CutError> {
+        let cut = CutRef::decode(wire)?;
+        if cut.role != role {
+            return Err(CutError::WrongRole { expected: role, found: cut.role });
+        }
+        if cut.shard != shard {
+            return Err(CutError::WrongShard { expected: shard, found: cut.shard });
+        }
+        if cut.generation != generation {
+            return Err(CutError::WrongGeneration { expected: generation, found: cut.generation });
+        }
+        Ok(cut)
     }
 }
 
@@ -348,9 +380,11 @@ impl CutFrame {
 
     /// The receiver's gate: decodes `wire`, checks it is addressed to this
     /// `shard`, `generation` and `role`, then materializes the image — the
-    /// full payload itself, or the row delta merged into `held`, which must
-    /// be the cut the receiver holds at the delta's `base_seq` and lay out
-    /// under `layout`.
+    /// full payload itself, or the row delta rebuilt over a copy of `held`,
+    /// which must be the cut the receiver holds at the delta's `base_seq`
+    /// and lay out under `layout`. For a holder that borrows its base (a
+    /// resize handoff reads it from a slot); one that owns it calls
+    /// [`rebuild`](Self::rebuild).
     pub fn apply(
         wire: &[u8],
         shard: usize,
@@ -359,47 +393,55 @@ impl CutFrame {
         held: Option<Held<'_>>,
         layout: LayoutFn,
     ) -> Result<AppliedCut, CutError> {
-        Self::apply_into(Vec::new(), wire, shard, generation, role, held, layout)
+        let cut = CutRef::gate(wire, shard, generation, role)?;
+        let (base_seq, shipped, image) = match cut.payload {
+            PayloadRef::Full(bytes) => (None, bytes, bytes.to_vec()),
+            PayloadRef::Rows { base_seq, rows } => {
+                let base = held
+                    .filter(|base| base.seq == base_seq)
+                    .ok_or(CutError::WrongBase { base_seq, held: held.map(|h| h.seq) })?;
+                let checked = rows::check(rows, base.image, layout)?;
+                let mut image = Vec::with_capacity(checked.room());
+                image.extend_from_slice(base.image);
+                rows::rebuild(&mut image, &checked);
+                (Some(base_seq), rows, image)
+            }
+        };
+        Ok(AppliedCut { seq: cut.seq, base_seq, shipped_bytes: shipped.len() as u64, image })
     }
 
-    /// [`apply`](Self::apply), materializing the image in the allocation of
-    /// `image` (a retired one; its contents are discarded), for a receiver
-    /// that applies at every cut.
-    pub fn apply_into(
-        mut image: Vec<u8>,
+    /// [`apply`](Self::apply) for a holder that owns the image it holds —
+    /// `image`, the cut at `held` (`None`: it holds none, and `image` is
+    /// only an allocation) — and rebuilds the shipped cut in it, in place:
+    /// a full payload is copied into its allocation, a row delta is rebuilt
+    /// over it. Every refusal leaves `image` as it was, byte for byte.
+    pub fn rebuild(
         wire: &[u8],
         shard: usize,
         generation: u32,
         role: CutRole,
-        held: Option<Held<'_>>,
+        held: Option<u64>,
+        image: &mut Vec<u8>,
         layout: LayoutFn,
-    ) -> Result<AppliedCut, CutError> {
-        let cut = CutRef::decode(wire)?;
-        if cut.role != role {
-            return Err(CutError::WrongRole { expected: role, found: cut.role });
-        }
-        if cut.shard != shard {
-            return Err(CutError::WrongShard { expected: shard, found: cut.shard });
-        }
-        if cut.generation != generation {
-            return Err(CutError::WrongGeneration { expected: generation, found: cut.generation });
-        }
+    ) -> Result<RebuiltCut, CutError> {
+        let cut = CutRef::gate(wire, shard, generation, role)?;
         let (base_seq, shipped) = match cut.payload {
             PayloadRef::Full(bytes) => {
                 image.clear();
+                image.reserve_exact(bytes.len());
                 image.extend_from_slice(bytes);
                 (None, bytes)
             }
             PayloadRef::Rows { base_seq, rows } => {
-                let base = match held {
-                    Some(base) if base.seq == base_seq => base,
-                    _ => return Err(CutError::WrongBase { base_seq, held: held.map(|h| h.seq) }),
-                };
-                rows::apply(rows, base.image, layout, &mut image)?;
+                if held != Some(base_seq) {
+                    return Err(CutError::WrongBase { base_seq, held });
+                }
+                let checked = rows::check(rows, image, layout)?;
+                rows::rebuild(image, &checked);
                 (Some(base_seq), rows)
             }
         };
-        Ok(AppliedCut { seq: cut.seq, base_seq, shipped_bytes: shipped.len() as u64, image })
+        Ok(RebuiltCut { seq: cut.seq, base_seq, shipped_bytes: shipped.len() as u64 })
     }
 }
 
@@ -568,24 +610,62 @@ mod tests {
         }
     }
 
+    /// A holder that owns its image rebuilds the next cut in that image's
+    /// own allocation, delta or full payload; a refused shipment leaves it
+    /// as it was.
     #[test]
     fn a_retired_image_is_rebuilt_in_place() {
         let base = base();
-        let target = image((0..4_000).map(|id| (2 * id, id / 2)), &[0xB1; 300]);
+        let target = image((0..4_200).map(|id| (2 * id, id / 2)), &[0xB1; 300]);
         let held = Held { seq: 1, image: &base };
         let wire = CutFrame::ship(0, 0, CutRole::Replica, 2, &target, Some(held), layout);
         assert_eq!(wire.capacity(), wire.len(), "the rows are counted, then written to size");
-        let out = vec![0xEE; 128 * 1024];
-        let out_at = out.as_ptr();
-        let applied =
-            CutFrame::apply_into(out, &wire, 0, 0, CutRole::Replica, Some(held), layout).unwrap();
-        assert_eq!(applied.image, target);
-        assert_eq!(applied.image.as_ptr(), out_at);
-        // A full payload lands in the retired buffer too.
-        let full = CutFrame::ship(0, 0, CutRole::Replica, 2, &target, None, layout);
-        let applied =
-            CutFrame::apply_into(applied.image, &full, 0, 0, CutRole::Replica, None, layout).unwrap();
-        assert_eq!((applied.image.as_ptr(), &applied.image), (out_at, &target));
+        let mut image = Vec::with_capacity(128 * 1024);
+        image.extend_from_slice(&base);
+        let at = image.as_ptr();
+        let rebuild = |wire: &[u8], held: Option<u64>, image: &mut Vec<u8>| {
+            CutFrame::rebuild(wire, 0, 0, CutRole::Replica, held, image, layout)
+        };
+        // Refused at the gate, at the base and in the rows: nothing moved.
+        let mut damaged = wire.clone();
+        damaged[wire.len() / 2] ^= 1;
+        let mut lying = Rows::of(&wire);
+        lying.1.truncate(lying.1.len() - 9);
+        for (bad, seq) in [(&damaged, Some(1)), (&wire, Some(0)), (&lying.wire(), Some(1))] {
+            assert!(rebuild(bad, seq, &mut image).is_err());
+            assert_eq!((image.as_ptr(), &image), (at, &base));
+        }
+        let rebuilt = rebuild(&wire, Some(1), &mut image).unwrap();
+        assert_eq!((rebuilt.seq, rebuilt.base_seq), (2, Some(1)));
+        assert_eq!((image.as_ptr(), &image), (at, &target));
+        // A full payload lands in the held allocation too.
+        let full = CutFrame::ship(0, 0, CutRole::Replica, 3, &base, None, layout);
+        assert_eq!(rebuild(&full, Some(2), &mut image).unwrap().base_seq, None);
+        assert_eq!((image.as_ptr(), &image), (at, &base));
+        // Grown, an image is grown to the target's length exactly — as is
+        // one a holder that borrows its base applies.
+        let mut exact = base.clone();
+        rebuild(&wire, Some(1), &mut exact).unwrap();
+        assert_eq!((exact.capacity(), &exact), (target.len(), &target));
+        let applied = CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some(held), layout).unwrap();
+        assert_eq!((applied.image.capacity(), &applied.image), (target.len(), &target));
+    }
+
+    /// A row delta's payload, to be forged: its base seq and bytes.
+    struct Rows(u64, Vec<u8>);
+
+    impl Rows {
+        fn of(wire: &[u8]) -> Self {
+            match CutFrame::from_frame(wire).unwrap().payload {
+                CutPayload::Rows { base_seq, rows } => Rows(base_seq, rows),
+                CutPayload::Full(_) => panic!("a row delta was shipped"),
+            }
+        }
+
+        fn wire(&self) -> Vec<u8> {
+            let payload = CutPayload::Rows { base_seq: self.0, rows: self.1.clone() };
+            CutFrame { shard: 0, generation: 0, role: CutRole::Replica, seq: 2, payload }.to_frame()
+        }
     }
 
     #[test]

@@ -65,9 +65,31 @@ fn real_cut(reqs: &[u64]) -> Vec<u8> {
 }
 
 /// The holder's side of a shipment: the gate, then the one open of what it
-/// resolved, as this shard's checkpoint.
+/// resolved, as this shard's checkpoint. A holder that owns its image and
+/// rebuilds the shipment in it gets the same answer; when it is a refusal,
+/// the image is as it was, byte for byte, and never sized past
+/// `base + wire`.
 fn resolve(wire: &[u8], role: CutRole, held: Option<Held<'_>>) -> Result<Vec<u8>, CutError> {
-    let cut = CutFrame::apply(wire, 0, 0, role, held, LAYOUT)?;
+    let base = held.map_or(&[][..], |h| h.image);
+    let mut owned = base.to_vec();
+    let in_place = CutFrame::rebuild(wire, 0, 0, role, held.map(|h| h.seq), &mut owned, LAYOUT);
+    let applied = CutFrame::apply(wire, 0, 0, role, held, LAYOUT);
+    assert!(owned.capacity() <= base.len() + wire.len(), "sized {} bytes", owned.capacity());
+    match (&applied, in_place) {
+        (Ok(cut), Ok(rebuilt)) => {
+            assert_eq!(
+                (rebuilt.seq, rebuilt.base_seq, rebuilt.shipped_bytes),
+                (cut.seq, cut.base_seq, cut.shipped_bytes)
+            );
+            assert!(owned == cut.image, "the in-place rebuild is not the applied image");
+        }
+        (Err(refused), Err(also)) => {
+            assert_eq!(refused, &also);
+            assert!(owned == base, "a refused shipment moved a byte of the held image");
+        }
+        (applied, in_place) => panic!("apply {applied:?} but in place {in_place:?}"),
+    }
+    let cut = applied?;
     ShardCheckpoint::header(&cut.image)?;
     Ok(cut.image)
 }

@@ -11,13 +11,14 @@
 //!
 //! [`CheckpointSlot`] is where frames live between a store and a crash: a
 //! double-buffered in-memory pair (the writer always fills the *inactive*
-//! buffer and flips, so a panic mid-store can never tear the buffer a
-//! restore will read) plus an optional on-disk spill via write-to-temp +
-//! atomic rename, written off the worker by the fleet's [`Spiller`] and
-//! settled before anything reads the file. Restores walk
-//! [`CheckpointSlot::candidates`] newest-first and fall back cold when every
-//! candidate fails validation — corruption is a detected, counted event,
-//! never a panic.
+//! buffer — sealing the next frame in the allocation of the one two cuts
+//! old, when nobody else holds it — and flips, so a panic mid-store can
+//! never tear the buffer a restore will read) plus an optional on-disk
+//! spill via write-to-temp + atomic rename, written off the worker by the
+//! fleet's [`Spiller`] and settled before anything reads the file.
+//! Restores walk [`CheckpointSlot::candidates`] newest-first and fall back
+//! cold when every candidate fails validation — corruption is a detected,
+//! counted event, never a panic.
 //!
 //! [`CacheServer::save_state`]: darwin_cache::CacheServer::save_state
 
@@ -64,7 +65,7 @@ pub struct ShardCheckpoint {
 impl ShardCheckpoint {
     /// Seals the checkpoint into a versioned, CRC-guarded frame.
     pub fn to_frame(&self) -> Vec<u8> {
-        self.seal(self.cache.len(), |enc| enc.bytes(&self.cache)).0
+        self.seal(Vec::new(), self.cache.len(), |enc| enc.bytes(&self.cache)).0
     }
 
     /// [`to_frame`](Self::to_frame) of this checkpoint with `server`'s
@@ -72,28 +73,37 @@ impl ShardCheckpoint {
     /// caller leaves empty: the state is encoded where the frame holds it,
     /// never into a buffer of its own that the frame then copies.
     pub fn to_frame_of(&self, server: &CacheServer) -> Vec<u8> {
-        self.cut_of(server).0
+        self.cut_of(server, Vec::new()).0
     }
 
-    /// [`to_frame_of`](Self::to_frame_of), and the rows of the frame's
-    /// per-object tables that changed since the server's base
+    /// [`to_frame_of`](Self::to_frame_of), sealed in the allocation of
+    /// `buf` (its contents are discarded; a worker passes the slot's
+    /// inactive frame, [`CheckpointSlot::take_inactive`]), and the rows of
+    /// the frame's per-object tables that changed since the server's base
     /// ([`CacheServer::encode_state`]), for a row delta against the cut
     /// that holds that base.
-    pub fn cut_of(&self, server: &CacheServer) -> (Vec<u8>, Option<Changes>) {
+    pub fn cut_of(&self, server: &CacheServer, buf: Vec<u8>) -> (Vec<u8>, Option<Changes>) {
         debug_assert!(self.cache.is_empty(), "the server's state stands in for `cache`");
         let len = server.state_len();
-        self.seal(len, |enc| {
+        self.seal(buf, len, |enc| {
             enc.usize(len);
             server.encode_state(enc)
         })
     }
 
-    /// The frame around a cache image of `cache_len` bytes that `cache`
-    /// writes as a byte string, and what `cache` returned.
-    fn seal<R>(&self, cache_len: usize, cache: impl FnOnce(&mut Enc) -> R) -> (Vec<u8>, R) {
+    /// The frame, sealed in `buf`, around a cache image of `cache_len`
+    /// bytes that `cache` writes as a byte string, and what `cache`
+    /// returned.
+    fn seal<R>(
+        &self,
+        buf: Vec<u8>,
+        cache_len: usize,
+        cache: impl FnOnce(&mut Enc) -> R,
+    ) -> (Vec<u8>, R) {
         // The two blobs plus under a hundred bytes of fixed fields: sized
         // once, sealed where it lies.
-        let mut enc = Enc::frame(96 + cache_len + self.driver.len() + 8 * self.budget_marks.len());
+        let mut enc =
+            Enc::frame_in(buf, 96 + cache_len + self.driver.len() + 8 * self.budget_marks.len());
         enc.usize(self.shard);
         enc.u64(self.seq);
         self.policy.encode_state(&mut enc);
@@ -200,19 +210,33 @@ impl CheckpointSlot {
         self.dir.as_ref().map(|d| d.join(format!("shard-{}.ckpt", self.shard)))
     }
 
+    /// The inactive buffer's frame — the one before the active — for the
+    /// writer to seal its next frame in, or an empty buffer when there is
+    /// none or somebody still holds it: a server merging into it as its
+    /// base, a spill still writing it, a restore reading it. Taking it
+    /// leaves the active frame, the one a restore reads first, untouched;
+    /// the next [`store`](Self::store) fills the inactive side again.
+    pub fn take_inactive(&self) -> Vec<u8> {
+        let inactive = 1 - self.active.load(Ordering::Acquire);
+        let mut buf = self.bufs[inactive].lock().expect("checkpoint buffer poisoned");
+        // A handle is only ever cloned from another handle, and the slot's
+        // own is behind this lock: a frame nobody shares now stays so.
+        match buf.as_mut().map(Arc::get_mut) {
+            Some(Some(_)) => buf.take().and_then(Arc::into_inner).unwrap_or_default(),
+            _ => Vec::new(),
+        }
+    }
+
     /// Publishes a new frame: fills the inactive buffer, then flips it
     /// active. The previously active frame survives as the second restore
     /// candidate, so a store torn by a crash never destroys the last good
     /// checkpoint. The disk spill is posted, not awaited (see the type's
     /// docs). Returns the frame as stored — shared, not copied — for a
-    /// writer that goes on to feed it to a standby, and the buffer of the
-    /// frame it replaced (empty if there was none, or if somebody still
-    /// holds it) for that feed to rebuild the standby's image in.
-    pub fn store(&self, frame: Vec<u8>) -> (Arc<Vec<u8>>, Vec<u8>) {
+    /// writer that goes on to feed it to a standby.
+    pub fn store(&self, frame: Vec<u8>) -> Arc<Vec<u8>> {
         let inactive = 1 - self.active.load(Ordering::Acquire);
         let frame = Arc::new(frame);
-        let replaced =
-            self.bufs[inactive].lock().expect("checkpoint buffer poisoned").replace(Arc::clone(&frame));
+        *self.bufs[inactive].lock().expect("checkpoint buffer poisoned") = Some(Arc::clone(&frame));
         self.active.store(inactive, Ordering::Release);
         if self.dir.is_some() {
             *self.unspilled.lock().expect("unspilled frame poisoned") = Some(Arc::clone(&frame));
@@ -223,7 +247,7 @@ impl CheckpointSlot {
                 drop(self.settle());
             }
         }
-        (frame, replaced.and_then(Arc::into_inner).unwrap_or_default())
+        frame
     }
 
     /// Brings the spill file up to the in-memory pair — writes the unspilled
@@ -486,20 +510,126 @@ mod tests {
         let slot = CheckpointSlot::new(0, None);
         assert!(!slot.has_checkpoint());
         assert!(slot.candidates().next().is_none());
+        assert!(slot.take_inactive().is_empty(), "nothing stored, nothing to take");
         let f1 = sample(0, 100).to_frame();
         let f2 = sample(0, 200).to_frame();
         let f3 = sample(0, 300).to_frame();
-        assert!(slot.store(f1.clone()).1.is_empty());
+        let stored = slot.store(f1.clone());
         assert_eq!(frames(&slot), vec![f1.clone()]);
-        let (stored, retired) = slot.store(f2.clone());
-        assert!(retired.is_empty(), "nothing was replaced yet");
+        let at = stored.as_ptr();
+        drop(stored);
+        slot.store(f2.clone());
         // Newest first, previous frame retained as fallback.
         assert_eq!(frames(&slot), vec![f2.clone(), f1.clone()]);
-        // The third store replaces the first frame and hands its buffer
-        // back — unless somebody still holds that frame.
-        assert_eq!(slot.store(f3.clone()).1, f1);
-        assert!(slot.store(f1).1.is_empty(), "a frame its writer still shares is not handed out");
-        assert_eq!(*stored, f2);
+        // The next frame is written over the previous one, in its pages —
+        // unless somebody still holds it.
+        let held = slot.candidates().nth(1);
+        assert!(slot.take_inactive().is_empty(), "a frame somebody shares is not handed out");
+        assert_eq!(frames(&slot), vec![f2.clone(), f1.clone()]);
+        drop(held);
+        let mut buf = slot.take_inactive();
+        assert_eq!((buf.as_ptr(), &buf), (at, &f1));
+        assert_eq!(frames(&slot), vec![f2.clone()], "the active frame is left as it was");
+        buf.clear();
+        buf.extend_from_slice(&f3);
+        let stored = slot.store(buf);
+        assert_eq!(stored.as_ptr(), at);
+        assert_eq!(frames(&slot), vec![f3, f2]);
+    }
+
+    /// Shard 0's server after `to` requests over 3 000 objects, served from
+    /// `from`.
+    fn serve(server: &mut CacheServer, from: u64, to: u64) {
+        for i in from..to {
+            server.process(&darwin_trace::Request::new(i.wrapping_mul(2_654_435_761) % 3_000, 9_000, i));
+        }
+    }
+
+    fn server() -> CacheServer {
+        let config = darwin_cache::CacheConfig {
+            dc_bytes: 4 * 1024 * 1024,
+            expected_unique_objects: 4096,
+            ..darwin_cache::CacheConfig::small_test()
+        };
+        let mut server = CacheServer::new(config);
+        server.set_policy(ThresholdPolicy::new(1, 64 * 1024));
+        server
+    }
+
+    /// What a worker's cut does: the server's checkpoint at `seq`, sealed
+    /// over the slot's inactive frame, stored and recorded as the base.
+    fn cut(slot: &CheckpointSlot, server: &mut CacheServer, seq: u64) -> Vec<u8> {
+        let ckpt = ShardCheckpoint { cache: Vec::new(), ..sample(0, seq) };
+        let (frame, _) = ckpt.cut_of(server, slot.take_inactive());
+        let frame = slot.store(frame);
+        server.record_base(seq, Arc::clone(&frame), ShardCheckpoint::layout(&frame));
+        frame.to_vec()
+    }
+
+    /// The two ways somebody else still holds the inactive frame when the
+    /// next cut is sealed — a server restored from it merges into it as its
+    /// base, and a spill is still writing it — each keep it whole: the cut
+    /// is sealed in a fresh buffer, and is the same bytes.
+    #[test]
+    fn a_shared_inactive_frame_is_never_taken() {
+        let slot = CheckpointSlot::new(0, None);
+        let mut live = server();
+        serve(&mut live, 0, 2_000);
+        let previous = cut(&slot, &mut live, 2_000);
+        serve(&mut live, 2_000, 4_000);
+        cut(&slot, &mut live, 4_000);
+        // Restored from the previous buffer, as `try_restore` does when the
+        // active frame fails.
+        let frame = slot.candidates().nth(1).unwrap();
+        assert_eq!(*frame, previous);
+        let image = ShardCheckpoint::from_frame(&frame).unwrap().cache;
+        let mut restored = CacheServer::restore_state(live.config().clone(), &image).unwrap();
+        restored.set_policy(ThresholdPolicy::new(1, 64 * 1024));
+        let tables = ShardCheckpoint::layout(&frame);
+        restored.record_base(2_000, frame, tables);
+        assert!(slot.take_inactive().is_empty(), "the restored server's base is the inactive frame");
+        serve(&mut restored, 2_000, 5_000);
+        let ckpt = ShardCheckpoint { cache: Vec::new(), ..sample(0, 5_000) };
+        let (frame, changes) = ckpt.cut_of(&restored, Vec::new());
+        assert_eq!(changes.map(|c| c.base_seq), Some(2_000));
+        assert_eq!(frame, ckpt.to_frame_of(&restored), "merged into the base it kept");
+
+        let dir = SpillDir::new("inactive");
+        let (slot, _wakeups) = stalled(0, &dir.0);
+        let f1 = sample(0, 100).to_frame();
+        slot.store(f1.clone());
+        // The spiller took the posted frame and is writing it.
+        let writing = slot.unspilled.lock().unwrap().take().expect("a posted frame");
+        slot.store(sample(0, 200).to_frame());
+        assert!(slot.take_inactive().is_empty(), "a frame being spilled is not handed out");
+        drop(writing);
+        assert_eq!(slot.take_inactive(), f1);
+    }
+
+    /// While the next frame is written over the inactive one, the active
+    /// frame — what a restore reads first — is not touched, byte for byte;
+    /// and a cut sealed over an old frame is the cut sealed fresh.
+    #[test]
+    fn the_active_frame_is_untouched_while_the_next_is_written() {
+        let slot = CheckpointSlot::new(0, None);
+        let mut live = server();
+        let mut fresh = server();
+        for (k, seq) in [1_000u64, 2_500, 3_000, 6_000].into_iter().enumerate() {
+            let from = [0, 1_000, 2_500, 3_000][k];
+            serve(&mut live, from, seq);
+            serve(&mut fresh, from, seq);
+            let active = slot.candidates().next().map(|f| f.to_vec());
+            let ckpt = ShardCheckpoint { cache: Vec::new(), ..sample(0, seq) };
+            let buf = slot.take_inactive();
+            let reused = !buf.is_empty();
+            let (frame, _) = ckpt.cut_of(&live, buf);
+            assert_eq!(slot.candidates().next().map(|f| f.to_vec()), active, "cut {seq}");
+            assert_eq!(frame, ckpt.to_frame_of(&fresh), "cut {seq}");
+            assert_eq!(reused, k >= 2, "cut {seq}: the frame two cuts old is written over");
+            let frame = slot.store(frame);
+            live.record_base(seq, Arc::clone(&frame), ShardCheckpoint::layout(&frame));
+            assert_eq!(frames(&slot)[1..].to_vec(), active.into_iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]

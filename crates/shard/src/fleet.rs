@@ -1216,9 +1216,8 @@ fn feed_standby(
     seq: u64,
     frame: &[u8],
     changes: Option<&Changes>,
-    spare: Vec<u8>,
 ) {
-    match standby.feed(generation, seq, frame, changes, spare) {
+    match standby.feed(generation, seq, frame, changes) {
         FeedOutcome::Seeded { shipped_bytes } => {
             cell.record_replica(seq, shipped_bytes);
             cell.obs().journal.record(seq, EventKind::ReplicaSeeded { checkpoint_seq: seq });
@@ -1401,10 +1400,11 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
             serving.server.set_policy(current_policy);
             cell.publish_policy(serving.server.policy_label());
             // The one cut routine: seal the shard's state at `seq` — merged
-            // into the server's base, the previous cut — publish it to the
+            // into the server's base, the previous cut, and written over
+            // the slot's inactive frame, two cuts old — publish it to the
             // slot, record it as the server's next base, journal `event`,
             // feed the standby the rows that changed — which rebuilds its
-            // image in the buffer of the frame the slot just rotated out.
+            // image over the one it holds.
             // Periodic cuts time the serving pause, all of it, the feed
             // included (`timed`); the final handoff cut runs after the
             // stream ended and pauses nobody.
@@ -1424,13 +1424,13 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
                     restarts: budget_restarts,
                     budget_marks: budget_marks.clone(),
                 }
-                .cut_of(server);
-                let (frame, retired) = slot.store(frame);
+                .cut_of(server, slot.take_inactive());
+                let frame = slot.store(frame);
                 server.record_base(seq, Arc::clone(&frame), ShardCheckpoint::layout(&frame));
                 cell.record_checkpoint(seq);
                 cell.obs().journal.record(seq, event);
                 if let Some(st) = &standby {
-                    feed_standby(st, &cell, generation, seq, &frame, changes.as_ref(), retired);
+                    feed_standby(st, &cell, generation, seq, &frame, changes.as_ref());
                 }
                 if timed {
                     cell.obs().ckpt_pause.record_duration(pause.elapsed());

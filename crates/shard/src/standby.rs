@@ -108,7 +108,7 @@ impl StandbySlot {
     /// Feeds the checkpoint cut at `seq` (the sealed
     /// [`ShardCheckpoint`] frame bytes) through the replication channel:
     /// [`CutFrame::ship`] seals a [`CutRole::Replica`] envelope on the
-    /// primary side, then [`CutFrame::apply`] decodes, address-checks and
+    /// primary side, then [`CutFrame::rebuild`] decodes, address-checks and
     /// resolves it on the standby side, and the image is opened as this
     /// shard's checkpoint at `seq` before it is stored — the one hash of
     /// the image on this side, and the check of a row delta's rebuild. The
@@ -123,33 +123,32 @@ impl StandbySlot {
     /// re-seeded standby, a worker restored from an older cut — by diffing
     /// the two images, and the envelope is the same bytes either way.
     ///
-    /// The image is rebuilt in the allocation of `spare` (a retired frame's
-    /// buffer, or an empty one; its contents are discarded), so a steady
-    /// feed writes over pages the feeder already owns.
+    /// The image is rebuilt over the one the standby holds, in its own
+    /// allocation ([`CutFrame::rebuild`]), so a steady feed writes over
+    /// pages the standby already owns.
     pub fn feed(
         &self,
         generation: u32,
         seq: u64,
         frame: &[u8],
         changes: Option<&Changes>,
-        spare: Vec<u8>,
     ) -> FeedOutcome {
         let mut st = self.state.lock().expect("standby slot poisoned");
         let was_lost = std::mem::take(&mut st.lost);
         if was_lost {
             st.frame = None;
         }
-        let held = st.frame.as_deref().map(|image| Held { seq: st.seq, image });
-        let layout = ShardCheckpoint::layout;
-        let (shard, role) = (self.shard, CutRole::Replica);
+        let held_seq = st.frame.as_ref().map(|_| st.seq);
+        let mut image = st.frame.take().unwrap_or_default();
+        let held = held_seq.map(|seq| Held { seq, image: &image });
+        let (shard, role, layout) = (self.shard, CutRole::Replica, ShardCheckpoint::layout);
         let wire = CutFrame::ship_changes(shard, generation, role, seq, frame, held, changes, layout);
-        let applied =
-            CutFrame::apply_into(spare, &wire, self.shard, generation, CutRole::Replica, held, layout)
-                .ok()
-                .filter(|cut| ShardCheckpoint::header(&cut.image) == Ok((self.shard, seq)));
-        match applied {
+        let rebuilt = CutFrame::rebuild(&wire, shard, generation, role, held_seq, &mut image, layout)
+            .ok()
+            .filter(|_| ShardCheckpoint::header(&image) == Ok((shard, seq)));
+        match rebuilt {
             Some(cut) => {
-                st.frame = Some(cut.image);
+                st.frame = Some(image);
                 st.seq = seq;
                 let shipped_bytes = cut.shipped_bytes;
                 match cut.base_seq {
@@ -161,7 +160,6 @@ impl StandbySlot {
                 }
             }
             None => {
-                st.frame = None;
                 st.lost = true;
                 FeedOutcome::Lost
             }
@@ -242,21 +240,37 @@ mod tests {
         ckpt.to_frame_of(&server)
     }
 
-    /// A feed from a feeder with no buffer to spare and no change list.
+    /// A feed with no change list.
     fn feed(slot: &StandbySlot, generation: u32, seq: u64, frame: &[u8]) -> FeedOutcome {
-        slot.feed(generation, seq, frame, None, Vec::new())
+        slot.feed(generation, seq, frame, None)
     }
 
+    /// Where the standby's image lies, and its bytes.
+    fn held(slot: &StandbySlot) -> (*const u8, Vec<u8>) {
+        let st = slot.state.lock().unwrap();
+        let image = st.frame.as_ref().expect("a seeded standby");
+        (image.as_ptr(), image.clone())
+    }
+
+    /// A steady feed rebuilds the next cut over the image the standby
+    /// holds, in that image's allocation; a rebuild that fails its open
+    /// loses the standby, and the next feed seeds a replacement sized to
+    /// the cut exactly.
     #[test]
     fn a_feed_rebuilds_the_image_in_the_spare_buffer() {
         let slot = StandbySlot::new(0);
-        let (f1, f2) = (ckpt_frame(0, 20_000), ckpt_frame(0, 21_000));
+        let (f1, f2, f3) = (ckpt_frame(0, 20_000), ckpt_frame(0, 21_000), ckpt_frame(0, 22_000));
         feed(&slot, 0, 20_000, &f1);
-        let spare = vec![0xEE; 2 * f2.len()];
-        let at = spare.as_ptr();
-        assert!(matches!(slot.feed(0, 21_000, &f2, None, spare), FeedOutcome::Applied { .. }));
+        slot.state.lock().unwrap().frame.as_mut().unwrap().reserve_exact(f2.len());
+        let (at, _) = held(&slot);
+        assert!(matches!(feed(&slot, 0, 21_000, &f2), FeedOutcome::Applied { .. }));
+        assert_eq!(held(&slot), (at, f2.clone()));
+        // A cut another shard's image fails its open: lost, not replaced.
+        assert_eq!(feed(&slot, 0, 22_000, &ckpt_frame(1, 22_000)), FeedOutcome::Lost);
+        assert!(!slot.ready());
+        assert!(matches!(feed(&slot, 0, 22_000, &f3), FeedOutcome::Replaced { .. }));
         let (promoted, seq) = slot.take_for_promotion().expect("ready standby");
-        assert_eq!((promoted.as_ptr(), seq, &promoted), (at, 21_000, &f2));
+        assert_eq!((seq, &promoted, promoted.capacity()), (22_000, &f3, f3.len()));
     }
 
     #[test]

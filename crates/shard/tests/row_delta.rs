@@ -21,7 +21,7 @@ use darwin_ckpt::replica::{CutFrame, CutPayload, CutRole, Held};
 use darwin_ckpt::rows::Changes;
 use darwin_ckpt::Dec;
 use darwin_nn::TrainConfig;
-use darwin_shard::{FeedOutcome, ShardCheckpoint, StandbySlot};
+use darwin_shard::{CheckpointSlot, FeedOutcome, ShardCheckpoint, StandbySlot};
 use darwin_testbed::{AdmissionDriver, DarwinDriver};
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};
 use proptest::prelude::*;
@@ -76,7 +76,7 @@ fn cut(server: &CacheServer, seq: u64, driver: Vec<u8>) -> Vec<u8> {
 /// What a worker's cut does: `server`'s checkpoint at `seq`, merged into its
 /// base, which it then replaces. Returns the frame and the rows it changed.
 fn cut_and_record(server: &mut CacheServer, seq: u64) -> (Vec<u8>, Option<Changes>) {
-    let (frame, changes) = checkpoint(seq, vec![seq as u8; 48]).cut_of(server);
+    let (frame, changes) = checkpoint(seq, vec![seq as u8; 48]).cut_of(server, Vec::new());
     server.record_base(seq, Arc::new(frame.clone()), ShardCheckpoint::layout(&frame));
     (frame, changes)
 }
@@ -170,7 +170,7 @@ fn serve(server: &mut CacheServer, from: usize, to: usize) {
 
 /// Feeds a cut and its change list, as the worker does.
 fn fed(slot: &StandbySlot, seq: u64, (frame, changes): &(Vec<u8>, Option<Changes>)) -> FeedOutcome {
-    slot.feed(0, seq, frame, changes.as_ref(), Vec::new())
+    slot.feed(0, seq, frame, changes.as_ref())
 }
 
 /// What a feed that applied a delta shipped, and the lag it closed; `None`
@@ -215,7 +215,7 @@ fn a_replaced_standby_takes_the_diff_until_the_list_is_against_its_cut() {
 
         slot.poison();
         serve(&mut server, 2_000, 3_000);
-        let unrecorded = checkpoint(3_000, vec![0; 48]).cut_of(&server);
+        let unrecorded = checkpoint(3_000, vec![0; 48]).cut_of(&server, Vec::new());
         assert!(matches!(fed(&slot, 3_000, &unrecorded), FeedOutcome::Replaced { .. }));
         serve(&mut server, 3_000, 4_000);
         let against_older = cut_and_record(&mut server, 4_000);
@@ -266,6 +266,34 @@ fn a_worker_restored_from_the_previous_cut_ships_the_diff() {
         let expected = (diffed(&from_previous.0, 2_500, &next.0), 500);
         assert_eq!(applied(fed(&slot, 3_000, &next)), Some(expected), "sketch: {sketch}");
         assert_eq!(slot.take_for_promotion(), Some((next.0, 3_000)));
+    }
+}
+
+/// A worker's cuts as the fleet takes them — each sealed over the slot's
+/// inactive frame, two cuts old, and fed to a standby that rebuilds it over
+/// the image it holds — are the cuts a fresh buffer takes, byte for byte,
+/// and the standby holds each one.
+#[test]
+fn cuts_written_over_the_inactive_frame_are_the_fresh_cuts() {
+    for sketch in [false, true] {
+        let (slot, standby) = (CheckpointSlot::new(3, None), StandbySlot::new(3));
+        let mut server = CacheServer::new(config(EvictionKind::Lru, sketch));
+        server.set_policy(ThresholdPolicy::new(1, 64 * 1024));
+        let mut done = 0;
+        for seq in [700, 1_500, 1_600, 3_000, 3_001, 4_200] {
+            serve(&mut server, done, seq);
+            done = seq;
+            let ckpt = checkpoint(seq as u64, vec![seq as u8; 48]);
+            let (frame, changes) = ckpt.cut_of(&server, slot.take_inactive());
+            assert!(frame == ckpt.to_frame_of(&server), "sketch: {sketch}, cut {seq}");
+            let frame = slot.store(frame);
+            server.record_base(seq as u64, Arc::clone(&frame), ShardCheckpoint::layout(&frame));
+            let outcome = fed(&standby, seq as u64, &(frame.to_vec(), changes));
+            assert!(!matches!(outcome, FeedOutcome::Lost), "sketch: {sketch}, cut {seq}");
+            assert_eq!(standby.applied_seq(), Some(seq as u64));
+        }
+        let newest = slot.candidates().next().unwrap();
+        assert_eq!(standby.take_for_promotion(), Some((newest.to_vec(), 4_200)));
     }
 }
 
