@@ -117,10 +117,22 @@ struct ObjectMeta {
 
 const _: () = assert!(std::mem::size_of::<ObjectMeta>() == 16, "the stamp must fit the padding");
 
-/// Encoded bytes of one `(id, count)` row of the saved frequency sequence.
-const COUNT_ROW: usize = 8 + 4;
-/// Encoded bytes of one `(id, last_ts)` row of the saved recency sequence.
-const LAST_ROW: usize = 8 + 8;
+/// Encoded bytes of one `(id, last_ts, count)` row of the saved per-object
+/// table.
+const ROW: usize = 8 + 8 + 4;
+/// The row under [`FrequencyMode::Sketch`], where the sketch counts: the
+/// same row without its `count`.
+const SKETCH_ROW: usize = ROW - 4;
+
+/// Bytes of one row of the saved per-object table: [`ROW`] when the table
+/// counts, [`SKETCH_ROW`] when the sketch does.
+fn row_width(counted: bool) -> usize {
+    if counted {
+        ROW
+    } else {
+        SKETCH_ROW
+    }
+}
 
 /// The per-object table both simulators keep: one entry per object ever
 /// requested, one probe per request for frequency and recency together.
@@ -135,7 +147,7 @@ struct ObjectTable {
     stamped: usize,
 }
 
-/// One object as the saved sequences hold it: `(id, last_ts, count)`.
+/// One object as the saved table holds it: `(id, last_ts, count)`.
 type Row = (ObjectId, u64, u32);
 
 impl ObjectTable {
@@ -163,44 +175,30 @@ impl ObjectTable {
         }
     }
 
-    /// Rebuilds the table from the saved sequences, walked side by side
-    /// where they lie in the frame: `last` over `(id, last_ts)` rows for
-    /// every object and, in Exact mode, `counts` over `(id, count)` rows for
-    /// the same objects. Both must be strictly ascending by id and name the
-    /// same ids — what [`CacheServer::encode_state`] writes; anything else is a
-    /// corrupt image.
-    fn from_sequences(mut counts: Option<Dec<'_>>, mut last: Dec<'_>) -> Result<Self, CkptError> {
+    /// Rebuilds the table from the saved sequence, walked where it lies in
+    /// the frame: `rows` over `(id, last_ts, count)` rows — `(id, last_ts)`
+    /// without `counted` — strictly ascending by id, which is what
+    /// [`CacheServer::encode_state`] writes; anything else is a corrupt image.
+    fn from_rows(mut rows: Dec<'_>, counted: bool) -> Result<Self, CkptError> {
         /// Rows decoded and checked between two runs of inserts. An insert
         /// is a cache miss the processor overlaps with its neighbours' only
         /// when nothing else sits between them: decoding row by row between
         /// the inserts made a 1 M-object restore 115 ms, a block at a time
         /// 78 ms (two whole vectors first, as it used to be: 99 ms).
         const BLOCK: usize = 1024;
-        let malformed = |what: &str| Err(CkptError::Malformed(format!("per-object state: {what}")));
-        let objects = last.remaining() / LAST_ROW;
-        if counts.as_ref().is_some_and(|c| c.remaining() != COUNT_ROW * objects) {
-            return malformed("frequency and recency sequences name different objects");
-        }
+        let objects = rows.remaining() / row_width(counted);
         let mut map = IdMap::with_capacity(objects);
         let mut block = Vec::with_capacity(BLOCK.min(objects));
         let mut previous = None;
         for start in (0..objects).step_by(BLOCK) {
             block.clear();
             for _ in start..objects.min(start + BLOCK) {
-                let (id, last_ts) = (last.u64()?, last.u64()?);
+                let (id, last_ts) = (rows.u64()?, rows.u64()?);
                 if previous.is_some_and(|p| p >= id) {
-                    return malformed("recency ids not strictly ascending");
+                    return Err(CkptError::Malformed("per-object ids not strictly ascending".into()));
                 }
                 previous = Some(id);
-                let count = match &mut counts {
-                    Some(counts) => {
-                        if counts.u64()? != id {
-                            return malformed("frequency and recency sequences name different objects");
-                        }
-                        counts.u32()?
-                    }
-                    None => 0,
-                };
+                let count = if counted { rows.u32()? } else { 0 };
                 block.push((id, ObjectMeta { last_ts, count, stamp: 0 }));
             }
             for &(id, meta) in &block {
@@ -228,22 +226,20 @@ impl ObjectTable {
     }
 }
 
-/// `row` as the sequence of `W`-byte rows holds it: `id u64, count u32` in
-/// the frequency sequence ([`COUNT_ROW`]), `id u64, last_ts u64` in the
-/// recency one ([`LAST_ROW`]).
+/// `row` as the table of `W`-byte rows holds it: `id u64, last_ts u64`, then
+/// `count u32` when the width has room for it ([`ROW`], not [`SKETCH_ROW`]).
 fn encode_row<const W: usize>(&(id, last_ts, count): &Row) -> [u8; W] {
     let mut bytes = [0; W];
     bytes[..8].copy_from_slice(&id.to_le_bytes());
-    if W == COUNT_ROW {
-        bytes[8..].copy_from_slice(&count.to_le_bytes());
-    } else {
-        bytes[8..].copy_from_slice(&last_ts.to_le_bytes());
+    bytes[8..16].copy_from_slice(&last_ts.to_le_bytes());
+    if W == ROW {
+        bytes[16..].copy_from_slice(&count.to_le_bytes());
     }
     bytes
 }
 
-/// Writes one id-sorted sequence's rows (`W` bytes each) onto `enc`: the
-/// rows of `base` — the same sequence as a base image holds it — with
+/// Writes the id-sorted table's rows (`W` bytes each) onto `enc`: the
+/// rows of `base` — the same table as a base image holds it — with
 /// `rows` (sorted by id) merged in, each replacing the base row of its id
 /// or going in where its id sorts, and the runs of base rows between them
 /// copied as they are. With `track`, returns the positions of the rows
@@ -291,14 +287,14 @@ struct Base {
     seq: u64,
     /// The frame that holds the image.
     frame: Arc<Vec<u8>>,
-    /// Where the image's per-object sequences lie in `frame`.
-    tables: Layout,
+    /// Where the image's per-object table lies in `frame`.
+    table: Table,
 }
 
 impl Base {
-    /// The rows of the image's `i`-th per-object sequence.
-    fn rows(&self, i: usize) -> &[u8] {
-        let t = self.tables[i];
+    /// The rows of the image's per-object table.
+    fn rows(&self) -> &[u8] {
+        let t = self.table;
         &self.frame[t.offset..t.offset + t.rows * t.width]
     }
 }
@@ -464,16 +460,11 @@ impl CacheServer {
     /// (and [`save_state`](Self::save_state) returns), so a caller that
     /// embeds the state in a larger encoding sizes that once.
     pub fn state_len(&self) -> usize {
-        let objects = self.objects.map.len();
-        let freq_len = match &self.sketch {
-            None => 8 + COUNT_ROW * objects,
-            Some(s) => s.encoded_len(),
-        };
         (8 + config_fingerprint(&self.config).len())
             + self.hoc.encoded_len()
             + self.dc.encoded_len()
-            + (1 + freq_len)
-            + (8 + LAST_ROW * objects)
+            + (1 + self.sketch.as_ref().map_or(0, FrequencySketch::encoded_len))
+            + (8 + row_width(self.sketch.is_none()) * self.objects.map.len())
             + self.dc_filter.encoded_len()
             + CacheMetrics::ENCODED_LEN
     }
@@ -483,7 +474,7 @@ impl CacheServer {
     /// frame then copies.
     ///
     /// With a base recorded ([`record_base`](Self::record_base)), the
-    /// per-object sequences are the base's with the rows requested since
+    /// per-object table is the base's with the rows requested since
     /// merged in: only those are sorted, and the rest are copied from the
     /// base as they lie. The bytes are the same (debug builds check that
     /// against the full sort at every encode), and the positions of the
@@ -505,92 +496,86 @@ impl CacheServer {
         enc.bytes(&config_fingerprint(&self.config));
         self.hoc.encode_state(enc);
         self.dc.encode_state(enc);
-        // The table is saved as the two id-sorted sequences the format has
-        // always held: counts (Exact mode only), then timestamps.
-        let rows = self.objects.sorted(base.is_some());
-        let held = |i: usize| base.map_or(&[][..], |base| base.rows(i));
-        let (objects, track) = (self.objects.map.len(), base.is_some());
-        let mut upserts = Vec::with_capacity(2);
         match &self.sketch {
-            None => {
-                enc.u8(0);
-                enc.usize(objects);
-                upserts.push(merge_rows::<COUNT_ROW>(enc, held(0), &rows, track));
-            }
+            None => enc.u8(0),
             Some(s) => {
                 enc.u8(1);
                 s.encode_state(enc);
             }
         }
-        enc.usize(objects);
-        let last = held(upserts.len());
-        upserts.push(merge_rows::<LAST_ROW>(enc, last, &rows, track));
+        // The table is saved as one id-sorted sequence of rows, after the
+        // sketch when there is one.
+        let rows = self.objects.sorted(base.is_some());
+        let (held, track) = (base.map_or(&[][..], Base::rows), base.is_some());
+        enc.usize(self.objects.map.len());
+        let upserts = match self.sketch {
+            None => merge_rows::<ROW>(enc, held, &rows, track),
+            Some(_) => merge_rows::<SKETCH_ROW>(enc, held, &rows, track),
+        };
         self.dc_filter.encode_state(enc);
         self.metrics.encode_state(enc);
-        base.map(|base| Changes { base_seq: base.seq, upserts })
+        base.map(|base| Changes { base_seq: base.seq, upserts: vec![upserts] })
     }
 
     /// Records `frame` as the base the next [`encode_state`](Self::encode_state)
     /// merges into: a frame that holds the image of this server's state as
     /// it is now — the cut at `seq` it just encoded, or the image it was
-    /// restored from — with its per-object sequences where `tables` says
-    /// (the image's [`state_layout`](Self::state_layout), as offsets into
+    /// restored from — with its per-object table where `tables` says (the
+    /// image's [`state_layout`](Self::state_layout), as offsets into
     /// `frame`). Starts a new stamp epoch in the same call, so the base and
     /// the rows merged into it cannot drift apart: from here, exactly the
     /// objects requested are merged. A base that is never recorded costs no
     /// correctness — the rows stamped since the last one are a superset of
     /// what changed since — and tables that do not fit this state (another
-    /// number or width of sequences, another row count) record none: the
-    /// next encode sorts every row.
+    /// number of tables, another width or row count) record none: the next
+    /// encode sorts every row.
     pub fn record_base(&mut self, seq: u64, frame: Arc<Vec<u8>>, tables: Option<Layout>) {
-        let widths: &[usize] = if self.sketch.is_some() { &[LAST_ROW] } else { &[COUNT_ROW, LAST_ROW] };
-        let rows = self.objects.map.len();
-        let fits = |tables: &Layout| {
-            tables.len() == widths.len()
-                && tables.iter().zip(widths).all(|(t, &width)| {
-                    t.width == width
-                        && t.rows == rows
-                        && t.offset.saturating_add(rows * width) <= frame.len()
-                })
+        let (width, rows) = (row_width(self.sketch.is_none()), self.objects.map.len());
+        let table = match tables.as_deref() {
+            Some(&[t])
+                if t.width == width
+                    && t.rows == rows
+                    && t.offset.saturating_add(rows * width) <= frame.len() =>
+            {
+                Some(t)
+            }
+            _ => None,
         };
-        self.base = tables.filter(fits).map(|tables| Base { seq, frame, tables });
+        self.base = table.map(|table| Base { seq, frame, table });
         self.objects.stamp = self.objects.stamp.wrapping_add(1);
         self.objects.stamped = 0;
     }
 
-    /// Where [`encode_state`](Self::encode_state) put the per-object tables
-    /// in `image`: the frequency rows (`id u64, count u32`; Exact mode only)
-    /// and the recency rows (`id u64, last_ts u64`), both sorted by id —
-    /// what a cut's row delta diffs, while the rest of the image ships
-    /// whole. Follows the length prefixes only: no row is decoded and
-    /// nothing is hashed, so a damaged image may still lay out (the seal
-    /// around it is what refuses it). `None` when the prefixes do not add
-    /// up to `image`.
+    /// Where [`encode_state`](Self::encode_state) put the per-object table
+    /// in `image`: one table of rows sorted by id, `id u64, last_ts u64,
+    /// count u32` (no `count` under [`FrequencyMode::Sketch`]) — what a
+    /// cut's row delta diffs, while the rest of the image ships whole.
+    /// Follows the length prefixes only: no row is decoded and nothing is
+    /// hashed, so a damaged image may still lay out (the seal around it is
+    /// what refuses it). `None` when the prefixes do not add up to `image`.
     pub fn state_layout(image: &[u8]) -> Option<Layout> {
         let mut dec = Dec::new(image);
-        let table = |dec: &mut Dec<'_>, width: usize| -> Result<Table, CkptError> {
-            let rows = dec.seq_len(width)?;
-            let offset = image.len() - dec.remaining();
-            dec.sub(rows * width)?;
-            Ok(Table { offset, rows, width })
-        };
-        let mut walk = || -> Result<Layout, CkptError> {
+        let mut walk = || -> Result<Table, CkptError> {
             dec.bytes()?; // config fingerprint
             Store::skip_state(&mut dec)?; // HOC
             Store::skip_state(&mut dec)?; // DC
-            let mut tables = Vec::with_capacity(2);
-            match dec.u8()? {
-                0 => tables.push(table(&mut dec, COUNT_ROW)?),
-                1 => FrequencySketch::skip_state(&mut dec)?,
+            let width = match dec.u8()? {
+                0 => ROW,
+                1 => {
+                    FrequencySketch::skip_state(&mut dec)?;
+                    SKETCH_ROW
+                }
                 t => return Err(CkptError::Malformed(format!("frequency tracker tag {t}"))),
-            }
-            tables.push(table(&mut dec, LAST_ROW)?);
+            };
+            let rows = dec.seq_len(width)?;
+            let offset = image.len() - dec.remaining();
+            dec.sub(rows * width)?;
             BloomFilter::skip_state(&mut dec)?;
             dec.sub(CacheMetrics::ENCODED_LEN)?;
-            Ok(tables)
+            Ok(Table { offset, rows, width })
         };
-        let tables = walk().ok()?;
-        dec.is_empty().then_some(tables)
+        let table = walk().ok()?;
+        dec.is_empty().then(|| vec![table])
     }
 
     /// Rebuilds a server from bytes written by [`CacheServer::save_state`].
@@ -611,22 +596,21 @@ impl CacheServer {
         if hoc.capacity() != config.hoc_bytes || dc.capacity() != config.dc_bytes {
             return Err(CkptError::Malformed("store capacity does not match config".into()));
         }
-        // The two per-object sequences are not decoded into vectors of
-        // their own: each is checked to fit, then walked in place.
-        let (counts, sketch) = match (dec.u8()?, config.frequency) {
-            (0, FrequencyMode::Exact) => {
-                let rows = dec.seq_len(COUNT_ROW)?;
-                (Some(dec.sub(COUNT_ROW * rows)?), None)
-            }
-            (1, FrequencyMode::Sketch { .. }) => (None, Some(FrequencySketch::decode_state(&mut dec)?)),
+        let sketch = match (dec.u8()?, config.frequency) {
+            (0, FrequencyMode::Exact) => None,
+            (1, FrequencyMode::Sketch { .. }) => Some(FrequencySketch::decode_state(&mut dec)?),
             (t, _) => {
                 return Err(CkptError::Malformed(format!(
                     "frequency tracker tag {t} does not match config"
                 )))
             }
         };
-        let rows = dec.seq_len(LAST_ROW)?;
-        let objects = ObjectTable::from_sequences(counts, dec.sub(LAST_ROW * rows)?)?;
+        // The per-object table is not decoded into a vector of its own: it
+        // is checked to fit, then walked in place.
+        let counted = sketch.is_none();
+        let width = row_width(counted);
+        let rows = dec.seq_len(width)?;
+        let objects = ObjectTable::from_rows(dec.sub(width * rows)?, counted)?;
         let dc_filter = BloomFilter::decode_state(&mut dec)?;
         let metrics = CacheMetrics::decode_state(&mut dec)?;
         dec.finish()?;
@@ -963,61 +947,76 @@ mod tests {
         assert!(CacheServer::restore_state(sketchy, &bytes).is_err());
     }
 
-    /// `image` with its two per-object sequences replaced. They sit between
-    /// the stores and the Bloom filter, so everything around them is kept.
-    fn with_sequences(
-        s: &CacheServer,
-        image: &[u8],
-        counts: &[(u64, u32)],
-        last: &[(u64, u64)],
-    ) -> Vec<u8> {
-        let n = s.objects.map.len();
-        let tail = s.dc_filter.encoded_len() + CacheMetrics::ENCODED_LEN;
-        let head = image.len() - tail - (8 + LAST_ROW * n) - (8 + COUNT_ROW * n);
-        let mut enc = Enc::new();
-        enc.seq(counts, |e, &(id, c)| {
-            e.u64(id);
-            e.u32(c);
-        });
-        enc.seq(last, |e, &(id, ts)| {
-            e.u64(id);
-            e.u64(ts);
-        });
-        [&image[..head], &enc.into_bytes(), &image[image.len() - tail..]].concat()
+    /// Where `s`'s saved `image` holds its per-object table: from the
+    /// length prefix to the Bloom filter after the rows.
+    fn table_span(s: &CacheServer, image: &[u8]) -> std::ops::Range<usize> {
+        let end = image.len() - s.dc_filter.encoded_len() - CacheMetrics::ENCODED_LEN;
+        end - (8 + row_width(s.sketch.is_none()) * s.objects.map.len())..end
+    }
+
+    /// `image` with its per-object table replaced by a length prefix of
+    /// `rows` and the bytes `table`. The table sits between the stores and
+    /// the Bloom filter, so everything around it is kept.
+    fn with_table(s: &CacheServer, image: &[u8], rows: u64, table: &[u8]) -> Vec<u8> {
+        let span = table_span(s, image);
+        [&image[..span.start], &rows.to_le_bytes(), table, &image[span.end..]].concat()
+    }
+
+    /// `rows` as an Exact-mode table holds them.
+    fn table_of(rows: &[Row]) -> Vec<u8> {
+        rows.iter().flat_map(encode_row::<ROW>).collect()
     }
 
     #[test]
     fn restore_rejects_per_object_sequences_that_disagree() {
         let cfg = CacheConfig::small_test;
+        let stream = |s: &mut CacheServer| {
+            for (i, id) in [3u64, 1, 2, 3, 2, 3].into_iter().enumerate() {
+                s.process(&req(id, 100, 10 * i as u64));
+            }
+        };
         let mut s = CacheServer::new(cfg());
-        for (i, id) in [3u64, 1, 2, 3, 2, 3].into_iter().enumerate() {
-            s.process(&req(id, 100, 10 * i as u64));
-        }
+        stream(&mut s);
         let image = s.save_state();
-        let counts = [(1, 1), (2, 2), (3, 3)];
-        let last = [(1, 10), (2, 40), (3, 50)];
-        assert_eq!(with_sequences(&s, &image, &counts, &last), image, "the splice reproduces the image");
+        let rows = [(1, 10, 1), (2, 40, 2), (3, 50, 3)];
+        let table = table_of(&rows);
+        assert_eq!(with_table(&s, &image, 3, &table), image, "the splice reproduces the image");
 
-        // Both sequences land in one table now: different key sets, unsorted
-        // keys and duplicate keys are all refused, typed, without a panic.
-        let refused = |counts: &[(u64, u32)], last: &[(u64, u64)]| {
-            let bad = with_sequences(&s, &image, counts, last);
+        // One table cannot name different objects for counts and times, as
+        // two sequences could; what it can still get wrong is refused, typed,
+        // without a panic.
+        let refused = |bad: &[u8], why: &str| {
+            let restored = CacheServer::restore_state(cfg(), bad);
             assert!(
-                matches!(CacheServer::restore_state(cfg(), &bad), Err(CkptError::Malformed(_))),
-                "accepted counts {counts:?} / recency {last:?}"
+                matches!(restored, Err(CkptError::Malformed(_) | CkptError::Truncated)),
+                "{why}: {:?}",
+                restored.err()
             );
         };
-        refused(&[(1, 1), (2, 2), (4, 3)], &last); // an id only one side has
-        refused(&[(1, 1), (2, 2)], &last); // a count missing
-        refused(&counts, &[(1, 10), (2, 40)]); // a timestamp missing
-        refused(&[(2, 2), (1, 1), (3, 3)], &[(2, 40), (1, 10), (3, 50)]); // same keys, unsorted
-        refused(&[(1, 1), (2, 2), (2, 3)], &[(1, 10), (2, 40), (2, 50)]); // same keys, repeated
-        refused(&[], &[(7, 1)]); // counts empty, recency not
+        let unsorted = table_of(&[(2, 40, 2), (1, 10, 1), (3, 50, 3)]);
+        refused(&with_table(&s, &image, 3, &unsorted), "unsorted ids");
+        let repeated = table_of(&[(1, 10, 1), (2, 40, 2), (2, 50, 3)]);
+        refused(&with_table(&s, &image, 3, &repeated), "a repeated id");
+        let short = &table[..table.len() - 4];
+        refused(&with_table(&s, &image, 3, short), "a last row without its count");
+        refused(&image[..table_span(&s, &image).end - 4], "an image that ends in its last row");
+        // A Sketch image under the Exact config: as saved, and with the
+        // Exact fingerprint spliced in, so the tracker's tag is what refuses.
+        let sketchy = CacheConfig { frequency: FrequencyMode::Sketch { expected_objects: 64 }, ..cfg() };
+        let mut k = CacheServer::new(sketchy.clone());
+        stream(&mut k);
+        let sketch_image = k.save_state();
+        refused(&sketch_image, "a Sketch image");
+        let mut enc = Enc::new();
+        enc.bytes(&config_fingerprint(&cfg()));
+        enc.raw(&sketch_image[8 + config_fingerprint(&sketchy).len()..]);
+        refused(&enc.into_bytes(), "a Sketch image under the Exact fingerprint");
     }
 
-    /// `state_layout` finds the per-object sequences exactly where
-    /// `encode_state` wrote them, row for row, in both frequency modes and
-    /// under every store policy — and nothing in what does not lay out.
+    /// `state_layout` finds the per-object table exactly where
+    /// `encode_state` wrote it, row for row — one table in both frequency
+    /// modes, under every store policy — and nothing in what does not lay
+    /// out.
     #[test]
     fn state_layout_ranges_are_where_encode_state_wrote_the_sequences() {
         let sketch = FrequencyMode::Sketch { expected_objects: 512 };
@@ -1040,19 +1039,17 @@ mod tests {
                 s.process(&req((i % 200) * 7919 % 1000, 100, i));
             }
             let image = s.save_state();
-            let rows = s.objects.map.len();
-            let tail = s.dc_filter.encoded_len() + CacheMetrics::ENCODED_LEN;
-            let last = Table { offset: image.len() - tail - LAST_ROW * rows, rows, width: LAST_ROW };
-            let counts = Table { offset: last.offset - 8 - COUNT_ROW * rows, rows, width: COUNT_ROW };
-            let expected = if s.sketch.is_some() { vec![last] } else { vec![counts, last] };
-            assert_eq!(CacheServer::state_layout(&image), Some(expected), "{eviction:?} {frequency:?}");
+            let (rows, width) = (s.objects.map.len(), if s.sketch.is_some() { 16 } else { 20 });
+            let table = Table { offset: table_span(&s, &image).start + 8, rows, width };
+            assert_eq!(
+                CacheServer::state_layout(&image),
+                Some(vec![table]),
+                "{eviction:?} {frequency:?}"
+            );
             for (i, (id, last_ts, count)) in s.objects.sorted(false).into_iter().enumerate() {
-                let row = &image[last.offset + LAST_ROW * i..];
-                assert_eq!(row[..16], [id.to_le_bytes(), last_ts.to_le_bytes()].concat());
-                if s.sketch.is_none() {
-                    let row = &image[counts.offset + COUNT_ROW * i..];
-                    assert_eq!(row[..12], [&id.to_le_bytes()[..], &count.to_le_bytes()].concat());
-                }
+                let row = [&id.to_le_bytes()[..], &last_ts.to_le_bytes(), &count.to_le_bytes()].concat();
+                let at = table.offset + width * i;
+                assert_eq!(image[at..at + width], row[..width], "{eviction:?} {frequency:?} row {i}");
             }
             for bad in [&image[..image.len() - 1], &[&image[..], &[0]].concat(), &[]] {
                 assert_eq!(CacheServer::state_layout(bad), None, "{} bytes", bad.len());
@@ -1062,41 +1059,38 @@ mod tests {
 
     /// A row count that fits "one byte per row" but not the rows' width is
     /// refused as truncated wherever the image holds rows — a store's chain
-    /// (32-byte rows), the frequency sequence (12) and the recency sequence
-    /// (16) — before anything is sized from it.
+    /// (32-byte rows) and the per-object table (20, or 16 under the sketch)
+    /// — before anything is sized from it.
     #[test]
     fn restore_refuses_a_row_count_the_image_has_no_bytes_for() {
-        let cfg = CacheConfig::small_test;
-        let mut s = CacheServer::new(cfg());
-        s.set_policy(ThresholdPolicy::new(0, 1024));
-        for i in 0..600u64 {
-            s.process(&req(i % 200, 100, i));
-        }
-        let image = s.save_state();
-        CacheServer::restore_state(cfg(), &image).expect("the untouched image restores");
+        for frequency in [FrequencyMode::Exact, FrequencyMode::Sketch { expected_objects: 512 }] {
+            let cfg = || CacheConfig { frequency, ..CacheConfig::small_test() };
+            let mut s = CacheServer::new(cfg());
+            s.set_policy(ThresholdPolicy::new(0, 1024));
+            for i in 0..600u64 {
+                s.process(&req(i % 200, 100, i));
+            }
+            let image = s.save_state();
+            CacheServer::restore_state(cfg(), &image).expect("the untouched image restores");
 
-        let objects = s.objects.map.len();
-        let tail = s.dc_filter.encoded_len() + CacheMetrics::ENCODED_LEN;
-        let last_at = image.len() - tail - (8 + LAST_ROW * objects);
-        let counts_at = last_at - (8 + COUNT_ROW * objects);
-        // The HOC is the first store: fingerprint, kind tag, capacity, clock,
-        // segment count, then the one LRU chain's length.
-        let hoc_chain_at = 8 + config_fingerprint(&cfg()).len() + 1 + 8 + 8 + 8;
-        for (what, at, rows) in [
-            ("hoc chain", hoc_chain_at, s.hoc.len()),
-            ("frequency", counts_at, objects),
-            ("recency", last_at, objects),
-        ] {
-            let prefix = u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
-            assert_eq!(prefix, rows as u64, "{what}: not the length prefix");
-            // As many rows as there are bytes left: one byte each would do.
-            let mut bad = image.clone();
-            let claimed = (image.len() - at - 8) as u64;
-            bad[at..at + 8].copy_from_slice(&claimed.to_le_bytes());
-            assert!(
-                matches!(CacheServer::restore_state(cfg(), &bad), Err(CkptError::Truncated)),
-                "{what}: {claimed} rows accepted"
-            );
+            // The HOC is the first store: fingerprint, kind tag, capacity,
+            // clock, segment count, then the one LRU chain's length.
+            let hoc_chain_at = 8 + config_fingerprint(&cfg()).len() + 1 + 8 + 8 + 8;
+            for (what, at, rows) in [
+                ("hoc chain", hoc_chain_at, s.hoc.len()),
+                ("per-object table", table_span(&s, &image).start, s.objects.map.len()),
+            ] {
+                let prefix = u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
+                assert_eq!(prefix, rows as u64, "{frequency:?} {what}: not the length prefix");
+                // As many rows as there are bytes left: one byte each would do.
+                let mut bad = image.clone();
+                let claimed = (image.len() - at - 8) as u64;
+                bad[at..at + 8].copy_from_slice(&claimed.to_le_bytes());
+                assert!(
+                    matches!(CacheServer::restore_state(cfg(), &bad), Err(CkptError::Truncated)),
+                    "{frequency:?} {what}: {claimed} rows accepted"
+                );
+            }
         }
     }
 }
@@ -1292,7 +1286,7 @@ mod proptests {
             prop_assert!(enc.into_bytes() == image);
             prop_assert_eq!(changes.base_seq, u64::MAX);
             prop_assert!(changes.upserts.iter().all(Vec::is_empty), "{:?}", changes);
-            prop_assert_eq!(changes.upserts.len(), if sketch { 1 } else { 2 });
+            prop_assert_eq!(changes.upserts.len(), 1, "one table in either mode");
         }
     }
 

@@ -6,10 +6,20 @@
 //! 32f191d — before the per-object table replaced the two SipHash maps — by
 //! running this file's `capture` output there; `PINNED_LONG` at 91edcc8,
 //! before the id map was split into segments.
+//!
+//! The image CRC and length of the Exact-mode rows were captured again on
+//! top of 7e796d3, when the saved per-object table became one sequence of
+//! `(id, last_ts, count)` rows in place of an `(id, count)` and an
+//! `(id, last_ts)` sequence (`CKPT_VERSION` 3). The values they replaced
+//! are kept in `LEGACY` and `LEGACY_LONG`: each new image, split back into
+//! the two sequences by [`legacy_image`], hashes to them — the one table
+//! holds exactly what the two did. The metrics CRCs, the HOC hits and the
+//! Sketch-mode rows did not move.
 
 use darwin_cache::idmap::{segment_of, SEGMENTS};
 use darwin_cache::server::FrequencyMode;
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, EvictionKind, ThresholdPolicy};
+use darwin_ckpt::rows::Table;
 use darwin_ckpt::{crc64, Enc};
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
 
@@ -25,10 +35,10 @@ const MODES: [FrequencyMode; 2] =
 /// `(crc64(save_state()), save_state().len(), crc64(encoded CacheMetrics),
 /// hoc_hits)` per mode × kind, in `MODES` × `KINDS` order.
 const PINNED: [(u64, usize, u64, u64); 8] = [
-    (785758817553515089, 2345310, 6803933773477939010, 27855),
-    (11587065778772876751, 2348798, 14471377265216940013, 24379),
-    (11474868418780926590, 2329694, 15286072755442842163, 34477),
-    (7127526834650013556, 2335282, 8951360748970912455, 32556),
+    (10906584196113574203, 1726430, 6803933773477939010, 27855),
+    (8158000519989540686, 1729918, 14471377265216940013, 24379),
+    (12342404108991320785, 1710814, 15286072755442842163, 34477),
+    (14557643354915282488, 1716402, 8951360748970912455, 32556),
     (13245192131017391869, 1941318, 6803933773477939010, 27855),
     (4040166198050695512, 1944806, 14471377265216940013, 24379),
     (15787713341891562685, 1925702, 15286072755442842163, 34477),
@@ -36,7 +46,53 @@ const PINNED: [(u64, usize, u64, u64); 8] = [
 ];
 
 /// The same four numbers after [`LONG`] requests, Exact mode, LRU.
-const PINNED_LONG: (u64, usize, u64, u64) = (2453541034780981842, 6998594, 8149425235242627277, 96369);
+const PINNED_LONG: (u64, usize, u64, u64) = (8503670456272836618, 5052618, 8149425235242627277, 96369);
+
+/// `(crc64, len)` of the Exact-mode images as two sequences, in `KINDS`
+/// order: what `PINNED`'s first four rows held before the table was one.
+const LEGACY: [(u64, usize); 4] = [
+    (785758817553515089, 2345310),
+    (11587065778772876751, 2348798),
+    (11474868418780926590, 2329694),
+    (7127526834650013556, 2335282),
+];
+
+/// The same for [`PINNED_LONG`].
+const LEGACY_LONG: (u64, usize) = (2453541034780981842, 6998594);
+
+/// An Exact-mode `image` with its one per-object table split back into the
+/// two sequences the format held before: `(id u64, count u32)` rows, then
+/// `(id u64, last_ts u64)` rows, each behind its own length prefix.
+fn legacy_image(image: &[u8]) -> Vec<u8> {
+    let layout = CacheServer::state_layout(image).expect("an image lays out");
+    let [Table { offset, rows, width: 20 }] = layout[..] else {
+        panic!("not one table of 20-byte rows: {layout:?}")
+    };
+    let table = &image[offset..offset + 20 * rows];
+    let mut enc = Enc::new();
+    enc.raw(&image[..offset - 8]);
+    enc.usize(rows);
+    for row in table.chunks(20) {
+        enc.raw(&row[..8]);
+        enc.raw(&row[16..]);
+    }
+    enc.usize(rows);
+    for row in table.chunks(20) {
+        enc.raw(&row[..16]);
+    }
+    enc.raw(&image[offset + 20 * rows..]);
+    enc.into_bytes()
+}
+
+/// Checks an Exact-mode `image` against the `(crc64, len)` it had as two
+/// sequences: one length prefix and one id per object fewer, and the same
+/// bytes once split back.
+fn holds_the_legacy_image(image: &[u8], (crc, len): (u64, usize), what: &str) {
+    let objects = CacheServer::state_layout(image).expect("an image lays out")[0].rows;
+    assert_eq!(image.len(), len - 8 - 8 * objects, "{what}: not one prefix and one id per object fewer");
+    let legacy = legacy_image(image);
+    assert_eq!((crc64(&legacy), legacy.len()), (crc, len), "{what}: the split is not the old image");
+}
 
 const SHORT: usize = 200_000;
 const LONG: usize = 700_000;
@@ -82,6 +138,9 @@ fn state_bytes_and_counters_match_the_parent_commit() {
             assert!(m.dc_evictions > 100, "{mode:?}/{kind:?}: DC never evicted");
             let state = server.save_state();
             got.push((crc64(&state), state.len(), metrics_crc(&m), m.hoc_hits));
+            if mode == FrequencyMode::Exact {
+                holds_the_legacy_image(&state, LEGACY[got.len() - 1], &format!("{kind:?}"));
+            }
 
             let restored = CacheServer::restore_state(cfg, &state).expect("own image restores");
             assert_eq!(restored.metrics(), m);
@@ -117,6 +176,7 @@ fn state_bytes_match_the_parent_commit_across_a_segment_doubling() {
     let m = server.process_trace(&trace);
     let state = server.save_state();
     assert_eq!((crc64(&state), state.len(), metrics_crc(&m), m.hoc_hits), PINNED_LONG);
+    holds_the_legacy_image(&state, LEGACY_LONG, "long");
 
     let restored = CacheServer::restore_state(cfg, &state).expect("own image restores");
     assert_eq!(restored.metrics(), m);

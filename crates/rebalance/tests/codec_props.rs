@@ -376,13 +376,14 @@ proptest! {
         let target = real_cut(&[&prefix[..], &more[..]].concat());
         let held = Held { seq: 1, image: &base };
         let wire = CutFrame::ship(0, 0, CutRole::Replica, 2, &target, Some(held), LAYOUT);
-        // A byte of a recency row the target kept as it was.
+        // A timestamp byte of a per-object row the target kept as it was.
         let recency = |image: &[u8]| *ShardCheckpoint::layout(image).unwrap().last().unwrap();
         let (old, new) = (recency(&base), recency(&target));
-        let target_rows: Vec<&[u8]> = target[new.offset..].chunks_exact(16).take(new.rows).collect();
+        let target_rows: Vec<&[u8]> =
+            target[new.offset..].chunks_exact(new.width).take(new.rows).collect();
         let kept: Vec<usize> = (0..old.rows)
-            .map(|i| old.offset + 16 * i)
-            .filter(|&at| target_rows.contains(&&base[at..at + 16]))
+            .map(|i| old.offset + old.width * i)
+            .filter(|&at| target_rows.contains(&&base[at..at + old.width]))
             .collect();
         prop_assume!(!kept.is_empty());
         let at = kept[pick % kept.len()] + 8 + pick % 8;

@@ -35,8 +35,11 @@ use std::thread::JoinHandle;
 pub const CKPT_MAGIC: u32 = 0x4453_434B;
 /// Current frame format revision. v2 added the supervisor's restart-budget
 /// state (`restarts` + in-window marks) so warm boots and restores cannot
-/// launder a crash-looping shard's history back to a fresh budget.
-pub const CKPT_VERSION: u16 = 2;
+/// launder a crash-looping shard's history back to a fresh budget. v3 holds
+/// a cache image whose Exact-mode per-object table is one sequence of
+/// `(id, last_ts, count)` rows, not an `(id, count)` and an `(id, last_ts)`
+/// sequence; an older frame is refused, never misparsed.
+pub const CKPT_VERSION: u16 = 3;
 
 /// One shard's complete warm-restart image.
 #[derive(Debug, Clone, PartialEq)]
@@ -454,7 +457,7 @@ mod tests {
             assert_eq!(
                 ShardCheckpoint::from_frame(&frame),
                 Err(CkptError::BadVersion { expected: CKPT_VERSION, found }),
-                "v{found} frame must be rejected — v1 frames lack budget state"
+                "v{found} frame must be rejected — only v{CKPT_VERSION} is read"
             );
         }
     }

@@ -340,7 +340,8 @@ fn removals(target: &[u8], base: &[u8]) -> Vec<Vec<u64>> {
 
 /// A base holding objects its target never saw — what a per-object table
 /// that forgets will ship at every cut — sends their ids as removals from
-/// both tables, and the merge drops exactly those rows.
+/// the one table, in either frequency mode, and the merge drops exactly
+/// those rows.
 #[test]
 fn a_base_holding_ids_the_target_lacks_ships_removals() {
     for sketch in [false, true] {
@@ -358,18 +359,13 @@ fn a_base_holding_ids_the_target_lacks_ships_removals() {
         }
         without.process(&request(2_002, 4));
         let (base, target) = (cut(&with, 2_004, vec![5; 32]), cut(&without, 2_003, vec![5; 32]));
-        let tables = if sketch { 1 } else { 2 };
-        assert_eq!(
-            removals(&target, &base),
-            vec![vec![9_001, 9_002, 9_003]; tables],
-            "sketch: {sketch}"
-        );
+        assert_eq!(removals(&target, &base), vec![vec![9_001, 9_002, 9_003]], "sketch: {sketch}");
         assert!(ship(&base, &target).1 == target, "sketch: {sketch}");
     }
 }
 
-/// Where the frame's tables are: the cache image's, moved to where the
-/// frame holds it — and nothing for a frame whose cache blob is not an
+/// Where the frame's table is: the cache image's one table, moved to where
+/// the frame holds it — and nothing for a frame whose cache blob is not an
 /// image. The layout reads no CRC, so a damaged frame still lays out; its
 /// holder's open is what refuses it.
 #[test]
@@ -382,10 +378,11 @@ fn the_frame_layout_is_the_cache_layout_where_the_frame_holds_it() {
     let image = server.save_state();
     let at = frame.windows(image.len()).position(|w| w == image).expect("the frame holds the image");
     let mut expected = CacheServer::state_layout(&image).unwrap();
-    expected.iter_mut().for_each(|t| t.offset += at);
+    assert_eq!(expected.len(), 1, "one per-object table");
+    expected[0].offset += at;
     assert_eq!(ShardCheckpoint::layout(&frame), Some(expected.clone()));
     let mut damaged = frame.clone();
-    damaged[expected[1].offset + 9] ^= 1;
+    damaged[expected[0].offset + 9] ^= 1;
     assert_eq!(ShardCheckpoint::layout(&damaged), Some(expected));
     assert!(ShardCheckpoint::header(&damaged).is_err());
 

@@ -6,12 +6,14 @@
 //! and continue bitwise-identically to an uninterrupted run. The cold
 //! fallback is pinned too — a truncated spill file is *detected* cold
 //! (journaled `RestoreCold`, spill removed) while intact shards still boot
-//! warm.
+//! warm, and a spill of an older frame version is refused the same way.
 
-use darwin_cache::{CacheConfig, ThresholdPolicy};
+use darwin_cache::{CacheConfig, CacheServer, ThresholdPolicy};
+use darwin_ckpt::rows::Table;
+use darwin_ckpt::{open, seal, CkptError, Enc};
 use darwin_shard::{
     partition, run_partition, Backpressure, EventKind, FaultPlan, FleetBoot, FleetConfig, HashRouter,
-    ShardedFleet,
+    ShardCheckpoint, ShardedFleet, CKPT_MAGIC, CKPT_VERSION,
 };
 use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
@@ -205,5 +207,77 @@ fn cold_constructor_still_clears_stale_spills() {
     let handle = fleet.metrics_handle();
     fleet.finish();
     assert_eq!(handle.snapshot().total_warm_boots(), 0, "cold constructor never warm-boots");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `frame` as a version-2 fleet spilled it: the same checkpoint, its cache
+/// image's per-object table split back into an `(id, count)` and an
+/// `(id, last_ts)` sequence, sealed at version 2.
+fn version_2(frame: &[u8]) -> Vec<u8> {
+    let ckpt = ShardCheckpoint::from_frame(frame).expect("a current frame");
+    let image = &ckpt.cache;
+    let layout = CacheServer::state_layout(image).expect("an image lays out");
+    let [Table { offset, rows, width: 20 }] = layout[..] else { panic!("not one Exact table") };
+    let table = &image[offset..offset + 20 * rows];
+    let mut enc = Enc::new();
+    enc.raw(&image[..offset - 8]);
+    enc.usize(rows);
+    table.chunks(20).for_each(|row| enc.raw(&[&row[..8], &row[16..]].concat()));
+    enc.usize(rows);
+    table.chunks(20).for_each(|row| enc.raw(&row[..16]));
+    enc.raw(&image[offset + 20 * rows..]);
+    let legacy = ShardCheckpoint { cache: enc.into_bytes(), ..ckpt }.to_frame();
+    seal(CKPT_MAGIC, 2, open(&legacy, CKPT_MAGIC, CKPT_VERSION).unwrap())
+}
+
+/// A spill a version-2 fleet left behind is refused as `BadVersion`, never
+/// misparsed: the shard journals `RestoreCold`, removes the file and
+/// serves cold — bitwise the cold run of what it is sent — and its next cut
+/// spills the current version.
+#[test]
+fn an_old_version_spill_boots_cold_and_is_never_misparsed() {
+    let dir = std::env::temp_dir().join(format!("darwin-warm-boot-v2-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let trace = test_trace();
+    let (head, tail) = split(&trace, trace.len() / 2);
+    first_instance(&dir, 1, &head);
+    let path = dir.join("shard-0.ckpt");
+    let old = version_2(&std::fs::read(&path).expect("first instance spilled shard 0"));
+    assert_eq!(
+        ShardCheckpoint::from_frame(&old),
+        Err(CkptError::BadVersion { expected: CKPT_VERSION, found: 2 })
+    );
+    assert_eq!(ShardCheckpoint::layout(&old), None, "an old frame does not lay out either");
+
+    let boot = |requests: &Trace| {
+        let p = policy();
+        let mut fleet = ShardedFleet::with_boot(
+            fleet_cfg(1),
+            cache_cfg(),
+            Box::new(HashRouter),
+            move |_| StaticDriver::new(p),
+            FaultPlan::default(),
+            FleetBoot::warm_from(dir.clone()),
+        );
+        let handle = fleet.metrics_handle();
+        fleet.submit_trace(requests);
+        let report = fleet.finish();
+        let events = handle.cells()[0].obs().journal.snapshot().events;
+        assert_eq!(handle.snapshot().shards[0].warm_boots, 0, "a version-2 spill must not restore");
+        assert!(events.iter().any(|e| e.kind == EventKind::RestoreCold), "the refusal is journaled");
+        report.shards[0].cache
+    };
+    // Nothing sent, so nothing cut: the refused file is simply gone.
+    std::fs::write(&path, &old).unwrap();
+    boot(&Trace::default());
+    assert!(!path.exists(), "the refused spill is removed");
+
+    std::fs::write(&path, &old).unwrap();
+    let served = boot(&tail);
+    assert_eq!(served, run_partition(cache_cfg(), StaticDriver::new(policy()), &tail).cache);
+    let spilled = std::fs::read(&path).expect("the cold run cut and spilled");
+    assert_eq!(u16::from_le_bytes([spilled[4], spilled[5]]), CKPT_VERSION);
+    let ckpt = ShardCheckpoint::from_frame(&spilled).expect("the new spill opens");
+    assert!(ckpt.seq <= tail.len() as u64 && ckpt.seq.is_multiple_of(CKPT_EVERY), "seq {}", ckpt.seq);
     std::fs::remove_dir_all(&dir).ok();
 }
