@@ -43,7 +43,7 @@ pub mod objective;
 pub mod policy;
 pub mod server;
 
-pub use bloom::{BloomFilter, FrequencySketch};
+pub use bloom::BloomFilter;
 pub use eviction::{EvictionKind, Store};
 pub use metrics::CacheMetrics;
 pub use objective::Objective;

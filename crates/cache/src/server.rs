@@ -7,7 +7,7 @@
 //! caches (HillClimbing) and for offline expert evaluation where only HOC
 //! hit/miss sequences matter.
 
-use crate::bloom::{BloomFilter, FrequencySketch};
+use crate::bloom::BloomFilter;
 use crate::eviction::{EvictionKind, Store};
 use crate::idmap::IdMap;
 use crate::metrics::CacheMetrics;
@@ -38,20 +38,6 @@ impl RequestOutcome {
     }
 }
 
-/// How the server tracks per-object request counts for the frequency knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FrequencyMode {
-    /// Exact per-object counting: deterministic, memory ∝ unique objects.
-    /// The simulator default (matches offline expert evaluation).
-    Exact,
-    /// TinyLFU-style counting sketch: bounded memory, slight over-counting,
-    /// periodic aging. What a production deployment would run.
-    Sketch {
-        /// Approximate number of concurrently tracked objects.
-        expected_objects: usize,
-    },
-}
-
 /// Static configuration of a [`CacheServer`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheConfig {
@@ -63,8 +49,6 @@ pub struct CacheConfig {
     pub hoc_eviction: EvictionKind,
     /// DC eviction policy (paper: LRU).
     pub dc_eviction: EvictionKind,
-    /// Frequency tracking mode.
-    pub frequency: FrequencyMode,
     /// Sizing hint for the DC's one-hit-wonder Bloom filter.
     pub expected_unique_objects: usize,
 }
@@ -77,7 +61,6 @@ impl CacheConfig {
             dc_bytes: 10 * 1024 * 1024 * 1024,
             hoc_eviction: EvictionKind::Lru,
             dc_eviction: EvictionKind::Lru,
-            frequency: FrequencyMode::Exact,
             expected_unique_objects: 1_000_000,
         }
     }
@@ -89,7 +72,6 @@ impl CacheConfig {
             dc_bytes: 64 * 1024 * 1024,
             hoc_eviction: EvictionKind::Lru,
             dc_eviction: EvictionKind::Lru,
-            frequency: FrequencyMode::Exact,
             expected_unique_objects: 100_000,
         }
     }
@@ -106,8 +88,7 @@ impl CacheConfig {
 struct ObjectMeta {
     /// Timestamp of the latest request (the recency knob's input).
     last_ts: u64,
-    /// Requests seen, saturating (the frequency knob's input; maintained
-    /// but never read under [`FrequencyMode::Sketch`]).
+    /// Requests seen, saturating (the frequency knob's input).
     count: u32,
     /// The table's [`stamp`](ObjectTable::stamp) at the latest request:
     /// an object whose stamp is not the current one is unchanged since the
@@ -120,17 +101,17 @@ const _: () = assert!(std::mem::size_of::<ObjectMeta>() == 16, "the stamp must f
 /// Encoded bytes of one `(id, last_ts, count)` row of the saved per-object
 /// table.
 const ROW: usize = 8 + 8 + 4;
-/// The row under [`FrequencyMode::Sketch`], where the sketch counts: the
-/// same row without its `count`.
-const SKETCH_ROW: usize = ROW - 4;
 
-/// Bytes of one row of the saved per-object table: [`ROW`] when the table
-/// counts, [`SKETCH_ROW`] when the sketch does.
-fn row_width(counted: bool) -> usize {
-    if counted {
-        ROW
-    } else {
-        SKETCH_ROW
+/// The image's frequency-tracker tag, always written: the per-object table
+/// is the one tracker. (A `1` tagged a counting sketch the server no longer
+/// has; such an image is refused.)
+const FREQUENCY_TAG: u8 = 0;
+
+/// Reads the frequency-tracker tag, refusing any but [`FREQUENCY_TAG`].
+fn frequency_tag(dec: &mut Dec<'_>) -> Result<(), CkptError> {
+    match dec.u8()? {
+        FREQUENCY_TAG => Ok(()),
+        t => Err(CkptError::Malformed(format!("frequency tracker tag {t}"))),
     }
 }
 
@@ -176,29 +157,28 @@ impl ObjectTable {
     }
 
     /// Rebuilds the table from the saved sequence, walked where it lies in
-    /// the frame: `rows` over `(id, last_ts, count)` rows — `(id, last_ts)`
-    /// without `counted` — strictly ascending by id, which is what
-    /// [`CacheServer::encode_state`] writes; anything else is a corrupt image.
-    fn from_rows(mut rows: Dec<'_>, counted: bool) -> Result<Self, CkptError> {
+    /// the frame: `rows` over `(id, last_ts, count)` rows strictly ascending
+    /// by id, which is what [`CacheServer::encode_state`] writes; anything
+    /// else is a corrupt image.
+    fn from_rows(mut rows: Dec<'_>) -> Result<Self, CkptError> {
         /// Rows decoded and checked between two runs of inserts. An insert
         /// is a cache miss the processor overlaps with its neighbours' only
         /// when nothing else sits between them: decoding row by row between
         /// the inserts made a 1 M-object restore 115 ms, a block at a time
         /// 78 ms (two whole vectors first, as it used to be: 99 ms).
         const BLOCK: usize = 1024;
-        let objects = rows.remaining() / row_width(counted);
+        let objects = rows.remaining() / ROW;
         let mut map = IdMap::with_capacity(objects);
         let mut block = Vec::with_capacity(BLOCK.min(objects));
         let mut previous = None;
         for start in (0..objects).step_by(BLOCK) {
             block.clear();
             for _ in start..objects.min(start + BLOCK) {
-                let (id, last_ts) = (rows.u64()?, rows.u64()?);
+                let (id, last_ts, count) = (rows.u64()?, rows.u64()?, rows.u32()?);
                 if previous.is_some_and(|p| p >= id) {
                     return Err(CkptError::Malformed("per-object ids not strictly ascending".into()));
                 }
                 previous = Some(id);
-                let count = if counted { rows.u32()? } else { 0 };
                 block.push((id, ObjectMeta { last_ts, count, stamp: 0 }));
             }
             for &(id, meta) in &block {
@@ -226,19 +206,16 @@ impl ObjectTable {
     }
 }
 
-/// `row` as the table of `W`-byte rows holds it: `id u64, last_ts u64`, then
-/// `count u32` when the width has room for it ([`ROW`], not [`SKETCH_ROW`]).
-fn encode_row<const W: usize>(&(id, last_ts, count): &Row) -> [u8; W] {
-    let mut bytes = [0; W];
+/// `row` as the table holds it: `id u64, last_ts u64, count u32`.
+fn encode_row(&(id, last_ts, count): &Row) -> [u8; ROW] {
+    let mut bytes = [0; ROW];
     bytes[..8].copy_from_slice(&id.to_le_bytes());
     bytes[8..16].copy_from_slice(&last_ts.to_le_bytes());
-    if W == ROW {
-        bytes[16..].copy_from_slice(&count.to_le_bytes());
-    }
+    bytes[16..].copy_from_slice(&count.to_le_bytes());
     bytes
 }
 
-/// Writes the id-sorted table's rows (`W` bytes each) onto `enc`: the
+/// Writes the id-sorted table's rows ([`ROW`] bytes each) onto `enc`: the
 /// rows of `base` — the same table as a base image holds it — with
 /// `rows` (sorted by id) merged in, each replacing the base row of its id
 /// or going in where its id sorts, and the runs of base rows between them
@@ -246,9 +223,9 @@ fn encode_row<const W: usize>(&(id, last_ts, count): &Row) -> [u8; W] {
 /// written whose bytes `base` does not hold. (The width is a constant so
 /// that every row is a fixed-size copy: a full sort, merged into nothing,
 /// costs what writing the rows field by field did.)
-fn merge_rows<const W: usize>(enc: &mut Enc, base: &[u8], rows: &[Row], track: bool) -> Vec<u32> {
-    let held = base.len() / W;
-    let base_row = |i: usize| &base[i * W..(i + 1) * W];
+fn merge_rows(enc: &mut Enc, base: &[u8], rows: &[Row], track: bool) -> Vec<u32> {
+    let held = base.len() / ROW;
+    let base_row = |i: usize| &base[i * ROW..(i + 1) * ROW];
     let key = |i: usize| u64::from_le_bytes(base_row(i)[..8].try_into().expect("8 bytes"));
     // Every merged row may differ from the base's: sized once, not doubled.
     let mut changed = Vec::with_capacity(if track { rows.len() } else { 0 });
@@ -261,9 +238,9 @@ fn merge_rows<const W: usize>(enc: &mut Enc, base: &[u8], rows: &[Row], track: b
             b += 1;
         }
         if b > from {
-            enc.raw(&base[from * W..b * W]);
+            enc.raw(&base[from * ROW..b * ROW]);
         }
-        let new = encode_row::<W>(row);
+        let new = encode_row(row);
         let replaces = b < held && key(b) == row.0;
         if track && (!replaces || *base_row(b) != new) {
             changed.push(u32::try_from(b + inserted).expect("fewer than 2^32 rows"));
@@ -275,7 +252,7 @@ fn merge_rows<const W: usize>(enc: &mut Enc, base: &[u8], rows: &[Row], track: b
         }
         enc.raw(&new);
     }
-    enc.raw(&base[b * W..]);
+    enc.raw(&base[b * ROW..]);
     changed
 }
 
@@ -308,8 +285,6 @@ pub struct CacheServer {
     /// Request count and last request timestamp per object (the frequency
     /// and recency knobs' inputs).
     objects: ObjectTable,
-    /// Counts requests instead of the table under [`FrequencyMode::Sketch`].
-    sketch: Option<FrequencySketch>,
     /// One-hit-wonder filter in front of the DC.
     dc_filter: BloomFilter,
     metrics: CacheMetrics,
@@ -323,12 +298,6 @@ impl CacheServer {
     pub fn new(config: CacheConfig) -> Self {
         let hoc = Store::new(config.hoc_bytes, config.hoc_eviction);
         let dc = Store::new(config.dc_bytes, config.dc_eviction);
-        let sketch = match config.frequency {
-            FrequencyMode::Exact => None,
-            FrequencyMode::Sketch { expected_objects } => {
-                Some(FrequencySketch::with_capacity(expected_objects))
-            }
-        };
         let dc_filter = BloomFilter::with_capacity(config.expected_unique_objects);
         Self {
             config,
@@ -336,7 +305,6 @@ impl CacheServer {
             dc,
             policy: Box::new(ThresholdPolicy::new(2, 100 * 1024)),
             objects: ObjectTable::default(),
-            sketch,
             dc_filter,
             metrics: CacheMetrics::default(),
             base: None,
@@ -378,11 +346,7 @@ impl CacheServer {
     /// Processes one request through the two-level hierarchy, returning where
     /// it was served from.
     pub fn process(&mut self, req: &Request) -> RequestOutcome {
-        let (count, recency_us) = self.objects.record(req.id, req.timestamp_us);
-        let frequency = match &mut self.sketch {
-            Some(sketch) => sketch.increment(req.id),
-            None => count,
-        };
+        let (frequency, recency_us) = self.objects.record(req.id, req.timestamp_us);
 
         self.metrics.requests += 1;
         self.metrics.bytes_total += req.size;
@@ -439,9 +403,9 @@ impl CacheServer {
     }
 
     /// Serializes the server's full mutable state — both store levels, the
-    /// frequency tracker, per-object recency bookkeeping, the DC's one-hit
-    /// wonder filter, and cumulative metrics — prefixed with a fingerprint
-    /// of the static [`CacheConfig`].
+    /// per-object table (request count and last request time), the DC's
+    /// one-hit wonder filter, and cumulative metrics — prefixed with a
+    /// fingerprint of the static [`CacheConfig`].
     ///
     /// The deployed admission policy is deliberately *not* included: the
     /// controller that deploys experts owns that state, and the shard
@@ -463,8 +427,7 @@ impl CacheServer {
         (8 + config_fingerprint(&self.config).len())
             + self.hoc.encoded_len()
             + self.dc.encoded_len()
-            + (1 + self.sketch.as_ref().map_or(0, FrequencySketch::encoded_len))
-            + (8 + row_width(self.sketch.is_none()) * self.objects.map.len())
+            + (1 + 8 + ROW * self.objects.map.len())
             + self.dc_filter.encoded_len()
             + CacheMetrics::ENCODED_LEN
     }
@@ -496,22 +459,13 @@ impl CacheServer {
         enc.bytes(&config_fingerprint(&self.config));
         self.hoc.encode_state(enc);
         self.dc.encode_state(enc);
-        match &self.sketch {
-            None => enc.u8(0),
-            Some(s) => {
-                enc.u8(1);
-                s.encode_state(enc);
-            }
-        }
-        // The table is saved as one id-sorted sequence of rows, after the
-        // sketch when there is one.
+        // The frequency tracker's tag, kept so that no image byte moves.
+        enc.u8(FREQUENCY_TAG);
+        // The table is saved as one id-sorted sequence of rows.
         let rows = self.objects.sorted(base.is_some());
         let (held, track) = (base.map_or(&[][..], Base::rows), base.is_some());
         enc.usize(self.objects.map.len());
-        let upserts = match self.sketch {
-            None => merge_rows::<ROW>(enc, held, &rows, track),
-            Some(_) => merge_rows::<SKETCH_ROW>(enc, held, &rows, track),
-        };
+        let upserts = merge_rows(enc, held, &rows, track);
         self.dc_filter.encode_state(enc);
         self.metrics.encode_state(enc);
         base.map(|base| Changes { base_seq: base.seq, upserts: vec![upserts] })
@@ -530,12 +484,12 @@ impl CacheServer {
     /// number of tables, another width or row count) record none: the next
     /// encode sorts every row.
     pub fn record_base(&mut self, seq: u64, frame: Arc<Vec<u8>>, tables: Option<Layout>) {
-        let (width, rows) = (row_width(self.sketch.is_none()), self.objects.map.len());
+        let rows = self.objects.map.len();
         let table = match tables.as_deref() {
             Some(&[t])
-                if t.width == width
+                if t.width == ROW
                     && t.rows == rows
-                    && t.offset.saturating_add(rows * width) <= frame.len() =>
+                    && t.offset.saturating_add(rows * ROW) <= frame.len() =>
             {
                 Some(t)
             }
@@ -548,31 +502,25 @@ impl CacheServer {
 
     /// Where [`encode_state`](Self::encode_state) put the per-object table
     /// in `image`: one table of rows sorted by id, `id u64, last_ts u64,
-    /// count u32` (no `count` under [`FrequencyMode::Sketch`]) — what a
-    /// cut's row delta diffs, while the rest of the image ships whole.
-    /// Follows the length prefixes only: no row is decoded and nothing is
-    /// hashed, so a damaged image may still lay out (the seal around it is
-    /// what refuses it). `None` when the prefixes do not add up to `image`.
+    /// count u32` — what a cut's row delta diffs, while the rest of the
+    /// image ships whole. Follows the length prefixes only: no row is
+    /// decoded and nothing is hashed, so a damaged image may still lay out
+    /// (the seal around it is what refuses it). `None` when the prefixes do
+    /// not add up to `image`, or the frequency tracker's tag byte before
+    /// the table is not `0`.
     pub fn state_layout(image: &[u8]) -> Option<Layout> {
         let mut dec = Dec::new(image);
         let mut walk = || -> Result<Table, CkptError> {
             dec.bytes()?; // config fingerprint
             Store::skip_state(&mut dec)?; // HOC
             Store::skip_state(&mut dec)?; // DC
-            let width = match dec.u8()? {
-                0 => ROW,
-                1 => {
-                    FrequencySketch::skip_state(&mut dec)?;
-                    SKETCH_ROW
-                }
-                t => return Err(CkptError::Malformed(format!("frequency tracker tag {t}"))),
-            };
-            let rows = dec.seq_len(width)?;
+            frequency_tag(&mut dec)?;
+            let rows = dec.seq_len(ROW)?;
             let offset = image.len() - dec.remaining();
-            dec.sub(rows * width)?;
+            dec.sub(rows * ROW)?;
             BloomFilter::skip_state(&mut dec)?;
             dec.sub(CacheMetrics::ENCODED_LEN)?;
-            Ok(Table { offset, rows, width })
+            Ok(Table { offset, rows, width: ROW })
         };
         let table = walk().ok()?;
         dec.is_empty().then(|| vec![table])
@@ -596,21 +544,11 @@ impl CacheServer {
         if hoc.capacity() != config.hoc_bytes || dc.capacity() != config.dc_bytes {
             return Err(CkptError::Malformed("store capacity does not match config".into()));
         }
-        let sketch = match (dec.u8()?, config.frequency) {
-            (0, FrequencyMode::Exact) => None,
-            (1, FrequencyMode::Sketch { .. }) => Some(FrequencySketch::decode_state(&mut dec)?),
-            (t, _) => {
-                return Err(CkptError::Malformed(format!(
-                    "frequency tracker tag {t} does not match config"
-                )))
-            }
-        };
+        frequency_tag(&mut dec)?;
         // The per-object table is not decoded into a vector of its own: it
         // is checked to fit, then walked in place.
-        let counted = sketch.is_none();
-        let width = row_width(counted);
-        let rows = dec.seq_len(width)?;
-        let objects = ObjectTable::from_rows(dec.sub(width * rows)?, counted)?;
+        let rows = dec.seq_len(ROW)?;
+        let objects = ObjectTable::from_rows(dec.sub(ROW * rows)?)?;
         let dc_filter = BloomFilter::decode_state(&mut dec)?;
         let metrics = CacheMetrics::decode_state(&mut dec)?;
         dec.finish()?;
@@ -620,7 +558,6 @@ impl CacheServer {
             dc,
             policy: Box::new(ThresholdPolicy::new(2, 100 * 1024)),
             objects,
-            sketch,
             dc_filter,
             metrics,
             base: None,
@@ -647,13 +584,8 @@ fn config_fingerprint(cfg: &CacheConfig) -> Vec<u8> {
     enc.u64(cfg.dc_bytes);
     kind(&mut enc, cfg.hoc_eviction);
     kind(&mut enc, cfg.dc_eviction);
-    match cfg.frequency {
-        FrequencyMode::Exact => enc.u8(0),
-        FrequencyMode::Sketch { expected_objects } => {
-            enc.u8(1);
-            enc.usize(expected_objects);
-        }
-    }
+    // The byte the frequency mode took, kept so that no fingerprint moves.
+    enc.u8(0);
     enc.usize(cfg.expected_unique_objects);
     enc.into_bytes()
 }
@@ -913,24 +845,6 @@ mod tests {
     }
 
     #[test]
-    fn save_restore_roundtrips_sketch_mode_too() {
-        let cfg = CacheConfig {
-            frequency: FrequencyMode::Sketch { expected_objects: 4096 },
-            ..CacheConfig::small_test()
-        };
-        let trace = TraceGenerator::new(MixSpec::single(TrafficClass::image()), 6).generate(10_000);
-        let mut original = CacheServer::new(cfg.clone());
-        for r in &trace {
-            original.process(r);
-        }
-        let bytes = original.save_state();
-        assert_eq!(bytes.capacity(), bytes.len(), "the image is sized exactly, up front");
-        let restored = CacheServer::restore_state(cfg, &bytes).unwrap();
-        assert_eq!(restored.metrics(), original.metrics());
-        assert_eq!(restored.save_state(), bytes);
-    }
-
-    #[test]
     fn restore_rejects_mismatched_config() {
         let mut s = CacheServer::new(CacheConfig::small_test());
         s.process(&req(1, 100, 0));
@@ -940,18 +854,13 @@ mod tests {
             CacheServer::restore_state(bigger, &bytes),
             Err(darwin_ckpt::CkptError::Malformed(_))
         ));
-        let sketchy = CacheConfig {
-            frequency: FrequencyMode::Sketch { expected_objects: 64 },
-            ..CacheConfig::small_test()
-        };
-        assert!(CacheServer::restore_state(sketchy, &bytes).is_err());
     }
 
     /// Where `s`'s saved `image` holds its per-object table: from the
     /// length prefix to the Bloom filter after the rows.
     fn table_span(s: &CacheServer, image: &[u8]) -> std::ops::Range<usize> {
         let end = image.len() - s.dc_filter.encoded_len() - CacheMetrics::ENCODED_LEN;
-        end - (8 + row_width(s.sketch.is_none()) * s.objects.map.len())..end
+        end - (8 + ROW * s.objects.map.len())..end
     }
 
     /// `image` with its per-object table replaced by a length prefix of
@@ -962,21 +871,26 @@ mod tests {
         [&image[..span.start], &rows.to_le_bytes(), table, &image[span.end..]].concat()
     }
 
-    /// `rows` as an Exact-mode table holds them.
+    /// `rows` as the table holds them.
     fn table_of(rows: &[Row]) -> Vec<u8> {
-        rows.iter().flat_map(encode_row::<ROW>).collect()
+        rows.iter().flat_map(encode_row).collect()
+    }
+
+    /// `image` with the frequency-tracker tag, the byte just before the
+    /// table's length prefix, set to `tag`.
+    fn with_frequency_tag(s: &CacheServer, image: &[u8], tag: u8) -> Vec<u8> {
+        let mut tagged = image.to_vec();
+        tagged[table_span(s, image).start - 1] = tag;
+        tagged
     }
 
     #[test]
     fn restore_rejects_per_object_sequences_that_disagree() {
         let cfg = CacheConfig::small_test;
-        let stream = |s: &mut CacheServer| {
-            for (i, id) in [3u64, 1, 2, 3, 2, 3].into_iter().enumerate() {
-                s.process(&req(id, 100, 10 * i as u64));
-            }
-        };
         let mut s = CacheServer::new(cfg());
-        stream(&mut s);
+        for (i, id) in [3u64, 1, 2, 3, 2, 3].into_iter().enumerate() {
+            s.process(&req(id, 100, 10 * i as u64));
+        }
         let image = s.save_state();
         let rows = [(1, 10, 1), (2, 40, 2), (3, 50, 3)];
         let table = table_of(&rows);
@@ -1000,37 +914,27 @@ mod tests {
         let short = &table[..table.len() - 4];
         refused(&with_table(&s, &image, 3, short), "a last row without its count");
         refused(&image[..table_span(&s, &image).end - 4], "an image that ends in its last row");
-        // A Sketch image under the Exact config: as saved, and with the
-        // Exact fingerprint spliced in, so the tracker's tag is what refuses.
-        let sketchy = CacheConfig { frequency: FrequencyMode::Sketch { expected_objects: 64 }, ..cfg() };
-        let mut k = CacheServer::new(sketchy.clone());
-        stream(&mut k);
-        let sketch_image = k.save_state();
-        refused(&sketch_image, "a Sketch image");
-        let mut enc = Enc::new();
-        enc.bytes(&config_fingerprint(&cfg()));
-        enc.raw(&sketch_image[8 + config_fingerprint(&sketchy).len()..]);
-        refused(&enc.into_bytes(), "a Sketch image under the Exact fingerprint");
+        assert_eq!(with_frequency_tag(&s, &image, FREQUENCY_TAG), image, "the tag is where it is read");
+        // The tag the counting sketch had: its bytes would follow, and
+        // there is no sketch left to read them.
+        refused(&with_frequency_tag(&s, &image, 1), "the sketch's frequency tracker tag");
     }
 
     /// `state_layout` finds the per-object table exactly where
-    /// `encode_state` wrote it, row for row — one table in both frequency
-    /// modes, under every store policy — and nothing in what does not lay
-    /// out.
+    /// `encode_state` wrote it, row for row, under every store policy — and
+    /// nothing in what does not lay out, so a cut of such an image ships
+    /// whole and is never read as a row delta.
     #[test]
     fn state_layout_ranges_are_where_encode_state_wrote_the_sequences() {
-        let sketch = FrequencyMode::Sketch { expected_objects: 512 };
-        for (eviction, frequency) in [
-            (EvictionKind::Lru, FrequencyMode::Exact),
-            (EvictionKind::Fifo, FrequencyMode::Exact),
-            (EvictionKind::Lfu, sketch),
-            (EvictionKind::SegmentedLru { segments: 4 }, FrequencyMode::Exact),
-            (EvictionKind::SegmentedLru { segments: 4 }, sketch),
+        for eviction in [
+            EvictionKind::Lru,
+            EvictionKind::Fifo,
+            EvictionKind::Lfu,
+            EvictionKind::SegmentedLru { segments: 4 },
         ] {
             let cfg = CacheConfig {
                 hoc_eviction: eviction,
                 dc_eviction: eviction,
-                frequency,
                 ..CacheConfig::small_test()
             };
             let mut s = CacheServer::new(cfg);
@@ -1039,19 +943,16 @@ mod tests {
                 s.process(&req((i % 200) * 7919 % 1000, 100, i));
             }
             let image = s.save_state();
-            let (rows, width) = (s.objects.map.len(), if s.sketch.is_some() { 16 } else { 20 });
-            let table = Table { offset: table_span(&s, &image).start + 8, rows, width };
-            assert_eq!(
-                CacheServer::state_layout(&image),
-                Some(vec![table]),
-                "{eviction:?} {frequency:?}"
-            );
+            let table =
+                Table { offset: table_span(&s, &image).start + 8, rows: s.objects.map.len(), width: 20 };
+            assert_eq!(CacheServer::state_layout(&image), Some(vec![table]), "{eviction:?}");
             for (i, (id, last_ts, count)) in s.objects.sorted(false).into_iter().enumerate() {
                 let row = [&id.to_le_bytes()[..], &last_ts.to_le_bytes(), &count.to_le_bytes()].concat();
-                let at = table.offset + width * i;
-                assert_eq!(image[at..at + width], row[..width], "{eviction:?} {frequency:?} row {i}");
+                let at = table.offset + 20 * i;
+                assert_eq!(image[at..at + 20], row[..], "{eviction:?} row {i}");
             }
-            for bad in [&image[..image.len() - 1], &[&image[..], &[0]].concat(), &[]] {
+            let sketch_tagged = with_frequency_tag(&s, &image, 1);
+            for bad in [&image[..image.len() - 1], &[&image[..], &[0]].concat(), &[], &sketch_tagged] {
                 assert_eq!(CacheServer::state_layout(bad), None, "{} bytes", bad.len());
             }
         }
@@ -1059,38 +960,36 @@ mod tests {
 
     /// A row count that fits "one byte per row" but not the rows' width is
     /// refused as truncated wherever the image holds rows — a store's chain
-    /// (32-byte rows) and the per-object table (20, or 16 under the sketch)
-    /// — before anything is sized from it.
+    /// (32-byte rows) and the per-object table (20) — before anything is
+    /// sized from it.
     #[test]
     fn restore_refuses_a_row_count_the_image_has_no_bytes_for() {
-        for frequency in [FrequencyMode::Exact, FrequencyMode::Sketch { expected_objects: 512 }] {
-            let cfg = || CacheConfig { frequency, ..CacheConfig::small_test() };
-            let mut s = CacheServer::new(cfg());
-            s.set_policy(ThresholdPolicy::new(0, 1024));
-            for i in 0..600u64 {
-                s.process(&req(i % 200, 100, i));
-            }
-            let image = s.save_state();
-            CacheServer::restore_state(cfg(), &image).expect("the untouched image restores");
+        let cfg = CacheConfig::small_test;
+        let mut s = CacheServer::new(cfg());
+        s.set_policy(ThresholdPolicy::new(0, 1024));
+        for i in 0..600u64 {
+            s.process(&req(i % 200, 100, i));
+        }
+        let image = s.save_state();
+        CacheServer::restore_state(cfg(), &image).expect("the untouched image restores");
 
-            // The HOC is the first store: fingerprint, kind tag, capacity,
-            // clock, segment count, then the one LRU chain's length.
-            let hoc_chain_at = 8 + config_fingerprint(&cfg()).len() + 1 + 8 + 8 + 8;
-            for (what, at, rows) in [
-                ("hoc chain", hoc_chain_at, s.hoc.len()),
-                ("per-object table", table_span(&s, &image).start, s.objects.map.len()),
-            ] {
-                let prefix = u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
-                assert_eq!(prefix, rows as u64, "{frequency:?} {what}: not the length prefix");
-                // As many rows as there are bytes left: one byte each would do.
-                let mut bad = image.clone();
-                let claimed = (image.len() - at - 8) as u64;
-                bad[at..at + 8].copy_from_slice(&claimed.to_le_bytes());
-                assert!(
-                    matches!(CacheServer::restore_state(cfg(), &bad), Err(CkptError::Truncated)),
-                    "{frequency:?} {what}: {claimed} rows accepted"
-                );
-            }
+        // The HOC is the first store: fingerprint, kind tag, capacity,
+        // clock, segment count, then the one LRU chain's length.
+        let hoc_chain_at = 8 + config_fingerprint(&cfg()).len() + 1 + 8 + 8 + 8;
+        for (what, at, rows) in [
+            ("hoc chain", hoc_chain_at, s.hoc.len()),
+            ("per-object table", table_span(&s, &image).start, s.objects.map.len()),
+        ] {
+            let prefix = u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
+            assert_eq!(prefix, rows as u64, "{what}: not the length prefix");
+            // As many rows as there are bytes left: one byte each would do.
+            let mut bad = image.clone();
+            let claimed = (image.len() - at - 8) as u64;
+            bad[at..at + 8].copy_from_slice(&claimed.to_le_bytes());
+            assert!(
+                matches!(CacheServer::restore_state(cfg(), &bad), Err(CkptError::Truncated)),
+                "{what}: {claimed} rows accepted"
+            );
         }
     }
 }
@@ -1208,19 +1107,18 @@ mod proptests {
         }
 
         /// The oracle for the merged encode: over random streams, every
-        /// store, both frequency modes and random cut points, the image
-        /// merged into the recorded base is the full sort's byte for byte,
-        /// and its change list is what a diff of the two images finds. At
-        /// one cut the base is recorded from a restore of the image, at
-        /// another the recording is skipped; cut points may repeat (a cut
-        /// with nothing requested since the last), and a last cut always
-        /// follows one with nothing requested in between.
+        /// store and random cut points, the image merged into the recorded
+        /// base is the full sort's byte for byte, and its change list is
+        /// what a diff of the two images finds. At one cut the base is
+        /// recorded from a restore of the image, at another the recording
+        /// is skipped; cut points may repeat (a cut with nothing requested
+        /// since the last), and a last cut always follows one with nothing
+        /// requested in between.
         #[test]
         fn merged_encode_is_the_full_sort(
             stream in proptest::collection::vec(0u64..300, 1..1_500),
             mut cuts in proptest::collection::vec(0.0f64..1.0, 1..6),
             store in 0usize..4,
-            sketch in proptest::bool::ANY,
             skip in 0usize..8,
             restore in 0usize..8,
         ) {
@@ -1233,11 +1131,6 @@ mod proptests {
                     EvictionKind::Lfu,
                     EvictionKind::SegmentedLru { segments: 4 },
                 ][store],
-                frequency: if sketch {
-                    FrequencyMode::Sketch { expected_objects: 512 }
-                } else {
-                    FrequencyMode::Exact
-                },
                 ..CacheConfig::small_test()
             };
             let policy = ThresholdPolicy::new(1, 64 * 1024);
@@ -1286,7 +1179,7 @@ mod proptests {
             prop_assert!(enc.into_bytes() == image);
             prop_assert_eq!(changes.base_seq, u64::MAX);
             prop_assert!(changes.upserts.iter().all(Vec::is_empty), "{:?}", changes);
-            prop_assert_eq!(changes.upserts.len(), 1, "one table in either mode");
+            prop_assert_eq!(changes.upserts.len(), 1, "one table");
         }
     }
 

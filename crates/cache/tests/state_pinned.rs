@@ -7,17 +7,18 @@
 //! running this file's `capture` output there; `PINNED_LONG` at 91edcc8,
 //! before the id map was split into segments.
 //!
-//! The image CRC and length of the Exact-mode rows were captured again on
-//! top of 7e796d3, when the saved per-object table became one sequence of
-//! `(id, last_ts, count)` rows in place of an `(id, count)` and an
-//! `(id, last_ts)` sequence (`CKPT_VERSION` 3). The values they replaced
-//! are kept in `LEGACY` and `LEGACY_LONG`: each new image, split back into
-//! the two sequences by [`legacy_image`], hashes to them — the one table
-//! holds exactly what the two did. The metrics CRCs, the HOC hits and the
-//! Sketch-mode rows did not move.
+//! The image CRCs and lengths were captured again on top of 7e796d3, when
+//! the saved per-object table became one sequence of `(id, last_ts,
+//! count)` rows in place of an `(id, count)` and an `(id, last_ts)`
+//! sequence (`CKPT_VERSION` 3). The values they replaced are kept in
+//! `LEGACY` and `LEGACY_LONG`: each new image, split back into the two
+//! sequences by [`legacy_image`], hashes to them — the one table holds
+//! exactly what the two did. The metrics CRCs and the HOC hits did not
+//! move.
+//! Four more rows pinned a counting-sketch frequency mode and were deleted
+//! with it; not one byte of the rows below moved then.
 
 use darwin_cache::idmap::{segment_of, SEGMENTS};
-use darwin_cache::server::FrequencyMode;
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, EvictionKind, ThresholdPolicy};
 use darwin_ckpt::rows::Table;
 use darwin_ckpt::{crc64, Enc};
@@ -29,27 +30,21 @@ const KINDS: [EvictionKind; 4] = [
     EvictionKind::Lfu,
     EvictionKind::SegmentedLru { segments: 4 },
 ];
-const MODES: [FrequencyMode; 2] =
-    [FrequencyMode::Exact, FrequencyMode::Sketch { expected_objects: 50_000 }];
 
 /// `(crc64(save_state()), save_state().len(), crc64(encoded CacheMetrics),
-/// hoc_hits)` per mode × kind, in `MODES` × `KINDS` order.
-const PINNED: [(u64, usize, u64, u64); 8] = [
+/// hoc_hits)` per kind, in `KINDS` order.
+const PINNED: [(u64, usize, u64, u64); 4] = [
     (10906584196113574203, 1726430, 6803933773477939010, 27855),
     (8158000519989540686, 1729918, 14471377265216940013, 24379),
     (12342404108991320785, 1710814, 15286072755442842163, 34477),
     (14557643354915282488, 1716402, 8951360748970912455, 32556),
-    (13245192131017391869, 1941318, 6803933773477939010, 27855),
-    (4040166198050695512, 1944806, 14471377265216940013, 24379),
-    (15787713341891562685, 1925702, 15286072755442842163, 34477),
-    (11418797123254105342, 1931290, 8951360748970912455, 32556),
 ];
 
-/// The same four numbers after [`LONG`] requests, Exact mode, LRU.
+/// The same four numbers after [`LONG`] requests, LRU.
 const PINNED_LONG: (u64, usize, u64, u64) = (8503670456272836618, 5052618, 8149425235242627277, 96369);
 
-/// `(crc64, len)` of the Exact-mode images as two sequences, in `KINDS`
-/// order: what `PINNED`'s first four rows held before the table was one.
+/// `(crc64, len)` of the images as two sequences, in `KINDS` order: what
+/// `PINNED`'s rows held before the table was one.
 const LEGACY: [(u64, usize); 4] = [
     (785758817553515089, 2345310),
     (11587065778772876751, 2348798),
@@ -60,7 +55,7 @@ const LEGACY: [(u64, usize); 4] = [
 /// The same for [`PINNED_LONG`].
 const LEGACY_LONG: (u64, usize) = (2453541034780981842, 6998594);
 
-/// An Exact-mode `image` with its one per-object table split back into the
+/// An `image` with its one per-object table split back into the
 /// two sequences the format held before: `(id u64, count u32)` rows, then
 /// `(id u64, last_ts u64)` rows, each behind its own length prefix.
 fn legacy_image(image: &[u8]) -> Vec<u8> {
@@ -84,7 +79,7 @@ fn legacy_image(image: &[u8]) -> Vec<u8> {
     enc.into_bytes()
 }
 
-/// Checks an Exact-mode `image` against the `(crc64, len)` it had as two
+/// Checks an `image` against the `(crc64, len)` it had as two
 /// sequences: one length prefix and one id per object fewer, and the same
 /// bytes once split back.
 fn holds_the_legacy_image(image: &[u8], (crc, len): (u64, usize), what: &str) {
@@ -106,13 +101,12 @@ fn trace() -> Trace {
     trace_of(SHORT)
 }
 
-fn config(frequency: FrequencyMode, kind: EvictionKind) -> CacheConfig {
+fn config(kind: EvictionKind) -> CacheConfig {
     CacheConfig {
         hoc_bytes: 4 * 1024 * 1024,
         dc_bytes: 256 * 1024 * 1024,
         hoc_eviction: kind,
         dc_eviction: kind,
-        frequency,
         expected_unique_objects: 100_000,
     }
 }
@@ -127,28 +121,24 @@ fn metrics_crc(m: &CacheMetrics) -> u64 {
 fn state_bytes_and_counters_match_the_parent_commit() {
     let trace = trace();
     let mut got = Vec::new();
-    for mode in MODES {
-        for kind in KINDS {
-            let cfg = config(mode, kind);
-            let mut server = CacheServer::new(cfg.clone());
-            // All three knobs live, so frequency and recency both decide.
-            server.set_policy(ThresholdPolicy::with_recency(1, 200 * 1024, 600_000_000));
-            let m = server.process_trace(&trace);
-            assert!(m.hoc_writes > 1_000 && m.hoc_evictions > 1_000, "{mode:?}/{kind:?}: HOC idle");
-            assert!(m.dc_evictions > 100, "{mode:?}/{kind:?}: DC never evicted");
-            let state = server.save_state();
-            got.push((crc64(&state), state.len(), metrics_crc(&m), m.hoc_hits));
-            if mode == FrequencyMode::Exact {
-                holds_the_legacy_image(&state, LEGACY[got.len() - 1], &format!("{kind:?}"));
-            }
+    for (kind, legacy) in KINDS.into_iter().zip(LEGACY) {
+        let cfg = config(kind);
+        let mut server = CacheServer::new(cfg.clone());
+        // All three knobs live, so frequency and recency both decide.
+        server.set_policy(ThresholdPolicy::with_recency(1, 200 * 1024, 600_000_000));
+        let m = server.process_trace(&trace);
+        assert!(m.hoc_writes > 1_000 && m.hoc_evictions > 1_000, "{kind:?}: HOC idle");
+        assert!(m.dc_evictions > 100, "{kind:?}: DC never evicted");
+        let state = server.save_state();
+        got.push((crc64(&state), state.len(), metrics_crc(&m), m.hoc_hits));
+        holds_the_legacy_image(&state, legacy, &format!("{kind:?}"));
 
-            let restored = CacheServer::restore_state(cfg, &state).expect("own image restores");
-            assert_eq!(restored.metrics(), m);
-            assert!(restored.save_state() == state, "{mode:?}/{kind:?}: re-save moved bytes");
-        }
+        let restored = CacheServer::restore_state(cfg, &state).expect("own image restores");
+        assert_eq!(restored.metrics(), m);
+        assert!(restored.save_state() == state, "{kind:?}: re-save moved bytes");
     }
     for (i, (g, p)) in got.iter().zip(&PINNED).enumerate() {
-        assert_eq!(g, p, "row {i} ({:?} / {:?}); all rows: {got:#?}", MODES[i / 4], KINDS[i % 4]);
+        assert_eq!(g, p, "row {i} ({:?}); all rows: {got:#?}", KINDS[i]);
     }
 }
 
@@ -170,7 +160,7 @@ fn state_bytes_match_the_parent_commit_across_a_segment_doubling() {
         assert!(late > early, "segment {segment} holds {early} ids early and only {late} more late");
     }
 
-    let cfg = config(FrequencyMode::Exact, EvictionKind::Lru);
+    let cfg = config(EvictionKind::Lru);
     let mut server = CacheServer::new(cfg.clone());
     server.set_policy(ThresholdPolicy::with_recency(1, 200 * 1024, 600_000_000));
     let m = server.process_trace(&trace);

@@ -297,11 +297,6 @@ fn tracker_enforces_one_way_order() {
         let cut = kinds.iter().position(|k| matches!(k, EventKind::HandoffCut { .. }));
         assert!(drain.is_some() && drain < cut, "shard {shard}: drain then final cut, in {kinds:?}");
     }
-    for (a, b) in
-        [(ShardPhase::Serving, ShardPhase::Transferring), (ShardPhase::Retired, ShardPhase::Serving)]
-    {
-        assert!(!a.can_advance_to(b), "{a:?} -> {b:?}");
-    }
     let gen1 = fleet.metrics_handle();
     assert!(gen1.cells().iter().all(|c| c.phase() == ShardPhase::Serving));
     let fleet = Arc::into_inner(fleet).expect("the resize thread is joined");

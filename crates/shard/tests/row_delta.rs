@@ -3,7 +3,7 @@
 //!
 //! Both images are real: `CacheServer` state after a request prefix and
 //! after a continuation of it, sealed into `ShardCheckpoint` frames, under
-//! every store policy and both frequency modes, with a live `DarwinDriver`'s
+//! every store policy, with a live `DarwinDriver`'s
 //! state riding in the frame's untabled bytes. The delta is shipped and
 //! applied through the cut envelope exactly as the standby feed and the
 //! resize handoff do, under `ShardCheckpoint::layout`; the rebuilt image is
@@ -15,7 +15,6 @@
 //! standby that holds another cut than the list's base gets the diff.
 
 use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, OnlineConfig};
-use darwin_cache::server::FrequencyMode;
 use darwin_cache::{CacheConfig, CacheServer, EvictionKind, ThresholdPolicy};
 use darwin_ckpt::replica::{CutFrame, CutPayload, CutRole, Held};
 use darwin_ckpt::rows::Changes;
@@ -34,17 +33,12 @@ const STORES: [EvictionKind; 4] = [
     EvictionKind::SegmentedLru { segments: 4 },
 ];
 
-fn config(store: EvictionKind, sketch: bool) -> CacheConfig {
+fn config(store: EvictionKind) -> CacheConfig {
     CacheConfig {
         hoc_bytes: 256 * 1024,
         dc_bytes: 2 * 1024 * 1024,
         hoc_eviction: store,
         dc_eviction: store,
-        frequency: if sketch {
-            FrequencyMode::Sketch { expected_objects: 1024 }
-        } else {
-            FrequencyMode::Exact
-        },
         expected_unique_objects: 1024,
     }
 }
@@ -97,7 +91,7 @@ fn ship(base: &[u8], target: &[u8]) -> (u64, Vec<u8>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any prefix and continuation, any store, either frequency mode: the
+    /// Any prefix and continuation, any store: the
     /// delta from the earlier cut to the later one rebuilds the later one,
     /// and the delta back — the later cut as base, holding objects the
     /// earlier one never saw — rebuilds the earlier one, through removals.
@@ -106,9 +100,8 @@ proptest! {
         prefix in proptest::collection::vec(0u64..400, 1..800),
         more in proptest::collection::vec(0u64..600, 0..400),
         store in 0usize..4,
-        sketch in proptest::bool::ANY,
     ) {
-        let mut server = CacheServer::new(config(STORES[store], sketch));
+        let mut server = CacheServer::new(config(STORES[store]));
         server.set_policy(ThresholdPolicy::new(1, 64 * 1024));
         for (i, &id) in prefix.iter().enumerate() {
             server.process(&request(i, id));
@@ -122,8 +115,8 @@ proptest! {
         prop_assert!(ship(&later, &earlier).1 == earlier, "backward delta moved a byte");
     }
 
-    /// Every consecutive pair of real cuts — any stream, store, frequency
-    /// mode and cut points, repeated points included — ships the envelope
+    /// Every consecutive pair of real cuts — any stream, store and cut
+    /// points, repeated points included — ships the envelope
     /// planned from the encode's change list byte for byte as the one
     /// `CutFrame::ship` plans by diffing, and it rebuilds the later cut.
     #[test]
@@ -131,10 +124,9 @@ proptest! {
         stream in proptest::collection::vec(0u64..600, 1..1_500),
         mut cuts in proptest::collection::vec(0.0f64..1.0, 1..5),
         store in 0usize..4,
-        sketch in proptest::bool::ANY,
     ) {
         let layout = ShardCheckpoint::layout;
-        let mut server = CacheServer::new(config(STORES[store], sketch));
+        let mut server = CacheServer::new(config(STORES[store]));
         server.set_policy(ThresholdPolicy::new(1, 64 * 1024));
         cuts.sort_by(f64::total_cmp);
         let ends = cuts.iter().map(|c| (c * stream.len() as f64) as usize).chain([stream.len()]);
@@ -200,34 +192,32 @@ fn diffed(held: &[u8], held_seq: u64, target: &[u8]) -> u64 {
 /// fails its open and loses the standby).
 #[test]
 fn a_replaced_standby_takes_the_diff_until_the_list_is_against_its_cut() {
-    for sketch in [false, true] {
-        let slot = StandbySlot::new(3);
-        let mut server = CacheServer::new(config(EvictionKind::Lru, sketch));
-        server.set_policy(ThresholdPolicy::new(1, 64 * 1024));
-        serve(&mut server, 0, 1_000);
-        let first = cut_and_record(&mut server, 1_000);
-        assert!(first.1.is_none(), "nothing to merge into yet");
-        assert!(matches!(fed(&slot, 1_000, &first), FeedOutcome::Seeded { .. }));
-        serve(&mut server, 1_000, 2_000);
-        let second = cut_and_record(&mut server, 2_000);
-        let expected = (diffed(&first.0, 1_000, &second.0), 1_000);
-        assert_eq!(applied(fed(&slot, 2_000, &second)), Some(expected), "sketch: {sketch}");
+    let slot = StandbySlot::new(3);
+    let mut server = CacheServer::new(config(EvictionKind::Lru));
+    server.set_policy(ThresholdPolicy::new(1, 64 * 1024));
+    serve(&mut server, 0, 1_000);
+    let first = cut_and_record(&mut server, 1_000);
+    assert!(first.1.is_none(), "nothing to merge into yet");
+    assert!(matches!(fed(&slot, 1_000, &first), FeedOutcome::Seeded { .. }));
+    serve(&mut server, 1_000, 2_000);
+    let second = cut_and_record(&mut server, 2_000);
+    let expected = (diffed(&first.0, 1_000, &second.0), 1_000);
+    assert_eq!(applied(fed(&slot, 2_000, &second)), Some(expected));
 
-        slot.poison();
-        serve(&mut server, 2_000, 3_000);
-        let unrecorded = checkpoint(3_000, vec![0; 48]).cut_of(&server, Vec::new());
-        assert!(matches!(fed(&slot, 3_000, &unrecorded), FeedOutcome::Replaced { .. }));
-        serve(&mut server, 3_000, 4_000);
-        let against_older = cut_and_record(&mut server, 4_000);
-        assert_eq!(against_older.1.as_ref().map(|c| c.base_seq), Some(2_000));
-        let expected = (diffed(&unrecorded.0, 3_000, &against_older.0), 1_000);
-        assert_eq!(applied(fed(&slot, 4_000, &against_older)), Some(expected), "sketch: {sketch}");
-        serve(&mut server, 4_000, 5_000);
-        let last = cut_and_record(&mut server, 5_000);
-        let expected = (diffed(&against_older.0, 4_000, &last.0), 1_000);
-        assert_eq!(applied(fed(&slot, 5_000, &last)), Some(expected), "sketch: {sketch}");
-        assert_eq!(slot.take_for_promotion(), Some((last.0, 5_000)));
-    }
+    slot.poison();
+    serve(&mut server, 2_000, 3_000);
+    let unrecorded = checkpoint(3_000, vec![0; 48]).cut_of(&server, Vec::new());
+    assert!(matches!(fed(&slot, 3_000, &unrecorded), FeedOutcome::Replaced { .. }));
+    serve(&mut server, 3_000, 4_000);
+    let against_older = cut_and_record(&mut server, 4_000);
+    assert_eq!(against_older.1.as_ref().map(|c| c.base_seq), Some(2_000));
+    let expected = (diffed(&unrecorded.0, 3_000, &against_older.0), 1_000);
+    assert_eq!(applied(fed(&slot, 4_000, &against_older)), Some(expected));
+    serve(&mut server, 4_000, 5_000);
+    let last = cut_and_record(&mut server, 5_000);
+    let expected = (diffed(&against_older.0, 4_000, &last.0), 1_000);
+    assert_eq!(applied(fed(&slot, 5_000, &last)), Some(expected));
+    assert_eq!(slot.take_for_promotion(), Some((last.0, 5_000)));
 }
 
 /// A worker restored from the previous buffer's cut merges into that cut,
@@ -236,37 +226,33 @@ fn a_replaced_standby_takes_the_diff_until_the_list_is_against_its_cut() {
 /// next feed is against the cut the standby holds.
 #[test]
 fn a_worker_restored_from_the_previous_cut_ships_the_diff() {
-    for sketch in [false, true] {
-        let (cfg, policy) = (
-            config(EvictionKind::SegmentedLru { segments: 4 }, sketch),
-            ThresholdPolicy::new(1, 64 * 1024),
-        );
-        let slot = StandbySlot::new(3);
-        let mut server = CacheServer::new(cfg.clone());
-        server.set_policy(policy);
-        serve(&mut server, 0, 1_000);
-        let previous = cut_and_record(&mut server, 1_000);
-        fed(&slot, 1_000, &previous);
-        serve(&mut server, 1_000, 2_000);
-        let newer = cut_and_record(&mut server, 2_000);
-        assert!(matches!(fed(&slot, 2_000, &newer), FeedOutcome::Applied { .. }));
+    let (cfg, policy) =
+        (config(EvictionKind::SegmentedLru { segments: 4 }), ThresholdPolicy::new(1, 64 * 1024));
+    let slot = StandbySlot::new(3);
+    let mut server = CacheServer::new(cfg.clone());
+    server.set_policy(policy);
+    serve(&mut server, 0, 1_000);
+    let previous = cut_and_record(&mut server, 1_000);
+    fed(&slot, 1_000, &previous);
+    serve(&mut server, 1_000, 2_000);
+    let newer = cut_and_record(&mut server, 2_000);
+    assert!(matches!(fed(&slot, 2_000, &newer), FeedOutcome::Applied { .. }));
 
-        let image = ShardCheckpoint::from_frame(&previous.0).unwrap().cache;
-        let mut restored = CacheServer::restore_state(cfg, &image).unwrap();
-        restored.set_policy(policy);
-        let tables = ShardCheckpoint::layout(&previous.0);
-        restored.record_base(1_000, Arc::new(previous.0), tables);
-        serve(&mut restored, 1_000, 2_500);
-        let from_previous = cut_and_record(&mut restored, 2_500);
-        assert_eq!(from_previous.1.as_ref().map(|c| c.base_seq), Some(1_000));
-        let expected = (diffed(&newer.0, 2_000, &from_previous.0), 500);
-        assert_eq!(applied(fed(&slot, 2_500, &from_previous)), Some(expected), "sketch: {sketch}");
-        serve(&mut restored, 2_500, 3_000);
-        let next = cut_and_record(&mut restored, 3_000);
-        let expected = (diffed(&from_previous.0, 2_500, &next.0), 500);
-        assert_eq!(applied(fed(&slot, 3_000, &next)), Some(expected), "sketch: {sketch}");
-        assert_eq!(slot.take_for_promotion(), Some((next.0, 3_000)));
-    }
+    let image = ShardCheckpoint::from_frame(&previous.0).unwrap().cache;
+    let mut restored = CacheServer::restore_state(cfg, &image).unwrap();
+    restored.set_policy(policy);
+    let tables = ShardCheckpoint::layout(&previous.0);
+    restored.record_base(1_000, Arc::new(previous.0), tables);
+    serve(&mut restored, 1_000, 2_500);
+    let from_previous = cut_and_record(&mut restored, 2_500);
+    assert_eq!(from_previous.1.as_ref().map(|c| c.base_seq), Some(1_000));
+    let expected = (diffed(&newer.0, 2_000, &from_previous.0), 500);
+    assert_eq!(applied(fed(&slot, 2_500, &from_previous)), Some(expected));
+    serve(&mut restored, 2_500, 3_000);
+    let next = cut_and_record(&mut restored, 3_000);
+    let expected = (diffed(&from_previous.0, 2_500, &next.0), 500);
+    assert_eq!(applied(fed(&slot, 3_000, &next)), Some(expected));
+    assert_eq!(slot.take_for_promotion(), Some((next.0, 3_000)));
 }
 
 /// A worker's cuts as the fleet takes them — each sealed over the slot's
@@ -275,26 +261,24 @@ fn a_worker_restored_from_the_previous_cut_ships_the_diff() {
 /// and the standby holds each one.
 #[test]
 fn cuts_written_over_the_inactive_frame_are_the_fresh_cuts() {
-    for sketch in [false, true] {
-        let (slot, standby) = (CheckpointSlot::new(3, None), StandbySlot::new(3));
-        let mut server = CacheServer::new(config(EvictionKind::Lru, sketch));
-        server.set_policy(ThresholdPolicy::new(1, 64 * 1024));
-        let mut done = 0;
-        for seq in [700, 1_500, 1_600, 3_000, 3_001, 4_200] {
-            serve(&mut server, done, seq);
-            done = seq;
-            let ckpt = checkpoint(seq as u64, vec![seq as u8; 48]);
-            let (frame, changes) = ckpt.cut_of(&server, slot.take_inactive());
-            assert!(frame == ckpt.to_frame_of(&server), "sketch: {sketch}, cut {seq}");
-            let frame = slot.store(frame);
-            server.record_base(seq as u64, Arc::clone(&frame), ShardCheckpoint::layout(&frame));
-            let outcome = fed(&standby, seq as u64, &(frame.to_vec(), changes));
-            assert!(!matches!(outcome, FeedOutcome::Lost), "sketch: {sketch}, cut {seq}");
-            assert_eq!(standby.applied_seq(), Some(seq as u64));
-        }
-        let newest = slot.candidates().next().unwrap();
-        assert_eq!(standby.take_for_promotion(), Some((newest.to_vec(), 4_200)));
+    let (slot, standby) = (CheckpointSlot::new(3, None), StandbySlot::new(3));
+    let mut server = CacheServer::new(config(EvictionKind::Lru));
+    server.set_policy(ThresholdPolicy::new(1, 64 * 1024));
+    let mut done = 0;
+    for seq in [700, 1_500, 1_600, 3_000, 3_001, 4_200] {
+        serve(&mut server, done, seq);
+        done = seq;
+        let ckpt = checkpoint(seq as u64, vec![seq as u8; 48]);
+        let (frame, changes) = ckpt.cut_of(&server, slot.take_inactive());
+        assert!(frame == ckpt.to_frame_of(&server), "cut {seq}");
+        let frame = slot.store(frame);
+        server.record_base(seq as u64, Arc::clone(&frame), ShardCheckpoint::layout(&frame));
+        let outcome = fed(&standby, seq as u64, &(frame.to_vec(), changes));
+        assert!(!matches!(outcome, FeedOutcome::Lost), "cut {seq}");
+        assert_eq!(standby.applied_seq(), Some(seq as u64));
     }
+    let newest = slot.candidates().next().unwrap();
+    assert_eq!(standby.take_for_promotion(), Some((newest.to_vec(), 4_200)));
 }
 
 /// A list against a cut the standby never got — it holds an older one —
@@ -303,7 +287,7 @@ fn cuts_written_over_the_inactive_frame_are_the_fresh_cuts() {
 #[test]
 fn a_list_against_a_cut_the_standby_missed_is_not_used() {
     let slot = StandbySlot::new(3);
-    let mut server = CacheServer::new(config(EvictionKind::Fifo, false));
+    let mut server = CacheServer::new(config(EvictionKind::Fifo));
     server.set_policy(ThresholdPolicy::new(1, 64 * 1024));
     serve(&mut server, 0, 1_000);
     let held = cut_and_record(&mut server, 1_000);
@@ -340,28 +324,24 @@ fn removals(target: &[u8], base: &[u8]) -> Vec<Vec<u64>> {
 
 /// A base holding objects its target never saw — what a per-object table
 /// that forgets will ship at every cut — sends their ids as removals from
-/// the one table, in either frequency mode, and the merge drops exactly
+/// the one table, and the merge drops exactly
 /// those rows.
 #[test]
 fn a_base_holding_ids_the_target_lacks_ships_removals() {
-    for sketch in [false, true] {
-        let (mut with, mut without) = (
-            CacheServer::new(config(EvictionKind::Lru, sketch)),
-            CacheServer::new(config(EvictionKind::Lru, sketch)),
-        );
-        for i in 0..2_000 {
-            let id = (i as u64 * 37) % 500;
-            with.process(&request(i, id));
-            without.process(&request(i, id));
-        }
-        for (i, id) in [(2_000, 9_001), (2_001, 9_002), (2_002, 4), (2_003, 9_003)] {
-            with.process(&request(i, id));
-        }
-        without.process(&request(2_002, 4));
-        let (base, target) = (cut(&with, 2_004, vec![5; 32]), cut(&without, 2_003, vec![5; 32]));
-        assert_eq!(removals(&target, &base), vec![vec![9_001, 9_002, 9_003]], "sketch: {sketch}");
-        assert!(ship(&base, &target).1 == target, "sketch: {sketch}");
+    let (mut with, mut without) =
+        (CacheServer::new(config(EvictionKind::Lru)), CacheServer::new(config(EvictionKind::Lru)));
+    for i in 0..2_000 {
+        let id = (i as u64 * 37) % 500;
+        with.process(&request(i, id));
+        without.process(&request(i, id));
     }
+    for (i, id) in [(2_000, 9_001), (2_001, 9_002), (2_002, 4), (2_003, 9_003)] {
+        with.process(&request(i, id));
+    }
+    without.process(&request(2_002, 4));
+    let (base, target) = (cut(&with, 2_004, vec![5; 32]), cut(&without, 2_003, vec![5; 32]));
+    assert_eq!(removals(&target, &base), vec![vec![9_001, 9_002, 9_003]]);
+    assert!(ship(&base, &target).1 == target);
 }
 
 /// Where the frame's table is: the cache image's one table, moved to where
@@ -370,7 +350,7 @@ fn a_base_holding_ids_the_target_lacks_ships_removals() {
 /// holder's open is what refuses it.
 #[test]
 fn the_frame_layout_is_the_cache_layout_where_the_frame_holds_it() {
-    let mut server = CacheServer::new(config(EvictionKind::Lru, false));
+    let mut server = CacheServer::new(config(EvictionKind::Lru));
     for i in 0..300 {
         server.process(&request(i, i as u64 % 90));
     }
@@ -436,7 +416,7 @@ fn a_darwin_driver_state_rides_in_the_untabled_bytes() {
         ..Default::default()
     };
     let mut driver = DarwinDriver::new(model(), online);
-    let mut server = CacheServer::new(config(EvictionKind::Lru, false));
+    let mut server = CacheServer::new(config(EvictionKind::Lru));
     server.set_policy(driver.initial_policy());
     let trace = TraceGenerator::new(
         MixSpec::two_class(TrafficClass::image(), TrafficClass::download(), 0.5),
