@@ -36,13 +36,22 @@
 //! not allow. `crates/shard/tests/id_hash.rs` holds the segment pick to the
 //! same flatness over per-shard id sets as the bucket and tag bits.
 //!
+//! **Why a 4-byte aligned key.** Each segment stores its id as `Key`, an
+//! id packed to 4-byte alignment. A `u64` key would make every bucket
+//! 8-aligned, so the per-object table's 12-byte value (a `u64` time and a
+//! `u32` count, itself packed to 4) would be padded to 16 and its bucket
+//! to 24 bytes; packed, the bucket is the 20 bytes the row holds. Values
+//! that are 8-aligned themselves (the stores' `usize` positions) keep
+//! their 16-byte buckets. The key hashes as its id does, so no hash, and
+//! no segment pick, moves.
+//!
 //! The hasher is not keyed, so it gives no protection against ids crafted
 //! to collide; a deployment that takes ids from untrusted clients should
 //! hash them (as a CDN does with URLs) before they reach the cache.
 
 use darwin_trace::ObjectId;
 use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// log₂ of [`SEGMENTS`].
 const SEGMENT_BITS: u32 = 5;
@@ -95,7 +104,20 @@ impl Hasher for IdHasher {
     }
 }
 
-type Segment<V> = HashMap<ObjectId, V, BuildHasherDefault<IdHasher>>;
+/// An id as a segment stores it: packed to 4-byte alignment, so that a
+/// bucket is only as aligned as its value needs (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed(4))]
+pub(crate) struct Key(ObjectId);
+
+impl Hash for Key {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0);
+    }
+}
+
+type Segment<V> = HashMap<Key, V, BuildHasherDefault<IdHasher>>;
 
 /// A map from object id to `V` that grows one segment at a time (see the
 /// module docs). Iteration order is arbitrary.
@@ -126,32 +148,32 @@ impl<V> IdMap<V> {
 
     /// The slot for `id` in its segment: one probe to read, update or fill.
     #[inline]
-    pub fn entry(&mut self, id: ObjectId) -> Entry<'_, ObjectId, V> {
-        self.segments[segment_of(id)].entry(id)
+    pub(crate) fn entry(&mut self, id: ObjectId) -> Entry<'_, Key, V> {
+        self.segments[segment_of(id)].entry(Key(id))
     }
 
     /// The value stored for `id`.
     #[inline]
     pub fn get(&self, id: ObjectId) -> Option<&V> {
-        self.segments[segment_of(id)].get(&id)
+        self.segments[segment_of(id)].get(&Key(id))
     }
 
     /// Whether `id` has a value.
     #[inline]
     pub fn contains_key(&self, id: ObjectId) -> bool {
-        self.segments[segment_of(id)].contains_key(&id)
+        self.segments[segment_of(id)].contains_key(&Key(id))
     }
 
     /// Stores `value` for `id`, returning the value it replaces.
     #[inline]
     pub fn insert(&mut self, id: ObjectId, value: V) -> Option<V> {
-        self.segments[segment_of(id)].insert(id, value)
+        self.segments[segment_of(id)].insert(Key(id), value)
     }
 
     /// Forgets `id`, returning its value.
     #[inline]
     pub fn remove(&mut self, id: ObjectId) -> Option<V> {
-        self.segments[segment_of(id)].remove(&id)
+        self.segments[segment_of(id)].remove(&Key(id))
     }
 
     /// Number of ids held.
@@ -168,7 +190,7 @@ impl<V> IdMap<V> {
     /// (a chain of segments); a caller that collects a large map should
     /// size its buffer from [`IdMap::len`].
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &V)> + '_ {
-        self.segments.iter().flatten().map(|(&id, v)| (id, v))
+        self.segments.iter().flatten().map(|(key, v)| (key.0, v))
     }
 
     /// Every id, in arbitrary order.
@@ -199,7 +221,20 @@ mod tests {
         let build = BuildHasherDefault::<IdHasher>::default();
         for id in [0u64, 1, 42, 1 << 48, (3 << 48) | 77, u64::MAX] {
             assert_eq!(build.hash_one(id), fold_id(id));
+            assert_eq!(build.hash_one(Key(id)), fold_id(id), "the key hashes as its id");
         }
+    }
+
+    /// The per-object table's bucket — a key and a 12-byte value at
+    /// alignment 4, shaped like its `(last_ts, count)` — is the 20 bytes of
+    /// its row; a value aligned to 8, as the stores' positions are, keeps
+    /// its 16-byte bucket.
+    #[test]
+    fn a_bucket_is_as_aligned_as_its_value() {
+        use std::mem::{align_of, size_of};
+        assert_eq!((size_of::<Key>(), align_of::<Key>()), (8, 4));
+        assert_eq!(size_of::<(Key, [u32; 3])>(), 20);
+        assert_eq!(size_of::<(Key, usize)>(), 16);
     }
 
     #[test]
@@ -276,8 +311,9 @@ mod proptests {
     }
 
     /// `entry` as the table uses it: mix `v` into a present value, fill a
-    /// vacant slot with it. Returns what it found and what it left.
-    fn upsert(entry: Entry<'_, u64, u32>, v: u32) -> (bool, u32) {
+    /// vacant slot with it. Returns what it found and what it left. (Generic
+    /// in the key: the map's is a [`Key`], the reference's a `u64`.)
+    fn upsert<K>(entry: Entry<'_, K, u32>, v: u32) -> (bool, u32) {
         match entry {
             Entry::Occupied(mut e) => {
                 *e.get_mut() ^= v;

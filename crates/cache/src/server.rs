@@ -83,20 +83,21 @@ impl CacheConfig {
     }
 }
 
-/// What the server remembers about one object it has seen.
+/// What the server remembers about one object it has seen. Packed to
+/// 4-byte alignment, so that with its id it fills a 20-byte bucket — the
+/// bytes of the row the image saves — and not a 24-byte one (fields are
+/// read and written by value, never borrowed).
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 struct ObjectMeta {
     /// Timestamp of the latest request (the recency knob's input).
     last_ts: u64,
     /// Requests seen, saturating (the frequency knob's input).
     count: u32,
-    /// The table's [`stamp`](ObjectTable::stamp) at the latest request:
-    /// an object whose stamp is not the current one is unchanged since the
-    /// base was recorded. (It fills what was padding.)
-    stamp: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<ObjectMeta>() == 16, "the stamp must fit the padding");
+const _: () = assert!(std::mem::size_of::<ObjectMeta>() == 12, "a time and a count, no padding");
+const _: () = assert!(std::mem::align_of::<ObjectMeta>() == 4, "a bucket aligned to its key");
 
 /// Encoded bytes of one `(id, last_ts, count)` row of the saved per-object
 /// table.
@@ -117,15 +118,28 @@ fn frequency_tag(dec: &mut Dec<'_>) -> Result<(), CkptError> {
 
 /// The per-object table both simulators keep: one entry per object ever
 /// requested, one probe per request for frequency and recency together.
+///
+/// With a base recorded it also lists the objects whose rows may differ
+/// from the base's: the rows a merged encode sorts. `base_ts` is the
+/// greatest timestamp recorded when the base was, so each row the base
+/// holds was last requested at or before `base_ts`. The first
+/// request for an object since the base therefore finds it new or last
+/// requested at or before `base_ts` — and exactly such requests are
+/// listed. Later ones find it requested after `base_ts` and are not,
+/// unless time went back to `base_ts` or before, which lists an object
+/// twice (the sort drops the repeat). No base, no list: a server that
+/// never cuts keeps none.
 #[derive(Debug, Default)]
 struct ObjectTable {
     map: IdMap<ObjectMeta>,
-    /// The cut epoch: stamped on every object a request touches, moved on
-    /// when a base is recorded.
-    stamp: u32,
-    /// Objects stamped in the current epoch: the rows the next merged
-    /// encode sorts (fewer only if a stamp wrapped onto an old one).
-    stamped: usize,
+    /// The greatest timestamp recorded (on a restore, the greatest among
+    /// the rows).
+    high_water: u64,
+    /// [`high_water`](Self::high_water) when the base was recorded; `None`
+    /// without a base.
+    base_ts: Option<u64>,
+    /// Objects requested since the base, as described above.
+    changed: Vec<ObjectId>,
 }
 
 /// One object as the saved table holds it: `(id, last_ts, count)`.
@@ -137,23 +151,35 @@ impl ObjectTable {
     /// (`None` on first sight).
     #[inline]
     fn record(&mut self, id: ObjectId, now_us: u64) -> (u32, Option<u64>) {
-        let stamp = self.stamp;
-        match self.map.entry(id) {
+        self.high_water = self.high_water.max(now_us);
+        let (count, previous) = match self.map.entry(id) {
             Entry::Occupied(mut e) => {
                 let meta = e.get_mut();
-                let gap = now_us.saturating_sub(meta.last_ts);
+                let previous = meta.last_ts;
                 meta.last_ts = now_us;
                 meta.count = meta.count.saturating_add(1);
-                self.stamped += usize::from(meta.stamp != stamp);
-                meta.stamp = stamp;
-                (meta.count, Some(gap))
+                (meta.count, Some(previous))
             }
             Entry::Vacant(slot) => {
-                slot.insert(ObjectMeta { last_ts: now_us, count: 1, stamp });
-                self.stamped += 1;
+                slot.insert(ObjectMeta { last_ts: now_us, count: 1 });
                 (1, None)
             }
+        };
+        if let Some(base_ts) = self.base_ts {
+            if previous.is_none_or(|last| last <= base_ts) {
+                self.list(id);
+            }
         }
+        (count, previous.map(|last| now_us.saturating_sub(last)))
+    }
+
+    /// Lists `id` as changed since the base. Out of line: a push inlined
+    /// into [`record`](Self::record) kept that from inlining into the
+    /// request path, and most requests list nothing.
+    #[cold]
+    #[inline(never)]
+    fn list(&mut self, id: ObjectId) {
+        self.changed.push(id);
     }
 
     /// Rebuilds the table from the saved sequence, walked where it lies in
@@ -170,7 +196,7 @@ impl ObjectTable {
         let objects = rows.remaining() / ROW;
         let mut map = IdMap::with_capacity(objects);
         let mut block = Vec::with_capacity(BLOCK.min(objects));
-        let mut previous = None;
+        let (mut previous, mut high_water) = (None, 0);
         for start in (0..objects).step_by(BLOCK) {
             block.clear();
             for _ in start..objects.min(start + BLOCK) {
@@ -179,29 +205,34 @@ impl ObjectTable {
                     return Err(CkptError::Malformed("per-object ids not strictly ascending".into()));
                 }
                 previous = Some(id);
-                block.push((id, ObjectMeta { last_ts, count, stamp: 0 }));
+                high_water = high_water.max(last_ts);
+                block.push((id, ObjectMeta { last_ts, count }));
             }
             for &(id, meta) in &block {
                 map.insert(id, meta);
             }
         }
-        let stamped = map.len();
-        Ok(Self { map, stamp: 0, stamped })
+        Ok(Self { map, high_water, base_ts: None, changed: Vec::new() })
     }
 
     /// The rows an encode writes itself, sorted by id — the canonical order
-    /// state is saved in: those stamped in the current epoch when there is
-    /// a base to merge them into, every row otherwise.
+    /// state is saved in: those listed since the base when there is one to
+    /// merge them into, every row otherwise.
     fn sorted(&self, since_base: bool) -> Vec<Row> {
+        let row = |id, m: &ObjectMeta| (id, m.last_ts, m.count);
         // Every row is sized up front: the map's iterator chains its
         // segments and has no exact size hint, so a `collect` would double
-        // its way up to as much as twice the rows it holds — the
-        // half-million of a full sort, or the quarter of them stamped since
-        // a base, which the table counts as it stamps them.
-        let mut rows = Vec::with_capacity(if since_base { self.stamped } else { self.map.len() });
-        let changed = |m: &ObjectMeta| !since_base || m.stamp == self.stamp;
-        rows.extend(self.map.iter().filter(|(_, m)| changed(m)).map(|(id, m)| (id, m.last_ts, m.count)));
+        // its way up to as much as twice the rows it holds.
+        let mut rows = Vec::with_capacity(if since_base { self.changed.len() } else { self.map.len() });
+        if since_base {
+            let held = |&id: &ObjectId| row(id, self.map.get(id).expect("a listed id is held"));
+            rows.extend(self.changed.iter().map(held));
+        } else {
+            rows.extend(self.map.iter().map(|(id, m)| row(id, m)));
+        }
         rows.sort_unstable_by_key(|&(id, ..)| id);
+        // A repeat is the same row twice, looked up from the one table.
+        rows.dedup_by_key(|&mut (id, ..)| id);
         rows
     }
 }
@@ -476,13 +507,14 @@ impl CacheServer {
     /// it is now — the cut at `seq` it just encoded, or the image it was
     /// restored from — with its per-object table where `tables` says (the
     /// image's [`state_layout`](Self::state_layout), as offsets into
-    /// `frame`). Starts a new stamp epoch in the same call, so the base and
-    /// the rows merged into it cannot drift apart: from here, exactly the
-    /// objects requested are merged. A base that is never recorded costs no
-    /// correctness — the rows stamped since the last one are a superset of
-    /// what changed since — and tables that do not fit this state (another
-    /// number of tables, another width or row count) record none: the next
-    /// encode sorts every row.
+    /// `frame`). Starts the table's list of changed objects over in the
+    /// same call, so the base and the rows merged into it cannot drift
+    /// apart: from here, the objects requested are merged. A base that is
+    /// never recorded costs no correctness — the objects listed since the
+    /// last one are a superset of what changed since — and tables that do
+    /// not fit this state (another number of tables, another width or row
+    /// count) record none: the next encode sorts every row, and no object
+    /// is listed until a base is recorded.
     pub fn record_base(&mut self, seq: u64, frame: Arc<Vec<u8>>, tables: Option<Layout>) {
         let rows = self.objects.map.len();
         let table = match tables.as_deref() {
@@ -496,8 +528,10 @@ impl CacheServer {
             _ => None,
         };
         self.base = table.map(|table| Base { seq, frame, table });
-        self.objects.stamp = self.objects.stamp.wrapping_add(1);
-        self.objects.stamped = 0;
+        let objects = &mut self.objects;
+        objects.base_ts = self.base.is_some().then_some(objects.high_water);
+        // Kept allocated: the last window's list sizes the next one's.
+        objects.changed.clear();
     }
 
     /// Where [`encode_state`](Self::encode_state) put the per-object table
@@ -856,6 +890,56 @@ mod tests {
         ));
     }
 
+    /// The table lists changed objects only while a base is held: a
+    /// server that never cuts and the HOC-only simulator list none, a base
+    /// that does not fit ends the list, and a server based on the image it
+    /// was restored from lists the objects requested since, once each.
+    #[test]
+    fn no_list_without_a_base() {
+        let trace = TraceGenerator::new(MixSpec::single(TrafficClass::image()), 11).generate(10_000);
+        let mut server = CacheServer::new(CacheConfig::small_test());
+        server.process_trace(&trace);
+        let mut sim = HocSim::new(1024 * 1024, EvictionKind::Lru, ThresholdPolicy::new(2, 100 * 1024));
+        sim.run_trace(&trace);
+        assert_eq!(server.objects.changed.capacity(), 0, "a server that never cuts");
+        assert_eq!(sim.objects.changed.capacity(), 0, "the HOC-only simulator");
+
+        let (head, tail) = trace.requests().split_at(6_000);
+        let mut server = CacheServer::new(CacheConfig::small_test());
+        for r in head {
+            server.process(r);
+        }
+        let image = server.save_state();
+        let based = |s: &mut CacheServer, image: &[u8]| {
+            s.record_base(1, Arc::new(image.to_vec()), CacheServer::state_layout(image));
+            assert!(s.base.is_some(), "the image fits");
+        };
+
+        // A base that does not fit: the list empties and stays empty.
+        let mut unfit = CacheServer::restore_state(CacheConfig::small_test(), &image).unwrap();
+        based(&mut unfit, &image);
+        for r in &tail[..100] {
+            unfit.process(r);
+        }
+        assert!(!unfit.objects.changed.is_empty());
+        unfit.record_base(2, Arc::new(image.clone()), None);
+        assert!(unfit.base.is_none() && unfit.objects.changed.is_empty());
+        for r in tail {
+            unfit.process(r);
+        }
+        assert!(unfit.objects.changed.is_empty(), "listed without a base");
+
+        // Based on its restore image: the tail's objects, each once.
+        let mut restored = CacheServer::restore_state(CacheConfig::small_test(), &image).unwrap();
+        based(&mut restored, &image);
+        for r in tail {
+            restored.process(r);
+        }
+        let mut seen = std::collections::HashSet::new();
+        let requested: Vec<ObjectId> = tail.iter().map(|r| r.id).filter(|&id| seen.insert(id)).collect();
+        assert_eq!(restored.objects.changed, requested);
+    }
+
     /// Where `s`'s saved `image` holds its per-object table: from the
     /// length prefix to the Bloom filter after the rows.
     fn table_span(s: &CacheServer, image: &[u8]) -> std::ops::Range<usize> {
@@ -1121,6 +1205,7 @@ mod proptests {
             store in 0usize..4,
             skip in 0usize..8,
             restore in 0usize..8,
+            time in 0usize..3,
         ) {
             let cfg = CacheConfig {
                 hoc_bytes: 256 * 1024,
@@ -1140,12 +1225,28 @@ mod proptests {
             let ends = cuts.iter().map(|c| (c * stream.len() as f64) as usize).chain([stream.len()]);
             // The base recorded last, by its boundary.
             let mut base: Option<(u64, Vec<u8>)> = None;
+            // The latest timestamp issued, and what it was at the last cut.
+            let (mut latest, mut at_cut) = (0, 0);
             let mut done = 0;
             for (k, end) in ends.enumerate() {
                 for (i, &id) in stream.iter().enumerate().take(end).skip(done) {
-                    server.process(&Request::new(id, 1 + id * 7_919 % 120_000, i as u64));
+                    let (i, since_cut) = (i as u64, (i - done) as u64);
+                    let ts = match time {
+                        // Strictly rising.
+                        0 => i,
+                        // The first requests after a cut tie with the last
+                        // before it.
+                        1 if since_cut < 8 => latest,
+                        // Every fourth request goes back to, or below, the
+                        // last cut's high water.
+                        2 if since_cut % 4 == 1 => at_cut - at_cut.min(i % 37),
+                        _ => i,
+                    };
+                    latest = latest.max(ts);
+                    server.process(&Request::new(id, 1 + id * 7_919 % 120_000, ts));
                 }
                 done = done.max(end);
+                at_cut = latest;
                 let mut enc = Enc::new();
                 let changes = server.encode_state(&mut enc);
                 let image = enc.into_bytes();
@@ -1155,11 +1256,16 @@ mod proptests {
                     upserts: diff_upserts(base, &image),
                 });
                 prop_assert_eq!(changes, expected, "cut {}", k);
-                // The table counted the rows a merged encode sorts as it
-                // stamped them: their vector is sized exactly.
+                // The rows a merged encode sorts are sized by the list; it
+                // repeats an object only if time went back to the base.
                 let rows = server.objects.sorted(true);
-                let stamped = server.objects.stamped;
-                prop_assert_eq!((rows.len(), rows.capacity()), (stamped, stamped), "cut {}", k);
+                let listed = server.objects.changed.len();
+                prop_assert_eq!(rows.capacity(), listed, "cut {}", k);
+                if time == 0 {
+                    prop_assert_eq!(rows.len(), listed, "cut {}", k);
+                } else {
+                    prop_assert!(rows.len() <= listed, "cut {}", k);
+                }
                 if k == skip {
                     continue;
                 }
