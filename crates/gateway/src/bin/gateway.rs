@@ -15,8 +15,8 @@
 //! Serves until a client sends `SHUTDOWN` (e.g. `loadgen --shutdown`), then
 //! drains, joins the shard workers and prints the final metrics snapshot.
 //! Shard workers that panic are restarted against the
-//! `--max-restarts`-per-`--restart-window` budget; a shard that exhausts it
-//! is buried and its requests are answered `Unavailable` (degraded mode).
+//! `--max-restarts`-per-`--restart-window` budget, the window counted in the
+//! shard's own requests; a shard that exhausts it is buried and its requests are answered `Unavailable` (degraded mode).
 //! With `--checkpoint-every N` each shard checkpoints its cache + driver
 //! state every N per-shard requests and restarts resume *warm* from the
 //! latest valid checkpoint (cold when none validates); `--checkpoint-dir`

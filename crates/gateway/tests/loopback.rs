@@ -701,5 +701,5 @@ fn scripted_panic_then_resize_conserves_the_ledger() {
     assert!(life.conserved(), "processed + dropped + unavailable + shed == submitted");
     assert_eq!(life.submitted, 2 * trace.len() as u64);
     assert_eq!(life.metrics.total_dropped(), first.tally.dropped, "client and fleet agree on the loss");
-    assert!(life.metrics.total_dropped() >= 1, "the request the panic fell on");
+    assert_eq!(life.metrics.total_dropped(), 1, "only the request the panic fell on");
 }

@@ -18,13 +18,13 @@
 //! remap fraction, and both are *exact* set statements (no tolerance), so
 //! the proptests in `tests/ring_props.rs` assert them per object.
 //!
-//! Point and key hashing use the same SplitMix64 finalizer the fleet's
-//! [`HashRouter`](darwin_shard::HashRouter) scatters with; construction is
-//! deterministic from `(seed, vnodes)` alone, so every process that holds
-//! the router config partitions identically — the cross-process half of the
-//! determinism contract.
+//! Point and key hashing use [`mix64`], the SplitMix64 finalizer the
+//! fleet's [`HashRouter`](darwin_shard::HashRouter) scatters with;
+//! construction is deterministic from `(seed, vnodes)` alone, so every
+//! process that holds the router config partitions identically — the
+//! cross-process half of the determinism contract.
 
-use darwin_shard::Router;
+use darwin_shard::{mix64, Router};
 use darwin_trace::ObjectId;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -41,16 +41,6 @@ pub const DEFAULT_VNODES: usize = 64;
 /// bounds the unit test `default_seed_certifies_remap_and_skew_bounds`
 /// checks.
 pub const DEFAULT_SEED: u64 = 0xDA00_0000;
-
-/// The 64-bit avalanche mix (SplitMix64 finalizer) shared with the fleet's
-/// `HashRouter`; duplicated here because the shard crate keeps it private.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// One shard's vnode point: a pure function of `(seed, shard, vnode)`,
 /// independent of the fleet size — the subset property every stability

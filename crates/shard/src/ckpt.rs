@@ -59,7 +59,7 @@ pub struct ShardCheckpoint {
     /// Cold restarts the shard's supervisor had granted when the cut was
     /// taken. Carried so a restore resumes the budget, not resets it.
     pub restarts: u32,
-    /// Fleet submission counts of the restarts still inside the budget's
+    /// The shard's request counts at the restarts still inside the budget's
     /// sliding window at the cut (oldest first) — the other half of the
     /// supervisor state a crash-looper must not shed.
     pub budget_marks: Vec<u64>,

@@ -13,11 +13,12 @@
 //!   processing the request at the event's index. The request itself is
 //!   answered `Dropped`; everything before it was served by the dying
 //!   incarnation, everything after it by the respawned one (or answered
-//!   `Unavailable` once the restart budget is spent). The fleet's submitter
-//!   synchronizes on scripted panics — it joins the doomed worker right after
-//!   submitting the fatal request — so the processed / dropped / restarted
-//!   boundaries are **bit-for-bit reproducible**, unlike an organic panic
-//!   whose in-flight set depends on thread timing.
+//!   `Unavailable` once the restart budget is spent). The shard's ingest
+//!   lane synchronizes on scripted panics, whichever front delivers — it
+//!   delivers a run only up to the fatal request and joins the doomed worker
+//!   before handing the shard anything more — so the processed / dropped /
+//!   restarted boundaries are **bit-for-bit reproducible**, unlike an
+//!   organic panic whose in-flight set depends on thread timing.
 //! * [`FaultKind::Delay`] — the worker spins `spins` iterations before
 //!   processing the request: a deterministic stand-in for a slow disk or a
 //!   controller stall. Under [`Backpressure::Block`](crate::Backpressure) it
@@ -46,6 +47,7 @@
 //! with `FaultPlan::default()` is bitwise identical to one built without a
 //! plan (`tests/chaos.rs` enforces this against the sequential replay).
 
+use crate::router::mix64;
 use serde::{Deserialize, Serialize};
 
 /// What happens when a [`FaultEvent`] fires.
@@ -141,19 +143,16 @@ impl FaultPlan {
 
     /// A seeded random plan: `n_events` faults spread over `shards` shards
     /// with per-shard indices below `horizon`. Same seed ⇒ same plan — the
-    /// generator is a self-contained SplitMix64, so chaos sweeps need no
-    /// external RNG.
+    /// generator is a self-contained SplitMix64 over the router's
+    /// [`mix64`], so chaos sweeps need no external RNG.
     pub fn random(seed: u64, shards: usize, horizon: u64, n_events: usize) -> Self {
         assert!(shards > 0, "at least one shard");
         assert!(horizon > 0, "horizon must be positive");
         let mut state = seed;
         let mut next = move || -> u64 {
-            // SplitMix64 (same constants as the fleet's HashRouter).
+            let z = mix64(state);
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            z
         };
         let mut events = Vec::with_capacity(n_events);
         for _ in 0..n_events {
@@ -170,8 +169,8 @@ impl FaultPlan {
         Self::new(events)
     }
 
-    /// The per-shard panic indices, sorted ascending — the submitter-side
-    /// half of the scripted-panic synchronization.
+    /// The per-shard panic indices, sorted ascending — what each shard's
+    /// lane holds to stop a delivery at its fatal request.
     pub(crate) fn panic_indices(&self, shards: usize) -> Vec<Vec<u64>> {
         let mut out = vec![Vec::new(); shards];
         for e in &self.events {
@@ -268,6 +267,24 @@ mod tests {
         assert_eq!(a, b, "same seed, same plan");
         assert_ne!(a, c, "different seed, different plan");
         assert!(a.events().iter().all(|e| e.shard < 4 && e.at < 10_000));
+    }
+
+    #[test]
+    fn random_plans_are_pinned() {
+        // Logged plans replay from their seed, so the generator's draws are
+        // part of the format.
+        let event = |shard, at, kind| FaultEvent { shard, at, kind };
+        assert_eq!(
+            FaultPlan::random(7, 4, 10_000, 6).events(),
+            [
+                event(0, 8_990, FaultKind::Panic),
+                event(1, 4_425, FaultKind::QueueFull),
+                event(2, 4_680, FaultKind::QueueFull),
+                event(2, 8_305, FaultKind::Delay { spins: 7_934 }),
+                event(3, 5_804, FaultKind::Delay { spins: 2_507 }),
+                event(3, 9_797, FaultKind::Panic),
+            ]
+        );
     }
 
     #[test]

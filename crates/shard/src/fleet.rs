@@ -8,20 +8,17 @@
 //!
 //! # Ingest pipeline
 //!
-//! Requests reach a shard through a two-stage pipeline: submitters *stage*
-//! envelopes into per-shard runs, then *deliver* each run with a single
-//! [`push_batch`](crate::queue::Producer::push_batch) onto the shard's SPSC
-//! ring — one index publication and one gauge update per run, however many
-//! requests it carries. Two ingest fronts exist:
-//!
-//! * the fleet's own single-submitter API ([`ShardedFleet::submit`] /
-//!   [`submit_trace`](ShardedFleet::submit_trace)), which preserves the
-//!   bitwise determinism contract below, and
-//! * [`FleetIngest`], a cloneable handle that mints one [`FleetProducer`]
-//!   per gateway connection. Producers stage and flush independently;
-//!   delivery into any one shard is serialized by that shard's *lane* lock,
-//!   so N connections contend per shard instead of through one global
-//!   router loop.
+//! Requests reach a shard through a two-stage pipeline: a [`FleetProducer`]
+//! *stages* envelopes into per-shard runs, then *delivers* each run with a
+//! single [`push_batch`](crate::queue::Producer::push_batch) onto the
+//! shard's SPSC ring — one index publication and one gauge update per run,
+//! however many requests it carries. Every ingest front is a producer: the
+//! fleet's own single-submitter API ([`ShardedFleet::submit`] /
+//! [`submit_trace`](ShardedFleet::submit_trace)) drives one it owns, and
+//! [`FleetIngest`] mints one per gateway connection. Producers stage and
+//! flush independently; delivery into any one shard is serialized by that
+//! shard's *lane* lock, so N connections contend per shard instead of
+//! through one global router loop.
 //!
 //! # Determinism contract
 //!
@@ -61,17 +58,18 @@
 //!   [`FaultKind::CorruptStandby`], or a feed that failed validation) falls
 //!   back to burial — detected and journaled, never silent.
 //!
-//! Requests in flight at the moment of death (staged, queued, or popped but
-//! not yet completed) are answered `Dropped` through their envelope `Drop`
-//! impls and counted, so the conservation law **submitted = processed +
-//! dropped + unavailable** holds exactly over any run, faulty or not
-//! (`tests/chaos.rs` proptests it). Scripted panics are additionally
-//! *synchronized* on the single-submitter path: the submitter joins the
-//! doomed worker right after submitting the fatal request, which pins the
-//! processed / dropped / restart boundary and makes chaos runs under
-//! `Block` reproducible bit-for-bit. [`finish`](ShardedFleet::finish) never
-//! panics on a dead shard — it reports per-shard `restarts` / `dead` flags
-//! instead.
+//! Requests in flight at the moment of death (queued, or popped but not yet
+//! completed) are answered `Dropped` through their envelope `Drop` impls and
+//! counted, so the conservation law **submitted = processed + dropped +
+//! unavailable** holds exactly over any run, faulty or not (`tests/chaos.rs`
+//! proptests it). Scripted panics are additionally
+//! *synchronized* in the lane, whichever front delivers: a run is pushed
+//! only up to the fatal request, and the lane joins the doomed worker
+//! before it hands the shard anything more. That pins the processed /
+//! dropped / restart boundary — the fatal request is the only loss — and
+//! makes chaos runs under `Block` reproducible bit-for-bit.
+//! [`finish`](ShardedFleet::finish) never panics on a dead shard — it
+//! reports per-shard `restarts` / `dead` flags instead.
 //!
 //! Worker threads wrap their serving loop in
 //! [`darwin_parallel::inline_sweeps`], so a per-shard Darwin controller that
@@ -93,6 +91,7 @@ use darwin_obs::{EventKind, SwitchCostTracker};
 use darwin_testbed::{AdmissionDriver, ControlEvent};
 use darwin_trace::{Request, Trace};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -199,8 +198,8 @@ pub struct FleetConfig {
     #[serde(default)]
     pub checkpoint_every: Option<u64>,
     /// Queue-depth watermark for overload shedding (`None` disables it).
-    /// While a shard's queue depth is at or above the watermark,
-    /// [`FleetProducer`]s answer that shard's requests `Busy` (via
+    /// While a shard's queue depth is at or above the watermark, every
+    /// ingest front answers that shard's requests `Busy` (via
     /// [`Envelope::shed`]) instead of delivering them; shedding stops once
     /// the queue drains to half the watermark (hysteresis). Shed requests
     /// count as both `submitted` and `shed`, extending the conservation
@@ -407,9 +406,9 @@ enum WorkerExit<D> {
 }
 
 /// The mutable half of one shard's ingest lane. Every delivery into the
-/// shard — from the fleet's own submitter or from any [`FleetProducer`] —
-/// happens under this lock, which is what serializes producers per shard
-/// (instead of per fleet) and makes death settlement race-free.
+/// shard — from any [`FleetProducer`], the fleet's own included — happens
+/// under this lock, which is what serializes producers per shard (instead
+/// of per fleet) and makes death settlement race-free.
 struct LaneState<D, E> {
     /// `None` once the shard is dead (burying drops the producer).
     producer: Option<Producer<E>>,
@@ -417,10 +416,14 @@ struct LaneState<D, E> {
     handle: Option<JoinHandle<WorkerExit<D>>>,
     supervisor: Supervisor,
     /// Envelopes handed into this lane across all producers and
-    /// incarnations (delivered to the queue, shed at it, or cleared from a
-    /// stage at a death) — the per-shard request index of the *next*
-    /// delivery, and the shard-side term of the conservation arithmetic.
+    /// incarnations (delivered to the queue or shed at it) — the per-shard
+    /// request index of the *next* delivery, the shard-side term of the
+    /// conservation arithmetic and the supervisor's restart clock.
     delivered: u64,
+    /// The shard's scripted `Panic` indices not yet settled, ascending. One
+    /// below `delivered` means the current incarnation already holds its
+    /// fatal request and dies on it.
+    panics: VecDeque<u64>,
 }
 
 /// One shard's runtime state inside the core.
@@ -446,9 +449,6 @@ struct FleetCore<D, E> {
     /// from any producer's thread.
     factory: Mutex<Box<dyn FnMut(usize) -> D + Send>>,
     fault: FaultPlan,
-    /// Fleet-wide submission clock for the supervisors' sliding restart
-    /// windows (maintained by whichever ingest front is in use).
-    total_submitted: AtomicU64,
     /// True when initial incarnations should attempt a restore (warm boot
     /// or resize handoff) instead of starting cold.
     warm_boot: bool,
@@ -468,53 +468,68 @@ struct FleetCore<D, E> {
 }
 
 impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetCore<D, E> {
-    /// Delivers a staged run into shard `s`'s queue (one `push_batch`).
-    /// `now` feeds the supervisor's restart window if the delivery detects a
-    /// death. Returns true when a worker death was detected and settled.
-    fn deliver(&self, s: usize, batch: &mut Vec<E>, now: u64) -> bool {
-        if batch.is_empty() {
-            return false;
-        }
+    /// Delivers a staged run into shard `s`'s queue with one `push_batch` —
+    /// or, when the run holds the shard's next scripted panic, pushes it only
+    /// up to and including that fatal request. The death is settled before
+    /// the lane hands the shard anything more, so the rest of the run goes to
+    /// the next incarnation (or is answered `Unavailable` once the shard is
+    /// buried) and the fatal request is the only loss, whichever front
+    /// delivers. A death on a shard's last request is left to
+    /// [`ShardedFleet::finish`]: nothing is left to serve.
+    fn deliver(&self, s: usize, batch: &mut Vec<E>) {
         let shard = &self.shards[s];
         let mut lane = shard.lane.lock().expect("shard lane poisoned");
-        if lane.producer.is_none() {
-            // Buried shard. The single-submitter path diverts before staging
-            // and clears stages at settlement, so only a multi-producer
-            // flush racing the burial lands here: answer it Unavailable,
-            // exactly as a post-burial submission would have been.
-            shard.cell.add_unavailable(batch.len() as u64);
-            for env in batch.drain(..) {
-                env.unavailable();
+        while !batch.is_empty() {
+            // The incarnation already holds its fatal request: settle the
+            // death before the shard gets anything more.
+            if lane.panics.front().is_some_and(|&p| p < lane.delivered) {
+                self.settle(s, &mut lane);
             }
-            return false;
+            if lane.producer.is_none() {
+                // Buried shard: the tail of a run whose fatal request buried
+                // it, or a producer's flush that raced the burial. Answer it
+                // Unavailable, as a post-burial submission would have been.
+                shard.cell.add_unavailable(batch.len() as u64);
+                for env in batch.drain(..) {
+                    env.unavailable();
+                }
+                return;
+            }
+            // A run holding the next fatal request stops after it.
+            let mut rest = match lane.panics.front() {
+                Some(&p) if p - lane.delivered < batch.len() as u64 => {
+                    batch.split_off((p - lane.delivered + 1) as usize)
+                }
+                _ => Vec::new(),
+            };
+            lane.delivered += batch.len() as u64;
+            let producer = lane.producer.as_ref().expect("checked above");
+            let died = match self.cfg.backpressure {
+                Backpressure::Block => {
+                    // `push_batch` destroys-and-counts the remainder if the
+                    // consumer vanished mid-delivery; a nonzero return is the
+                    // Block path's death signal.
+                    let wait = Instant::now();
+                    let died = producer.push_batch(batch) > 0;
+                    shard.cell.obs().queue_wait.record_duration(wait.elapsed());
+                    died
+                }
+                Backpressure::DropNewest => {
+                    let shed = producer.try_push_batch(batch);
+                    shard.cell.add_dropped(shed as u64);
+                    producer.is_closed()
+                }
+            };
+            if died {
+                self.settle(s, &mut lane);
+            }
+            batch.append(&mut rest);
         }
-        lane.delivered += batch.len() as u64;
-        let producer = lane.producer.as_ref().expect("checked above");
-        let died = match self.cfg.backpressure {
-            Backpressure::Block => {
-                // `push_batch` destroys-and-counts the remainder if the
-                // consumer vanished mid-delivery; a nonzero return is the
-                // Block path's death signal.
-                let wait = Instant::now();
-                let died = producer.push_batch(batch) > 0;
-                shard.cell.obs().queue_wait.record_duration(wait.elapsed());
-                died
-            }
-            Backpressure::DropNewest => {
-                let shed = producer.try_push_batch(batch);
-                shard.cell.add_dropped(shed as u64);
-                producer.is_closed()
-            }
-        };
-        if died {
-            self.settle(s, &mut lane, now);
-        }
-        died
     }
 
     /// Joins a dead (or doomed) worker, settles the accounting, and asks the
     /// shard's supervisor for a restart or a burial. Caller holds the lane.
-    fn settle(&self, s: usize, lane: &mut LaneState<D, E>, now: u64) {
+    fn settle(&self, s: usize, lane: &mut LaneState<D, E>) {
         let shard = &self.shards[s];
         // Hang up first so a worker stalled in a scripted QueueFull wait (or
         // a doomed-but-alive worker draining toward its scripted panic)
@@ -534,13 +549,18 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetCore<D, E> {
         let answered = cell.processed_total() + cell.dropped();
         cell.add_dropped(lane.delivered.saturating_sub(answered));
         cell.fold_incarnation();
+        // Scripted deaths the incarnation never reached fell in its dropped
+        // tail; the next one starts at `delivered`.
+        while lane.panics.front().is_some_and(|&p| p < lane.delivered) {
+            lane.panics.pop_front();
+        }
         // Journal stamps use the shard's processed count — deterministic
-        // under Block (scripted panics are submission-synchronized).
+        // under Block (scripted panics are lane-synchronized).
         let seq = cell.processed_total();
         let budget_max = lane.supervisor.budget().max_restarts;
         cell.obs().journal.record(seq, EventKind::WorkerDeath);
         let standby_ready = shard.standby.as_ref().is_some_and(|st| st.ready());
-        match lane.supervisor.on_worker_death_with_standby(now, standby_ready) {
+        match lane.supervisor.on_worker_death_with_standby(lane.delivered, standby_ready) {
             SupervisorVerdict::Respawn => {
                 cell.record_restart();
                 cell.obs().journal.record(
@@ -644,13 +664,9 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetCore<D, E> {
 /// [`finish`](Self::finish) to join the workers and collect the report.
 pub struct ShardedFleet<D: AdmissionDriver + Send + 'static, E: Envelope = Request> {
     core: Arc<FleetCore<D, E>>,
-    /// Per-shard scripted panic indices (sorted) and a cursor into each —
-    /// the submitter-side half of the scripted-panic synchronization.
-    panic_at: Vec<Vec<u64>>,
-    next_panic: Vec<usize>,
-    staged: Vec<Vec<E>>,
+    /// The fleet's own ingest front, a producer like any other.
+    producer: FleetProducer<D, E>,
     submitted: u64,
-    per_shard_submitted: Vec<u64>,
     snapshots: Vec<FleetMetrics>,
 }
 
@@ -678,42 +694,19 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
         factory: impl FnMut(usize) -> D + Send + 'static,
         fault: FaultPlan,
     ) -> Self {
-        Self::with_recovery(cfg, cache, router, factory, fault, None)
+        Self::with_boot(cfg, cache, router, factory, fault, FleetBoot::default())
     }
 
-    /// [`with_fault_plan`](Self::with_fault_plan) plus an optional on-disk
-    /// spill directory for warm-restart checkpoints. When `checkpoint_dir`
-    /// is given, each shard's latest checkpoint frame is also written to
-    /// `dir/shard-{s}.ckpt` (temp-file + atomic rename); stale spill files
-    /// for this fleet's shards are removed up front so a reused directory
-    /// never resurrects a previous run's state (cold-boot semantics —
-    /// deterministic reruns rely on them). To *restore* from the spill
-    /// files instead, boot through [`with_boot`](Self::with_boot) with
-    /// [`FleetBoot::warm_boot`] set.
-    pub fn with_recovery(
-        cfg: FleetConfig,
-        cache: CacheConfig,
-        router: Box<dyn Router>,
-        factory: impl FnMut(usize) -> D + Send + 'static,
-        fault: FaultPlan,
-        checkpoint_dir: Option<std::path::PathBuf>,
-    ) -> Self {
-        Self::with_boot(
-            cfg,
-            cache,
-            router,
-            factory,
-            fault,
-            FleetBoot { checkpoint_dir, ..FleetBoot::default() },
-        )
-    }
-
-    /// The full-control constructor: [`with_recovery`](Self::with_recovery)
-    /// semantics plus the warm-boot/handoff behaviour described on
-    /// [`FleetBoot`]. With `boot.warm_boot` set, each shard's initial
-    /// incarnation attempts a restore — from its validated seed frame if
-    /// one is given, else from its spill file — and falls back
-    /// detected-cold per shard on any validation failure.
+    /// The full-control constructor: [`with_fault_plan`](Self::with_fault_plan)
+    /// plus the spill directory and warm-boot/handoff behaviour described on
+    /// [`FleetBoot`]. With a `boot.checkpoint_dir`, each shard's latest
+    /// checkpoint frame is also written to `dir/shard-{s}.ckpt` (temp-file +
+    /// atomic rename), and stale spill files for this fleet's shards are
+    /// removed up front unless `boot.warm_boot` is set, so a reused directory
+    /// never resurrects a previous run's state. With `boot.warm_boot` set,
+    /// each shard's initial incarnation attempts a restore — from its
+    /// validated seed frame if one is given, else from its spill file — and
+    /// falls back detected-cold per shard on any validation failure.
     pub fn with_boot(
         cfg: FleetConfig,
         cache: CacheConfig,
@@ -735,26 +728,27 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
             }
             None => (None, (0..cfg.shards).map(|s| Arc::new(CheckpointSlot::new(s, None))).collect()),
         };
-        let panic_at = fault.panic_indices(cfg.shards);
+        let panics = fault.panic_indices(cfg.shards);
         let core = Arc::new(FleetCore {
             cache,
             router: Arc::from(router),
             factory: Mutex::new(Box::new(factory)),
             fault,
-            total_submitted: AtomicU64::new(0),
             warm_boot: boot.warm_boot,
             boot_handoff: boot.handoff,
             cut_target: Arc::new(AtomicU64::new(u64::MAX)),
             spiller,
             shards: slots
                 .into_iter()
+                .zip(panics)
                 .enumerate()
-                .map(|(s, slot)| ShardState {
+                .map(|(s, (slot, panics))| ShardState {
                     lane: Mutex::new(LaneState {
                         producer: None,
                         handle: None,
                         supervisor: Supervisor::new(cfg.restart_budget),
                         delivered: 0,
+                        panics: panics.into(),
                     }),
                     cell: Arc::new(ShardCell::new(s, Arc::new(QueueGauges::default()))),
                     slot,
@@ -787,7 +781,7 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
                 // Reconstitute the supervisor's budget state from the frame
                 // the shard is about to restore, so a crash-looping shard
                 // cannot launder its restart history through a warm boot.
-                // The marks' submission clock restarted at 0; `with_state`
+                // The marks' request clock restarted at 0; `with_state`
                 // keeps them conservatively until they age out of the new
                 // clock's window.
                 let carried = shard.slot.candidates().find_map(|frame| {
@@ -803,42 +797,20 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
             core.spawn(s, &mut lane, 0, false);
         }
         Self {
-            staged: (0..core.cfg.shards).map(|_| Vec::with_capacity(core.cfg.batch)).collect(),
-            panic_at,
-            next_panic: vec![0; core.cfg.shards],
-            submitted: 0,
-            per_shard_submitted: vec![0; core.cfg.shards],
-            snapshots: Vec::new(),
+            producer: FleetProducer::new(Arc::clone(&core)),
             core,
+            submitted: 0,
+            snapshots: Vec::new(),
         }
     }
 
-    /// Routes one envelope to its shard. Under [`Backpressure::Block`] this
-    /// may block when the shard's queue is full. Requests routed to a dead
-    /// shard are answered immediately via [`Envelope::unavailable`].
+    /// Routes one envelope to its shard through the fleet's own
+    /// [`FleetProducer`]. Under [`Backpressure::Block`] this may block when
+    /// the shard's queue is full. Requests routed to a dead shard are
+    /// answered via [`Envelope::unavailable`], and requests routed to a shard
+    /// over its [`FleetConfig::shed_watermark`] via [`Envelope::shed`].
     pub fn submit(&mut self, env: E) {
-        let s = self.core.router.route(env.request().id, self.core.cfg.shards);
-        let idx = self.per_shard_submitted[s];
-        self.per_shard_submitted[s] = idx + 1;
-        if self.core.shards[s].cell.is_dead() {
-            self.core.shards[s].cell.add_unavailable(1);
-            env.unavailable();
-        } else {
-            self.staged[s].push(env);
-            let scripted = self.next_panic[s] < self.panic_at[s].len()
-                && self.panic_at[s][self.next_panic[s]] == idx;
-            if scripted {
-                // Deliver everything up to and including the fatal request,
-                // then join the doomed worker: it dies popping exactly this
-                // request, so the restart boundary is deterministic.
-                let handled = self.flush_shard(s);
-                if !handled {
-                    self.handle_worker_death(s);
-                }
-            } else if self.staged[s].len() >= self.core.cfg.batch {
-                self.flush_shard(s);
-            }
-        }
+        self.producer.submit(env);
         self.submitted += 1;
         if let Some(every) = self.core.cfg.snapshot_every {
             if self.submitted.is_multiple_of(every) {
@@ -850,48 +822,7 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
 
     /// Pushes all staged batches to their shards.
     pub fn flush(&mut self) {
-        for s in 0..self.core.cfg.shards {
-            self.flush_shard(s);
-        }
-    }
-
-    /// Delivers shard `s`'s staged batch. Returns true if a worker death was
-    /// detected (and settled) during delivery.
-    fn flush_shard(&mut self, s: usize) -> bool {
-        if self.staged[s].is_empty() {
-            return false;
-        }
-        let died = self.core.deliver(s, &mut self.staged[s], self.submitted);
-        if died {
-            self.sync_panic_cursor(s);
-        }
-        died
-    }
-
-    /// Settles a worker death detected outside a delivery (the scripted-sync
-    /// path, when the fatal push itself succeeded).
-    fn handle_worker_death(&mut self, s: usize) {
-        // Anything still staged never reached the queue; count it into the
-        // lane and release it (Drop impls answer it) — the settlement
-        // arithmetic turns it into an exact dropped count.
-        let stranded = self.staged[s].len() as u64;
-        self.staged[s].clear();
-        {
-            let mut lane = self.core.shards[s].lane.lock().expect("shard lane poisoned");
-            lane.delivered += stranded;
-            self.core.settle(s, &mut lane, self.submitted);
-        }
-        self.sync_panic_cursor(s);
-    }
-
-    /// Advances the scripted-panic cursor past indices the dead incarnation
-    /// never reached (they fall inside the dropped range).
-    fn sync_panic_cursor(&mut self, s: usize) {
-        let from = self.per_shard_submitted[s];
-        while self.next_panic[s] < self.panic_at[s].len() && self.panic_at[s][self.next_panic[s]] < from
-        {
-            self.next_panic[s] += 1;
-        }
+        self.producer.flush();
     }
 
     /// Requests submitted so far (including any later dropped or answered
@@ -925,9 +856,10 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
 
     /// A cloneable multi-producer ingest handle onto this fleet. Each
     /// [`FleetProducer`] minted from it stages and flushes independently;
-    /// per-shard delivery is serialized by the shard's lane. Producer
-    /// traffic bypasses this fleet's snapshot cadence and scripted-panic
-    /// synchronization (scripted faults still fire in the workers).
+    /// per-shard delivery is serialized by the shard's lane, which also
+    /// synchronizes scripted deaths for every producer. Producer traffic
+    /// bypasses only this fleet's [`submitted`](Self::submitted) count and
+    /// snapshot cadence.
     ///
     /// All producers must be dropped (or flushed) before
     /// [`finish`](Self::finish) for their envelopes to be answered by the
@@ -990,8 +922,9 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
             let (driver, hoc_used_bytes, dc_used_bytes) = match exit {
                 Some(WorkerExit::Completed(r)) => (Some(r.driver), r.hoc_used_bytes, r.dc_used_bytes),
                 Some(WorkerExit::Panicked) => {
-                    // Terminal panic at end-of-stream: no later flush could
-                    // observe it, so settle the death here. No respawn — the
+                    // A death no later delivery settled — a scripted panic
+                    // on the shard's last request, or an organic one at
+                    // end-of-stream — is settled here. No respawn: the
                     // stream is over, there is nothing left to serve.
                     let answered = shard.cell.processed_total() + shard.cell.dropped();
                     shard.cell.add_dropped(lane.delivered.saturating_sub(answered));
@@ -1065,10 +998,7 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetIngest<D, E> {
 
     /// Mints an independent producer with its own staging buffers.
     pub fn producer(&self) -> FleetProducer<D, E> {
-        FleetProducer {
-            staged: (0..self.core.cfg.shards).map(|_| Vec::with_capacity(self.core.cfg.batch)).collect(),
-            core: Arc::clone(&self.core),
-        }
+        FleetProducer::new(Arc::clone(&self.core))
     }
 }
 
@@ -1090,10 +1020,13 @@ pub struct FleetProducer<D: AdmissionDriver + Send + 'static, E: Envelope> {
 }
 
 impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetProducer<D, E> {
+    fn new(core: Arc<FleetCore<D, E>>) -> Self {
+        Self { staged: (0..core.cfg.shards).map(|_| Vec::with_capacity(core.cfg.batch)).collect(), core }
+    }
+
     /// Routes and stages one envelope; flushes its shard's run when it fills
     /// to the fleet batch size.
     pub fn submit(&mut self, env: E) {
-        self.core.total_submitted.fetch_add(1, Ordering::Relaxed);
         let s = self.core.router.route(env.request().id, self.core.cfg.shards);
         self.staged[s].push(env);
         if self.staged[s].len() >= self.core.cfg.batch {
@@ -1107,14 +1040,9 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetProducer<D, E> {
     /// client is waiting on the frame's verdicts, so the runs flush
     /// immediately instead of pooling toward the batch threshold.
     pub fn submit_frame(&mut self, envs: impl IntoIterator<Item = E>) {
-        let mut n = 0u64;
         for env in envs {
             let s = self.core.router.route(env.request().id, self.core.cfg.shards);
             self.staged[s].push(env);
-            n += 1;
-        }
-        if n > 0 {
-            self.core.total_submitted.fetch_add(n, Ordering::Relaxed);
         }
         self.flush();
     }
@@ -1152,8 +1080,7 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetProducer<D, E> {
                 return;
             }
         }
-        let now = self.core.total_submitted.load(Ordering::Relaxed);
-        self.core.deliver(s, &mut self.staged[s], now);
+        self.core.deliver(s, &mut self.staged[s]);
     }
 }
 

@@ -41,9 +41,11 @@ impl<R: Router + ?Sized> Router for std::sync::Arc<R> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HashRouter;
 
-/// The 64-bit avalanche mix the hash router scatters IDs with.
+/// The 64-bit avalanche mix the hash router scatters IDs with: the
+/// SplitMix64 finalizer. The ring router's points and keys and
+/// [`FaultPlan::random`](crate::FaultPlan::random)'s draws use it too.
 #[inline]
-fn mix64(mut x: u64) -> u64 {
+pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -5,8 +5,9 @@
 //! [`FaultKind::Panic`](crate::fault::FaultKind) — the fleet asks the
 //! supervisor what to do. The answer is governed by a [`RestartBudget`]:
 //! up to `max_restarts` cold restarts within any sliding window of
-//! `window_requests` *fleet submissions* (request counts, not wall clock, so
-//! chaos runs stay deterministic). Inside the budget the worker is respawned
+//! `window_requests` of the *shard's own* delivered requests (request
+//! counts, not wall clock, and not a fleet-wide count that concurrent
+//! producers would race on — so chaos runs stay deterministic). Inside the budget the worker is respawned
 //! with a fresh `CacheServer` and a fresh admission driver — a cold restart,
 //! exactly what a production cache node does after a crash: the learned
 //! state is gone, the shard re-warms. Beyond the budget the shard is marked
@@ -37,9 +38,9 @@ pub struct RestartBudget {
     /// Maximum restarts tolerated within one window. 0 means the first panic
     /// kills the shard permanently.
     pub max_restarts: u32,
-    /// Sliding-window length, counted in fleet-wide submitted requests (a
-    /// deterministic clock). Restarts older than this no longer count
-    /// against the budget.
+    /// Sliding-window length, counted in requests delivered to the shard (a
+    /// deterministic clock, whichever front delivers them). Restarts older
+    /// than this no longer count against the budget.
     pub window_requests: u64,
 }
 
@@ -75,8 +76,8 @@ pub enum SupervisorVerdict {
 #[derive(Debug, Clone)]
 pub struct Supervisor {
     budget: RestartBudget,
-    /// Fleet submission counts at which past restarts happened (only those
-    /// still inside the window are retained).
+    /// The shard's delivered-request counts at which past restarts happened
+    /// (only those still inside the window are retained).
     marks: VecDeque<u64>,
     restarts: u32,
     promotions: u32,
@@ -90,7 +91,7 @@ impl Supervisor {
     }
 
     /// A supervisor reconstituted from checkpointed budget state: `restarts`
-    /// granted so far and the submission counts of the still-in-window
+    /// granted so far and the request counts of the still-in-window
     /// restarts. Used on warm boot / restore so a crash-looping shard cannot
     /// reset its budget by riding through a checkpoint (satellite of the
     /// replication layer). Marks are kept sorted; callers pass them as they
@@ -101,7 +102,7 @@ impl Supervisor {
         Self { budget, marks: marks.into(), restarts, promotions: 0, dead: false }
     }
 
-    /// Records a worker death observed at fleet submission count `now` and
+    /// Records a worker death observed at the shard's request count `now` and
     /// decides between respawn and burial. Idempotent once dead.
     pub fn on_worker_death(&mut self, now: u64) -> SupervisorVerdict {
         self.on_worker_death_with_standby(now, false)
@@ -145,7 +146,7 @@ impl Supervisor {
         self.promotions
     }
 
-    /// The submission counts of restarts still inside the sliding window,
+    /// The request counts of restarts still inside the sliding window,
     /// oldest first — the budget state a checkpoint must carry.
     pub fn marks(&self) -> Vec<u64> {
         self.marks.iter().copied().collect()
@@ -184,7 +185,7 @@ mod tests {
     fn window_expiry_refills_the_budget() {
         let mut sup = Supervisor::new(RestartBudget { max_restarts: 1, window_requests: 100 });
         assert_eq!(sup.on_worker_death(0), SupervisorVerdict::Respawn);
-        // Second death 200 submissions later: the first mark fell out of the
+        // Second death 200 requests later: the first mark fell out of the
         // window, so the budget has refilled.
         assert_eq!(sup.on_worker_death(200), SupervisorVerdict::Respawn);
         assert_eq!(sup.restarts(), 2);

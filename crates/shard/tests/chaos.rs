@@ -318,3 +318,54 @@ fn mid_batch_panic_publishes_exactly_the_processed_requests() {
     let seq = run_sequential(1, CacheConfig::small_test(), &HashRouter, driver, &prefix);
     assert_eq!(dead.cache, seq[0].cache);
 }
+
+/// Every ingest front loses exactly the request a scripted panic falls on:
+/// the lane delivers a run only up to its fatal request and settles the
+/// death before it hands the shard anything more. Producer frames of 8, 64
+/// and 256 records therefore end like the fleet's own submitter — one drop,
+/// one restart, the same per-shard cache metrics — and rerun with
+/// byte-identical journals.
+#[test]
+fn producer_frames_drop_only_the_fatal_request() {
+    let t = trace(12_000, 21);
+    let fleet = || -> ShardedFleet<StaticDriver> {
+        ShardedFleet::with_fault_plan(
+            FleetConfig { shards: 2, queue_capacity: 128, batch: 32, ..FleetConfig::default() },
+            CacheConfig::small_test(),
+            Box::new(HashRouter),
+            driver,
+            FaultPlan::new(vec![FaultEvent { shard: 0, at: 100, kind: FaultKind::Panic }]),
+        )
+    };
+    let mut submitter = fleet();
+    submitter.submit_trace(&t);
+    let reference = submitter.finish();
+    assert_eq!(reference.shards[0].dropped, 1, "the submitter front drops the fatal request");
+
+    for frame in [8usize, 64, 256] {
+        let mut journals = Vec::new();
+        for rerun in 0..3 {
+            let fleet = fleet();
+            let handle = fleet.metrics_handle();
+            {
+                let mut producer = fleet.ingest().producer();
+                for chunk in t.requests().chunks(frame) {
+                    producer.submit_frame(chunk.iter().copied());
+                }
+            }
+            let report = fleet.finish();
+            let s0 = &report.shards[0];
+            assert_eq!(s0.dropped, 1, "{frame}-record frames, rerun {rerun}: only the fatal request");
+            assert_eq!(s0.restarts, 1, "{frame}-record frames, rerun {rerun}: one restart");
+            assert_eq!(report.total_processed() + report.total_dropped(), t.len() as u64);
+            for (p, r) in report.shards.iter().zip(&reference.shards) {
+                assert_eq!(p.cache, r.cache, "{frame}-record frames: shard {} cache metrics", p.shard);
+            }
+            journals.push(darwin_obs::encode_fleet_events(&handle.journals()));
+        }
+        assert!(
+            journals.windows(2).all(|w| w[0] == w[1]),
+            "{frame}-record frames: journals byte-identical across reruns"
+        );
+    }
+}

@@ -5,9 +5,10 @@
 //!
 //! The runs here manufacture a flash crowd deterministically: scripted
 //! `Delay` faults stall each shard worker early in its stream while a
-//! producer floods frames at memcpy speed, so queue depth punches through
-//! the watermark and the producer-side shed path (`Envelope::shed`) fires
-//! for real. `verify.sh` runs these gates at 1, 2 and 8 shards.
+//! submitter floods requests at memcpy speed, so queue depth punches
+//! through the watermark and the shed path (`Envelope::shed`) fires for
+//! real — through a producer's frames and through the fleet's own
+//! `submit` alike. `verify.sh` runs these gates at 1, 2 and 8 shards.
 
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_shard::{
@@ -76,9 +77,18 @@ impl Drop for CountingEnvelope {
     }
 }
 
-/// Floods a stalled fleet through the producer path and checks the extended
+/// The two ways into a fleet.
+#[derive(Debug, Clone, Copy)]
+enum Front {
+    /// `FleetProducer::submit_frame`, 64 records a frame.
+    Producer,
+    /// `ShardedFleet::submit`, one request at a time.
+    Submitter,
+}
+
+/// Floods a stalled fleet through `front` and checks the extended
 /// conservation law plus the shed journal protocol.
-fn check_shed_conservation(shards: usize) {
+fn check_shed_conservation(shards: usize, front: Front) {
     const WATERMARK: usize = 32;
     let n = 16_000usize;
     let t = trace(n, 11);
@@ -96,7 +106,7 @@ fn check_shed_conservation(shards: usize) {
             .collect(),
     );
     let counts = Arc::new(Counts::default());
-    let fleet: ShardedFleet<StaticDriver, CountingEnvelope> = ShardedFleet::with_fault_plan(
+    let mut fleet: ShardedFleet<StaticDriver, CountingEnvelope> = ShardedFleet::with_fault_plan(
         FleetConfig {
             shards,
             queue_capacity: 128,
@@ -114,16 +124,16 @@ fn check_shed_conservation(shards: usize) {
         plan,
     );
     let metrics = fleet.metrics_handle();
-    let ingest = fleet.ingest();
-    {
-        let mut producer = ingest.producer();
-        for chunk in t.requests().chunks(64) {
-            producer.submit_frame(chunk.iter().map(|req| CountingEnvelope {
-                req: *req,
-                counts: Arc::clone(&counts),
-                answered: false,
-            }));
+    let envelope =
+        |req: &Request| CountingEnvelope { req: *req, counts: Arc::clone(&counts), answered: false };
+    match front {
+        Front::Producer => {
+            let mut producer = fleet.ingest().producer();
+            for chunk in t.requests().chunks(64) {
+                producer.submit_frame(chunk.iter().map(envelope));
+            }
         }
+        Front::Submitter => t.iter().for_each(|req| fleet.submit(envelope(req))),
     }
     let report = fleet.finish();
 
@@ -131,7 +141,7 @@ fn check_shed_conservation(shards: usize) {
     let dropped = counts.dropped.load(Ordering::Relaxed);
     let unavailable = counts.unavailable.load(Ordering::Relaxed);
     let shed = counts.shed.load(Ordering::Relaxed);
-    assert!(shed > 0, "the stall must force real shedding ({shards} shards)");
+    assert!(shed > 0, "the stall must force real shedding ({shards} shards, {front:?})");
     assert_eq!(
         completed + dropped + unavailable + shed,
         n as u64,
@@ -170,17 +180,20 @@ fn check_shed_conservation(shards: usize) {
 
 #[test]
 fn shed_conservation_holds_at_1_shard() {
-    check_shed_conservation(1);
+    check_shed_conservation(1, Front::Producer);
+    check_shed_conservation(1, Front::Submitter);
 }
 
 #[test]
 fn shed_conservation_holds_at_2_shards() {
-    check_shed_conservation(2);
+    check_shed_conservation(2, Front::Producer);
+    check_shed_conservation(2, Front::Submitter);
 }
 
 #[test]
 fn shed_conservation_holds_at_8_shards() {
-    check_shed_conservation(8);
+    check_shed_conservation(8, Front::Producer);
+    check_shed_conservation(8, Front::Submitter);
 }
 
 /// Without a watermark the shed path must stay cold: the historical

@@ -21,8 +21,8 @@ use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, Onl
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, ThresholdPolicy};
 use darwin_nn::TrainConfig;
 use darwin_shard::{
-    partition, run_partition, Backpressure, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter,
-    ShardCheckpoint, ShardedFleet,
+    partition, run_partition, Backpressure, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig,
+    HashRouter, ShardCheckpoint, ShardedFleet,
 };
 use darwin_testbed::{DarwinDriver, StaticDriver};
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
@@ -300,13 +300,13 @@ fn disk_spill_parses_and_restores_after_exit() {
     let shards = 2;
     let trace = test_trace();
     let policy = ThresholdPolicy::new(2, 100 * 1024);
-    let mut fleet = ShardedFleet::with_recovery(
+    let mut fleet = ShardedFleet::with_boot(
         fleet_cfg(shards),
         cache_cfg(),
         Box::new(HashRouter),
         move |_| StaticDriver::new(policy),
         FaultPlan::new(vec![FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::Panic }]),
-        Some(dir.clone()),
+        FleetBoot { checkpoint_dir: Some(dir.clone()), ..FleetBoot::default() },
     );
     fleet.submit_trace(&trace);
     let report = fleet.finish();

@@ -5,7 +5,7 @@
 
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_shard::{
-    Backpressure, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter, ShardedFleet,
+    Backpressure, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig, HashRouter, ShardedFleet,
 };
 use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, TraceGenerator, TrafficClass};
@@ -33,13 +33,13 @@ fn a_vanished_spill_dir_neither_hangs_finish_nor_kills_a_worker() {
         FaultEvent { shard: 1, at: 2_500, kind: FaultKind::CorruptCheckpoint { torn: false } },
         FaultEvent { shard: 0, at: 4_500, kind: FaultKind::Panic },
     ]);
-    let mut fleet = ShardedFleet::with_recovery(
+    let mut fleet = ShardedFleet::with_boot(
         cfg,
         CacheConfig::small_test(),
         Box::new(HashRouter),
         move |_| StaticDriver::new(policy),
         faults,
-        Some(dir.clone()),
+        FleetBoot { checkpoint_dir: Some(dir.clone()), ..FleetBoot::default() },
     );
     std::fs::remove_dir_all(&dir).expect("the fleet created its spill directory");
     fleet.submit_trace(&trace);

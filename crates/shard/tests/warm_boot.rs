@@ -61,13 +61,13 @@ fn first_instance(
     head: &Trace,
 ) -> Vec<darwin_cache::CacheMetrics> {
     let p = policy();
-    let mut fleet = ShardedFleet::with_recovery(
+    let mut fleet = ShardedFleet::with_boot(
         fleet_cfg(shards),
         cache_cfg(),
         Box::new(HashRouter),
         move |_| StaticDriver::new(p),
         FaultPlan::default(),
-        Some(dir.to_path_buf()),
+        FleetBoot { checkpoint_dir: Some(dir.to_path_buf()), ..FleetBoot::default() },
     );
     fleet.submit_trace(head);
     let report = fleet.finish_with_cut(shards);
@@ -182,9 +182,9 @@ fn corrupt_spill_detects_cold_per_shard() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The pre-fix semantics stay pinned for cold constructors: `with_recovery`
-/// clears stale spill files up front, so a rerun never resurrects a previous
-/// run's state.
+/// The pre-fix semantics stay pinned for cold boots: `with_boot` without
+/// `warm_boot` clears stale spill files up front, so a rerun never
+/// resurrects a previous run's state.
 #[test]
 fn cold_constructor_still_clears_stale_spills() {
     let dir = std::env::temp_dir().join(format!("darwin-warm-boot-clear-{}", std::process::id()));
@@ -196,13 +196,13 @@ fn cold_constructor_still_clears_stale_spills() {
     assert!(dir.join("shard-0.ckpt").exists());
 
     let p = policy();
-    let fleet: ShardedFleet<_> = ShardedFleet::with_recovery(
+    let fleet: ShardedFleet<_> = ShardedFleet::with_boot(
         fleet_cfg(shards),
         cache_cfg(),
         Box::new(HashRouter),
         move |_| StaticDriver::new(p),
         FaultPlan::default(),
-        Some(dir.clone()),
+        FleetBoot { checkpoint_dir: Some(dir.clone()), ..FleetBoot::default() },
     );
     let handle = fleet.metrics_handle();
     fleet.finish();
