@@ -20,7 +20,7 @@ use darwin_trace::Request;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// One frame's reply, keyed in the sink by the frame's sequence number.
@@ -143,15 +143,12 @@ impl Drop for SinkGuard {
     }
 }
 
-/// What the writer thread reports back for the gateway's counters.
-pub(crate) struct WriterStats {
-    pub(crate) bytes_out: u64,
-    pub(crate) verdicts_out: u64,
-    /// True when the writer gave up on a stalled client: a reply write sat
-    /// in the socket buffer past the write-stall budget because the peer
-    /// stopped reading. The connection was torn down (slow-client
-    /// eviction).
-    pub(crate) stalled: bool,
+/// The gateway counters the writer publishes to as it writes.
+pub(crate) struct ReplyCounters<'a> {
+    /// Bytes handed to client sockets.
+    pub(crate) bytes_out: &'a AtomicU64,
+    /// Verdicts handed to client sockets.
+    pub(crate) verdicts_out: &'a AtomicU64,
 }
 
 /// The writer loop: drains the sink in sequence order, encoding each run of
@@ -159,28 +156,40 @@ pub(crate) struct WriterStats {
 /// protocol's batched-write path). Exits on sink abort/drain or the first
 /// write error (client disconnected).
 ///
+/// Each run's bytes and verdicts are added to `counters` (one relaxed add
+/// each) just before its write, so a `STATS` snapshot taken after a client
+/// has read a reply — on any connection — already counts that reply. A
+/// write that fails has been counted whole, though the peer may have
+/// received none or part of it.
+///
 /// With `write_stall` set, writes carry a socket timeout: a client that
 /// stops reading replies (slowloris) stalls the write until the OS buffers
-/// fill and the timeout expires, at which point the writer reports
-/// `stalled`, aborts the sink and shuts the whole socket down — which also
+/// fill and the timeout expires, at which point the writer aborts the sink
+/// and shuts the whole socket down — which also
 /// unblocks the reader, so one stuck client cannot pin its connection
 /// threads or grow reply memory forever.
+///
+/// Returns true when the writer gave up on a stalled client: a reply write
+/// sat in the socket buffer past the write-stall budget because the peer
+/// stopped reading, and the connection was torn down (slow-client
+/// eviction).
 pub(crate) fn writer_loop(
     sink: &ConnSink,
     mut stream: TcpStream,
     write_stall: Option<std::time::Duration>,
-) -> WriterStats {
-    let mut stats = WriterStats { bytes_out: 0, verdicts_out: 0, stalled: false };
+    counters: ReplyCounters<'_>,
+) -> bool {
     if write_stall.is_some() {
         let _ = stream.set_write_timeout(write_stall);
     }
     let mut out: Vec<u8> = Vec::with_capacity(64 * 1024);
     while let Some(run) = sink.next_run() {
         out.clear();
+        let mut verdicts = 0u64;
         for reply in run {
             match reply {
                 Reply::Verdicts(bytes) => {
-                    stats.verdicts_out += bytes.len() as u64;
+                    verdicts += bytes.len() as u64;
                     encode_verdict_bytes(&bytes, &mut out);
                 }
                 Reply::Stats(json) => encode(&Message::StatsReply(json), &mut out),
@@ -189,22 +198,25 @@ pub(crate) fn writer_loop(
                 Reply::ShutdownAck => encode(&Message::ShutdownAck, &mut out),
             }
         }
+        counters.bytes_out.fetch_add(out.len() as u64, Ordering::Relaxed);
+        if verdicts > 0 {
+            counters.verdicts_out.fetch_add(verdicts, Ordering::Relaxed);
+        }
         if let Err(e) = stream.write_all(&out) {
-            stats.stalled =
+            let stalled =
                 matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut);
             sink.abort();
-            if stats.stalled {
+            if stalled {
                 // Evict the slow client: closing both directions makes the
                 // reader's next recv fail, tearing the connection down.
                 let _ = stream.shutdown(std::net::Shutdown::Both);
             }
-            return stats;
+            return stalled;
         }
-        stats.bytes_out += out.len() as u64;
     }
     // Drained (or aborted): signal end-of-replies to a still-reading client.
     let _ = stream.shutdown(std::net::Shutdown::Write);
-    stats
+    false
 }
 
 /// Assembles one `GET` frame's `VERDICTS` reply from its records' verdicts,

@@ -26,7 +26,9 @@
 //! blocked. Only a resize holds the lock exclusively — frames and `STATS`
 //! that arrive during one wait out the cutover.
 
-use crate::conn::{writer_loop, ConnSink, GatewayEnvelope, PendingBatch, Reply, SinkGuard};
+use crate::conn::{
+    writer_loop, ConnSink, GatewayEnvelope, PendingBatch, Reply, ReplyCounters, SinkGuard,
+};
 use crate::netfault::{spin, NetFaultKind, NetFaultPlan};
 use crate::wire::{FrameReader, Message, RecvError, WireVerdict};
 use darwin_cache::CacheConfig;
@@ -506,11 +508,13 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
         std::thread::Builder::new()
             .name("gw-write".into())
             .spawn(move || {
-                let stats = writer_loop(&sink, write_half, write_stall);
-                Counters::add(&writer_shared.counters.bytes_out, stats.bytes_out);
-                Counters::add(&writer_shared.counters.verdicts_out, stats.verdicts_out);
-                if stats.stalled {
-                    Counters::add(&writer_shared.counters.slow_closed, 1);
+                let counters = &writer_shared.counters;
+                let replies = ReplyCounters {
+                    bytes_out: &counters.bytes_out,
+                    verdicts_out: &counters.verdicts_out,
+                };
+                if writer_loop(&sink, write_half, write_stall, replies) {
+                    Counters::add(&counters.slow_closed, 1);
                     writer_shared.journal.record(id, EventKind::SlowClientClosed { conn: id });
                 }
             })

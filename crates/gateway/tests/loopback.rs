@@ -290,6 +290,47 @@ fn stats_frame_returns_parseable_snapshot() {
     gateway.finish().expect("clean gateway shutdown");
 }
 
+/// The reply counters are published as each reply is written, not when its
+/// connection closes: a `STATS` on a second connection counts every reply
+/// the first connection has read, while the first is still open.
+#[test]
+fn stats_counts_the_replies_of_a_connection_still_open() {
+    let policy = ThresholdPolicy::new(2, 100 * 1024);
+    let gateway =
+        Gateway::bind("127.0.0.1:0", fleet_cfg(2), cache_cfg(), Box::new(HashRouter), move |_| {
+            StaticDriver::new(policy)
+        })
+        .expect("bind loopback gateway");
+    let addr = gateway.local_addr();
+    let trace = test_trace(640);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut buf = Vec::new();
+    for frame in trace.requests().chunks(64) {
+        encode_get(frame, &mut buf);
+    }
+    stream.write_all(&buf).expect("write frames");
+    let mut reader = FrameReader::new(stream.try_clone().expect("clone stream"));
+    let mut verdicts = 0u64;
+    for _ in 0..trace.len() / 64 {
+        match reader.recv().expect("reply") {
+            Some(Message::Verdicts(vs)) => verdicts += vs.len() as u64,
+            other => panic!("expected verdicts, got {other:?}"),
+        }
+    }
+    assert_eq!(verdicts, trace.len() as u64);
+
+    let json = loadgen::fetch_stats(addr).expect("stats fetch");
+    let gw =
+        FleetMetrics::from_json(&json).expect("stats reply parses").gateway.expect("gateway counters");
+    assert_eq!(gw.connections_active, 2, "the replay connection is still open");
+    assert_eq!(gw.verdicts_out, verdicts);
+    assert_eq!(gw.bytes_out, reader.bytes_read(), "every reply byte the client read is counted");
+    drop((stream, reader));
+    gateway.shutdown();
+    gateway.finish().expect("clean gateway shutdown");
+}
+
 /// `EVENTS` answers with the fleet's per-shard journals: a scripted
 /// mid-run panic must show up as fault-injection, death and restart events
 /// with monotonically increasing sequence stamps, and serving the frame

@@ -249,7 +249,9 @@ pub struct GatewaySnapshot {
     pub frames_rejected: u64,
     /// Requests extracted from `GET` frames and submitted to the fleet.
     pub requests_in: u64,
-    /// Verdicts written back to clients.
+    /// Verdicts written back to clients, counted as each reply write is
+    /// issued: a reply a client has read is always counted, and a write
+    /// that failed counts in full.
     pub verdicts_out: u64,
     /// `STATS` frames served.
     pub stats_served: u64,
@@ -277,7 +279,7 @@ pub struct GatewaySnapshot {
     pub net_faults: u64,
     /// Bytes read off client sockets.
     pub bytes_in: u64,
-    /// Bytes written to client sockets.
+    /// Bytes written to client sockets, counted as `verdicts_out` is.
     pub bytes_out: u64,
 }
 

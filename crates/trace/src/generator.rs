@@ -8,9 +8,9 @@
 
 use crate::class::TrafficClass;
 use crate::request::{ObjectId, Request, Trace};
+use crate::zipf::{ZipfSampler, CACHED_RANKS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rand_distr::Zipf;
 use serde::{Deserialize, Serialize};
 
 /// Number of low bits of an [`ObjectId`] reserved for the per-class object
@@ -99,21 +99,65 @@ impl MixSpec {
 /// object (Zipf over the class catalog with per-class random rank permutation
 /// so two classes' popular objects are unrelated), and the inter-arrival gap
 /// (exponential at the aggregate mix rate).
+///
+/// What depends only on a class and a popularity rank — the Zipf acceptance
+/// ratio, the permuted rank and the object's size — is computed the first
+/// time the rank is drawn and kept for the generator's lifetime, in
+/// per-class tables over the first 2²⁰ ranks; a one-hit wonder's size is
+/// computed per request.
 pub struct TraceGenerator {
     spec: MixSpec,
-    /// Seed for object-size derivation; fixed per generator so re-generating
-    /// with the same seed reproduces the trace exactly.
-    seed: u64,
     rng: SmallRng,
-    zipfs: Vec<Zipf<f64>>,
+    catalogs: Vec<Catalog>,
     cum_shares: Vec<f64>,
     lambda_per_us: f64,
     /// Next fresh one-hit-wonder rank per class (offset past the catalog).
     one_hit_next: Vec<u64>,
 }
 
+/// One class's catalog: its popularity sampler and the objects drawn so far.
+struct Catalog {
+    zipf: ZipfSampler,
+    /// Seed of the rank permutation.
+    permute_seed: u64,
+    /// Seed of the object sizes (one-hit wonders' too); fixed per generator
+    /// so re-generating with the same seed reproduces the trace exactly.
+    size_seed: u64,
+    /// `objects[k]` is `[rank, size]` of the object at 0-based popularity
+    /// rank `k` — its rank after the permutation and its size — for `k`
+    /// below [`CACHED_RANKS`]. A size of 0 marks a rank not yet drawn, so the
+    /// table starts as zeroed pages.
+    objects: Vec<[u64; 2]>,
+}
+
+impl Catalog {
+    /// Draws one catalog object of `class`: its rank and its size.
+    fn draw(&mut self, class: &TrafficClass, rng: &mut SmallRng) -> (u64, u64) {
+        let k = self.zipf.sample(rng) - 1;
+        // A size of 0 (a class whose `min_bytes` is 0) is merely recomputed.
+        if let Some(&[rank, size]) = self.objects.get(k as usize) {
+            if size != 0 {
+                return (rank, size);
+            }
+        }
+        let rank = permute_rank(k, class.num_objects, self.permute_seed);
+        let size = class.object_size(rank, self.size_seed);
+        if let Some(slot) = self.objects.get_mut(k as usize) {
+            *slot = [rank, size];
+        }
+        (rank, size)
+    }
+}
+
 impl TraceGenerator {
     /// Creates a generator for `spec` with the given RNG seed.
+    ///
+    /// # Panics
+    ///
+    /// If a class's `zipf_alpha` is infinite, or so steep that the Zipf
+    /// rejection loop would not finish (rank 1 accepted with probability
+    /// below 10⁻⁶ — `zipf_alpha` above ≈ 25.6 on a catalog of more than one
+    /// object).
     pub fn new(spec: MixSpec, seed: u64) -> Self {
         let shares = spec.normalized_shares();
         let mut cum = 0.0;
@@ -124,20 +168,27 @@ impl TraceGenerator {
                 cum
             })
             .collect();
-        let zipfs = spec
+        let catalogs = spec
             .classes
             .iter()
-            .map(|c| {
-                Zipf::new(c.num_objects.max(1), c.zipf_alpha.max(1e-9)).expect("valid Zipf parameters")
+            .enumerate()
+            .map(|(i, c)| {
+                let n = c.num_objects.max(1);
+                Catalog {
+                    zipf: ZipfSampler::new(n, c.zipf_alpha.max(1e-9))
+                        .unwrap_or_else(|why| panic!("traffic class `{}`: {why}", c.name)),
+                    permute_seed: seed ^ i as u64,
+                    size_seed: seed ^ (i as u64) << 32,
+                    objects: vec![[0; 2]; n.min(CACHED_RANKS) as usize],
+                }
             })
             .collect();
         let lambda_per_us = spec.aggregate_rate_rps() / 1_000_000.0;
         let one_hit_next = spec.classes.iter().map(|c| c.num_objects).collect();
         Self {
             spec,
-            seed,
             rng: SmallRng::seed_from_u64(seed),
-            zipfs,
+            catalogs,
             cum_shares,
             lambda_per_us,
             one_hit_next,
@@ -162,21 +213,19 @@ impl TraceGenerator {
             let class_idx = self.draw_class();
             let class = &self.spec.classes[class_idx];
             // With probability `one_hit_fraction`, mint a brand-new object
-            // (one-hit wonder); otherwise draw from the Zipf catalog.
-            // Zipf gives rank in [1, num_objects]; permute deterministically
-            // per class so popularity order differs between classes/seeds.
-            let rank = if class.one_hit_fraction > 0.0 && self.rng.gen::<f64>() < class.one_hit_fraction
-            {
-                let r = self.one_hit_next[class_idx];
-                self.one_hit_next[class_idx] += 1;
-                r
-            } else {
-                let raw_rank = self.rng.sample(self.zipfs[class_idx]) as u64 - 1;
-                permute_rank(raw_rank, class.num_objects, self.seed ^ class_idx as u64)
-            };
-            let id = object_id(class_idx, rank);
-            let size = class.object_size(rank, self.seed ^ (class_idx as u64) << 32);
-            requests.push(Request::new(id, size, t_us));
+            // (one-hit wonder); otherwise draw from the Zipf catalog, whose
+            // popularity ranks are permuted deterministically per class so
+            // popularity order differs between classes/seeds.
+            let catalog = &mut self.catalogs[class_idx];
+            let (rank, size) =
+                if class.one_hit_fraction > 0.0 && self.rng.gen::<f64>() < class.one_hit_fraction {
+                    let r = self.one_hit_next[class_idx];
+                    self.one_hit_next[class_idx] += 1;
+                    (r, class.object_size(r, catalog.size_seed))
+                } else {
+                    catalog.draw(class, &mut self.rng)
+                };
+            requests.push(Request::new(object_id(class_idx, rank), size, t_us));
         }
         Trace::from_sorted(requests)
     }
@@ -283,6 +332,21 @@ mod tests {
         assert_eq!(sweep.len(), 5);
         assert!((sweep[0].shares[0] - 1.0).abs() < 1e-12);
         assert!(sweep[4].shares[0].abs() < 1e-12);
+    }
+
+    #[test]
+    fn refuses_a_skew_the_rejection_loop_cannot_finish() {
+        let class =
+            |zipf_alpha| TrafficClass { name: "steep".into(), zipf_alpha, ..TrafficClass::download() };
+        for alpha in [50.0, 1000.0, 2000.0] {
+            let refused =
+                std::panic::catch_unwind(|| TraceGenerator::new(MixSpec::single(class(alpha)), 1));
+            let why = refused.err().and_then(|p| p.downcast::<String>().ok()).expect("a panic message");
+            assert!(why.contains("traffic class `steep`") && why.contains("would not finish"), "{why}");
+        }
+        // A steep skew, far above every preset's, still generates.
+        let t = TraceGenerator::new(MixSpec::single(class(16.0)), 1).generate(1000);
+        assert_eq!(t.len(), 1000);
     }
 
     #[test]

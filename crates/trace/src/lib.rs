@@ -36,6 +36,7 @@ pub mod request;
 pub mod scale;
 pub mod stats;
 pub mod window;
+mod zipf;
 
 pub use class::{ClassKind, SizeModel, TrafficClass};
 pub use dynamics::{
