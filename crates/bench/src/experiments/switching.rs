@@ -22,7 +22,7 @@ use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, Onl
 use darwin_cache::CacheConfig;
 use darwin_nn::TrainConfig;
 use darwin_obs::EventKind;
-use darwin_shard::{Backpressure, FleetConfig, HashRouter, ShardedFleet};
+use darwin_shard::{FleetConfig, HashRouter, ShardedFleet};
 use darwin_testbed::DarwinDriver;
 use darwin_trace::{concat_traces, MixSpec, Trace, TraceGenerator, TrafficClass};
 use serde::Serialize;
@@ -146,17 +146,7 @@ pub fn run(scale: &Scale, out: &Path) {
     };
 
     let mut fleet = ShardedFleet::new(
-        FleetConfig {
-            shards: SHARDS,
-            queue_capacity: 8192,
-            batch: 256,
-            backpressure: Backpressure::Block,
-            snapshot_every: None,
-            restart_budget: Default::default(),
-            checkpoint_every: None,
-            shed_watermark: None,
-            replicas: 0,
-        },
+        FleetConfig { shards: SHARDS, queue_capacity: 8192, ..FleetConfig::default() },
         CacheConfig { hoc_bytes: 2 * 1024 * 1024, ..CacheConfig::small_test() },
         Box::new(HashRouter),
         {

@@ -6,11 +6,14 @@
 //!         [--drop-newest] [--hoc-mb N] [--freq F] [--size-kb S]
 //!         [--max-restarts N] [--restart-window N]
 //!         [--checkpoint-every N] [--checkpoint-dir DIR] [--cold-boot]
-//!         [--router ring|hash] [--vnodes N]
+//!         [--router hash|jump]
 //!         [--read-timeout-ms N] [--idle-timeout-ms N]
 //!         [--shed-watermark N] [--conn-rate N] [--write-stall-ms N]
 //!         [--replicas N]
 //! ```
+//!
+//! A flag with a missing or unparsable value, an unknown flag and the
+//! retired `--router ring` exit 2 with a message naming the flag.
 //!
 //! Serves until a client sends `SHUTDOWN` (e.g. `loadgen --shutdown`), then
 //! drains, joins the shard workers and prints the final metrics snapshot.
@@ -25,10 +28,10 @@
 //! `--checkpoint-dir` boots *warm*: each shard restores its spill file
 //! (falling back detected-cold per shard on validation failure) instead of
 //! starting empty. `--cold-boot` restores the old wipe-at-startup
-//! semantics. `--router ring` routes by the consistent-hash ring
-//! (`--vnodes` virtual nodes per shard) so a later fleet at a different
-//! shard count remaps only `|M−N|/max(N,M)` of the keyspace; the default
-//! `hash` router keeps the historical fixed-fleet routing.
+//! semantics. `--router jump` routes by a jump consistent hash, so a later
+//! fleet at a different shard count remaps only `|M−N|/max(N,M)` of the
+//! keyspace; the default `hash` router keeps the historical fixed-fleet
+//! routing.
 //!
 //! Overload control: `--shed-watermark N` sheds whole ingest batches with
 //! `Busy` verdicts while a shard's queue sits at N or more requests
@@ -45,14 +48,16 @@
 //! (`loadgen --resize M`); the `RESIZE_ACK` carries the per-generation
 //! ledger. Surviving shards keep their state (handed over as a delta);
 //! the keyspace the router moves between the two shard counts arrives
-//! cold, so start a gateway that expects resizes with `--router ring`.
+//! cold, so start a gateway that expects resizes with `--router jump`.
 //! With `--checkpoint-dir`, shutdown cuts a final checkpoint per shard for
 //! the next process to warm-boot from.
 
+mod cli;
+
+use cli::{fail, value};
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_gateway::{Gateway, GatewayConfig};
-use darwin_rebalance::{RingRouter, DEFAULT_SEED, DEFAULT_VNODES};
-use darwin_shard::{Backpressure, FleetConfig, HashRouter, RestartBudget, Router};
+use darwin_shard::{Backpressure, FleetConfig, HashRouter, JumpRouter, RestartBudget, Router};
 use darwin_testbed::StaticDriver;
 use std::time::Duration;
 
@@ -68,97 +73,41 @@ fn main() {
     let mut size_kb = 100u64;
     let mut restart_budget = RestartBudget::default();
     let mut checkpoint_every: Option<u64> = None;
-    let mut router = "hash".to_string();
-    let mut vnodes = DEFAULT_VNODES;
+    let mut routing: Box<dyn Router> = Box::new(HashRouter);
     let mut shed_watermark: Option<usize> = None;
     let mut replicas = 0usize;
     let mut gw = GatewayConfig::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = args[i].clone();
-            }
-            "--shards" => {
-                i += 1;
-                shards = args[i].parse().expect("shards");
-            }
-            "--queue" => {
-                i += 1;
-                queue = args[i].parse().expect("queue capacity");
-            }
-            "--batch" => {
-                i += 1;
-                batch = args[i].parse().expect("batch");
-            }
+            "--addr" => addr = value(&args, &mut i),
+            "--shards" => shards = value(&args, &mut i),
+            "--queue" => queue = value(&args, &mut i),
+            "--batch" => batch = value(&args, &mut i),
             "--drop-newest" => backpressure = Backpressure::DropNewest,
-            "--hoc-mb" => {
-                i += 1;
-                hoc_mb = args[i].parse().expect("hoc mb");
-            }
-            "--freq" => {
-                i += 1;
-                freq = args[i].parse().expect("frequency threshold");
-            }
-            "--size-kb" => {
-                i += 1;
-                size_kb = args[i].parse().expect("size threshold kb");
-            }
-            "--max-restarts" => {
-                i += 1;
-                restart_budget.max_restarts = args[i].parse().expect("max restarts");
-            }
-            "--restart-window" => {
-                i += 1;
-                restart_budget.window_requests = args[i].parse().expect("restart window");
-            }
-            "--checkpoint-every" => {
-                i += 1;
-                checkpoint_every = Some(args[i].parse().expect("checkpoint cadence"));
-            }
-            "--checkpoint-dir" => {
-                i += 1;
-                gw.checkpoint_dir = Some(std::path::PathBuf::from(&args[i]));
-            }
+            "--hoc-mb" => hoc_mb = value(&args, &mut i),
+            "--freq" => freq = value(&args, &mut i),
+            "--size-kb" => size_kb = value(&args, &mut i),
+            "--max-restarts" => restart_budget.max_restarts = value(&args, &mut i),
+            "--restart-window" => restart_budget.window_requests = value(&args, &mut i),
+            "--checkpoint-every" => checkpoint_every = Some(value(&args, &mut i)),
+            "--checkpoint-dir" => gw.checkpoint_dir = Some(value(&args, &mut i)),
             "--cold-boot" => gw.warm_boot = false,
             "--router" => {
-                i += 1;
-                router = args[i].clone();
-                assert!(
-                    router == "ring" || router == "hash",
-                    "--router takes ring or hash, got {router:?}"
-                );
+                routing = match value::<String>(&args, &mut i).as_str() {
+                    "hash" => Box::new(HashRouter),
+                    "jump" => Box::new(JumpRouter),
+                    "ring" => fail("--router ring is gone; --router jump keeps its resize guarantees"),
+                    other => fail(&format!("--router takes hash or jump, got {other:?}")),
+                }
             }
-            "--vnodes" => {
-                i += 1;
-                vnodes = args[i].parse().expect("vnodes per shard");
-            }
-            "--read-timeout-ms" => {
-                i += 1;
-                gw.read_timeout = Duration::from_millis(args[i].parse().expect("read timeout ms"));
-            }
-            "--idle-timeout-ms" => {
-                i += 1;
-                gw.idle_timeout = Some(Duration::from_millis(args[i].parse().expect("idle timeout ms")));
-            }
-            "--shed-watermark" => {
-                i += 1;
-                shed_watermark = Some(args[i].parse().expect("shed watermark"));
-            }
-            "--replicas" => {
-                i += 1;
-                replicas = args[i].parse().expect("replicas per shard");
-            }
-            "--conn-rate" => {
-                i += 1;
-                gw.conn_rate = Some(args[i].parse().expect("records per second"));
-            }
-            "--write-stall-ms" => {
-                i += 1;
-                gw.write_stall = Some(Duration::from_millis(args[i].parse().expect("write stall ms")));
-            }
-            other => panic!("unknown arg {other}"),
+            "--read-timeout-ms" => gw.read_timeout = Duration::from_millis(value(&args, &mut i)),
+            "--idle-timeout-ms" => gw.idle_timeout = Some(Duration::from_millis(value(&args, &mut i))),
+            "--shed-watermark" => shed_watermark = Some(value(&args, &mut i)),
+            "--replicas" => replicas = value(&args, &mut i),
+            "--conn-rate" => gw.conn_rate = Some(value(&args, &mut i)),
+            "--write-stall-ms" => gw.write_stall = Some(Duration::from_millis(value(&args, &mut i))),
+            other => fail(&format!("unknown flag {other}")),
         }
         i += 1;
     }
@@ -176,10 +125,6 @@ fn main() {
     };
     let cache = CacheConfig { hoc_bytes: hoc_mb * 1024 * 1024, ..CacheConfig::paper_default() };
     let policy = ThresholdPolicy::new(freq, size_kb * 1024);
-    let routing: Box<dyn Router> = match router.as_str() {
-        "ring" => Box::new(RingRouter::new(DEFAULT_SEED, vnodes)),
-        _ => Box::new(HashRouter),
-    };
     let router_label = routing.label();
     let gateway =
         Gateway::bind_with(addr.as_str(), cfg, cache, routing, gw, move |_| StaticDriver::new(policy))

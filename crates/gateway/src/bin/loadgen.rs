@@ -17,7 +17,12 @@
 //! `--shutdown` then asks the gateway to shut down gracefully. Transport
 //! failures are retried with exponential backoff (`--retries` consecutive
 //! failures before giving up) and reported as typed counters in the summary.
+//! A flag with a missing or unparsable value, or an unknown flag, exits 2
+//! with a message naming the flag.
 
+mod cli;
+
+use cli::{fail, value};
 use darwin_gateway::loadgen;
 use darwin_gateway::LoadgenConfig;
 use darwin_trace::{MixSpec, TraceGenerator, TrafficClass};
@@ -36,55 +41,23 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = args[i].clone();
-            }
-            "--requests" => {
-                i += 1;
-                requests = args[i].parse().expect("requests");
-            }
-            "--connections" => {
-                i += 1;
-                cfg.connections = args[i].parse().expect("connections");
-            }
-            "--batch" => {
-                i += 1;
-                cfg.batch = args[i].parse().expect("batch");
-            }
-            "--window" => {
-                i += 1;
-                cfg.window = args[i].parse().expect("window");
-            }
-            "--seed" => {
-                i += 1;
-                seed = args[i].parse().expect("seed");
-            }
-            "--retries" => {
-                i += 1;
-                cfg.retries = args[i].parse().expect("retries");
-            }
-            "--backoff-ms" => {
-                i += 1;
-                cfg.backoff = Duration::from_millis(args[i].parse().expect("backoff ms"));
-            }
-            "--backoff-cap-ms" => {
-                i += 1;
-                cfg.backoff_cap = Duration::from_millis(args[i].parse().expect("backoff cap ms"));
-            }
+            "--addr" => addr = value(&args, &mut i),
+            "--requests" => requests = value(&args, &mut i),
+            "--connections" => cfg.connections = value(&args, &mut i),
+            "--batch" => cfg.batch = value(&args, &mut i),
+            "--window" => cfg.window = value(&args, &mut i),
+            "--seed" => seed = value(&args, &mut i),
+            "--retries" => cfg.retries = value(&args, &mut i),
+            "--backoff-ms" => cfg.backoff = Duration::from_millis(value(&args, &mut i)),
+            "--backoff-cap-ms" => cfg.backoff_cap = Duration::from_millis(value(&args, &mut i)),
             "--read-timeout-ms" => {
-                i += 1;
-                cfg.read_timeout =
-                    Some(Duration::from_millis(args[i].parse().expect("read timeout ms")));
+                cfg.read_timeout = Some(Duration::from_millis(value(&args, &mut i)));
             }
-            "--resize" => {
-                i += 1;
-                resize = Some(args[i].parse().expect("resize target shards"));
-            }
+            "--resize" => resize = Some(value(&args, &mut i)),
             "--stats" => stats = true,
             "--events" => events = true,
             "--shutdown" => shutdown = true,
-            other => panic!("unknown arg {other}"),
+            other => fail(&format!("unknown flag {other}")),
         }
         i += 1;
     }

@@ -578,18 +578,14 @@ fn pipelined_mixed_frames_reply_in_order() {
 /// exactly-once conservation ledger holds across the cutover.
 #[test]
 fn resize_frame_reshards_a_ring_gateway() {
-    use darwin_rebalance::{RingRouter, DEFAULT_SEED, DEFAULT_VNODES};
+    use darwin_shard::JumpRouter;
 
     let policy = ThresholdPolicy::new(2, 100 * 1024);
     // Periodic cuts give the handoff a pre-copied base to delta against.
     let cfg = FleetConfig { checkpoint_every: Some(512), ..fleet_cfg(2) };
-    let gateway = Gateway::bind(
-        "127.0.0.1:0",
-        cfg,
-        cache_cfg(),
-        Box::new(RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES)),
-        move |_| StaticDriver::new(policy),
-    )
+    let gateway = Gateway::bind("127.0.0.1:0", cfg, cache_cfg(), Box::new(JumpRouter), move |_| {
+        StaticDriver::new(policy)
+    })
     .expect("bind loopback gateway");
     let addr = gateway.local_addr();
 

@@ -12,7 +12,7 @@ use darwin_gateway::{
     loadgen, Gateway, GatewayConfig, LoadgenConfig, VerdictOutcome, GATEWAY_JOURNAL_SHARD,
 };
 use darwin_obs::{encode_fleet_events, EventKind};
-use darwin_shard::{Backpressure, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter};
+use darwin_shard::{FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter};
 use darwin_testbed::{AdmissionDriver, StaticDriver};
 use darwin_trace::{
     compress_window, flash_crowd, popularity_inversion, MixSpec, Request, Trace, TraceGenerator,
@@ -24,17 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 fn fleet_cfg(shards: usize) -> FleetConfig {
-    FleetConfig {
-        shards,
-        queue_capacity: 256,
-        batch: 64,
-        backpressure: Backpressure::Block,
-        snapshot_every: None,
-        restart_budget: Default::default(),
-        checkpoint_every: None,
-        shed_watermark: None,
-        replicas: 0,
-    }
+    FleetConfig { shards, queue_capacity: 256, batch: 64, ..FleetConfig::default() }
 }
 
 fn test_trace(n: usize, seed: u64) -> Trace {

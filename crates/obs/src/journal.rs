@@ -139,13 +139,15 @@ pub enum EventKind {
         /// The router generation now serving.
         generation: u32,
     },
-    /// The consistent-hash ring was rebuilt for a new shard count.
+    /// The fleet was resized to a new shard count. The name and codec tag
+    /// date from the consistent-hash ring router; they stay so journal
+    /// bytes do not change.
     RingResize {
         /// Shard count before the resize.
         from_shards: u32,
         /// Shard count after the resize.
         to_shards: u32,
-        /// The router generation serving the new ring.
+        /// The router generation serving the new shard count.
         generation: u32,
     },
     /// The shard's queue depth crossed its shed watermark: producers start

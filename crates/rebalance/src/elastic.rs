@@ -20,11 +20,11 @@
 //! (a row delta against the shard's last periodic checkpoint when one
 //! exists), and boots generation `g+1` with those frames as warm seeds.
 //! Keyspace slices that *move* between shards arrive cold by design: a
-//! [`RingRouter`](crate::RingRouter) bounds them to `|M−N|/max(N,M)` of the
-//! keyspace, which is exactly the bounded post-resize hit-ratio dip
+//! [`JumpRouter`](darwin_shard::JumpRouter) bounds them to `|M−N|/max(N,M)`
+//! of the keyspace, which is exactly the bounded post-resize hit-ratio dip
 //! `tests/resize.rs::hit_ratio_dip_recovers_within_one_checkpoint_window`
 //! measures. Any [`Router`] works — `route(id, shards)` takes the
-//! shard count — the ring only keeps the moved slice small.
+//! shard count — the jump hash only keeps the moved slice small.
 
 use darwin_cache::CacheConfig;
 use darwin_ckpt::replica::{AppliedCut, CutError, CutFrame, CutRole, Held};

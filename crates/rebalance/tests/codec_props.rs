@@ -9,8 +9,8 @@
 //! byte, rebuilt in no more than `base + wire` bytes.
 
 use darwin_cache::{CacheConfig, CacheServer, ThresholdPolicy};
+use darwin_ckpt::replica::{CutError, CutFrame, CutPayload, CutRole, Held, CUT_MAGIC, CUT_VERSION};
 use darwin_ckpt::{seal, CkptError, Dec, Enc};
-use darwin_rebalance::{CutError, CutFrame, CutPayload, CutRole, Held, CUT_MAGIC, CUT_VERSION};
 use darwin_shard::{ShardCheckpoint, CKPT_MAGIC, CKPT_VERSION};
 use darwin_trace::Request;
 use proptest::prelude::*;

@@ -9,12 +9,10 @@
 //! hit ratio within one fleet-wide checkpoint window of each resize.
 
 use darwin_cache::{CacheConfig, ThresholdPolicy};
-use darwin_rebalance::{
-    ElasticFleet, ResizeRefused, RingRouter, DEFAULT_SEED, DEFAULT_VNODES, MAX_SHARDS,
-};
+use darwin_rebalance::{ElasticFleet, ResizeRefused, MAX_SHARDS};
 use darwin_shard::{
-    Backpressure, EventKind, FaultEvent, FaultKind, FaultPlan, FleetConfig, MetricsHandle, Router,
-    ShardPhase,
+    Backpressure, EventKind, FaultEvent, FaultKind, FaultPlan, FleetConfig, JumpRouter, MetricsHandle,
+    Router, ShardPhase,
 };
 use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};
@@ -65,7 +63,7 @@ fn elastic_faulty(
     ElasticFleet::new(
         cfg,
         cache_cfg(),
-        Box::new(RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES)),
+        Box::new(JumpRouter),
         move |_| StaticDriver::new(policy),
         fault,
         dir,
@@ -208,7 +206,7 @@ fn hit_ratio_dip_recovers_within_one_checkpoint_window() {
     let fleet = ElasticFleet::new(
         FleetConfig { checkpoint_every: Some(WINDOW), ..fleet_cfg(4) },
         CacheConfig { hoc_bytes: 16 * 1024 * 1024, ..cache_cfg() },
-        Box::new(RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES)),
+        Box::new(JumpRouter),
         move |_| StaticDriver::new(policy),
         FaultPlan::default(),
         None,
@@ -475,10 +473,9 @@ fn hostile_resize_targets_are_refused_and_leave_the_fleet_serving() {
 fn a_damaged_base_ships_full_and_a_damaged_final_cut_boots_cold() {
     let trace = test_trace(12_000);
     let fs = frames(&trace, 1_000);
-    let ring = RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES);
     let mut routed = [0u64; 2];
     for req in fs[..6].iter().flatten() {
-        routed[ring.route(req.id, 2)] += 1;
+        routed[JumpRouter.route(req.id, 2)] += 1;
     }
     assert!(
         routed.iter().all(|n| n % CKPT_EVERY != 0),

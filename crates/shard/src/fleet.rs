@@ -1511,7 +1511,7 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
 mod tests {
     use super::*;
     use crate::fault::FaultEvent;
-    use crate::router::{HashRouter, ModuloRouter};
+    use crate::router::HashRouter;
     use darwin_cache::ThresholdPolicy;
     use darwin_testbed::StaticDriver;
     use darwin_trace::{MixSpec, TraceGenerator, TrafficClass};
@@ -1530,15 +1530,10 @@ mod tests {
     fn fleet_processes_every_request_under_block() {
         let t = trace(20_000, 3);
         let mut fleet = static_fleet(FleetConfig {
-            shards: 4,
             queue_capacity: 64,
             batch: 16,
-            backpressure: Backpressure::Block,
             snapshot_every: Some(5_000),
-            restart_budget: RestartBudget::default(),
-            checkpoint_every: None,
-            shed_watermark: None,
-            replicas: 0,
+            ..FleetConfig::default()
         });
         fleet.submit_trace(&t);
         let report = fleet.finish();
@@ -1569,11 +1564,7 @@ mod tests {
             queue_capacity: 8,
             batch: 512,
             backpressure: Backpressure::DropNewest,
-            snapshot_every: None,
-            restart_budget: RestartBudget::default(),
-            checkpoint_every: None,
-            shed_watermark: None,
-            replicas: 0,
+            ..FleetConfig::default()
         });
         fleet.submit_trace(&t);
         let report = fleet.finish();
@@ -1631,16 +1622,22 @@ mod tests {
         let mut fleet = ShardedFleet::new(
             FleetConfig::with_shards(4),
             CacheConfig::small_test(),
-            Box::new(ModuloRouter),
+            Box::new(HashRouter),
             |_| StaticDriver::new(ThresholdPolicy::new(1, 100 * 1024)),
         );
         fleet.submit_trace(&t);
         let report = fleet.finish();
-        // Every shard saw work (modulo over dense generator IDs), and the
-        // shard request counts sum to the trace.
-        assert_eq!(report.shards.iter().map(|s| s.cache.requests).sum::<u64>(), 10_000);
-        assert!(report.shards.iter().all(|s| s.cache.requests > 0));
-        assert_eq!(report.router, "modulo");
+        // Each shard served exactly the requests the router sends it, and
+        // every shard saw work.
+        let mut routed = [0u64; 4];
+        for req in t.iter() {
+            routed[HashRouter.route(req.id, 4)] += 1;
+        }
+        for (s, shard) in report.shards.iter().enumerate() {
+            assert_eq!(shard.cache.requests, routed[s], "shard {s}");
+            assert!(shard.cache.requests > 0);
+        }
+        assert_eq!(report.router, "hash");
     }
 
     #[test]
@@ -1809,17 +1806,8 @@ mod tests {
         // Four producer threads split one trace; every request must be
         // answered exactly once and the fleet-wide totals must balance.
         let t = trace(24_000, 61);
-        let fleet = static_fleet(FleetConfig {
-            shards: 4,
-            queue_capacity: 128,
-            batch: 32,
-            backpressure: Backpressure::Block,
-            snapshot_every: None,
-            restart_budget: RestartBudget::default(),
-            checkpoint_every: None,
-            shed_watermark: None,
-            replicas: 0,
-        });
+        let fleet =
+            static_fleet(FleetConfig { queue_capacity: 128, batch: 32, ..FleetConfig::default() });
         let ingest = fleet.ingest();
         std::thread::scope(|scope| {
             for chunk in t.requests().chunks(6_000) {
@@ -1849,14 +1837,8 @@ mod tests {
         let t = trace(1_000, 13);
         let fleet = static_fleet(FleetConfig {
             shards: 2,
-            queue_capacity: 4096,
             batch: 100_000, // never reaches the flush threshold on its own
-            backpressure: Backpressure::Block,
-            snapshot_every: None,
-            restart_budget: RestartBudget::default(),
-            checkpoint_every: None,
-            shed_watermark: None,
-            replicas: 0,
+            ..FleetConfig::default()
         });
         {
             let mut producer = fleet.ingest().producer();

@@ -92,6 +92,6 @@ pub use metrics::{
 };
 pub use queue::{channel, Consumer, Producer, QueueGauges};
 pub use replay::{partition, run_partition, run_sequential, ShardRun};
-pub use router::{mix64, HashRouter, ModuloRouter, Router};
+pub use router::{mix64, HashRouter, JumpRouter, Router};
 pub use standby::{FeedOutcome, StandbySlot};
 pub use supervisor::{RestartBudget, Supervisor, SupervisorVerdict};

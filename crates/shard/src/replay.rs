@@ -106,7 +106,7 @@ pub fn run_sequential<D: AdmissionDriver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::{HashRouter, ModuloRouter};
+    use crate::router::HashRouter;
     use darwin_cache::ThresholdPolicy;
     use darwin_testbed::StaticDriver;
     use darwin_trace::{MixSpec, TraceGenerator, TrafficClass};
@@ -134,7 +134,8 @@ mod tests {
     #[test]
     fn one_shard_partition_is_the_trace() {
         let t = trace(2_000, 2);
-        let parts = partition(&t, &ModuloRouter, 1);
+        assert!(t.iter().all(|r| HashRouter.route(r.id, 1) == 0));
+        let parts = partition(&t, &HashRouter, 1);
         assert_eq!(parts[0], t);
     }
 

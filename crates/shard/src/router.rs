@@ -8,9 +8,11 @@
 //! partition of a trace is reproducible by anyone holding the router.
 //!
 //! [`HashRouter`] is the production default (an avalanching 64-bit mix, so
-//! adjacent IDs scatter). The trait is the seam where locality- or
-//! load-aware placement plugs in later; [`ModuloRouter`] exists mainly to
-//! prove the seam works and for tests that want a predictable mapping.
+//! adjacent IDs scatter). [`JumpRouter`] is the router for a fleet that
+//! resizes: a jump consistent hash over the same mix, so growing or
+//! shrinking by the highest shard indices moves only the objects that must
+//! move. The trait is the seam where locality- or load-aware placement
+//! plugs in later.
 
 use darwin_trace::ObjectId;
 
@@ -42,7 +44,7 @@ impl<R: Router + ?Sized> Router for std::sync::Arc<R> {
 pub struct HashRouter;
 
 /// The 64-bit avalanche mix the hash router scatters IDs with: the
-/// SplitMix64 finalizer. The ring router's points and keys and
+/// SplitMix64 finalizer. [`JumpRouter`]'s keys and
 /// [`FaultPlan::random`](crate::FaultPlan::random)'s draws use it too.
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
@@ -66,21 +68,35 @@ impl Router for HashRouter {
     }
 }
 
-/// Plain `id % shards` partitioning: predictable, but trace generators that
-/// namespace IDs by class in the high bits make it badly skewed — use it for
-/// tests, not serving.
+/// Jump consistent hash (Lamping & Veach, "A Fast, Minimal Memory,
+/// Consistent Hash Algorithm", 2014) over [`mix64`]: no table, no seed, no
+/// state. Going from `n` to `n + 1` shards, an object either keeps its
+/// shard or moves to shard `n`. So a resize that adds or retires the
+/// highest indices moves only what it must: growing `N → M`, an object
+/// keeps its owner or moves to a new shard in `N..M`; shrinking, every
+/// object on a surviving shard stays put. Either way about
+/// `|M − N| / max(N, M)` of the keyspace moves.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ModuloRouter;
+pub struct JumpRouter;
 
-impl Router for ModuloRouter {
+impl Router for JumpRouter {
     #[inline]
     fn route(&self, id: ObjectId, shards: usize) -> usize {
         debug_assert!(shards > 0, "fleet has at least one shard");
-        (id % shards as u64) as usize
+        let mut key = mix64(id);
+        let (mut b, mut j) = (0u64, 0u64);
+        // Each step draws the next shard count at which this object jumps,
+        // from the paper's 64-bit LCG; the last jump below `shards` owns it.
+        while j < shards as u64 {
+            b = j;
+            key = key.wrapping_mul(2_862_933_555_777_941_757).wrapping_add(1);
+            j = ((b + 1) as f64 * ((1u64 << 31) as f64 / ((key >> 33) + 1) as f64)) as u64;
+        }
+        b as usize
     }
 
     fn label(&self) -> String {
-        "modulo".into()
+        "jump".into()
     }
 }
 
@@ -100,18 +116,28 @@ mod tests {
     }
 
     #[test]
+    fn jump_routes_are_pure_and_in_range() {
+        for shards in [1usize, 2, 3, 8, 16, 256] {
+            for id in 0..2_000u64 {
+                let s = JumpRouter.route(id, shards);
+                assert!(s < shards);
+                assert_eq!(s, JumpRouter.route(id, shards), "routing must be pure");
+            }
+        }
+    }
+
+    #[test]
     fn single_shard_gets_everything() {
         for id in [0u64, 1, u64::MAX, 0xDEAD_BEEF] {
             assert_eq!(HashRouter.route(id, 1), 0);
-            assert_eq!(ModuloRouter.route(id, 1), 0);
+            assert_eq!(JumpRouter.route(id, 1), 0);
         }
     }
 
     #[test]
     fn hash_router_balances_sequential_ids() {
         // Sequential IDs (the generator's common case) must spread close to
-        // uniformly — the property ModuloRouter lacks once IDs are
-        // namespaced.
+        // uniformly.
         let shards = 8;
         let mut counts = vec![0usize; shards];
         for id in 0..80_000u64 {
@@ -128,9 +154,9 @@ mod tests {
 
     #[test]
     fn routers_are_object_safe() {
-        let routers: Vec<Box<dyn Router>> = vec![Box::new(HashRouter), Box::new(ModuloRouter)];
+        let routers: Vec<Box<dyn Router>> = vec![Box::new(HashRouter), Box::new(JumpRouter)];
         assert_eq!(routers[0].label(), "hash");
-        assert_eq!(routers[1].label(), "modulo");
+        assert_eq!(routers[1].label(), "jump");
         for r in &routers {
             assert!(r.route(42, 4) < 4);
         }

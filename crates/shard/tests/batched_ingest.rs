@@ -14,9 +14,7 @@
 use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, OnlineConfig};
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_nn::TrainConfig;
-use darwin_shard::{
-    partition, run_sequential, Backpressure, FleetConfig, FleetReport, HashRouter, ShardedFleet,
-};
+use darwin_shard::{partition, run_sequential, FleetConfig, FleetReport, HashRouter, ShardedFleet};
 use darwin_testbed::{DarwinDriver, StaticDriver};
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
 use proptest::prelude::*;
@@ -31,17 +29,7 @@ fn static_driver(_shard: usize) -> StaticDriver {
 }
 
 fn fleet_cfg(shards: usize, queue: usize, batch: usize) -> FleetConfig {
-    FleetConfig {
-        shards,
-        queue_capacity: queue,
-        batch,
-        backpressure: Backpressure::Block,
-        snapshot_every: None,
-        restart_budget: Default::default(),
-        checkpoint_every: None,
-        shed_watermark: None,
-        replicas: 0,
-    }
+    FleetConfig { shards, queue_capacity: queue, batch, ..FleetConfig::default() }
 }
 
 /// Drives `t` through a fleet with `producers` concurrent [`FleetIngest`]

@@ -74,11 +74,8 @@ fn check_conservation(shards: usize, plan: FaultPlan, budget: RestartBudget, bp:
             queue_capacity: 128,
             batch: 32,
             backpressure: bp,
-            snapshot_every: None,
             restart_budget: budget,
-            checkpoint_every: None,
-            shed_watermark: None,
-            replicas: 0,
+            ..FleetConfig::default()
         },
         CacheConfig::small_test(),
         Box::new(HashRouter),
@@ -151,17 +148,7 @@ fn empty_fault_plan_is_bitwise_identical_to_sequential_replay() {
     let t = trace(30_000, 4242);
     for &shards in &[1usize, 2, 8] {
         let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
-            FleetConfig {
-                shards,
-                queue_capacity: 64,
-                batch: 16,
-                backpressure: Backpressure::Block,
-                snapshot_every: None,
-                restart_budget: RestartBudget::default(),
-                checkpoint_every: None,
-                shed_watermark: None,
-                replicas: 0,
-            },
+            FleetConfig { shards, queue_capacity: 64, batch: 16, ..FleetConfig::default() },
             CacheConfig::small_test(),
             Box::new(HashRouter),
             driver,
@@ -197,12 +184,8 @@ fn fault_runs_reproduce_bit_for_bit() {
                 shards: 2,
                 queue_capacity: 128,
                 batch: 32,
-                backpressure: Backpressure::Block,
-                snapshot_every: None,
                 restart_budget: RestartBudget { max_restarts: 1, window_requests: 100_000 },
-                checkpoint_every: None,
-                shed_watermark: None,
-                replicas: 0,
+                ..FleetConfig::default()
             },
             CacheConfig::small_test(),
             Box::new(HashRouter),
@@ -244,17 +227,7 @@ fn stall_faults_are_result_invisible() {
     let t = trace(8_000, 5);
     let run = |plan: FaultPlan| {
         let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
-            FleetConfig {
-                shards: 2,
-                queue_capacity: 64,
-                batch: 16,
-                backpressure: Backpressure::Block,
-                snapshot_every: None,
-                restart_budget: RestartBudget::default(),
-                checkpoint_every: None,
-                shed_watermark: None,
-                replicas: 0,
-            },
+            FleetConfig { shards: 2, queue_capacity: 64, batch: 16, ..FleetConfig::default() },
             CacheConfig::small_test(),
             Box::new(HashRouter),
             driver,
@@ -293,12 +266,8 @@ fn mid_batch_panic_publishes_exactly_the_processed_requests() {
             shards: 1,
             queue_capacity: 128,
             batch: BATCH,
-            backpressure: Backpressure::Block,
-            snapshot_every: None,
             restart_budget: RestartBudget { max_restarts: 0, window_requests: 100_000 },
-            checkpoint_every: None,
-            shed_watermark: None,
-            replicas: 0,
+            ..FleetConfig::default()
         },
         CacheConfig::small_test(),
         Box::new(HashRouter),

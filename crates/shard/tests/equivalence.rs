@@ -11,7 +11,7 @@
 use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, OnlineConfig};
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_nn::TrainConfig;
-use darwin_shard::{run_sequential, Backpressure, FleetConfig, HashRouter, ShardedFleet};
+use darwin_shard::{run_sequential, FleetConfig, HashRouter, ShardedFleet};
 use darwin_testbed::{DarwinDriver, StaticDriver};
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
 use std::sync::{Arc, OnceLock};
@@ -81,17 +81,7 @@ fn check_darwin_equivalence(shards: usize) {
 
     // Threaded fleet over small queues (so backpressure actually engages).
     let mut fleet = ShardedFleet::new(
-        FleetConfig {
-            shards,
-            queue_capacity: 256,
-            batch: 64,
-            backpressure: Backpressure::Block,
-            snapshot_every: None,
-            restart_budget: Default::default(),
-            checkpoint_every: None,
-            shed_watermark: None,
-            replicas: 0,
-        },
+        FleetConfig { shards, queue_capacity: 256, batch: 64, ..FleetConfig::default() },
         cache_cfg(),
         Box::new(HashRouter),
         {
@@ -161,12 +151,8 @@ fn static_fleet_equivalent_at_8_shards_long_trace() {
             shards: 8,
             queue_capacity: 32,
             batch: 16,
-            backpressure: Backpressure::Block,
             snapshot_every: Some(25_000),
-            restart_budget: Default::default(),
-            checkpoint_every: None,
-            shed_watermark: None,
-            replicas: 0,
+            ..FleetConfig::default()
         },
         CacheConfig::small_test(),
         Box::new(HashRouter),

@@ -22,8 +22,8 @@ use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_nn::TrainConfig;
 use darwin_obs::EventKind;
 use darwin_shard::{
-    partition, run_partition, Backpressure, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter,
-    RestartBudget, ShardedFleet,
+    partition, run_partition, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter, RestartBudget,
+    ShardedFleet,
 };
 use darwin_testbed::{DarwinDriver, StaticDriver};
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
@@ -103,12 +103,10 @@ fn fleet_cfg(shards: usize) -> FleetConfig {
         shards,
         queue_capacity: 256,
         batch: 64,
-        backpressure: Backpressure::Block,
-        snapshot_every: None,
         restart_budget: RestartBudget { max_restarts: 1, window_requests: 100_000 },
         checkpoint_every: Some(CKPT_EVERY),
-        shed_watermark: None,
         replicas: 1,
+        ..FleetConfig::default()
     }
 }
 

@@ -15,7 +15,7 @@ use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_nn::TrainConfig;
 use darwin_obs::{encode_fleet_events, EventKind, JournalSnapshot};
 use darwin_shard::{
-    Backpressure, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter, RestartBudget, ShardedFleet,
+    FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter, RestartBudget, ShardedFleet,
 };
 use darwin_testbed::{DarwinDriver, StaticDriver};
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
@@ -46,12 +46,9 @@ fn static_run(shards: usize) -> (Vec<u8>, Vec<(u32, JournalSnapshot)>) {
             shards,
             queue_capacity: 128,
             batch: 32,
-            backpressure: Backpressure::Block,
-            snapshot_every: None,
             restart_budget: RestartBudget { max_restarts: 2, window_requests: 100_000 },
             checkpoint_every: Some(512),
-            shed_watermark: None,
-            replicas: 0,
+            ..FleetConfig::default()
         },
         CacheConfig::small_test(),
         Box::new(HashRouter),
@@ -99,12 +96,10 @@ fn failover_run(shards: usize) -> (Vec<u8>, Vec<(u32, JournalSnapshot)>) {
             shards,
             queue_capacity: 128,
             batch: 32,
-            backpressure: Backpressure::Block,
-            snapshot_every: None,
             restart_budget: RestartBudget { max_restarts: 1, window_requests: 100_000 },
             checkpoint_every: Some(256),
-            shed_watermark: None,
             replicas: 1,
+            ..FleetConfig::default()
         },
         CacheConfig::small_test(),
         Box::new(HashRouter),
@@ -222,17 +217,7 @@ fn darwin_run() -> (Vec<u8>, Vec<(u32, JournalSnapshot)>) {
         ..OnlineConfig::default()
     };
     let mut fleet = ShardedFleet::new(
-        FleetConfig {
-            shards: 2,
-            queue_capacity: 256,
-            batch: 64,
-            backpressure: Backpressure::Block,
-            snapshot_every: None,
-            restart_budget: Default::default(),
-            checkpoint_every: None,
-            shed_watermark: None,
-            replicas: 0,
-        },
+        FleetConfig { shards: 2, queue_capacity: 256, batch: 64, ..FleetConfig::default() },
         CacheConfig { hoc_bytes: 2 * 1024 * 1024, ..CacheConfig::small_test() },
         Box::new(HashRouter),
         {

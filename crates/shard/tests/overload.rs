@@ -12,8 +12,8 @@
 
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_shard::{
-    Backpressure, Envelope, EventKind, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter,
-    ShardedFleet, Verdict,
+    Envelope, EventKind, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter, ShardedFleet,
+    Verdict,
 };
 use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};
@@ -111,12 +111,8 @@ fn check_shed_conservation(shards: usize, front: Front) {
             shards,
             queue_capacity: 128,
             batch: 32,
-            backpressure: Backpressure::Block,
-            snapshot_every: None,
-            restart_budget: Default::default(),
-            checkpoint_every: None,
             shed_watermark: Some(WATERMARK),
-            replicas: 0,
+            ..FleetConfig::default()
         },
         CacheConfig::small_test(),
         Box::new(HashRouter),
@@ -204,17 +200,7 @@ fn no_watermark_means_no_shedding() {
     let t = trace(n, 13);
     let counts = Arc::new(Counts::default());
     let fleet: ShardedFleet<StaticDriver, CountingEnvelope> = ShardedFleet::new(
-        FleetConfig {
-            shards: 2,
-            queue_capacity: 128,
-            batch: 32,
-            backpressure: Backpressure::Block,
-            snapshot_every: None,
-            restart_budget: Default::default(),
-            checkpoint_every: None,
-            shed_watermark: None,
-            replicas: 0,
-        },
+        FleetConfig { shards: 2, queue_capacity: 128, batch: 32, ..FleetConfig::default() },
         CacheConfig::small_test(),
         Box::new(HashRouter),
         driver,

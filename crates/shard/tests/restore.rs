@@ -21,8 +21,8 @@ use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, Onl
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, ThresholdPolicy};
 use darwin_nn::TrainConfig;
 use darwin_shard::{
-    partition, run_partition, Backpressure, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig,
-    HashRouter, ShardCheckpoint, ShardedFleet,
+    partition, run_partition, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig, HashRouter,
+    ShardCheckpoint, ShardedFleet,
 };
 use darwin_testbed::{DarwinDriver, StaticDriver};
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
@@ -97,12 +97,8 @@ fn fleet_cfg(shards: usize) -> FleetConfig {
         shards,
         queue_capacity: 256,
         batch: 64,
-        backpressure: Backpressure::Block,
-        snapshot_every: None,
-        restart_budget: Default::default(),
         checkpoint_every: Some(CKPT_EVERY),
-        shed_watermark: None,
-        replicas: 0,
+        ..FleetConfig::default()
     }
 }
 

@@ -12,8 +12,8 @@ use darwin_cache::{CacheConfig, CacheServer, ThresholdPolicy};
 use darwin_ckpt::rows::Table;
 use darwin_ckpt::{open, seal, CkptError, Enc};
 use darwin_shard::{
-    partition, run_partition, Backpressure, EventKind, FaultPlan, FleetBoot, FleetConfig, HashRouter,
-    ShardCheckpoint, ShardedFleet, CKPT_MAGIC, CKPT_VERSION,
+    partition, run_partition, EventKind, FaultPlan, FleetBoot, FleetConfig, HashRouter, ShardCheckpoint,
+    ShardedFleet, CKPT_MAGIC, CKPT_VERSION,
 };
 use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
@@ -29,12 +29,8 @@ fn fleet_cfg(shards: usize) -> FleetConfig {
         shards,
         queue_capacity: 256,
         batch: 64,
-        backpressure: Backpressure::Block,
-        snapshot_every: None,
-        restart_budget: Default::default(),
         checkpoint_every: Some(CKPT_EVERY),
-        shed_watermark: None,
-        replicas: 0,
+        ..FleetConfig::default()
     }
 }
 
