@@ -8,7 +8,8 @@
 //! (f, s − Δs)."
 //!
 //! The shadow caches are the approach's memory cost (R4 in §3.2.1) — here
-//! they are HOC-only simulators fed the same request stream.
+//! they are the two lanes of one HOC-only simulator fed the same request
+//! stream.
 
 use darwin_cache::{
     CacheConfig, CacheMetrics, CacheServer, EvictionKind, HocSim, Objective, ThresholdPolicy,
@@ -48,19 +49,19 @@ impl HillClimbing {
         let mut direction: i64 = 1;
         let (pf, ps) = self.probe_policies(current, direction);
         // Shadows persist across windows (warm caches, like the main cache);
-        // only their policies change between windows.
-        let mut shadow_f = HocSim::new(cache.hoc_bytes, EvictionKind::Lru, pf);
-        let mut shadow_s = HocSim::new(cache.hoc_bytes, EvictionKind::Lru, ps);
+        // only their policies change between windows. Lane `F` probes the
+        // frequency knob, lane `S` the size knob.
+        const F: usize = 0;
+        const S: usize = 1;
+        let mut shadows = HocSim::bank([pf, ps].map(|p| (cache.hoc_bytes, EvictionKind::Lru, p)));
 
         let mut main_snapshot = main.metrics();
-        let mut shadow_f_snapshot = shadow_f.metrics();
-        let mut shadow_s_snapshot = shadow_s.metrics();
+        let mut shadow_snapshots = [shadows.metrics(F), shadows.metrics(S)];
         let mut seen = 0usize;
 
         for r in trace {
             main.process(r);
-            shadow_f.process(r);
-            shadow_s.process(r);
+            shadows.process(r);
             seen += 1;
             if seen < self.window {
                 continue;
@@ -68,15 +69,15 @@ impl HillClimbing {
             seen = 0;
 
             let rm = self.objective.reward(&main.metrics().diff(&main_snapshot));
-            let rf = self.objective.reward(&shadow_f.metrics().diff(&shadow_f_snapshot));
-            let rs = self.objective.reward(&shadow_s.metrics().diff(&shadow_s_snapshot));
+            let rf = self.objective.reward(&shadows.metrics(F).diff(&shadow_snapshots[F]));
+            let rs = self.objective.reward(&shadows.metrics(S).diff(&shadow_snapshots[S]));
 
             let moved = if rf > rm && rf >= rs {
-                current = shadow_f.policy();
+                current = shadows.policy(F);
                 main.set_policy(current);
                 true
             } else if rs > rm && rs > rf {
-                current = shadow_s.policy();
+                current = shadows.policy(S);
                 main.set_policy(current);
                 true
             } else {
@@ -89,12 +90,11 @@ impl HillClimbing {
                 direction = -direction; // flip probes (paper: try f−Δf, s−Δs)
             }
             let (pf, ps) = self.probe_policies(current, direction);
-            shadow_f.set_policy(pf);
-            shadow_s.set_policy(ps);
+            shadows.set_policy(F, pf);
+            shadows.set_policy(S, ps);
 
             main_snapshot = main.metrics();
-            shadow_f_snapshot = shadow_f.metrics();
-            shadow_s_snapshot = shadow_s.metrics();
+            shadow_snapshots = [shadows.metrics(F), shadows.metrics(S)];
         }
         main.metrics()
     }

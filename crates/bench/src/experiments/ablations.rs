@@ -186,28 +186,24 @@ pub fn eviction_policy(ctx: &SharedContext, out: &Path) {
         &["trace", "lru", "fifo", "lfu", "s4lru"],
         out,
     );
-    // One work item per (trace, eviction-kind) pair: 4 full-trace sims per
-    // pick, all independent.
+    // One work item per trace: the 4 eviction kinds are lanes of one
+    // simulator, one pass over the trace.
     let kinds = [
         EvictionKind::Lru,
         EvictionKind::Fifo,
         EvictionKind::Lfu,
         EvictionKind::SegmentedLru { segments: 4 },
     ];
-    let pairs: Vec<(usize, EvictionKind)> =
-        picks.iter().flat_map(|&ti| kinds.iter().map(move |&k| (ti, k))).collect();
-    let ohrs = darwin_parallel::par_map(0, &pairs, |&(ti, kind)| {
+    let ohrs = darwin_parallel::par_map(0, &picks, |&ti| {
         let trace = &ctx.corpus.online_test[ti];
         let best = ctx.online_evals[ti].best_expert();
         let policy = ctx.model.grid().get(best).policy;
-        let mut sim = HocSim::new(ctx.scale.hoc_bytes(), kind, policy);
-        sim.run_trace(trace).hoc_ohr()
+        let mut sim = HocSim::bank(kinds.map(|kind| (ctx.scale.hoc_bytes(), kind, policy)));
+        sim.run_trace(trace).iter().map(|m| m.hoc_ohr()).collect::<Vec<_>>()
     });
-    for (pi, &ti) in picks.iter().enumerate() {
+    for (&ti, ohrs) in picks.iter().zip(&ohrs) {
         let mut cells = vec![format!("mix{ti}")];
-        for ki in 0..kinds.len() {
-            cells.push(f4(ohrs[pi * kinds.len() + ki]));
-        }
+        cells.extend(ohrs.iter().map(|&ohr| f4(ohr)));
         rep.row(&cells);
     }
     rep.finish().expect("write eviction ablation");

@@ -65,18 +65,27 @@ impl GridResult {
     }
 }
 
-/// Sweeps the full (f, s) grid on one trace, one simulation per cell,
-/// fanned out deterministically (`threads` 0 = auto): each cell is an
-/// independent work item, so the grid is bitwise identical at any
-/// thread count.
+/// Sweeps the full (f, s) grid on one trace, fanned out deterministically
+/// (`threads` 0 = auto): each worker simulates its share of the cells as
+/// lanes of one simulator in one pass, and each lane's result is its
+/// cell's alone, so the grid is bitwise identical at any thread count.
 fn sweep(trace: &Trace, hoc_bytes: u64, threads: usize) -> GridResult {
     let (fs, ss) = motivation_grid();
     let grid_points: Vec<(u32, u64)> =
         fs.iter().flat_map(|&f| ss.iter().map(move |&s| (f, s))).collect();
-    let cells = darwin_parallel::par_map(threads, &grid_points, |&(f, s)| {
-        let mut sim = HocSim::new(hoc_bytes, EvictionKind::Lru, ThresholdPolicy::new(f, s * 1024));
-        let m = sim.run_trace(trace);
-        (f, s, m.hoc_ohr(), m.hoc_miss_bytes_per_request())
+    let cells = darwin_parallel::par_ranges(threads, grid_points.len(), |share| {
+        let share = &grid_points[share];
+        let mut sim = HocSim::bank(
+            share
+                .iter()
+                .map(|&(f, s)| (hoc_bytes, EvictionKind::Lru, ThresholdPolicy::new(f, s * 1024))),
+        );
+        let windows = sim.run_trace(trace);
+        share
+            .iter()
+            .zip(windows)
+            .map(|(&(f, s), m)| (f, s, m.hoc_ohr(), m.hoc_miss_bytes_per_request()))
+            .collect()
     });
     GridResult { cells }
 }

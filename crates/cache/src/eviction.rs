@@ -417,6 +417,11 @@ impl Store {
         for (seg, chain) in chains.iter().enumerate() {
             // Encoded head → tail; push_front in reverse restores the order.
             for &(id, size, hits, last_touch) in chain.iter().rev() {
+                // Checked before a segment adds it too: no segment holds
+                // more than the whole store, so neither sum can wrap.
+                store.used = store.used.checked_add(size).ok_or_else(|| {
+                    CkptError::Malformed(format!("occupancy overflows adding object {id}"))
+                })?;
                 let node = Node { id, size, prev: NIL, next: NIL, segment: seg, hits, last_touch };
                 store.nodes.push(node);
                 let idx = store.nodes.len() - 1;
@@ -424,7 +429,6 @@ impl Store {
                 if store.map.insert(id, idx).is_some() {
                     return Err(CkptError::Malformed(format!("duplicate object {id}")));
                 }
-                store.used += size;
             }
         }
         if store.used > store.capacity {
@@ -636,6 +640,27 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = 9;
         assert!(Store::decode_state(&mut Dec::new(&bad)).is_err());
+    }
+
+    #[test]
+    fn codec_refuses_residents_whose_sizes_overflow() {
+        let mut s = Store::lru(1 << 40);
+        s.insert(1, 10);
+        s.insert(2, 20);
+        let mut enc = Enc::new();
+        s.encode_state(&mut enc);
+        let mut bad = enc.into_bytes();
+        // Two residents of 2^63 bytes each: their sum wraps to 0. A row's
+        // size follows the kind, capacity, clock, segment count and chain
+        // length, and the row's id.
+        for row in 0..2 {
+            let at = 1 + 3 * 8 + 8 + row * NODE_ROW + 8;
+            bad[at..at + 8].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        }
+        match Store::decode_state(&mut Dec::new(&bad)) {
+            Err(CkptError::Malformed(why)) => assert!(why.contains("overflows"), "{why}"),
+            other => panic!("accepted or misreported: {:?}", other.map(|s| s.used_bytes())),
+        }
     }
 
     // --- segmented LRU ---

@@ -3,9 +3,10 @@
 //! [`CacheServer`] wires together the HOC (with a swappable admission
 //! policy — the Darwin control point), the DC (with its second-request Bloom
 //! admission), frequency tracking and metrics, implementing the request flow
-//! of Figure 1. [`HocSim`] is a lighter HOC-only simulator used for shadow
-//! caches (HillClimbing) and for offline expert evaluation where only HOC
-//! hit/miss sequences matter.
+//! of Figure 1. [`HocSim`] is a lighter HOC-only simulator — a bank of expert
+//! lanes over one per-object table — used for shadow caches (HillClimbing)
+//! and for offline expert evaluation where only HOC hit/miss sequences
+//! matter.
 
 use crate::bloom::BloomFilter;
 use crate::eviction::{EvictionKind, Store};
@@ -624,56 +625,36 @@ fn config_fingerprint(cfg: &CacheConfig) -> Vec<u8> {
     enc.into_bytes()
 }
 
-/// A standalone HOC-only simulator.
+/// A standalone HOC-only simulator: a bank of K ≥ 1 expert lanes fed one
+/// request stream.
 ///
 /// Shadow caches (HillClimbing baseline) and offline expert evaluation need
 /// HOC hit/miss behaviour only; omitting the DC makes them several times
 /// cheaper and — because HOC admission depends only on per-object frequency,
 /// size and recency, not on DC state — exactly as accurate for HOC metrics.
+/// For the same reason the lanes share one per-object table: it counts
+/// requests, not admissions, so it is the same table in every lane. A
+/// request is recorded once, then each lane's HOC and expert decide, and
+/// each lane's hits and metrics are those of a simulator of its own.
 pub struct HocSim {
+    objects: ObjectTable,
+    lanes: Vec<Lane>,
+    /// Each lane's verdict on the last request: a HOC hit or not.
+    hits: Vec<bool>,
+}
+
+/// One expert lane of a [`HocSim`]: its HOC, the expert that admits to
+/// it, and its metrics.
+struct Lane {
     hoc: Store,
     policy: ThresholdPolicy,
-    objects: ObjectTable,
     metrics: CacheMetrics,
 }
 
-impl HocSim {
-    /// HOC-only simulator with the given capacity, eviction and expert.
-    pub fn new(hoc_bytes: u64, eviction: EvictionKind, policy: ThresholdPolicy) -> Self {
-        Self {
-            hoc: Store::new(hoc_bytes, eviction),
-            policy,
-            objects: ObjectTable::default(),
-            metrics: CacheMetrics::default(),
-        }
-    }
-
-    /// LRU HOC with the paper's default size.
-    pub fn paper_default(policy: ThresholdPolicy) -> Self {
-        Self::new(100 * 1024 * 1024, EvictionKind::Lru, policy)
-    }
-
-    /// The installed expert.
-    pub fn policy(&self) -> ThresholdPolicy {
-        self.policy
-    }
-
-    /// Swaps the expert in place (state is retained — this is what deploying
-    /// a new expert on a warm cache does).
-    pub fn set_policy(&mut self, policy: ThresholdPolicy) {
-        self.policy = policy;
-    }
-
-    /// Cumulative metrics. Only HOC-related counters are populated; requests
-    /// not served by the HOC are counted as origin fetches.
-    pub fn metrics(&self) -> CacheMetrics {
-        self.metrics
-    }
-
-    /// Processes one request; returns true on a HOC hit.
-    pub fn process(&mut self, req: &Request) -> bool {
-        let (frequency, recency_us) = self.objects.record(req.id, req.timestamp_us);
-
+impl Lane {
+    /// Serves `req`, which `view` describes; true on a HOC hit.
+    #[inline]
+    fn process(&mut self, req: &Request, view: &ObjectView) -> bool {
         self.metrics.requests += 1;
         self.metrics.bytes_total += req.size;
 
@@ -685,10 +666,7 @@ impl HocSim {
         self.metrics.origin_fetches += 1;
         self.metrics.bytes_origin += req.size;
 
-        let view =
-            ObjectView { id: req.id, size: req.size, frequency, recency_us, now_us: req.timestamp_us };
-        let mut policy = self.policy;
-        if policy.admit(&view) {
+        if self.policy.admit(view) {
             let (inserted, evicted) = self.hoc.insert(req.id, req.size);
             if inserted {
                 self.metrics.hoc_writes += 1;
@@ -698,21 +676,74 @@ impl HocSim {
         }
         false
     }
+}
 
-    /// Runs a whole trace, returning the per-request HOC hit indicators —
-    /// the raw material for cross-expert predictor training (§4.1 needs the
-    /// joint hit/miss behaviour of expert pairs on the same trace).
-    pub fn run_trace_recording(&mut self, trace: &darwin_trace::Trace) -> Vec<bool> {
-        trace.iter().map(|r| self.process(r)).collect()
+impl HocSim {
+    /// One lane: a HOC of the given capacity and eviction, and its expert.
+    pub fn new(hoc_bytes: u64, eviction: EvictionKind, policy: ThresholdPolicy) -> Self {
+        Self::bank([(hoc_bytes, eviction, policy)])
     }
 
-    /// Runs a whole trace, returning the metrics window for it.
-    pub fn run_trace(&mut self, trace: &darwin_trace::Trace) -> CacheMetrics {
-        let before = self.metrics;
+    /// One lane per `(hoc_bytes, eviction, policy)`, in order.
+    ///
+    /// # Panics
+    ///
+    /// If `lanes` is empty.
+    pub fn bank(lanes: impl IntoIterator<Item = (u64, EvictionKind, ThresholdPolicy)>) -> Self {
+        let lanes: Vec<Lane> = lanes
+            .into_iter()
+            .map(|(hoc_bytes, eviction, policy)| Lane {
+                hoc: Store::new(hoc_bytes, eviction),
+                policy,
+                metrics: CacheMetrics::default(),
+            })
+            .collect();
+        assert!(!lanes.is_empty(), "a simulator has at least one lane");
+        Self { objects: ObjectTable::default(), hits: vec![false; lanes.len()], lanes }
+    }
+
+    /// Number of lanes.
+    pub fn lanes(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// The expert installed in `lane`.
+    pub fn policy(&self, lane: usize) -> ThresholdPolicy {
+        self.lanes[lane].policy
+    }
+
+    /// Swaps `lane`'s expert in place (state is retained — this is what
+    /// deploying a new expert on a warm cache does).
+    pub fn set_policy(&mut self, lane: usize, policy: ThresholdPolicy) {
+        self.lanes[lane].policy = policy;
+    }
+
+    /// `lane`'s cumulative metrics. Only HOC-related counters are
+    /// populated; requests not served by the HOC are counted as origin
+    /// fetches.
+    pub fn metrics(&self, lane: usize) -> CacheMetrics {
+        self.lanes[lane].metrics
+    }
+
+    /// Processes one request; returns, per lane, whether its HOC hit.
+    #[inline]
+    pub fn process(&mut self, req: &Request) -> &[bool] {
+        let (frequency, recency_us) = self.objects.record(req.id, req.timestamp_us);
+        let view =
+            ObjectView { id: req.id, size: req.size, frequency, recency_us, now_us: req.timestamp_us };
+        for (lane, hit) in self.lanes.iter_mut().zip(&mut self.hits) {
+            *hit = lane.process(req, &view);
+        }
+        &self.hits
+    }
+
+    /// Runs a whole trace, returning each lane's metrics window for it.
+    pub fn run_trace(&mut self, trace: &darwin_trace::Trace) -> Vec<CacheMetrics> {
+        let before: Vec<CacheMetrics> = self.lanes.iter().map(|l| l.metrics).collect();
         for r in trace {
             self.process(r);
         }
-        self.metrics.diff(&before)
+        self.lanes.iter().zip(&before).map(|(l, b)| l.metrics.diff(b)).collect()
     }
 }
 
@@ -817,7 +848,7 @@ mod tests {
         let full_hits: Vec<bool> = trace.iter().map(|r| full.process(r).is_hoc_hit()).collect();
 
         let mut sim = HocSim::new(1024 * 1024, EvictionKind::Lru, policy);
-        let sim_hits = sim.run_trace_recording(&trace);
+        let sim_hits: Vec<bool> = trace.iter().map(|r| sim.process(r)[0]).collect();
 
         assert_eq!(full_hits, sim_hits);
     }
@@ -826,8 +857,8 @@ mod tests {
     fn policy_swap_retains_cache_state() {
         let mut sim = HocSim::new(10_000, EvictionKind::Lru, ThresholdPolicy::new(0, 10_000));
         sim.process(&req(1, 100, 0)); // admitted (f=0 ⇒ first request admits)
-        sim.set_policy(ThresholdPolicy::new(100, 1)); // never admit from now on
-        assert!(sim.process(&req(1, 100, 1)), "object admitted earlier must still hit");
+        sim.set_policy(0, ThresholdPolicy::new(100, 1)); // never admit from now on
+        assert!(sim.process(&req(1, 100, 1))[0], "object admitted earlier must still hit");
     }
 
     #[test]
@@ -835,10 +866,83 @@ mod tests {
         let mut sim =
             HocSim::new(10_000, EvictionKind::Lru, ThresholdPolicy::with_recency(0, 10_000, 100));
         sim.process(&req(1, 10, 0)); // first sighting: no recency ⇒ no admit
-        assert!(!sim.process(&req(1, 10, 500)), "gap 500 > r=100 ⇒ not admitted before");
+        assert!(!sim.process(&req(1, 10, 500))[0], "gap 500 > r=100 ⇒ not admitted before");
         // gap 50 ≤ 100 ⇒ admitted now.
-        assert!(!sim.process(&req(1, 10, 550)));
-        assert!(sim.process(&req(1, 10, 560)), "admitted on previous request ⇒ hit");
+        assert!(!sim.process(&req(1, 10, 550))[0]);
+        assert!(sim.process(&req(1, 10, 560))[0], "admitted on previous request ⇒ hit");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A bank of K lanes is K simulators of one lane each: the same
+        /// hit bits request by request and the same metrics, under every
+        /// eviction kind, with experts that differ in all three knobs and
+        /// one swapped mid-stream in every lane.
+        #[test]
+        fn a_bank_is_its_lanes_run_alone(
+            seed in 0u64..1_000,
+            experts in proptest::collection::vec((0u32..5, 1u64..400, 0u64..20_000), 1..6),
+            kind in 0usize..4,
+            hoc_kb in 64u64..2_048,
+        ) {
+            let eviction = [
+                EvictionKind::Lru,
+                EvictionKind::Fifo,
+                EvictionKind::Lfu,
+                EvictionKind::SegmentedLru { segments: 4 },
+            ][kind];
+            let trace = TraceGenerator::new(MixSpec::single(TrafficClass::image()), seed).generate(3_000);
+            // A recency of 0 leaves the recency knob off.
+            let policy = |&(f, s_kb, r): &(u32, u64, u64)| match r {
+                0 => ThresholdPolicy::new(f, s_kb * 1024),
+                r => ThresholdPolicy::with_recency(f, s_kb * 1024, r),
+            };
+            let swapped = |p: ThresholdPolicy| ThresholdPolicy { freq_threshold: p.freq_threshold + 1, ..p };
+            let hoc = hoc_kb * 1024;
+            let mut bank = HocSim::bank(experts.iter().map(|e| (hoc, eviction, policy(e))));
+            let mut alone: Vec<HocSim> = experts.iter().map(|e| HocSim::new(hoc, eviction, policy(e))).collect();
+            for (i, r) in trace.iter().enumerate() {
+                if i == trace.len() / 2 {
+                    for (lane, sim) in alone.iter_mut().enumerate() {
+                        bank.set_policy(lane, swapped(bank.policy(lane)));
+                        sim.set_policy(0, swapped(sim.policy(0)));
+                    }
+                }
+                let hits = bank.process(r).to_vec();
+                let want: Vec<bool> = alone.iter_mut().map(|sim| sim.process(r)[0]).collect();
+                proptest::prop_assert_eq!(hits, want, "request {}", i);
+            }
+            for (lane, sim) in alone.iter().enumerate() {
+                proptest::prop_assert_eq!(bank.metrics(lane), sim.metrics(0));
+            }
+        }
+    }
+
+    /// A HOC image whose residents' sizes wrap their sum is refused,
+    /// typed: in a debug build the sum used to panic the restoring thread,
+    /// in a release build it was accepted as an empty 1 TiB cache.
+    #[test]
+    fn restore_refuses_resident_sizes_that_overflow() {
+        let cfg = || CacheConfig { hoc_bytes: 1 << 40, ..CacheConfig::small_test() };
+        let mut s = CacheServer::new(cfg());
+        s.set_policy(ThresholdPolicy::new(0, u64::MAX));
+        s.process(&req(1, 10, 0));
+        s.process(&req(2, 20, 1));
+        assert_eq!(s.hoc_used_bytes(), 30);
+        let mut image = s.save_state();
+        // The HOC (an LRU store) follows the config fingerprint; a row's
+        // size follows the store's kind, capacity, clock, segment count and
+        // chain length, and the row's id.
+        let hoc = 8 + config_fingerprint(&cfg()).len();
+        for row in 0..2 {
+            let at = hoc + 1 + 3 * 8 + 8 + row * 32 + 8;
+            image[at..at + 8].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        }
+        match CacheServer::restore_state(cfg(), &image) {
+            Err(CkptError::Malformed(why)) => assert!(why.contains("overflows"), "{why}"),
+            other => panic!("accepted or misreported: {:?}", other.map(|s| s.hoc_used_bytes())),
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Given a corpus of historical traces, the trainer:
 //!
-//! 1. **Evaluates every expert on every trace** with the HOC simulator,
+//! 1. **Evaluates every expert on every trace** with the HOC simulator —
+//!    the experts of a trace as lanes of one simulator, in one pass —
 //!    recording per-request hit bits, the objective reward, and the hit rate.
 //! 2. **Extracts features** per trace (15-entry vector + bucketized size
 //!    distribution) and computes, for every ordered expert pair, the
@@ -17,10 +18,10 @@
 //!
 //! Expert evaluation is embarrassingly parallel and fans out through the
 //! deterministic [`darwin_parallel`] engine at two levels — traces across the
-//! corpus and experts within a trace (the inner sweep runs inline when the
-//! outer one is already parallel). Results are bitwise identical at any
-//! thread count: every work item derives its seed and output slot from its
-//! index alone. The paper notes CDN servers are not CPU-bound and offline
+//! corpus and shares of the expert grid within a trace (one share, the whole
+//! grid, when the outer sweep is already parallel). Results are bitwise
+//! identical at any thread count: every work item derives its seed and
+//! output slot from its index alone. The paper notes CDN servers are not CPU-bound and offline
 //! training is periodic background work.
 
 use crate::bits::Bitset;
@@ -186,15 +187,25 @@ impl OfflineTrainer {
         let extended = fx.extended_features();
         let (_, size_dist) = fx.finish();
 
-        // Per-expert simulation with per-request hit bits. Each expert's
-        // simulation is independent, so the sweep fans out; when this trace
-        // is itself a work item of `evaluate_corpus`, the engine runs the
-        // inner sweep inline instead of oversubscribing.
-        let per_expert = darwin_parallel::par_run(self.cfg.threads, n_experts, |e| {
-            let expert = self.cfg.grid.get(e);
-            let mut sim = HocSim::new(self.cfg.hoc_bytes, self.cfg.eviction, expert.policy);
-            let bools = sim.run_trace_recording(trace);
-            (Bitset::from_bools(bools), sim.metrics())
+        // Per-expert simulation with per-request hit bits, in one pass per
+        // worker: the grid is split into one share per worker, and each
+        // share's experts are lanes of one simulator over one per-object
+        // table. Each lane's result is its expert's alone, so the split does
+        // not move a bit; when this trace is itself a work item of
+        // `evaluate_corpus`, the one share is the whole grid.
+        let per_expert = darwin_parallel::par_ranges(self.cfg.threads, n_experts, |experts| {
+            let lanes =
+                experts.map(|e| (self.cfg.hoc_bytes, self.cfg.eviction, self.cfg.grid.get(e).policy));
+            let mut sim = HocSim::bank(lanes);
+            let mut hits = vec![Bitset::new(n); sim.lanes()];
+            for (i, r) in trace.iter().enumerate() {
+                for (bits, &hit) in hits.iter_mut().zip(sim.process(r)) {
+                    if hit {
+                        bits.set(i);
+                    }
+                }
+            }
+            hits.into_iter().enumerate().map(|(lane, bits)| (bits, sim.metrics(lane))).collect()
         });
         let mut hits: Vec<Bitset> = Vec::with_capacity(n_experts);
         let mut metrics = Vec::with_capacity(n_experts);

@@ -271,7 +271,7 @@ mod tests {
             EvictionKind::Lru,
             ThresholdPolicy::new(0, u64::MAX), // admit everything immediately
         );
-        let m = sim.run_trace(&trace);
+        let m = sim.run_trace(&trace)[0];
         let predicted = fd.predicted_ohr(cache_bytes);
         assert!(
             (predicted - m.hoc_ohr()).abs() < 0.02,

@@ -128,7 +128,11 @@ impl SizeDistribution {
         if counts.len() != edges.len() + 1 || bytes.len() != counts.len() {
             return Err(CkptError::Malformed("size-distribution bucket count mismatch".into()));
         }
-        if counts.iter().sum::<u64>() != total {
+        let sum = counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c));
+        if sum.is_none() {
+            return Err(CkptError::Malformed("size-distribution counts overflow".into()));
+        }
+        if sum != Some(total) {
             return Err(CkptError::Malformed("size-distribution total mismatch".into()));
         }
         Ok(Self { edges, counts, bytes, total })
@@ -203,5 +207,27 @@ mod tests {
     #[should_panic(expected = "ascending")]
     fn rejects_unsorted_edges() {
         SizeDistribution::new(vec![100, 10]);
+    }
+
+    /// Counts whose sum wraps (`[u64::MAX, 1, 0]` against a total of 0)
+    /// are refused, as is a total they do not add up to; a sound image
+    /// round-trips.
+    #[test]
+    fn decode_refuses_counts_that_overflow() {
+        let image = |counts: [u64; 3], total: u64| {
+            let mut enc = Enc::new();
+            enc.seq(&[10u64, 100], |e, &v| e.u64(v));
+            enc.seq(&counts, |e, &v| e.u64(v));
+            enc.seq(&[0u64; 3], |e, &v| e.u64(v));
+            enc.u64(total);
+            enc.into_bytes()
+        };
+        let decode = |bytes: &[u8]| SizeDistribution::decode_state(&mut Dec::new(bytes));
+        match decode(&image([u64::MAX, 1, 0], 0)) {
+            Err(CkptError::Malformed(why)) => assert!(why.contains("overflow"), "{why}"),
+            other => panic!("accepted or misreported: {:?}", other.map(|d| d.total())),
+        }
+        assert!(matches!(decode(&image([1, 2, 3], 7)), Err(CkptError::Malformed(_))));
+        assert_eq!(decode(&image([1, 2, 3], 6)).expect("a sound image").total(), 6);
     }
 }

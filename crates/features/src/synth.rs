@@ -211,7 +211,7 @@ mod tests {
         let cache_bytes = 8 * 1024 * 1024u64;
         let run = |t: &Trace| {
             let mut sim = HocSim::new(cache_bytes, EvictionKind::Lru, ThresholdPolicy::new(0, u64::MAX));
-            sim.run_trace(t).hoc_ohr()
+            sim.run_trace(t)[0].hoc_ohr()
         };
         let (a, b) = (run(&original), run(&synth));
         assert!((a - b).abs() < 0.06, "original LRU OHR {a:.4} vs synthesized {b:.4}");

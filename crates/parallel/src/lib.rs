@@ -8,8 +8,9 @@
 //!
 //! - each work item is identified by its index and must derive all of its
 //!   randomness from that index (callers seed per-item RNGs, never share one);
-//! - each item writes to its own pre-allocated output slot, so there is no
-//!   order-dependent aggregation — the returned `Vec` is in item order;
+//! - each worker returns its items tagged with their indices, and the
+//!   results are placed by index once every worker has joined, so there is
+//!   no order-dependent aggregation — the returned `Vec` is in item order;
 //! - work distribution (an atomic counter) affects only *which thread* runs
 //!   an item, never *what* the item computes.
 //!
@@ -20,7 +21,10 @@
 //! the inner sweep inline), so outer-level parallelism is never oversubscribed
 //! and callers can parallelize freely at every layer.
 
-use std::cell::{Cell, UnsafeCell};
+#![forbid(unsafe_code)]
+
+use std::cell::Cell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Environment variable consulted when no explicit thread count is given.
@@ -70,15 +74,6 @@ pub fn inline_sweeps<T, F: FnOnce() -> T>(f: F) -> T {
     f()
 }
 
-/// Output slots indexed by work item. Safety rests on the work queue: the
-/// atomic counter hands each index to exactly one worker, so no two threads
-/// ever touch the same slot.
-struct Slots<T> {
-    cells: Vec<UnsafeCell<Option<T>>>,
-}
-
-unsafe impl<T: Send> Sync for Slots<T> {}
-
 /// Restores the thread's pool flag on drop (including unwinds).
 struct PoolGuard {
     prev: bool,
@@ -119,32 +114,61 @@ where
         return (0..n).map(f).collect();
     }
 
-    let slots = Slots { cells: (0..n).map(|_| UnsafeCell::new(None)).collect() };
     let next = AtomicUsize::new(0);
-
-    let work = |slots: &Slots<T>, next: &AtomicUsize| {
+    // Each worker claims indices off the counter and keeps what it
+    // computes, tagged with the index.
+    let work = || {
         let _guard = PoolGuard::enter();
+        let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 break;
             }
-            let value = f(i);
-            // Safety: index `i` was claimed by this thread alone.
-            unsafe { *slots.cells[i].get() = Some(value) };
+            done.push((i, f(i)));
         }
+        done
     };
 
-    std::thread::scope(|scope| {
+    let parts = std::thread::scope(|scope| {
         // The calling thread participates as a worker, so `threads` is the
         // total worker count, not an extra-thread count.
-        for _ in 1..threads {
-            scope.spawn(|| work(&slots, &next));
+        let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut parts = vec![work()];
+        for worker in spawned {
+            parts.push(worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
         }
-        work(&slots, &next);
+        parts
     });
 
-    slots.cells.into_iter().map(|c| c.into_inner().expect("work item completed")).collect()
+    // The counter handed each index to exactly one worker.
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    for (i, value) in parts.into_iter().flatten() {
+        slots[i] = Some(value);
+    }
+    slots.into_iter().map(|v| v.expect("work item completed")).collect()
+}
+
+/// Splits `0..n` into contiguous ranges, one per worker (one in all when
+/// nested, see [`par_run`]), runs `f` on each and returns what it made, in
+/// index order. `f(range)` returns one result per index of `range`, each
+/// computed from its index alone, so the results are bitwise identical at
+/// any thread count — this is [`par_run`] for work whose items share a
+/// setup cost a worker pays once for its whole range. `threads == 0` means
+/// auto.
+pub fn par_ranges<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(Range<usize>) -> Vec<T> + Sync,
+{
+    let workers = if in_pool() { 1 } else { resolve_threads(threads) }.min(n);
+    let parts = par_run(threads, workers, |w| {
+        let range = w * n / workers..(w + 1) * n / workers;
+        let made = f(range.clone());
+        assert_eq!(made.len(), range.len(), "one result per index of {range:?}");
+        made
+    });
+    parts.into_iter().flatten().collect()
 }
 
 /// Parallel map over a slice, preserving order. `threads == 0` means auto.
@@ -240,6 +264,23 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(resolve_threads(7), 7);
         assert!(resolve_threads(0) >= 1);
+    }
+
+    #[test]
+    fn ranges_cover_every_index_once_in_order() {
+        for threads in [1, 2, 3, 8] {
+            for n in [0, 1, 2, 7, 100] {
+                let out = par_ranges(threads, n, |range| range.map(|i| i * 3).collect());
+                assert_eq!(
+                    out,
+                    (0..n).map(|i| i * 3).collect::<Vec<_>>(),
+                    "{threads} threads, {n} items"
+                );
+            }
+        }
+        // Nested: the whole range at once, on the calling worker.
+        let out = par_run(2, 2, |_| par_ranges(4, 10, |range| vec![range.len(); range.len()]));
+        assert_eq!(out, vec![vec![10; 10]; 2]);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::zipf::{ZipfSampler, CACHED_RANKS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::mpsc;
 
 /// Number of low bits of an [`ObjectId`] reserved for the per-class object
 /// rank; the class index lives above them.
@@ -105,19 +106,78 @@ impl MixSpec {
 /// time the rank is drawn and kept for the generator's lifetime, in
 /// per-class tables over the first 2²⁰ ranks; a one-hit wonder's size is
 /// computed per request.
+///
+/// A request is made in two stages: the walk draws its uniforms and rank,
+/// and the assembly turns them into a [`Request`]. Above one chunk of
+/// 4096 requests, and with a second core to run on, the walk runs on a
+/// thread of its own, ahead of the assembly; the trace and the
+/// generator's state after the call are the same either way.
 pub struct TraceGenerator {
     spec: MixSpec,
-    rng: SmallRng,
+    walk: Walk,
     catalogs: Vec<Catalog>,
-    cum_shares: Vec<f64>,
     lambda_per_us: f64,
+}
+
+/// Requests the walk hands the assembly at a time when the two run on two
+/// threads; a trace of at most this many is made on the calling thread.
+const CHUNK: usize = 4096;
+
+/// Chunk buffers passed between the two threads: one being walked, one
+/// being assembled, and the rest queued between them.
+const BUFFERS: usize = 4;
+
+/// The first stage: everything that draws from the generator's RNG or
+/// moves sampler state.
+struct Walk {
+    rng: SmallRng,
+    /// Each class's popularity sampler.
+    zipf: Vec<ZipfSampler>,
+    cum_shares: Vec<f64>,
     /// Next fresh one-hit-wonder rank per class (offset past the catalog).
     one_hit_next: Vec<u64>,
 }
 
-/// One class's catalog: its popularity sampler and the objects drawn so far.
+/// One request as the walk leaves it for the assembly.
+#[derive(Debug, Clone, Copy)]
+struct Draw {
+    /// The arrival gap's uniform.
+    u: f64,
+    class: usize,
+    /// A one-hit wonder's rank, or a catalog object's 0-based popularity
+    /// rank.
+    rank: u64,
+    one_hit: bool,
+}
+
+impl Walk {
+    /// Draws the next request's uniforms and rank.
+    #[inline]
+    fn step(&mut self, classes: &[TrafficClass]) -> Draw {
+        // Exponential inter-arrival at the aggregate rate.
+        let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let class = self.draw_class();
+        // With probability `one_hit_fraction`, mint a brand-new object
+        // (one-hit wonder); otherwise draw from the Zipf catalog.
+        let fraction = classes[class].one_hit_fraction;
+        if fraction > 0.0 && self.rng.gen::<f64>() < fraction {
+            let rank = self.one_hit_next[class];
+            self.one_hit_next[class] += 1;
+            Draw { u, class, rank, one_hit: true }
+        } else {
+            let rank = self.zipf[class].sample(&mut self.rng) - 1;
+            Draw { u, class, rank, one_hit: false }
+        }
+    }
+
+    fn draw_class(&mut self) -> usize {
+        let u: f64 = self.rng.gen::<f64>();
+        self.cum_shares.iter().position(|&c| u < c).unwrap_or(self.cum_shares.len() - 1)
+    }
+}
+
+/// One class's catalog: the objects drawn so far.
 struct Catalog {
-    zipf: ZipfSampler,
     /// Seed of the rank permutation.
     permute_seed: u64,
     /// Seed of the object sizes (one-hit wonders' too); fixed per generator
@@ -131,9 +191,9 @@ struct Catalog {
 }
 
 impl Catalog {
-    /// Draws one catalog object of `class`: its rank and its size.
-    fn draw(&mut self, class: &TrafficClass, rng: &mut SmallRng) -> (u64, u64) {
-        let k = self.zipf.sample(rng) - 1;
+    /// The catalog object of `class` at 0-based popularity rank `k`: its
+    /// rank and its size.
+    fn object(&mut self, class: &TrafficClass, k: u64) -> (u64, u64) {
         // A size of 0 (a class whose `min_bytes` is 0) is merely recomputed.
         if let Some(&[rank, size]) = self.objects.get(k as usize) {
             if size != 0 {
@@ -146,6 +206,33 @@ impl Catalog {
             *slot = [rank, size];
         }
         (rank, size)
+    }
+}
+
+/// The second stage: a [`Draw`] made a [`Request`], on the clock of one
+/// [`TraceGenerator::generate`] call.
+struct Assembly<'a> {
+    classes: &'a [TrafficClass],
+    catalogs: &'a mut [Catalog],
+    lambda_per_us: f64,
+    t_us: u64,
+}
+
+impl Assembly<'_> {
+    #[inline]
+    fn request(&mut self, d: Draw) -> Request {
+        let gap = (-d.u.ln() / self.lambda_per_us).round() as u64;
+        self.t_us = self.t_us.saturating_add(gap.max(1));
+        let class = &self.classes[d.class];
+        let catalog = &mut self.catalogs[d.class];
+        // Catalog popularity ranks are permuted deterministically per
+        // class, so popularity order differs between classes/seeds.
+        let (rank, size) = if d.one_hit {
+            (d.rank, class.object_size(d.rank, catalog.size_seed))
+        } else {
+            catalog.object(class, d.rank)
+        };
+        Request::new(object_id(d.class, rank), size, self.t_us)
     }
 }
 
@@ -168,30 +255,31 @@ impl TraceGenerator {
                 cum
             })
             .collect();
+        let zipf = spec
+            .classes
+            .iter()
+            .map(|c| {
+                ZipfSampler::new(c.num_objects.max(1), c.zipf_alpha.max(1e-9))
+                    .unwrap_or_else(|why| panic!("traffic class `{}`: {why}", c.name))
+            })
+            .collect();
         let catalogs = spec
             .classes
             .iter()
             .enumerate()
-            .map(|(i, c)| {
-                let n = c.num_objects.max(1);
-                Catalog {
-                    zipf: ZipfSampler::new(n, c.zipf_alpha.max(1e-9))
-                        .unwrap_or_else(|why| panic!("traffic class `{}`: {why}", c.name)),
-                    permute_seed: seed ^ i as u64,
-                    size_seed: seed ^ (i as u64) << 32,
-                    objects: vec![[0; 2]; n.min(CACHED_RANKS) as usize],
-                }
+            .map(|(i, c)| Catalog {
+                permute_seed: seed ^ i as u64,
+                size_seed: seed ^ (i as u64) << 32,
+                objects: vec![[0; 2]; c.num_objects.clamp(1, CACHED_RANKS) as usize],
             })
             .collect();
         let lambda_per_us = spec.aggregate_rate_rps() / 1_000_000.0;
         let one_hit_next = spec.classes.iter().map(|c| c.num_objects).collect();
         Self {
+            walk: Walk { rng: SmallRng::seed_from_u64(seed), zipf, cum_shares, one_hit_next },
             spec,
-            rng: SmallRng::seed_from_u64(seed),
             catalogs,
-            cum_shares,
             lambda_per_us,
-            one_hit_next,
         }
     }
 
@@ -201,38 +289,56 @@ impl TraceGenerator {
     }
 
     /// Generates a trace of exactly `n` requests starting at t = 0.
+    ///
+    /// Above one chunk, the walk runs on a second thread unless this
+    /// thread is a sweep worker ([`darwin_parallel::in_pool`]) or fewer than
+    /// two cores are available to it ([`darwin_parallel::resolve_threads`]).
     pub fn generate(&mut self, n: usize) -> Trace {
-        let mut t_us = 0u64;
-        let mut requests = Vec::with_capacity(n);
-        for _ in 0..n {
-            // Exponential inter-arrival at the aggregate rate.
-            let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-            let gap = (-u.ln() / self.lambda_per_us).round() as u64;
-            t_us = t_us.saturating_add(gap.max(1));
-
-            let class_idx = self.draw_class();
-            let class = &self.spec.classes[class_idx];
-            // With probability `one_hit_fraction`, mint a brand-new object
-            // (one-hit wonder); otherwise draw from the Zipf catalog, whose
-            // popularity ranks are permuted deterministically per class so
-            // popularity order differs between classes/seeds.
-            let catalog = &mut self.catalogs[class_idx];
-            let (rank, size) =
-                if class.one_hit_fraction > 0.0 && self.rng.gen::<f64>() < class.one_hit_fraction {
-                    let r = self.one_hit_next[class_idx];
-                    self.one_hit_next[class_idx] += 1;
-                    (r, class.object_size(r, catalog.size_seed))
-                } else {
-                    catalog.draw(class, &mut self.rng)
-                };
-            requests.push(Request::new(object_id(class_idx, rank), size, t_us));
-        }
-        Trace::from_sorted(requests)
+        let inline = n <= CHUNK || darwin_parallel::in_pool() || darwin_parallel::resolve_threads(0) < 2;
+        self.make(n, !inline)
     }
 
-    fn draw_class(&mut self) -> usize {
-        let u: f64 = self.rng.gen::<f64>();
-        self.cum_shares.iter().position(|&c| u < c).unwrap_or(self.cum_shares.len() - 1)
+    /// [`generate`](Self::generate), with the walk on a second thread or
+    /// not.
+    fn make(&mut self, n: usize, two_threads: bool) -> Trace {
+        let mut requests = Vec::with_capacity(n);
+        let Self { spec, walk, catalogs, lambda_per_us } = self;
+        let classes = &spec.classes[..];
+        let mut assembly = Assembly { classes, catalogs, lambda_per_us: *lambda_per_us, t_us: 0 };
+        if !two_threads {
+            requests.extend((0..n).map(|_| assembly.request(walk.step(classes))));
+            return Trace::from_sorted(requests);
+        }
+        // A fixed set of buffers goes round: the walk fills an empty one
+        // and sends it on, the assembly empties it and sends it back. Both
+        // channels hold every buffer, so no send waits, and every buffer is
+        // allocated here, so the walk's thread allocates nothing.
+        let (full, walked) = mpsc::sync_channel::<Vec<Draw>>(BUFFERS);
+        let (spent, empty) = mpsc::sync_channel::<Vec<Draw>>(BUFFERS);
+        for _ in 0..BUFFERS {
+            spent.send(Vec::with_capacity(CHUNK)).expect("the receiver is held");
+        }
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                for start in (0..n).step_by(CHUNK) {
+                    // Either fails only once the assembly has unwound.
+                    let Ok(mut chunk) = empty.recv() else { return };
+                    chunk.clear();
+                    chunk.extend((start..n.min(start + CHUNK)).map(|_| walk.step(classes)));
+                    if full.send(chunk).is_err() {
+                        return;
+                    }
+                }
+            });
+            // Ends when the walk has sent its last chunk (or unwound, which
+            // the scope then re-raises).
+            for chunk in walked {
+                requests.extend(chunk.iter().map(|&d| assembly.request(d)));
+                // Fails only once the walk is done with buffers.
+                let _ = spent.send(chunk);
+            }
+        });
+        Trace::from_sorted(requests)
     }
 }
 
@@ -347,6 +453,52 @@ mod tests {
         // A steep skew, far above every preset's, still generates.
         let t = TraceGenerator::new(MixSpec::single(class(16.0)), 1).generate(1000);
         assert_eq!(t.len(), 1000);
+    }
+
+    /// A class with (or without) one-hit wonders over a small catalog.
+    fn small(one_hit_fraction: f64) -> TrafficClass {
+        TrafficClass { num_objects: 50_000, one_hit_fraction, ..TrafficClass::image() }
+    }
+
+    /// The walk on a second thread makes the trace the calling thread
+    /// makes, and leaves the generator as it does: two calls in a row on
+    /// each, over single- and two-class mixes with one-hit wonders on and
+    /// off, at lengths on and around the chunk.
+    #[test]
+    fn two_threads_make_the_inline_trace_and_state() {
+        let mixes = [
+            MixSpec::single(small(0.0)),
+            MixSpec::single(small(0.3)),
+            MixSpec::two_class(small(0.0), TrafficClass::download(), 0.4),
+            MixSpec::two_class(TrafficClass::image(), TrafficClass::download(), 0.5),
+        ];
+        for (m, spec) in mixes.into_iter().enumerate() {
+            for n in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7] {
+                let mut inline = TraceGenerator::new(spec.clone(), 40 + m as u64);
+                let mut piped = TraceGenerator::new(spec.clone(), 40 + m as u64);
+                for call in 0..2 {
+                    let want = darwin_parallel::inline_sweeps(|| inline.generate(n));
+                    let got = piped.make(n, true);
+                    assert_eq!(got, want, "mix {m}, n {n}, call {call}");
+                    assert_eq!(piped.walk.rng, inline.walk.rng, "mix {m}, n {n}, call {call}");
+                    assert_eq!(piped.walk.one_hit_next, inline.walk.one_hit_next);
+                    let tables = piped.catalogs.iter().zip(&inline.catalogs);
+                    assert!(tables.into_iter().all(|(p, i)| p.objects == i.objects), "mix {m}, n {n}");
+                }
+            }
+        }
+    }
+
+    /// `generate`, on whichever path this host gives it, makes the trace
+    /// of either path.
+    #[test]
+    fn generate_is_the_same_inline_and_on_two_threads() {
+        let spec = MixSpec::two_class(TrafficClass::image(), TrafficClass::download(), 0.5);
+        let n = 5 * CHUNK + 3;
+        let free = TraceGenerator::new(spec.clone(), 8).generate(n);
+        let inline = darwin_parallel::inline_sweeps(|| TraceGenerator::new(spec.clone(), 8).generate(n));
+        assert_eq!(free, inline);
+        assert_eq!(free, TraceGenerator::new(spec, 8).make(n, true));
     }
 
     #[test]

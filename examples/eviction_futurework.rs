@@ -35,14 +35,10 @@ fn eviction_experts() -> Vec<(&'static str, EvictionKind)> {
     ]
 }
 
+/// Every eviction expert's reward on `trace`: one lane each, one pass.
 fn evaluate(trace: &Trace) -> Vec<f64> {
-    eviction_experts()
-        .iter()
-        .map(|&(_, kind)| {
-            let mut sim = HocSim::new(HOC, kind, ADMISSION);
-            Objective::HocOhr.reward(&sim.run_trace(trace))
-        })
-        .collect()
+    let mut sim = HocSim::bank(eviction_experts().into_iter().map(|(_, kind)| (HOC, kind, ADMISSION)));
+    sim.run_trace(trace).iter().map(|m| Objective::HocOhr.reward(m)).collect()
 }
 
 fn main() {

@@ -19,6 +19,9 @@ for workload in socket-bulk socket-pingpong socket-durable lanes-darwin; do
         | cargo run --release --quiet -p darwin-bench --bin perf_gate -- results/perf_baseline.json "$workload"
 done
 
+echo "== paper fidelity (experiments switching, fig2, table2 write the pinned bytes) =="
+ci/paper_fidelity.sh
+
 echo "== rustdoc (--no-deps, warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
