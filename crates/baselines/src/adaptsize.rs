@@ -20,7 +20,7 @@
 //! model cannot extend to frequency knobs or hardware-dependent objectives —
 //! which is exactly the comparison the experiments reproduce.
 
-use darwin_cache::policy::ProbabilisticSizePolicy;
+use darwin_cache::policy::{Admission, ProbabilisticSizePolicy};
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer};
 use darwin_trace::{ObjectId, Trace};
 use std::collections::HashMap;
@@ -61,7 +61,7 @@ impl AdaptSize {
     pub fn run(&self, trace: &Trace, cache: &CacheConfig) -> CacheMetrics {
         let mut server = CacheServer::new(cache.clone());
         let mut c = self.initial_c;
-        server.set_policy(ProbabilisticSizePolicy::new(c, self.seed));
+        server.set_policy(Admission::ProbabilisticSize(ProbabilisticSizePolicy::new(c, self.seed)));
 
         let mut stats: HashMap<ObjectId, (u64, u64)> = HashMap::new(); // id -> (count, size)
         let mut window_start_us = trace.requests().first().map(|r| r.timestamp_us).unwrap_or(0);
@@ -77,7 +77,8 @@ impl AdaptSize {
                 let duration_s = ((r.timestamp_us - window_start_us) as f64 / 1e6).max(1e-6);
                 c = self.tune(&stats, duration_s, cache.hoc_bytes as f64);
                 reconfigs += 1;
-                server.set_policy(ProbabilisticSizePolicy::new(c, self.seed.wrapping_add(reconfigs)));
+                let coin = ProbabilisticSizePolicy::new(c, self.seed.wrapping_add(reconfigs));
+                server.set_policy(Admission::ProbabilisticSize(coin));
                 stats.clear();
                 seen = 0;
                 window_start_us = r.timestamp_us;

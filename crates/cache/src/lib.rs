@@ -47,5 +47,5 @@ pub use bloom::BloomFilter;
 pub use eviction::{EvictionKind, Store};
 pub use metrics::CacheMetrics;
 pub use objective::Objective;
-pub use policy::{AdmissionPolicy, ObjectView, ThresholdPolicy};
+pub use policy::{Admission, ObjectView, ThresholdPolicy};
 pub use server::{CacheConfig, CacheServer, HocSim, RequestOutcome};

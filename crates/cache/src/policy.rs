@@ -4,8 +4,8 @@
 //! characterized by a tuple (f, s) "promotes to HOC all objects that occur
 //! more than f times and … of size lesser than s". §6's extension experiments
 //! add a third *recency* knob. [`ThresholdPolicy`] implements all three knobs;
-//! other implementors cover the baselines (always-admit, probabilistic size
-//! admission for AdaptSize).
+//! [`ProbabilisticSizePolicy`] is AdaptSize's size-only coin flip. A cache
+//! server holds one of the two by value, as an [`Admission`].
 
 use darwin_ckpt::{CkptError, Dec, Enc};
 use darwin_trace::ObjectId;
@@ -19,8 +19,8 @@ pub struct ObjectView {
     pub id: ObjectId,
     /// Object size in bytes.
     pub size: u64,
-    /// Estimated number of requests for this object so far, *including* the
-    /// current one (from the frequency sketch; "a particular value of f
+    /// Number of requests for this object so far, *including* the current
+    /// one (from the server's per-object table; "a particular value of f
     /// implies that an object is let into the HOC upon the (1+f)-th request").
     pub frequency: u32,
     /// Microseconds since the previous request for this object, or `None` if
@@ -30,14 +30,31 @@ pub struct ObjectView {
     pub now_us: u64,
 }
 
-/// An HOC admission policy: decides whether a non-resident object should be
-/// promoted into the HOC on this request.
-pub trait AdmissionPolicy: Send {
-    /// Returns true to admit the object into the HOC.
-    fn admit(&mut self, view: &ObjectView) -> bool;
+/// The HOC admission policy a cache server holds: decides whether a
+/// non-resident object is promoted into the HOC on this request.
+#[derive(Debug, Clone)]
+pub enum Admission {
+    /// A Darwin expert.
+    Threshold(ThresholdPolicy),
+    /// The AdaptSize baseline's probabilistic size admission.
+    ProbabilisticSize(ProbabilisticSizePolicy),
+}
 
-    /// Short human-readable label for logs and experiment output.
-    fn label(&self) -> String;
+impl Admission {
+    /// Returns true to admit the object into the HOC.
+    #[inline]
+    pub fn admit(&mut self, view: &ObjectView) -> bool {
+        match self {
+            Admission::Threshold(p) => p.admit(view),
+            Admission::ProbabilisticSize(p) => p.admit(view),
+        }
+    }
+}
+
+impl From<ThresholdPolicy> for Admission {
+    fn from(p: ThresholdPolicy) -> Self {
+        Admission::Threshold(p)
+    }
 }
 
 /// The Darwin expert policy: admit iff the object has been requested strictly
@@ -81,10 +98,10 @@ impl ThresholdPolicy {
             max_recency_us: dec.opt(|d| d.u64())?,
         })
     }
-}
 
-impl AdmissionPolicy for ThresholdPolicy {
-    fn admit(&mut self, view: &ObjectView) -> bool {
+    /// Returns true to admit the object into the HOC.
+    #[inline]
+    pub fn admit(&self, view: &ObjectView) -> bool {
         if view.frequency <= self.freq_threshold {
             return false;
         }
@@ -102,39 +119,15 @@ impl AdmissionPolicy for ThresholdPolicy {
         true
     }
 
-    fn label(&self) -> String {
+    /// Label like `f2s100` (KB), or `f2s100r5` (seconds) with the recency
+    /// knob.
+    pub fn label(&self) -> String {
         match self.max_recency_us {
             Some(r) => {
                 format!("f{}s{}r{}", self.freq_threshold, self.size_threshold / 1024, r / 1_000_000)
             }
             None => format!("f{}s{}", self.freq_threshold, self.size_threshold / 1024),
         }
-    }
-}
-
-/// Admits everything (stress baseline / DC-style behaviour).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AlwaysAdmit;
-
-impl AdmissionPolicy for AlwaysAdmit {
-    fn admit(&mut self, _view: &ObjectView) -> bool {
-        true
-    }
-    fn label(&self) -> String {
-        "always".into()
-    }
-}
-
-/// Admits nothing (isolates the DC path in tests).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NeverAdmit;
-
-impl AdmissionPolicy for NeverAdmit {
-    fn admit(&mut self, _view: &ObjectView) -> bool {
-        false
-    }
-    fn label(&self) -> String {
-        "never".into()
     }
 }
 
@@ -164,16 +157,11 @@ impl ProbabilisticSizePolicy {
         self.rng_state = x;
         (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
     }
-}
 
-impl AdmissionPolicy for ProbabilisticSizePolicy {
-    fn admit(&mut self, view: &ObjectView) -> bool {
+    /// Flips the admission coin: true with probability `exp(-size / c)`.
+    pub fn admit(&mut self, view: &ObjectView) -> bool {
         let p = (-(view.size as f64) / self.c).exp();
         self.next_uniform() < p
-    }
-
-    fn label(&self) -> String {
-        format!("adaptsize-c{:.0}", self.c)
     }
 }
 
@@ -187,7 +175,7 @@ mod tests {
 
     #[test]
     fn threshold_requires_strictly_more_than_f() {
-        let mut p = ThresholdPolicy::new(2, 1000);
+        let p = ThresholdPolicy::new(2, 1000);
         assert!(!p.admit(&view(10, 1, None)));
         assert!(!p.admit(&view(10, 2, None)), "f=2 must reject the 2nd request");
         assert!(p.admit(&view(10, 3, None)), "f=2 admits on the 3rd request");
@@ -195,14 +183,14 @@ mod tests {
 
     #[test]
     fn threshold_size_is_inclusive() {
-        let mut p = ThresholdPolicy::new(0, 1000);
+        let p = ThresholdPolicy::new(0, 1000);
         assert!(p.admit(&view(1000, 1, None)));
         assert!(!p.admit(&view(1001, 1, None)));
     }
 
     #[test]
     fn recency_knob_gates_admission() {
-        let mut p = ThresholdPolicy::with_recency(0, 1000, 500);
+        let p = ThresholdPolicy::with_recency(0, 1000, 500);
         assert!(p.admit(&view(10, 2, Some(400))));
         assert!(!p.admit(&view(10, 2, Some(501))));
         assert!(!p.admit(&view(10, 2, None)), "first sighting has no recency");
@@ -216,8 +204,20 @@ mod tests {
 
     #[test]
     fn always_and_never() {
-        assert!(AlwaysAdmit.admit(&view(u64::MAX, 0, None)));
-        assert!(!NeverAdmit.admit(&view(1, 100, Some(1))));
+        assert!(ThresholdPolicy::new(0, u64::MAX).admit(&view(u64::MAX, 1, None)));
+        assert!(!ThresholdPolicy::new(u32::MAX, 0).admit(&view(1, u32::MAX, Some(1))));
+    }
+
+    #[test]
+    fn admission_dispatches_to_its_policy() {
+        let mut t = Admission::from(ThresholdPolicy::new(2, 1000));
+        assert!(!t.admit(&view(10, 2, None)));
+        assert!(t.admit(&view(10, 3, None)));
+        let mut alone = ProbabilisticSizePolicy::new(5_000.0, 3);
+        let mut held = Admission::ProbabilisticSize(alone.clone());
+        for size in [100, 5_000, 50_000] {
+            assert_eq!(held.admit(&view(size, 1, None)), alone.admit(&view(size, 1, None)));
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::bloom::BloomFilter;
 use crate::eviction::{EvictionKind, Store};
 use crate::idmap::IdMap;
 use crate::metrics::CacheMetrics;
-use crate::policy::{AdmissionPolicy, ObjectView, ThresholdPolicy};
+use crate::policy::{Admission, ObjectView, ThresholdPolicy};
 use darwin_ckpt::rows::{Changes, Layout, Table};
 use darwin_ckpt::{CkptError, Dec, Enc};
 use darwin_trace::{ObjectId, Request};
@@ -313,7 +313,7 @@ pub struct CacheServer {
     config: CacheConfig,
     hoc: Store,
     dc: Store,
-    policy: Box<dyn AdmissionPolicy>,
+    policy: Admission,
     /// Request count and last request timestamp per object (the frequency
     /// and recency knobs' inputs).
     objects: ObjectTable,
@@ -335,7 +335,7 @@ impl CacheServer {
             config,
             hoc,
             dc,
-            policy: Box::new(ThresholdPolicy::new(2, 100 * 1024)),
+            policy: ThresholdPolicy::new(2, 100 * 1024).into(),
             objects: ObjectTable::default(),
             dc_filter,
             metrics: CacheMetrics::default(),
@@ -346,13 +346,8 @@ impl CacheServer {
     /// Installs a new HOC admission policy (takes effect on the next
     /// request). This is Darwin's actuation point: deploying an expert is
     /// exactly this call.
-    pub fn set_policy<P: AdmissionPolicy + 'static>(&mut self, policy: P) {
-        self.policy = Box::new(policy);
-    }
-
-    /// Label of the currently deployed admission policy.
-    pub fn policy_label(&self) -> String {
-        self.policy.label()
+    pub fn set_policy(&mut self, policy: impl Into<Admission>) {
+        self.policy = policy.into();
     }
 
     /// The configuration this server was built with.
@@ -591,7 +586,7 @@ impl CacheServer {
             config,
             hoc,
             dc,
-            policy: Box::new(ThresholdPolicy::new(2, 100 * 1024)),
+            policy: ThresholdPolicy::new(2, 100 * 1024).into(),
             objects,
             dc_filter,
             metrics,
@@ -750,7 +745,6 @@ impl HocSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::AlwaysAdmit;
     use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
 
     fn req(id: u64, size: u64, ts: u64) -> Request {
@@ -829,7 +823,7 @@ mod tests {
         let m_strict = strict.process_trace(&trace);
 
         let mut open = CacheServer::new(CacheConfig::small_test());
-        open.set_policy(AlwaysAdmit);
+        open.set_policy(ThresholdPolicy::new(0, u64::MAX));
         let m_open = open.process_trace(&trace);
 
         assert!(m_open.hoc_writes > m_strict.hoc_writes);

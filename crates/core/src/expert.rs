@@ -42,9 +42,7 @@ impl Expert {
 
     /// Label like `f2s100` (matching Table 2's row names).
     pub fn label(&self) -> String {
-        use darwin_cache::AdmissionPolicy;
-        let p = self.policy;
-        p.label()
+        self.policy.label()
     }
 }
 

@@ -94,15 +94,15 @@ impl OnlineConfig {
     }
 }
 
-/// The controller's current phase.
+/// The controller's current phase (the discriminant is its state tag).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ControllerPhase {
     /// Feature estimation over the epoch's first `N_warmup` requests.
-    Warmup,
+    Warmup = 0,
     /// Bandit best-expert identification.
-    Identify,
+    Identify = 1,
     /// Identified expert deployed for the rest of the epoch.
-    Deploy,
+    Deploy = 2,
 }
 
 /// A recorded expert switch (for reporting and the Fig 5d experiment).
@@ -156,28 +156,153 @@ pub struct EpochSummary {
     pub chosen_expert: usize,
 }
 
+/// What the controller holds in each phase: the state a phase needs, and
+/// nothing a finished phase left behind. Warm-up's per-object rings die at
+/// warm-up's end ([`FeatureExtractor::finish`]), the bandit at
+/// identification's, so neither is kept, saved nor restored past its phase.
+enum Phase {
+    /// The extractor's per-object rings, and the epoch's starting metrics
+    /// (the warm-up expert's window bootstraps the side information).
+    Warmup {
+        extractor: FeatureExtractor,
+        epoch_start: CacheMetrics,
+    },
+    Identify(Identification),
+    /// The drift-restart extension's detector (`None` with fixed epochs).
+    Deploy {
+        drift: Option<DriftDetector>,
+    },
+}
+
+/// Track-and-Stop over the warm-up cluster's expert set.
+struct Identification {
+    /// Warm-up features extended with the size-distribution fractions.
+    features: FeatureVector,
+    size_dist: SizeDistribution,
+    /// Grid indices of the cluster's best-expert set (arm `a` is `set[a]`).
+    set: Vec<usize>,
+    cluster: usize,
+    bandit: TrackAndStopSideInfo,
+    /// Cumulative metrics when the current round began, its requests so
+    /// far and the arm it deploys.
+    round_start: CacheMetrics,
+    round_seen: usize,
+    pending_arm: usize,
+    /// Rounds completed this epoch.
+    rounds: usize,
+}
+
+impl Identification {
+    /// Closes a round: the deployed arm's *real* reward from the round's
+    /// metrics window, fictitious rewards for every other candidate from the
+    /// cross-expert predictors. Returns true when the bandit stopped;
+    /// otherwise the next round has begun with its arm in `pending_arm`.
+    fn end_round(&mut self, model: &DarwinModel, cumulative: &CacheMetrics) -> bool {
+        let window = cumulative.diff(&self.round_start);
+        let p_hat = window.hoc_ohr();
+        let real_reward = model.objective().reward(&window);
+        let deployed = self.set[self.pending_arm];
+        let y: Vec<f64> = self
+            .set
+            .iter()
+            .enumerate()
+            .map(|(a, &j)| {
+                if a == self.pending_arm {
+                    real_reward
+                } else {
+                    let pred_hit = model.predict_hit_rate(deployed, j, p_hat, &self.features);
+                    model.hit_rate_to_reward(j, pred_hit, &self.size_dist)
+                }
+            })
+            .collect();
+        self.bandit.observe(self.pending_arm, &y);
+        self.rounds += 1;
+        if self.bandit.finished() {
+            return true;
+        }
+        self.pending_arm = self.bandit.next_arm();
+        self.round_start = *cumulative;
+        self.round_seen = 0;
+        false
+    }
+
+    /// The epoch's summary with the bandit's current recommendation.
+    fn summary(&self) -> EpochSummary {
+        EpochSummary {
+            cluster: self.cluster,
+            set_size: self.set.len(),
+            identify_rounds: self.rounds,
+            chosen_expert: self.set[self.bandit.recommend()],
+        }
+    }
+}
+
+impl Phase {
+    fn kind(&self) -> ControllerPhase {
+        match self {
+            Phase::Warmup { .. } => ControllerPhase::Warmup,
+            Phase::Identify(_) => ControllerPhase::Identify,
+            Phase::Deploy { .. } => ControllerPhase::Deploy,
+        }
+    }
+
+    fn encode_state(&self, enc: &mut Enc) {
+        enc.u8(self.kind() as u8);
+        match self {
+            Phase::Warmup { extractor, epoch_start } => {
+                extractor.encode_state(enc);
+                epoch_start.encode_state(enc);
+            }
+            Phase::Identify(id) => {
+                id.features.encode_state(enc);
+                id.size_dist.encode_state(enc);
+                enc.seq(&id.set, |e, &v| e.usize(v));
+                enc.usize(id.cluster);
+                id.bandit.encode_state(enc);
+                id.round_start.encode_state(enc);
+                enc.usize(id.round_seen);
+                enc.usize(id.pending_arm);
+                enc.usize(id.rounds);
+            }
+            Phase::Deploy { drift } => enc.opt(drift.as_ref(), |e, d| d.encode_state(e)),
+        }
+    }
+
+    fn decode_state(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
+        Ok(match phase_from_tag(dec.u8()?)? {
+            ControllerPhase::Warmup => Phase::Warmup {
+                extractor: FeatureExtractor::decode_state(dec)?,
+                epoch_start: CacheMetrics::decode_state(dec)?,
+            },
+            ControllerPhase::Identify => Phase::Identify(Identification {
+                features: FeatureVector::decode_state(dec)?,
+                size_dist: SizeDistribution::decode_state(dec)?,
+                set: dec.seq(8, |d| d.usize())?,
+                cluster: dec.usize()?,
+                bandit: TrackAndStopSideInfo::decode_state(dec)?,
+                round_start: CacheMetrics::decode_state(dec)?,
+                round_seen: dec.usize()?,
+                pending_arm: dec.usize()?,
+                rounds: dec.usize()?,
+            }),
+            ControllerPhase::Deploy => Phase::Deploy { drift: dec.opt(DriftDetector::decode_state)? },
+        })
+    }
+}
+
+/// The first byte of [`OnlineController::save_state`]. Unversioned bytes
+/// begin with the config fingerprint's length (66 or more), so they are
+/// refused.
+const STATE_LAYOUT: u8 = 2;
+
 /// The online controller state machine.
 pub struct OnlineController {
     model: Arc<DarwinModel>,
     cfg: OnlineConfig,
-    phase: ControllerPhase,
+    phase: Phase,
     epoch_request: usize,
     global_request: u64,
     current_expert: usize,
-    extractor: FeatureExtractor,
-    epoch_start_metrics: CacheMetrics,
-    // Identification state.
-    extended: Option<FeatureVector>,
-    size_dist: Option<SizeDistribution>,
-    set: Vec<usize>,
-    cluster: usize,
-    tas: Option<TrackAndStopSideInfo>,
-    round_start_metrics: CacheMetrics,
-    round_requests_seen: usize,
-    pending_arm: usize,
-    rounds_this_epoch: usize,
-    // Drift-restart extension.
-    drift: Option<DriftDetector>,
     drift_restarts: usize,
     // Reporting.
     switches: Vec<SwitchEvent>,
@@ -196,22 +321,13 @@ impl OnlineController {
         Self {
             model,
             cfg,
-            phase: ControllerPhase::Warmup,
+            phase: Phase::Warmup {
+                extractor: FeatureExtractor::paper_default(),
+                epoch_start: CacheMetrics::default(),
+            },
             epoch_request: 0,
             global_request: 0,
             current_expert: 0,
-            extractor: FeatureExtractor::paper_default(),
-            epoch_start_metrics: CacheMetrics::default(),
-            extended: None,
-            size_dist: None,
-            set: Vec::new(),
-            cluster: 0,
-            tas: None,
-            round_start_metrics: CacheMetrics::default(),
-            round_requests_seen: 0,
-            pending_arm: 0,
-            rounds_this_epoch: 0,
-            drift: None,
             drift_restarts: 0,
             switches: Vec::new(),
             epochs: Vec::new(),
@@ -231,7 +347,7 @@ impl OnlineController {
 
     /// Current phase.
     pub fn phase(&self) -> ControllerPhase {
-        self.phase
+        self.phase.kind()
     }
 
     /// All expert switches so far.
@@ -275,17 +391,38 @@ impl OnlineController {
         self.global_request += 1;
         self.epoch_request += 1;
 
-        let change = match self.phase {
-            ControllerPhase::Warmup => self.observe_warmup(req, cumulative),
-            ControllerPhase::Identify => self.observe_identify(cumulative),
-            ControllerPhase::Deploy => {
-                if let Some(detector) = &mut self.drift {
-                    if detector.observe(req) {
-                        self.drift_restarts += 1;
-                        self.pending_events.push(ControlEvent::Drift { restarts: self.drift_restarts });
-                        self.start_new_epoch(cumulative);
-                        return None;
-                    }
+        let change = match &mut self.phase {
+            Phase::Warmup { extractor, .. } => {
+                extractor.observe(req);
+                if self.epoch_request < self.cfg.warmup_requests {
+                    None
+                } else {
+                    self.end_warmup(cumulative)
+                }
+            }
+            Phase::Identify(id) => {
+                id.round_seen += 1;
+                if id.round_seen < self.cfg.round_requests {
+                    None
+                } else if id.end_round(&self.model, cumulative) {
+                    let summary = id.summary();
+                    self.epochs.push(summary);
+                    // Switch before dropping the bandit so the deploy
+                    // switch's journal event carries the final posterior.
+                    let change = self.switch_to(summary.chosen_expert, ControllerPhase::Deploy);
+                    self.phase = Phase::Deploy { drift: self.drift_detector() };
+                    change
+                } else {
+                    let chosen = id.set[id.pending_arm];
+                    self.switch_to(chosen, ControllerPhase::Identify)
+                }
+            }
+            Phase::Deploy { drift } => {
+                if drift.as_mut().is_some_and(|detector| detector.observe(req)) {
+                    self.drift_restarts += 1;
+                    self.pending_events.push(ControlEvent::Drift { restarts: self.drift_restarts });
+                    self.start_new_epoch(cumulative);
+                    return None;
                 }
                 None
             }
@@ -299,182 +436,98 @@ impl OnlineController {
         change
     }
 
-    fn observe_warmup(&mut self, req: &Request, cumulative: &CacheMetrics) -> Option<Expert> {
-        self.extractor.observe(req);
-        if self.epoch_request < self.cfg.warmup_requests {
-            return None;
-        }
-        // Warm-up complete: cluster lookup and expert-set load.
-        let features = self.extractor.features();
-        let extended = self.extractor.extended_features();
-        let size_dist = self.extractor.size_distribution().clone();
-        self.cluster = self.model.lookup_cluster(&features);
-        self.set = self.model.expert_set(self.cluster).to_vec();
-        self.extended = Some(extended);
-        self.size_dist = Some(size_dist);
-        self.rounds_this_epoch = 0;
+    /// Warm-up complete: the extractor's per-object state is dropped ("this
+    /// tree is deleted at the end of the stage"), the cluster is looked up
+    /// and its expert set loaded.
+    fn end_warmup(&mut self, cumulative: &CacheMetrics) -> Option<Expert> {
+        let Phase::Warmup { extractor, epoch_start } =
+            std::mem::replace(&mut self.phase, Phase::Deploy { drift: None })
+        else {
+            unreachable!("only a warm-up ends warm-up");
+        };
+        let (features, size_dist) = extractor.finish();
+        let cluster = self.model.lookup_cluster(&features);
+        let set = self.model.expert_set(cluster).to_vec();
 
-        if self.set.len() == 1 {
-            let chosen = self.set[0];
-            self.phase = ControllerPhase::Deploy;
-            self.arm_drift_detector();
+        if set.len() == 1 {
+            let chosen = set[0];
+            self.phase = Phase::Deploy { drift: self.drift_detector() };
             self.epochs.push(EpochSummary {
-                cluster: self.cluster,
+                cluster,
                 set_size: 1,
                 identify_rounds: 0,
                 chosen_expert: chosen,
             });
-            return self.switch_to(chosen);
+            return self.switch_to(chosen, ControllerPhase::Deploy);
         }
 
         // Bootstrap Σ from the warm-up expert's observed hit rate.
-        let warm_window = cumulative.diff(&self.epoch_start_metrics);
-        let p_warm = warm_window.hoc_ohr();
-        let extended = self.extended.as_ref().expect("set above");
+        let features = features.extended(&size_dist.fractions());
+        let p_warm = cumulative.diff(&epoch_start).hoc_ohr();
         let marginals =
-            self.model.bootstrap_marginals(&self.set, extended, Some((self.current_expert, p_warm)));
+            self.model.bootstrap_marginals(&set, &features, Some((self.current_expert, p_warm)));
         let effective = (self.cfg.round_requests as f64 / self.cfg.correlation_length).max(1.0);
-        let sigma =
-            self.model.side_info(&self.set, extended, &marginals, effective, self.cfg.min_variance);
+        let sigma = self.model.side_info(&set, &features, &marginals, effective, self.cfg.min_variance);
         let tas_cfg = TasConfig {
             stability_rounds: self.cfg.stability_rounds,
             max_rounds: self.cfg.max_identify_rounds,
             alpha_iters: self.cfg.alpha_iters,
             ..TasConfig::default()
         };
-        let mut tas = TrackAndStopSideInfo::new(sigma, self.cfg.delta, tas_cfg);
-
-        self.phase = ControllerPhase::Identify;
-        if tas.finished() {
-            // Degenerate single-arm case already handled; defensive.
-            let chosen = self.set[tas.recommend()];
-            self.tas = None;
-            self.phase = ControllerPhase::Deploy;
-            return self.switch_to(chosen);
-        }
-        let arm = tas.next_arm();
-        self.pending_arm = arm;
-        self.tas = Some(tas);
-        self.round_start_metrics = *cumulative;
-        self.round_requests_seen = 0;
-        let chosen = self.set[arm];
-        self.switch_to(chosen)
+        // Two or more arms: the bandit starts unfinished.
+        let mut bandit = TrackAndStopSideInfo::new(sigma, self.cfg.delta, tas_cfg);
+        let pending_arm = bandit.next_arm();
+        let chosen = set[pending_arm];
+        self.phase = Phase::Identify(Identification {
+            features,
+            size_dist,
+            set,
+            cluster,
+            bandit,
+            round_start: *cumulative,
+            round_seen: 0,
+            pending_arm,
+            rounds: 0,
+        });
+        self.switch_to(chosen, ControllerPhase::Identify)
     }
 
-    fn observe_identify(&mut self, cumulative: &CacheMetrics) -> Option<Expert> {
-        self.round_requests_seen += 1;
-        if self.round_requests_seen < self.cfg.round_requests {
-            return None;
-        }
-        // Round complete: real reward for the deployed arm, fictitious for
-        // the rest.
-        let window = cumulative.diff(&self.round_start_metrics);
-        let p_hat = window.hoc_ohr();
-        let real_reward = self.model.objective().reward(&window);
-        let extended = self.extended.as_ref().expect("identification requires features");
-        let size_dist = self.size_dist.as_ref().expect("identification requires size dist");
-        let deployed_global = self.set[self.pending_arm];
-
-        let y: Vec<f64> = self
-            .set
-            .iter()
-            .enumerate()
-            .map(|(a, &j)| {
-                if a == self.pending_arm {
-                    real_reward
-                } else {
-                    let pred_hit = self.model.predict_hit_rate(deployed_global, j, p_hat, extended);
-                    self.model.hit_rate_to_reward(j, pred_hit, size_dist)
-                }
-            })
-            .collect();
-
-        let tas = self.tas.as_mut().expect("identify phase has a bandit");
-        tas.observe(self.pending_arm, &y);
-        self.rounds_this_epoch += 1;
-
-        if tas.finished() {
-            let chosen = self.set[tas.recommend()];
-            self.phase = ControllerPhase::Deploy;
-            self.arm_drift_detector();
-            self.epochs.push(EpochSummary {
-                cluster: self.cluster,
-                set_size: self.set.len(),
-                identify_rounds: self.rounds_this_epoch,
-                chosen_expert: chosen,
-            });
-            // Switch before dropping the bandit so the deploy switch's
-            // journal event carries the final posterior.
-            let change = self.switch_to(chosen);
-            self.tas = None;
-            return change;
-        }
-        let arm = tas.next_arm();
-        self.pending_arm = arm;
-        self.round_start_metrics = *cumulative;
-        self.round_requests_seen = 0;
-        let chosen = self.set[arm];
-        self.switch_to(chosen)
-    }
-
-    /// Creates the drift detector when the deploy phase begins (extension;
-    /// no-op with the paper's fixed epochs).
-    fn arm_drift_detector(&mut self) {
-        self.drift =
-            self.cfg.drift_threshold.map(|t| DriftDetector::new(self.cfg.round_requests.max(1), t));
+    /// The deploy phase's drift detector (extension; `None` with the
+    /// paper's fixed epochs).
+    fn drift_detector(&self) -> Option<DriftDetector> {
+        self.cfg.drift_threshold.map(|t| DriftDetector::new(self.cfg.round_requests.max(1), t))
     }
 
     fn start_new_epoch(&mut self, cumulative: &CacheMetrics) {
-        if self.phase == ControllerPhase::Identify {
+        if let Phase::Identify(id) = &self.phase {
             // Epoch ended mid-identification: record the best-effort choice.
-            if let Some(tas) = &self.tas {
-                self.epochs.push(EpochSummary {
-                    cluster: self.cluster,
-                    set_size: self.set.len(),
-                    identify_rounds: self.rounds_this_epoch,
-                    chosen_expert: self.set[tas.recommend()],
-                });
-            }
-            self.tas = None;
+            self.epochs.push(id.summary());
         }
-        self.phase = ControllerPhase::Warmup;
-        self.epoch_request = 0;
-        self.extractor = FeatureExtractor::paper_default();
-        self.epoch_start_metrics = *cumulative;
-        self.drift = None;
         // Keep the current expert through warm-up ("or one from the previous
         // epoch", §4.2).
+        self.phase =
+            Phase::Warmup { extractor: FeatureExtractor::paper_default(), epoch_start: *cumulative };
+        self.epoch_request = 0;
     }
 
     /// Serializes the controller's dynamic state (everything except the
     /// immutable [`DarwinModel`] and [`OnlineConfig`], which the restoring
-    /// side must already hold). The bytes begin with a canonical fingerprint
-    /// of the config so [`OnlineController::restore_state`] can refuse a
-    /// restore into a controller configured differently.
+    /// side must already hold): a layout byte, a canonical fingerprint of
+    /// the config so [`OnlineController::restore_state`] can refuse a
+    /// restore into a controller configured differently, the counters and
+    /// history, then the live phase's state alone.
     pub fn save_state(&self) -> Vec<u8> {
         let mut enc = Enc::new();
+        enc.u8(STATE_LAYOUT);
         enc.bytes(&online_config_fingerprint(&self.cfg));
-        enc.u8(phase_tag(self.phase));
         enc.usize(self.epoch_request);
         enc.u64(self.global_request);
         enc.usize(self.current_expert);
-        self.extractor.encode_state(&mut enc);
-        self.epoch_start_metrics.encode_state(&mut enc);
-        enc.opt(self.extended.as_ref(), |e, v| v.encode_state(e));
-        enc.opt(self.size_dist.as_ref(), |e, v| v.encode_state(e));
-        enc.seq(&self.set, |e, &v| e.usize(v));
-        enc.usize(self.cluster);
-        enc.opt(self.tas.as_ref(), |e, t| t.encode_state(e));
-        self.round_start_metrics.encode_state(&mut enc);
-        enc.usize(self.round_requests_seen);
-        enc.usize(self.pending_arm);
-        enc.usize(self.rounds_this_epoch);
-        enc.opt(self.drift.as_ref(), |e, d| d.encode_state(e));
         enc.usize(self.drift_restarts);
         enc.seq(&self.switches, |e, s| {
             e.u64(s.at_request);
             e.usize(s.expert);
-            e.u8(phase_tag(s.phase));
+            e.u8(s.phase as u8);
         });
         enc.seq(&self.epochs, |e, ep| {
             e.usize(ep.cluster);
@@ -482,6 +535,7 @@ impl OnlineController {
             e.usize(ep.identify_rounds);
             e.usize(ep.chosen_expert);
         });
+        self.phase.encode_state(&mut enc);
         enc.into_bytes()
     }
 
@@ -490,26 +544,17 @@ impl OnlineController {
     /// and config). On error, `self` is left untouched.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         let mut dec = Dec::new(bytes);
+        let layout = dec.u8()?;
+        if layout != STATE_LAYOUT {
+            return Err(CkptError::Malformed(format!("unknown controller state layout {layout}")));
+        }
         let fp = dec.bytes()?;
         if fp != online_config_fingerprint(&self.cfg).as_slice() {
             return Err(CkptError::Malformed("online config fingerprint mismatch".into()));
         }
-        let phase = phase_from_tag(dec.u8()?)?;
         let epoch_request = dec.usize()?;
         let global_request = dec.u64()?;
         let current_expert = dec.usize()?;
-        let extractor = darwin_features::FeatureExtractor::decode_state(&mut dec)?;
-        let epoch_start_metrics = CacheMetrics::decode_state(&mut dec)?;
-        let extended = dec.opt(FeatureVector::decode_state)?;
-        let size_dist = dec.opt(SizeDistribution::decode_state)?;
-        let set: Vec<usize> = dec.seq(8, |d| d.usize())?;
-        let cluster = dec.usize()?;
-        let tas = dec.opt(TrackAndStopSideInfo::decode_state)?;
-        let round_start_metrics = CacheMetrics::decode_state(&mut dec)?;
-        let round_requests_seen = dec.usize()?;
-        let pending_arm = dec.usize()?;
-        let rounds_this_epoch = dec.usize()?;
-        let drift = dec.opt(DriftDetector::decode_state)?;
         let drift_restarts = dec.usize()?;
         let switches: Vec<SwitchEvent> = dec.seq(8 + 8 + 1, |d| {
             Ok(SwitchEvent { at_request: d.u64()?, expert: d.usize()?, phase: phase_from_tag(d.u8()?)? })
@@ -522,39 +567,28 @@ impl OnlineController {
                 chosen_expert: d.usize()?,
             })
         })?;
+        let phase = Phase::decode_state(&mut dec)?;
         dec.finish()?;
 
         let grid_len = self.model.grid().len();
-        if current_expert >= grid_len || set.iter().any(|&j| j >= grid_len) {
+        if current_expert >= grid_len {
             return Err(CkptError::Malformed("expert index out of grid range".into()));
         }
-        if let Some(t) = &tas {
-            if phase != ControllerPhase::Identify {
-                return Err(CkptError::Malformed("bandit present outside Identify phase".into()));
+        if let Phase::Identify(id) = &phase {
+            let arms = id.set.len();
+            if id.set.iter().any(|&j| j >= grid_len)
+                || id.bandit.k() != arms
+                || id.pending_arm >= arms
+                || id.bandit.finished()
+            {
+                return Err(CkptError::Malformed("identification state out of range".into()));
             }
-            if t.k() != set.len() || pending_arm >= set.len() {
-                return Err(CkptError::Malformed("bandit arm count mismatch".into()));
-            }
-        } else if phase == ControllerPhase::Identify {
-            return Err(CkptError::Malformed("Identify phase without a bandit".into()));
         }
 
         self.phase = phase;
         self.epoch_request = epoch_request;
         self.global_request = global_request;
         self.current_expert = current_expert;
-        self.extractor = extractor;
-        self.epoch_start_metrics = epoch_start_metrics;
-        self.extended = extended;
-        self.size_dist = size_dist;
-        self.set = set;
-        self.cluster = cluster;
-        self.tas = tas;
-        self.round_start_metrics = round_start_metrics;
-        self.round_requests_seen = round_requests_seen;
-        self.pending_arm = pending_arm;
-        self.rounds_this_epoch = rounds_this_epoch;
-        self.drift = drift;
         self.drift_restarts = drift_restarts;
         self.switches = switches;
         self.epochs = epochs;
@@ -564,43 +598,25 @@ impl OnlineController {
         Ok(())
     }
 
-    fn switch_to(&mut self, expert_idx: usize) -> Option<Expert> {
+    /// Deploys `expert_idx` if it is not already deployed, recording the
+    /// switch under `phase`. The journal event carries the identification
+    /// round and the bandit's posterior while one is live.
+    fn switch_to(&mut self, expert_idx: usize, phase: ControllerPhase) -> Option<Expert> {
         if expert_idx == self.current_expert {
             return None;
         }
         let from = self.current_expert;
         self.current_expert = expert_idx;
-        self.switches.push(SwitchEvent {
-            at_request: self.global_request,
-            expert: expert_idx,
-            phase: self.phase,
-        });
-        let posterior = self.tas.as_ref().map_or_else(String::new, |tas| {
-            let means = tas.means();
-            let mut out = String::new();
-            for (i, m) in means.iter().enumerate() {
-                if i > 0 {
-                    out.push(' ');
-                }
-                out.push_str(&format!("{m:.4}"));
+        self.switches.push(SwitchEvent { at_request: self.global_request, expert: expert_idx, phase });
+        let (round, posterior) = match &self.phase {
+            Phase::Identify(id) => {
+                let means: Vec<String> = id.bandit.means().iter().map(|m| format!("{m:.4}")).collect();
+                (id.rounds, means.join(" "))
             }
-            out
-        });
-        self.pending_events.push(ControlEvent::Switch {
-            from,
-            to: expert_idx,
-            round: self.rounds_this_epoch,
-            posterior,
-        });
+            _ => (0, String::new()),
+        };
+        self.pending_events.push(ControlEvent::Switch { from, to: expert_idx, round, posterior });
         Some(self.model.grid().get(expert_idx))
-    }
-}
-
-fn phase_tag(phase: ControllerPhase) -> u8 {
-    match phase {
-        ControllerPhase::Warmup => 0,
-        ControllerPhase::Identify => 1,
-        ControllerPhase::Deploy => 2,
     }
 }
 
@@ -639,6 +655,10 @@ mod tests {
     use darwin_nn::TrainConfig;
     use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
 
+    /// θ = 100 % puts every expert in both clusters' sets, so every epoch
+    /// identifies over four arms (at the paper's 1 % this small model's
+    /// sets are singletons and the controller never leaves warm-up for
+    /// Identify).
     fn small_model() -> Arc<DarwinModel> {
         let cfg = OfflineConfig {
             grid: ExpertGrid::new(vec![
@@ -650,6 +670,7 @@ mod tests {
             hoc_bytes: 2 * 1024 * 1024,
             nn_train: TrainConfig { epochs: 40, ..TrainConfig::default() },
             n_clusters: 2,
+            theta_percent: 100.0,
             ..OfflineConfig::default()
         };
         let trainer = OfflineTrainer::new(cfg);
@@ -764,8 +785,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn save_restore_mid_run_resumes_bitwise_identically() {
+    /// Saves the controller after `split` requests of a two-epoch run,
+    /// asserts the saved phase, restores the bytes into a fresh controller
+    /// beside a restored cache server, and checks every decision of the
+    /// tail against the uninterrupted run.
+    fn check_save_restore_resumes_bitwise(split: usize, phase: ControllerPhase) {
         let model = small_model();
         let cfg = test_cfg();
         let trace = TraceGenerator::new(
@@ -774,8 +798,6 @@ mod tests {
         )
         .generate(30_000);
         let requests = trace.requests();
-        // Split inside the second epoch's identification window.
-        let split = 21_500;
 
         let cache_cfg = CacheConfig { hoc_bytes: 2 * 1024 * 1024, ..CacheConfig::small_test() };
         let mut ctrl = OnlineController::new(Arc::clone(&model), cfg);
@@ -787,8 +809,11 @@ mod tests {
                 server.set_policy(e.policy);
             }
         }
+        assert_eq!(ctrl.phase(), phase, "phase after {split} requests");
 
         let saved = ctrl.save_state();
+        // The journal buffer is not state: compare only the tail's events.
+        ctrl.drain_control_events();
         let mut restored = OnlineController::new(Arc::clone(&model), cfg);
         restored.restore_state(&saved).unwrap();
         assert_eq!(restored.phase(), ctrl.phase());
@@ -818,10 +843,119 @@ mod tests {
             if let Some(e) = b {
                 server2.set_policy(e.policy);
             }
+            assert_eq!(restored.drain_control_events(), ctrl.drain_control_events());
         }
+        assert!(ctrl.epochs().len() >= 2 && ctrl.epochs().iter().all(|e| e.identify_rounds > 0));
         assert_eq!(restored.expert_sequence(), ctrl.expert_sequence());
         assert_eq!(restored.epochs(), ctrl.epochs());
+        assert_eq!(restored.save_state(), ctrl.save_state());
         assert_eq!(server2.metrics(), server.metrics());
+    }
+
+    // The second epoch starts at request 20 000; its warm-up ends on
+    // request 21 000 and its identification by request 23 000.
+
+    #[test]
+    fn save_restore_mid_warmup_resumes_bitwise() {
+        check_save_restore_resumes_bitwise(20_500, ControllerPhase::Warmup);
+    }
+
+    #[test]
+    fn save_restore_before_the_request_that_ends_warmup_resumes_bitwise() {
+        check_save_restore_resumes_bitwise(20_999, ControllerPhase::Warmup);
+    }
+
+    #[test]
+    fn save_restore_mid_run_resumes_bitwise_identically() {
+        check_save_restore_resumes_bitwise(21_500, ControllerPhase::Identify);
+    }
+
+    #[test]
+    fn save_restore_mid_deploy_resumes_bitwise() {
+        check_save_restore_resumes_bitwise(25_000, ControllerPhase::Deploy);
+    }
+
+    /// Drives 5 000 synthetic requests cycling through `distinct` objects;
+    /// returns the state saved one request before warm-up ends, and the
+    /// controller, deployed, at the end.
+    fn warmup_and_deploy_state(distinct: u64) -> (Vec<u8>, OnlineController) {
+        let cfg = OnlineConfig { max_identify_rounds: 6, ..test_cfg() };
+        let mut ctrl = OnlineController::new(small_model(), cfg);
+        let mut server =
+            CacheServer::new(CacheConfig { hoc_bytes: 2 * 1024 * 1024, ..CacheConfig::small_test() });
+        let mut warm = Vec::new();
+        for i in 0..5_000u64 {
+            let r = Request::new(i % distinct, 1_000 + (i * 7919) % 50_000, i * 1_000);
+            server.process(&r);
+            if let Some(e) = ctrl.observe(&r, &server.metrics()) {
+                server.set_policy(e.policy);
+            }
+            if i + 2 == cfg.warmup_requests as u64 {
+                warm = ctrl.save_state();
+            }
+        }
+        assert_eq!(ctrl.phase(), ControllerPhase::Deploy);
+        (warm, ctrl)
+    }
+
+    #[test]
+    fn deploy_state_does_not_grow_with_the_warmup_catalog() {
+        let (few_warm, few) = warmup_and_deploy_state(90);
+        let (many_warm, many) = warmup_and_deploy_state(900);
+        // The warm-up saves a ring per object...
+        assert!(
+            many_warm.len() > few_warm.len() + 800 * 16,
+            "{} vs {}",
+            many_warm.len(),
+            few_warm.len()
+        );
+        // ... and none survives it: past the switch and epoch history, a
+        // deployed controller's bytes are the same for either catalog.
+        let own = |c: &OnlineController| {
+            c.save_state().len() - c.switches().len() * (8 + 8 + 1) - c.epochs().len() * 4 * 8
+        };
+        assert_eq!(own(&few), own(&many));
+    }
+
+    /// The unversioned layout's bytes for an Identify controller with a
+    /// two-arm bandit and no warm-up features or size distribution.
+    fn unversioned_identify_without_features(cfg: &OnlineConfig) -> Vec<u8> {
+        use darwin_bandit::SideInfo;
+        let tas = TrackAndStopSideInfo::new(SideInfo::uniform(2, 0.1), 0.05, TasConfig::default());
+        let mut enc = Enc::new();
+        enc.bytes(&online_config_fingerprint(cfg));
+        enc.u8(1); // phase: Identify
+        enc.usize(1_500); // epoch request
+        enc.u64(1_500); // global request
+        enc.usize(0); // current expert
+        FeatureExtractor::paper_default().encode_state(&mut enc);
+        CacheMetrics::default().encode_state(&mut enc);
+        enc.u8(0); // extended features: none
+        enc.u8(0); // size distribution: none
+        enc.seq(&[0usize, 1], |e, &v| e.usize(v));
+        enc.usize(0); // cluster
+        enc.opt(Some(&tas), |e, t| t.encode_state(e));
+        CacheMetrics::default().encode_state(&mut enc);
+        enc.usize(0); // round requests seen
+        enc.usize(0); // pending arm
+        enc.usize(0); // rounds this epoch
+        enc.u8(0); // drift detector: none
+        enc.usize(0); // drift restarts
+        enc.usize(0); // switches
+        enc.usize(0); // epochs
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn identify_state_without_features_is_refused_and_the_controller_stays_cold() {
+        let model = small_model();
+        let cfg = test_cfg();
+        let cold = OnlineController::new(Arc::clone(&model), cfg).save_state();
+        let mut ctrl = OnlineController::new(Arc::clone(&model), cfg);
+        assert!(ctrl.restore_state(&unversioned_identify_without_features(&cfg)).is_err());
+        assert_eq!(ctrl.phase(), ControllerPhase::Warmup);
+        assert_eq!(ctrl.expert_sequence(), vec![(0, 0)]);
+        assert_eq!(ctrl.save_state(), cold, "a refused restore leaves the controller cold");
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl FeatureExtractor {
         self.features().extended(&self.size_dist.fractions())
     }
 
-    /// The bucketized size distribution observed so far.
-    pub fn size_distribution(&self) -> &SizeDistribution {
-        &self.size_dist
-    }
-
     /// Drops the per-object working state, keeping only the aggregated
     /// feature vector (what the paper's prototype does at the end of the
     /// feature-collection stage: "this tree is deleted at the end of the

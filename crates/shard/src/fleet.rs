@@ -1325,7 +1325,7 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
             };
             let mut serving = Serving { cell: &cell, server, base, processed: 0 };
             serving.server.set_policy(current_policy);
-            cell.publish_policy(serving.server.policy_label());
+            cell.publish_policy(current_policy);
             // The one cut routine: seal the shard's state at `seq` — merged
             // into the server's base, the previous cut, and written over
             // the slot's inactive frame, two cuts old — publish it to the
@@ -1427,7 +1427,7 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
                     if let Some(policy) = driver.observe(&req, &metrics) {
                         current_policy = policy;
                         serving.server.set_policy(policy);
-                        cell.publish_policy(serving.server.policy_label());
+                        cell.publish_policy(policy);
                     }
                     let seq = at + 1;
                     // Feed the switching-cost tracker, then journal any

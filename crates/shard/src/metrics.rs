@@ -16,7 +16,7 @@
 //! instead of panicking.
 
 use crate::queue::QueueGauges;
-use darwin_cache::CacheMetrics;
+use darwin_cache::{CacheMetrics, ThresholdPolicy};
 use darwin_obs::{Event, EventKind, JournalSnapshot, LatencySnapshot, ShardObs};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -537,13 +537,13 @@ impl MetricsHandle {
     }
 }
 
-/// Cache metrics and policy label of the current worker incarnation, plus
-/// the folded totals of every incarnation that died before it.
+/// Cache metrics and deployed policy of the current worker incarnation,
+/// plus the folded totals of every incarnation that died before it.
 #[derive(Debug, Default)]
 struct CellState {
     cache: CacheMetrics,
     cache_base: CacheMetrics,
-    policy: String,
+    policy: Option<ThresholdPolicy>,
 }
 
 /// The mailbox one shard worker publishes into and the fleet reads from.
@@ -660,9 +660,9 @@ impl ShardCell {
     }
 
     /// Worker side, at boot and whenever the deployed policy changes:
-    /// publish its label.
-    pub fn publish_policy(&self, policy: String) {
-        self.state.lock().expect("cell poisoned").policy = policy;
+    /// publish it. A snapshot formats its label.
+    pub fn publish_policy(&self, policy: ThresholdPolicy) {
+        self.state.lock().expect("cell poisoned").policy = Some(policy);
     }
 
     /// Producer side: account requests shed at this shard's queue or lost in
@@ -907,7 +907,7 @@ impl ShardCell {
     pub fn snapshot(&self) -> ShardSnapshot {
         let (cache, policy) = {
             let st = self.state.lock().expect("cell poisoned");
-            (st.cache_base.merge(&st.cache), st.policy.clone())
+            (st.cache_base.merge(&st.cache), st.policy)
         };
         let gauges = Arc::clone(&self.gauges.lock().expect("cell poisoned"));
         let processed_total = self.processed_total();
@@ -935,7 +935,7 @@ impl ShardCell {
             queue_depth: gauges.depth(),
             queue_high_water: self.high_water_floor.load(Ordering::Relaxed).max(gauges.high_water()),
             cache,
-            policy,
+            policy: policy.map_or_else(String::new, |p| p.label()),
             latency: Some(self.obs.latency_snapshot()),
             events_dropped: journal.dropped,
             events: journal.events,
@@ -1345,7 +1345,7 @@ mod tests {
         let cell = ShardCell::new(3, Arc::new(QueueGauges::default()));
         let m = CacheMetrics { requests: 7, hoc_hits: 2, ..Default::default() };
         cell.publish(m, 7);
-        cell.publish_policy("f1s50".into());
+        cell.publish_policy(ThresholdPolicy::new(1, 50 * 1024));
         cell.add_dropped(5);
         cell.add_unavailable(2);
         let s = cell.snapshot();

@@ -51,8 +51,6 @@ pub struct ShardRun<D> {
     pub hoc_used_bytes: u64,
     /// Final DC occupancy, bytes.
     pub dc_used_bytes: u64,
-    /// Label of the policy deployed at the end of the run.
-    pub policy: String,
     /// The admission driver, returned for post-mortem inspection (switch
     /// histories of Darwin controllers, in particular).
     pub driver: D,
@@ -80,7 +78,6 @@ pub fn run_partition<D: AdmissionDriver>(
         processed,
         hoc_used_bytes: server.hoc_used_bytes(),
         dc_used_bytes: server.dc_used_bytes(),
-        policy: server.policy_label(),
         driver,
     }
 }
@@ -154,7 +151,6 @@ mod tests {
         assert_eq!(run.processed, t.len() as u64);
         assert_eq!(run.hoc_used_bytes, server.hoc_used_bytes());
         assert_eq!(run.dc_used_bytes, server.dc_used_bytes());
-        assert_eq!(run.policy, "f1s100");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! occupancy, and the full deployed-expert sequence — to an uninterrupted
 //! sequential run of its partition (minus the one fatal request every
 //! scripted death drops). Verified at 1, 2 and 8 shards with the full
-//! per-shard Darwin controller; `verify.sh` runs all three as the
+//! per-shard Darwin controller, from cuts that hold it in warm-up,
+//! identification and deployment; `verify.sh` runs them as the
 //! restore-equivalence gate.
 //!
 //! The cold-fallback path is pinned just as tightly: with every checkpoint
@@ -17,7 +18,9 @@
 //! payoff is pinned too: after a boundary kill, a warm restart regains 95 %
 //! of the steady-state hit ratio in fewer requests than a cold one.
 
-use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, OnlineConfig};
+use darwin::{
+    ControllerPhase, DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, OnlineConfig,
+};
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, ThresholdPolicy};
 use darwin_nn::TrainConfig;
 use darwin_shard::{
@@ -35,8 +38,11 @@ const KILL_AT: u64 = 3_000;
 /// Checkpoint cadence; `KILL_AT` is a boundary of it.
 const CKPT_EVERY: u64 = 1_000;
 
-/// One small offline-trained model shared by every test in this file (same
-/// shape as `tests/equivalence.rs`).
+/// One small offline-trained model shared by every test in this file (the
+/// shape of `tests/equivalence.rs`'s, with θ = 100 % so every expert is in
+/// both clusters' sets and each epoch's warm-up is followed by real
+/// identification rounds: warm-up ends on each epoch's request 1 000 and
+/// identification by its request 3 100 at 1, 2 and 8 shards).
 fn model() -> Arc<DarwinModel> {
     static MODEL: OnceLock<Arc<DarwinModel>> = OnceLock::new();
     MODEL
@@ -51,6 +57,7 @@ fn model() -> Arc<DarwinModel> {
                 hoc_bytes: 2 * 1024 * 1024,
                 nn_train: TrainConfig { epochs: 40, ..TrainConfig::default() },
                 n_clusters: 2,
+                theta_percent: 100.0,
                 ..OfflineConfig::default()
             };
             let traces: Vec<Trace> = (0..4)
@@ -86,8 +93,7 @@ fn online_cfg() -> OnlineConfig {
 
 fn test_trace() -> Trace {
     // Long enough that shard 0 holds well over `KILL_AT` requests even at 8
-    // shards, and that the checkpoint at `KILL_AT` lands mid-Identify (live
-    // Track-and-Stop posterior in the frame, not just warm-up counters).
+    // shards, and over two epochs at 1 and 2 shards.
     TraceGenerator::new(MixSpec::two_class(TrafficClass::image(), TrafficClass::download(), 0.5), 4242)
         .generate(48_000)
 }
@@ -113,36 +119,44 @@ fn minus_fatal(part: &Trace, at: u64) -> Trace {
 }
 
 /// Keystone (a): boundary-kill warm restore is bitwise-identical to the
-/// uninterrupted run, with the full Darwin controller per shard.
-fn check_warm_boundary_restore(shards: usize) {
+/// uninterrupted run, with the full Darwin controller per shard. Shard 0
+/// checkpoints every `ckpt_every` requests and dies on request `kill_at`, a
+/// multiple of it, so its last cut holds a controller in `phase`.
+fn check_warm_boundary_restore(shards: usize, kill_at: u64, ckpt_every: u64, phase: ControllerPhase) {
     let model = model();
     let trace = test_trace();
+    let parts = partition(&trace, &HashRouter, shards);
+    assert!(
+        parts[0].len() as u64 > kill_at + ckpt_every,
+        "trace too short for a meaningful post-restore tail at {shards} shards"
+    );
+    let head = run_partition(
+        cache_cfg(),
+        DarwinDriver::new(Arc::clone(&model), online_cfg()),
+        &parts[0].slice(0, kill_at as usize),
+    );
+    assert_eq!(head.driver.controller().phase(), phase, "the controller in the cut at {kill_at}");
 
     let mut fleet = ShardedFleet::with_fault_plan(
-        fleet_cfg(shards),
+        FleetConfig { checkpoint_every: Some(ckpt_every), ..fleet_cfg(shards) },
         cache_cfg(),
         Box::new(HashRouter),
         {
             let model = Arc::clone(&model);
             move |_| DarwinDriver::new(Arc::clone(&model), online_cfg())
         },
-        FaultPlan::new(vec![FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::Panic }]),
+        FaultPlan::new(vec![FaultEvent { shard: 0, at: kill_at, kind: FaultKind::Panic }]),
     );
     fleet.submit_trace(&trace);
     let report = fleet.finish();
 
     // Uninterrupted ground truth per shard; shard 0's partition loses the
     // one fatal request the death dropped.
-    let parts = partition(&trace, &HashRouter, shards);
-    assert!(
-        parts[0].len() as u64 > KILL_AT + CKPT_EVERY,
-        "trace too short for a meaningful post-restore tail at {shards} shards"
-    );
     let seq: Vec<_> = parts
         .iter()
         .enumerate()
         .map(|(s, part)| {
-            let ground = if s == 0 { minus_fatal(part, KILL_AT) } else { part.clone() };
+            let ground = if s == 0 { minus_fatal(part, kill_at) } else { part.clone() };
             run_partition(cache_cfg(), DarwinDriver::new(Arc::clone(&model), online_cfg()), &ground)
         })
         .collect();
@@ -180,19 +194,35 @@ fn check_warm_boundary_restore(shards: usize) {
     );
 }
 
+/// Mid-identification: a live Track-and-Stop posterior in the cut.
+const IDENTIFY_CUT: u64 = 2_000;
+
 #[test]
 fn warm_boundary_restore_bitwise_at_1_shard() {
-    check_warm_boundary_restore(1);
+    check_warm_boundary_restore(1, IDENTIFY_CUT, CKPT_EVERY, ControllerPhase::Identify);
 }
 
 #[test]
 fn warm_boundary_restore_bitwise_at_2_shards() {
-    check_warm_boundary_restore(2);
+    check_warm_boundary_restore(2, IDENTIFY_CUT, CKPT_EVERY, ControllerPhase::Identify);
 }
 
 #[test]
 fn warm_boundary_restore_bitwise_at_8_shards() {
-    check_warm_boundary_restore(8);
+    check_warm_boundary_restore(8, IDENTIFY_CUT, CKPT_EVERY, ControllerPhase::Identify);
+}
+
+/// Mid-warm-up of the second epoch: the extractor's per-object rings and
+/// the epoch's starting metrics in the cut.
+#[test]
+fn warm_boundary_restore_bitwise_from_a_warmup_cut() {
+    check_warm_boundary_restore(2, 20_500, CKPT_EVERY / 2, ControllerPhase::Warmup);
+}
+
+/// After identification: only the deployed phase's state in the cut.
+#[test]
+fn warm_boundary_restore_bitwise_from_a_deploy_cut() {
+    check_warm_boundary_restore(2, 5_000, CKPT_EVERY, ControllerPhase::Deploy);
 }
 
 /// Cold fallback, pinned exactly: with every checkpoint candidate corrupted

@@ -57,9 +57,7 @@ impl AdmissionDriver for StaticDriver {
         None
     }
     fn label(&self) -> String {
-        use darwin_cache::AdmissionPolicy;
-        let p = self.policy;
-        p.label()
+        self.policy.label()
     }
     fn save_state(&self) -> Option<Vec<u8>> {
         // Stateless: an empty payload suffices, but the driver *is*

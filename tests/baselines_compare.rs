@@ -133,7 +133,7 @@ fn adaptsize_beats_naive_admit_all_under_scan_pollution() {
     let adaptsize = AdaptSize::new(5_000, 2).run(&w, &cache());
     let always = {
         let mut s = CacheServer::new(cache());
-        s.set_policy(darwin_cache::policy::AlwaysAdmit);
+        s.set_policy(darwin_cache::ThresholdPolicy::new(0, u64::MAX));
         s.process_trace(&w)
     };
     assert!(

@@ -22,6 +22,11 @@ done
 echo "== paper fidelity (experiments switching, fig2, table2 write the pinned bytes) =="
 ci/paper_fidelity.sh
 
+if cargo +nightly --version > /dev/null 2>&1; then
+    echo "== sanitizers (TSan over the shard queue, ASan over darwin-ckpt; nightly only) =="
+    ci/sanitize.sh
+fi
+
 echo "== rustdoc (--no-deps, warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
