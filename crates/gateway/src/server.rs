@@ -14,7 +14,7 @@
 //! Every gateway serves through one [`ElasticFleet`]; one that is never
 //! sent a `RESIZE` is a plain [`ShardedFleet`](darwin_shard::ShardedFleet)
 //! behind the fleet's generation lock. Each connection reader owns a private
-//! [`ElasticProducer`](darwin_rebalance::ElasticProducer): per `GET` frame
+//! [`ElasticProducer`](darwin_shard::ElasticProducer): per `GET` frame
 //! it takes the generation lock shared (one uncontended read lock and a
 //! generation compare), routes the whole frame into per-shard runs and
 //! delivers each run with one batched queue operation, so N connections
@@ -33,9 +33,9 @@ use crate::netfault::{spin, NetFaultKind, NetFaultPlan};
 use crate::wire::{FrameReader, Message, RecvError, WireVerdict};
 use darwin_cache::CacheConfig;
 use darwin_obs::{EventKind, Journal};
-use darwin_rebalance::{ElasticFleet, ElasticReport};
 use darwin_shard::{
-    FaultPlan, FleetConfig, FleetMetrics, FleetReport, GatewaySnapshot, GenerationSummary, Router,
+    ElasticFleet, ElasticReport, FaultPlan, FleetConfig, FleetMetrics, FleetReport, GatewaySnapshot,
+    GenerationSummary, Router,
 };
 use darwin_testbed::AdmissionDriver;
 use serde::{Deserialize, Serialize};
@@ -213,7 +213,7 @@ impl Drop for ActiveGuard {
 
 /// The JSON body of a `RESIZE_ACK` frame: the performed resize's ledger,
 /// or an `error` explaining the refusal (a target of zero, of the serving
-/// shard count, or above [`MAX_SHARDS`](darwin_rebalance::MAX_SHARDS)).
+/// shard count, or above [`MAX_SHARDS`](darwin_shard::MAX_SHARDS)).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ResizeAck {
     /// `Some` when the resize was refused; the remaining fields then

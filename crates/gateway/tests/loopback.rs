@@ -680,7 +680,7 @@ fn hostile_resize_targets_get_error_acks_and_the_connection_keeps_serving() {
     let mut stream = TcpStream::connect(gateway.local_addr()).expect("connect");
     let mut reader = FrameReader::new(stream.try_clone().expect("clone stream"));
 
-    for target in [0, 2, darwin_rebalance::MAX_SHARDS as u32 + 1, u32::MAX] {
+    for target in [0, 2, darwin_shard::MAX_SHARDS as u32 + 1, u32::MAX] {
         let mut burst = Vec::new();
         darwin_gateway::wire::encode(&Message::Resize(target), &mut burst);
         encode_get(&reqs, &mut burst);

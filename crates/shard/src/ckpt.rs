@@ -22,9 +22,10 @@
 //!
 //! [`CacheServer::save_state`]: darwin_cache::CacheServer::save_state
 
-use darwin_cache::{CacheServer, ThresholdPolicy};
+use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, ThresholdPolicy};
 use darwin_ckpt::rows::{Changes, Layout};
 use darwin_ckpt::{open, peek, CkptError, Dec, Enc, HEADER_LEN};
+use darwin_testbed::AdmissionDriver;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
@@ -390,6 +391,40 @@ impl Drop for Spiller {
     fn drop(&mut self) {
         self.join();
     }
+}
+
+/// Attempts a warm restore from the slot's best candidate. Returns the
+/// restored server — the frame it restored from recorded as its base — the
+/// policy deployed at the checkpoint boundary, the metrics base the
+/// incarnation must subtract before publishing (its pre-existing history,
+/// already folded into the cell by the supervisor), and the journal facts:
+/// which candidate validated (0 = active buffer, 1 = previous buffer, 2 =
+/// disk spill) and the restored sequence number — or, when none validates,
+/// how many candidates there were to refuse.
+#[allow(clippy::type_complexity)]
+pub(crate) fn try_restore<D: AdmissionDriver>(
+    shard: usize,
+    slot: &CheckpointSlot,
+    cache: &CacheConfig,
+    driver: &mut D,
+) -> Result<(CacheServer, darwin_cache::ThresholdPolicy, CacheMetrics, u8, u64), usize> {
+    let mut refused = 0;
+    for (candidate, frame) in slot.candidates().enumerate() {
+        refused = candidate + 1;
+        let Ok(ckpt) = ShardCheckpoint::from_frame(&frame) else { continue };
+        if ckpt.shard != shard {
+            continue;
+        }
+        let Ok(mut server) = CacheServer::restore_state(cache.clone(), &ckpt.cache) else { continue };
+        if !driver.load_state(&ckpt.driver) {
+            continue;
+        }
+        let tables = ShardCheckpoint::layout(&frame);
+        server.record_base(ckpt.seq, frame, tables);
+        let base = server.metrics();
+        return Ok((server, ckpt.policy, base, candidate as u8, ckpt.seq));
+    }
+    Err(refused)
 }
 
 /// What each way into a frame — the full decode, and the payload-free

@@ -3,7 +3,7 @@
 //! An [`ElasticFleet`] owns the serving generation behind an `RwLock`:
 //! submitters hold the read side (so a whole frame lands in exactly one
 //! generation), a [`resize`](ElasticFleet::resize) holds the write side.
-//! Because submission uses [`Backpressure::Block`](darwin_shard::Backpressure)
+//! Because submission uses [`Backpressure::Block`](crate::Backpressure)
 //! semantics and the lock hands over atomically, a resize never answers
 //! `Unavailable` and never drops a request — the exactly-once conservation
 //! ledger (`processed + dropped + unavailable + shed == submitted`) holds
@@ -20,18 +20,20 @@
 //! (a row delta against the shard's last periodic checkpoint when one
 //! exists), and boots generation `g+1` with those frames as warm seeds.
 //! Keyspace slices that *move* between shards arrive cold by design: a
-//! [`JumpRouter`](darwin_shard::JumpRouter) bounds them to `|M−N|/max(N,M)`
+//! [`JumpRouter`](crate::JumpRouter) bounds them to `|M−N|/max(N,M)`
 //! of the keyspace, which is exactly the bounded post-resize hit-ratio dip
 //! `tests/resize.rs::hit_ratio_dip_recovers_within_one_checkpoint_window`
 //! measures. Any [`Router`] works — `route(id, shards)` takes the
 //! shard count — the jump hash only keeps the moved slice small.
 
+use crate::ckpt::{CheckpointSlot, ShardCheckpoint};
+use crate::fault::FaultPlan;
+use crate::fleet::{Envelope, FleetBoot, FleetConfig, FleetProducer, FleetReport, ShardedFleet};
+use crate::metrics::{FleetMetrics, GenerationSummary, MetricsHandle, ShardPhase};
+use crate::router::Router;
 use darwin_cache::CacheConfig;
 use darwin_ckpt::replica::{AppliedCut, CutError, CutFrame, CutRole, Held};
-use darwin_shard::{
-    CheckpointSlot, Envelope, EventKind, FaultPlan, FleetBoot, FleetConfig, FleetMetrics, FleetProducer,
-    FleetReport, GenerationSummary, MetricsHandle, Router, ShardCheckpoint, ShardPhase, ShardedFleet,
-};
+use darwin_obs::EventKind;
 use darwin_testbed::AdmissionDriver;
 use darwin_trace::Request;
 use serde::{Deserialize, Serialize};

@@ -239,6 +239,19 @@ impl ShardFaultCursor {
     }
 }
 
+/// Stable journal label for a scripted fault. Part of the deterministic
+/// journal contract: integers and fixed strings only.
+pub(crate) fn fault_label(kind: &FaultKind) -> String {
+    match kind {
+        FaultKind::Panic => "panic".into(),
+        FaultKind::Delay { spins } => format!("delay({spins})"),
+        FaultKind::QueueFull => "queue-full".into(),
+        FaultKind::CorruptCheckpoint { torn: true } => "corrupt-ckpt(torn)".into(),
+        FaultKind::CorruptCheckpoint { torn: false } => "corrupt-ckpt(zeroed)".into(),
+        FaultKind::CorruptStandby => "corrupt-standby".into(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -55,8 +55,9 @@
 //!   checkpoint frame is installed as the newest restore candidate and the
 //!   worker warm-restarts from it, so the shard keeps serving and nothing
 //!   is answered `Unavailable`. A lost standby (a scripted
-//!   [`FaultKind::CorruptStandby`], or a feed that failed validation) falls
-//!   back to burial — detected and journaled, never silent.
+//!   [`FaultKind::CorruptStandby`](crate::FaultKind::CorruptStandby), or a
+//!   feed that failed validation) falls back to burial — detected and
+//!   journaled, never silent.
 //!
 //! Requests in flight at the moment of death (queued, or popped but not yet
 //! completed) are answered `Dropped` through their envelope `Drop` impls and
@@ -79,24 +80,21 @@
 //! [`DarwinDriver`]: darwin_testbed::DarwinDriver
 
 use crate::ckpt::{CheckpointSlot, ShardCheckpoint, Spiller};
-use crate::fault::{FaultKind, FaultPlan, ShardFaultCursor};
+use crate::fault::FaultPlan;
+use crate::lane::{FleetCore, LaneState, ShardState};
 use crate::metrics::{FleetMetrics, MetricsHandle, ShardCell, ShardPhase};
-use crate::queue::{channel, Consumer, Producer, QueueGauges};
+use crate::queue::QueueGauges;
 use crate::router::Router;
-use crate::standby::{FeedOutcome, StandbySlot};
-use crate::supervisor::{RestartBudget, Supervisor, SupervisorVerdict};
-use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, RequestOutcome};
-use darwin_ckpt::rows::Changes;
-use darwin_obs::{EventKind, SwitchCostTracker};
-use darwin_testbed::{AdmissionDriver, ControlEvent};
+use crate::standby::StandbySlot;
+use crate::supervisor::{RestartBudget, Supervisor};
+use crate::worker::WorkerExit;
+use darwin_cache::{CacheConfig, CacheMetrics, RequestOutcome};
+use darwin_obs::EventKind;
+use darwin_testbed::AdmissionDriver;
 use darwin_trace::{Request, Trace};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// What one request's trip through its shard produced: where it was served
 /// from and whether the admission policy promoted it into the HOC.
@@ -385,278 +383,6 @@ impl<D> FleetReport<D> {
     /// Shards that were dead at finish.
     pub fn dead_shards(&self) -> usize {
         self.shards.iter().filter(|s| s.dead).count()
-    }
-}
-
-struct WorkerResult<D> {
-    hoc_used_bytes: u64,
-    dc_used_bytes: u64,
-    driver: D,
-}
-
-/// How a shard worker thread ended. Workers catch their own unwinds, so
-/// `JoinHandle::join` always succeeds and the fleet inspects this instead.
-enum WorkerExit<D> {
-    /// Clean end-of-stream exit.
-    Completed(WorkerResult<D>),
-    /// The worker panicked; server and driver unwound with it. In-flight
-    /// envelopes were released (their `Drop` impls filed verdicts) by the
-    /// consumer endpoint's destructor.
-    Panicked,
-}
-
-/// The mutable half of one shard's ingest lane. Every delivery into the
-/// shard — from any [`FleetProducer`], the fleet's own included — happens
-/// under this lock, which is what serializes producers per shard (instead
-/// of per fleet) and makes death settlement race-free.
-struct LaneState<D, E> {
-    /// `None` once the shard is dead (burying drops the producer).
-    producer: Option<Producer<E>>,
-    /// The current incarnation's worker, `None` once buried.
-    handle: Option<JoinHandle<WorkerExit<D>>>,
-    supervisor: Supervisor,
-    /// Envelopes handed into this lane across all producers and
-    /// incarnations (delivered to the queue or shed at it) — the per-shard
-    /// request index of the *next* delivery, the shard-side term of the
-    /// conservation arithmetic and the supervisor's restart clock.
-    delivered: u64,
-    /// The shard's scripted `Panic` indices not yet settled, ascending. One
-    /// below `delivered` means the current incarnation already holds its
-    /// fatal request and dies on it.
-    panics: VecDeque<u64>,
-}
-
-/// One shard's runtime state inside the core.
-struct ShardState<D, E> {
-    lane: Mutex<LaneState<D, E>>,
-    cell: Arc<ShardCell>,
-    /// The shard's checkpoint mailbox (allocated even when checkpointing is
-    /// off: an empty slot just makes every restart cold).
-    slot: Arc<CheckpointSlot>,
-    /// The shard's hot standby ([`FleetConfig::replicas`] > 0), fed by the
-    /// worker at every checkpoint cut and consulted at death settlement.
-    standby: Option<Arc<StandbySlot>>,
-}
-
-/// The shared heart of a fleet: configuration, router, per-shard lanes.
-/// [`ShardedFleet`] owns one behind an `Arc`; every [`FleetProducer`] holds
-/// the same `Arc` and delivers through the lane locks.
-struct FleetCore<D, E> {
-    cfg: FleetConfig,
-    cache: CacheConfig,
-    router: Arc<dyn Router>,
-    /// Builds shard drivers; behind a lock because respawns may be triggered
-    /// from any producer's thread.
-    factory: Mutex<Box<dyn FnMut(usize) -> D + Send>>,
-    fault: FaultPlan,
-    /// True when initial incarnations should attempt a restore (warm boot
-    /// or resize handoff) instead of starting cold.
-    warm_boot: bool,
-    /// Journal flavour of a boot restore: handoff (in-process resize) vs
-    /// warm boot (cross-process spill).
-    boot_handoff: bool,
-    /// Target shard count of a requested drain-for-handoff final cut;
-    /// `u64::MAX` means no cut was requested. Workers read it at
-    /// end-of-stream and cut a final [`ShardCheckpoint`] at the exact drain
-    /// boundary when set.
-    cut_target: Arc<AtomicU64>,
-    /// Writes the shards' checkpoint spill files off their workers' threads
-    /// (`None` without a checkpoint directory). Joined by `finish` — and on
-    /// drop — so every cut's file is in place once the fleet is gone.
-    spiller: Option<Spiller>,
-    shards: Vec<ShardState<D, E>>,
-}
-
-impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetCore<D, E> {
-    /// Delivers a staged run into shard `s`'s queue with one `push_batch` —
-    /// or, when the run holds the shard's next scripted panic, pushes it only
-    /// up to and including that fatal request. The death is settled before
-    /// the lane hands the shard anything more, so the rest of the run goes to
-    /// the next incarnation (or is answered `Unavailable` once the shard is
-    /// buried) and the fatal request is the only loss, whichever front
-    /// delivers. A death on a shard's last request is left to
-    /// [`ShardedFleet::finish`]: nothing is left to serve.
-    fn deliver(&self, s: usize, batch: &mut Vec<E>) {
-        let shard = &self.shards[s];
-        let mut lane = shard.lane.lock().expect("shard lane poisoned");
-        while !batch.is_empty() {
-            // The incarnation already holds its fatal request: settle the
-            // death before the shard gets anything more.
-            if lane.panics.front().is_some_and(|&p| p < lane.delivered) {
-                self.settle(s, &mut lane);
-            }
-            if lane.producer.is_none() {
-                // Buried shard: the tail of a run whose fatal request buried
-                // it, or a producer's flush that raced the burial. Answer it
-                // Unavailable, as a post-burial submission would have been.
-                shard.cell.add_unavailable(batch.len() as u64);
-                for env in batch.drain(..) {
-                    env.unavailable();
-                }
-                return;
-            }
-            // A run holding the next fatal request stops after it.
-            let mut rest = match lane.panics.front() {
-                Some(&p) if p - lane.delivered < batch.len() as u64 => {
-                    batch.split_off((p - lane.delivered + 1) as usize)
-                }
-                _ => Vec::new(),
-            };
-            lane.delivered += batch.len() as u64;
-            let producer = lane.producer.as_ref().expect("checked above");
-            let died = match self.cfg.backpressure {
-                Backpressure::Block => {
-                    // `push_batch` destroys-and-counts the remainder if the
-                    // consumer vanished mid-delivery; a nonzero return is the
-                    // Block path's death signal.
-                    let wait = Instant::now();
-                    let died = producer.push_batch(batch) > 0;
-                    shard.cell.obs().queue_wait.record_duration(wait.elapsed());
-                    died
-                }
-                Backpressure::DropNewest => {
-                    let shed = producer.try_push_batch(batch);
-                    shard.cell.add_dropped(shed as u64);
-                    producer.is_closed()
-                }
-            };
-            if died {
-                self.settle(s, &mut lane);
-            }
-            batch.append(&mut rest);
-        }
-    }
-
-    /// Joins a dead (or doomed) worker, settles the accounting, and asks the
-    /// shard's supervisor for a restart or a burial. Caller holds the lane.
-    fn settle(&self, s: usize, lane: &mut LaneState<D, E>) {
-        let shard = &self.shards[s];
-        // Hang up first so a worker stalled in a scripted QueueFull wait (or
-        // a doomed-but-alive worker draining toward its scripted panic)
-        // observes end-of-stream and terminates.
-        lane.producer = None;
-        let handle = lane.handle.take().expect("dying shard had no worker");
-        let exit = handle.join().unwrap_or(WorkerExit::Panicked);
-        // `Completed` here means the worker won a race against the death
-        // signal (possible only under DropNewest shedding of a scripted
-        // fatal request); treat it as the scripted death it stands in for.
-        drop(exit);
-        let cell = &shard.cell;
-        // Every envelope handed into the lane ends processed, counted
-        // dropped (queue shedding), or destroyed unanswered in the crash —
-        // its Drop impl answered the client. The difference is exactly that
-        // unanswered in-flight tail; count it so the conservation law holds.
-        let answered = cell.processed_total() + cell.dropped();
-        cell.add_dropped(lane.delivered.saturating_sub(answered));
-        cell.fold_incarnation();
-        // Scripted deaths the incarnation never reached fell in its dropped
-        // tail; the next one starts at `delivered`.
-        while lane.panics.front().is_some_and(|&p| p < lane.delivered) {
-            lane.panics.pop_front();
-        }
-        // Journal stamps use the shard's processed count — deterministic
-        // under Block (scripted panics are lane-synchronized).
-        let seq = cell.processed_total();
-        let budget_max = lane.supervisor.budget().max_restarts;
-        cell.obs().journal.record(seq, EventKind::WorkerDeath);
-        let standby_ready = shard.standby.as_ref().is_some_and(|st| st.ready());
-        match lane.supervisor.on_worker_death_with_standby(lane.delivered, standby_ready) {
-            SupervisorVerdict::Respawn => {
-                cell.record_restart();
-                cell.obs().journal.record(
-                    seq,
-                    EventKind::RestartGranted { restarts_used: lane.supervisor.restarts(), budget_max },
-                );
-                self.spawn(s, lane, lane.delivered, true);
-            }
-            SupervisorVerdict::Promote => {
-                match shard.standby.as_ref().and_then(|st| st.take_for_promotion()) {
-                    Some((frame, checkpoint_seq)) => {
-                        // Install the standby's frame as the newest restore
-                        // candidate (`store` flips it active, so the
-                        // promoted frame wins even after a scripted
-                        // corruption damaged every prior candidate, and the
-                        // spill file follows), then warm-restart
-                        // through the same validated restore path every
-                        // respawn uses — which is what makes a promoted
-                        // shard bitwise-identical to an unfailed run from
-                        // the checkpoint boundary.
-                        shard.slot.store(frame);
-                        cell.record_restart();
-                        cell.record_failover();
-                        cell.obs().journal.record(
-                            seq,
-                            EventKind::Failover {
-                                checkpoint_seq,
-                                restarts_used: lane.supervisor.restarts(),
-                                budget_max,
-                            },
-                        );
-                        self.spawn(s, lane, lane.delivered, true);
-                    }
-                    None => {
-                        // The standby was lost between the readiness check
-                        // and the take: bury exactly as an unreplicated
-                        // fleet would.
-                        cell.obs().journal.record(
-                            seq,
-                            EventKind::RestartDenied {
-                                restarts_used: lane.supervisor.restarts(),
-                                budget_max,
-                            },
-                        );
-                        cell.mark_dead();
-                    }
-                }
-            }
-            SupervisorVerdict::Bury => {
-                cell.obs().journal.record(
-                    seq,
-                    EventKind::RestartDenied { restarts_used: lane.supervisor.restarts(), budget_max },
-                );
-                cell.mark_dead();
-            }
-        }
-    }
-
-    /// Spawns shard `s`'s worker whose first request has per-shard index
-    /// `from` (0 for the initial incarnation). A `respawn`ed worker first
-    /// tries to restore the shard's latest checkpoint (warm restart); the
-    /// initial incarnation always starts cold. Caller holds the lane.
-    fn spawn(&self, s: usize, lane: &mut LaneState<D, E>, from: u64, respawn: bool) {
-        let shard = &self.shards[s];
-        let (tx, rx) = channel::<E>(self.cfg.queue_capacity);
-        shard.cell.set_gauges(tx.gauges());
-        let driver = {
-            let mut factory = self.factory.lock().expect("driver factory poisoned");
-            (*factory)(s)
-        };
-        let ctx = WorkerCtx {
-            shard: s,
-            rx,
-            cell: Arc::clone(&shard.cell),
-            cache: self.cache.clone(),
-            driver,
-            batch: self.cfg.batch,
-            start: from,
-            faults: ShardFaultCursor::for_shard(&self.fault, s, from),
-            slot: Arc::clone(&shard.slot),
-            checkpoint_every: self.cfg.checkpoint_every,
-            respawn,
-            boot: !respawn && self.warm_boot,
-            boot_handoff: self.boot_handoff,
-            cut_target: Arc::clone(&self.cut_target),
-            standby: shard.standby.as_ref().map(Arc::clone),
-            generation: shard.cell.generation(),
-            budget_restarts: lane.supervisor.restarts(),
-            budget_marks: lane.supervisor.marks(),
-        };
-        let handle = std::thread::Builder::new()
-            .name(format!("shard-{s}"))
-            .spawn(move || worker(ctx))
-            .expect("spawn shard worker");
-        lane.producer = Some(tx);
-        lane.handle = Some(handle);
     }
 }
 
@@ -1055,32 +781,9 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetProducer<D, E> {
     }
 
     fn flush_shard(&mut self, s: usize) {
-        if self.staged[s].is_empty() {
-            return;
+        if !self.staged[s].is_empty() {
+            self.core.dispatch(s, &mut self.staged[s]);
         }
-        let cell = &self.core.shards[s].cell;
-        if cell.is_dead() {
-            // Degraded mode: answer without touching the lane.
-            cell.add_unavailable(self.staged[s].len() as u64);
-            for env in self.staged[s].drain(..) {
-                env.unavailable();
-            }
-            return;
-        }
-        if let Some(watermark) = self.core.cfg.shed_watermark {
-            if cell.shed_decision(watermark) {
-                // Overload: answer Busy without blocking on the full queue.
-                // The retry hint scales with how far past the watermark the
-                // queue is — deeper backlog, longer client backoff.
-                let hint = (cell.queue_depth() / watermark.max(1)).min(7) as u8;
-                cell.add_shed(self.staged[s].len() as u64);
-                for env in self.staged[s].drain(..) {
-                    env.shed(hint.max(1));
-                }
-                return;
-            }
-        }
-        self.core.deliver(s, &mut self.staged[s]);
     }
 }
 
@@ -1090,427 +793,10 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> Drop for FleetProducer<D,
     }
 }
 
-/// Everything one worker incarnation needs, bundled for the thread spawn.
-struct WorkerCtx<D, E> {
-    shard: usize,
-    rx: Consumer<E>,
-    cell: Arc<ShardCell>,
-    cache: CacheConfig,
-    driver: D,
-    batch: usize,
-    /// Per-shard index of the first request this incarnation pops.
-    start: u64,
-    faults: ShardFaultCursor,
-    /// The shard's checkpoint mailbox (writer side; restore source on
-    /// respawn).
-    slot: Arc<CheckpointSlot>,
-    /// Checkpoint cadence in per-shard requests (`None`: never checkpoint).
-    checkpoint_every: Option<u64>,
-    /// True when this incarnation replaces a dead one and should attempt a
-    /// warm restore.
-    respawn: bool,
-    /// True when this is the shard's *first* incarnation in a warm-booting
-    /// fleet and it should attempt a restore from the slot (seeded frame or
-    /// spill file) before serving.
-    boot: bool,
-    /// True when a boot-time restore stems from a live handoff (resize)
-    /// rather than a cross-process warm boot; controls the journal flavour.
-    boot_handoff: bool,
-    /// Requested final-cut target shard count; `u64::MAX` means no cut.
-    cut_target: Arc<AtomicU64>,
-    /// The shard's hot standby, fed at every checkpoint cut (`None` when the
-    /// fleet runs without replicas).
-    standby: Option<Arc<StandbySlot>>,
-    /// Router generation, stamped into every replica envelope.
-    generation: u32,
-    /// Supervisor budget state snapshotted at spawn (it is constant for the
-    /// lifetime of one incarnation), carried inside every checkpoint this
-    /// incarnation cuts so warm boots cannot launder restart history.
-    budget_restarts: u32,
-    /// In-window restart marks at spawn (see `budget_restarts`).
-    budget_marks: Vec<u64>,
-}
-
-/// Feeds one checkpoint cut to the shard's standby and folds the outcome
-/// into the cell's replication metrics and the journal. Loss is detected and
-/// journaled here — a failed or poisoned standby is never silent: the next
-/// feed records [`EventKind::StandbyLost`] and (when the feed itself
-/// succeeded) re-seeds a fresh standby with a full image.
-fn feed_standby(
-    standby: &StandbySlot,
-    cell: &ShardCell,
-    generation: u32,
-    seq: u64,
-    frame: &[u8],
-    changes: Option<&Changes>,
-) {
-    match standby.feed(generation, seq, frame, changes) {
-        FeedOutcome::Seeded { shipped_bytes } => {
-            cell.record_replica(seq, shipped_bytes);
-            cell.obs().journal.record(seq, EventKind::ReplicaSeeded { checkpoint_seq: seq });
-        }
-        FeedOutcome::Applied { shipped_bytes, lag } => {
-            cell.record_replica(seq, shipped_bytes);
-            cell.obs().journal.record(seq, EventKind::ReplicaLag { checkpoint_seq: seq, lag });
-        }
-        FeedOutcome::Replaced { shipped_bytes } => {
-            cell.record_standby_lost();
-            cell.obs().journal.record(seq, EventKind::StandbyLost { checkpoint_seq: seq });
-            cell.record_replica(seq, shipped_bytes);
-            cell.obs().journal.record(seq, EventKind::ReplicaSeeded { checkpoint_seq: seq });
-        }
-        FeedOutcome::Lost => {
-            cell.record_standby_lost();
-            cell.obs().journal.record(seq, EventKind::StandbyLost { checkpoint_seq: seq });
-        }
-    }
-}
-
-/// Attempts a warm restore from the slot's best candidate. Returns the
-/// restored server — the frame it restored from recorded as its base — the
-/// policy deployed at the checkpoint boundary, the metrics base the
-/// incarnation must subtract before publishing (its pre-existing history,
-/// already folded into the cell by the supervisor), and the journal facts:
-/// which candidate validated (0 = active buffer, 1 = previous buffer, 2 =
-/// disk spill) and the restored sequence number — or, when none validates,
-/// how many candidates there were to refuse.
-#[allow(clippy::type_complexity)]
-fn try_restore<D: AdmissionDriver>(
-    shard: usize,
-    slot: &CheckpointSlot,
-    cache: &CacheConfig,
-    driver: &mut D,
-) -> Result<(CacheServer, darwin_cache::ThresholdPolicy, CacheMetrics, u8, u64), usize> {
-    let mut refused = 0;
-    for (candidate, frame) in slot.candidates().enumerate() {
-        refused = candidate + 1;
-        let Ok(ckpt) = ShardCheckpoint::from_frame(&frame) else { continue };
-        if ckpt.shard != shard {
-            continue;
-        }
-        let Ok(mut server) = CacheServer::restore_state(cache.clone(), &ckpt.cache) else { continue };
-        if !driver.load_state(&ckpt.driver) {
-            continue;
-        }
-        let tables = ShardCheckpoint::layout(&frame);
-        server.record_base(ckpt.seq, frame, tables);
-        let base = server.metrics();
-        return Ok((server, ckpt.policy, base, candidate as u8, ckpt.seq));
-    }
-    Err(refused)
-}
-
-/// Stable journal label for a scripted fault. Part of the deterministic
-/// journal contract: integers and fixed strings only.
-fn fault_label(kind: &FaultKind) -> String {
-    match kind {
-        FaultKind::Panic => "panic".into(),
-        FaultKind::Delay { spins } => format!("delay({spins})"),
-        FaultKind::QueueFull => "queue-full".into(),
-        FaultKind::CorruptCheckpoint { torn: true } => "corrupt-ckpt(torn)".into(),
-        FaultKind::CorruptCheckpoint { torn: false } => "corrupt-ckpt(zeroed)".into(),
-        FaultKind::CorruptStandby => "corrupt-standby".into(),
-    }
-}
-
-/// One request in this many is timed for the serve histogram — chosen by
-/// per-shard sequence number, so the choice is a function of the stream —
-/// and recorded with this weight, so `count`, `sum` and the quantiles keep
-/// estimating every request. Timing every request cost the benchmark host
-/// 18 % of `lanes-darwin`'s throughput (DESIGN.md, "Cost of a request").
-const SERVE_SAMPLE: u64 = 16;
-
-/// A worker incarnation's cache server, and the publication of its counters.
-///
-/// The processed count is stored into the cell per request; the 112-byte
-/// `CacheMetrics` copy behind a lock is published once per drained batch and
-/// from `Drop` — which also runs when the worker unwinds. So a reader sees
-/// cache counters at most one batch behind `processed` while the worker
-/// runs, and exactly the counters of the `processed` requests once it has
-/// ended, at whatever request it died: the conservation suites assert that.
-/// (Every scripted fault fires between requests. A panic from inside
-/// `CacheServer::process` itself would leave that request half-counted.)
-struct Serving<'a> {
-    cell: &'a ShardCell,
-    server: CacheServer,
-    /// Counters the incarnation restored with. The cell already holds them
-    /// (folded by the supervisor), so only increments are published.
-    base: CacheMetrics,
-    /// Requests this incarnation has processed.
-    processed: u64,
-}
-
-impl Serving<'_> {
-    fn publish(&self) {
-        self.cell.publish(self.server.metrics().diff(&self.base), self.processed);
-    }
-}
-
-impl Drop for Serving<'_> {
-    fn drop(&mut self) {
-        self.publish();
-    }
-}
-
-/// The per-shard serving loop. Identical, request for request, to the
-/// sequential loop in `replay::run_partition` — that symmetry is the
-/// equivalence proof's other half. Each processed envelope is completed with
-/// its [`Verdict`] before the driver observes the request.
-///
-/// The whole loop runs under `catch_unwind`: a panic (organic or scripted)
-/// drops the in-hand envelope, the drain buffer and the consumer endpoint —
-/// each of which answers its envelopes via `Drop` — and the worker reports
-/// [`WorkerExit::Panicked`] instead of poisoning `join()`.
-fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D> {
-    let WorkerCtx {
-        shard,
-        rx,
-        cell,
-        cache,
-        mut driver,
-        batch,
-        start,
-        mut faults,
-        slot,
-        checkpoint_every,
-        respawn,
-        boot,
-        boot_handoff,
-        cut_target,
-        standby,
-        generation,
-        budget_restarts,
-        budget_marks,
-    } = ctx;
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        darwin_parallel::inline_sweeps(|| {
-            // Respawned incarnations try the shard's checkpoint candidates
-            // first (warm restart); first incarnations of a warm-booting
-            // fleet do the same against their seeded/spilled frame (warm
-            // boot). Validation failure of every candidate — or no
-            // checkpoint at all — falls back to the cold path. The restored
-            // metrics become this incarnation's publication *base*: the
-            // cell already holds the shard's whole pre-death history
-            // (folded by the supervisor), so the incarnation must publish
-            // only its increments or restored counters would double-count.
-            let attempt =
-                if respawn || boot { try_restore(shard, &slot, &cache, &mut driver) } else { Err(0) };
-            let (server, mut current_policy, base) = match attempt {
-                Ok((server, policy, base, candidate, checkpoint_seq)) => {
-                    if respawn {
-                        cell.record_warm_restart();
-                        cell.obs()
-                            .journal
-                            .record(start, EventKind::RestoreWarm { candidate, checkpoint_seq });
-                    } else {
-                        cell.record_warm_boot();
-                        cell.obs().journal.record(
-                            start,
-                            EventKind::HandoffRestore { checkpoint_seq, warm_boot: !boot_handoff },
-                        );
-                    }
-                    (server, policy, base)
-                }
-                Err(refused) => {
-                    // A failed boot attempt detects cold: drop the
-                    // invalid spill so a later restart can't retry it.
-                    if boot && !respawn {
-                        slot.clear_disk();
-                    }
-                    if respawn || refused > 0 {
-                        cell.obs().journal.record(start, EventKind::RestoreCold);
-                    }
-                    (CacheServer::new(cache), driver.initial_policy(), CacheMetrics::default())
-                }
-            };
-            let mut serving = Serving { cell: &cell, server, base, processed: 0 };
-            serving.server.set_policy(current_policy);
-            cell.publish_policy(current_policy);
-            // The one cut routine: seal the shard's state at `seq` — merged
-            // into the server's base, the previous cut, and written over
-            // the slot's inactive frame, two cuts old — publish it to the
-            // slot, record it as the server's next base, journal `event`,
-            // feed the standby the rows that changed — which rebuilds its
-            // image over the one it holds.
-            // Periodic cuts time the serving pause, all of it, the feed
-            // included (`timed`); the final handoff cut runs after the
-            // stream ended and pauses nobody.
-            let cut = |seq: u64,
-                       policy: darwin_cache::ThresholdPolicy,
-                       server: &mut CacheServer,
-                       dstate: Vec<u8>,
-                       event: EventKind,
-                       timed: bool| {
-                let pause = Instant::now();
-                let (frame, changes) = ShardCheckpoint {
-                    shard,
-                    seq,
-                    policy,
-                    cache: Vec::new(),
-                    driver: dstate,
-                    restarts: budget_restarts,
-                    budget_marks: budget_marks.clone(),
-                }
-                .cut_of(server, slot.take_inactive());
-                let frame = slot.store(frame);
-                server.record_base(seq, Arc::clone(&frame), ShardCheckpoint::layout(&frame));
-                cell.record_checkpoint(seq);
-                cell.obs().journal.record(seq, event);
-                if let Some(st) = &standby {
-                    feed_standby(st, &cell, generation, seq, &frame, changes.as_ref());
-                }
-                if timed {
-                    cell.obs().ckpt_pause.record_duration(pause.elapsed());
-                }
-            };
-            let mut switch_cost = SwitchCostTracker::default();
-            let mut buf: Vec<E> = Vec::with_capacity(batch);
-            let gauges = rx.gauges();
-            while rx.pop_batch(&mut buf, batch) {
-                for env in buf.drain(..) {
-                    let at = start + serving.processed;
-                    while let Some(kind) = faults.take(at) {
-                        cell.obs()
-                            .journal
-                            .record(at, EventKind::FaultInjected { fault: fault_label(&kind) });
-                        match kind {
-                            FaultKind::Panic => {
-                                panic!("scripted fault: shard {shard} dies at per-shard request {at}")
-                            }
-                            FaultKind::Delay { spins } => {
-                                for _ in 0..spins {
-                                    std::hint::spin_loop();
-                                }
-                            }
-                            // Stall until the input queue is packed solid
-                            // (or the stream ended): a manufactured
-                            // backpressure episode.
-                            FaultKind::QueueFull => {
-                                while gauges.depth() < rx.capacity() && !rx.is_producer_closed() {
-                                    std::thread::yield_now();
-                                }
-                            }
-                            FaultKind::CorruptCheckpoint { torn } => slot.corrupt(torn),
-                            // The standby process "dies": its applied frame
-                            // is discarded. Detected and journaled at the
-                            // next feed; a budget-exhausting death before
-                            // then falls back to burial.
-                            FaultKind::CorruptStandby => {
-                                if let Some(st) = &standby {
-                                    st.poison();
-                                }
-                            }
-                        }
-                    }
-                    let req = *env.request();
-                    let writes_before = serving.server.metrics().hoc_writes;
-                    let served = at.is_multiple_of(SERVE_SAMPLE).then(Instant::now);
-                    let outcome = serving.server.process(&req);
-                    if let Some(served) = served {
-                        let ns = u64::try_from(served.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        cell.obs().serve.record_n(ns, SERVE_SAMPLE);
-                    }
-                    serving.processed += 1;
-                    // The *raw* cumulative metrics drive the driver and the
-                    // admission indicator — they are part of the determinism
-                    // contract. Only the published copy is re-based.
-                    let metrics = serving.server.metrics();
-                    env.complete(Verdict {
-                        shard,
-                        outcome,
-                        admitted: metrics.hoc_writes > writes_before,
-                    });
-                    // The count is exact at any crash point — the
-                    // conservation law depends on it; the counters follow
-                    // per batch and from `Serving`'s drop.
-                    cell.publish_processed(serving.processed);
-                    if let Some(policy) = driver.observe(&req, &metrics) {
-                        current_policy = policy;
-                        serving.server.set_policy(policy);
-                        cell.publish_policy(policy);
-                    }
-                    let seq = at + 1;
-                    // Feed the switching-cost tracker, then journal any
-                    // control-plane decisions this request triggered. Both
-                    // are pure functions of the request stream, so the
-                    // journal stays byte-reproducible under a seed.
-                    if let Some(done) = switch_cost.observe(outcome != RequestOutcome::OriginFetch, seq)
-                    {
-                        cell.obs().journal.record(done.seq, done.kind);
-                    }
-                    for ev in driver.drain_events() {
-                        match ev {
-                            ControlEvent::Switch { from, to, round, posterior } => {
-                                if let Some(done) = switch_cost.on_switch(seq, to as u32) {
-                                    cell.obs().journal.record(done.seq, done.kind);
-                                }
-                                cell.obs().journal.record(
-                                    seq,
-                                    EventKind::ExpertSwitch {
-                                        from: Some(from as u32),
-                                        to: to as u32,
-                                        round: round as u32,
-                                        posterior,
-                                    },
-                                );
-                            }
-                            ControlEvent::Drift { restarts } => {
-                                cell.obs()
-                                    .journal
-                                    .record(seq, EventKind::DriftDetected { restarts: restarts as u32 });
-                            }
-                        }
-                    }
-                    // Checkpoint exactly at configured request-sequence
-                    // boundaries, after the driver observed the request —
-                    // the same cut a paused sequential run would make.
-                    if let Some(every) = checkpoint_every {
-                        if every > 0 && seq.is_multiple_of(every) {
-                            if let Some(dstate) = driver.save_state() {
-                                let event = EventKind::CheckpointCut { checkpoint_seq: seq };
-                                cut(seq, current_policy, &mut serving.server, dstate, event, true);
-                            }
-                        }
-                    }
-                }
-                serving.publish();
-            }
-            let end = start + serving.processed;
-            if let Some(done) = switch_cost.finish(end) {
-                cell.obs().journal.record(done.seq, done.kind);
-            }
-            // Final cut for a live handoff: the producer side has closed the
-            // queue, so `start + processed` is the exact request-sequence
-            // boundary every shard cuts at — the same cut a paused
-            // sequential run would make. Journaled here (not by the
-            // resizer) because only the worker knows the boundary.
-            let target = cut_target.load(Ordering::Acquire);
-            if target != u64::MAX {
-                if let Some(dstate) = driver.save_state() {
-                    cell.obs()
-                        .journal
-                        .record(end, EventKind::DrainStart { target_shards: target as u32 });
-                    let event = EventKind::HandoffCut { checkpoint_seq: end };
-                    cut(end, current_policy, &mut serving.server, dstate, event, false);
-                }
-            }
-            WorkerResult {
-                hoc_used_bytes: serving.server.hoc_used_bytes(),
-                dc_used_bytes: serving.server.dc_used_bytes(),
-                driver,
-            }
-        })
-    }));
-    match outcome {
-        Ok(result) => WorkerExit::Completed(result),
-        Err(_) => WorkerExit::Panicked,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultEvent;
+    use crate::fault::{FaultEvent, FaultKind};
     use crate::router::HashRouter;
     use darwin_cache::ThresholdPolicy;
     use darwin_testbed::StaticDriver;

@@ -70,17 +70,23 @@
 //! identically (`tests/journal_determinism.rs`).
 
 pub mod ckpt;
+pub mod elastic;
 pub mod fault;
 pub mod fleet;
+mod lane;
 pub mod metrics;
 pub mod queue;
 pub mod replay;
 pub mod router;
 pub mod standby;
 pub mod supervisor;
+mod worker;
 
 pub use ckpt::{CheckpointSlot, ShardCheckpoint, CKPT_MAGIC, CKPT_VERSION};
 pub use darwin_obs::{Event, EventKind, JournalSnapshot, LatencySnapshot};
+pub use elastic::{
+    ElasticFleet, ElasticProducer, ElasticReport, ResizeRefused, TransferStat, MAX_SHARDS,
+};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use fleet::{
     Backpressure, Envelope, FleetBoot, FleetConfig, FleetIngest, FleetProducer, FleetReport,

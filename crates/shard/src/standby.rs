@@ -36,8 +36,10 @@
 //! the same path deterministically via [`poison`](StandbySlot::poison).
 
 use crate::ckpt::ShardCheckpoint;
+use crate::metrics::ShardCell;
 use darwin_ckpt::replica::{CutFrame, CutRole, Held};
 use darwin_ckpt::rows::Changes;
+use darwin_obs::EventKind;
 use std::sync::Mutex;
 
 /// What one replication feed did to the standby.
@@ -204,6 +206,41 @@ impl StandbySlot {
         let mut st = self.state.lock().expect("standby slot poisoned");
         st.frame = None;
         st.lost = true;
+    }
+}
+
+/// Feeds one checkpoint cut to the shard's standby and folds the outcome
+/// into the cell's replication metrics and the journal. Loss is detected and
+/// journaled here — a failed or poisoned standby is never silent: the next
+/// feed records [`EventKind::StandbyLost`] and (when the feed itself
+/// succeeded) re-seeds a fresh standby with a full image.
+pub(crate) fn feed_standby(
+    standby: &StandbySlot,
+    cell: &ShardCell,
+    generation: u32,
+    seq: u64,
+    frame: &[u8],
+    changes: Option<&Changes>,
+) {
+    match standby.feed(generation, seq, frame, changes) {
+        FeedOutcome::Seeded { shipped_bytes } => {
+            cell.record_replica(seq, shipped_bytes);
+            cell.obs().journal.record(seq, EventKind::ReplicaSeeded { checkpoint_seq: seq });
+        }
+        FeedOutcome::Applied { shipped_bytes, lag } => {
+            cell.record_replica(seq, shipped_bytes);
+            cell.obs().journal.record(seq, EventKind::ReplicaLag { checkpoint_seq: seq, lag });
+        }
+        FeedOutcome::Replaced { shipped_bytes } => {
+            cell.record_standby_lost();
+            cell.obs().journal.record(seq, EventKind::StandbyLost { checkpoint_seq: seq });
+            cell.record_replica(seq, shipped_bytes);
+            cell.obs().journal.record(seq, EventKind::ReplicaSeeded { checkpoint_seq: seq });
+        }
+        FeedOutcome::Lost => {
+            cell.record_standby_lost();
+            cell.obs().journal.record(seq, EventKind::StandbyLost { checkpoint_seq: seq });
+        }
     }
 }
 

@@ -9,10 +9,9 @@
 //! hit ratio within one fleet-wide checkpoint window of each resize.
 
 use darwin_cache::{CacheConfig, ThresholdPolicy};
-use darwin_rebalance::{ElasticFleet, ResizeRefused, MAX_SHARDS};
 use darwin_shard::{
-    Backpressure, EventKind, FaultEvent, FaultKind, FaultPlan, FleetConfig, JumpRouter, MetricsHandle,
-    Router, ShardPhase,
+    Backpressure, ElasticFleet, EventKind, FaultEvent, FaultKind, FaultPlan, FleetConfig, JumpRouter,
+    MetricsHandle, ResizeRefused, Router, ShardPhase, MAX_SHARDS,
 };
 use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};

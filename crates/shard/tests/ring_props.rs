@@ -14,8 +14,7 @@
 //! the partition pins at the bottom must never be edited to follow a
 //! change: a pin that fails means the partition moved.
 
-use darwin_rebalance::MAX_SHARDS;
-use darwin_shard::{HashRouter, JumpRouter, Router};
+use darwin_shard::{HashRouter, JumpRouter, Router, MAX_SHARDS};
 use proptest::prelude::*;
 use std::ops::Range;
 use std::sync::Arc;
