@@ -41,8 +41,8 @@
 //! seals to identical frames — the property the roundtrip proptests pin.
 //!
 //! The codecs that move sealed checkpoints between holders live on top of
-//! the envelope, in this crate because both `darwin-shard` (standby
-//! replication) and `darwin-rebalance` (resize handoff) use them:
+//! the envelope; `darwin-shard` ships with them twice, to its standbys and
+//! in its resize handoff:
 //!
 //! * [`rows`] — the row delta: the rows of an image's id-sorted tables that
 //!   changed since a base image, plus the image's other bytes whole. The

@@ -12,8 +12,10 @@
 //!         [--replicas N]
 //! ```
 //!
-//! A flag with a missing or unparsable value, an unknown flag and the
-//! retired `--router ring` exit 2 with a message naming the flag.
+//! A flag with a missing or unparsable value, an unknown flag, the retired
+//! `--router ring` and an out-of-range size (`--shards` outside
+//! 1..=`MAX_SHARDS`, a zero `--queue` or `--batch`, `--replicas` above 1 or
+//! without `--checkpoint-every`) exit 2 with a message naming the flag.
 //!
 //! Serves until a client sends `SHUTDOWN` (e.g. `loadgen --shutdown`), then
 //! drains, joins the shard workers and prints the final metrics snapshot.
@@ -57,7 +59,9 @@ mod cli;
 use cli::{fail, value};
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_gateway::{Gateway, GatewayConfig};
-use darwin_shard::{Backpressure, FleetConfig, HashRouter, JumpRouter, RestartBudget, Router};
+use darwin_shard::{
+    Backpressure, FleetConfig, HashRouter, JumpRouter, RestartBudget, Router, MAX_SHARDS,
+};
 use darwin_testbed::StaticDriver;
 use std::time::Duration;
 
@@ -110,6 +114,18 @@ fn main() {
             other => fail(&format!("unknown flag {other}")),
         }
         i += 1;
+    }
+    if !(1..=MAX_SHARDS).contains(&shards) {
+        fail(&format!("--shards takes 1..={MAX_SHARDS}, got {shards}"));
+    }
+    if let Some((flag, _)) = [("--queue", queue), ("--batch", batch)].iter().find(|(_, n)| *n == 0) {
+        fail(&format!("{flag} must be positive"));
+    }
+    if replicas > 1 {
+        fail(&format!("--replicas takes 0 or 1 (one hot standby per shard), got {replicas}"));
+    }
+    if replicas == 1 && checkpoint_every.is_none_or(|n| n == 0) {
+        fail("--replicas 1 requires --checkpoint-every: a standby is fed at checkpoint cuts");
     }
 
     let cfg = FleetConfig {

@@ -22,7 +22,7 @@
 //!
 //! [`CacheServer::save_state`]: darwin_cache::CacheServer::save_state
 
-use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, ThresholdPolicy};
+use darwin_cache::{CacheConfig, CacheServer, ThresholdPolicy};
 use darwin_ckpt::rows::{Changes, Layout};
 use darwin_ckpt::{open, peek, CkptError, Dec, Enc, HEADER_LEN};
 use darwin_testbed::AdmissionDriver;
@@ -393,21 +393,28 @@ impl Drop for Spiller {
     }
 }
 
-/// Attempts a warm restore from the slot's best candidate. Returns the
-/// restored server — the frame it restored from recorded as its base — the
-/// policy deployed at the checkpoint boundary, the metrics base the
-/// incarnation must subtract before publishing (its pre-existing history,
-/// already folded into the cell by the supervisor), and the journal facts:
-/// which candidate validated (0 = active buffer, 1 = previous buffer, 2 =
-/// disk spill) and the restored sequence number — or, when none validates,
-/// how many candidates there were to refuse.
-#[allow(clippy::type_complexity)]
+/// A warm restore: what [`try_restore`] rebuilt from the first checkpoint
+/// candidate that validated.
+pub(crate) struct Restored {
+    /// The restored server, the frame it restored from recorded as its base.
+    pub(crate) server: CacheServer,
+    /// The policy deployed at the checkpoint boundary.
+    pub(crate) policy: ThresholdPolicy,
+    /// Which candidate validated: 0 = active buffer, 1 = previous buffer,
+    /// 2 = disk spill.
+    pub(crate) candidate: u8,
+    /// The restored checkpoint's request-sequence boundary.
+    pub(crate) checkpoint_seq: u64,
+}
+
+/// Attempts a warm restore of shard `shard` from the slot's best candidate.
+/// When none validates, returns how many candidates there were to refuse.
 pub(crate) fn try_restore<D: AdmissionDriver>(
     shard: usize,
     slot: &CheckpointSlot,
     cache: &CacheConfig,
     driver: &mut D,
-) -> Result<(CacheServer, darwin_cache::ThresholdPolicy, CacheMetrics, u8, u64), usize> {
+) -> Result<Restored, usize> {
     let mut refused = 0;
     for (candidate, frame) in slot.candidates().enumerate() {
         refused = candidate + 1;
@@ -421,8 +428,12 @@ pub(crate) fn try_restore<D: AdmissionDriver>(
         }
         let tables = ShardCheckpoint::layout(&frame);
         server.record_base(ckpt.seq, frame, tables);
-        let base = server.metrics();
-        return Ok((server, ckpt.policy, base, candidate as u8, ckpt.seq));
+        return Ok(Restored {
+            server,
+            policy: ckpt.policy,
+            candidate: candidate as u8,
+            checkpoint_seq: ckpt.seq,
+        });
     }
     Err(refused)
 }

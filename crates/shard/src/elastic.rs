@@ -50,7 +50,6 @@ struct GenLive<D: AdmissionDriver + Send + 'static, E: Envelope> {
     fleet: Option<ShardedFleet<D, E>>,
     handle: MetricsHandle,
     generation: u32,
-    shards: usize,
 }
 
 /// What one shard's handoff shipped at a cutover.
@@ -173,20 +172,11 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
             Box::new(Arc::clone(&router)),
             mint(&factory),
             fault,
-            FleetBoot {
-                checkpoint_dir: checkpoint_dir.clone(),
-                warm_boot: warm,
-                ..FleetBoot::default()
-            },
+            FleetBoot { checkpoint_dir: checkpoint_dir.clone(), warm_boot: warm },
         );
         let handle = fleet.metrics_handle();
         Self {
-            state: RwLock::new(GenLive {
-                fleet: Some(fleet),
-                handle,
-                generation: 0,
-                shards: cfg.shards,
-            }),
+            state: RwLock::new(GenLive { fleet: Some(fleet), handle, generation: 0 }),
             factory,
             cfg,
             cache,
@@ -204,7 +194,7 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
 
     /// Current shard count.
     pub fn shards(&self) -> usize {
-        self.state.read().expect("elastic state poisoned").shards
+        self.state.read().expect("elastic state poisoned").handle.shards()
     }
 
     /// Requests submitted so far, across every generation.
@@ -247,10 +237,10 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
         merged
     }
 
-    fn summarize(generation: u32, shards: usize, snap: &FleetMetrics) -> GenerationSummary {
+    fn summarize(generation: u32, snap: &FleetMetrics) -> GenerationSummary {
         GenerationSummary {
             generation,
-            shards: shards as u32,
+            shards: snap.shards.len() as u32,
             processed: snap.total_processed(),
             dropped: snap.total_dropped(),
             unavailable: snap.total_unavailable(),
@@ -277,7 +267,7 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
     /// [`TransferStat::refused`] — and never fails the resize.
     pub fn resize(&self, to_shards: usize) -> Result<Vec<TransferStat>, ResizeRefused> {
         let mut st = self.state.write().expect("elastic state poisoned");
-        let from_shards = st.shards;
+        let from_shards = st.handle.shards();
         if to_shards == 0 || to_shards == from_shards || to_shards > MAX_SHARDS {
             return Err(ResizeRefused { target: to_shards, serving: from_shards });
         }
@@ -311,25 +301,20 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
         let snap = old_handle.snapshot();
         {
             let mut archive = self.archive.lock().expect("archive poisoned");
-            archive.generations.push(Self::summarize(from_gen, from_shards, &snap));
+            archive.generations.push(Self::summarize(from_gen, &snap));
             archive.metrics.push(snap);
             archive.transfers.extend(transfers.iter().cloned());
         }
 
         // Boot the successor generation warm from the resolved transfers.
-        let fleet = ShardedFleet::with_boot(
+        let fleet = ShardedFleet::successor(
             FleetConfig { shards: to_shards, ..self.cfg },
             self.cache.clone(),
             Box::new(Arc::clone(&self.router)),
             mint(&self.factory),
-            FaultPlan::default(),
-            FleetBoot {
-                checkpoint_dir: self.checkpoint_dir.clone(),
-                warm_boot: true,
-                seeds,
-                generation: to_gen,
-                handoff: true,
-            },
+            self.checkpoint_dir.as_deref(),
+            seeds,
+            to_gen,
         );
         let handle = fleet.metrics_handle();
         let journal = &handle.cells()[0].obs().journal;
@@ -345,7 +330,6 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
         st.fleet = Some(fleet);
         st.handle = handle;
         st.generation = to_gen;
-        st.shards = to_shards;
         Ok(transfers)
     }
 
@@ -360,11 +344,11 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
     pub fn finish_live(&self, final_cut: bool) -> (FleetReport<D>, ElasticReport) {
         let mut st = self.state.write().expect("elastic state poisoned");
         let fleet = st.fleet.take().expect("fleet serving");
-        let report = if final_cut { fleet.finish_with_cut(st.shards) } else { fleet.finish() };
+        let report = if final_cut { fleet.finish_with_cut(st.handle.shards()) } else { fleet.finish() };
         let snap = st.handle.snapshot();
         let transfers = {
             let mut archive = self.archive.lock().expect("archive poisoned");
-            archive.generations.push(Self::summarize(st.generation, st.shards, &snap));
+            archive.generations.push(Self::summarize(st.generation, &snap));
             archive.transfers.clone()
         };
         let metrics = self.merged(snap);

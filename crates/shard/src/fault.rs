@@ -85,6 +85,21 @@ pub enum FaultKind {
     CorruptStandby,
 }
 
+impl FaultKind {
+    /// Stable journal label. Part of the deterministic journal contract:
+    /// integers and fixed strings only.
+    pub fn label(&self) -> String {
+        match self {
+            FaultKind::Panic => "panic".into(),
+            FaultKind::Delay { spins } => format!("delay({spins})"),
+            FaultKind::QueueFull => "queue-full".into(),
+            FaultKind::CorruptCheckpoint { torn: true } => "corrupt-ckpt(torn)".into(),
+            FaultKind::CorruptCheckpoint { torn: false } => "corrupt-ckpt(zeroed)".into(),
+            FaultKind::CorruptStandby => "corrupt-standby".into(),
+        }
+    }
+}
+
 /// One scripted fault: `kind` fires on shard `shard` immediately before the
 /// request with per-shard sequence number `at` is processed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -236,19 +251,6 @@ impl ShardFaultCursor {
             }
             _ => None,
         }
-    }
-}
-
-/// Stable journal label for a scripted fault. Part of the deterministic
-/// journal contract: integers and fixed strings only.
-pub(crate) fn fault_label(kind: &FaultKind) -> String {
-    match kind {
-        FaultKind::Panic => "panic".into(),
-        FaultKind::Delay { spins } => format!("delay({spins})"),
-        FaultKind::QueueFull => "queue-full".into(),
-        FaultKind::CorruptCheckpoint { torn: true } => "corrupt-ckpt(torn)".into(),
-        FaultKind::CorruptCheckpoint { torn: false } => "corrupt-ckpt(zeroed)".into(),
-        FaultKind::CorruptStandby => "corrupt-standby".into(),
     }
 }
 

@@ -1,10 +1,11 @@
 //! The sharded fleet: N cache servers on N worker threads, supervised.
 //!
 //! [`ShardedFleet`] hash-partitions the object space across `shards`
-//! independent [`CacheServer`]s, each owned by a dedicated worker thread and
-//! each driven by its *own* [`AdmissionDriver`] — with [`DarwinDriver`]
-//! drivers this is one Darwin controller per shard, learning that shard's
-//! sub-workload (the paper's per-server deployment model, §5).
+//! independent [`CacheServer`](darwin_cache::CacheServer)s, each owned by a
+//! dedicated worker thread and each driven by its *own* [`AdmissionDriver`]
+//! — with [`DarwinDriver`] drivers this is one Darwin controller per shard,
+//! learning that shard's sub-workload (the paper's per-server deployment
+//! model, §5).
 //!
 //! # Ingest pipeline
 //!
@@ -40,7 +41,8 @@
 //! server) or on a scripted [`FaultPlan`] event — no longer takes the fleet
 //! down. The fleet detects the death at the next delivery to that shard
 //! (a failed push on the Block path, a closed-consumer probe on the
-//! DropNewest path) and consults the shard's [`Supervisor`]:
+//! DropNewest path) and consults the shard's
+//! [`Supervisor`](crate::Supervisor):
 //!
 //! * **Within the [`RestartBudget`]** the worker is cold-restarted: fresh
 //!   `CacheServer`, fresh driver from the factory, fresh queue. Learned
@@ -79,22 +81,19 @@
 //!
 //! [`DarwinDriver`]: darwin_testbed::DarwinDriver
 
-use crate::ckpt::{CheckpointSlot, ShardCheckpoint, Spiller};
+use crate::ckpt::CheckpointSlot;
 use crate::fault::FaultPlan;
-use crate::lane::{FleetCore, LaneState, ShardState};
-use crate::metrics::{FleetMetrics, MetricsHandle, ShardCell, ShardPhase};
-use crate::queue::QueueGauges;
+use crate::lane::FleetCore;
+use crate::metrics::{FleetMetrics, MetricsHandle, ShardPhase};
 use crate::router::Router;
-use crate::standby::StandbySlot;
-use crate::supervisor::{RestartBudget, Supervisor};
-use crate::worker::WorkerExit;
+use crate::supervisor::RestartBudget;
+use crate::worker::{Incarnation, WorkerExit};
 use darwin_cache::{CacheConfig, CacheMetrics, RequestOutcome};
-use darwin_obs::EventKind;
 use darwin_testbed::AdmissionDriver;
 use darwin_trace::{Request, Trace};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// What one request's trip through its shard produced: where it was served
 /// from and whether the admission policy promoted it into the HOC.
@@ -186,7 +185,8 @@ pub struct FleetConfig {
     /// Record a [`FleetMetrics`] snapshot every this many submitted requests
     /// (`None` disables periodic snapshots; a final one is always taken).
     pub snapshot_every: Option<u64>,
-    /// Restart budget enforced per shard by its [`Supervisor`].
+    /// Restart budget enforced per shard by its
+    /// [`Supervisor`](crate::Supervisor).
     #[serde(default)]
     pub restart_budget: RestartBudget,
     /// Take a warm-restart checkpoint of each shard every this many
@@ -205,12 +205,12 @@ pub struct FleetConfig {
     #[serde(default)]
     pub shed_watermark: Option<usize>,
     /// Hot standbys per shard (0 disables replication; any nonzero value
-    /// runs one in-process [`StandbySlot`] per shard). The primary feeds the
-    /// standby at every checkpoint cut ([`FleetConfig::checkpoint_every`]
-    /// must be set for the standby to ever seed), and a shard whose restart
-    /// budget is exhausted *promotes* the standby's last applied frame
-    /// instead of being buried — the shard keeps serving and answers nothing
-    /// `Unavailable`.
+    /// runs one in-process [`StandbySlot`](crate::StandbySlot) per shard).
+    /// The primary feeds the standby at every checkpoint cut
+    /// ([`FleetConfig::checkpoint_every`] must be set for the standby to
+    /// ever seed), and a shard whose restart budget is exhausted *promotes*
+    /// the standby's last applied frame instead of being buried — the shard
+    /// keeps serving and answers nothing `Unavailable`.
     #[serde(default)]
     pub replicas: usize,
 }
@@ -238,11 +238,10 @@ impl FleetConfig {
     }
 }
 
-/// How a fleet comes up: cold (the historical default), warm from each
-/// shard's spill file in `checkpoint_dir` (cross-process warm boot), or warm
-/// from explicit per-shard seed frames (an elastic-resize handoff).
+/// How a fleet comes up: cold (the historical default), or warm from each
+/// shard's spill file in `checkpoint_dir` (cross-process warm boot).
 ///
-/// Warm boots are *validated per shard*: a seed or spill frame that fails
+/// Warm boots are *validated per shard*: a spill frame that fails
 /// CRC/decode/shard-index checks makes exactly that shard boot detected-cold
 /// (its spill file is then cleared) while the rest of the fleet boots warm.
 /// A shard's spill file is never removed before its restore attempt
@@ -257,25 +256,13 @@ pub struct FleetBoot {
     /// Attempt to restore each shard at startup instead of clearing the
     /// spill directory.
     pub warm_boot: bool,
-    /// Per-shard seed frames ([`ShardCheckpoint::to_frame`] bytes), indexed
-    /// by shard; `None` entries (or a short vector) leave the shard to its
-    /// spill file or a cold start. Only read when `warm_boot` is set.
-    pub seeds: Vec<Option<Vec<u8>>>,
-    /// Router generation the fleet serves under (0 is the boot generation;
-    /// the elastic rebalancer increments it per resize).
-    pub generation: u32,
-    /// True when the seeds came from a live in-process resize handoff
-    /// rather than a process restart — selects the journal flavour of
-    /// [`EventKind::HandoffRestore`], and makes missing seeds boot cold
-    /// instead of falling back to (stale, pre-resize) spill files.
-    pub handoff: bool,
 }
 
 impl FleetBoot {
     /// Warm boot from `dir`'s spill files (the gateway's `--checkpoint-dir`
     /// default).
     pub fn warm_from(dir: std::path::PathBuf) -> Self {
-        Self { checkpoint_dir: Some(dir), warm_boot: true, ..Self::default() }
+        Self { checkpoint_dir: Some(dir), warm_boot: true }
     }
 }
 
@@ -424,15 +411,14 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
     }
 
     /// The full-control constructor: [`with_fault_plan`](Self::with_fault_plan)
-    /// plus the spill directory and warm-boot/handoff behaviour described on
+    /// plus the spill directory and warm-boot behaviour described on
     /// [`FleetBoot`]. With a `boot.checkpoint_dir`, each shard's latest
     /// checkpoint frame is also written to `dir/shard-{s}.ckpt` (temp-file +
     /// atomic rename), and stale spill files for this fleet's shards are
     /// removed up front unless `boot.warm_boot` is set, so a reused directory
     /// never resurrects a previous run's state. With `boot.warm_boot` set,
-    /// each shard's initial incarnation attempts a restore — from its
-    /// validated seed frame if one is given, else from its spill file — and
-    /// falls back detected-cold per shard on any validation failure.
+    /// each shard's initial incarnation attempts a restore from its spill
+    /// file and falls back detected-cold per shard on any validation failure.
     pub fn with_boot(
         cfg: FleetConfig,
         cache: CacheConfig,
@@ -441,87 +427,44 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
         fault: FaultPlan,
         boot: FleetBoot,
     ) -> Self {
-        assert!(cfg.shards > 0, "fleet needs at least one shard");
-        assert!(cfg.batch > 0, "batch size must be positive");
-        let (spiller, slots) = match &boot.checkpoint_dir {
-            Some(dir) => {
-                let _ = std::fs::create_dir_all(dir);
-                let (spiller, slots) = Spiller::start(cfg.shards, dir);
-                if !boot.warm_boot {
-                    slots.iter().for_each(|slot| slot.clear_disk());
-                }
-                (Some(spiller), slots)
-            }
-            None => (None, (0..cfg.shards).map(|s| Arc::new(CheckpointSlot::new(s, None))).collect()),
-        };
-        let panics = fault.panic_indices(cfg.shards);
-        let core = Arc::new(FleetCore {
-            cache,
-            router: Arc::from(router),
-            factory: Mutex::new(Box::new(factory)),
-            fault,
-            warm_boot: boot.warm_boot,
-            boot_handoff: boot.handoff,
-            cut_target: Arc::new(AtomicU64::new(u64::MAX)),
-            spiller,
-            shards: slots
-                .into_iter()
-                .zip(panics)
-                .enumerate()
-                .map(|(s, (slot, panics))| ShardState {
-                    lane: Mutex::new(LaneState {
-                        producer: None,
-                        handle: None,
-                        supervisor: Supervisor::new(cfg.restart_budget),
-                        delivered: 0,
-                        panics: panics.into(),
-                    }),
-                    cell: Arc::new(ShardCell::new(s, Arc::new(QueueGauges::default()))),
-                    slot,
-                    standby: (cfg.replicas > 0).then(|| Arc::new(StandbySlot::new(s))),
-                })
-                .collect(),
-            cfg,
-        });
-        if boot.warm_boot {
-            for (s, shard) in core.shards.iter().enumerate() {
-                match boot.seeds.get(s).and_then(|o| o.as_ref()) {
-                    // The worker's restore attempt is the one validator: a
-                    // seed that does not decode as this shard's checkpoint
-                    // is refused there, journaled `RestoreCold` and its
-                    // spill cleared — never silently mis-restored.
-                    Some(frame) => drop(shard.slot.store(frame.clone())),
-                    // A handoff boot with no seed for this shard must come
-                    // up cold: any spill file on disk predates the resize.
-                    None if boot.handoff => shard.slot.clear_disk(),
-                    // Process warm boot: the spill file itself is the seed;
-                    // the worker validates it during its restore attempt.
-                    None => {}
-                }
+        let incarnation = if boot.warm_boot { Incarnation::WarmBoot } else { Incarnation::Cold };
+        let dir = boot.checkpoint_dir.as_deref();
+        Self::launch(FleetCore::new(cfg, cache, router, factory, fault, dir, incarnation), incarnation)
+    }
+
+    /// The successor generation of a live resize: serves as router
+    /// generation `generation` and boots shard `s` warm from `seeds[s]`, a
+    /// handed-off checkpoint frame (one entry per shard). The worker's
+    /// restore attempt is the one validator: a seed that does not decode as
+    /// its shard's checkpoint is refused there, journaled `RestoreCold` and
+    /// never silently mis-restored. A shard without a seed boots cold, its
+    /// spill file cleared: it predates the resize.
+    pub(crate) fn successor(
+        cfg: FleetConfig,
+        cache: CacheConfig,
+        router: Box<dyn Router>,
+        factory: impl FnMut(usize) -> D + Send + 'static,
+        dir: Option<&std::path::Path>,
+        seeds: Vec<Option<Vec<u8>>>,
+        generation: u32,
+    ) -> Self {
+        let handoff = Incarnation::Handoff;
+        let core = FleetCore::new(cfg, cache, router, factory, FaultPlan::default(), dir, handoff);
+        assert_eq!(seeds.len(), core.shards.len(), "one seed entry per shard");
+        for (shard, seed) in core.shards.iter().zip(seeds) {
+            shard.cell.set_generation(generation);
+            match seed {
+                Some(frame) => drop(shard.slot.store(frame)),
+                None => shard.slot.clear_disk(),
             }
         }
-        for (s, shard) in core.shards.iter().enumerate() {
-            shard.cell.set_generation(boot.generation);
-            let mut lane = shard.lane.lock().expect("shard lane poisoned");
-            if boot.warm_boot {
-                // Reconstitute the supervisor's budget state from the frame
-                // the shard is about to restore, so a crash-looping shard
-                // cannot launder its restart history through a warm boot.
-                // The marks' request clock restarted at 0; `with_state`
-                // keeps them conservatively until they age out of the new
-                // clock's window.
-                let carried = shard.slot.candidates().find_map(|frame| {
-                    ShardCheckpoint::from_frame(&frame)
-                        .ok()
-                        .filter(|c| c.shard == s)
-                        .map(|c| (c.restarts, c.budget_marks))
-                });
-                if let Some((restarts, marks)) = carried {
-                    lane.supervisor = Supervisor::with_state(core.cfg.restart_budget, restarts, &marks);
-                }
-            }
-            core.spawn(s, &mut lane, 0, false);
-        }
+        Self::launch(core, handoff)
+    }
+
+    /// Spawns every shard's first incarnation and wraps the running core.
+    fn launch(core: FleetCore<D, E>, incarnation: Incarnation) -> Self {
+        let core = Arc::new(core);
+        core.start(incarnation);
         Self {
             producer: FleetProducer::new(Arc::clone(&core)),
             core,
@@ -599,32 +542,24 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
         &self.snapshots
     }
 
-    /// The shards' checkpoint mailboxes, in shard order. A rebalancer reads
+    /// The shards' checkpoint mailboxes, in shard order. A resize reads
     /// the final-cut frames out of these after
     /// [`finish_with_cut`](Self::finish_with_cut) returns.
-    pub fn checkpoint_slots(&self) -> Vec<Arc<CheckpointSlot>> {
+    pub(crate) fn checkpoint_slots(&self) -> Vec<Arc<CheckpointSlot>> {
         self.core.shards.iter().map(|sh| Arc::clone(&sh.slot)).collect()
     }
 
-    /// Asks every shard to cut a final [`ShardCheckpoint`] at its
-    /// end-of-stream request-sequence boundary (during the next
-    /// [`finish`](Self::finish)) and marks the shards as draining. The cut
-    /// lands in each shard's [`CheckpointSlot`] — including its disk spill
-    /// when a checkpoint directory is configured — so a successor fleet can
-    /// restore it warm. `target_shards` is journaled with the
-    /// [`EventKind::DrainStart`] event.
-    pub fn request_final_cut(&self, target_shards: usize) {
+    /// [`finish`](Self::finish), with every shard cutting a final
+    /// [`ShardCheckpoint`](crate::ShardCheckpoint) at its end-of-stream
+    /// request-sequence boundary: drains the fleet and leaves each shard's
+    /// final cut in its checkpoint slot (and spill file, when configured),
+    /// for a successor fleet to restore warm. `target_shards` is journaled
+    /// with each shard's `DrainStart` event.
+    pub fn finish_with_cut(self, target_shards: usize) -> FleetReport<D> {
         self.core.cut_target.store(target_shards as u64, Ordering::Release);
         for shard in &self.core.shards {
             shard.cell.set_phase(ShardPhase::Draining);
         }
-    }
-
-    /// [`request_final_cut`](Self::request_final_cut) followed by
-    /// [`finish`](Self::finish): drains the fleet and leaves each shard's
-    /// final-cut checkpoint in its slot (and spill file, when configured).
-    pub fn finish_with_cut(self, target_shards: usize) -> FleetReport<D> {
-        self.request_final_cut(target_shards);
         self.finish()
     }
 
@@ -646,21 +581,16 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
             let mut lane = shard.lane.lock().expect("shard lane poisoned");
             let exit = lane.handle.take().map(|h| h.join().unwrap_or(WorkerExit::Panicked));
             let (driver, hoc_used_bytes, dc_used_bytes) = match exit {
-                Some(WorkerExit::Completed(r)) => (Some(r.driver), r.hoc_used_bytes, r.dc_used_bytes),
+                Some(WorkerExit::Completed { driver, hoc_used_bytes, dc_used_bytes }) => {
+                    (Some(driver), hoc_used_bytes, dc_used_bytes)
+                }
                 Some(WorkerExit::Panicked) => {
                     // A death no later delivery settled — a scripted panic
                     // on the shard's last request, or an organic one at
                     // end-of-stream — is settled here. No respawn: the
                     // stream is over, there is nothing left to serve.
-                    let answered = shard.cell.processed_total() + shard.cell.dropped();
-                    shard.cell.add_dropped(lane.delivered.saturating_sub(answered));
-                    shard.cell.fold_incarnation();
+                    lane.account_death(&shard.cell);
                     shard.cell.mark_dead();
-                    shard
-                        .cell
-                        .obs()
-                        .journal
-                        .record(shard.cell.processed_total(), EventKind::WorkerDeath);
                     (None, 0, 0)
                 }
                 None => (None, 0, 0), // buried earlier

@@ -1,25 +1,21 @@
-//! A shard's ingest lane: the one place a run enters a shard, and where
-//! its worker's death is settled.
-//!
-//! Every ingest front hands its staged runs to [`FleetCore::dispatch`],
-//! which answers them `Unavailable` (dead shard) or `Busy` (over the shed
-//! watermark) or delivers them under the shard's lane lock. The lane joins
-//! a dead worker, does the death's accounting and carries out the
-//! supervisor's verdict: respawn, promote the standby, or bury.
+//! A shard's ingest lane: where every ingest front's runs are answered
+//! `Unavailable` or `Busy` or delivered, and where a dead worker is joined,
+//! accounted for and respawned, promoted or buried.
 
-use crate::ckpt::{CheckpointSlot, Spiller};
+use crate::ckpt::{CheckpointSlot, ShardCheckpoint, Spiller};
 use crate::fault::{FaultPlan, ShardFaultCursor};
 use crate::fleet::{Backpressure, Envelope, FleetConfig};
 use crate::metrics::ShardCell;
-use crate::queue::{channel, Producer};
+use crate::queue::{channel, Producer, QueueGauges};
 use crate::router::Router;
 use crate::standby::StandbySlot;
 use crate::supervisor::{Supervisor, SupervisorVerdict};
-use crate::worker::{worker, WorkerCtx, WorkerExit};
+use crate::worker::{worker, Incarnation, WorkerCtx, WorkerExit};
 use darwin_cache::CacheConfig;
 use darwin_obs::EventKind;
 use darwin_testbed::AdmissionDriver;
 use std::collections::VecDeque;
+use std::path::Path;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -46,6 +42,23 @@ pub(crate) struct LaneState<D, E> {
     pub(crate) panics: VecDeque<u64>,
 }
 
+impl<D, E> LaneState<D, E> {
+    /// Books the death of the lane's current incarnation: every envelope
+    /// handed in ends processed, counted dropped, or destroyed unanswered in
+    /// the crash (its Drop impl answered the client), so that unanswered
+    /// tail is counted dropped and the conservation law holds. Folds the
+    /// incarnation into the cell and journals `WorkerDeath` at — and returns
+    /// — the shard's processed count, deterministic under Block.
+    pub(crate) fn account_death(&self, cell: &ShardCell) -> u64 {
+        let answered = cell.processed_total() + cell.dropped();
+        cell.add_dropped(self.delivered.saturating_sub(answered));
+        cell.fold_incarnation();
+        let seq = cell.processed_total();
+        cell.obs().journal.record(seq, EventKind::WorkerDeath);
+        seq
+    }
+}
+
 /// One shard's runtime state inside the core.
 pub(crate) struct ShardState<D, E> {
     pub(crate) lane: Mutex<LaneState<D, E>>,
@@ -69,15 +82,9 @@ pub(crate) struct FleetCore<D, E> {
     /// from any producer's thread.
     pub(crate) factory: Mutex<Box<dyn FnMut(usize) -> D + Send>>,
     pub(crate) fault: FaultPlan,
-    /// True when initial incarnations should attempt a restore (warm boot
-    /// or resize handoff) instead of starting cold.
-    pub(crate) warm_boot: bool,
-    /// Journal flavour of a boot restore: handoff (in-process resize) vs
-    /// warm boot (cross-process spill).
-    pub(crate) boot_handoff: bool,
     /// Target shard count of a requested drain-for-handoff final cut;
     /// `u64::MAX` means no cut was requested. Workers read it at
-    /// end-of-stream and cut a final `ShardCheckpoint` at the exact drain
+    /// end-of-stream and cut a final [`ShardCheckpoint`] at the exact drain
     /// boundary when set.
     pub(crate) cut_target: Arc<AtomicU64>,
     /// Writes the shards' checkpoint spill files off their workers' threads
@@ -88,6 +95,82 @@ pub(crate) struct FleetCore<D, E> {
 }
 
 impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetCore<D, E> {
+    /// A fleet core with every shard's lane, cell and checkpoint slot in
+    /// place and no worker running yet; [`start`](Self::start) spawns them.
+    /// A cold fleet clears its shards' stale spill files here.
+    pub(crate) fn new(
+        cfg: FleetConfig,
+        cache: CacheConfig,
+        router: Box<dyn Router>,
+        factory: impl FnMut(usize) -> D + Send + 'static,
+        fault: FaultPlan,
+        checkpoint_dir: Option<&Path>,
+        incarnation: Incarnation,
+    ) -> Self {
+        assert!(cfg.shards > 0, "fleet needs at least one shard");
+        assert!(cfg.batch > 0, "batch size must be positive");
+        let (spiller, slots) = match checkpoint_dir {
+            Some(dir) => {
+                let _ = std::fs::create_dir_all(dir);
+                let (spiller, slots) = Spiller::start(cfg.shards, dir);
+                if incarnation == Incarnation::Cold {
+                    slots.iter().for_each(|slot| slot.clear_disk());
+                }
+                (Some(spiller), slots)
+            }
+            None => (None, (0..cfg.shards).map(|s| Arc::new(CheckpointSlot::new(s, None))).collect()),
+        };
+        let panics = fault.panic_indices(cfg.shards);
+        Self {
+            cache,
+            router: Arc::from(router),
+            factory: Mutex::new(Box::new(factory)),
+            fault,
+            cut_target: Arc::new(AtomicU64::new(u64::MAX)),
+            spiller,
+            shards: slots
+                .into_iter()
+                .zip(panics)
+                .enumerate()
+                .map(|(s, (slot, panics))| ShardState {
+                    lane: Mutex::new(LaneState {
+                        producer: None,
+                        handle: None,
+                        supervisor: Supervisor::new(cfg.restart_budget),
+                        delivered: 0,
+                        panics: panics.into(),
+                    }),
+                    cell: Arc::new(ShardCell::new(s, Arc::new(QueueGauges::default()))),
+                    slot,
+                    standby: (cfg.replicas > 0).then(|| Arc::new(StandbySlot::new(s))),
+                })
+                .collect(),
+            cfg,
+        }
+    }
+
+    /// Spawns every shard's first incarnation. One that restores takes over
+    /// the budget state of the frame it restores, so a crash-looping shard
+    /// cannot launder its restart history through a warm boot (the marks
+    /// are kept until they age out of the restarted request clock's window).
+    pub(crate) fn start(&self, incarnation: Incarnation) {
+        for (s, shard) in self.shards.iter().enumerate() {
+            let mut lane = shard.lane.lock().expect("shard lane poisoned");
+            if incarnation != Incarnation::Cold {
+                let carried = shard.slot.candidates().find_map(|frame| {
+                    ShardCheckpoint::from_frame(&frame)
+                        .ok()
+                        .filter(|c| c.shard == s)
+                        .map(|c| (c.restarts, c.budget_marks))
+                });
+                if let Some((restarts, marks)) = carried {
+                    lane.supervisor = Supervisor::with_state(self.cfg.restart_budget, restarts, &marks);
+                }
+            }
+            self.spawn(s, &mut lane, incarnation);
+        }
+    }
+
     /// Decides a staged run's fate: answered `Unavailable` when shard `s`
     /// is dead (degraded mode, without touching the lane), `Busy` when its
     /// queue is over the shed watermark, and otherwise delivered.
@@ -96,9 +179,7 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetCore<D, E> {
         if cell.is_dead() {
             // Degraded mode: answer without touching the lane.
             cell.add_unavailable(batch.len() as u64);
-            for env in batch.drain(..) {
-                env.unavailable();
-            }
+            batch.drain(..).for_each(E::unavailable);
             return;
         }
         if let Some(watermark) = self.cfg.shed_watermark {
@@ -106,11 +187,9 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetCore<D, E> {
                 // Overload: answer Busy without blocking on the full queue.
                 // The retry hint scales with how far past the watermark the
                 // queue is — deeper backlog, longer client backoff.
-                let hint = (cell.queue_depth() / watermark.max(1)).min(7) as u8;
+                let hint = (cell.queue_depth() / watermark.max(1)).clamp(1, 7) as u8;
                 cell.add_shed(batch.len() as u64);
-                for env in batch.drain(..) {
-                    env.shed(hint.max(1));
-                }
+                batch.drain(..).for_each(|env| env.shed(hint));
                 return;
             }
         }
@@ -139,9 +218,7 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetCore<D, E> {
                 // it, or a producer's flush that raced the burial. Answer it
                 // Unavailable, as a post-burial submission would have been.
                 shard.cell.add_unavailable(batch.len() as u64);
-                for env in batch.drain(..) {
-                    env.unavailable();
-                }
+                batch.drain(..).for_each(E::unavailable);
                 return;
             }
             // A run holding the next fatal request stops after it.
@@ -184,96 +261,61 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetCore<D, E> {
         // a doomed-but-alive worker draining toward its scripted panic)
         // observes end-of-stream and terminates.
         lane.producer = None;
-        let handle = lane.handle.take().expect("dying shard had no worker");
-        let exit = handle.join().unwrap_or(WorkerExit::Panicked);
         // `Completed` here means the worker won a race against the death
         // signal (possible only under DropNewest shedding of a scripted
         // fatal request); treat it as the scripted death it stands in for.
-        drop(exit);
+        drop(lane.handle.take().expect("dying shard had no worker").join());
         let cell = &shard.cell;
-        // Every envelope handed into the lane ends processed, counted
-        // dropped (queue shedding), or destroyed unanswered in the crash —
-        // its Drop impl answered the client. The difference is exactly that
-        // unanswered in-flight tail; count it so the conservation law holds.
-        let answered = cell.processed_total() + cell.dropped();
-        cell.add_dropped(lane.delivered.saturating_sub(answered));
-        cell.fold_incarnation();
+        let seq = lane.account_death(cell);
         // Scripted deaths the incarnation never reached fell in its dropped
         // tail; the next one starts at `delivered`.
         while lane.panics.front().is_some_and(|&p| p < lane.delivered) {
             lane.panics.pop_front();
         }
-        // Journal stamps use the shard's processed count — deterministic
-        // under Block (scripted panics are lane-synchronized).
-        let seq = cell.processed_total();
-        let budget_max = lane.supervisor.budget().max_restarts;
-        cell.obs().journal.record(seq, EventKind::WorkerDeath);
         let standby_ready = shard.standby.as_ref().is_some_and(|st| st.ready());
-        match lane.supervisor.on_worker_death_with_standby(lane.delivered, standby_ready) {
-            SupervisorVerdict::Respawn => {
+        let verdict = lane.supervisor.on_worker_death_with_standby(lane.delivered, standby_ready);
+        let (restarts_used, budget_max) =
+            (lane.supervisor.restarts(), lane.supervisor.budget().max_restarts);
+        let promoted = match verdict {
+            SupervisorVerdict::Promote => shard.standby.as_ref().and_then(|st| st.take_for_promotion()),
+            _ => None,
+        };
+        match (verdict, promoted) {
+            (SupervisorVerdict::Respawn, _) => {
                 cell.record_restart();
-                cell.obs().journal.record(
-                    seq,
-                    EventKind::RestartGranted { restarts_used: lane.supervisor.restarts(), budget_max },
-                );
-                self.spawn(s, lane, lane.delivered, true);
+                cell.obs().journal.record(seq, EventKind::RestartGranted { restarts_used, budget_max });
+                self.spawn(s, lane, Incarnation::Respawn);
             }
-            SupervisorVerdict::Promote => {
-                match shard.standby.as_ref().and_then(|st| st.take_for_promotion()) {
-                    Some((frame, checkpoint_seq)) => {
-                        // Install the standby's frame as the newest restore
-                        // candidate (`store` flips it active, so the
-                        // promoted frame wins even after a scripted
-                        // corruption damaged every prior candidate, and the
-                        // spill file follows), then warm-restart
-                        // through the same validated restore path every
-                        // respawn uses — which is what makes a promoted
-                        // shard bitwise-identical to an unfailed run from
-                        // the checkpoint boundary.
-                        shard.slot.store(frame);
-                        cell.record_restart();
-                        cell.record_failover();
-                        cell.obs().journal.record(
-                            seq,
-                            EventKind::Failover {
-                                checkpoint_seq,
-                                restarts_used: lane.supervisor.restarts(),
-                                budget_max,
-                            },
-                        );
-                        self.spawn(s, lane, lane.delivered, true);
-                    }
-                    None => {
-                        // The standby was lost between the readiness check
-                        // and the take: bury exactly as an unreplicated
-                        // fleet would.
-                        cell.obs().journal.record(
-                            seq,
-                            EventKind::RestartDenied {
-                                restarts_used: lane.supervisor.restarts(),
-                                budget_max,
-                            },
-                        );
-                        cell.mark_dead();
-                    }
-                }
+            (SupervisorVerdict::Promote, Some((frame, checkpoint_seq))) => {
+                // Install the standby's frame as the newest restore
+                // candidate (`store` flips it active, so the promoted frame
+                // wins even after a scripted corruption damaged every prior
+                // candidate, and the spill file follows), then warm-restart
+                // through the same validated restore path every respawn
+                // uses — which is what makes a promoted shard
+                // bitwise-identical to an unfailed run from the checkpoint
+                // boundary.
+                shard.slot.store(frame);
+                cell.record_restart();
+                cell.record_failover();
+                let event = EventKind::Failover { checkpoint_seq, restarts_used, budget_max };
+                cell.obs().journal.record(seq, event);
+                self.spawn(s, lane, Incarnation::Respawn);
             }
-            SupervisorVerdict::Bury => {
-                cell.obs().journal.record(
-                    seq,
-                    EventKind::RestartDenied { restarts_used: lane.supervisor.restarts(), budget_max },
-                );
+            // A burial, or a standby lost between the readiness check and
+            // the take: buried exactly as an unreplicated shard would be.
+            _ => {
+                cell.obs().journal.record(seq, EventKind::RestartDenied { restarts_used, budget_max });
                 cell.mark_dead();
             }
         }
     }
 
-    /// Spawns shard `s`'s worker whose first request has per-shard index
-    /// `from` (0 for the initial incarnation). A `respawn`ed worker first
-    /// tries to restore the shard's latest checkpoint (warm restart); the
-    /// initial incarnation always starts cold. Caller holds the lane.
-    pub(crate) fn spawn(&self, s: usize, lane: &mut LaneState<D, E>, from: u64, respawn: bool) {
+    /// Spawns shard `s`'s worker, starting as `incarnation` says; its first
+    /// request is the lane's next delivery. Caller holds the lane.
+    fn spawn(&self, s: usize, lane: &mut LaneState<D, E>, incarnation: Incarnation) {
         let shard = &self.shards[s];
+        let from = lane.delivered;
         let (tx, rx) = channel::<E>(self.cfg.queue_capacity);
         shard.cell.set_gauges(tx.gauges());
         let driver = {
@@ -291,12 +333,9 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetCore<D, E> {
             faults: ShardFaultCursor::for_shard(&self.fault, s, from),
             slot: Arc::clone(&shard.slot),
             checkpoint_every: self.cfg.checkpoint_every,
-            respawn,
-            boot: !respawn && self.warm_boot,
-            boot_handoff: self.boot_handoff,
+            incarnation,
             cut_target: Arc::clone(&self.cut_target),
             standby: shard.standby.as_ref().map(Arc::clone),
-            generation: shard.cell.generation(),
             budget_restarts: lane.supervisor.restarts(),
             budget_marks: lane.supervisor.marks(),
         };

@@ -57,6 +57,12 @@
 //!   [`CheckpointSlot`] with optional atomic-rename disk spill. A respawned
 //!   worker restores the latest valid frame (warm restart) and falls back
 //!   cold when none validates.
+//! * [`elastic`] — [`ElasticFleet`]: live `N → M` resizes. A resize drains
+//!   the serving generation (every shard `Serving → Draining →
+//!   Transferring → Retired`), hands each survivor's final cut to the next
+//!   generation as a row delta and boots it warm; the ledger stays exact
+//!   and seeded resizes journal bit-for-bit (`tests/resize.rs`).
+//!   [`JumpRouter`] keeps the keyspace that boots cold to `|M−N|/max(N,M)`.
 //! * [`replay`] — the deterministic sequential side of the equivalence
 //!   contract: an N-shard fleet over a hash-partitioned trace is bitwise
 //!   identical to N sequential single-shard runs (`tests/equivalence.rs`

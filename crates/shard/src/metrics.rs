@@ -9,7 +9,7 @@
 //!
 //! Cells survive their worker: when a supervisor cold-restarts a shard, the
 //! dying incarnation's counters are *folded* into per-cell bases
-//! ([`ShardCell::fold_incarnation`]) and the fresh worker counts on top, so
+//! (`ShardCell::fold_incarnation`) and the fresh worker counts on top, so
 //! `processed` / `cache` in a snapshot are always totals over the shard's
 //! whole life. Restart and permanent-death state ride along (`restarts`,
 //! `dead`, `unavailable`), which is how `finish()` reports fault history
@@ -25,11 +25,11 @@ use std::sync::{Arc, Mutex};
 /// Lifecycle phase of a shard during an elastic rebalance. Phases only ever
 /// advance (Serving → Draining → Transferring → Retired), and are set in
 /// that order into the shard's [`ShardCell`], so snapshots and dashboards
-/// can show drain state: [`ShardedFleet::request_final_cut`] sets Draining,
-/// and `ElasticFleet::resize` (`darwin-rebalance`) then Transferring and
-/// Retired per shard.
+/// can show drain state: [`ShardedFleet::finish_with_cut`] sets Draining,
+/// and [`ElasticFleet::resize`] then Transferring and Retired per shard.
 ///
-/// [`ShardedFleet::request_final_cut`]: crate::ShardedFleet::request_final_cut
+/// [`ShardedFleet::finish_with_cut`]: crate::ShardedFleet::finish_with_cut
+/// [`ElasticFleet::resize`]: crate::ElasticFleet::resize
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ShardPhase {
     /// Normal operation: the shard accepts and serves requests.
@@ -509,7 +509,7 @@ pub struct MetricsHandle {
 
 impl MetricsHandle {
     /// Handle over the given shard cells (one per shard, in shard order).
-    pub fn new(cells: Vec<Arc<ShardCell>>) -> Self {
+    pub(crate) fn new(cells: Vec<Arc<ShardCell>>) -> Self {
         Self { cells }
     }
 
@@ -548,10 +548,10 @@ struct CellState {
 
 /// The mailbox one shard worker publishes into and the fleet reads from.
 ///
-/// The cell outlives any single worker incarnation: at a cold restart the
-/// fleet calls [`fold_incarnation`](Self::fold_incarnation) to move the dead
-/// incarnation's counters into bases and [`set_gauges`](Self::set_gauges) to
-/// point at the replacement queue, so readers always see whole-shard totals.
+/// The cell outlives any single worker incarnation: at a restart the fleet
+/// folds the dead incarnation's counters into bases and points the cell at
+/// the replacement queue, so readers always see whole-shard totals. Only
+/// the fleet writes a cell; everything public here reads it.
 #[derive(Debug)]
 pub struct ShardCell {
     shard: usize,
@@ -598,7 +598,7 @@ pub struct ShardCell {
 
 impl ShardCell {
     /// Cell for `shard`, wired to that shard's queue gauges.
-    pub fn new(shard: usize, gauges: Arc<QueueGauges>) -> Self {
+    pub(crate) fn new(shard: usize, gauges: Arc<QueueGauges>) -> Self {
         Self {
             shard,
             state: Mutex::new(CellState::default()),
@@ -641,7 +641,7 @@ impl ShardCell {
     /// (`submitted = processed + dropped + unavailable + shed`) exact rather
     /// than batch-granular.
     #[inline]
-    pub fn publish_processed(&self, processed: u64) {
+    pub(crate) fn publish_processed(&self, processed: u64) {
         self.processed.store(processed, Ordering::Release);
     }
 
@@ -654,20 +654,20 @@ impl ShardCell {
     /// Called from a `Drop`, so a poisoned lock is entered, not propagated:
     /// every update of the state is a whole-field assignment, valid at any
     /// step.
-    pub fn publish(&self, cache: CacheMetrics, processed: u64) {
+    pub(crate) fn publish(&self, cache: CacheMetrics, processed: u64) {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner).cache = cache;
         self.processed.store(processed, Ordering::Release);
     }
 
     /// Worker side, at boot and whenever the deployed policy changes:
     /// publish it. A snapshot formats its label.
-    pub fn publish_policy(&self, policy: ThresholdPolicy) {
+    pub(crate) fn publish_policy(&self, policy: ThresholdPolicy) {
         self.state.lock().expect("cell poisoned").policy = Some(policy);
     }
 
     /// Producer side: account requests shed at this shard's queue or lost in
     /// flight to a worker death.
-    pub fn add_dropped(&self, n: u64) {
+    pub(crate) fn add_dropped(&self, n: u64) {
         if n > 0 {
             self.dropped.fetch_add(n, Ordering::Relaxed);
         }
@@ -680,7 +680,7 @@ impl ShardCell {
 
     /// Producer side: account requests answered `Unavailable` because this
     /// shard is dead.
-    pub fn add_unavailable(&self, n: u64) {
+    pub(crate) fn add_unavailable(&self, n: u64) {
         if n > 0 {
             self.unavailable.fetch_add(n, Ordering::Relaxed);
         }
@@ -693,7 +693,7 @@ impl ShardCell {
 
     /// Producer side: account requests answered `Busy` because this shard's
     /// queue was over its shed watermark.
-    pub fn add_shed(&self, n: u64) {
+    pub(crate) fn add_shed(&self, n: u64) {
         if n > 0 {
             self.shed.fetch_add(n, Ordering::Relaxed);
         }
@@ -720,7 +720,7 @@ impl ShardCell {
     /// `depth <= watermark / 2` (hysteresis, so the decision doesn't
     /// flicker at the boundary); each episode's start and stop are
     /// journaled exactly once, whichever producer's CAS wins the crossing.
-    pub fn shed_decision(&self, watermark: usize) -> bool {
+    pub(crate) fn shed_decision(&self, watermark: usize) -> bool {
         let depth = self.queue_depth();
         if self.shedding.load(Ordering::Relaxed) {
             if depth <= watermark / 2 {
@@ -762,7 +762,7 @@ impl ShardCell {
     /// next incarnation (if any) counts on top. Call only after the worker
     /// thread has been joined — the arithmetic assumes no concurrent
     /// publisher.
-    pub fn fold_incarnation(&self) {
+    pub(crate) fn fold_incarnation(&self) {
         {
             let mut st = self.state.lock().expect("cell poisoned");
             let current = std::mem::take(&mut st.cache);
@@ -775,13 +775,13 @@ impl ShardCell {
     }
 
     /// Points the cell at a replacement queue's gauges (cold restart).
-    pub fn set_gauges(&self, gauges: Arc<QueueGauges>) {
+    pub(crate) fn set_gauges(&self, gauges: Arc<QueueGauges>) {
         *self.gauges.lock().expect("cell poisoned") = gauges;
     }
 
     /// Counts one granted restart (warm or cold — warmness is recorded
     /// separately by the respawned worker once its restore attempt settles).
-    pub fn record_restart(&self) {
+    pub(crate) fn record_restart(&self) {
         self.restarts.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -792,7 +792,7 @@ impl ShardCell {
 
     /// Worker side, on respawn: records that the incarnation restored warm
     /// from a valid checkpoint.
-    pub fn record_warm_restart(&self) {
+    pub(crate) fn record_warm_restart(&self) {
         self.warm_restarts.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -803,7 +803,7 @@ impl ShardCell {
 
     /// Worker side, at boot: records a restore shipped across a process or
     /// generation boundary (spill-file warm boot or resize handoff).
-    pub fn record_warm_boot(&self) {
+    pub(crate) fn record_warm_boot(&self) {
         self.warm_boots.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -813,7 +813,7 @@ impl ShardCell {
     }
 
     /// Sets the router generation this cell reports under (fleet build).
-    pub fn set_generation(&self, generation: u32) {
+    pub(crate) fn set_generation(&self, generation: u32) {
         self.generation.store(generation, Ordering::Relaxed);
     }
 
@@ -824,7 +824,7 @@ impl ShardCell {
 
     /// Advances the shard's handoff phase. No order is enforced here: the
     /// callers set the phases in order ([`ShardPhase`] names them).
-    pub fn set_phase(&self, phase: ShardPhase) {
+    pub(crate) fn set_phase(&self, phase: ShardPhase) {
         self.phase.store(phase.code(), Ordering::Relaxed);
     }
 
@@ -835,7 +835,7 @@ impl ShardCell {
 
     /// Worker side: records a stored checkpoint covering the shard's first
     /// `seq` requests.
-    pub fn record_checkpoint(&self, seq: u64) {
+    pub(crate) fn record_checkpoint(&self, seq: u64) {
         self.ckpt_seq.store(seq, Ordering::Release);
     }
 
@@ -852,7 +852,7 @@ impl ShardCell {
     /// Always paired with [`record_restart`](Self::record_restart) — the
     /// promoted incarnation is a (warm) restart, so `warm + cold` keeps
     /// partitioning `restarts`.
-    pub fn record_failover(&self) {
+    pub(crate) fn record_failover(&self) {
         self.failovers.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -863,7 +863,7 @@ impl ShardCell {
 
     /// Worker side: records a replication feed the standby applied — the
     /// boundary it now holds and the payload bytes the envelope shipped.
-    pub fn record_replica(&self, seq: u64, shipped_bytes: u64) {
+    pub(crate) fn record_replica(&self, seq: u64, shipped_bytes: u64) {
         self.replica_seq.store(seq, Ordering::Release);
         self.replica_shipped_bytes.fetch_add(shipped_bytes, Ordering::Relaxed);
     }
@@ -882,7 +882,7 @@ impl ShardCell {
     }
 
     /// Counts one detected standby loss (poisoned or failed validation).
-    pub fn record_standby_lost(&self) {
+    pub(crate) fn record_standby_lost(&self) {
         self.standby_lost.fetch_add(1, Ordering::Relaxed);
         // The standby's applied boundary is gone with it.
         self.replica_seq.store(u64::MAX, Ordering::Release);
@@ -894,7 +894,7 @@ impl ShardCell {
     }
 
     /// Marks the shard permanently dead.
-    pub fn mark_dead(&self) {
+    pub(crate) fn mark_dead(&self) {
         self.dead.store(true, Ordering::Relaxed);
     }
 

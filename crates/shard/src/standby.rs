@@ -209,7 +209,8 @@ impl StandbySlot {
     }
 }
 
-/// Feeds one checkpoint cut to the shard's standby and folds the outcome
+/// Feeds one checkpoint cut to the shard's standby, stamped with the shard's
+/// router generation, and folds the outcome
 /// into the cell's replication metrics and the journal. Loss is detected and
 /// journaled here — a failed or poisoned standby is never silent: the next
 /// feed records [`EventKind::StandbyLost`] and (when the feed itself
@@ -217,12 +218,11 @@ impl StandbySlot {
 pub(crate) fn feed_standby(
     standby: &StandbySlot,
     cell: &ShardCell,
-    generation: u32,
     seq: u64,
     frame: &[u8],
     changes: Option<&Changes>,
 ) {
-    match standby.feed(generation, seq, frame, changes) {
+    match standby.feed(cell.generation(), seq, frame, changes) {
         FeedOutcome::Seeded { shipped_bytes } => {
             cell.record_replica(seq, shipped_bytes);
             cell.obs().journal.record(seq, EventKind::ReplicaSeeded { checkpoint_seq: seq });

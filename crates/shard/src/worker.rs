@@ -1,17 +1,12 @@
 //! A shard worker: one incarnation's serving loop.
 //!
-//! The loop pops runs off the shard's queue, serves each request, completes
-//! its envelope, lets the driver observe it and cuts checkpoints at
-//! request-sequence boundaries. It is identical, request for request, to
-//! the sequential loop in `replay::run_partition`.
-//!
 //! Worker threads wrap their serving loop in
 //! [`darwin_parallel::inline_sweeps`], so a per-shard Darwin controller that
 //! sweeps experts at an epoch boundary runs those sweeps inline instead of
 //! stacking `DARWIN_THREADS`-wide pools `shards` times over.
 
-use crate::ckpt::{try_restore, CheckpointSlot, ShardCheckpoint};
-use crate::fault::{fault_label, FaultKind, ShardFaultCursor};
+use crate::ckpt::{try_restore, CheckpointSlot, Restored, ShardCheckpoint};
+use crate::fault::{FaultKind, ShardFaultCursor};
 use crate::fleet::{Envelope, Verdict};
 use crate::metrics::ShardCell;
 use crate::queue::Consumer;
@@ -24,17 +19,28 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-pub(crate) struct WorkerResult<D> {
-    pub(crate) hoc_used_bytes: u64,
-    pub(crate) dc_used_bytes: u64,
-    pub(crate) driver: D,
+/// How a worker incarnation starts, and so which restore it tries and how
+/// it journals the result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Incarnation {
+    /// A cold fleet's first: no restore, nothing journaled.
+    Cold,
+    /// Replaces a dead one: `RestoreWarm` from the slot, else `RestoreCold`.
+    Respawn,
+    /// A warm-booting process's first: `HandoffRestore { warm_boot: true }`
+    /// from the spill file; a refused frame is cleared and `RestoreCold`.
+    WarmBoot,
+    /// A resize successor's first: as `WarmBoot` from the handed-off seed,
+    /// journaled `HandoffRestore { warm_boot: false }`.
+    Handoff,
 }
 
 /// How a shard worker thread ended. Workers catch their own unwinds, so
 /// `JoinHandle::join` always succeeds and the fleet inspects this instead.
 pub(crate) enum WorkerExit<D> {
-    /// Clean end-of-stream exit.
-    Completed(WorkerResult<D>),
+    /// Clean end-of-stream exit: the driver, and the final HOC and DC
+    /// occupancy in bytes.
+    Completed { driver: D, hoc_used_bytes: u64, dc_used_bytes: u64 },
     /// The worker panicked; server and driver unwound with it. In-flight
     /// envelopes were released (their `Drop` impls filed verdicts) by the
     /// consumer endpoint's destructor.
@@ -57,23 +63,13 @@ pub(crate) struct WorkerCtx<D, E> {
     pub(crate) slot: Arc<CheckpointSlot>,
     /// Checkpoint cadence in per-shard requests (`None`: never checkpoint).
     pub(crate) checkpoint_every: Option<u64>,
-    /// True when this incarnation replaces a dead one and should attempt a
-    /// warm restore.
-    pub(crate) respawn: bool,
-    /// True when this is the shard's *first* incarnation in a warm-booting
-    /// fleet and it should attempt a restore from the slot (seeded frame or
-    /// spill file) before serving.
-    pub(crate) boot: bool,
-    /// True when a boot-time restore stems from a live handoff (resize)
-    /// rather than a cross-process warm boot; controls the journal flavour.
-    pub(crate) boot_handoff: bool,
+    /// How this incarnation starts.
+    pub(crate) incarnation: Incarnation,
     /// Requested final-cut target shard count; `u64::MAX` means no cut.
     pub(crate) cut_target: Arc<AtomicU64>,
     /// The shard's hot standby, fed at every checkpoint cut (`None` when the
     /// fleet runs without replicas).
     pub(crate) standby: Option<Arc<StandbySlot>>,
-    /// Router generation, stamped into every replica envelope.
-    pub(crate) generation: u32,
     /// Supervisor budget state snapshotted at spawn (it is constant for the
     /// lifetime of one incarnation), carried inside every checkpoint this
     /// incarnation cuts so warm boots cannot launder restart history.
@@ -142,51 +138,48 @@ pub(crate) fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> W
         mut faults,
         slot,
         checkpoint_every,
-        respawn,
-        boot,
-        boot_handoff,
+        incarnation,
         cut_target,
         standby,
-        generation,
         budget_restarts,
         budget_marks,
     } = ctx;
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+    std::panic::catch_unwind(AssertUnwindSafe(|| {
         darwin_parallel::inline_sweeps(|| {
-            // Respawned incarnations try the shard's checkpoint candidates
-            // first (warm restart); first incarnations of a warm-booting
-            // fleet do the same against their seeded/spilled frame (warm
-            // boot). Validation failure of every candidate — or no
-            // checkpoint at all — falls back to the cold path. The restored
-            // metrics become this incarnation's publication *base*: the
-            // cell already holds the shard's whole pre-death history
-            // (folded by the supervisor), so the incarnation must publish
-            // only its increments or restored counters would double-count.
-            let attempt =
-                if respawn || boot { try_restore(shard, &slot, &cache, &mut driver) } else { Err(0) };
+            // Every incarnation but a cold fleet's first tries the shard's
+            // checkpoint candidates: a respawn restarts warm, a boot restores
+            // its spilled or handed-off frame. Validation failure of every
+            // candidate — or no checkpoint at all — falls back to the cold
+            // path. The restored metrics become this incarnation's
+            // publication *base*: the cell already holds the shard's whole
+            // pre-death history (folded by the supervisor), so the
+            // incarnation must publish only its increments or restored
+            // counters would double-count.
+            let attempt = match incarnation {
+                Incarnation::Cold => Err(0),
+                _ => try_restore(shard, &slot, &cache, &mut driver),
+            };
             let (server, mut current_policy, base) = match attempt {
-                Ok((server, policy, base, candidate, checkpoint_seq)) => {
-                    if respawn {
+                Ok(Restored { server, policy, candidate, checkpoint_seq }) => {
+                    let event = if incarnation == Incarnation::Respawn {
                         cell.record_warm_restart();
-                        cell.obs()
-                            .journal
-                            .record(start, EventKind::RestoreWarm { candidate, checkpoint_seq });
+                        EventKind::RestoreWarm { candidate, checkpoint_seq }
                     } else {
                         cell.record_warm_boot();
-                        cell.obs().journal.record(
-                            start,
-                            EventKind::HandoffRestore { checkpoint_seq, warm_boot: !boot_handoff },
-                        );
-                    }
+                        let warm_boot = incarnation == Incarnation::WarmBoot;
+                        EventKind::HandoffRestore { checkpoint_seq, warm_boot }
+                    };
+                    cell.obs().journal.record(start, event);
+                    let base = server.metrics();
                     (server, policy, base)
                 }
                 Err(refused) => {
                     // A failed boot attempt detects cold: drop the
                     // invalid spill so a later restart can't retry it.
-                    if boot && !respawn {
+                    if matches!(incarnation, Incarnation::WarmBoot | Incarnation::Handoff) {
                         slot.clear_disk();
                     }
-                    if respawn || refused > 0 {
+                    if incarnation == Incarnation::Respawn || refused > 0 {
                         cell.obs().journal.record(start, EventKind::RestoreCold);
                     }
                     (CacheServer::new(cache), driver.initial_policy(), CacheMetrics::default())
@@ -226,7 +219,7 @@ pub(crate) fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> W
                 cell.record_checkpoint(seq);
                 cell.obs().journal.record(seq, event);
                 if let Some(st) = &standby {
-                    feed_standby(st, &cell, generation, seq, &frame, changes.as_ref());
+                    feed_standby(st, &cell, seq, &frame, changes.as_ref());
                 }
                 if timed {
                     cell.obs().ckpt_pause.record_duration(pause.elapsed());
@@ -239,9 +232,7 @@ pub(crate) fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> W
                 for env in buf.drain(..) {
                     let at = start + serving.processed;
                     while let Some(kind) = faults.take(at) {
-                        cell.obs()
-                            .journal
-                            .record(at, EventKind::FaultInjected { fault: fault_label(&kind) });
+                        cell.obs().journal.record(at, EventKind::FaultInjected { fault: kind.label() });
                         match kind {
                             FaultKind::Panic => {
                                 panic!("scripted fault: shard {shard} dies at per-shard request {at}")
@@ -363,15 +354,12 @@ pub(crate) fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> W
                     cut(end, current_policy, &mut serving.server, dstate, event, false);
                 }
             }
-            WorkerResult {
+            WorkerExit::Completed {
                 hoc_used_bytes: serving.server.hoc_used_bytes(),
                 dc_used_bytes: serving.server.dc_used_bytes(),
                 driver,
             }
         })
-    }));
-    match outcome {
-        Ok(result) => WorkerExit::Completed(result),
-        Err(_) => WorkerExit::Panicked,
-    }
+    }))
+    .unwrap_or(WorkerExit::Panicked)
 }

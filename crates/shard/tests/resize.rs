@@ -444,6 +444,55 @@ fn second_elastic_process_warm_boots() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A shard a resize adds boots cold, never from a spill file an earlier
+/// process left under its index. The first process serves 8 shards and
+/// cuts a final checkpoint for each; the second warm-boots 4 from the same
+/// directory, then grows to 8. Shards 4–7 of generation 1 have no handed-off
+/// seed, and the spill files under their indices predate the resize.
+#[test]
+fn a_grown_shard_never_restores_a_stale_spill() {
+    let dir = std::env::temp_dir().join(format!("darwin-resize-stale-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let trace = test_trace(16_000);
+    let fs = frames(&trace, 1_000);
+
+    let first = elastic(8, Some(dir.clone()), false);
+    for f in &fs[..8] {
+        first.submit_frame(f.iter().cloned());
+    }
+    assert!(first.finish(true).conserved());
+    for s in 4..8 {
+        assert!(dir.join(format!("shard-{s}.ckpt")).exists(), "shard {s} left a spill file");
+    }
+
+    let second = elastic(4, Some(dir.clone()), true);
+    for f in &fs[8..12] {
+        second.submit_frame(f.iter().cloned());
+    }
+    second.resize(8).expect("4 -> 8");
+    let gen1 = second.metrics_handle();
+    for f in &fs[12..] {
+        second.submit_frame(f.iter().cloned());
+    }
+    let report = second.finish(false);
+    assert!(report.conserved());
+    assert_eq!(report.submitted, 8_000);
+    assert_eq!(
+        report.metrics.generations.iter().map(|g| g.warm_boots).collect::<Vec<_>>(),
+        vec![4, 4],
+        "4 shards boot from their spill files, 4 survivors from the handoff: 8 warm boots, not 12"
+    );
+    for cell in &gen1.cells()[4..] {
+        let events = cell.obs().journal.snapshot().events;
+        assert!(
+            !events.iter().any(|e| matches!(e.kind, EventKind::HandoffRestore { .. })),
+            "generation 1 shard {} restored a stale spill",
+            cell.shard_index()
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A target outside the input is refused before the serving generation is
 /// touched: same generation, same shards, still serving.
 #[test]
