@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Sanitizers over the code that holds `unsafe`: ThreadSanitizer over
-# darwin-shard's lock-free queue unit tests (plus one whole-fleet test),
-# AddressSanitizer over darwin-ckpt's suites. Not part of tier-1 (about
+# Sanitizers: ThreadSanitizer over darwin-shard's queue unit tests (each
+# shard queue is a Mutex<VecDeque> with a condvar per side; the tests cover
+# its blocking, wake-up, close and gauge paths) plus one whole-fleet test,
+# and AddressSanitizer over darwin-ckpt's suites (the workspace's one
+# `unsafe` site, the CLMUL CRC call, lives there). Not part of tier-1 (about
 # half a minute warm on 2 cores); needs a nightly toolchain, and verify.sh
 # runs it only when `cargo +nightly` is installed.
 #

@@ -9,6 +9,8 @@
 //! scaled-down setup (see [`scale::Scale`]) so the full suite completes on a
 //! laptop core. Pass `--scale N` to the binary to move toward paper scale.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod report;
 pub mod runs;

@@ -30,7 +30,7 @@ use crate::conn::{
     writer_loop, ConnSink, GatewayEnvelope, PendingBatch, Reply, ReplyCounters, SinkGuard,
 };
 use crate::netfault::{spin, NetFaultKind, NetFaultPlan};
-use crate::wire::{FrameReader, Message, RecvError, WireVerdict};
+use crate::wire::{FrameReader, Message, RecvError, WireVerdict, MAX_BODY_LEN};
 use darwin_cache::CacheConfig;
 use darwin_obs::{EventKind, Journal};
 use darwin_shard::{
@@ -256,6 +256,20 @@ impl<D: AdmissionDriver + Send + 'static> Shared<D> {
     /// it, a resize in progress does.
     fn fleet_metrics(&self) -> FleetMetrics {
         self.fleet.metrics().with_gateway(self.counters.snapshot())
+    }
+
+    /// The `STATS` reply: the fleet snapshot as compact JSON without the
+    /// shards' journals (`EVENTS` ships those; `events_dropped` stays). A
+    /// snapshot still past [`MAX_BODY_LEN`] is answered `{"error": …}`, as
+    /// a refused resize is.
+    fn stats_reply(&self) -> String {
+        let mut metrics = self.fleet_metrics();
+        metrics.shards.iter_mut().for_each(|s| s.events.clear());
+        let json = serde_json::to_string(&metrics).expect("fleet metrics serialization cannot fail");
+        if json.len() <= MAX_BODY_LEN {
+            return json;
+        }
+        format!("{{\"error\": \"stats reply of {} bytes exceeds {MAX_BODY_LEN}\"}}", json.len())
     }
 
     /// Answers one `RESIZE` frame by *performing* the resize inline on the
@@ -616,7 +630,7 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
             Ok(Some(Message::Stats)) => {
                 Counters::add(&counters.frames_in, 1);
                 Counters::add(&counters.stats_served, 1);
-                sink.push(seq, Reply::Stats(shared.fleet_metrics().to_json()));
+                sink.push(seq, Reply::Stats(shared.stats_reply()));
                 seq += 1;
             }
             Ok(Some(Message::Events)) => {
@@ -626,10 +640,11 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
                 // shard cells (a retired generation's rings retire with it)
                 // — like STATS, this answers even under full backpressure.
                 // The gateway's own journal rides along as the final
-                // pseudo-shard entry.
+                // pseudo-shard entry. Journals too large for one frame keep
+                // their newest events.
                 let mut journals = shared.fleet.metrics_handle().journals();
                 journals.push((GATEWAY_JOURNAL_SHARD, shared.journal.snapshot()));
-                let frame = darwin_obs::encode_fleet_events(&journals);
+                let frame = darwin_obs::encode_fleet_events_within(&mut journals, MAX_BODY_LEN);
                 sink.push(seq, Reply::Events(frame));
                 seq += 1;
             }

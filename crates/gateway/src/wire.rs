@@ -36,9 +36,9 @@
 //! | opcode | name           | body |
 //! |--------|----------------|------|
 //! | `0x81` | `VERDICTS`     | one byte per `GET` record: bits 0–2 outcome (0 = HOC hit, 1 = DC hit, 2 = origin fetch, 3 = dropped, 4 = unavailable, 5 = busy), bit 3 admitted-to-HOC, bits 4–6 `retry_after` backoff exponent (zero unless busy), bit 7 zero |
-//! | `0x82` | `STATS_REPLY`  | UTF-8 JSON of a `FleetMetrics` snapshot |
+//! | `0x82` | `STATS_REPLY`  | UTF-8 compact JSON of a `FleetMetrics` snapshot with every shard's `events` empty (journals ride `EVENTS_REPLY`), or `{"error": …}` when the snapshot would exceed `MAX_BODY_LEN` |
 //! | `0x83` | `SHUTDOWN_ACK` | empty |
-//! | `0x84` | `EVENTS_REPLY` | a sealed `darwin_obs` fleet-events frame (CRC-guarded, decodable with [`darwin_obs::decode_fleet_events`]) |
+//! | `0x84` | `EVENTS_REPLY` | a sealed `darwin_obs` fleet-events frame (CRC-guarded, decodable with [`darwin_obs::decode_fleet_events`]); past `MAX_BODY_LEN` each journal keeps its newest events that fit and counts the rest in `dropped` |
 //! | `0x85` | `RESIZE_ACK`   | UTF-8 JSON: the resize's `GenerationSummary` ledger on success, or `{"error": …}` when the target was refused before the fleet was touched (zero, the serving shard count, or above `MAX_SHARDS`). Concurrent resizes serialize; none is refused as "in flight" |
 //!
 //! Each `GET` frame is answered by exactly one `VERDICTS` frame carrying one

@@ -290,6 +290,49 @@ fn stats_frame_returns_parseable_snapshot() {
     gateway.finish().expect("clean gateway shutdown");
 }
 
+/// A fleet whose journals are full still answers `STATS` within the frame
+/// bound: the reply is compact and leaves the journals to `EVENTS`, whose
+/// reply keeps the newest events that fit. Eight shards cutting a
+/// checkpoint every 10 requests fill each 1 024-event journal; pretty JSON
+/// of those journals is about 1.45 MB, past `MAX_BODY_LEN`.
+#[test]
+fn stats_fits_the_wire_with_full_journals() {
+    use darwin_gateway::wire::MAX_BODY_LEN;
+
+    let policy = ThresholdPolicy::new(2, 100 * 1024);
+    let cfg = FleetConfig { checkpoint_every: Some(10), ..fleet_cfg(8) };
+    let gateway = Gateway::bind("127.0.0.1:0", cfg, cache_cfg(), Box::new(HashRouter), move |_| {
+        StaticDriver::new(policy)
+    })
+    .expect("bind loopback gateway");
+    let addr = gateway.local_addr();
+    let trace = test_trace(88_000);
+    loadgen::run(addr, &trace, LoadgenConfig::default()).expect("loadgen replay");
+
+    let journals = loadgen::fetch_events(addr).expect("events fetch");
+    assert_eq!(journals.len(), 9, "eight shards and the gateway");
+    let json = loadgen::fetch_stats(addr).expect("stats fetch");
+    assert!(json.len() <= MAX_BODY_LEN, "{} bytes", json.len());
+    let snapshot = FleetMetrics::from_json(&json).expect("stats reply parses as FleetMetrics");
+    assert_eq!(snapshot.shards.len(), 8);
+    assert!(snapshot.shards.iter().all(|s| s.events.is_empty()), "journals ride EVENTS, not STATS");
+    assert!(snapshot.shards.iter().any(|s| s.events_dropped > 0), "journals overflowed");
+    for shard in &snapshot.shards {
+        let journal = &journals.iter().find(|(s, _)| *s as usize == shard.shard).expect("journal").1;
+        assert!(!journal.events.is_empty());
+        // A worker may still cut one checkpoint after its last verdict.
+        assert!(
+            (0..=1).contains(&(shard.events_dropped - journal.dropped)),
+            "STATS still counts the journal's drops: {} vs {}",
+            shard.events_dropped,
+            journal.dropped
+        );
+    }
+
+    gateway.shutdown();
+    gateway.finish().expect("no connection panicked");
+}
+
 /// The reply counters are published as each reply is written, not when its
 /// connection closes: a `STATS` on a second connection counts every reply
 /// the first connection has read, while the first is still open.

@@ -24,7 +24,6 @@
 //! *lower bound*, so a reported quantile never exceeds the true sample and
 //! undershoots it by at most the 3.1% bucket width.
 
-use darwin_ckpt::{open, seal, CkptError, Dec, Enc};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -36,11 +35,6 @@ const SUB_BUCKETS: u32 = 1 << SUB_BITS;
 
 /// Total bucket count covering the full `u64` nanosecond range.
 pub const NUM_BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) * SUB_BUCKETS as usize;
-
-/// Frame magic for a sealed [`HistogramSnapshot`] ("OBSH").
-pub const HIST_MAGIC: u32 = 0x4F42_5348;
-/// Frame version for sealed histogram snapshots.
-pub const HIST_VERSION: u16 = 1;
 
 /// The bucket a value lands in.
 #[inline]
@@ -230,69 +224,30 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Appends the snapshot to an encoder.
-    pub fn encode(&self, e: &mut Enc) {
-        e.u64(self.count);
-        e.u64(self.sum);
-        e.u64(self.max);
-        e.seq(&self.buckets, |e, &(i, c)| {
-            e.u32(i);
-            e.u64(c);
-        });
-    }
-
-    /// Decodes a snapshot, validating the sparse-bucket invariants
-    /// (indices strictly increasing and in range, counts non-zero, bucket
-    /// counts summing to `count`).
-    pub fn decode(d: &mut Dec) -> Result<Self, CkptError> {
-        let count = d.u64()?;
-        let sum = d.u64()?;
-        let max = d.u64()?;
-        let buckets = d.seq(4 + 8, |d| {
-            let i = d.u32()?;
-            let c = d.u64()?;
-            Ok((i, c))
-        })?;
+    /// Checks the sparse-bucket invariants a snapshot from outside the
+    /// process may break: every index below [`NUM_BUCKETS`], indices
+    /// strictly increasing, counts nonzero and summing to `count`.
+    /// [`quantile`](Self::quantile) relies on the first.
+    pub fn check(&self) -> Result<(), String> {
         let mut total = 0u64;
         let mut prev: Option<u32> = None;
-        for &(i, c) in &buckets {
+        for &(i, c) in &self.buckets {
             if i as usize >= NUM_BUCKETS {
-                return Err(CkptError::Malformed(format!("bucket index {i} out of range")));
+                return Err(format!("bucket index {i} out of range"));
             }
             if prev.is_some_and(|p| p >= i) {
-                return Err(CkptError::Malformed("bucket indices not increasing".into()));
+                return Err("bucket indices not increasing".into());
             }
             if c == 0 {
-                return Err(CkptError::Malformed("zero bucket count".into()));
+                return Err("zero bucket count".into());
             }
             prev = Some(i);
-            total = total
-                .checked_add(c)
-                .ok_or_else(|| CkptError::Malformed("bucket counts overflow".into()))?;
+            total = total.checked_add(c).ok_or("bucket counts overflow")?;
         }
-        if total != count {
-            return Err(CkptError::Malformed(format!(
-                "bucket counts sum to {total}, header says {count}"
-            )));
+        if total != self.count {
+            return Err(format!("bucket counts sum to {total}, count says {}", self.count));
         }
-        Ok(Self { count, sum, max, buckets })
-    }
-
-    /// Seals the snapshot into a CRC-guarded frame.
-    pub fn to_frame(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        self.encode(&mut e);
-        seal(HIST_MAGIC, HIST_VERSION, &e.into_bytes())
-    }
-
-    /// Opens and decodes a sealed frame produced by
-    /// [`to_frame`](HistogramSnapshot::to_frame).
-    pub fn from_frame(frame: &[u8]) -> Result<Self, CkptError> {
-        let body = open(frame, HIST_MAGIC, HIST_VERSION)?;
-        let mut d = Dec::new(body);
-        let snap = Self::decode(&mut d)?;
-        d.finish()?;
-        Ok(snap)
+        Ok(())
     }
 }
 
@@ -319,20 +274,11 @@ impl LatencySnapshot {
         self.ckpt_pause.merge(&other.ckpt_pause);
     }
 
-    /// Appends all three histograms to an encoder.
-    pub fn encode(&self, e: &mut Enc) {
-        self.serve.encode(e);
-        self.queue_wait.encode(e);
-        self.ckpt_pause.encode(e);
-    }
-
-    /// Decodes what [`encode`](LatencySnapshot::encode) wrote.
-    pub fn decode(d: &mut Dec) -> Result<Self, CkptError> {
-        Ok(Self {
-            serve: HistogramSnapshot::decode(d)?,
-            queue_wait: HistogramSnapshot::decode(d)?,
-            ckpt_pause: HistogramSnapshot::decode(d)?,
-        })
+    /// [`HistogramSnapshot::check`] over all three histograms.
+    pub fn check(&self) -> Result<(), String> {
+        self.serve.check()?;
+        self.queue_wait.check()?;
+        self.ckpt_pause.check()
     }
 }
 
@@ -447,32 +393,24 @@ mod tests {
     }
 
     #[test]
-    fn frame_roundtrip_and_rejects_damage() {
+    fn check_accepts_recorded_snapshots_and_rejects_broken_buckets() {
         let h = Histogram::new();
         for v in [0u64, 5, 500, 50_000, 5_000_000] {
             h.record(v);
         }
-        let snap = h.snapshot();
-        let frame = snap.to_frame();
-        assert_eq!(HistogramSnapshot::from_frame(&frame).unwrap(), snap);
-        for keep in 0..frame.len() {
-            assert!(HistogramSnapshot::from_frame(&frame[..keep]).is_err());
-        }
-    }
-
-    #[test]
-    fn decode_rejects_inconsistent_totals() {
-        let mut e = Enc::new();
-        e.u64(3); // count claims 3
-        e.u64(0);
-        e.u64(0);
-        e.seq(&[(1u32, 2u64)], |e, &(i, c)| {
-            e.u32(i);
-            e.u64(c);
-        });
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        assert!(matches!(HistogramSnapshot::decode(&mut d), Err(CkptError::Malformed(_))));
+        let good = h.snapshot();
+        assert_eq!(good.check(), Ok(()));
+        let broken = |buckets: Vec<(u32, u64)>| {
+            let count = buckets.iter().map(|&(_, c)| c).sum();
+            HistogramSnapshot { count, sum: 0, max: 0, buckets }
+        };
+        assert!(broken(vec![(NUM_BUCKETS as u32, 1)]).check().is_err(), "index out of range");
+        assert!(broken(vec![(7, 1), (7, 1)]).check().is_err(), "repeated index");
+        assert!(broken(vec![(9, 1), (7, 1)]).check().is_err(), "descending indices");
+        assert!(broken(vec![(7, 0)]).check().is_err(), "zero count");
+        let mut short = good.clone();
+        short.count += 1;
+        assert!(short.check().is_err(), "counts must sum to count");
     }
 
     #[test]

@@ -34,11 +34,9 @@ use std::sync::Mutex;
 /// Events kept per shard before the oldest is dropped.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
 
-/// Frame magic for a sealed [`JournalSnapshot`] ("OBSJ").
-pub const JOURNAL_MAGIC: u32 = 0x4F42_534A;
 /// Frame magic for a sealed fleet-wide event dump ("OBSE").
 pub const FLEET_EVENTS_MAGIC: u32 = 0x4F42_5345;
-/// Frame version for journal and fleet-event frames.
+/// Frame version for fleet-event frames.
 pub const JOURNAL_VERSION: u16 = 1;
 
 /// What happened. Payloads are integers and deterministic strings only —
@@ -466,25 +464,6 @@ impl JournalSnapshot {
     pub fn decode(d: &mut Dec) -> Result<Self, CkptError> {
         Ok(Self { dropped: d.u64()?, events: d.seq(Event::MIN_ENCODED, Event::decode)? })
     }
-
-    /// Seals the snapshot into a CRC-guarded frame. Byte-identical
-    /// snapshots seal to byte-identical frames — the determinism gate's
-    /// comparison unit.
-    pub fn to_frame(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        self.encode(&mut e);
-        seal(JOURNAL_MAGIC, JOURNAL_VERSION, &e.into_bytes())
-    }
-
-    /// Opens and decodes a sealed frame produced by
-    /// [`to_frame`](JournalSnapshot::to_frame).
-    pub fn from_frame(frame: &[u8]) -> Result<Self, CkptError> {
-        let body = open(frame, JOURNAL_MAGIC, JOURNAL_VERSION)?;
-        let mut d = Dec::new(body);
-        let snap = Self::decode(&mut d)?;
-        d.finish()?;
-        Ok(snap)
-    }
 }
 
 /// Seals every shard's journal into one fleet-wide frame (the gateway
@@ -496,6 +475,52 @@ pub fn encode_fleet_events(shards: &[(u32, JournalSnapshot)]) -> Vec<u8> {
         snap.encode(e);
     });
     seal(FLEET_EVENTS_MAGIC, JOURNAL_VERSION, &e.into_bytes())
+}
+
+/// [`encode_fleet_events`] into a frame of at most `max_len` bytes (the
+/// gateway's reply bound). When not every event fits, each journal
+/// keeps its newest events within a fair share of the room and counts the
+/// rest in `dropped`: journals are served smallest first, each taking at
+/// most an equal share of what the ones before left over.
+pub fn encode_fleet_events_within(shards: &mut [(u32, JournalSnapshot)], max_len: usize) -> Vec<u8> {
+    let frame = encode_fleet_events(shards);
+    if frame.len() <= max_len {
+        return frame;
+    }
+    let sizes: Vec<Vec<usize>> = shards
+        .iter()
+        .map(|(_, j)| {
+            j.events
+                .iter()
+                .map(|ev| {
+                    let mut e = Enc::new();
+                    ev.encode(&mut e);
+                    e.len()
+                })
+                .collect()
+        })
+        .collect();
+    let fixed = frame.len() - sizes.iter().flatten().sum::<usize>();
+    let mut room = max_len.saturating_sub(fixed);
+    let mut order: Vec<usize> = (0..shards.len()).collect();
+    order.sort_by_key(|&i| sizes[i].iter().sum::<usize>());
+    for (served, &i) in order.iter().enumerate() {
+        let share = room / (order.len() - served);
+        let (mut used, mut keep) = (0, 0);
+        for &n in sizes[i].iter().rev() {
+            if used + n > share {
+                break;
+            }
+            used += n;
+            keep += 1;
+        }
+        room -= used;
+        let journal = &mut shards[i].1;
+        let cut = journal.events.len() - keep;
+        journal.events.drain(..cut);
+        journal.dropped += cut as u64;
+    }
+    encode_fleet_events(shards)
 }
 
 /// Decodes a frame produced by [`encode_fleet_events`].
@@ -610,8 +635,8 @@ mod tests {
             j.record(i as u64 * 100, kind);
         }
         let snap = j.snapshot();
-        let frame = snap.to_frame();
-        assert_eq!(JournalSnapshot::from_frame(&frame).unwrap(), snap);
+        let shards = vec![(0u32, snap.clone())];
+        assert_eq!(decode_fleet_events(&encode_fleet_events(&shards)).unwrap(), shards);
         let json = serde_json::to_string(&snap).unwrap();
         let back: JournalSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
@@ -638,7 +663,7 @@ mod tests {
             j.record(5, EventKind::WorkerDeath);
             j.record(5, EventKind::RestartGranted { restarts_used: 1, budget_max: 3 });
             j.record(5, EventKind::RestoreWarm { candidate: 0, checkpoint_seq: 4 });
-            j.snapshot().to_frame()
+            encode_fleet_events(&[(0, j.snapshot())])
         };
         assert_eq!(build(), build());
     }
@@ -653,6 +678,46 @@ mod tests {
         for keep in 0..frame.len() {
             assert!(decode_fleet_events(&frame[..keep]).is_err());
         }
+    }
+
+    #[test]
+    fn a_bounded_fleet_frame_keeps_the_newest_events_that_fit() {
+        let full = |n: u64| {
+            let j = Journal::new(1024);
+            for seq in 0..n {
+                j.record(seq, EventKind::FaultInjected { fault: format!("delay({seq})") });
+            }
+            j.snapshot()
+        };
+        let mut shards = vec![(0u32, full(1000)), (1, full(3)), (2, full(1000))];
+        let whole = encode_fleet_events(&shards);
+        assert_eq!(
+            encode_fleet_events_within(&mut shards.clone(), whole.len()),
+            whole,
+            "fits: unchanged"
+        );
+
+        let bound = whole.len() / 2;
+        let frame = encode_fleet_events_within(&mut shards, bound);
+        assert!(frame.len() <= bound, "{} > {bound}", frame.len());
+        assert!(
+            whole.len() / 2 - frame.len() < 2 * 30,
+            "the room is used up to about one event per journal"
+        );
+        assert_eq!(
+            decode_fleet_events(&frame).unwrap(),
+            shards,
+            "the caller's journals are the trimmed ones"
+        );
+        assert_eq!(shards[1].1, full(3), "the small journal fits whole");
+        for (_, j) in [&shards[0], &shards[2]] {
+            let kept = j.events.len() as u64;
+            assert!(kept > 0 && kept < 1000);
+            assert_eq!(j.dropped, 1000 - kept, "every trimmed event counts as dropped");
+            assert_eq!(j.events.first().unwrap().seq, 1000 - kept, "the newest events stay");
+            assert_eq!(j.events.last().unwrap().seq, 999);
+        }
+        assert_eq!(shards[0].1.events.len(), shards[2].1.events.len(), "equal journals share equally");
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! purely from request sequence numbers and integer counters and *are*.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod hist;
 pub mod journal;
@@ -32,8 +33,8 @@ pub mod switch;
 
 pub use hist::{Histogram, HistogramSnapshot, LatencySnapshot, NUM_BUCKETS, SUB_BITS};
 pub use journal::{
-    decode_fleet_events, encode_fleet_events, Event, EventKind, Journal, JournalSnapshot,
-    DEFAULT_JOURNAL_CAPACITY,
+    decode_fleet_events, encode_fleet_events, encode_fleet_events_within, Event, EventKind, Journal,
+    JournalSnapshot, DEFAULT_JOURNAL_CAPACITY,
 };
 pub use switch::{SwitchCostConfig, SwitchCostTracker};
 

@@ -1,7 +1,9 @@
 //! Property tests for the observability primitives: histogram merge laws,
 //! codec robustness under damage, and exact journal-ring accounting.
 
-use darwin_obs::{Event, EventKind, Histogram, HistogramSnapshot, Journal, JournalSnapshot};
+use darwin_obs::{
+    decode_fleet_events, encode_fleet_events, Event, EventKind, Histogram, HistogramSnapshot, Journal,
+};
 use proptest::prelude::*;
 
 fn snapshot_of(values: &[u64]) -> HistogramSnapshot {
@@ -72,46 +74,10 @@ proptest! {
         );
     }
 
-    /// Histogram frames roundtrip bit-exactly.
-    #[test]
-    fn hist_frame_roundtrips(
-        values in proptest::collection::vec(0u64..u64::MAX, 0..200),
-    ) {
-        let snap = snapshot_of(&values);
-        prop_assert_eq!(HistogramSnapshot::from_frame(&snap.to_frame()).unwrap(), snap);
-    }
-
-    /// Any truncation of a histogram frame is rejected, never a panic.
-    #[test]
-    fn hist_frame_truncation_detected(
-        values in proptest::collection::vec(0u64..1_000_000, 1..100),
-        cut in 0.0f64..1.0,
-    ) {
-        let frame = snapshot_of(&values).to_frame();
-        let keep = ((cut * frame.len() as f64) as usize).min(frame.len() - 1);
-        prop_assert!(HistogramSnapshot::from_frame(&frame[..keep]).is_err());
-    }
-
-    /// Any single bit flip in a histogram frame is rejected.
-    #[test]
-    fn hist_frame_bit_flip_detected(
-        values in proptest::collection::vec(0u64..1_000_000, 1..100),
-        pos in 0.0f64..1.0,
-        bit in 0u8..8,
-    ) {
-        let frame = snapshot_of(&values).to_frame();
-        let mut bad = frame.clone();
-        let byte = ((pos * bad.len() as f64) as usize).min(bad.len() - 1);
-        bad[byte] ^= 1 << bit;
-        prop_assert!(HistogramSnapshot::from_frame(&bad).is_err());
-    }
-
-    /// Decoding arbitrary junk as either frame kind never panics.
+    /// Decoding arbitrary junk as a fleet-events frame never panics.
     #[test]
     fn frames_never_panic_on_junk(junk in proptest::collection::vec(0u8..=255, 0..256)) {
-        let _ = HistogramSnapshot::from_frame(&junk);
-        let _ = JournalSnapshot::from_frame(&junk);
-        let _ = darwin_obs::decode_fleet_events(&junk);
+        let _ = decode_fleet_events(&junk);
     }
 
     /// The ring retains exactly the newest `capacity` events and counts
@@ -136,7 +102,8 @@ proptest! {
         prop_assert_eq!(snap.events, expect);
     }
 
-    /// Journal frames roundtrip bit-exactly and truncations are rejected.
+    /// Journals roundtrip bit-exactly through the fleet-events frame and
+    /// truncations are rejected.
     #[test]
     fn journal_frame_roundtrips_and_rejects_truncation(
         seqs in proptest::collection::vec(0u64..1_000_000, 1..50),
@@ -146,10 +113,10 @@ proptest! {
         for &s in &seqs {
             j.record(s, EventKind::FaultInjected { fault: format!("delay({s})") });
         }
-        let snap = j.snapshot();
-        let frame = snap.to_frame();
-        prop_assert_eq!(JournalSnapshot::from_frame(&frame).unwrap(), snap);
+        let shards = vec![(3u32, j.snapshot())];
+        let frame = encode_fleet_events(&shards);
+        prop_assert_eq!(decode_fleet_events(&frame).unwrap(), shards);
         let keep = ((cut * frame.len() as f64) as usize).min(frame.len() - 1);
-        prop_assert!(JournalSnapshot::from_frame(&frame[..keep]).is_err());
+        prop_assert!(decode_fleet_events(&frame[..keep]).is_err());
     }
 }

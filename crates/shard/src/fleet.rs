@@ -12,8 +12,8 @@
 //! Requests reach a shard through a two-stage pipeline: a [`FleetProducer`]
 //! *stages* envelopes into per-shard runs, then *delivers* each run with a
 //! single [`push_batch`](crate::queue::Producer::push_batch) onto the
-//! shard's SPSC ring — one index publication and one gauge update per run,
-//! however many requests it carries. Every ingest front is a producer: the
+//! shard's SPSC queue — one lock round per run, however many requests it
+//! carries. Every ingest front is a producer: the
 //! fleet's own single-submitter API ([`ShardedFleet::submit`] /
 //! [`submit_trace`](ShardedFleet::submit_trace)) drives one it owns, and
 //! [`FleetIngest`] mints one per gateway connection. Producers stage and

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # darwin-shard
 //!
@@ -26,8 +27,9 @@
 //!
 //! * [`router`] — pure `(id, shards) → shard` placement ([`HashRouter`] by
 //!   default; the [`Router`] trait is the seam for locality-aware routing).
-//! * [`queue`] — bounded SPSC queues with blocking or drop-with-counter
-//!   backpressure and occupancy gauges.
+//! * [`queue`] — bounded SPSC queues (a `Mutex<VecDeque>` each, one lock
+//!   round per batch) with blocking or drop-with-counter backpressure and
+//!   occupancy gauges.
 //! * [`fleet`] — [`ShardedFleet`]: one worker thread, cache server, queue
 //!   and [`AdmissionDriver`](darwin_testbed::AdmissionDriver) per shard
 //!   (with `DarwinDriver` drivers that is one Darwin controller per shard,

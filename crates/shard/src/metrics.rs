@@ -342,9 +342,19 @@ impl FleetMetrics {
         serde_json::to_string_pretty(self).expect("fleet metrics serialization cannot fail")
     }
 
-    /// Parses a snapshot produced by [`FleetMetrics::to_json`].
+    /// Parses a snapshot produced by [`FleetMetrics::to_json`], refusing
+    /// any latency histogram that fails
+    /// [`HistogramSnapshot::check`](darwin_obs::HistogramSnapshot::check):
+    /// a STATS reply comes from another process, and quantiles index by
+    /// bucket.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
+        let metrics: Self = serde_json::from_str(s)?;
+        for snap in &metrics.shards {
+            if let Some(Err(e)) = snap.latency.as_ref().map(LatencySnapshot::check) {
+                return Err(serde::Error::custom(format!("shard {}: {e}", snap.shard)).into());
+            }
+        }
+        Ok(metrics)
     }
 
     /// Merges another snapshot into this one, aggregating STATS replies from
@@ -1031,6 +1041,17 @@ mod tests {
         let back = FleetMetrics::from_json(&folded.to_json()).unwrap();
         assert_eq!(back, folded);
         assert_eq!(back.gateway.unwrap().requests_in, 2_000);
+    }
+
+    #[test]
+    fn from_json_refuses_histograms_a_quantile_cannot_read() {
+        let mut fm = FleetMetrics::from_shards(vec![snap(0, 10, 3)]);
+        let serve = darwin_obs::HistogramSnapshot { count: 1, sum: 0, max: 0, buckets: vec![(2100, 1)] };
+        fm.shards[0].latency = Some(LatencySnapshot { serve, ..LatencySnapshot::default() });
+        let err = FleetMetrics::from_json(&fm.to_json()).expect_err("bucket 2100 is past NUM_BUCKETS");
+        assert!(err.to_string().contains("shard 0: bucket index 2100 out of range"), "{err}");
+        fm.shards[0].latency.as_mut().unwrap().serve.buckets = vec![(17, 1)];
+        assert_eq!(FleetMetrics::from_json(&fm.to_json()).unwrap(), fm);
     }
 
     #[test]

@@ -1,56 +1,33 @@
 //! Bounded SPSC request queues with explicit backpressure.
 //!
-//! Each shard worker is fed by exactly one of these: a single producer
-//! endpoint (serialized by the fleet's per-shard lane lock) and the shard's
-//! worker thread as the single consumer (enforced by move semantics —
-//! neither endpoint is `Clone`). Capacity is fixed at construction; when the
-//! queue fills, the producer either *blocks* until the worker drains
-//! (lossless backpressure, the replay/determinism mode) or *drops* the
-//! overflow while counting it (the load-shedding mode a production
-//! front-end would run).
+//! Each shard worker is fed by one of these: one producer endpoint
+//! (serialized by the fleet's per-shard lane lock), and the worker thread
+//! as the consumer; neither endpoint is `Clone`. When the queue fills, the
+//! producer either *blocks* until the worker drains (lossless, the
+//! replay/determinism mode) or *drops* the overflow and counts it (load
+//! shedding).
 //!
-//! The queue is a lock-free ring on the hot path: items live in a
-//! fixed-size slot array, the producer and consumer each own a monotonic
-//! index, and the two indices are padded onto separate cache lines so a
-//! pushing gateway connection and a draining shard worker never false-share.
-//! Batch operations ([`Producer::push_batch`] / [`Consumer::pop_batch`])
-//! publish a whole run of items with **one** release-store of the index and
-//! **one** gauge update, so per-request synchronization cost amortizes away
-//! at fleet throughput. Blocking is hybrid: the fast path never touches a
-//! lock, a consumer that finds the queue empty first looks again
-//! `EMPTY_POLLS` times, and a would-be sleeper parks on a condvar behind a
-//! Dekker-style waiting flag (seq-cst fences pair the flag with the index
-//! publish, so a wakeup can never be lost).
+//! The queue is a `VecDeque` of exactly `capacity` slots behind one
+//! `Mutex`, with a condvar per side. [`Producer::push_batch`] and
+//! [`Consumer::pop_batch`] move a whole run in **one** lock round. A side
+//! registers as waiting, under the lock, before it sleeps, and the other
+//! side notifies only a registered sleeper, so a batch costs no futex wake
+//! when nobody sleeps. No item destructor runs under the lock: a gateway
+//! envelope's `Drop` answers its connection.
 //!
-//! Depth and high-water gauges are published through [`QueueGauges`] for the
-//! fleet metrics aggregator. Gauge updates are *relative*
-//! (`fetch_add`/`fetch_sub`), never absolute stores: the producer adds
-//! before publishing its tail and the consumer subtracts before publishing
-//! its head, which keeps the counter within `[0, capacity]` and means a
-//! concurrent pop can never overwrite (and thereby hide) a depth peak
-//! before `fetch_max` records it.
+//! [`QueueGauges`] depth and high-water are set under the lock from the
+//! queue's length, so they are exact; they are atomics because the fleet
+//! reads the depth without the lock.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// How often a consumer that found its queue empty looks again, one
 /// `yield_now` apart, before it parks. Under load a shard's next batch is
-/// some tens of microseconds away. Parking for such a gap costs a futex
-/// sleep, a futex wake on the producer's side and, on a virtual core, a halt
-/// whose price is the host's to set: the serving throughput then follows the
-/// host's state more closely than the program's work does. A yield hands the
-/// core to any thread that is runnable on it and returns at once otherwise,
-/// so an idle worker polls for some tens of microseconds and then sleeps as
-/// before (measurements in DESIGN.md, "Cost of a request").
+/// tens of microseconds away, less than a futex sleep and wake cost on a
+/// virtual core (measurements in DESIGN.md, "Cost of a request").
 const EMPTY_POLLS: u32 = 50;
-
-/// Pads (and aligns) a value to its own 128-byte cache-line pair, so the
-/// producer's tail index and the consumer's head index never share a line
-/// (128 covers adjacent-line prefetching on current x86).
-#[repr(align(128))]
-struct CachePadded<T>(T);
 
 /// Live occupancy gauges of one queue, readable from any thread.
 #[derive(Debug, Default)]
@@ -70,141 +47,45 @@ impl QueueGauges {
         self.high_water.load(Ordering::Relaxed)
     }
 
-    /// Producer side: `n` items entering the queue. The returned sum is
-    /// exact at this instant (no read-modify-write gap), so the high-water
-    /// mark can never miss a peak.
-    fn add_depth(&self, n: usize) {
-        let now = self.depth.fetch_add(n, Ordering::Relaxed) + n;
-        self.high_water.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// Consumer side: `n` items leaving the queue.
-    fn sub_depth(&self, n: usize) {
-        self.depth.fetch_sub(n, Ordering::Relaxed);
+    /// Records the queue's length; every length it had passes through here.
+    fn set(&self, len: usize) {
+        self.depth.store(len, Ordering::Relaxed);
+        self.high_water.fetch_max(len, Ordering::Relaxed);
     }
 }
 
-/// The shared ring. `head`/`tail` are monotonic; the slot for index `i` is
-/// `i & mask` (the slot array is the capacity rounded up to a power of two,
-/// while *logical* occupancy is bounded by the exact `capacity`).
-struct Ring<T> {
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    mask: usize,
+/// What the lock guards.
+struct State<T> {
+    items: VecDeque<T>,
+    producer_closed: bool,
+    consumer_closed: bool,
+    /// Threads parked on `not_full` / `not_empty`, counted in and out
+    /// under the lock, so a notify is skipped only when nobody sleeps.
+    producers_waiting: usize,
+    consumers_waiting: usize,
+}
+
+struct Shared<T> {
+    state: Mutex<State<T>>,
     capacity: usize,
-    /// Consumer's pop index (next slot to read). Written only by the
-    /// consumer, with `Release`; read by the producer with `Acquire`.
-    head: CachePadded<AtomicUsize>,
-    /// Producer's push index (next slot to write). Written only by the
-    /// producer, with `Release`; read by the consumer with `Acquire`.
-    tail: CachePadded<AtomicUsize>,
-    producer_closed: AtomicBool,
-    consumer_closed: AtomicBool,
-    /// Hybrid-blocking support: sleepers park here; the fast path never
-    /// touches it.
-    sleep: Mutex<()>,
     not_full: Condvar,
     not_empty: Condvar,
-    producer_waiting: AtomicBool,
-    consumer_waiting: AtomicBool,
     gauges: Arc<QueueGauges>,
 }
 
-// SAFETY: the slot array is a hand-rolled SPSC channel. Items are only ever
-// accessed by the endpoint that currently owns their index range (producer:
-// [tail, head+capacity); consumer: [head, tail)), with ownership transferred
-// by the Release/Acquire index publications below.
-unsafe impl<T: Send> Send for Ring<T> {}
-unsafe impl<T: Send> Sync for Ring<T> {}
-
-impl<T> Ring<T> {
-    /// SAFETY: caller owns slot `index` (see the Send/Sync note).
-    unsafe fn write_slot(&self, index: usize, item: T) {
-        (*self.slots[index & self.mask].get()).write(item);
+impl<T> Shared<T> {
+    /// Every update leaves the state valid, so a poisoned lock is taken as
+    /// is, and the endpoints' `Drop`s cannot panic on it.
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// SAFETY: caller owns slot `index` and it holds an initialized item.
-    unsafe fn read_slot(&self, index: usize) -> T {
-        (*self.slots[index & self.mask].get()).assume_init_read()
-    }
-
-    fn occupancy(&self, tail: usize, head: usize) -> usize {
-        tail.wrapping_sub(head)
-    }
-
-    /// Wakes a parked consumer, if any. Callers publish their state change
-    /// (tail store or close flag) *before* this; the seq-cst fence pairs
-    /// with the one in [`Ring::wait_not_empty`] so either the sleeper's
-    /// re-check sees the new state or this load sees its waiting flag —
-    /// both missing (the lost-wakeup interleaving) is the store-buffering
-    /// outcome seq-cst fences forbid.
-    fn wake_consumer(&self) {
-        fence(Ordering::SeqCst);
-        if self.consumer_waiting.load(Ordering::Relaxed) {
-            // Acquiring the sleep lock serializes with the sleeper between
-            // its flag store and its `wait`, so the notify cannot land in
-            // that window and vanish.
-            drop(self.sleep.lock().expect("queue sleep lock poisoned"));
+    /// Appends `items` to the locked queue and wakes a parked consumer.
+    fn enqueue(&self, state: &mut State<T>, items: impl Iterator<Item = T>) {
+        state.items.extend(items);
+        self.gauges.set(state.items.len());
+        if state.consumers_waiting > 0 {
             self.not_empty.notify_all();
-        }
-    }
-
-    /// Wakes a parked producer, if any (same protocol as
-    /// [`Ring::wake_consumer`], against [`Ring::wait_not_full`]).
-    fn wake_producer(&self) {
-        fence(Ordering::SeqCst);
-        if self.producer_waiting.load(Ordering::Relaxed) {
-            drop(self.sleep.lock().expect("queue sleep lock poisoned"));
-            self.not_full.notify_all();
-        }
-    }
-
-    /// Parks the producer until the queue may have space (or the consumer
-    /// closed). Spurious returns are fine — the caller re-checks.
-    fn wait_not_full(&self) {
-        let guard = self.sleep.lock().expect("queue sleep lock poisoned");
-        self.producer_waiting.store(true, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        let head = self.head.0.load(Ordering::Acquire);
-        if self.occupancy(tail, head) >= self.capacity && !self.consumer_closed.load(Ordering::Acquire) {
-            drop(self.not_full.wait(guard).expect("queue sleep lock poisoned"));
-        } else {
-            drop(guard);
-        }
-        self.producer_waiting.store(false, Ordering::Relaxed);
-    }
-
-    /// Parks the consumer until the queue may have items (or the producer
-    /// closed). Spurious returns are fine — the caller re-checks.
-    fn wait_not_empty(&self) {
-        let guard = self.sleep.lock().expect("queue sleep lock poisoned");
-        self.consumer_waiting.store(true, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        let head = self.head.0.load(Ordering::Relaxed);
-        let tail = self.tail.0.load(Ordering::Acquire);
-        if self.occupancy(tail, head) == 0 && !self.producer_closed.load(Ordering::Acquire) {
-            drop(self.not_empty.wait(guard).expect("queue sleep lock poisoned"));
-        } else {
-            drop(guard);
-        }
-        self.consumer_waiting.store(false, Ordering::Relaxed);
-    }
-}
-
-impl<T> Drop for Ring<T> {
-    fn drop(&mut self) {
-        // Both endpoints are gone (`&mut self` proves exclusivity): destroy
-        // whatever is still buffered — e.g. items a producer raced into the
-        // ring after the consumer's close-drain. Their destructors answer
-        // any envelopes riding inside.
-        let head = self.head.0.load(Ordering::Relaxed);
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        let n = self.occupancy(tail, head);
-        for k in 0..n {
-            drop(unsafe { self.read_slot(head.wrapping_add(k)) });
-        }
-        if n > 0 {
-            self.gauges.sub_depth(n);
         }
     }
 }
@@ -212,172 +93,127 @@ impl<T> Drop for Ring<T> {
 /// Creates a bounded SPSC queue of `capacity` items.
 pub fn channel<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     assert!(capacity > 0, "queue capacity must be positive");
-    let slots = capacity.next_power_of_two();
-    let ring = Arc::new(Ring {
-        slots: (0..slots).map(|_| UnsafeCell::new(MaybeUninit::uninit())).collect(),
-        mask: slots - 1,
+    let shared = Arc::new(Shared {
+        state: Mutex::new(State {
+            items: VecDeque::with_capacity(capacity),
+            producer_closed: false,
+            consumer_closed: false,
+            producers_waiting: 0,
+            consumers_waiting: 0,
+        }),
         capacity,
-        head: CachePadded(AtomicUsize::new(0)),
-        tail: CachePadded(AtomicUsize::new(0)),
-        producer_closed: AtomicBool::new(false),
-        consumer_closed: AtomicBool::new(false),
-        sleep: Mutex::new(()),
         not_full: Condvar::new(),
         not_empty: Condvar::new(),
-        producer_waiting: AtomicBool::new(false),
-        consumer_waiting: AtomicBool::new(false),
         gauges: Arc::new(QueueGauges::default()),
     });
-    (Producer { ring: Arc::clone(&ring) }, Consumer { ring })
+    (Producer { shared: Arc::clone(&shared) }, Consumer { shared })
 }
 
 /// The sending endpoint. Dropping it closes the queue; the consumer drains
 /// what remains and then observes end-of-stream.
 pub struct Producer<T> {
-    ring: Arc<Ring<T>>,
+    shared: Arc<Shared<T>>,
 }
 
 /// The receiving endpoint. Dropping it makes subsequent pushes fail fast
 /// (the items are returned/dropped, never silently lost in a dead queue).
 pub struct Consumer<T> {
-    ring: Arc<Ring<T>>,
+    shared: Arc<Shared<T>>,
 }
 
 impl<T> Producer<T> {
     /// The queue's occupancy gauges.
     pub fn gauges(&self) -> Arc<QueueGauges> {
-        Arc::clone(&self.ring.gauges)
+        Arc::clone(&self.shared.gauges)
     }
 
     /// Blocking push of every item in `batch` (drained front-to-back,
-    /// preserving order). Each run of items that fits is published with a
-    /// single tail store; the call blocks while the queue is full. Returns
-    /// the number of items *not* delivered because the consumer disappeared
-    /// (0 on success); the undelivered remainder is destroyed.
+    /// preserving order). Each run of items that fits goes in under one lock
+    /// round; the call blocks while the queue is full. Returns the number of
+    /// items *not* delivered because the consumer disappeared (0 on
+    /// success); the undelivered remainder is destroyed.
     pub fn push_batch(&self, batch: &mut Vec<T>) -> usize {
-        let ring = &*self.ring;
-        let total = batch.len();
-        let mut delivered = 0usize;
-        let mut iter = batch.drain(..);
-        while delivered < total {
-            if ring.consumer_closed.load(Ordering::Acquire) {
-                break;
-            }
-            let tail = ring.tail.0.load(Ordering::Relaxed);
-            let head = ring.head.0.load(Ordering::Acquire);
-            let free = ring.capacity - ring.occupancy(tail, head);
+        let shared = &*self.shared;
+        let mut items = batch.drain(..);
+        let mut state = shared.lock();
+        while items.len() > 0 && !state.consumer_closed {
+            let free = shared.capacity - state.items.len();
             if free == 0 {
-                ring.wait_not_full();
+                state.producers_waiting += 1;
+                state = shared.not_full.wait(state).unwrap_or_else(PoisonError::into_inner);
+                state.producers_waiting -= 1;
                 continue;
             }
-            let run = free.min(total - delivered);
-            for k in 0..run {
-                let item = iter.next().expect("drain yields every remaining item");
-                unsafe { ring.write_slot(tail.wrapping_add(k), item) };
-            }
-            // Gauge *before* the tail publish (and the consumer subtracts
-            // before its head publish): the producer's free-space check can
-            // only observe head values whose subtraction already landed, so
-            // the depth counter stays within [0, capacity].
-            ring.gauges.add_depth(run);
-            ring.tail.0.store(tail.wrapping_add(run), Ordering::Release);
-            ring.wake_consumer();
-            delivered += run;
+            shared.enqueue(&mut state, items.by_ref().take(free));
         }
-        // `iter`'s drop destroys the undelivered remainder (consumer gone).
-        total - delivered
+        drop(state);
+        // `items`' drop destroys the undelivered remainder (consumer gone).
+        items.len()
     }
 
-    /// Non-blocking push: the items that fit are enqueued in order with one
-    /// tail store, the overflow is dropped. Returns the number of dropped
+    /// Non-blocking push: the items that fit are enqueued in order under one
+    /// lock round, the overflow is dropped. Returns the number of dropped
     /// items (also counting every item when the consumer is gone).
     pub fn try_push_batch(&self, batch: &mut Vec<T>) -> usize {
-        let ring = &*self.ring;
         let total = batch.len();
-        if ring.consumer_closed.load(Ordering::Acquire) {
-            batch.clear();
-            return total;
-        }
-        let tail = ring.tail.0.load(Ordering::Relaxed);
-        let head = ring.head.0.load(Ordering::Acquire);
-        let free = ring.capacity - ring.occupancy(tail, head);
-        let deliver = total.min(free);
-        {
-            let mut iter = batch.drain(..);
-            for k in 0..deliver {
-                let item = iter.next().expect("drain yields every remaining item");
-                unsafe { ring.write_slot(tail.wrapping_add(k), item) };
-            }
-            // The drain's drop destroys the shed overflow.
-        }
-        if deliver > 0 {
-            ring.gauges.add_depth(deliver);
-            ring.tail.0.store(tail.wrapping_add(deliver), Ordering::Release);
-            ring.wake_consumer();
-        }
+        let mut state = self.shared.lock();
+        let deliver =
+            if state.consumer_closed { 0 } else { total.min(self.shared.capacity - state.items.len()) };
+        self.shared.enqueue(&mut state, batch.drain(..deliver));
+        drop(state);
+        batch.clear(); // the shed overflow, destroyed outside the lock
         total - deliver
     }
 
-    /// True once the consumer endpoint is gone (worker thread exited or
-    /// panicked): subsequent pushes will fail fast. This is the supervisor's
-    /// death-detection signal on the `DropNewest` path, where a failed push
-    /// is otherwise indistinguishable from ordinary overflow.
+    /// True once the consumer endpoint is gone (worker exited or panicked):
+    /// later pushes fail fast. The supervisor's death signal on the
+    /// `DropNewest` path, where a failed push looks like ordinary overflow.
     pub fn is_closed(&self) -> bool {
-        self.ring.consumer_closed.load(Ordering::Acquire)
+        self.shared.lock().consumer_closed
     }
 }
 
 impl<T> Drop for Producer<T> {
     fn drop(&mut self) {
-        self.ring.producer_closed.store(true, Ordering::Release);
-        self.ring.wake_consumer();
+        let mut state = self.shared.lock();
+        state.producer_closed = true;
+        if state.consumers_waiting > 0 {
+            self.shared.not_empty.notify_all();
+        }
     }
 }
 
 impl<T> Consumer<T> {
     /// The queue's occupancy gauges.
     pub fn gauges(&self) -> Arc<QueueGauges> {
-        Arc::clone(&self.ring.gauges)
+        Arc::clone(&self.shared.gauges)
     }
 
     /// The queue's fixed capacity.
     pub fn capacity(&self) -> usize {
-        self.ring.capacity
+        self.shared.capacity
     }
 
     /// True once the producer endpoint has been dropped (end of stream —
     /// possibly with items still buffered).
     pub fn is_producer_closed(&self) -> bool {
-        self.ring.producer_closed.load(Ordering::Acquire)
+        self.shared.lock().producer_closed
     }
 
     /// Closes the queue from the consumer side and destroys everything still
-    /// buffered, returning how many items that was. A panicking shard worker
-    /// calls this from its unwind handler so in-flight envelopes are answered
-    /// (their destructors file `Dropped` verdicts) *and counted*; afterwards
-    /// every producer push fails fast, which is what the supervisor's
-    /// organic-death detection keys on. (An item a producer races in after
-    /// the drain below is destroyed at ring teardown instead.)
+    /// buffered, returning how many items that was. A panicking worker calls
+    /// this so in-flight envelopes are answered (`Dropped`) *and counted*;
+    /// afterwards every push fails fast, the supervisor's death signal.
     pub fn close(&self) -> usize {
-        let ring = &*self.ring;
-        ring.consumer_closed.store(true, Ordering::Release);
-        let mut destroyed = 0usize;
-        loop {
-            let head = ring.head.0.load(Ordering::Relaxed);
-            let tail = ring.tail.0.load(Ordering::Acquire);
-            let n = ring.occupancy(tail, head);
-            if n == 0 {
-                break;
-            }
-            for k in 0..n {
-                drop(unsafe { ring.read_slot(head.wrapping_add(k)) });
-            }
-            ring.gauges.sub_depth(n);
-            ring.head.0.store(head.wrapping_add(n), Ordering::Release);
-            destroyed += n;
+        let mut state = self.shared.lock();
+        state.consumer_closed = true;
+        let buffered = std::mem::take(&mut state.items);
+        self.shared.gauges.set(0);
+        if state.producers_waiting > 0 {
+            self.shared.not_full.notify_all();
         }
-        ring.wake_producer();
-        destroyed
+        drop(state);
+        buffered.len()
     }
 
     /// Blocks until at least one item is available (or the producer closed),
@@ -385,52 +221,39 @@ impl<T> Consumer<T> {
     /// false when the stream is exhausted (producer closed and queue empty).
     /// An empty queue is polled `EMPTY_POLLS` times before the call parks.
     pub fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> bool {
-        let ring = &*self.ring;
+        let shared = &*self.shared;
         let mut polls = 0;
+        let mut state = shared.lock();
         loop {
-            let head = ring.head.0.load(Ordering::Relaxed);
-            let tail = ring.tail.0.load(Ordering::Acquire);
-            let avail = ring.occupancy(tail, head);
-            if avail == 0 {
-                if ring.producer_closed.load(Ordering::Acquire) {
-                    // The close flag is set after the final tail publish;
-                    // re-load the tail now so the last items are never
-                    // missed.
-                    if ring.occupancy(ring.tail.0.load(Ordering::Acquire), head) == 0 {
-                        return false;
-                    }
-                    continue;
+            if !state.items.is_empty() {
+                let take = state.items.len().min(max.max(1));
+                out.extend(state.items.drain(..take));
+                shared.gauges.set(state.items.len());
+                if state.producers_waiting > 0 {
+                    shared.not_full.notify_all();
                 }
-                if polls < EMPTY_POLLS {
-                    polls += 1;
-                    std::thread::yield_now();
-                    continue;
-                }
-                ring.wait_not_empty();
+                return true;
+            }
+            if state.producer_closed {
+                return false;
+            }
+            if polls < EMPTY_POLLS {
+                polls += 1;
+                drop(state);
+                std::thread::yield_now();
+                state = shared.lock();
                 continue;
             }
-            let take = avail.min(max.max(1));
-            out.reserve(take);
-            for k in 0..take {
-                out.push(unsafe { ring.read_slot(head.wrapping_add(k)) });
-            }
-            // Subtract before the head publish — see `push_batch` for why
-            // this ordering bounds the depth gauge.
-            ring.gauges.sub_depth(take);
-            ring.head.0.store(head.wrapping_add(take), Ordering::Release);
-            ring.wake_producer();
-            return true;
+            state.consumers_waiting += 1;
+            state = shared.not_empty.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state.consumers_waiting -= 1;
         }
     }
 }
 
 impl<T> Drop for Consumer<T> {
     fn drop(&mut self) {
-        // A consumer that dies with items still buffered (a panicking shard
-        // worker) must not strand them until producer teardown: drain them
-        // now so item destructors run promptly; gateway envelopes, for
-        // example, answer their pending request with a `Dropped` verdict
-        // from `Drop`.
+        // A dying worker's buffered envelopes are answered now.
         self.close();
     }
 }
