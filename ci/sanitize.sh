@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Sanitizers: ThreadSanitizer over darwin-shard's queue unit tests (each
 # shard queue is a Mutex<VecDeque> with a condvar per side; the tests cover
-# its blocking, wake-up, close and gauge paths) plus one whole-fleet test,
+# its blocking, wake-up, close and gauge paths) plus two whole-fleet tests,
 # and AddressSanitizer over darwin-ckpt's suites (the workspace's one
 # `unsafe` site, the CLMUL CRC call, lives there). Not part of tier-1 (about
 # half a minute warm on 2 cores); needs a nightly toolchain, and verify.sh
@@ -19,10 +19,11 @@ cd "$(dirname "$0")/.."
 target=x86_64-unknown-linux-gnu
 
 # The TSan run is chosen by full test path: the eleven `queue::tests` and
-# one whole-fleet test, kept for a clean TSan run of lanes and workers. A
+# two whole-fleet tests, one for a clean TSan run of lanes and workers and
+# one polling the metrics cells while shards die, restart and fail over. A
 # run that passes any other number of tests fails, so a renamed or moved
 # test cannot silently leave (or join) the run.
-echo "== ThreadSanitizer: darwin-shard queue unit tests + one fleet test =="
+echo "== ThreadSanitizer: darwin-shard queue unit tests + two fleet tests =="
 log=$(mktemp)
 trap 'rm -f "$log"' EXIT
 RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer" \
@@ -30,8 +31,9 @@ TSAN_OPTIONS="suppressions=$PWD/ci/tsan.supp" \
     cargo +nightly test -q -p darwin-shard --lib --target "$target" \
         --target-dir target/sanitize-thread \
         -- queue::tests:: fleet::tests::delay_and_queue_full_faults_do_not_change_results \
+        fleet::tests::polled_snapshots_never_see_a_ledger_go_backwards \
     2>&1 | tee "$log"
-grep -q "test result: ok. 12 passed;" "$log" || { echo "TSan must run exactly 12 tests" >&2; exit 1; }
+grep -q "test result: ok. 13 passed;" "$log" || { echo "TSan must run exactly 13 tests" >&2; exit 1; }
 
 echo "== AddressSanitizer: darwin-ckpt =="
 RUSTFLAGS="-Zsanitizer=address -Cunsafe-allow-abi-mismatch=sanitizer" \

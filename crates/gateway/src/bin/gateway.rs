@@ -166,8 +166,8 @@ fn main() {
         life.metrics.fleet_cache().hoc_ohr(),
         life.metrics.generations.len(),
         life.transfers.len(),
-        report.total_restarts(),
-        report.total_warm_restarts(),
-        report.dead_shards(),
+        report.metrics().total_restarts(),
+        report.metrics().total_warm_restarts(),
+        report.metrics().dead_shards(),
     );
 }

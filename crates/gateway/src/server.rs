@@ -396,7 +396,7 @@ impl<D: AdmissionDriver + Send + 'static> Gateway<D> {
     /// connection, joins the shard workers, and returns the serving
     /// generation's final report. Gateway-thread panics surface as `Err`;
     /// shard-worker deaths do not — the supervisor has already absorbed
-    /// them, and the report's `total_restarts()` / `dead_shards()` say how
+    /// them, and the report's [`metrics`](FleetReport::metrics) say how
     /// bumpy the ride was.
     pub fn finish(self) -> Result<FleetReport<D>, GatewayError> {
         self.finish_with_ledger().map(|(report, _)| report)

@@ -103,11 +103,11 @@ fn static_gateway_equivalent_to_sequential_replay() {
     let fleet_report = gateway.finish().expect("clean gateway shutdown");
 
     let seq = run_sequential(2, cache_cfg(), &HashRouter, |_| StaticDriver::new(policy), &trace);
-    for (f, s) in fleet_report.shards.iter().zip(&seq) {
-        assert_eq!(f.cache, s.cache, "shard {}: cache metrics", f.shard);
+    for ((f, m), s) in fleet_report.shards.iter().zip(&fleet_report.metrics().shards).zip(&seq) {
+        assert_eq!(m.cache, s.cache, "shard {}: cache metrics", f.shard);
         assert_eq!(f.hoc_used_bytes, s.hoc_used_bytes, "shard {}: HOC occupancy", f.shard);
         assert_eq!(f.dc_used_bytes, s.dc_used_bytes, "shard {}: DC occupancy", f.shard);
-        assert_eq!(f.dropped, 0, "Block backpressure is lossless");
+        assert_eq!(m.dropped, 0, "Block backpressure is lossless");
     }
 
     // The client's verdict tally is the fleet's cache metrics, seen from the
@@ -155,10 +155,11 @@ fn darwin_gateway_equivalent_to_sequential_replay() {
         &trace,
     );
     let mut switched_anywhere = false;
-    for (f, s) in fleet_report.shards.into_iter().zip(seq) {
+    let ledger = fleet_report.metrics().shards.clone();
+    for ((f, m), s) in fleet_report.shards.into_iter().zip(&ledger).zip(seq) {
         let shard = f.shard;
-        assert_eq!(f.processed, s.processed, "shard {shard}: processed");
-        assert_eq!(f.cache, s.cache, "shard {shard}: cache metrics");
+        assert_eq!(m.processed, s.processed, "shard {shard}: processed");
+        assert_eq!(m.cache, s.cache, "shard {shard}: cache metrics");
         assert_eq!(f.hoc_used_bytes, s.hoc_used_bytes, "shard {shard}: HOC occupancy");
         assert_eq!(f.dc_used_bytes, s.dc_used_bytes, "shard {shard}: DC occupancy");
         let gw_seq = f.driver.expect("live shard keeps its driver").into_controller().expert_sequence();
@@ -237,14 +238,16 @@ fn contended_connections_preserve_per_shard_partition() {
     assert_eq!(fleet_report.total_processed(), trace.len() as u64);
     assert_eq!(fleet_report.total_dropped(), 0);
     let parts = partition(&trace, &HashRouter, 2);
-    for (outcome, part) in fleet_report.shards.iter().zip(&parts) {
+    for ((outcome, m), part) in
+        fleet_report.shards.iter().zip(&fleet_report.metrics().shards).zip(&parts)
+    {
         assert_eq!(
-            outcome.processed,
+            m.processed,
             part.len() as u64,
             "shard {}: processed exactly its partition",
             outcome.shard
         );
-        assert_eq!(outcome.cache.requests, part.len() as u64);
+        assert_eq!(m.cache.requests, part.len() as u64);
         assert!(
             outcome.queue_high_water <= 32,
             "shard {}: high-water {} exceeds queue capacity",
@@ -491,8 +494,8 @@ fn worker_panics_are_supervised_and_degrade_gracefully() {
 
     gateway.shutdown();
     let fleet = gateway.finish().expect("supervised fleet finishes cleanly");
-    assert_eq!(fleet.total_restarts(), 3, "default budget grants three restarts");
-    assert_eq!(fleet.dead_shards(), 1, "the fourth death buries the only shard");
+    assert_eq!(fleet.metrics().total_restarts(), 3, "default budget grants three restarts");
+    assert_eq!(fleet.metrics().dead_shards(), 1, "the fourth death buries the only shard");
     assert_eq!(
         fleet.total_processed() + fleet.total_dropped() + fleet.total_unavailable(),
         trace.len() as u64,

@@ -266,39 +266,16 @@ impl FleetBoot {
     }
 }
 
-/// Everything one shard produced, returned by [`ShardedFleet::finish`]. The
+/// What one shard's join produced, returned by [`ShardedFleet::finish`]. The
 /// driver comes back too, so callers can pull switch histories out of
-/// per-shard Darwin controllers.
+/// per-shard Darwin controllers; the shard's ledger is in
+/// [`FleetReport::metrics`].
 #[derive(Debug)]
 pub struct ShardOutcome<D> {
     /// Shard index.
     pub shard: usize,
-    /// Final cumulative cache metrics, summed over every incarnation of the
-    /// shard's server (restarts start from a cold cache but keep counting).
-    pub cache: CacheMetrics,
-    /// Requests the worker(s) fully processed, across incarnations.
-    pub processed: u64,
-    /// Requests dropped: shed at the queue under
-    /// [`Backpressure::DropNewest`], or in flight when a worker died.
-    pub dropped: u64,
-    /// Requests answered `Unavailable` because the shard was permanently
-    /// dead when they were submitted.
-    pub unavailable: u64,
-    /// Requests answered `Busy` because the shard's queue was over its shed
-    /// watermark when they were submitted (overload control).
-    pub shed: u64,
-    /// Restarts the supervisor granted this shard (warm and cold together).
-    pub restarts: u32,
-    /// Restarts that resumed warm from a valid checkpoint.
-    pub warm_restarts: u32,
-    /// Past-budget deaths answered by promoting the hot standby's frame
-    /// instead of burying the shard (each is also counted in `restarts` and
-    /// `warm_restarts`: the promoted worker restores warm).
-    pub failovers: u32,
-    /// True if the shard's worker was dead when the fleet finished (restart
-    /// budget exhausted, or a terminal panic at end-of-stream).
-    pub dead: bool,
-    /// Queue high-water mark over the run (max across incarnations).
+    /// Queue high-water mark over the run (max across incarnations), as the
+    /// final snapshot reports it.
     pub queue_high_water: usize,
     /// Final HOC occupancy, bytes (0 for a dead shard — the server was lost
     /// in the crash).
@@ -322,54 +299,35 @@ pub struct FleetReport<D> {
 }
 
 impl<D> FleetReport<D> {
+    /// The final snapshot, taken after every worker was joined: each
+    /// shard's whole-life ledger, exact.
+    pub fn metrics(&self) -> &FleetMetrics {
+        self.snapshots.last().expect("finish takes a final snapshot")
+    }
+
     /// Fleet-wide cache metrics (counter-wise sum over shards).
     pub fn fleet_cache(&self) -> CacheMetrics {
-        CacheMetrics::merge_all(self.shards.iter().map(|s| &s.cache))
+        self.metrics().fleet_cache()
     }
 
     /// Requests processed across the fleet.
     pub fn total_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.processed).sum()
+        self.metrics().total_processed()
     }
 
     /// Requests dropped across the fleet.
     pub fn total_dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.dropped).sum()
+        self.metrics().total_dropped()
     }
 
     /// Requests answered `Unavailable` across the fleet.
     pub fn total_unavailable(&self) -> u64 {
-        self.shards.iter().map(|s| s.unavailable).sum()
+        self.metrics().total_unavailable()
     }
 
     /// Requests shed `Busy` at shard watermarks across the fleet.
     pub fn total_shed(&self) -> u64 {
-        self.shards.iter().map(|s| s.shed).sum()
-    }
-
-    /// Restarts granted across the fleet (warm and cold together).
-    pub fn total_restarts(&self) -> u32 {
-        self.shards.iter().map(|s| s.restarts).sum()
-    }
-
-    /// Restarts that resumed warm from a checkpoint, across the fleet.
-    pub fn total_warm_restarts(&self) -> u32 {
-        self.shards.iter().map(|s| s.warm_restarts).sum()
-    }
-
-    /// Standby promotions (failovers) across the fleet.
-    pub fn total_failovers(&self) -> u32 {
-        self.shards.iter().map(|s| s.failovers).sum()
-    }
-
-    /// Restarts that fell back cold, across the fleet.
-    pub fn total_cold_restarts(&self) -> u32 {
-        self.shards.iter().map(|s| s.restarts.saturating_sub(s.warm_restarts)).sum()
-    }
-
-    /// Shards that were dead at finish.
-    pub fn dead_shards(&self) -> usize {
-        self.shards.iter().filter(|s| s.dead).count()
+        self.metrics().total_shed()
     }
 }
 
@@ -500,11 +458,6 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
         self.submitted
     }
 
-    /// Shards currently marked permanently dead.
-    pub fn dead_shards(&self) -> usize {
-        self.core.shards.iter().filter(|sh| sh.cell.is_dead()).count()
-    }
-
     /// Live fleet-wide metrics, assembled from the shard cells. Mid-run this
     /// is a *recent* view (workers publish once per request); after
     /// [`finish`](Self::finish) the final snapshot is exact.
@@ -576,11 +529,11 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
         for shard in &self.core.shards {
             shard.lane.lock().expect("shard lane poisoned").producer = None;
         }
-        let mut shards = Vec::with_capacity(self.core.cfg.shards);
-        for (s, shard) in self.core.shards.iter().enumerate() {
+        let mut joined = Vec::with_capacity(self.core.cfg.shards);
+        for shard in &self.core.shards {
             let mut lane = shard.lane.lock().expect("shard lane poisoned");
             let exit = lane.handle.take().map(|h| h.join().unwrap_or(WorkerExit::Panicked));
-            let (driver, hoc_used_bytes, dc_used_bytes) = match exit {
+            joined.push(match exit {
                 Some(WorkerExit::Completed { driver, hoc_used_bytes, dc_used_bytes }) => {
                     (Some(driver), hoc_used_bytes, dc_used_bytes)
                 }
@@ -594,31 +547,26 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
                     (None, 0, 0)
                 }
                 None => (None, 0, 0), // buried earlier
-            };
-            let snap = shard.cell.snapshot();
-            shards.push(ShardOutcome {
-                shard: s,
-                cache: snap.cache,
-                processed: snap.processed,
-                dropped: snap.dropped,
-                unavailable: snap.unavailable,
-                shed: snap.shed,
-                restarts: snap.restarts,
-                warm_restarts: snap.warm_restarts,
-                failovers: snap.failovers,
-                dead: snap.dead,
-                queue_high_water: snap.queue_high_water,
-                hoc_used_bytes,
-                dc_used_bytes,
-                driver,
             });
         }
         // The workers are gone; what they cut is on disk before this returns.
         if let Some(spiller) = &self.core.spiller {
             spiller.join();
         }
+        let last = self.metrics_handle().snapshot();
+        let shards = joined
+            .into_iter()
+            .zip(&last.shards)
+            .map(|((driver, hoc_used_bytes, dc_used_bytes), snap)| ShardOutcome {
+                shard: snap.shard,
+                queue_high_water: snap.queue_high_water,
+                hoc_used_bytes,
+                dc_used_bytes,
+                driver,
+            })
+            .collect();
         let mut snapshots = std::mem::take(&mut self.snapshots);
-        snapshots.push(self.metrics_handle().snapshot());
+        snapshots.push(last);
         FleetReport { shards, snapshots, router: self.core.router.label() }
     }
 }
@@ -756,8 +704,8 @@ mod tests {
         assert_eq!(report.total_processed(), 20_000);
         assert_eq!(report.total_dropped(), 0);
         assert_eq!(report.total_unavailable(), 0);
-        assert_eq!(report.total_restarts(), 0);
-        assert_eq!(report.dead_shards(), 0);
+        assert_eq!(report.metrics().total_restarts(), 0);
+        assert_eq!(report.metrics().dead_shards(), 0);
         assert_eq!(report.fleet_cache().requests, 20_000);
         // Periodic snapshots at 5k/10k/15k/20k plus the final one.
         assert_eq!(report.snapshots.len(), 5);
@@ -849,7 +797,7 @@ mod tests {
         for req in t.iter() {
             routed[HashRouter.route(req.id, 4)] += 1;
         }
-        for (s, shard) in report.shards.iter().enumerate() {
+        for (s, shard) in report.metrics().shards.iter().enumerate() {
             assert_eq!(shard.cache.requests, routed[s], "shard {s}");
             assert!(shard.cache.requests > 0);
         }
@@ -869,16 +817,16 @@ mod tests {
         );
         fleet.submit_trace(&t);
         let report = fleet.finish();
-        assert_eq!(report.total_restarts(), 1, "one scripted death, one restart");
-        assert_eq!(report.dead_shards(), 0);
+        assert_eq!(report.metrics().total_restarts(), 1, "one scripted death, one restart");
+        assert_eq!(report.metrics().dead_shards(), 0);
         assert_eq!(
             report.total_processed() + report.total_dropped() + report.total_unavailable(),
             12_000,
             "conservation across the restart"
         );
-        let s0 = &report.shards[0];
+        let s0 = &report.metrics().shards[0];
         assert_eq!(s0.dropped, 1, "exactly the fatal request dropped");
-        assert!(s0.driver.is_some(), "respawned shard has a (fresh) driver");
+        assert!(report.shards[0].driver.is_some(), "respawned shard has a (fresh) driver");
         assert_eq!(s0.restarts, 1);
         assert_eq!(report.fleet_cache().requests, report.total_processed());
     }
@@ -899,12 +847,12 @@ mod tests {
             plan,
         );
         fleet.submit_trace(&t);
-        assert_eq!(fleet.dead_shards(), 1);
+        assert_eq!(fleet.metrics().dead_shards(), 1);
         let report = fleet.finish();
-        let s0 = &report.shards[0];
+        let s0 = &report.metrics().shards[0];
         assert!(s0.dead, "zero budget: first panic is fatal");
         assert_eq!(s0.restarts, 0);
-        assert!(s0.driver.is_none(), "dead shard's driver unwound with it");
+        assert!(report.shards[0].driver.is_none(), "dead shard's driver unwound with it");
         assert_eq!(s0.processed, 50, "requests before the fault were served");
         assert_eq!(s0.dropped, 1, "the fatal request");
         assert!(s0.unavailable > 0, "later arrivals answered Unavailable");
@@ -914,8 +862,9 @@ mod tests {
             "conservation with a dead shard"
         );
         // Shard 1 was untouched.
-        assert!(!report.shards[1].dead);
-        assert_eq!(report.shards[1].dropped + report.shards[1].unavailable, 0);
+        let s1 = &report.metrics().shards[1];
+        assert!(!s1.dead);
+        assert_eq!(s1.dropped + s1.unavailable, 0);
     }
 
     #[test]
@@ -933,10 +882,10 @@ mod tests {
         );
         fleet.submit_trace(&t);
         let report = fleet.finish();
-        assert_eq!(report.total_restarts(), 1);
-        assert_eq!(report.total_warm_restarts(), 1, "boundary kill must restore warm");
-        assert_eq!(report.total_cold_restarts(), 0);
-        assert_eq!(report.shards[0].dropped, 1, "exactly the fatal request dropped");
+        assert_eq!(report.metrics().total_restarts(), 1);
+        assert_eq!(report.metrics().total_warm_restarts(), 1, "boundary kill must restore warm");
+        assert_eq!(report.metrics().total_cold_restarts(), 0);
+        assert_eq!(report.metrics().shards[0].dropped, 1, "exactly the fatal request dropped");
         assert_eq!(
             report.total_processed() + report.total_dropped() + report.total_unavailable(),
             12_000,
@@ -973,13 +922,13 @@ mod tests {
             );
             fleet.submit_trace(&t);
             let report = fleet.finish();
-            assert_eq!(report.total_restarts(), 1, "torn={torn}");
+            assert_eq!(report.metrics().total_restarts(), 1, "torn={torn}");
             assert_eq!(
-                report.total_warm_restarts(),
+                report.metrics().total_warm_restarts(),
                 0,
                 "torn={torn}: corruption must be detected, restart must go cold"
             );
-            assert_eq!(report.total_cold_restarts(), 1, "torn={torn}");
+            assert_eq!(report.metrics().total_cold_restarts(), 1, "torn={torn}");
             assert_eq!(
                 report.total_processed() + report.total_dropped() + report.total_unavailable(),
                 12_000,
@@ -1009,12 +958,81 @@ mod tests {
             FaultEvent { shard: 1, at: 11, kind: FaultKind::Delay { spins: 100 } },
         ]));
         assert_eq!(clean.fleet_cache(), slowed.fleet_cache(), "stalls never alter state");
-        assert_eq!(slowed.total_restarts(), 0);
+        assert_eq!(slowed.metrics().total_restarts(), 0);
         assert_eq!(slowed.total_dropped(), 0);
-        for (a, b) in clean.shards.iter().zip(slowed.shards.iter()) {
+        for (a, b) in clean.metrics().shards.iter().zip(&slowed.metrics().shards) {
             assert_eq!(a.cache, b.cache);
             assert_eq!(a.processed, b.processed);
         }
+    }
+
+    /// A reader polling the cells while shards die, restart warm, fail over
+    /// to a standby and cut checkpoints sees each shard's ledger whole: no
+    /// count falls between two polls, and warm restarts and failovers never
+    /// outnumber the restarts they are part of.
+    #[test]
+    fn polled_snapshots_never_see_a_ledger_go_backwards() {
+        let t = trace(30_000, 71);
+        let plan = FaultPlan::new(vec![
+            FaultEvent { shard: 0, at: 1_000, kind: FaultKind::Panic },
+            FaultEvent { shard: 0, at: 3_000, kind: FaultKind::Panic },
+            FaultEvent { shard: 1, at: 1_500, kind: FaultKind::Panic },
+            FaultEvent { shard: 1, at: 4_000, kind: FaultKind::Panic },
+        ]);
+        let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
+            FleetConfig {
+                shards: 2,
+                batch: 32,
+                restart_budget: RestartBudget { max_restarts: 1, window_requests: 100_000 },
+                checkpoint_every: Some(500),
+                replicas: 1,
+                ..FleetConfig::default()
+            },
+            CacheConfig::small_test(),
+            Box::new(HashRouter),
+            |_| StaticDriver::new(ThresholdPolicy::new(1, 100 * 1024)),
+            plan,
+        );
+        let handle = fleet.metrics_handle();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let polls = std::thread::scope(|scope| {
+            let poller = scope.spawn(|| {
+                let mut polls = 0u64;
+                let mut last = vec![(0u64, 0u32); 2];
+                while !done.load(Ordering::Acquire) {
+                    for (s, last) in handle.snapshot().shards.iter().zip(&mut last) {
+                        assert!(
+                            s.processed >= last.0,
+                            "shard {}: processed fell below {}",
+                            s.shard,
+                            last.0
+                        );
+                        assert!(
+                            s.restarts >= last.1,
+                            "shard {}: restarts fell below {}",
+                            s.shard,
+                            last.1
+                        );
+                        assert!(s.warm_restarts <= s.restarts, "shard {}: {s:?}", s.shard);
+                        assert!(s.failovers <= s.restarts, "shard {}: {s:?}", s.shard);
+                        *last = (s.processed, s.restarts);
+                    }
+                    polls += 1;
+                }
+                polls
+            });
+            fleet.submit_trace(&t);
+            fleet.flush();
+            let report = fleet.finish();
+            done.store(true, Ordering::Release);
+            let polls = poller.join().expect("the poller saw a consistent ledger");
+            let m = report.metrics();
+            assert_eq!(m.total_restarts(), 4, "two deaths per shard, each answered");
+            assert_eq!(m.total_failovers(), 2, "each shard's second death promoted its standby");
+            assert_eq!(m.total_processed() + m.total_dropped(), 30_000);
+            polls
+        });
+        assert!(polls > 0);
     }
 
     #[test]
@@ -1043,8 +1061,8 @@ mod tests {
         // Partitioning is router-determined, so per-shard request counts are
         // interleaving-independent even with 4 concurrent producers.
         let seq = crate::replay::partition(&t, &HashRouter, 4);
-        for (outcome, part) in report.shards.iter().zip(&seq) {
-            assert_eq!(outcome.cache.requests, part.len() as u64, "shard {}", outcome.shard);
+        for (snap, part) in report.metrics().shards.iter().zip(&seq) {
+            assert_eq!(snap.cache.requests, part.len() as u64, "shard {}", snap.shard);
         }
     }
 

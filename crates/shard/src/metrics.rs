@@ -1,38 +1,37 @@
 //! Fleet-wide metrics aggregation.
 //!
-//! Each shard worker publishes its cumulative [`CacheMetrics`] (plus
-//! processed/backpressure counters) into a [`ShardCell`]; the fleet
-//! assembles point-in-time [`FleetMetrics`] snapshots from the cells on
-//! demand and, when configured, on a fixed submission cadence. Because every
-//! counter is a plain sum, per-shard metrics merge into exact fleet-wide
-//! OHR / BMR / disk-write figures via [`CacheMetrics::merge_all`].
+//! Each shard worker publishes into a [`ShardCell`]; the fleet assembles
+//! point-in-time [`FleetMetrics`] snapshots from the cells on demand and,
+//! when configured, on a fixed submission cadence. Every counter is a plain
+//! sum, so per-shard metrics merge into exact fleet-wide OHR / BMR /
+//! disk-write figures via [`CacheMetrics::merge_all`].
 //!
-//! Cells survive their worker: when a supervisor cold-restarts a shard, the
-//! dying incarnation's counters are *folded* into per-cell bases
-//! (`ShardCell::fold_incarnation`) and the fresh worker counts on top, so
-//! `processed` / `cache` in a snapshot are always totals over the shard's
-//! whole life. Restart and permanent-death state ride along (`restarts`,
-//! `dead`, `unavailable`), which is how `finish()` reports fault history
-//! instead of panicking.
+//! Cells survive their worker: at a restart the dying incarnation's
+//! counters are folded into per-cell bases and the fresh worker counts on
+//! top, so a snapshot's `processed` and `cache` are totals over the shard's
+//! whole life, and its restart and death counts are how `finish()` reports
+//! fault history instead of panicking.
 
 use crate::queue::QueueGauges;
 use darwin_cache::{CacheMetrics, ThresholdPolicy};
 use darwin_obs::{Event, EventKind, JournalSnapshot, LatencySnapshot, ShardObs};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Lifecycle phase of a shard during an elastic rebalance. Phases only ever
-/// advance (Serving → Draining → Transferring → Retired), and are set in
-/// that order into the shard's [`ShardCell`], so snapshots and dashboards
-/// can show drain state: [`ShardedFleet::finish_with_cut`] sets Draining,
-/// and [`ElasticFleet::resize`] then Transferring and Retired per shard.
+/// advance (Serving → Draining → Transferring → Retired, the order `Ord`
+/// compares them in), and are set in that order into the shard's
+/// [`ShardCell`], so snapshots and dashboards can show drain state:
+/// [`ShardedFleet::finish_with_cut`] sets Draining, and
+/// [`ElasticFleet::resize`] then Transferring and Retired per shard.
 ///
 /// [`ShardedFleet::finish_with_cut`]: crate::ShardedFleet::finish_with_cut
 /// [`ElasticFleet::resize`]: crate::ElasticFleet::resize
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum ShardPhase {
     /// Normal operation: the shard accepts and serves requests.
+    #[default]
     Serving,
     /// A resize began: the shard's queue is draining toward a final
     /// handoff checkpoint; no new requests are routed to it.
@@ -45,27 +44,6 @@ pub enum ShardPhase {
 }
 
 impl ShardPhase {
-    /// Compact code stored in the cell's atomic (0..=3).
-    pub fn code(self) -> u8 {
-        match self {
-            ShardPhase::Serving => 0,
-            ShardPhase::Draining => 1,
-            ShardPhase::Transferring => 2,
-            ShardPhase::Retired => 3,
-        }
-    }
-
-    /// Inverse of [`code`](Self::code); `None` for out-of-range codes.
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(ShardPhase::Serving),
-            1 => Some(ShardPhase::Draining),
-            2 => Some(ShardPhase::Transferring),
-            3 => Some(ShardPhase::Retired),
-            _ => None,
-        }
-    }
-
     /// Stable snapshot/dashboard label.
     pub fn label(self) -> &'static str {
         match self {
@@ -77,7 +55,12 @@ impl ShardPhase {
     }
 }
 
-/// Point-in-time view of one shard.
+/// Point-in-time view of one shard: one entry of [`FleetMetrics::shards`].
+///
+/// Together with [`GatewaySnapshot`], [`GenerationSummary`] and
+/// [`FleetMetrics`], these fields, in this order and under these names, are
+/// the schema of the gateway's `STATS` reply and of `inspect --fleet`'s
+/// output; `metrics::tests::stats_json_is_pinned` holds their bytes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardSnapshot {
     /// Shard index.
@@ -127,7 +110,8 @@ pub struct ShardSnapshot {
     /// subsystem (read as `serving`).
     #[serde(default)]
     pub phase: String,
-    /// Per-shard sequence number of the latest stored checkpoint, if any.
+    /// Per-shard sequence number of the latest checkpoint the serving
+    /// generation stored, if any (each generation numbers its own requests).
     #[serde(default)]
     pub checkpoint_seq: Option<u64>,
     /// Requests processed since the latest checkpoint (0 when no checkpoint
@@ -183,8 +167,10 @@ impl ShardSnapshot {
     /// counter-wise: additive counters (processed, dropped, unavailable,
     /// restarts, cache, queue depth) sum, so fleet-wide `total_*` accessors
     /// over the merged view equal the sums over the inputs; `dead` ORs;
-    /// checkpoint and high-water gauges take the pointwise max; the first
-    /// operand keeps its policy label unless it is empty.
+    /// the phase and the checkpoint and replica sequence gauges come from
+    /// the newer `router_generation` (the other operand's on a tie); the
+    /// high-water mark takes the max; the first operand keeps its policy
+    /// label unless it is empty.
     ///
     /// # Panics
     ///
@@ -199,17 +185,20 @@ impl ShardSnapshot {
         self.restarts += other.restarts;
         self.warm_restarts += other.warm_restarts;
         self.warm_boots += other.warm_boots;
-        // The phase follows the newest generation (a retired generation's
-        // archive must not mask the live incarnation's state).
-        if other.router_generation >= self.router_generation && !other.phase.is_empty() {
-            self.phase = other.phase.clone();
+        // The phase and the sequence gauges follow the newest generation: a
+        // successor numbers its requests from 0, and a retired generation's
+        // archive must not mask the live incarnation's state.
+        if other.router_generation >= self.router_generation {
+            if !other.phase.is_empty() {
+                self.phase = other.phase.clone();
+            }
+            self.checkpoint_seq = other.checkpoint_seq;
+            self.checkpoint_age = other.checkpoint_age;
+            self.replica_seq = other.replica_seq;
         }
         self.router_generation = self.router_generation.max(other.router_generation);
         self.dead |= other.dead;
-        self.checkpoint_seq = self.checkpoint_seq.max(other.checkpoint_seq);
-        self.checkpoint_age = self.checkpoint_age.max(other.checkpoint_age);
         self.failovers += other.failovers;
-        self.replica_seq = self.replica_seq.max(other.replica_seq);
         self.replica_shipped_bytes += other.replica_shipped_bytes;
         self.standby_lost += other.standby_lost;
         self.queue_depth += other.queue_depth;
@@ -310,7 +299,9 @@ pub struct GenerationSummary {
     pub warm_boots: u32,
 }
 
-/// Point-in-time view of the whole fleet.
+/// Point-in-time view of the whole fleet: the `STATS` reply's top-level
+/// object (compact JSON; the gateway sends each shard's `events` empty and
+/// ships journals through `EVENTS`). See [`ShardSnapshot`] for the schema.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetMetrics {
     /// Per-shard snapshots, indexed by shard.
@@ -363,9 +354,10 @@ impl FleetMetrics {
     /// indices concatenate (re-sorted by index); snapshots *sharing* a shard
     /// index are folded counter-wise via [`ShardSnapshot::absorb`] — never
     /// concatenated, which would double-count every `total_*` accessor and
-    /// report phantom shard entries. Gateway counters sum when both sides
-    /// carry them. Every `total_*` accessor of the merged snapshot equals
-    /// the sum of the inputs', so the conservation law survives merging.
+    /// report phantom shard entries. The first gateway present is kept:
+    /// nothing merges two gateways' snapshots. Every `total_*` accessor of
+    /// the merged snapshot equals the sum of the inputs', so the
+    /// conservation law survives merging.
     pub fn merge(mut self, other: FleetMetrics) -> FleetMetrics {
         for snap in other.shards {
             match self.shards.iter_mut().find(|s| s.shard == snap.shard) {
@@ -377,27 +369,7 @@ impl FleetMetrics {
         self.generations.extend(other.generations);
         self.generations.sort_by_key(|g| g.generation);
         self.generations.dedup_by_key(|g| g.generation);
-        self.gateway = match (self.gateway, other.gateway) {
-            (Some(a), Some(b)) => Some(GatewaySnapshot {
-                connections_accepted: a.connections_accepted + b.connections_accepted,
-                connections_active: a.connections_active + b.connections_active,
-                idle_closed: a.idle_closed + b.idle_closed,
-                frames_in: a.frames_in + b.frames_in,
-                frames_rejected: a.frames_rejected + b.frames_rejected,
-                requests_in: a.requests_in + b.requests_in,
-                verdicts_out: a.verdicts_out + b.verdicts_out,
-                stats_served: a.stats_served + b.stats_served,
-                events_served: a.events_served + b.events_served,
-                resizes_served: a.resizes_served + b.resizes_served,
-                shed: a.shed + b.shed,
-                throttled: a.throttled + b.throttled,
-                slow_closed: a.slow_closed + b.slow_closed,
-                net_faults: a.net_faults + b.net_faults,
-                bytes_in: a.bytes_in + b.bytes_in,
-                bytes_out: a.bytes_out + b.bytes_out,
-            }),
-            (a, b) => a.or(b),
-        };
+        self.gateway = self.gateway.or(other.gateway);
         self
     }
 
@@ -467,41 +439,15 @@ impl FleetMetrics {
         live.max(archived)
     }
 
-    /// Largest checkpoint age across shards: the most work any one shard
-    /// would lose to a crash right now, even restoring warm.
-    pub fn max_checkpoint_age(&self) -> u64 {
-        self.shards.iter().map(|s| s.checkpoint_age).max().unwrap_or(0)
-    }
-
     /// Failover promotions across the fleet: past-budget deaths answered by
     /// a hot standby instead of burial.
     pub fn total_failovers(&self) -> u32 {
         self.shards.iter().map(|s| s.failovers).sum()
     }
 
-    /// Standby losses detected across the fleet.
-    pub fn total_standby_lost(&self) -> u32 {
-        self.shards.iter().map(|s| s.standby_lost).sum()
-    }
-
-    /// Cumulative replication payload bytes shipped across the fleet.
-    pub fn total_replica_shipped_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.replica_shipped_bytes).sum()
-    }
-
     /// Shards currently marked permanently dead.
     pub fn dead_shards(&self) -> usize {
         self.shards.iter().filter(|s| s.dead).count()
-    }
-
-    /// Deepest queue across shards right now.
-    pub fn max_queue_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.queue_depth).max().unwrap_or(0)
-    }
-
-    /// Highest queue high-water mark across shards.
-    pub fn max_queue_high_water(&self) -> usize {
-        self.shards.iter().map(|s| s.queue_high_water).max().unwrap_or(0)
     }
 }
 
@@ -547,13 +493,34 @@ impl MetricsHandle {
     }
 }
 
-/// Cache metrics and deployed policy of the current worker incarnation,
-/// plus the folded totals of every incarnation that died before it.
+/// The part of a shard's ledger written at batch, restart, boot, cut,
+/// standby-feed or phase boundaries, never per request: everything here is
+/// read and written under the cell's one lock.
 #[derive(Debug, Default)]
 struct CellState {
+    /// Cache metrics of the current incarnation, and the folded totals of
+    /// every incarnation that died before it.
     cache: CacheMetrics,
     cache_base: CacheMetrics,
     policy: Option<ThresholdPolicy>,
+    restarts: u32,
+    warm_restarts: u32,
+    warm_boots: u32,
+    /// Failover promotions granted (past-budget deaths a standby answered).
+    failovers: u32,
+    standby_lost: u32,
+    /// Router generation the shard serves under (set once at fleet build).
+    generation: u32,
+    phase: ShardPhase,
+    /// Sequence number of the latest stored checkpoint.
+    checkpoint_seq: Option<u64>,
+    /// Sequence boundary the hot standby has applied.
+    replica_seq: Option<u64>,
+    /// Cumulative replication payload bytes shipped to the standby.
+    replica_shipped_bytes: u64,
+    /// High-water marks of retired queues (a restart swaps in a fresh queue
+    /// whose gauge starts at zero).
+    high_water_floor: usize,
 }
 
 /// The mailbox one shard worker publishes into and the fleet reads from.
@@ -562,6 +529,10 @@ struct CellState {
 /// folds the dead incarnation's counters into bases and points the cell at
 /// the replacement queue, so readers always see whole-shard totals. Only
 /// the fleet writes a cell; everything public here reads it.
+///
+/// Values written per request or read on the ingest path are atomics; the
+/// rest of the ledger is a `CellState` behind one lock, which
+/// [`snapshot`](Self::snapshot) holds while it reads every counter.
 #[derive(Debug)]
 pub struct ShardCell {
     shard: usize,
@@ -569,7 +540,8 @@ pub struct ShardCell {
     /// Requests processed by the *current* incarnation, stored per request
     /// so the count is exact at any crash point.
     processed: AtomicU64,
-    /// Requests processed by previous (crashed) incarnations.
+    /// Requests processed by previous (crashed) incarnations, moved here
+    /// from `processed` under the state lock.
     processed_base: AtomicU64,
     dropped: AtomicU64,
     unavailable: AtomicU64,
@@ -577,29 +549,7 @@ pub struct ShardCell {
     /// True while producers are shedding this shard's traffic (queue over
     /// the watermark; cleared once it drains below half of it).
     shedding: AtomicBool,
-    restarts: AtomicU32,
-    warm_restarts: AtomicU32,
-    warm_boots: AtomicU32,
-    /// Router generation the shard serves under (set once at fleet build).
-    generation: AtomicU32,
-    /// Handoff phase code ([`ShardPhase::code`]).
-    phase: AtomicU8,
-    /// Sequence number of the latest stored checkpoint; `u64::MAX` is the
-    /// "none yet" sentinel (a real sequence of `u64::MAX` is unreachable).
-    ckpt_seq: AtomicU64,
-    /// Failover promotions granted (past-budget deaths a standby answered).
-    failovers: AtomicU32,
-    /// Sequence boundary the hot standby has applied; `u64::MAX` is the
-    /// "none" sentinel, mirroring `ckpt_seq`.
-    replica_seq: AtomicU64,
-    /// Cumulative replication payload bytes shipped to the standby.
-    replica_shipped_bytes: AtomicU64,
-    /// Standby losses detected so far.
-    standby_lost: AtomicU32,
     dead: AtomicBool,
-    /// High-water marks of retired queues (a restart swaps in a fresh queue
-    /// whose gauge starts at zero).
-    high_water_floor: AtomicUsize,
     gauges: Mutex<Arc<QueueGauges>>,
     /// Latency histograms and event journal. Like every other cell counter
     /// these outlive worker incarnations and accumulate across restarts.
@@ -611,28 +561,24 @@ impl ShardCell {
     pub(crate) fn new(shard: usize, gauges: Arc<QueueGauges>) -> Self {
         Self {
             shard,
-            state: Mutex::new(CellState::default()),
+            state: Mutex::default(),
             processed: AtomicU64::new(0),
             processed_base: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             unavailable: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             shedding: AtomicBool::new(false),
-            restarts: AtomicU32::new(0),
-            warm_restarts: AtomicU32::new(0),
-            warm_boots: AtomicU32::new(0),
-            generation: AtomicU32::new(0),
-            phase: AtomicU8::new(ShardPhase::Serving.code()),
-            ckpt_seq: AtomicU64::new(u64::MAX),
-            failovers: AtomicU32::new(0),
-            replica_seq: AtomicU64::new(u64::MAX),
-            replica_shipped_bytes: AtomicU64::new(0),
-            standby_lost: AtomicU32::new(0),
             dead: AtomicBool::new(false),
-            high_water_floor: AtomicUsize::new(0),
             gauges: Mutex::new(gauges),
             obs: ShardObs::default(),
         }
+    }
+
+    /// The locked ledger. Entered even when poisoned: a worker's `Drop`
+    /// publishes through it, and every update is a whole-field assignment
+    /// or increment, valid at any step.
+    fn state(&self) -> MutexGuard<'_, CellState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Shard index this cell reports under.
@@ -660,19 +606,15 @@ impl ShardCell {
     /// cache metrics with the processed count they belong to. Between two
     /// calls readers see cache counters at most one batch behind
     /// `processed`; after the worker has ended they are exact.
-    ///
-    /// Called from a `Drop`, so a poisoned lock is entered, not propagated:
-    /// every update of the state is a whole-field assignment, valid at any
-    /// step.
     pub(crate) fn publish(&self, cache: CacheMetrics, processed: u64) {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner).cache = cache;
+        self.state().cache = cache;
         self.processed.store(processed, Ordering::Release);
     }
 
     /// Worker side, at boot and whenever the deployed policy changes:
     /// publish it. A snapshot formats its label.
     pub(crate) fn publish_policy(&self, policy: ThresholdPolicy) {
-        self.state.lock().expect("cell poisoned").policy = Some(policy);
+        self.state().policy = Some(policy);
     }
 
     /// Producer side: account requests shed at this shard's queue or lost in
@@ -696,11 +638,6 @@ impl ShardCell {
         }
     }
 
-    /// Requests answered `Unavailable` so far.
-    pub fn unavailable(&self) -> u64 {
-        self.unavailable.load(Ordering::Relaxed)
-    }
-
     /// Producer side: account requests answered `Busy` because this shard's
     /// queue was over its shed watermark.
     pub(crate) fn add_shed(&self, n: u64) {
@@ -712,11 +649,6 @@ impl ShardCell {
     /// Requests shed `Busy` at this shard so far.
     pub fn shed(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
-    }
-
-    /// True while producers are shedding this shard's traffic.
-    pub fn is_shedding(&self) -> bool {
-        self.shedding.load(Ordering::Relaxed)
     }
 
     /// Current depth of the shard's queue (the live incarnation's gauge).
@@ -771,17 +703,16 @@ impl ShardCell {
     /// Folds the just-joined incarnation's counters into the bases so the
     /// next incarnation (if any) counts on top. Call only after the worker
     /// thread has been joined — the arithmetic assumes no concurrent
-    /// publisher.
+    /// publisher. The lock is held throughout, so a snapshot sees the
+    /// processed count either before the fold or after it, never between.
     pub(crate) fn fold_incarnation(&self) {
-        {
-            let mut st = self.state.lock().expect("cell poisoned");
-            let current = std::mem::take(&mut st.cache);
-            st.cache_base = st.cache_base.merge(&current);
-        }
+        let mut st = self.state();
+        let current = std::mem::take(&mut st.cache);
+        st.cache_base = st.cache_base.merge(&current);
         let p = self.processed.swap(0, Ordering::AcqRel);
         self.processed_base.fetch_add(p, Ordering::AcqRel);
         let hw = self.gauges.lock().expect("cell poisoned").high_water();
-        self.high_water_floor.fetch_max(hw, Ordering::Relaxed);
+        st.high_water_floor = st.high_water_floor.max(hw);
     }
 
     /// Points the cell at a replacement queue's gauges (cold restart).
@@ -792,115 +723,71 @@ impl ShardCell {
     /// Counts one granted restart (warm or cold — warmness is recorded
     /// separately by the respawned worker once its restore attempt settles).
     pub(crate) fn record_restart(&self) {
-        self.restarts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Restarts granted so far (warm and cold together).
-    pub fn restarts(&self) -> u32 {
-        self.restarts.load(Ordering::Relaxed)
+        self.state().restarts += 1;
     }
 
     /// Worker side, on respawn: records that the incarnation restored warm
     /// from a valid checkpoint.
     pub(crate) fn record_warm_restart(&self) {
-        self.warm_restarts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Restarts that resumed warm so far.
-    pub fn warm_restarts(&self) -> u32 {
-        self.warm_restarts.load(Ordering::Relaxed)
+        self.state().warm_restarts += 1;
     }
 
     /// Worker side, at boot: records a restore shipped across a process or
     /// generation boundary (spill-file warm boot or resize handoff).
     pub(crate) fn record_warm_boot(&self) {
-        self.warm_boots.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Warm boots recorded so far.
-    pub fn warm_boots(&self) -> u32 {
-        self.warm_boots.load(Ordering::Relaxed)
+        self.state().warm_boots += 1;
     }
 
     /// Sets the router generation this cell reports under (fleet build).
     pub(crate) fn set_generation(&self, generation: u32) {
-        self.generation.store(generation, Ordering::Relaxed);
+        self.state().generation = generation;
     }
 
     /// Router generation this cell reports under.
     pub fn generation(&self) -> u32 {
-        self.generation.load(Ordering::Relaxed)
+        self.state().generation
     }
 
     /// Advances the shard's handoff phase. No order is enforced here: the
     /// callers set the phases in order ([`ShardPhase`] names them).
     pub(crate) fn set_phase(&self, phase: ShardPhase) {
-        self.phase.store(phase.code(), Ordering::Relaxed);
+        self.state().phase = phase;
     }
 
     /// The shard's current handoff phase.
     pub fn phase(&self) -> ShardPhase {
-        ShardPhase::from_code(self.phase.load(Ordering::Relaxed)).unwrap_or(ShardPhase::Serving)
+        self.state().phase
     }
 
     /// Worker side: records a stored checkpoint covering the shard's first
     /// `seq` requests.
     pub(crate) fn record_checkpoint(&self, seq: u64) {
-        self.ckpt_seq.store(seq, Ordering::Release);
-    }
-
-    /// Sequence number of the latest stored checkpoint, if any.
-    pub fn checkpoint_seq(&self) -> Option<u64> {
-        match self.ckpt_seq.load(Ordering::Acquire) {
-            u64::MAX => None,
-            seq => Some(seq),
-        }
+        self.state().checkpoint_seq = Some(seq);
     }
 
     /// Counts one failover promotion: a past-budget death answered by
     /// installing the hot standby's frame instead of burying the shard.
-    /// Always paired with [`record_restart`](Self::record_restart) — the
-    /// promoted incarnation is a (warm) restart, so `warm + cold` keeps
-    /// partitioning `restarts`.
+    /// Always recorded after its [`record_restart`](Self::record_restart) —
+    /// the promoted incarnation is a (warm) restart, so `warm + cold` keeps
+    /// partitioning `restarts` and `failovers <= restarts` in any snapshot.
     pub(crate) fn record_failover(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Failover promotions granted so far.
-    pub fn failovers(&self) -> u32 {
-        self.failovers.load(Ordering::Relaxed)
+        self.state().failovers += 1;
     }
 
     /// Worker side: records a replication feed the standby applied — the
     /// boundary it now holds and the payload bytes the envelope shipped.
     pub(crate) fn record_replica(&self, seq: u64, shipped_bytes: u64) {
-        self.replica_seq.store(seq, Ordering::Release);
-        self.replica_shipped_bytes.fetch_add(shipped_bytes, Ordering::Relaxed);
-    }
-
-    /// Sequence boundary the hot standby has applied, if any.
-    pub fn replica_seq(&self) -> Option<u64> {
-        match self.replica_seq.load(Ordering::Acquire) {
-            u64::MAX => None,
-            seq => Some(seq),
-        }
-    }
-
-    /// Cumulative replication payload bytes shipped to the standby.
-    pub fn replica_shipped_bytes(&self) -> u64 {
-        self.replica_shipped_bytes.load(Ordering::Relaxed)
+        let mut st = self.state();
+        st.replica_seq = Some(seq);
+        st.replica_shipped_bytes += shipped_bytes;
     }
 
     /// Counts one detected standby loss (poisoned or failed validation).
     pub(crate) fn record_standby_lost(&self) {
-        self.standby_lost.fetch_add(1, Ordering::Relaxed);
+        let mut st = self.state();
+        st.standby_lost += 1;
         // The standby's applied boundary is gone with it.
-        self.replica_seq.store(u64::MAX, Ordering::Release);
-    }
-
-    /// Standby losses detected so far.
-    pub fn standby_lost(&self) -> u32 {
-        self.standby_lost.load(Ordering::Relaxed)
+        st.replica_seq = None;
     }
 
     /// Marks the shard permanently dead.
@@ -913,40 +800,38 @@ impl ShardCell {
         self.dead.load(Ordering::Relaxed)
     }
 
-    /// Reader side: the shard's current snapshot (whole-life totals).
+    /// Reader side: the shard's current snapshot (whole-life totals), every
+    /// counter read under the state lock.
     pub fn snapshot(&self) -> ShardSnapshot {
-        let (cache, policy) = {
-            let st = self.state.lock().expect("cell poisoned");
-            (st.cache_base.merge(&st.cache), st.policy)
-        };
         let gauges = Arc::clone(&self.gauges.lock().expect("cell poisoned"));
-        let processed_total = self.processed_total();
-        let checkpoint_seq = self.checkpoint_seq();
         let journal = self.obs.journal.snapshot();
+        let latency = self.obs.latency_snapshot();
+        let st = self.state();
+        let processed = self.processed_total();
         ShardSnapshot {
             shard: self.shard,
-            processed: processed_total,
+            processed,
             dropped: self.dropped(),
-            unavailable: self.unavailable(),
+            unavailable: self.unavailable.load(Ordering::Relaxed),
             shed: self.shed(),
-            shedding: self.is_shedding(),
-            restarts: self.restarts(),
-            warm_restarts: self.warm_restarts(),
-            warm_boots: self.warm_boots(),
-            router_generation: self.generation(),
+            shedding: self.shedding.load(Ordering::Relaxed),
+            restarts: st.restarts,
+            warm_restarts: st.warm_restarts,
+            warm_boots: st.warm_boots,
+            router_generation: st.generation,
             dead: self.is_dead(),
-            phase: self.phase().label().to_string(),
-            checkpoint_seq,
-            checkpoint_age: checkpoint_seq.map_or(0, |s| processed_total.saturating_sub(s)),
-            failovers: self.failovers(),
-            replica_seq: self.replica_seq(),
-            replica_shipped_bytes: self.replica_shipped_bytes(),
-            standby_lost: self.standby_lost(),
+            phase: st.phase.label().to_string(),
+            checkpoint_seq: st.checkpoint_seq,
+            checkpoint_age: st.checkpoint_seq.map_or(0, |s| processed.saturating_sub(s)),
+            failovers: st.failovers,
+            replica_seq: st.replica_seq,
+            replica_shipped_bytes: st.replica_shipped_bytes,
+            standby_lost: st.standby_lost,
             queue_depth: gauges.depth(),
-            queue_high_water: self.high_water_floor.load(Ordering::Relaxed).max(gauges.high_water()),
-            cache,
-            policy: policy.map_or_else(String::new, |p| p.label()),
-            latency: Some(self.obs.latency_snapshot()),
+            queue_high_water: st.high_water_floor.max(gauges.high_water()),
+            cache: st.cache_base.merge(&st.cache),
+            policy: st.policy.map_or_else(String::new, |p| p.label()),
+            latency: Some(latency),
             events_dropped: journal.dropped,
             events: journal.events,
         }
@@ -1010,8 +895,11 @@ mod tests {
     fn empty_fleet_is_all_zero() {
         let fm = FleetMetrics::from_shards(Vec::new());
         assert_eq!(fm.fleet_cache(), CacheMetrics::default());
-        assert_eq!(fm.max_queue_depth(), 0);
-        assert_eq!(fm.max_queue_high_water(), 0);
+        assert_eq!(
+            fm.total_processed() + fm.total_dropped() + fm.total_unavailable() + fm.total_shed(),
+            0
+        );
+        assert_eq!(fm.dead_shards(), 0);
     }
 
     #[test]
@@ -1107,16 +995,15 @@ mod tests {
     }
 
     #[test]
-    fn phases_advance_one_way_and_roundtrip_codes() {
+    fn phases_advance_one_way_in_ord_order() {
         use ShardPhase::*;
         let order = [Serving, Draining, Transferring, Retired];
-        for p in order {
-            assert_eq!(ShardPhase::from_code(p.code()), Some(p));
-        }
-        assert_eq!(ShardPhase::from_code(4), None);
-        // The codes rise in the one-way order, which is what a watcher of a
-        // cell's phase checks its sequence against.
-        assert!(order.windows(2).all(|w| w[0].code() < w[1].code()));
+        // Phases compare in the one-way order, which is what a watcher of a
+        // cell's phase checks its sequence against; a fresh cell serves.
+        assert!(order.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(ShardPhase::default(), Serving);
+        let labels: Vec<_> = order.iter().map(|p| p.label()).collect();
+        assert_eq!(labels, ["serving", "draining", "transferring", "retired"]);
     }
 
     #[test]
@@ -1298,13 +1185,13 @@ mod tests {
         a.checkpoint_age = 1_000;
         let b = snap(1, 9_000, 60); // never checkpointed: age 0
         let fm = FleetMetrics::from_shards(vec![a, b]);
-        assert_eq!(fm.max_checkpoint_age(), 1_000);
+        assert_eq!(fm.shards.iter().map(|s| s.checkpoint_age).collect::<Vec<_>>(), vec![1_000, 0]);
     }
 
     #[test]
     fn cell_records_checkpoints_and_warm_restarts() {
         let cell = ShardCell::new(0, Arc::new(QueueGauges::default()));
-        assert_eq!(cell.checkpoint_seq(), None);
+        assert_eq!(cell.snapshot().checkpoint_seq, None);
         assert_eq!(cell.snapshot().checkpoint_age, 0);
 
         cell.publish(CacheMetrics { requests: 1_500, ..Default::default() }, 1_500);
@@ -1324,7 +1211,7 @@ mod tests {
     #[test]
     fn cell_tracks_replication_and_failovers() {
         let cell = ShardCell::new(1, Arc::new(QueueGauges::default()));
-        assert_eq!(cell.replica_seq(), None);
+        assert_eq!(cell.snapshot().replica_seq, None);
         cell.record_replica(1_000, 4_096);
         cell.record_replica(2_000, 128);
         let s = cell.snapshot();
@@ -1343,10 +1230,9 @@ mod tests {
         let s = cell.snapshot();
         assert_eq!(s.failovers, 1);
         assert_eq!(s.restarts, 1);
+        assert_eq!((s.standby_lost, s.replica_shipped_bytes), (1, 4_224));
         let fm = FleetMetrics::from_shards(vec![s]);
         assert_eq!(fm.total_failovers(), 1);
-        assert_eq!(fm.total_standby_lost(), 1);
-        assert_eq!(fm.total_replica_shipped_bytes(), 4_224);
     }
 
     #[test]
@@ -1405,4 +1291,103 @@ mod tests {
         assert!(s.dead);
         assert_eq!(cell.processed_total(), 140);
     }
+
+    /// The `STATS` schema, pinned: one cell driven through every writer, and
+    /// a fleet snapshot around it with a gateway and a generation row,
+    /// serialize to exactly these bytes.
+    #[test]
+    fn stats_json_is_pinned() {
+        let (first, _rx) = crate::queue::channel::<u32>(8);
+        first.push_batch(&mut vec![1, 2, 3]);
+        let cell = ShardCell::new(5, first.gauges());
+        cell.set_generation(2);
+        cell.publish_policy(ThresholdPolicy::new(2, 100 * 1024));
+        cell.publish(
+            CacheMetrics { requests: 40, hoc_hits: 10, bytes_total: 4_000, ..Default::default() },
+            40,
+        );
+        cell.record_checkpoint(30);
+        cell.record_replica(30, 512);
+        cell.fold_incarnation();
+        cell.record_restart();
+        cell.record_warm_restart();
+        let (second, _rx2) = crate::queue::channel::<u32>(8);
+        second.push_batch(&mut vec![4]);
+        cell.set_gauges(second.gauges());
+        cell.record_restart();
+        cell.record_failover();
+        cell.record_warm_boot();
+        cell.publish(
+            CacheMetrics { requests: 15, hoc_hits: 6, bytes_total: 1_500, ..Default::default() },
+            15,
+        );
+        cell.add_dropped(3);
+        cell.add_unavailable(2);
+        cell.add_shed(4);
+        assert!(cell.shed_decision(1), "depth 1 is at the watermark");
+        cell.record_standby_lost();
+        cell.record_replica(50, 64);
+        cell.set_phase(ShardPhase::Draining);
+        cell.mark_dead();
+        let shard = cell.snapshot();
+        assert_eq!(serde_json::to_string(&shard).unwrap(), SHARD_JSON);
+        let gateway = GatewaySnapshot {
+            connections_accepted: 2,
+            connections_active: 1,
+            idle_closed: 1,
+            frames_in: 40,
+            frames_rejected: 1,
+            requests_in: 2_000,
+            verdicts_out: 1_990,
+            stats_served: 3,
+            events_served: 1,
+            resizes_served: 1,
+            shed: 12,
+            throttled: 1,
+            slow_closed: 1,
+            net_faults: 4,
+            bytes_in: 48_000,
+            bytes_out: 2_300,
+        };
+        let mut fleet = FleetMetrics::from_shards(vec![shard]).with_gateway(gateway);
+        fleet.generations.push(GenerationSummary {
+            generation: 1,
+            shards: 4,
+            processed: 900,
+            dropped: 7,
+            unavailable: 6,
+            shed: 5,
+            restarts: 3,
+            warm_restarts: 2,
+            warm_boots: 4,
+        });
+        assert_eq!(
+            serde_json::to_string(&fleet).unwrap(),
+            format!(
+                concat!(
+                    r#"{{"shards":[{}],"generations":[{{"generation":1,"shards":4,"processed":900,"#,
+                    r#""dropped":7,"unavailable":6,"shed":5,"restarts":3,"warm_restarts":2,"warm_boots":4}}],"#,
+                    r#""gateway":{{"connections_accepted":2,"connections_active":1,"idle_closed":1,"#,
+                    r#""frames_in":40,"frames_rejected":1,"requests_in":2000,"verdicts_out":1990,"#,
+                    r#""stats_served":3,"events_served":1,"resizes_served":1,"shed":12,"throttled":1,"#,
+                    r#""slow_closed":1,"net_faults":4,"bytes_in":48000,"bytes_out":2300}}}}"#
+                ),
+                SHARD_JSON
+            )
+        );
+    }
+
+    const SHARD_JSON: &str = concat!(
+        r#"{"shard":5,"processed":55,"dropped":3,"unavailable":2,"shed":4,"shedding":true,"#,
+        r#""restarts":2,"warm_restarts":1,"warm_boots":1,"router_generation":2,"dead":true,"#,
+        r#""phase":"draining","checkpoint_seq":30,"checkpoint_age":25,"failovers":1,"#,
+        r#""replica_seq":50,"replica_shipped_bytes":576,"standby_lost":1,"queue_depth":1,"#,
+        r#""queue_high_water":3,"cache":{"requests":55,"hoc_hits":16,"dc_hits":0,"origin_fetches":0,"#,
+        r#""bytes_total":5500,"bytes_hoc_hit":0,"bytes_dc_hit":0,"bytes_origin":0,"dc_write_bytes":0,"#,
+        r#""dc_writes":0,"hoc_write_bytes":0,"hoc_writes":0,"hoc_evictions":0,"dc_evictions":0},"#,
+        r#""policy":"f2s100","latency":{"serve":{"count":0,"sum":0,"max":0,"buckets":[]},"#,
+        r#""queue_wait":{"count":0,"sum":0,"max":0,"buckets":[]},"#,
+        r#""ckpt_pause":{"count":0,"sum":0,"max":0,"buckets":[]}},"events_dropped":0,"#,
+        r#""events":[{"seq":55,"kind":{"ShedStart":{"depth":1}}}]}"#
+    );
 }

@@ -39,8 +39,9 @@ pub fn partition(trace: &Trace, router: &dyn Router, shards: usize) -> Vec<Trace
     parts.into_iter().map(Trace::from_sorted).collect()
 }
 
-/// What one sequential single-shard run produced — the same fields a fleet's
-/// [`ShardOutcome`](crate::fleet::ShardOutcome) carries for that shard.
+/// What one sequential single-shard run produced — what a fleet's
+/// [`ShardOutcome`](crate::fleet::ShardOutcome) and its final snapshot's
+/// entry carry for that shard.
 #[derive(Debug)]
 pub struct ShardRun<D> {
     /// Final cumulative cache metrics.

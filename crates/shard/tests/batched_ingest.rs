@@ -84,9 +84,9 @@ fn check_static_equivalence(seed: u64, shards: usize, queue: usize, batch: usize
     for report in [&single, &multi] {
         assert_eq!(report.total_dropped(), 0, "Block backpressure is lossless");
         assert_eq!(report.total_processed(), t.len() as u64);
-        for (f, s) in report.shards.iter().zip(&seq) {
-            assert_eq!(f.processed, s.processed, "shard {}: processed", f.shard);
-            assert_eq!(f.cache, s.cache, "shard {}: cache metrics", f.shard);
+        for ((f, m), s) in report.shards.iter().zip(&report.metrics().shards).zip(&seq) {
+            assert_eq!(m.processed, s.processed, "shard {}: processed", f.shard);
+            assert_eq!(m.cache, s.cache, "shard {}: cache metrics", f.shard);
             assert_eq!(f.hoc_used_bytes, s.hoc_used_bytes, "shard {}: HOC bytes", f.shard);
             assert_eq!(f.dc_used_bytes, s.dc_used_bytes, "shard {}: DC bytes", f.shard);
         }
@@ -193,10 +193,11 @@ fn check_darwin_frames(shards: usize) {
     let report = fleet.finish();
 
     let mut switched_anywhere = false;
-    for (f, s) in report.shards.into_iter().zip(seq) {
+    let ledger = report.metrics().shards.clone();
+    for ((f, m), s) in report.shards.into_iter().zip(&ledger).zip(seq) {
         let shard = f.shard;
-        assert_eq!(f.processed, s.processed, "shard {shard}: processed");
-        assert_eq!(f.cache, s.cache, "shard {shard}: cache metrics");
+        assert_eq!(m.processed, s.processed, "shard {shard}: processed");
+        assert_eq!(m.cache, s.cache, "shard {shard}: cache metrics");
         assert_eq!(f.hoc_used_bytes, s.hoc_used_bytes, "shard {shard}: HOC occupancy");
         assert_eq!(f.dc_used_bytes, s.dc_used_bytes, "shard {shard}: DC occupancy");
         let fleet_seq =

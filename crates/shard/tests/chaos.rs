@@ -156,15 +156,15 @@ fn empty_fault_plan_is_bitwise_identical_to_sequential_replay() {
         );
         fleet.submit_trace(&t);
         let report = fleet.finish();
-        assert_eq!(report.total_restarts(), 0);
-        assert_eq!(report.dead_shards(), 0);
+        assert_eq!(report.metrics().total_restarts(), 0);
+        assert_eq!(report.metrics().dead_shards(), 0);
         assert_eq!(report.total_unavailable(), 0);
         assert_eq!(report.total_dropped(), 0);
 
         let seq = run_sequential(shards, CacheConfig::small_test(), &HashRouter, driver, &t);
-        for (f, s) in report.shards.iter().zip(&seq) {
-            assert_eq!(f.processed, s.processed, "shard {}: processed", f.shard);
-            assert_eq!(f.cache, s.cache, "shard {}: cache metrics", f.shard);
+        for ((f, m), s) in report.shards.iter().zip(&report.metrics().shards).zip(&seq) {
+            assert_eq!(m.processed, s.processed, "shard {}: processed", f.shard);
+            assert_eq!(m.cache, s.cache, "shard {}: cache metrics", f.shard);
             assert_eq!(f.hoc_used_bytes, s.hoc_used_bytes, "shard {}: HOC occupancy", f.shard);
             assert_eq!(f.dc_used_bytes, s.dc_used_bytes, "shard {}: DC occupancy", f.shard);
         }
@@ -197,16 +197,17 @@ fn fault_runs_reproduce_bit_for_bit() {
         report
             .shards
             .iter()
-            .map(|s| {
+            .zip(&report.metrics().shards)
+            .map(|(f, m)| {
                 (
-                    s.cache,
-                    s.processed,
-                    s.dropped,
-                    s.unavailable,
-                    s.restarts,
-                    s.dead,
-                    s.hoc_used_bytes,
-                    s.dc_used_bytes,
+                    m.cache,
+                    m.processed,
+                    m.dropped,
+                    m.unavailable,
+                    m.restarts,
+                    m.dead,
+                    f.hoc_used_bytes,
+                    f.dc_used_bytes,
                 )
             })
             .collect::<Vec<_>>()
@@ -242,8 +243,8 @@ fn stall_faults_are_result_invisible() {
         FaultEvent { shard: 1, at: 200, kind: FaultKind::QueueFull },
         FaultEvent { shard: 0, at: 1_000, kind: FaultKind::Delay { spins: 500 } },
     ]));
-    assert_eq!(stalled.total_restarts(), 0);
-    for (c, s) in clean.shards.iter().zip(&stalled.shards) {
+    assert_eq!(stalled.metrics().total_restarts(), 0);
+    for (c, s) in clean.metrics().shards.iter().zip(&stalled.metrics().shards) {
         assert_eq!(c.cache, s.cache, "shard {}: stalls must not change metrics", c.shard);
         assert_eq!(c.processed, s.processed);
     }
@@ -276,7 +277,7 @@ fn mid_batch_panic_publishes_exactly_the_processed_requests() {
     );
     fleet.submit_trace(&t);
     let report = fleet.finish();
-    let dead = &report.shards[0];
+    let dead = &report.metrics().shards[0];
     assert!(dead.dead, "no budget: the first death is final");
     assert_eq!(dead.processed, DIES_AT);
     assert_eq!(dead.cache.requests, DIES_AT, "counters of the unpublished batch tail were flushed");
@@ -309,7 +310,7 @@ fn producer_frames_drop_only_the_fatal_request() {
     let mut submitter = fleet();
     submitter.submit_trace(&t);
     let reference = submitter.finish();
-    assert_eq!(reference.shards[0].dropped, 1, "the submitter front drops the fatal request");
+    assert_eq!(reference.metrics().shards[0].dropped, 1, "the submitter front drops the fatal request");
 
     for frame in [8usize, 64, 256] {
         let mut journals = Vec::new();
@@ -323,11 +324,11 @@ fn producer_frames_drop_only_the_fatal_request() {
                 }
             }
             let report = fleet.finish();
-            let s0 = &report.shards[0];
+            let s0 = &report.metrics().shards[0];
             assert_eq!(s0.dropped, 1, "{frame}-record frames, rerun {rerun}: only the fatal request");
             assert_eq!(s0.restarts, 1, "{frame}-record frames, rerun {rerun}: one restart");
             assert_eq!(report.total_processed() + report.total_dropped(), t.len() as u64);
-            for (p, r) in report.shards.iter().zip(&reference.shards) {
+            for (p, r) in report.metrics().shards.iter().zip(&reference.metrics().shards) {
                 assert_eq!(p.cache, r.cache, "{frame}-record frames: shard {} cache metrics", p.shard);
             }
             journals.push(darwin_obs::encode_fleet_events(&handle.journals()));

@@ -107,10 +107,11 @@ fn check_darwin_equivalence(shards: usize) {
     assert_eq!(fleet_report.total_processed(), trace.len() as u64);
 
     let mut switched_anywhere = false;
-    for (f, s) in fleet_report.shards.into_iter().zip(seq) {
+    let ledger = fleet_report.metrics().shards.clone();
+    for ((f, m), s) in fleet_report.shards.into_iter().zip(&ledger).zip(seq) {
         let shard = f.shard;
-        assert_eq!(f.processed, s.processed, "shard {shard}: processed");
-        assert_eq!(f.cache, s.cache, "shard {shard}: cache metrics");
+        assert_eq!(m.processed, s.processed, "shard {shard}: processed");
+        assert_eq!(m.cache, s.cache, "shard {shard}: cache metrics");
         assert_eq!(f.hoc_used_bytes, s.hoc_used_bytes, "shard {shard}: HOC occupancy");
         assert_eq!(f.dc_used_bytes, s.dc_used_bytes, "shard {shard}: DC occupancy");
         let fleet_seq =
@@ -162,8 +163,8 @@ fn static_fleet_equivalent_at_8_shards_long_trace() {
     let report = fleet.finish();
     let seq =
         run_sequential(8, CacheConfig::small_test(), &HashRouter, |_| StaticDriver::new(policy), &trace);
-    for (f, s) in report.shards.iter().zip(&seq) {
-        assert_eq!(f.cache, s.cache, "shard {}: cache metrics", f.shard);
+    for ((f, m), s) in report.shards.iter().zip(&report.metrics().shards).zip(&seq) {
+        assert_eq!(m.cache, s.cache, "shard {}: cache metrics", f.shard);
         assert_eq!(f.hoc_used_bytes, s.hoc_used_bytes);
         assert_eq!(f.dc_used_bytes, s.dc_used_bytes);
     }

@@ -173,14 +173,14 @@ fn check_promoted_failover_bitwise(shards: usize) {
     // The two deaths, as scripted: one budgeted warm restart, one
     // promotion (also warm — the standby frame restores through the normal
     // path), two dropped requests, zero Unavailable, exact conservation.
-    let s0 = &report.shards[0];
+    let s0 = &report.metrics().shards[0];
     assert_eq!(s0.restarts, 2, "both deaths were answered with a running worker");
     assert_eq!(s0.warm_restarts, 2, "the budgeted restart and the promotion both restored warm");
     assert_eq!(s0.failovers, 1, "exactly one past-budget death promoted the standby");
     assert_eq!(s0.dropped, 2, "only the two fatal requests were lost");
     assert_eq!(report.total_unavailable(), 0, "zero Unavailable: the budget never buried anyone");
-    assert_eq!(report.total_failovers(), 1);
-    assert_eq!(report.dead_shards(), 0);
+    assert_eq!(report.metrics().total_failovers(), 1);
+    assert_eq!(report.metrics().dead_shards(), 0);
     assert_eq!(
         report.total_processed() + report.total_dropped(),
         trace.len() as u64,
@@ -221,10 +221,11 @@ fn check_promoted_failover_bitwise(shards: usize) {
 
     // Bitwise identity, shard by shard: metrics, occupancy, expert sequence.
     let mut switched_anywhere = false;
-    for (f, s) in report.shards.into_iter().zip(seq) {
+    let ledger = report.metrics().shards.clone();
+    for ((f, m), s) in report.shards.into_iter().zip(&ledger).zip(seq) {
         let shard = f.shard;
-        assert_eq!(f.processed, s.processed, "shard {shard}: processed");
-        assert_eq!(f.cache, s.cache, "shard {shard}: cache metrics across the failover");
+        assert_eq!(m.processed, s.processed, "shard {shard}: processed");
+        assert_eq!(m.cache, s.cache, "shard {shard}: cache metrics across the failover");
         assert_eq!(f.hoc_used_bytes, s.hoc_used_bytes, "shard {shard}: HOC occupancy");
         assert_eq!(f.dc_used_bytes, s.dc_used_bytes, "shard {shard}: DC occupancy");
         let fleet_seq =
@@ -271,11 +272,11 @@ fn without_replicas_the_same_plan_buries_and_degrades() {
     fleet.submit_trace(&trace);
     let report = fleet.finish();
 
-    let s0 = &report.shards[0];
+    let s0 = &report.metrics().shards[0];
     assert_eq!(s0.restarts, 1, "only the budgeted restart was granted");
     assert_eq!(s0.failovers, 0);
     assert!(s0.dead, "past-budget death without a standby buries the shard");
-    assert_eq!(report.dead_shards(), 1);
+    assert_eq!(report.metrics().dead_shards(), 1);
     assert!(report.total_unavailable() > 0, "the buried shard's tail degrades");
     assert_eq!(
         report.total_processed() + report.total_dropped() + report.total_unavailable(),
@@ -315,7 +316,7 @@ fn lost_standby_falls_back_to_burial_detected() {
     fleet.submit_trace(&trace);
     let report = fleet.finish();
 
-    let s0 = &report.shards[0];
+    let s0 = &report.metrics().shards[0];
     assert_eq!(s0.restarts, 1);
     assert_eq!(s0.failovers, 0, "a lost standby must not be promoted");
     assert!(s0.dead, "without a ready standby the past-budget death buries");

@@ -287,7 +287,7 @@ fn tracker_enforces_one_way_order() {
         if seen.last() != Some(&cell.phase()) {
             seen.push(cell.phase());
         }
-        assert!(seen.windows(2).all(|w| w[0].code() < w[1].code()), "shard {shard} went {seen:?}");
+        assert!(seen.windows(2).all(|w| w[0] < w[1]), "shard {shard} went {seen:?}");
         assert_eq!(seen.last(), Some(&ShardPhase::Retired), "shard {shard}");
         let kinds: Vec<_> = cell.obs().journal.snapshot().events.into_iter().map(|e| e.kind).collect();
         let drain = kinds.iter().position(|k| matches!(k, EventKind::DrainStart { target_shards: 2 }));
@@ -593,4 +593,36 @@ fn an_idle_producer_re_mints_once_and_releases_its_retired_generation() {
         report.metrics.generations[2].processed, 2_000,
         "both late frames landed in generation 2"
     );
+}
+
+/// A successor generation numbers its own requests from 0, so after a
+/// resize each shard's latest checkpoint is the serving generation's, not
+/// the larger sequence the retired one cut last. Here 4 → 8 with fewer
+/// requests after the resize than before: the merged view reports each
+/// shard's checkpoint gauges as the serving cell does.
+#[test]
+fn checkpoint_gauges_follow_the_serving_generation_after_a_resize() {
+    let trace = test_trace(24_000);
+    let fs = frames(&trace, 1_000);
+    let fleet = elastic(4, None, false);
+    for f in &fs[..16] {
+        fleet.submit_frame(f.iter().cloned());
+    }
+    fleet.resize(8).expect("4 -> 8");
+    let serving = fleet.metrics_handle();
+    for f in &fs[16..] {
+        fleet.submit_frame(f.iter().cloned());
+    }
+    let report = fleet.finish(false);
+    assert!(report.conserved());
+    let live = serving.snapshot();
+    assert!(live.shards.iter().all(|s| s.checkpoint_seq.is_some()), "every shard cut after the resize");
+    for (merged, live) in report.metrics.shards.iter().zip(&live.shards) {
+        assert_eq!(
+            (merged.shard, merged.checkpoint_seq, merged.checkpoint_age),
+            (live.shard, live.checkpoint_seq, live.checkpoint_age),
+            "shard {}: the retired generation's cut is not the latest checkpoint",
+            live.shard
+        );
+    }
 }

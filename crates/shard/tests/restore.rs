@@ -163,7 +163,7 @@ fn check_warm_boundary_restore(shards: usize, kill_at: u64, ckpt_every: u64, pha
 
     // The death itself, as scripted: one warm restart, one dropped request,
     // nothing unavailable.
-    let s0 = &report.shards[0];
+    let s0 = &report.metrics().shards[0];
     assert_eq!(s0.restarts, 1, "exactly one supervised restart");
     assert_eq!(s0.warm_restarts, 1, "the restart resumed warm from the boundary checkpoint");
     assert_eq!(s0.dropped, 1, "only the fatal request was lost");
@@ -176,10 +176,11 @@ fn check_warm_boundary_restore(shards: usize, kill_at: u64, ckpt_every: u64, pha
 
     // Bitwise identity, shard by shard: metrics, occupancy, expert sequence.
     let mut switched_anywhere = false;
-    for (f, s) in report.shards.into_iter().zip(seq) {
+    let ledger = report.metrics().shards.clone();
+    for ((f, m), s) in report.shards.into_iter().zip(&ledger).zip(seq) {
         let shard = f.shard;
-        assert_eq!(f.processed, s.processed, "shard {shard}: processed");
-        assert_eq!(f.cache, s.cache, "shard {shard}: cache metrics across the restart");
+        assert_eq!(m.processed, s.processed, "shard {shard}: processed");
+        assert_eq!(m.cache, s.cache, "shard {shard}: cache metrics across the restart");
         assert_eq!(f.hoc_used_bytes, s.hoc_used_bytes, "shard {shard}: HOC occupancy");
         assert_eq!(f.dc_used_bytes, s.dc_used_bytes, "shard {shard}: DC occupancy");
         let fleet_seq =
@@ -253,10 +254,10 @@ fn corrupted_checkpoint_falls_back_cold_bitwise() {
     fleet.submit_trace(&trace);
     let report = fleet.finish();
 
-    let s0 = &report.shards[0];
-    assert_eq!(s0.restarts, 1);
-    assert_eq!(s0.warm_restarts, 0, "corrupted checkpoints must not restore warm");
-    assert_eq!(s0.dropped, 1);
+    let (s0, m0) = (&report.shards[0], &report.metrics().shards[0]);
+    assert_eq!(m0.restarts, 1);
+    assert_eq!(m0.warm_restarts, 0, "corrupted checkpoints must not restore warm");
+    assert_eq!(m0.dropped, 1);
     assert_eq!(report.total_processed() + report.total_dropped(), trace.len() as u64);
 
     // Ground truth: the dying incarnation ran indices 0..KILL_AT; the cold
@@ -272,9 +273,9 @@ fn corrupted_checkpoint_falls_back_cold_bitwise() {
         DarwinDriver::new(Arc::clone(&model), online_cfg()),
         &parts[0].slice(KILL_AT as usize + 1, parts[0].len()),
     );
-    assert_eq!(s0.processed, head.processed + tail.processed);
+    assert_eq!(m0.processed, head.processed + tail.processed);
     assert_eq!(
-        s0.cache,
+        m0.cache,
         CacheMetrics::merge_all([&head.cache, &tail.cache]),
         "cumulative metrics = dead incarnation + cold tail"
     );
@@ -311,9 +312,9 @@ fn torn_checkpoint_falls_back_cold() {
     );
     fleet.submit_trace(&trace);
     let report = fleet.finish();
-    assert_eq!(report.total_restarts(), 1);
-    assert_eq!(report.total_warm_restarts(), 0, "torn frames must not restore warm");
-    assert_eq!(report.total_cold_restarts(), 1);
+    assert_eq!(report.metrics().total_restarts(), 1);
+    assert_eq!(report.metrics().total_warm_restarts(), 0, "torn frames must not restore warm");
+    assert_eq!(report.metrics().total_cold_restarts(), 1);
     assert_eq!(report.total_processed() + report.total_dropped(), trace.len() as u64);
 }
 
@@ -336,7 +337,11 @@ fn disk_spill_parses_and_restores_after_exit() {
     );
     fleet.submit_trace(&trace);
     let report = fleet.finish();
-    assert_eq!(report.total_warm_restarts(), 1, "memory candidates still serve the in-process path");
+    assert_eq!(
+        report.metrics().total_warm_restarts(),
+        1,
+        "memory candidates still serve the in-process path"
+    );
 
     let parts = partition(&trace, &HashRouter, shards);
     for (s, part) in parts.iter().enumerate().take(shards) {
@@ -432,7 +437,8 @@ fn warm_restart_recovers_hit_ratio_sooner_than_cold() {
             FaultPlan::new(vec![FaultEvent { shard: 0, at: kill_at, kind: FaultKind::Panic }]),
         );
         fleet.submit_trace(&trace);
-        let s0 = &fleet.finish().shards[0];
+        let report = fleet.finish();
+        let s0 = &report.metrics().shards[0];
         assert_eq!(s0.cache, total, "fleet ≡ sequential replay across the restart");
         assert_eq!((s0.restarts, s0.dropped), (1, 1), "one death, one dropped request");
         assert_eq!(s0.warm_restarts, u32::from(ckpt_every.is_some()), "restart temperature");
@@ -505,7 +511,14 @@ fn fleet_metrics_merge_and_conservation_across_warm_restarts() {
     assert_eq!(merged.total_unavailable(), snap.total_unavailable());
     assert_eq!(merged.total_restarts(), snap.total_restarts());
     assert_eq!(merged.total_warm_restarts(), snap.total_warm_restarts());
-    assert_eq!(merged.max_checkpoint_age(), snap.max_checkpoint_age());
+    for (m, s) in merged.shards.iter().zip(&snap.shards) {
+        assert_eq!(
+            (m.checkpoint_seq, m.checkpoint_age),
+            (s.checkpoint_seq, s.checkpoint_age),
+            "shard {}",
+            s.shard
+        );
+    }
     assert_eq!(merged.fleet_cache(), snap.fleet_cache());
     assert_eq!(
         merged.total_processed() + merged.total_dropped() + merged.total_unavailable(),

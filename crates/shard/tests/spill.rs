@@ -47,6 +47,6 @@ fn a_vanished_spill_dir_neither_hangs_finish_nor_kills_a_worker() {
     assert!(!dir.exists(), "nothing may have recreated the directory");
     assert_eq!(report.total_processed() + report.total_dropped(), 20_000);
     assert_eq!(report.total_dropped(), 1, "only the request the scripted death was holding");
-    assert_eq!((report.total_restarts(), report.total_warm_restarts()), (1, 1));
-    assert_eq!(report.dead_shards(), 0);
+    assert_eq!((report.metrics().total_restarts(), report.metrics().total_warm_restarts()), (1, 1));
+    assert_eq!(report.metrics().dead_shards(), 0);
 }

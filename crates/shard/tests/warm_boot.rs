@@ -67,7 +67,7 @@ fn first_instance(
     );
     fleet.submit_trace(head);
     let report = fleet.finish_with_cut(shards);
-    report.shards.iter().map(|s| s.cache).collect()
+    report.metrics().shards.iter().map(|s| s.cache).collect()
 }
 
 /// Keystone: a second fleet instance pointed at the first's spill directory
@@ -107,7 +107,7 @@ fn second_instance_warm_boots_from_first_spill() {
         let p = policy();
         let full = run_partition(cache_cfg(), StaticDriver::new(p), part);
         assert_eq!(
-            report.shards[s].cache,
+            report.metrics().shards[s].cache,
             full.cache.diff(&first[s]),
             "shard {s}: warm-booted window diverges from the uninterrupted run"
         );
@@ -261,7 +261,7 @@ fn an_old_version_spill_boots_cold_and_is_never_misparsed() {
         let events = handle.cells()[0].obs().journal.snapshot().events;
         assert_eq!(handle.snapshot().shards[0].warm_boots, 0, "a version-2 spill must not restore");
         assert!(events.iter().any(|e| e.kind == EventKind::RestoreCold), "the refusal is journaled");
-        report.shards[0].cache
+        report.metrics().shards[0].cache
     };
     // Nothing sent, so nothing cut: the refused file is simply gone.
     std::fs::write(&path, &old).unwrap();
