@@ -248,6 +248,24 @@ mod tests {
     }
 
     #[test]
+    fn random_plans_are_pinned() {
+        // Logged plans replay from their seed, so the generator's draws are
+        // part of the format.
+        let event = |conn, at_frame, kind| NetFaultEvent { conn, at_frame, kind };
+        assert_eq!(
+            NetFaultPlan::random(7, 4, 1_000, 6).events(),
+            [
+                event(0, 743, NetFaultKind::Corrupt),
+                event(1, 425, NetFaultKind::AcceptPause { spins: 812 }),
+                event(2, 305, NetFaultKind::Stall { spins: 7_934 }),
+                event(2, 344, NetFaultKind::Stall { spins: 1_528 }),
+                event(3, 804, NetFaultKind::Stall { spins: 2_507 }),
+                event(3, 991, NetFaultKind::Corrupt),
+            ]
+        );
+    }
+
+    #[test]
     fn cursor_yields_frame_events_in_order() {
         let plan = NetFaultPlan::new(vec![
             NetFaultEvent { conn: 0, at_frame: 3, kind: NetFaultKind::Stall { spins: 1 } },
