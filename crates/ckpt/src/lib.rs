@@ -52,11 +52,10 @@
 //!   instead of diffing when the writer knows them.
 //! * [`replica`] — [`CutFrame`](replica::CutFrame): the one shard-,
 //!   generation- and role-addressed cut envelope (full image or row delta)
-//!   with its one sender ([`ship`](replica::CutFrame::ship), or
-//!   [`ship_changes`](replica::CutFrame::ship_changes) with the writer's
-//!   list) and one gate with one rebuild behind it, in place over an image
-//!   the receiver owns ([`rebuild`](replica::CutFrame::rebuild)) or over a
-//!   copy of one it borrows ([`apply`](replica::CutFrame::apply)).
+//!   with its one sender ([`ship`](replica::CutFrame::ship), taking the
+//!   writer's list when it has one) and one receiver
+//!   ([`rebuild`](replica::CutFrame::rebuild)): a gate with one rebuild
+//!   behind it, in place over an image the receiver owns.
 //! * [`delta`] — the rsync-style block diff the row delta replaced,
 //!   retired from serving (see its docs).
 

@@ -10,14 +10,12 @@
 //! steady cut ships the rows that changed plus the image's other bytes, and
 //! a [`CutPayload::Full`] image otherwise — and the receiver calls
 //! [`CutFrame::rebuild`], which rebuilds the cut over the image it owns, in
-//! that image's allocation (the standby), or [`CutFrame::apply`], which
-//! rebuilds it over a copy of a base it borrows (a resize handoff); both
-//! run the one rebuild of [`rows`]. Both ends take the holder's
-//! [`LayoutFn`]: this crate does not know what a checkpoint looks like
-//! inside. A sender that knows
-//! which rows its image changed since the cut the receiver holds — the
-//! replica feed, whose writer merged the image into that cut — passes its
-//! list to [`CutFrame::ship_changes`], which ships the same bytes without
+//! that image's allocation: the standby's held image, or a resize
+//! handoff's copy of its base. Both ends take the holder's [`LayoutFn`]:
+//! this crate does not know what a checkpoint looks like inside. A sender
+//! that knows which rows its image changed since the cut the receiver
+//! holds — the replica feed, whose writer merged the image into that cut —
+//! passes its list to `ship`, which then ships the same bytes without
 //! walking either image.
 //!
 //! ## Frame format (magic `DRBR`, version 3, CRC-64 sealed)
@@ -34,8 +32,7 @@
 //! Version 2 carried a block delta instead; envelopes never persist, so a
 //! version 2 envelope is simply refused ([`CkptError::BadVersion`]).
 //!
-//! [`CutFrame::apply`] and [`CutFrame::rebuild`] are the receiver's gate:
-//! each refuses a shipment addressed to another shard ([`CutError::WrongShard`]) or generation
+//! [`CutFrame::rebuild`] is the receiver's gate: it refuses a shipment addressed to another shard ([`CutError::WrongShard`]) or generation
 //! ([`CutError::WrongGeneration`]), one from the other flow
 //! ([`CutError::WrongRole`] — a standby never applies a handoff and a
 //! resize never boots from a replica feed), and a delta whose `base_seq` is
@@ -189,20 +186,6 @@ pub struct Held<'a> {
     pub image: &'a [u8],
 }
 
-/// What [`CutFrame::apply`] hands the receiver.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AppliedCut {
-    /// Request-sequence boundary the envelope claims for the cut.
-    pub seq: u64,
-    /// Base boundary the payload was a delta against (`None`: full image).
-    pub base_seq: Option<u64>,
-    /// Bytes the payload shipped — a full image's length, or the row
-    /// delta's. The replication accounting compares this against the image.
-    pub shipped_bytes: u64,
-    /// The resolved checkpoint frame, still under its own seal.
-    pub image: Vec<u8>,
-}
-
 /// What [`CutFrame::rebuild`] made of the holder's image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RebuiltCut {
@@ -211,7 +194,7 @@ pub struct RebuiltCut {
     /// Base boundary the payload was a delta against (`None`: full image).
     pub base_seq: Option<u64>,
     /// Bytes the payload shipped — a full image's length, or the row
-    /// delta's.
+    /// delta's. The replication accounting compares this against the image.
     pub shipped_bytes: u64,
 }
 
@@ -297,27 +280,14 @@ impl CutFrame {
     /// The sender: seals `image` (the cut at `seq`) into wire bytes — as a
     /// row delta against `held`, the cut the receiver already holds, when
     /// there is one and `layout` finds the same tables in both images, as
-    /// the full image otherwise.
-    pub fn ship(
-        shard: usize,
-        generation: u32,
-        role: CutRole,
-        seq: u64,
-        image: &[u8],
-        held: Option<Held<'_>>,
-        layout: LayoutFn,
-    ) -> Vec<u8> {
-        Self::ship_changes(shard, generation, role, seq, image, held, None, layout)
-    }
-
-    /// [`ship`](Self::ship) for a sender that knows which rows its image
-    /// changed since the cut it wrote before: when `changes` were taken
-    /// against the cut the receiver holds (`held.seq == changes.base_seq`),
-    /// the row delta is planned from their list and neither image's tables
-    /// are walked; against any other base it is planned by diffing, as
-    /// `ship` does. The envelope is the same bytes either way.
+    /// the full image otherwise. A sender that knows which rows its image
+    /// changed since the cut it wrote before passes them as `changes`: when
+    /// they were taken against the cut the receiver holds
+    /// (`held.seq == changes.base_seq`), the row delta is planned from their
+    /// list and neither image's tables are walked; otherwise it is planned
+    /// by diffing. The envelope is the same bytes either way.
     #[allow(clippy::too_many_arguments)]
-    pub fn ship_changes(
+    pub fn ship(
         shard: usize,
         generation: u32,
         role: CutRole,
@@ -379,42 +349,12 @@ impl CutFrame {
     }
 
     /// The receiver's gate: decodes `wire`, checks it is addressed to this
-    /// `shard`, `generation` and `role`, then materializes the image — the
-    /// full payload itself, or the row delta rebuilt over a copy of `held`,
-    /// which must be the cut the receiver holds at the delta's `base_seq`
-    /// and lay out under `layout`. For a holder that borrows its base (a
-    /// resize handoff reads it from a slot); one that owns it calls
-    /// [`rebuild`](Self::rebuild).
-    pub fn apply(
-        wire: &[u8],
-        shard: usize,
-        generation: u32,
-        role: CutRole,
-        held: Option<Held<'_>>,
-        layout: LayoutFn,
-    ) -> Result<AppliedCut, CutError> {
-        let cut = CutRef::gate(wire, shard, generation, role)?;
-        let (base_seq, shipped, image) = match cut.payload {
-            PayloadRef::Full(bytes) => (None, bytes, bytes.to_vec()),
-            PayloadRef::Rows { base_seq, rows } => {
-                let base = held
-                    .filter(|base| base.seq == base_seq)
-                    .ok_or(CutError::WrongBase { base_seq, held: held.map(|h| h.seq) })?;
-                let checked = rows::check(rows, base.image, layout)?;
-                let mut image = Vec::with_capacity(checked.room());
-                image.extend_from_slice(base.image);
-                rows::rebuild(&mut image, &checked);
-                (Some(base_seq), rows, image)
-            }
-        };
-        Ok(AppliedCut { seq: cut.seq, base_seq, shipped_bytes: shipped.len() as u64, image })
-    }
-
-    /// [`apply`](Self::apply) for a holder that owns the image it holds —
-    /// `image`, the cut at `held` (`None`: it holds none, and `image` is
-    /// only an allocation) — and rebuilds the shipped cut in it, in place:
-    /// a full payload is copied into its allocation, a row delta is rebuilt
-    /// over it. Every refusal leaves `image` as it was, byte for byte.
+    /// `shard`, `generation` and `role`, then rebuilds the shipped cut in
+    /// `image`, the cut the holder owns at `held` (`None`: it holds none,
+    /// and `image` is only an allocation), in place: a full payload is
+    /// copied into its allocation, a row delta — which must be against
+    /// `held` and lay out under `layout` — is rebuilt over it. Every refusal
+    /// leaves `image` as it was, byte for byte.
     pub fn rebuild(
         wire: &[u8],
         shard: usize,
@@ -479,28 +419,40 @@ mod tests {
         image((0..4_000).map(|id| (2 * id, id)), &[0xB1; 300])
     }
 
-    /// What a holder does with a shipment: apply it, then open the result
+    /// A holder that borrows its base: rebuilds the shipment over its own
+    /// copy of `held`.
+    fn receive(
+        wire: &[u8],
+        shard: usize,
+        generation: u32,
+        role: CutRole,
+        held: Option<Held<'_>>,
+    ) -> Result<(RebuiltCut, Vec<u8>), CutError> {
+        let mut image = held.map_or_else(Vec::new, |h| h.image.to_vec());
+        let cut =
+            CutFrame::rebuild(wire, shard, generation, role, held.map(|h| h.seq), &mut image, layout)?;
+        Ok((cut, image))
+    }
+
+    /// What a holder does with a shipment: rebuild it, then open the result
     /// under its own seal.
     fn resolve(wire: &[u8], held: Option<Held<'_>>) -> Result<Vec<u8>, CutError> {
-        let cut = CutFrame::apply(wire, 0, 0, CutRole::Replica, held, layout)?;
-        open(&cut.image, MAGIC, 1)?;
-        Ok(cut.image)
+        let (_, image) = receive(wire, 0, 0, CutRole::Replica, held)?;
+        open(&image, MAGIC, 1)?;
+        Ok(image)
     }
 
     #[test]
     fn full_shipment_resolves_to_the_image() {
         let img = base();
         for role in [CutRole::Replica, CutRole::Handoff] {
-            let wire = CutFrame::ship(3, 2, role, 1_000, &img, None, layout);
-            let applied = CutFrame::apply(&wire, 3, 2, role, None, layout).unwrap();
+            let wire = CutFrame::ship(3, 2, role, 1_000, &img, None, None, layout);
             assert_eq!(
-                applied,
-                AppliedCut {
-                    seq: 1_000,
-                    base_seq: None,
-                    shipped_bytes: img.len() as u64,
-                    image: img.clone()
-                }
+                receive(&wire, 3, 2, role, None),
+                Ok((
+                    RebuiltCut { seq: 1_000, base_seq: None, shipped_bytes: img.len() as u64 },
+                    img.clone()
+                ))
             );
         }
     }
@@ -517,11 +469,11 @@ mod tests {
             &[0xB2; 300],
         );
         let held = Held { seq: 1_000, image: &base };
-        let wire = CutFrame::ship(0, 0, CutRole::Replica, 2_000, &target, Some(held), layout);
-        let applied = CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some(held), layout).unwrap();
-        assert_eq!(applied.image, target);
-        assert_eq!(applied.base_seq, Some(1_000));
-        assert!(applied.shipped_bytes < target.len() as u64 / 10, "a row delta ships the changed rows");
+        let wire = CutFrame::ship(0, 0, CutRole::Replica, 2_000, &target, Some(held), None, layout);
+        let (cut, rebuilt) = receive(&wire, 0, 0, CutRole::Replica, Some(held)).unwrap();
+        assert_eq!(rebuilt, target);
+        assert_eq!(cut.base_seq, Some(1_000));
+        assert!(cut.shipped_bytes < target.len() as u64 / 10, "a row delta ships the changed rows");
         // No base, or a base at another boundary, is refused before any
         // delta work.
         assert_eq!(resolve(&wire, None), Err(CutError::WrongBase { base_seq: 1_000, held: None }));
@@ -551,13 +503,12 @@ mod tests {
         );
         let held = Some(Held { seq: 1_000, image: &base });
         let ship = |changes: Option<&Changes>| {
-            CutFrame::ship_changes(0, 0, CutRole::Replica, 2_000, &target, held, changes, layout)
+            CutFrame::ship(0, 0, CutRole::Replica, 2_000, &target, held, changes, layout)
         };
-        let diffed = CutFrame::ship(0, 0, CutRole::Replica, 2_000, &target, held, layout);
+        let diffed = ship(None);
         let upserts: Vec<u32> = (0..4_000).filter(|id| id % 100 == 3).chain([4_000]).collect();
         let changes = Changes { base_seq: 1_000, upserts: vec![upserts.clone()] };
         assert_eq!(ship(Some(&changes)), diffed);
-        assert_eq!(ship(None), diffed);
         let elsewhere = Changes { base_seq: 999, upserts: vec![Vec::new()] };
         assert_eq!(ship(Some(&elsewhere)), diffed, "a list against another base is not used");
         let short = Changes { base_seq: 1_000, upserts: vec![upserts[1..].to_vec()] };
@@ -576,7 +527,7 @@ mod tests {
         let target =
             image((0..4_000).map(|id| (2 * id, if id == 1_500 { 0 } else { id })), &[0xB1; 300]);
         let held = Held { seq: 1_000, image: &base };
-        let wire = CutFrame::ship(0, 0, CutRole::Replica, 2_000, &target, Some(held), layout);
+        let wire = CutFrame::ship(0, 0, CutRole::Replica, 2_000, &target, Some(held), None, layout);
         assert_eq!(resolve(&wire, Some(held)), Ok(target.clone()));
         let row = |id: usize| HEADER_LEN + 16 + 16 * id + 8;
         // A kept row damaged after the base was taken.
@@ -604,9 +555,9 @@ mod tests {
         let unlaid = b"not a frame at all".to_vec();
         for (held, target) in [(&unlaid, &base), (&base, &unlaid)] {
             let held = Held { seq: 1, image: held };
-            let wire = CutFrame::ship(0, 0, CutRole::Replica, 2, target, Some(held), layout);
-            let applied = CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some(held), layout).unwrap();
-            assert_eq!((applied.base_seq, &applied.image), (None, target));
+            let wire = CutFrame::ship(0, 0, CutRole::Replica, 2, target, Some(held), None, layout);
+            let (cut, rebuilt) = receive(&wire, 0, 0, CutRole::Replica, Some(held)).unwrap();
+            assert_eq!((cut.base_seq, &rebuilt), (None, target));
         }
     }
 
@@ -618,7 +569,7 @@ mod tests {
         let base = base();
         let target = image((0..4_200).map(|id| (2 * id, id / 2)), &[0xB1; 300]);
         let held = Held { seq: 1, image: &base };
-        let wire = CutFrame::ship(0, 0, CutRole::Replica, 2, &target, Some(held), layout);
+        let wire = CutFrame::ship(0, 0, CutRole::Replica, 2, &target, Some(held), None, layout);
         assert_eq!(wire.capacity(), wire.len(), "the rows are counted, then written to size");
         let mut image = Vec::with_capacity(128 * 1024);
         image.extend_from_slice(&base);
@@ -639,16 +590,13 @@ mod tests {
         assert_eq!((rebuilt.seq, rebuilt.base_seq), (2, Some(1)));
         assert_eq!((image.as_ptr(), &image), (at, &target));
         // A full payload lands in the held allocation too.
-        let full = CutFrame::ship(0, 0, CutRole::Replica, 3, &base, None, layout);
+        let full = CutFrame::ship(0, 0, CutRole::Replica, 3, &base, None, None, layout);
         assert_eq!(rebuild(&full, Some(2), &mut image).unwrap().base_seq, None);
         assert_eq!((image.as_ptr(), &image), (at, &base));
-        // Grown, an image is grown to the target's length exactly — as is
-        // one a holder that borrows its base applies.
+        // Grown, an image is grown to the target's length exactly.
         let mut exact = base.clone();
         rebuild(&wire, Some(1), &mut exact).unwrap();
         assert_eq!((exact.capacity(), &exact), (target.len(), &target));
-        let applied = CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some(held), layout).unwrap();
-        assert_eq!((applied.image.capacity(), &applied.image), (target.len(), &target));
     }
 
     /// A row delta's payload, to be forged: its base seq and bytes.
@@ -670,17 +618,17 @@ mod tests {
 
     #[test]
     fn wrong_addressing_is_rejected_specifically() {
-        let wire = CutFrame::ship(3, 2, CutRole::Replica, 500, &base(), None, layout);
+        let wire = CutFrame::ship(3, 2, CutRole::Replica, 500, &base(), None, None, layout);
         assert_eq!(
-            CutFrame::apply(&wire, 4, 2, CutRole::Replica, None, layout),
+            receive(&wire, 4, 2, CutRole::Replica, None),
             Err(CutError::WrongShard { expected: 4, found: 3 })
         );
         assert_eq!(
-            CutFrame::apply(&wire, 3, 7, CutRole::Replica, None, layout),
+            receive(&wire, 3, 7, CutRole::Replica, None),
             Err(CutError::WrongGeneration { expected: 7, found: 2 })
         );
         assert_eq!(
-            CutFrame::apply(&wire, 3, 2, CutRole::Handoff, None, layout),
+            receive(&wire, 3, 2, CutRole::Handoff, None),
             Err(CutError::WrongRole { expected: CutRole::Handoff, found: CutRole::Replica })
         );
     }
@@ -702,15 +650,12 @@ mod tests {
 
     #[test]
     fn damage_is_detected_not_applied() {
-        let wire = CutFrame::ship(3, 2, CutRole::Handoff, 900, &base(), None, layout);
+        let wire = CutFrame::ship(3, 2, CutRole::Handoff, 900, &base(), None, None, layout);
         for keep in [0, 1, wire.len() / 2, wire.len() - 1] {
             assert!(CutFrame::from_frame(&wire[..keep]).is_err(), "kept {keep} bytes");
         }
         let mut flipped = wire.clone();
         flipped[wire.len() / 2] ^= 0x10;
-        assert!(matches!(
-            CutFrame::apply(&flipped, 3, 2, CutRole::Handoff, None, layout),
-            Err(CutError::Frame(_))
-        ));
+        assert!(matches!(receive(&flipped, 3, 2, CutRole::Handoff, None), Err(CutError::Frame(_))));
     }
 }

@@ -24,7 +24,7 @@
 //!   reports throughput and latency percentiles (log-bucketed
 //!   [`darwin_obs`] histograms), plus one-shot [`loadgen::fetch_stats`] /
 //!   [`loadgen::fetch_events`] monitoring clients.
-//! * [`netfault`] — a deterministic transport-fault injector
+//! * [`netfault`] — the transport faults of `darwin-shard`'s fault script
 //!   ([`netfault::NetFaultPlan`]): scripted connection resets, stalls,
 //!   frame corruption and accept pauses keyed off frame sequence numbers,
 //!   for bit-for-bit reproducible hostile-network runs.

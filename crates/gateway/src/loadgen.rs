@@ -28,6 +28,7 @@
 
 use crate::wire::{encode_get, FrameReader, Message, RecvError, VerdictOutcome, WireVerdict};
 use darwin_obs::{decode_fleet_events, Histogram, HistogramSnapshot, JournalSnapshot};
+use darwin_shard::mix64;
 use darwin_trace::{Request, Trace};
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -251,14 +252,6 @@ fn contiguous_chunks(trace: &[Request], parts: usize) -> Vec<&[Request]> {
     out
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Exponential backoff with full jitter: uniform in
 /// `(0, min(cap, backoff · 2^failures)]`, so concurrent reconnecting
 /// connections spread out instead of stampeding.
@@ -268,7 +261,13 @@ fn backoff_delay(cfg: &LoadgenConfig, consecutive_failures: u32, rng: &mut u64) 
         .saturating_mul(1u32 << consecutive_failures.saturating_sub(1).min(20))
         .min(cfg.backoff_cap)
         .as_nanos() as u64;
-    Duration::from_nanos(if ceiling == 0 { 0 } else { splitmix64(rng) % ceiling + 1 })
+    if ceiling == 0 {
+        return Duration::ZERO;
+    }
+    // One SplitMix64 step over the router's mix.
+    let draw = mix64(*rng);
+    *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    Duration::from_nanos(draw % ceiling + 1)
 }
 
 /// What one connection accumulated.

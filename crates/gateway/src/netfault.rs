@@ -1,7 +1,7 @@
 //! Deterministic network fault injection for chaos testing the gateway.
 //!
-//! A [`NetFaultPlan`] is the transport-layer sibling of the fleet's
-//! `FaultPlan`: a script of [`NetFaultEvent`]s, each keyed off a **gateway
+//! A [`NetFaultPlan`] is the fleet's fault script ([`darwin_shard::fault`])
+//! over [`NetFaultKind`]: each [`NetFaultEvent`] is keyed off a **gateway
 //! connection id** (the 0-based accept order) and a **per-connection frame
 //! sequence number** (the 0-based index of a well-formed frame decoded on
 //! that connection). Neither key involves a wall clock, so the same client
@@ -9,56 +9,42 @@
 //! frames, run after run — hostile-network runs are bit-for-bit auditable
 //! through the gateway's event journal.
 //!
-//! Four fault kinds are scripted:
-//!
-//! * [`NetFaultKind::Reset`] — the connection is torn down abruptly right
-//!   after decoding the frame at the event's index, as if the peer's NAT
-//!   dropped the mapping. In-flight replies are abandoned; the client sees a
-//!   reset/EOF and follows its reconnect-and-resubmit protocol.
-//! * [`NetFaultKind::Stall`] — the reader spins `spins` iterations before
-//!   handling the frame: a deterministic stand-in for a congested or
-//!   bufferbloated path.
-//! * [`NetFaultKind::Corrupt`] — the frame at the event's index is treated
-//!   as damaged in flight: it is rejected (counted in `frames_rejected`)
-//!   and the connection is closed, exactly as a real CRC-failed or
-//!   malformed frame would be handled.
-//! * [`NetFaultKind::AcceptPause`] — the acceptor spins before accepting
-//!   the connection with this id, simulating a listen-queue stall (SYN
-//!   flood aftermath).
-//!
 //! Every fired fault is journaled as a gateway
 //! [`EventKind::NetFault`](darwin_obs::EventKind::NetFault) and counted in
 //! the gateway's `net_faults` counter.
 
+use darwin_shard::fault::{Fault, Plan, PlanEvent};
 use serde::{Deserialize, Serialize};
 
 /// What happens when a [`NetFaultEvent`] fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NetFaultKind {
     /// Tear the connection down abruptly right after the keyed frame is
-    /// decoded (before it is handled).
+    /// decoded (before it is handled), as if the peer's NAT dropped the
+    /// mapping: in-flight replies are abandoned and the client follows its
+    /// reconnect-and-resubmit protocol.
     Reset,
-    /// Spin this many iterations before handling the keyed frame.
+    /// Spin this many iterations before handling the keyed frame: a
+    /// stand-in for a congested or bufferbloated path.
     Stall {
-        /// Busy-loop iterations (`std::hint::spin_loop`), bounding the stall
-        /// without any wall-clock dependency.
+        /// Busy-loop iterations ([`spin`](darwin_shard::fault::spin)),
+        /// bounding the stall without any wall-clock dependency.
         spins: u32,
     },
-    /// Treat the keyed frame as corrupted in flight: reject it and close
-    /// the connection, as the codec does for genuinely malformed bytes.
+    /// Treat the keyed frame as corrupted in flight: reject it (counted in
+    /// `frames_rejected`) and close the connection, as the codec does for
+    /// genuinely malformed bytes.
     Corrupt,
-    /// Spin this many iterations before accepting the keyed connection
-    /// (`at_frame` is ignored for this kind).
+    /// Spin this many iterations before accepting the keyed connection, a
+    /// listen-queue stall (`at` is ignored for this kind).
     AcceptPause {
         /// Busy-loop iterations in the acceptor.
         spins: u32,
     },
 }
 
-impl NetFaultKind {
-    /// Stable journal label. Part of the deterministic journal contract:
-    /// integers and fixed strings only.
-    pub fn label(&self) -> String {
+impl Fault for NetFaultKind {
+    fn label(&self) -> String {
         match self {
             NetFaultKind::Reset => "reset".into(),
             NetFaultKind::Stall { spins } => format!("stall({spins})"),
@@ -66,157 +52,46 @@ impl NetFaultKind {
             NetFaultKind::AcceptPause { spins } => format!("accept-pause({spins})"),
         }
     }
-}
 
-/// One scripted network fault: `kind` fires on connection `conn` at its
-/// frame number `at_frame` (accept time for [`NetFaultKind::AcceptPause`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NetFaultEvent {
-    /// Gateway connection id (0-based accept order) the fault fires on.
-    pub conn: u64,
-    /// Per-connection frame sequence number (0-based decode index) the
-    /// fault is keyed to. Ignored by [`NetFaultKind::AcceptPause`].
-    pub at_frame: u64,
-    /// What happens.
-    pub kind: NetFaultKind,
-}
-
-/// A deterministic hostile-network script: a set of [`NetFaultEvent`]s,
-/// held sorted by `(conn, at_frame)`. The default plan is empty (a healthy
-/// network).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NetFaultPlan {
-    events: Vec<NetFaultEvent>,
-}
-
-impl NetFaultPlan {
-    /// A plan over the given events (sorted internally; at most one
-    /// connection-ending fault per `(conn, at_frame)` is kept).
-    pub fn new(events: Vec<NetFaultEvent>) -> Self {
-        let mut plan = Self { events };
-        plan.normalize();
-        plan
-    }
-
-    /// Adds one event.
-    pub fn push(&mut self, event: NetFaultEvent) {
-        self.events.push(event);
-        self.normalize();
-    }
-
-    /// True when the plan scripts no faults.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The scripted events, sorted by `(conn, at_frame)`.
-    pub fn events(&self) -> &[NetFaultEvent] {
-        &self.events
-    }
-
-    fn normalize(&mut self) {
-        self.events.sort_by_key(|e| (e.conn, e.at_frame, fault_rank(e.kind)));
-        self.events.dedup_by(|a, b| a.conn == b.conn && a.at_frame == b.at_frame && a.kind == b.kind);
-    }
-
-    /// A seeded random plan: `n_events` faults spread over `conns`
-    /// connections with per-connection frame indices below `horizon`. Same
-    /// seed ⇒ same plan (self-contained SplitMix64, the fleet's constants).
-    pub fn random(seed: u64, conns: u64, horizon: u64, n_events: usize) -> Self {
-        assert!(conns > 0, "at least one connection");
-        assert!(horizon > 0, "horizon must be positive");
-        let mut state = seed;
-        let mut next = move || -> u64 {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let mut events = Vec::with_capacity(n_events);
-        for _ in 0..n_events {
-            let conn = next() % conns;
-            let at_frame = next() % horizon;
-            let kind = match next() % 4 {
-                0 => NetFaultKind::Reset,
-                1 => NetFaultKind::Corrupt,
-                2 => NetFaultKind::Stall { spins: (next() % 8_192) as u32 },
-                _ => NetFaultKind::AcceptPause { spins: (next() % 8_192) as u32 },
-            };
-            events.push(NetFaultEvent { conn, at_frame, kind });
+    // A stall fires before the reset or corruption that ends the connection.
+    fn rank(&self) -> u8 {
+        match self {
+            NetFaultKind::AcceptPause { .. } => 0,
+            NetFaultKind::Stall { .. } => 1,
+            NetFaultKind::Corrupt => 2,
+            NetFaultKind::Reset => 3,
         }
-        Self::new(events)
     }
 
-    /// The connection-scoped cursor for `conn`'s frame-keyed events
-    /// (everything except accept pauses).
-    pub(crate) fn cursor(&self, conn: u64) -> ConnFaultCursor {
-        let events = self
-            .events
-            .iter()
-            .filter(|e| e.conn == conn && !matches!(e.kind, NetFaultKind::AcceptPause { .. }))
-            .map(|e| (e.at_frame, e.kind))
-            .collect();
-        ConnFaultCursor { events, next: 0 }
-    }
-
-    /// Accept-pause spins scripted for connection `conn`, if any (summed
-    /// over duplicate events).
-    pub(crate) fn accept_pause(&self, conn: u64) -> Option<u32> {
-        let total: u64 = self
-            .events
-            .iter()
-            .filter(|e| e.conn == conn)
-            .filter_map(|e| match e.kind {
-                NetFaultKind::AcceptPause { spins } => Some(spins as u64),
-                _ => None,
-            })
-            .sum();
-        (total > 0).then(|| total.min(u32::MAX as u64) as u32)
-    }
-}
-
-/// Sort rank so that at one `(conn, at_frame)` a stall fires before a
-/// connection-ending reset/corrupt.
-fn fault_rank(kind: NetFaultKind) -> u8 {
-    match kind {
-        NetFaultKind::AcceptPause { .. } => 0,
-        NetFaultKind::Stall { .. } => 1,
-        NetFaultKind::Corrupt => 2,
-        NetFaultKind::Reset => 3,
-    }
-}
-
-/// One connection's view of the plan: its frame-keyed events, consumed in
-/// order as the reader counts decoded frames.
-#[derive(Debug, Default)]
-pub(crate) struct ConnFaultCursor {
-    events: Vec<(u64, NetFaultKind)>,
-    next: usize,
-}
-
-impl ConnFaultCursor {
-    /// Pops the next fault scheduled at frame `idx`, if any. Callers loop
-    /// until `None`: a stall and a reset may share a frame.
-    pub(crate) fn take(&mut self, idx: u64) -> Option<NetFaultKind> {
-        while self.events.get(self.next).is_some_and(|&(at, _)| at < idx) {
-            self.next += 1;
+    fn draw(next: &mut impl FnMut() -> u64) -> Self {
+        match next() % 4 {
+            0 => NetFaultKind::Reset,
+            1 => NetFaultKind::Corrupt,
+            2 => NetFaultKind::Stall { spins: (next() % 8_192) as u32 },
+            _ => NetFaultKind::AcceptPause { spins: (next() % 8_192) as u32 },
         }
-        match self.events.get(self.next) {
-            Some(&(at, kind)) if at == idx => {
-                self.next += 1;
-                Some(kind)
-            }
+    }
+}
+
+/// A hostile-network script, keyed by connection and frame index. The
+/// default plan is empty (a healthy network).
+pub type NetFaultPlan = Plan<NetFaultKind>;
+/// One scripted network fault.
+pub type NetFaultEvent = PlanEvent<NetFaultKind>;
+
+/// Accept-pause spins scripted for connection `conn`, if any (summed over
+/// duplicate events).
+pub(crate) fn accept_pause(plan: &NetFaultPlan, conn: u64) -> Option<u32> {
+    let total: u64 = plan
+        .events()
+        .iter()
+        .filter(|e| e.unit as u64 == conn)
+        .filter_map(|e| match e.kind {
+            NetFaultKind::AcceptPause { spins } => Some(spins as u64),
             _ => None,
-        }
-    }
-}
-
-/// Deterministic busy-wait used by stall and accept-pause faults.
-pub(crate) fn spin(spins: u32) {
-    for _ in 0..spins {
-        std::hint::spin_loop();
-    }
+        })
+        .sum();
+    (total > 0).then(|| total.min(u32::MAX as u64) as u32)
 }
 
 #[cfg(test)]
@@ -226,10 +101,10 @@ mod tests {
     #[test]
     fn plans_sort_and_dedup() {
         let plan = NetFaultPlan::new(vec![
-            NetFaultEvent { conn: 1, at_frame: 50, kind: NetFaultKind::Reset },
-            NetFaultEvent { conn: 0, at_frame: 10, kind: NetFaultKind::Corrupt },
-            NetFaultEvent { conn: 1, at_frame: 50, kind: NetFaultKind::Reset },
-            NetFaultEvent { conn: 1, at_frame: 50, kind: NetFaultKind::Stall { spins: 5 } },
+            NetFaultEvent { unit: 1, at: 50, kind: NetFaultKind::Reset },
+            NetFaultEvent { unit: 0, at: 10, kind: NetFaultKind::Corrupt },
+            NetFaultEvent { unit: 1, at: 50, kind: NetFaultKind::Reset },
+            NetFaultEvent { unit: 1, at: 50, kind: NetFaultKind::Stall { spins: 5 } },
         ]);
         assert_eq!(plan.events().len(), 3, "duplicate reset collapsed");
         // The stall sorts before the reset at the shared frame.
@@ -238,20 +113,10 @@ mod tests {
     }
 
     #[test]
-    fn random_plans_are_seed_deterministic() {
-        let a = NetFaultPlan::random(7, 4, 1_000, 12);
-        let b = NetFaultPlan::random(7, 4, 1_000, 12);
-        let c = NetFaultPlan::random(8, 4, 1_000, 12);
-        assert_eq!(a, b, "same seed, same plan");
-        assert_ne!(a, c, "different seed, different plan");
-        assert!(a.events().iter().all(|e| e.conn < 4 && e.at_frame < 1_000));
-    }
-
-    #[test]
     fn random_plans_are_pinned() {
         // Logged plans replay from their seed, so the generator's draws are
         // part of the format.
-        let event = |conn, at_frame, kind| NetFaultEvent { conn, at_frame, kind };
+        let event = |unit, at, kind| NetFaultEvent { unit, at, kind };
         assert_eq!(
             NetFaultPlan::random(7, 4, 1_000, 6).events(),
             [
@@ -263,32 +128,5 @@ mod tests {
                 event(3, 991, NetFaultKind::Corrupt),
             ]
         );
-    }
-
-    #[test]
-    fn cursor_yields_frame_events_in_order() {
-        let plan = NetFaultPlan::new(vec![
-            NetFaultEvent { conn: 0, at_frame: 3, kind: NetFaultKind::Stall { spins: 1 } },
-            NetFaultEvent { conn: 0, at_frame: 3, kind: NetFaultKind::Reset },
-            NetFaultEvent { conn: 0, at_frame: 9, kind: NetFaultKind::Corrupt },
-            NetFaultEvent { conn: 0, at_frame: 0, kind: NetFaultKind::AcceptPause { spins: 7 } },
-            NetFaultEvent { conn: 1, at_frame: 4, kind: NetFaultKind::Reset },
-        ]);
-        let mut cur = plan.cursor(0);
-        assert_eq!(cur.take(0), None, "accept pauses are not frame events");
-        assert_eq!(cur.take(3), Some(NetFaultKind::Stall { spins: 1 }));
-        assert_eq!(cur.take(3), Some(NetFaultKind::Reset));
-        assert_eq!(cur.take(3), None);
-        assert_eq!(cur.take(9), Some(NetFaultKind::Corrupt));
-        assert_eq!(plan.accept_pause(0), Some(7));
-        assert_eq!(plan.accept_pause(1), None);
-    }
-
-    #[test]
-    fn plan_serde_roundtrips() {
-        let plan = NetFaultPlan::random(42, 3, 1_000, 6);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: NetFaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 }

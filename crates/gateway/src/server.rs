@@ -29,10 +29,11 @@
 use crate::conn::{
     writer_loop, ConnSink, GatewayEnvelope, PendingBatch, Reply, ReplyCounters, SinkGuard,
 };
-use crate::netfault::{spin, NetFaultKind, NetFaultPlan};
+use crate::netfault::{accept_pause, NetFaultKind, NetFaultPlan};
 use crate::wire::{FrameReader, Message, RecvError, WireVerdict, MAX_BODY_LEN};
 use darwin_cache::CacheConfig;
 use darwin_obs::{EventKind, Journal};
+use darwin_shard::fault::{spin, Fault};
 use darwin_shard::{
     ElasticFleet, ElasticReport, FaultPlan, FleetConfig, FleetMetrics, FleetReport, GatewaySnapshot,
     GenerationSummary, Router,
@@ -441,7 +442,7 @@ fn acceptor_loop<D: AdmissionDriver + Send + 'static>(
                 // Scripted listen-queue stall: spin before handing the
                 // connection to its worker, so every later frame on every
                 // connection observes the same accept ordering.
-                if let Some(spins) = shared.cfg.net_fault_plan.accept_pause(id) {
+                if let Some(spins) = accept_pause(&shared.cfg.net_fault_plan, id) {
                     Counters::add(&shared.counters.net_faults, 1);
                     shared.journal.record(
                         id,
@@ -549,7 +550,7 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
     // `ConnThrottled` journals once per connection; the `throttled` counter
     // keeps counting records.
     let mut throttled_logged = false;
-    let mut faults = shared.cfg.net_fault_plan.cursor(id);
+    let mut faults = shared.cfg.net_fault_plan.cursor(id as usize, 0);
     let mut frames_decoded = 0u64;
     // True ⇒ drain replies through `seq` before closing; false ⇒ abort now.
     let drain = loop {
@@ -566,6 +567,10 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
             frames_decoded += 1;
             let mut severed = false;
             while let Some(kind) = faults.take(frame) {
+                // Accept pauses fired when the connection was accepted.
+                if matches!(kind, NetFaultKind::AcceptPause { .. }) {
+                    continue;
+                }
                 Counters::add(&counters.net_faults, 1);
                 shared
                     .journal

@@ -395,7 +395,7 @@ fn events_frame_returns_fleet_journals() {
         cache_cfg(),
         Box::new(HashRouter),
         GatewayConfig {
-            fault_plan: FaultPlan::new(vec![FaultEvent { shard: 0, at: 500, kind: FaultKind::Panic }]),
+            fault_plan: FaultPlan::new(vec![FaultEvent { unit: 0, at: 500, kind: FaultKind::Panic }]),
             ..GatewayConfig::default()
         },
         move |_| StaticDriver::new(policy),
@@ -762,7 +762,7 @@ fn scripted_panic_then_resize_conserves_the_ledger() {
         cache_cfg(),
         Box::new(HashRouter),
         GatewayConfig {
-            fault_plan: FaultPlan::new(vec![FaultEvent { shard: 0, at: 500, kind: FaultKind::Panic }]),
+            fault_plan: FaultPlan::new(vec![FaultEvent { unit: 0, at: 500, kind: FaultKind::Panic }]),
             ..Default::default()
         },
         move |_| StaticDriver::new(policy),

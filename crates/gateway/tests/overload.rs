@@ -149,10 +149,10 @@ fn throttled_connection_retries_to_completion() {
 fn scripted_network_faults_are_survived_and_journaled() {
     let run = || {
         let plan = NetFaultPlan::new(vec![
-            NetFaultEvent { conn: 0, at_frame: 0, kind: NetFaultKind::AcceptPause { spins: 50_000 } },
-            NetFaultEvent { conn: 0, at_frame: 1, kind: NetFaultKind::Stall { spins: 100_000 } },
-            NetFaultEvent { conn: 0, at_frame: 3, kind: NetFaultKind::Reset },
-            NetFaultEvent { conn: 1, at_frame: 2, kind: NetFaultKind::Corrupt },
+            NetFaultEvent { unit: 0, at: 0, kind: NetFaultKind::AcceptPause { spins: 50_000 } },
+            NetFaultEvent { unit: 0, at: 1, kind: NetFaultKind::Stall { spins: 100_000 } },
+            NetFaultEvent { unit: 0, at: 3, kind: NetFaultKind::Reset },
+            NetFaultEvent { unit: 1, at: 2, kind: NetFaultKind::Corrupt },
         ]);
         let gateway =
             static_gateway(GatewayConfig { net_fault_plan: plan, ..GatewayConfig::default() }, 2);
@@ -277,7 +277,7 @@ fn greedy_flood_is_throttled_while_a_fair_cohort_completes() {
     let trace = compress_window(&hot, 0.4, 0.8, 4.0);
     let stall = FaultKind::Delay { spins: 500_000 };
     let stalls =
-        (0..SHARDS).flat_map(|shard| (0..8).map(move |at| FaultEvent { shard, at, kind: stall }));
+        (0..SHARDS).flat_map(|shard| (0..8).map(move |at| FaultEvent { unit: shard, at, kind: stall }));
     let policy = ThresholdPolicy::new(2, 100 * 1024);
     let gateway = Gateway::bind_with(
         "127.0.0.1:0",

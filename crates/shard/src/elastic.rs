@@ -32,7 +32,7 @@ use crate::fleet::{Envelope, FleetBoot, FleetConfig, FleetProducer, FleetReport,
 use crate::metrics::{FleetMetrics, GenerationSummary, MetricsHandle, ShardPhase};
 use crate::router::Router;
 use darwin_cache::CacheConfig;
-use darwin_ckpt::replica::{AppliedCut, CutError, CutFrame, CutRole, Held};
+use darwin_ckpt::replica::{CutError, CutFrame, CutRole, Held, RebuiltCut};
 use darwin_obs::EventKind;
 use darwin_testbed::AdmissionDriver;
 use darwin_trace::Request;
@@ -429,16 +429,17 @@ fn own_cut_seq(shard: usize, frame: &[u8]) -> Result<u64, CutError> {
 /// the worker had got when the resize was called.) Both ends of the shipment
 /// run here: the final cut and the base are each opened once as this
 /// shard's checkpoints, the cut goes through wire bytes, the destination
-/// decodes, address-checks and resolves it against that base, and opens
-/// the result once more as this shard's checkpoint at the final cut's
-/// boundary — whose CRC trailer is the final cut's own, so only the final
-/// cut's bytes pass — or the attempt fails loudly.
+/// decodes, address-checks and rebuilds it over its own copy of that base,
+/// and opens the result once more as this shard's checkpoint at the final
+/// cut's boundary — whose CRC trailer is the final cut's own, so only the
+/// final cut's bytes pass — or the attempt fails loudly. Returns the
+/// rebuild's accounting and the rebuilt image.
 fn ship_final_cut(
     s: usize,
     slot: &CheckpointSlot,
     to_gen: u32,
     with_base: bool,
-) -> Result<AppliedCut, CutError> {
+) -> Result<(RebuiltCut, Vec<u8>), CutError> {
     let mut candidates = slot.candidates();
     let final_frame =
         candidates.next().ok_or_else(|| state_err(format!("shard {s}: no final cut to hand off")))?;
@@ -449,12 +450,14 @@ fn ship_final_cut(
         None => None,
     };
     let layout = ShardCheckpoint::layout;
-    let wire = CutFrame::ship(s, to_gen, CutRole::Handoff, seq, &final_frame, held, layout);
-    let cut = CutFrame::apply(&wire, s, to_gen, CutRole::Handoff, held, layout)?;
-    if cut.seq != seq || own_cut_seq(s, &cut.image)? != seq {
+    let wire = CutFrame::ship(s, to_gen, CutRole::Handoff, seq, &final_frame, held, None, layout);
+    let mut image = held.map_or_else(Vec::new, |base| base.image.to_vec());
+    let base_seq = held.map(|base| base.seq);
+    let cut = CutFrame::rebuild(&wire, s, to_gen, CutRole::Handoff, base_seq, &mut image, layout)?;
+    if cut.seq != seq || own_cut_seq(s, &image)? != seq {
         return Err(state_err(format!("shard {s}: resolved transfer diverges from the final cut")));
     }
-    Ok(cut)
+    Ok((cut, image))
 }
 
 /// Hands shard `s` over, whatever validation says: the successor generation
@@ -481,12 +484,12 @@ fn hand_off(
         ship_final_cut(s, slot, to_gen, false)
     });
     match shipped {
-        Ok(cut) => {
+        Ok((cut, image)) => {
             stat.seq = cut.seq;
-            stat.full_bytes = cut.image.len() as u64;
+            stat.full_bytes = image.len() as u64;
             stat.shipped_bytes = cut.shipped_bytes;
             stat.delta = cut.base_seq.is_some();
-            (stat, Some(cut.image))
+            (stat, Some(image))
         }
         Err(_) => (stat, slot.candidates().next().map(|frame| frame.to_vec())),
     }

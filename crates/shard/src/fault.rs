@@ -1,46 +1,29 @@
-//! Deterministic fault injection for chaos testing the fleet.
+//! Deterministic fault scripts, one mechanism for every layer.
 //!
-//! A [`FaultPlan`] is a script of [`FaultEvent`]s, each keyed off a **per-shard
-//! request sequence number** — the index, starting at 0, of a request within
-//! the subsequence of the submitted stream that routes to its shard. Because
-//! the router is a pure function of `(id, shards)`, that index is a property
-//! of the trace alone: the same trace under the same plan produces the same
-//! faults at the same requests, run after run, with no wall clock anywhere.
+//! A [`Plan`] is a script of [`PlanEvent`]s, each keyed off a **unit** and an
+//! **index** within that unit, neither of which involves a wall clock. The
+//! fleet's [`FaultPlan`] keys a shard and a **per-shard request sequence
+//! number** — the index, starting at 0, of a request within the subsequence
+//! of the submitted stream that routes to its shard. Because the router is a
+//! pure function of `(id, shards)`, that index is a property of the trace
+//! alone. The gateway's `NetFaultPlan` keys a connection (the 0-based accept
+//! order) and a per-connection frame index. Either way the same input under
+//! the same plan produces the same faults at the same places, run after run.
 //!
-//! Five fault kinds are scripted:
+//! Each layer brings only its kind enum and a [`Fault`] impl for it: a
+//! journal label, a sort rank among faults sharing an index, and a seeded
+//! draw. The plan, its normalisation, the seeded generator
+//! ([`Plan::random`]), the per-unit [`Cursor`] and the busy-wait [`spin`] are
+//! shared.
 //!
-//! * [`FaultKind::Panic`] — the shard worker panics immediately before
-//!   processing the request at the event's index. The request itself is
-//!   answered `Dropped`; everything before it was served by the dying
-//!   incarnation, everything after it by the respawned one (or answered
-//!   `Unavailable` once the restart budget is spent). The shard's ingest
-//!   lane synchronizes on scripted panics, whichever front delivers — it
-//!   delivers a run only up to the fatal request and joins the doomed worker
-//!   before handing the shard anything more — so the processed / dropped /
-//!   restarted boundaries are **bit-for-bit reproducible**, unlike an
-//!   organic panic whose in-flight set depends on thread timing.
-//! * [`FaultKind::Delay`] — the worker spins `spins` iterations before
-//!   processing the request: a deterministic stand-in for a slow disk or a
-//!   controller stall. Under [`Backpressure::Block`](crate::Backpressure) it
-//!   only stretches wall clock; under `DropNewest` it forces real shedding.
-//! * [`FaultKind::QueueFull`] — the worker stalls before the request until
-//!   its input queue is completely full (or the producer hung up), then
-//!   resumes: a scripted backpressure episode that exercises the exact
-//!   queue-full machinery overload would.
-//! * [`FaultKind::CorruptCheckpoint`] — every stored warm-restart
-//!   checkpoint candidate for the shard is damaged (torn-truncated or
-//!   bit-flipped) before the request. Harmless by itself; followed by a
-//!   `Panic` it forces — and proves — the detected-corruption cold-restart
-//!   fallback.
-//! * [`FaultKind::CorruptStandby`] — the shard's hot standby (when the
-//!   fleet runs with `replicas > 0`) is poisoned before the request: its
-//!   applied frame is discarded and the loss is journaled at the next
-//!   replication feed. Followed by a budget-exhausting `Panic` it proves
-//!   the standby-loss fallback — the shard is buried exactly as an
-//!   unreplicated one would be, never silently mis-promoted.
+//! The fleet scripts the five [`FaultKind`]s. A scripted `Panic` is
+//! **bit-for-bit reproducible**, unlike an organic panic whose in-flight set
+//! depends on thread timing: the shard's ingest lane, whichever front
+//! delivers, delivers a run only up to the fatal request and joins the
+//! doomed worker before handing the shard anything more.
 //!
-//! Plans can be written by hand ([`FaultPlan::new`] / [`FaultPlan::push`]) or
-//! generated from a seed ([`FaultPlan::random`]) — both are plain data
+//! Plans can be written by hand ([`Plan::new`] / [`Plan::push`]) or
+//! generated from a seed ([`Plan::random`]) — both are plain data
 //! (serde-serializable) so a failing chaos run can be replayed from its
 //! logged plan. The empty plan is the identity: a fleet built through
 //! [`ShardedFleet::with_fault_plan`](crate::ShardedFleet::with_fault_plan)
@@ -50,17 +33,33 @@
 use crate::router::mix64;
 use serde::{Deserialize, Serialize};
 
+/// A layer's kind of scripted fault.
+pub trait Fault: Copy + Eq {
+    /// Stable journal label. Part of the deterministic journal contract:
+    /// integers and fixed strings only.
+    fn label(&self) -> String;
+    /// Order among faults sharing one `(unit, at)`: lower fires first, so a
+    /// stall precedes the fault that ends the unit.
+    fn rank(&self) -> u8;
+    /// One seeded fault, drawn from [`Plan::random`]'s stream.
+    fn draw(next: &mut impl FnMut() -> u64) -> Self;
+}
+
 /// What happens when a [`FaultEvent`] fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultKind {
     /// The shard worker panics before processing the request at the event's
-    /// index (the request is answered `Dropped`; the supervisor respawns or
-    /// buries the shard).
+    /// index. The request is answered `Dropped`; everything before it was
+    /// served by the dying incarnation, everything after it by the respawned
+    /// one (or answered `Unavailable` once the restart budget is spent).
     Panic,
-    /// The worker spins this many iterations before processing the request.
+    /// The worker spins this many iterations before processing the request:
+    /// a stand-in for a slow disk or a controller stall. Under
+    /// [`Backpressure::Block`](crate::Backpressure) it only stretches wall
+    /// clock; under `DropNewest` it forces real shedding.
     Delay {
-        /// Busy-loop iterations (`std::hint::spin_loop`), bounding the stall
-        /// without any wall-clock dependency.
+        /// Busy-loop iterations ([`spin`]), bounding the stall without any
+        /// wall-clock dependency.
         spins: u32,
     },
     /// The worker stalls before the request until its queue is full or the
@@ -85,10 +84,8 @@ pub enum FaultKind {
     CorruptStandby,
 }
 
-impl FaultKind {
-    /// Stable journal label. Part of the deterministic journal contract:
-    /// integers and fixed strings only.
-    pub fn label(&self) -> String {
+impl Fault for FaultKind {
+    fn label(&self) -> String {
         match self {
             FaultKind::Panic => "panic".into(),
             FaultKind::Delay { spins } => format!("delay({spins})"),
@@ -98,39 +95,70 @@ impl FaultKind {
             FaultKind::CorruptStandby => "corrupt-standby".into(),
         }
     }
+
+    // A panic ends the incarnation, so it fires last.
+    fn rank(&self) -> u8 {
+        match self {
+            FaultKind::Delay { .. } => 0,
+            FaultKind::QueueFull => 1,
+            FaultKind::CorruptCheckpoint { .. } => 2,
+            FaultKind::CorruptStandby => 3,
+            FaultKind::Panic => 4,
+        }
+    }
+
+    fn draw(next: &mut impl FnMut() -> u64) -> Self {
+        match next() % 4 {
+            // Panics weighted at 50%: they are what supervision is for.
+            0 | 1 => FaultKind::Panic,
+            2 => FaultKind::Delay { spins: (next() % 8_192) as u32 },
+            _ => FaultKind::QueueFull,
+        }
+    }
 }
 
-/// One scripted fault: `kind` fires on shard `shard` immediately before the
-/// request with per-shard sequence number `at` is processed.
+/// One scripted fault: `kind` fires on unit `unit` (a shard, a connection)
+/// immediately before that unit's item with index `at` is handled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultEvent {
-    /// Shard the fault fires on.
-    pub shard: usize,
-    /// Per-shard request sequence number (0-based submission index within the
-    /// shard's substream) the fault is keyed to.
+pub struct PlanEvent<K> {
+    /// The unit the fault fires on.
+    pub unit: usize,
+    /// The 0-based index within the unit (a shard's request, a connection's
+    /// frame) the fault is keyed to.
     pub at: u64,
     /// What happens.
-    pub kind: FaultKind,
+    pub kind: K,
 }
 
-/// A deterministic chaos script: a set of [`FaultEvent`]s, held sorted by
-/// `(shard, at)`. The default plan is empty (no faults).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultPlan {
-    events: Vec<FaultEvent>,
+/// A deterministic fault script: a set of [`PlanEvent`]s, held sorted by
+/// `(unit, at, rank)`. The default plan is empty (no faults).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Plan<K> {
+    events: Vec<PlanEvent<K>>,
 }
 
-impl FaultPlan {
-    /// A plan over the given events (sorted internally; at most one `Panic`
-    /// per `(shard, at)` is kept — a worker can only die once per request).
-    pub fn new(events: Vec<FaultEvent>) -> Self {
+/// The fleet's fault script, keyed by shard and per-shard request index.
+pub type FaultPlan = Plan<FaultKind>;
+/// One scripted fleet fault.
+pub type FaultEvent = PlanEvent<FaultKind>;
+
+impl<K> Default for Plan<K> {
+    fn default() -> Self {
+        Self { events: Vec::new() }
+    }
+}
+
+impl<K: Fault> Plan<K> {
+    /// A plan over the given events (sorted internally; exact duplicates
+    /// collapse — a unit can only die once at one index).
+    pub fn new(events: Vec<PlanEvent<K>>) -> Self {
         let mut plan = Self { events };
         plan.normalize();
         plan
     }
 
     /// Adds one event.
-    pub fn push(&mut self, event: FaultEvent) {
+    pub fn push(&mut self, event: PlanEvent<K>) {
         self.events.push(event);
         self.normalize();
     }
@@ -140,28 +168,22 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// The scripted events, sorted by `(shard, at)`.
-    pub fn events(&self) -> &[FaultEvent] {
+    /// The scripted events, sorted by `(unit, at, rank)`.
+    pub fn events(&self) -> &[PlanEvent<K>] {
         &self.events
     }
 
-    /// Number of scripted `Panic` events.
-    pub fn panics(&self) -> usize {
-        self.events.iter().filter(|e| e.kind == FaultKind::Panic).count()
-    }
-
     fn normalize(&mut self) {
-        self.events.sort_by_key(|e| (e.shard, e.at, fault_rank(e.kind)));
-        // Duplicate panics at one (shard, at) collapse to a single death.
-        self.events.dedup_by(|a, b| a.shard == b.shard && a.at == b.at && a.kind == b.kind);
+        self.events.sort_by_key(|e| (e.unit, e.at, e.kind.rank()));
+        self.events.dedup();
     }
 
-    /// A seeded random plan: `n_events` faults spread over `shards` shards
-    /// with per-shard indices below `horizon`. Same seed ⇒ same plan — the
+    /// A seeded random plan: `n_events` faults spread over `units` units
+    /// with per-unit indices below `horizon`. Same seed ⇒ same plan — the
     /// generator is a self-contained SplitMix64 over the router's
     /// [`mix64`], so chaos sweeps need no external RNG.
-    pub fn random(seed: u64, shards: usize, horizon: u64, n_events: usize) -> Self {
-        assert!(shards > 0, "at least one shard");
+    pub fn random(seed: u64, units: usize, horizon: u64, n_events: usize) -> Self {
+        assert!(units > 0, "at least one unit");
         assert!(horizon > 0, "horizon must be positive");
         let mut state = seed;
         let mut next = move || -> u64 {
@@ -171,17 +193,30 @@ impl FaultPlan {
         };
         let mut events = Vec::with_capacity(n_events);
         for _ in 0..n_events {
-            let shard = (next() % shards as u64) as usize;
+            let unit = (next() % units as u64) as usize;
             let at = next() % horizon;
-            let kind = match next() % 4 {
-                // Panics weighted at 50%: they are what supervision is for.
-                0 | 1 => FaultKind::Panic,
-                2 => FaultKind::Delay { spins: (next() % 8_192) as u32 },
-                _ => FaultKind::QueueFull,
-            };
-            events.push(FaultEvent { shard, at, kind });
+            events.push(PlanEvent { unit, at, kind: K::draw(&mut next) });
         }
         Self::new(events)
+    }
+
+    /// The cursor over `unit`'s events with index ≥ `from` (the first index
+    /// the consumer will see).
+    pub fn cursor(&self, unit: usize, from: u64) -> Cursor<K> {
+        let events = self
+            .events
+            .iter()
+            .filter(|e| e.unit == unit && e.at >= from)
+            .map(|e| (e.at, e.kind))
+            .collect();
+        Cursor { events, next: 0 }
+    }
+}
+
+impl FaultPlan {
+    /// Number of scripted `Panic` events.
+    pub fn panics(&self) -> usize {
+        self.events.iter().filter(|e| e.kind == FaultKind::Panic).count()
     }
 
     /// The per-shard panic indices, sorted ascending — what each shard's
@@ -189,12 +224,11 @@ impl FaultPlan {
     pub(crate) fn panic_indices(&self, shards: usize) -> Vec<Vec<u64>> {
         let mut out = vec![Vec::new(); shards];
         for e in &self.events {
-            if e.kind == FaultKind::Panic && e.shard < shards {
-                out[e.shard].push(e.at);
+            if e.kind == FaultKind::Panic && e.unit < shards {
+                out[e.unit].push(e.at);
             }
         }
-        // `events` is sorted by (shard, at); each per-shard list is too, but
-        // dedup defensively against hand-built plans.
+        // Dedup defensively against deserialized plans.
         for v in &mut out {
             v.dedup();
         }
@@ -202,44 +236,19 @@ impl FaultPlan {
     }
 }
 
-/// Sort rank so that at one `(shard, at)` a delay/queue-full fault fires
-/// before a panic (the panic ends the incarnation).
-fn fault_rank(kind: FaultKind) -> u8 {
-    match kind {
-        FaultKind::Delay { .. } => 0,
-        FaultKind::QueueFull => 1,
-        FaultKind::CorruptCheckpoint { .. } => 2,
-        FaultKind::CorruptStandby => 3,
-        FaultKind::Panic => 4,
-    }
-}
-
-/// The worker-side view of a plan: the events of one shard, at indices at or
-/// beyond the incarnation's first request, consumed in order as the worker
-/// counts its requests.
-#[derive(Debug, Default)]
-pub(crate) struct ShardFaultCursor {
-    events: Vec<(u64, FaultKind)>,
+/// One unit's view of a plan: its events from some index on, consumed in
+/// order as the unit counts its items.
+#[derive(Debug)]
+pub struct Cursor<K> {
+    events: Vec<(u64, K)>,
     next: usize,
 }
 
-impl ShardFaultCursor {
-    /// Cursor over `shard`'s events with per-shard index ≥ `from` (the first
-    /// index this incarnation will see).
-    pub(crate) fn for_shard(plan: &FaultPlan, shard: usize, from: u64) -> Self {
-        let events = plan
-            .events
-            .iter()
-            .filter(|e| e.shard == shard && e.at >= from)
-            .map(|e| (e.at, e.kind))
-            .collect();
-        Self { events, next: 0 }
-    }
-
-    /// Pops the next fault scheduled at per-shard index `idx`, if any.
-    /// Callers loop until `None`: several non-panic faults may share an index.
-    pub(crate) fn take(&mut self, idx: u64) -> Option<FaultKind> {
-        // Skip events the incarnation raced past (defensive; `from` filtering
+impl<K: Fault> Cursor<K> {
+    /// Pops the next fault scheduled at index `idx`, if any. Callers loop
+    /// until `None`: several faults may share an index.
+    pub fn take(&mut self, idx: u64) -> Option<K> {
+        // Skip events the consumer raced past (defensive; `from` filtering
         // makes this a no-op in practice).
         while self.events.get(self.next).is_some_and(|&(at, _)| at < idx) {
             self.next += 1;
@@ -254,6 +263,14 @@ impl ShardFaultCursor {
     }
 }
 
+/// The deterministic busy-wait behind every scripted stall: `spins`
+/// iterations of [`std::hint::spin_loop`], no wall clock involved.
+pub fn spin(spins: u32) {
+    for _ in 0..spins {
+        std::hint::spin_loop();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,10 +278,10 @@ mod tests {
     #[test]
     fn plans_sort_and_dedup_panics() {
         let plan = FaultPlan::new(vec![
-            FaultEvent { shard: 1, at: 50, kind: FaultKind::Panic },
-            FaultEvent { shard: 0, at: 10, kind: FaultKind::Panic },
-            FaultEvent { shard: 1, at: 50, kind: FaultKind::Panic },
-            FaultEvent { shard: 1, at: 50, kind: FaultKind::Delay { spins: 5 } },
+            FaultEvent { unit: 1, at: 50, kind: FaultKind::Panic },
+            FaultEvent { unit: 0, at: 10, kind: FaultKind::Panic },
+            FaultEvent { unit: 1, at: 50, kind: FaultKind::Panic },
+            FaultEvent { unit: 1, at: 50, kind: FaultKind::Delay { spins: 5 } },
         ]);
         assert_eq!(plan.events().len(), 3, "duplicate panic collapsed");
         assert_eq!(plan.panics(), 2);
@@ -281,14 +298,14 @@ mod tests {
         let c = FaultPlan::random(8, 4, 10_000, 12);
         assert_eq!(a, b, "same seed, same plan");
         assert_ne!(a, c, "different seed, different plan");
-        assert!(a.events().iter().all(|e| e.shard < 4 && e.at < 10_000));
+        assert!(a.events().iter().all(|e| e.unit < 4 && e.at < 10_000));
     }
 
     #[test]
     fn random_plans_are_pinned() {
         // Logged plans replay from their seed, so the generator's draws are
         // part of the format.
-        let event = |shard, at, kind| FaultEvent { shard, at, kind };
+        let event = |unit, at, kind| FaultEvent { unit, at, kind };
         assert_eq!(
             FaultPlan::random(7, 4, 10_000, 6).events(),
             [
@@ -305,12 +322,12 @@ mod tests {
     #[test]
     fn cursor_yields_events_in_index_order() {
         let plan = FaultPlan::new(vec![
-            FaultEvent { shard: 0, at: 3, kind: FaultKind::Delay { spins: 1 } },
-            FaultEvent { shard: 0, at: 3, kind: FaultKind::QueueFull },
-            FaultEvent { shard: 0, at: 9, kind: FaultKind::Panic },
-            FaultEvent { shard: 1, at: 4, kind: FaultKind::Panic },
+            FaultEvent { unit: 0, at: 3, kind: FaultKind::Delay { spins: 1 } },
+            FaultEvent { unit: 0, at: 3, kind: FaultKind::QueueFull },
+            FaultEvent { unit: 0, at: 9, kind: FaultKind::Panic },
+            FaultEvent { unit: 1, at: 4, kind: FaultKind::Panic },
         ]);
-        let mut cur = ShardFaultCursor::for_shard(&plan, 0, 0);
+        let mut cur = plan.cursor(0, 0);
         assert_eq!(cur.take(0), None);
         assert_eq!(cur.take(3), Some(FaultKind::Delay { spins: 1 }));
         assert_eq!(cur.take(3), Some(FaultKind::QueueFull));
@@ -318,10 +335,10 @@ mod tests {
         assert_eq!(cur.take(9), Some(FaultKind::Panic));
 
         // A respawned incarnation starting at index 5 skips earlier events.
-        let mut cur = ShardFaultCursor::for_shard(&plan, 0, 5);
+        let mut cur = plan.cursor(0, 5);
         assert_eq!(cur.take(9), Some(FaultKind::Panic));
 
-        let mut other = ShardFaultCursor::for_shard(&plan, 1, 0);
+        let mut other = plan.cursor(1, 0);
         assert_eq!(other.take(4), Some(FaultKind::Panic));
     }
 

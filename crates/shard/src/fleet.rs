@@ -807,7 +807,7 @@ mod tests {
     #[test]
     fn scripted_panic_restarts_the_shard_and_conserves_answers() {
         let t = trace(12_000, 21);
-        let plan = FaultPlan::new(vec![FaultEvent { shard: 0, at: 100, kind: FaultKind::Panic }]);
+        let plan = FaultPlan::new(vec![FaultEvent { unit: 0, at: 100, kind: FaultKind::Panic }]);
         let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
             FleetConfig { shards: 2, batch: 32, ..FleetConfig::default() },
             CacheConfig::small_test(),
@@ -834,7 +834,7 @@ mod tests {
     #[test]
     fn exhausted_budget_buries_the_shard_and_degrades() {
         let t = trace(10_000, 33);
-        let plan = FaultPlan::new(vec![FaultEvent { shard: 0, at: 50, kind: FaultKind::Panic }]);
+        let plan = FaultPlan::new(vec![FaultEvent { unit: 0, at: 50, kind: FaultKind::Panic }]);
         let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
             FleetConfig {
                 shards: 2,
@@ -872,7 +872,7 @@ mod tests {
         let t = trace(12_000, 21);
         // Panic exactly at a checkpoint boundary: the respawn restores the
         // checkpoint taken at seq 1_000 (covering requests [0, 1_000)).
-        let plan = FaultPlan::new(vec![FaultEvent { shard: 0, at: 1_000, kind: FaultKind::Panic }]);
+        let plan = FaultPlan::new(vec![FaultEvent { unit: 0, at: 1_000, kind: FaultKind::Panic }]);
         let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
             FleetConfig { shards: 2, batch: 32, checkpoint_every: Some(500), ..FleetConfig::default() },
             CacheConfig::small_test(),
@@ -884,7 +884,7 @@ mod tests {
         let report = fleet.finish();
         assert_eq!(report.metrics().total_restarts(), 1);
         assert_eq!(report.metrics().total_warm_restarts(), 1, "boundary kill must restore warm");
-        assert_eq!(report.metrics().total_cold_restarts(), 0);
+        assert_eq!(report.metrics().shards.iter().map(|s| s.cold_restarts()).sum::<u32>(), 0);
         assert_eq!(report.metrics().shards[0].dropped, 1, "exactly the fatal request dropped");
         assert_eq!(
             report.total_processed() + report.total_dropped() + report.total_unavailable(),
@@ -895,7 +895,10 @@ mod tests {
         // The final snapshot carries the checkpoint gauges.
         let last = report.snapshots.last().unwrap();
         assert!(last.shards[0].checkpoint_seq.is_some());
-        assert_eq!(last.total_warm_restarts() + last.total_cold_restarts(), last.total_restarts());
+        assert_eq!(
+            last.total_warm_restarts() + last.shards.iter().map(|s| s.cold_restarts()).sum::<u32>(),
+            last.total_restarts()
+        );
     }
 
     #[test]
@@ -905,8 +908,8 @@ mod tests {
             // Corrupt every checkpoint candidate right before the panic at
             // the same index (corruption sorts before the death).
             let plan = FaultPlan::new(vec![
-                FaultEvent { shard: 0, at: 1_000, kind: FaultKind::CorruptCheckpoint { torn } },
-                FaultEvent { shard: 0, at: 1_000, kind: FaultKind::Panic },
+                FaultEvent { unit: 0, at: 1_000, kind: FaultKind::CorruptCheckpoint { torn } },
+                FaultEvent { unit: 0, at: 1_000, kind: FaultKind::Panic },
             ]);
             let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
                 FleetConfig {
@@ -928,7 +931,11 @@ mod tests {
                 0,
                 "torn={torn}: corruption must be detected, restart must go cold"
             );
-            assert_eq!(report.metrics().total_cold_restarts(), 1, "torn={torn}");
+            assert_eq!(
+                report.metrics().shards.iter().map(|s| s.cold_restarts()).sum::<u32>(),
+                1,
+                "torn={torn}"
+            );
             assert_eq!(
                 report.total_processed() + report.total_dropped() + report.total_unavailable(),
                 12_000,
@@ -953,9 +960,9 @@ mod tests {
         };
         let clean = run(FaultPlan::default());
         let slowed = run(FaultPlan::new(vec![
-            FaultEvent { shard: 0, at: 40, kind: FaultKind::Delay { spins: 2_000 } },
-            FaultEvent { shard: 1, at: 10, kind: FaultKind::QueueFull },
-            FaultEvent { shard: 1, at: 11, kind: FaultKind::Delay { spins: 100 } },
+            FaultEvent { unit: 0, at: 40, kind: FaultKind::Delay { spins: 2_000 } },
+            FaultEvent { unit: 1, at: 10, kind: FaultKind::QueueFull },
+            FaultEvent { unit: 1, at: 11, kind: FaultKind::Delay { spins: 100 } },
         ]));
         assert_eq!(clean.fleet_cache(), slowed.fleet_cache(), "stalls never alter state");
         assert_eq!(slowed.metrics().total_restarts(), 0);
@@ -974,10 +981,10 @@ mod tests {
     fn polled_snapshots_never_see_a_ledger_go_backwards() {
         let t = trace(30_000, 71);
         let plan = FaultPlan::new(vec![
-            FaultEvent { shard: 0, at: 1_000, kind: FaultKind::Panic },
-            FaultEvent { shard: 0, at: 3_000, kind: FaultKind::Panic },
-            FaultEvent { shard: 1, at: 1_500, kind: FaultKind::Panic },
-            FaultEvent { shard: 1, at: 4_000, kind: FaultKind::Panic },
+            FaultEvent { unit: 0, at: 1_000, kind: FaultKind::Panic },
+            FaultEvent { unit: 0, at: 3_000, kind: FaultKind::Panic },
+            FaultEvent { unit: 1, at: 1_500, kind: FaultKind::Panic },
+            FaultEvent { unit: 1, at: 4_000, kind: FaultKind::Panic },
         ]);
         let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
             FleetConfig {
@@ -1028,7 +1035,11 @@ mod tests {
             let polls = poller.join().expect("the poller saw a consistent ledger");
             let m = report.metrics();
             assert_eq!(m.total_restarts(), 4, "two deaths per shard, each answered");
-            assert_eq!(m.total_failovers(), 2, "each shard's second death promoted its standby");
+            assert_eq!(
+                m.shards.iter().map(|s| s.failovers).sum::<u32>(),
+                2,
+                "each shard's second death promoted its standby"
+            );
             assert_eq!(m.total_processed() + m.total_dropped(), 30_000);
             polls
         });

@@ -3,7 +3,7 @@
 //! accounted for and respawned, promoted or buried.
 
 use crate::ckpt::{CheckpointSlot, ShardCheckpoint, Spiller};
-use crate::fault::{FaultPlan, ShardFaultCursor};
+use crate::fault::FaultPlan;
 use crate::fleet::{Backpressure, Envelope, FleetConfig};
 use crate::metrics::ShardCell;
 use crate::queue::{channel, Producer, QueueGauges};
@@ -330,7 +330,7 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetCore<D, E> {
             driver,
             batch: self.cfg.batch,
             start: from,
-            faults: ShardFaultCursor::for_shard(&self.fault, s, from),
+            faults: self.fault.cursor(s, from),
             slot: Arc::clone(&shard.slot),
             checkpoint_every: self.cfg.checkpoint_every,
             incarnation,

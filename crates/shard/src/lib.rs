@@ -41,10 +41,10 @@
 //!   restarts against a sliding-window [`RestartBudget`] and marks shards
 //!   permanently dead once it is spent (the fleet then answers their
 //!   requests `Unavailable` — degraded mode, not an outage).
-//! * [`fault`] — deterministic chaos scripting: a [`FaultPlan`] keys panics,
-//!   delays, queue-full stalls and checkpoint corruption off per-shard
-//!   request sequence numbers, so fault runs reproduce bit-for-bit (no wall
-//!   clock anywhere).
+//! * [`fault`] — deterministic chaos scripting, shared with the gateway's
+//!   network faults: a [`FaultPlan`] keys panics, delays, queue-full stalls
+//!   and checkpoint corruption off per-shard request sequence numbers, so
+//!   fault runs reproduce bit-for-bit (no wall clock anywhere).
 //! * [`standby`] — hot-standby replication: a per-shard [`StandbySlot`] fed
 //!   a `Replica`-role cut envelope (full image, then row deltas: the
 //!   per-object rows that changed) at every checkpoint cut. When a shard's

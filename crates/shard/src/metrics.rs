@@ -418,13 +418,6 @@ impl FleetMetrics {
         self.shards.iter().map(|s| s.warm_restarts).sum()
     }
 
-    /// Restarts that fell back cold, across the fleet. Together with
-    /// [`FleetMetrics::total_warm_restarts`] this always sums to
-    /// [`FleetMetrics::total_restarts`].
-    pub fn total_cold_restarts(&self) -> u32 {
-        self.shards.iter().map(|s| s.cold_restarts()).sum()
-    }
-
     /// Warm boots across the fleet: restores shipped across a process or
     /// generation boundary (spill-file boots plus resize handoffs).
     pub fn total_warm_boots(&self) -> u32 {
@@ -437,12 +430,6 @@ impl FleetMetrics {
         let live = self.shards.iter().map(|s| s.router_generation).max().unwrap_or(0);
         let archived = self.generations.iter().map(|g| g.generation).max().unwrap_or(0);
         live.max(archived)
-    }
-
-    /// Failover promotions across the fleet: past-budget deaths answered by
-    /// a hot standby instead of burial.
-    pub fn total_failovers(&self) -> u32 {
-        self.shards.iter().map(|s| s.failovers).sum()
     }
 
     /// Shards currently marked permanently dead.
@@ -986,9 +973,9 @@ mod tests {
         let fm = FleetMetrics::from_shards(vec![a, b]);
         assert_eq!(fm.total_restarts(), 4);
         assert_eq!(fm.total_warm_restarts(), 2);
-        assert_eq!(fm.total_cold_restarts(), 2);
+        assert_eq!(fm.shards.iter().map(|s| s.cold_restarts()).sum::<u32>(), 2);
         assert_eq!(
-            fm.total_warm_restarts() + fm.total_cold_restarts(),
+            fm.total_warm_restarts() + fm.shards.iter().map(|s| s.cold_restarts()).sum::<u32>(),
             fm.total_restarts(),
             "warm + cold must always equal the total"
         );
@@ -1232,7 +1219,7 @@ mod tests {
         assert_eq!(s.restarts, 1);
         assert_eq!((s.standby_lost, s.replica_shipped_bytes), (1, 4_224));
         let fm = FleetMetrics::from_shards(vec![s]);
-        assert_eq!(fm.total_failovers(), 1);
+        assert_eq!(fm.shards.iter().map(|s| s.failovers).sum::<u32>(), 1);
     }
 
     #[test]

@@ -144,7 +144,7 @@ impl StandbySlot {
         let mut image = st.frame.take().unwrap_or_default();
         let held = held_seq.map(|seq| Held { seq, image: &image });
         let (shard, role, layout) = (self.shard, CutRole::Replica, ShardCheckpoint::layout);
-        let wire = CutFrame::ship_changes(shard, generation, role, seq, frame, held, changes, layout);
+        let wire = CutFrame::ship(shard, generation, role, seq, frame, held, changes, layout);
         let rebuilt = CutFrame::rebuild(&wire, shard, generation, role, held_seq, &mut image, layout)
             .ok()
             .filter(|_| ShardCheckpoint::header(&image) == Ok((shard, seq)));

@@ -6,7 +6,7 @@
 //! stacking `DARWIN_THREADS`-wide pools `shards` times over.
 
 use crate::ckpt::{try_restore, CheckpointSlot, Restored, ShardCheckpoint};
-use crate::fault::{FaultKind, ShardFaultCursor};
+use crate::fault::{spin, Cursor, Fault, FaultKind};
 use crate::fleet::{Envelope, Verdict};
 use crate::metrics::ShardCell;
 use crate::queue::Consumer;
@@ -57,7 +57,7 @@ pub(crate) struct WorkerCtx<D, E> {
     pub(crate) batch: usize,
     /// Per-shard index of the first request this incarnation pops.
     pub(crate) start: u64,
-    pub(crate) faults: ShardFaultCursor,
+    pub(crate) faults: Cursor<FaultKind>,
     /// The shard's checkpoint mailbox (writer side; restore source on
     /// respawn).
     pub(crate) slot: Arc<CheckpointSlot>,
@@ -237,11 +237,7 @@ pub(crate) fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> W
                             FaultKind::Panic => {
                                 panic!("scripted fault: shard {shard} dies at per-shard request {at}")
                             }
-                            FaultKind::Delay { spins } => {
-                                for _ in 0..spins {
-                                    std::hint::spin_loop();
-                                }
-                            }
+                            FaultKind::Delay { spins } => spin(spins),
                             // Stall until the input queue is packed solid
                             // (or the stream ended): a manufactured
                             // backpressure episode.

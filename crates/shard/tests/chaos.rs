@@ -239,9 +239,9 @@ fn stall_faults_are_result_invisible() {
     };
     let clean = run(FaultPlan::default());
     let stalled = run(FaultPlan::new(vec![
-        FaultEvent { shard: 0, at: 50, kind: FaultKind::Delay { spins: 2_000 } },
-        FaultEvent { shard: 1, at: 200, kind: FaultKind::QueueFull },
-        FaultEvent { shard: 0, at: 1_000, kind: FaultKind::Delay { spins: 500 } },
+        FaultEvent { unit: 0, at: 50, kind: FaultKind::Delay { spins: 2_000 } },
+        FaultEvent { unit: 1, at: 200, kind: FaultKind::QueueFull },
+        FaultEvent { unit: 0, at: 1_000, kind: FaultKind::Delay { spins: 500 } },
     ]));
     assert_eq!(stalled.metrics().total_restarts(), 0);
     for (c, s) in clean.metrics().shards.iter().zip(&stalled.metrics().shards) {
@@ -273,7 +273,7 @@ fn mid_batch_panic_publishes_exactly_the_processed_requests() {
         CacheConfig::small_test(),
         Box::new(HashRouter),
         driver,
-        FaultPlan::new(vec![FaultEvent { shard: 0, at: DIES_AT, kind: FaultKind::Panic }]),
+        FaultPlan::new(vec![FaultEvent { unit: 0, at: DIES_AT, kind: FaultKind::Panic }]),
     );
     fleet.submit_trace(&t);
     let report = fleet.finish();
@@ -304,7 +304,7 @@ fn producer_frames_drop_only_the_fatal_request() {
             CacheConfig::small_test(),
             Box::new(HashRouter),
             driver,
-            FaultPlan::new(vec![FaultEvent { shard: 0, at: 100, kind: FaultKind::Panic }]),
+            FaultPlan::new(vec![FaultEvent { unit: 0, at: 100, kind: FaultKind::Panic }]),
         )
     };
     let mut submitter = fleet();

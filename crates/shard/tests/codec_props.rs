@@ -9,7 +9,9 @@
 //! byte, rebuilt in no more than `base + wire` bytes.
 
 use darwin_cache::{CacheConfig, CacheServer, ThresholdPolicy};
-use darwin_ckpt::replica::{CutError, CutFrame, CutPayload, CutRole, Held, CUT_MAGIC, CUT_VERSION};
+use darwin_ckpt::replica::{
+    CutError, CutFrame, CutPayload, CutRole, Held, RebuiltCut, CUT_MAGIC, CUT_VERSION,
+};
 use darwin_ckpt::{seal, CkptError, Dec, Enc};
 use darwin_shard::{ShardCheckpoint, CKPT_MAGIC, CKPT_VERSION};
 use darwin_trace::Request;
@@ -64,34 +66,35 @@ fn real_cut(reqs: &[u64]) -> Vec<u8> {
     .to_frame_of(&server)
 }
 
-/// The holder's side of a shipment: the gate, then the one open of what it
-/// resolved, as this shard's checkpoint. A holder that owns its image and
-/// rebuilds the shipment in it gets the same answer; when it is a refusal,
-/// the image is as it was, byte for byte, and never sized past
-/// `base + wire`.
+/// A holder that borrows its base: rebuilds the shipment over its own copy
+/// of `held`, as a resize handoff does.
+fn receive(
+    wire: &[u8],
+    shard: usize,
+    generation: u32,
+    role: CutRole,
+    held: Option<Held<'_>>,
+) -> Result<(RebuiltCut, Vec<u8>), CutError> {
+    let mut image = held.map_or_else(Vec::new, |h| h.image.to_vec());
+    let cut = CutFrame::rebuild(wire, shard, generation, role, held.map(|h| h.seq), &mut image, LAYOUT)?;
+    Ok((cut, image))
+}
+
+/// The holder's side of a shipment: the gate and the rebuild over its own
+/// copy of the base, then the one open of what it rebuilt, as this shard's
+/// checkpoint. A refusal leaves the image as it was, byte for byte, and
+/// the image is never sized past `base + wire`.
 fn resolve(wire: &[u8], role: CutRole, held: Option<Held<'_>>) -> Result<Vec<u8>, CutError> {
     let base = held.map_or(&[][..], |h| h.image);
     let mut owned = base.to_vec();
-    let in_place = CutFrame::rebuild(wire, 0, 0, role, held.map(|h| h.seq), &mut owned, LAYOUT);
-    let applied = CutFrame::apply(wire, 0, 0, role, held, LAYOUT);
+    let rebuilt = CutFrame::rebuild(wire, 0, 0, role, held.map(|h| h.seq), &mut owned, LAYOUT);
     assert!(owned.capacity() <= base.len() + wire.len(), "sized {} bytes", owned.capacity());
-    match (&applied, in_place) {
-        (Ok(cut), Ok(rebuilt)) => {
-            assert_eq!(
-                (rebuilt.seq, rebuilt.base_seq, rebuilt.shipped_bytes),
-                (cut.seq, cut.base_seq, cut.shipped_bytes)
-            );
-            assert!(owned == cut.image, "the in-place rebuild is not the applied image");
-        }
-        (Err(refused), Err(also)) => {
-            assert_eq!(refused, &also);
-            assert!(owned == base, "a refused shipment moved a byte of the held image");
-        }
-        (applied, in_place) => panic!("apply {applied:?} but in place {in_place:?}"),
+    if rebuilt.is_err() {
+        assert!(owned == base, "a refused shipment moved a byte of the held image");
     }
-    let cut = applied?;
-    ShardCheckpoint::header(&cut.image)?;
-    Ok(cut.image)
+    rebuilt?;
+    ShardCheckpoint::header(&owned)?;
+    Ok(owned)
 }
 
 /// The row delta of a shipment, as the documented encoding lays it out —
@@ -224,7 +227,7 @@ proptest! {
         frame[pos] ^= 1 << bit;
         prop_assert!(CutFrame::from_frame(&frame).is_err());
         prop_assert!(matches!(
-            CutFrame::apply(&frame, 2, 5, role(handoff), None, LAYOUT),
+            receive(&frame, 2, 5, role(handoff), None),
             Err(CutError::Frame(_))
         ));
     }
@@ -253,7 +256,7 @@ proptest! {
         let addressed = expect + skew; // always != expect
         let wire = cut(0, addressed, role(handoff), CutPayload::Full(ckpt_frame(&body))).to_frame();
         prop_assert_eq!(
-            CutFrame::apply(&wire, 0, expect, role(handoff), None, LAYOUT),
+            receive(&wire, 0, expect, role(handoff), None),
             Err(CutError::WrongGeneration { expected: expect, found: addressed })
         );
     }
@@ -270,7 +273,7 @@ proptest! {
         let addressed = expect + skew; // always != expect
         let wire = cut(addressed, 3, role(handoff), CutPayload::Full(ckpt_frame(&body))).to_frame();
         prop_assert_eq!(
-            CutFrame::apply(&wire, expect, 3, role(handoff), None, LAYOUT),
+            receive(&wire, expect, 3, role(handoff), None),
             Err(CutError::WrongShard { expected: expect, found: addressed })
         );
     }
@@ -292,7 +295,7 @@ proptest! {
         let (sent, serving) = (role(handoff), role(!handoff));
         let wire = cut(1, 1, sent, payload).to_frame();
         prop_assert_eq!(
-            CutFrame::apply(&wire, 1, 1, serving, Some(Held { seq: 100, image: b"base" }), LAYOUT),
+            receive(&wire, 1, 1, serving, Some(Held { seq: 100, image: b"base" })),
             Err(CutError::WrongRole { expected: serving, found: sent })
         );
     }
@@ -311,7 +314,7 @@ proptest! {
         let target = real_cut(&[&prefix[..], &more[..]].concat());
         let base_seq = prefix.len() as u64;
         let held = Held { seq: base_seq, image: &base };
-        let wire = CutFrame::ship(0, 0, role(handoff), base_seq + skew, &target, Some(held), LAYOUT);
+        let wire = CutFrame::ship(0, 0, role(handoff), base_seq + skew, &target, Some(held), None, LAYOUT);
         let stale = base_seq + skew; // always != base_seq
         prop_assert_eq!(
             resolve(&wire, role(handoff), Some(Held { seq: stale, ..held })),
@@ -321,7 +324,7 @@ proptest! {
         prop_assert_eq!(resolve(&wire, role(handoff), Some(held)), Ok(target));
     }
 
-    /// Ship → apply is the identity on any pair of real cuts — later or
+    /// Ship → rebuild is the identity on any pair of real cuts — later or
     /// earlier, sharing rows or not — in no more than `base + wire` bytes,
     /// and the row delta survives the envelope's round trip.
     #[test]
@@ -333,11 +336,11 @@ proptest! {
         let base = real_cut(&a);
         let target = real_cut(&if continues { [&a[..], &b[..]].concat() } else { b });
         let held = Held { seq: 1, image: &base };
-        let wire = CutFrame::ship(0, 0, CutRole::Replica, 2, &target, Some(held), LAYOUT);
-        let cut = CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some(held), LAYOUT).unwrap();
+        let wire = CutFrame::ship(0, 0, CutRole::Replica, 2, &target, Some(held), None, LAYOUT);
+        let (cut, image) = receive(&wire, 0, 0, CutRole::Replica, Some(held)).unwrap();
         prop_assert_eq!(cut.base_seq, Some(1));
-        prop_assert!(cut.image.capacity() <= base.len() + wire.len());
-        prop_assert_eq!(&cut.image, &target);
+        prop_assert!(image.capacity() <= base.len() + wire.len());
+        prop_assert_eq!(&image, &target);
         let reparsed = CutFrame::from_frame(&wire).unwrap().to_frame();
         prop_assert_eq!(resolve(&reparsed, CutRole::Replica, Some(held)), Ok(target));
     }
@@ -352,9 +355,9 @@ proptest! {
         let base = real_cut(&prefix);
         let target = real_cut(&[&prefix[..], &more[..]].concat());
         let held = Held { seq: 1, image: &base };
-        let wire = CutFrame::ship(0, 0, CutRole::Replica, 2, &target, Some(held), LAYOUT);
-        let cut = CutFrame::apply(&wire, 0, 0, CutRole::Replica, Some(held), LAYOUT).unwrap();
-        prop_assert_eq!(&cut.image, &target);
+        let wire = CutFrame::ship(0, 0, CutRole::Replica, 2, &target, Some(held), None, LAYOUT);
+        let (cut, image) = receive(&wire, 0, 0, CutRole::Replica, Some(held)).unwrap();
+        prop_assert_eq!(&image, &target);
         prop_assert!(
             cut.shipped_bytes < target.len() as u64 / 2,
             "{} of {} bytes shipped", cut.shipped_bytes, target.len()
@@ -375,7 +378,7 @@ proptest! {
         let base = real_cut(&prefix);
         let target = real_cut(&[&prefix[..], &more[..]].concat());
         let held = Held { seq: 1, image: &base };
-        let wire = CutFrame::ship(0, 0, CutRole::Replica, 2, &target, Some(held), LAYOUT);
+        let wire = CutFrame::ship(0, 0, CutRole::Replica, 2, &target, Some(held), None, LAYOUT);
         // A timestamp byte of a per-object row the target kept as it was.
         let recency = |image: &[u8]| *ShardCheckpoint::layout(image).unwrap().last().unwrap();
         let (old, new) = (recency(&base), recency(&target));
@@ -414,7 +417,7 @@ proptest! {
         let base = real_cut(&prefix);
         let target = real_cut(&[&prefix[..], &more[..]].concat());
         let held = Held { seq: 1, image: &base };
-        let wire = CutFrame::ship(0, 0, role(handoff), 2, &target, Some(held), LAYOUT);
+        let wire = CutFrame::ship(0, 0, role(handoff), 2, &target, Some(held), None, LAYOUT);
         let (_, rows) = Rows::of(&wire);
         let honest = rows.encode();
         let at = pick % honest.len();
@@ -442,7 +445,7 @@ proptest! {
         let base = real_cut(&prefix);
         let target = real_cut(&[&prefix[..], &more[..]].concat());
         let held = Held { seq: 1, image: &base };
-        let wire = CutFrame::ship(0, 0, role(handoff), 2, &target, Some(held), LAYOUT);
+        let wire = CutFrame::ship(0, 0, role(handoff), 2, &target, Some(held), None, LAYOUT);
         let (base_seq, honest) = Rows::of(&wire);
         prop_assert_eq!(resolve(&honest.wire(base_seq, role(handoff)), role(handoff), Some(held)), Ok(target));
         let mut forged = honest.clone();
@@ -523,7 +526,7 @@ fn corpus_of_hostile_frames() {
         // A delta with no base held at the receiver is refused, not applied.
         let rows = CutPayload::Rows { base_seq: 512, rows: vec![0; 16] };
         assert_eq!(
-            CutFrame::apply(&cut(0, 0, role, rows).to_frame(), 0, 0, role, None, LAYOUT),
+            receive(&cut(0, 0, role, rows).to_frame(), 0, 0, role, None),
             Err(CutError::WrongBase { base_seq: 512, held: None })
         );
 
@@ -531,24 +534,21 @@ fn corpus_of_hostile_frames() {
         // right base boundary on hand.
         let garbage = CutPayload::Rows { base_seq: 512, rows: b"garbage".to_vec() };
         assert!(matches!(
-            CutFrame::apply(&cut(0, 0, role, garbage).to_frame(), 0, 0, role, held, LAYOUT),
+            receive(&cut(0, 0, role, garbage).to_frame(), 0, 0, role, held),
             Err(CutError::Frame(_))
         ));
 
         // A base that does not lay out cannot take a delta.
         let zeros = vec![0; base.len()];
         let unlaid = Some(Held { seq: 512, image: &zeros });
-        let wire = CutFrame::ship(0, 0, role, 513, &real_cut(&[1, 2, 3, 1, 2, 4]), held, LAYOUT);
+        let wire = CutFrame::ship(0, 0, role, 513, &real_cut(&[1, 2, 3, 1, 2, 4]), held, None, LAYOUT);
         assert!(matches!(
-            CutFrame::apply(&wire, 0, 0, role, unlaid, LAYOUT),
+            receive(&wire, 0, 0, role, unlaid),
             Err(CutError::Frame(CkptError::Malformed(_)))
         ));
     }
 
     // Empty input.
     assert!(CutFrame::from_frame(&[]).is_err());
-    assert!(matches!(
-        CutFrame::apply(&[], 0, 0, CutRole::Replica, None, LAYOUT),
-        Err(CutError::Frame(_))
-    ));
+    assert!(matches!(receive(&[], 0, 0, CutRole::Replica, None), Err(CutError::Frame(_))));
 }

@@ -129,9 +129,9 @@ fn minus_fatal(part: &Trace, at: &[u64]) -> Trace {
 /// the promotion path is load-bearing, not decorative.
 fn exhausting_plan() -> FaultPlan {
     FaultPlan::new(vec![
-        FaultEvent { shard: 0, at: KILL1_AT, kind: FaultKind::Panic },
-        FaultEvent { shard: 0, at: KILL2_AT, kind: FaultKind::CorruptCheckpoint { torn: false } },
-        FaultEvent { shard: 0, at: KILL2_AT, kind: FaultKind::Panic },
+        FaultEvent { unit: 0, at: KILL1_AT, kind: FaultKind::Panic },
+        FaultEvent { unit: 0, at: KILL2_AT, kind: FaultKind::CorruptCheckpoint { torn: false } },
+        FaultEvent { unit: 0, at: KILL2_AT, kind: FaultKind::Panic },
     ])
 }
 
@@ -179,7 +179,7 @@ fn check_promoted_failover_bitwise(shards: usize) {
     assert_eq!(s0.failovers, 1, "exactly one past-budget death promoted the standby");
     assert_eq!(s0.dropped, 2, "only the two fatal requests were lost");
     assert_eq!(report.total_unavailable(), 0, "zero Unavailable: the budget never buried anyone");
-    assert_eq!(report.metrics().total_failovers(), 1);
+    assert_eq!(report.metrics().shards.iter().map(|s| s.failovers).sum::<u32>(), 1);
     assert_eq!(report.metrics().dead_shards(), 0);
     assert_eq!(
         report.total_processed() + report.total_dropped(),
@@ -304,12 +304,12 @@ fn lost_standby_falls_back_to_burial_detected() {
         Box::new(HashRouter),
         move |_| StaticDriver::new(policy),
         FaultPlan::new(vec![
-            FaultEvent { shard: 0, at: KILL1_AT, kind: FaultKind::Panic },
+            FaultEvent { unit: 0, at: KILL1_AT, kind: FaultKind::Panic },
             // The standby dies at the same index as the primary's fatal
             // request: no cut lands in between, so there is no re-seed and
             // nothing to promote.
-            FaultEvent { shard: 0, at: KILL2_AT, kind: FaultKind::CorruptStandby },
-            FaultEvent { shard: 0, at: KILL2_AT, kind: FaultKind::Panic },
+            FaultEvent { unit: 0, at: KILL2_AT, kind: FaultKind::CorruptStandby },
+            FaultEvent { unit: 0, at: KILL2_AT, kind: FaultKind::Panic },
         ]),
     );
     let handle = fleet.metrics_handle();

@@ -30,10 +30,10 @@ fn trace(n: usize, seed: u64) -> Trace {
 /// and a checkpoint corruption.
 fn plan() -> FaultPlan {
     FaultPlan::new(vec![
-        FaultEvent { shard: 0, at: 700, kind: FaultKind::Delay { spins: 50 } },
-        FaultEvent { shard: 0, at: 900, kind: FaultKind::Panic },
-        FaultEvent { shard: 0, at: 1_300, kind: FaultKind::CorruptCheckpoint { torn: true } },
-        FaultEvent { shard: 0, at: 1_500, kind: FaultKind::Panic },
+        FaultEvent { unit: 0, at: 700, kind: FaultKind::Delay { spins: 50 } },
+        FaultEvent { unit: 0, at: 900, kind: FaultKind::Panic },
+        FaultEvent { unit: 0, at: 1_300, kind: FaultKind::CorruptCheckpoint { torn: true } },
+        FaultEvent { unit: 0, at: 1_500, kind: FaultKind::Panic },
     ])
 }
 
@@ -105,9 +105,9 @@ fn failover_run(shards: usize) -> (Vec<u8>, Vec<(u32, JournalSnapshot)>) {
         Box::new(HashRouter),
         |_| StaticDriver::new(ThresholdPolicy::new(1, 100 * 1024)),
         FaultPlan::new(vec![
-            FaultEvent { shard: 0, at: 512, kind: FaultKind::Panic },
-            FaultEvent { shard: 0, at: 600, kind: FaultKind::CorruptStandby },
-            FaultEvent { shard: 0, at: 1_024, kind: FaultKind::Panic },
+            FaultEvent { unit: 0, at: 512, kind: FaultKind::Panic },
+            FaultEvent { unit: 0, at: 600, kind: FaultKind::CorruptStandby },
+            FaultEvent { unit: 0, at: 1_024, kind: FaultKind::Panic },
         ]),
     );
     let handle = fleet.metrics_handle();

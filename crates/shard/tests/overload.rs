@@ -98,7 +98,7 @@ fn check_shed_conservation(shards: usize, front: Front) {
         (0..shards)
             .flat_map(|s| {
                 (0..8).map(move |at| FaultEvent {
-                    shard: s,
+                    unit: s,
                     at,
                     kind: FaultKind::Delay { spins: 500_000 },
                 })

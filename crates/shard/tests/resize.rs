@@ -346,14 +346,22 @@ fn live_submitters_see_zero_unavailable_across_resizes() {
 }
 
 /// Overload shedding across a cutover: with a watermark armed, flooded
-/// frames are answered `shed` in both generations. How many is up to the
-/// scheduler; that every one of them is on the ledger — in the fleet total
-/// and in its generation's row — is not.
+/// frames are answered `shed`. How many is up to the scheduler; that some
+/// are is scripted, and that every one of them is on the ledger — in the
+/// fleet total and in its generation's row — is not.
 #[test]
 fn shed_requests_stay_on_the_ledger_across_a_resize() {
     let trace = test_trace(24_000);
     let fs = frames(&trace, 1_000);
-    let fleet = elastic_with(FleetConfig { shed_watermark: Some(1), ..fleet_cfg(2) }, None, false);
+    // Shard 0's generation-0 worker stalls on its first request until its
+    // queue is full. A frame's run (at most 1 000 requests) never fills a
+    // 1 024-deep queue, and the 1-deep watermark sheds every later run
+    // while the first one waits, so the stall lasts until the resize's
+    // drain hangs up: the shed episode is scripted, not left to the
+    // scheduler.
+    let stall = FaultPlan::new(vec![FaultEvent { unit: 0, at: 0, kind: FaultKind::QueueFull }]);
+    let cfg = FleetConfig { shed_watermark: Some(1), queue_capacity: 1_024, ..fleet_cfg(2) };
+    let fleet = elastic_faulty(cfg, stall, None, false);
     for f in &fs[..12] {
         fleet.submit_frame(f.iter().cloned());
     }
@@ -531,9 +539,9 @@ fn a_damaged_base_ships_full_and_a_damaged_final_cut_boots_cold() {
     );
     let corrupt = FaultKind::CorruptCheckpoint { torn: false };
     let plan = FaultPlan::new(vec![
-        FaultEvent { shard: 0, at: routed[0] - 1, kind: corrupt },
-        FaultEvent { shard: 1, at: routed[1] - 1, kind: corrupt },
-        FaultEvent { shard: 1, at: routed[1] - 1, kind: FaultKind::Panic },
+        FaultEvent { unit: 0, at: routed[0] - 1, kind: corrupt },
+        FaultEvent { unit: 1, at: routed[1] - 1, kind: corrupt },
+        FaultEvent { unit: 1, at: routed[1] - 1, kind: FaultKind::Panic },
     ]);
     let fleet = elastic_faulty(fleet_cfg(2), plan, None, false);
     for f in &fs[..6] {

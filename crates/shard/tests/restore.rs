@@ -145,7 +145,7 @@ fn check_warm_boundary_restore(shards: usize, kill_at: u64, ckpt_every: u64, pha
             let model = Arc::clone(&model);
             move |_| DarwinDriver::new(Arc::clone(&model), online_cfg())
         },
-        FaultPlan::new(vec![FaultEvent { shard: 0, at: kill_at, kind: FaultKind::Panic }]),
+        FaultPlan::new(vec![FaultEvent { unit: 0, at: kill_at, kind: FaultKind::Panic }]),
     );
     fleet.submit_trace(&trace);
     let report = fleet.finish();
@@ -247,8 +247,8 @@ fn corrupted_checkpoint_falls_back_cold_bitwise() {
             // Bit rot on every candidate, then death at the same index: the
             // corruption fires first (fault ordering), so the respawn finds
             // no valid frame and must fall back cold — detectably.
-            FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::CorruptCheckpoint { torn: false } },
-            FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::Panic },
+            FaultEvent { unit: 0, at: KILL_AT, kind: FaultKind::CorruptCheckpoint { torn: false } },
+            FaultEvent { unit: 0, at: KILL_AT, kind: FaultKind::Panic },
         ]),
     );
     fleet.submit_trace(&trace);
@@ -306,15 +306,15 @@ fn torn_checkpoint_falls_back_cold() {
         Box::new(HashRouter),
         move |_| StaticDriver::new(policy),
         FaultPlan::new(vec![
-            FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::CorruptCheckpoint { torn: true } },
-            FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::Panic },
+            FaultEvent { unit: 0, at: KILL_AT, kind: FaultKind::CorruptCheckpoint { torn: true } },
+            FaultEvent { unit: 0, at: KILL_AT, kind: FaultKind::Panic },
         ]),
     );
     fleet.submit_trace(&trace);
     let report = fleet.finish();
     assert_eq!(report.metrics().total_restarts(), 1);
     assert_eq!(report.metrics().total_warm_restarts(), 0, "torn frames must not restore warm");
-    assert_eq!(report.metrics().total_cold_restarts(), 1);
+    assert_eq!(report.metrics().shards.iter().map(|s| s.cold_restarts()).sum::<u32>(), 1);
     assert_eq!(report.total_processed() + report.total_dropped(), trace.len() as u64);
 }
 
@@ -332,7 +332,7 @@ fn disk_spill_parses_and_restores_after_exit() {
         cache_cfg(),
         Box::new(HashRouter),
         move |_| StaticDriver::new(policy),
-        FaultPlan::new(vec![FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::Panic }]),
+        FaultPlan::new(vec![FaultEvent { unit: 0, at: KILL_AT, kind: FaultKind::Panic }]),
         FleetBoot { checkpoint_dir: Some(dir.clone()), ..FleetBoot::default() },
     );
     fleet.submit_trace(&trace);
@@ -434,7 +434,7 @@ fn warm_restart_recovers_hit_ratio_sooner_than_cold() {
             cache_cfg(),
             Box::new(HashRouter),
             move |_| StaticDriver::new(policy),
-            FaultPlan::new(vec![FaultEvent { shard: 0, at: kill_at, kind: FaultKind::Panic }]),
+            FaultPlan::new(vec![FaultEvent { unit: 0, at: kill_at, kind: FaultKind::Panic }]),
         );
         fleet.submit_trace(&trace);
         let report = fleet.finish();
@@ -467,9 +467,9 @@ fn fleet_metrics_merge_and_conservation_across_warm_restarts() {
         FaultPlan::new(vec![
             // One warm restart (boundary kill on shard 0) and one cold: shard
             // 1's candidates are corrupted right before its death.
-            FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::Panic },
-            FaultEvent { shard: 1, at: KILL_AT, kind: FaultKind::CorruptCheckpoint { torn: false } },
-            FaultEvent { shard: 1, at: KILL_AT, kind: FaultKind::Panic },
+            FaultEvent { unit: 0, at: KILL_AT, kind: FaultKind::Panic },
+            FaultEvent { unit: 1, at: KILL_AT, kind: FaultKind::CorruptCheckpoint { torn: false } },
+            FaultEvent { unit: 1, at: KILL_AT, kind: FaultKind::Panic },
         ]),
     );
     let handle = fleet.metrics_handle();
@@ -488,8 +488,11 @@ fn fleet_metrics_merge_and_conservation_across_warm_restarts() {
     // Warm + cold partitions the restart count, fleet-wide and per shard.
     assert_eq!(snap.total_restarts(), 2);
     assert_eq!(snap.total_warm_restarts(), 1);
-    assert_eq!(snap.total_cold_restarts(), 1);
-    assert_eq!(snap.total_warm_restarts() + snap.total_cold_restarts(), snap.total_restarts());
+    assert_eq!(snap.shards.iter().map(|s| s.cold_restarts()).sum::<u32>(), 1);
+    assert_eq!(
+        snap.total_warm_restarts() + snap.shards.iter().map(|s| s.cold_restarts()).sum::<u32>(),
+        snap.total_restarts()
+    );
     for s in &snap.shards {
         assert!(s.warm_restarts + s.cold_restarts() == s.restarts, "shard {}: partition", s.shard);
     }

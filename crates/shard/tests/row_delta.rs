@@ -80,12 +80,14 @@ fn cut_and_record(server: &mut CacheServer, seq: u64) -> (Vec<u8>, Option<Change
 /// and stayed inside `base + wire` bytes.
 fn ship(base: &[u8], target: &[u8]) -> (u64, Vec<u8>) {
     let held = Some(Held { seq: 1, image: base });
-    let wire = CutFrame::ship(3, 0, CutRole::Replica, 2, target, held, ShardCheckpoint::layout);
-    let cut = CutFrame::apply(&wire, 3, 0, CutRole::Replica, held, ShardCheckpoint::layout).unwrap();
+    let layout = ShardCheckpoint::layout;
+    let wire = CutFrame::ship(3, 0, CutRole::Replica, 2, target, held, None, layout);
+    let mut image = base.to_vec();
+    let cut = CutFrame::rebuild(&wire, 3, 0, CutRole::Replica, Some(1), &mut image, layout).unwrap();
     assert_eq!(cut.base_seq, Some(1), "real cuts lay out, so a row delta ships");
-    assert!(cut.image.capacity() <= base.len() + wire.len());
-    assert_eq!(ShardCheckpoint::header(&cut.image).map(|(shard, _)| shard), Ok(3));
-    (cut.shipped_bytes, cut.image)
+    assert!(image.capacity() <= base.len() + wire.len());
+    assert_eq!(ShardCheckpoint::header(&image).map(|(shard, _)| shard), Ok(3));
+    (cut.shipped_bytes, image)
 }
 
 proptest! {
@@ -142,10 +144,11 @@ proptest! {
             if let Some((base_seq, base)) = &previous {
                 let held = Some(Held { seq: *base_seq, image: base });
                 let (role, changes) = (CutRole::Replica, changes.as_ref());
-                let listed = CutFrame::ship_changes(3, 0, role, seq, &frame, held, changes, layout);
-                let diffed = CutFrame::ship(3, 0, role, seq, &frame, held, layout);
+                let listed = CutFrame::ship(3, 0, role, seq, &frame, held, changes, layout);
+                let diffed = CutFrame::ship(3, 0, role, seq, &frame, held, None, layout);
                 prop_assert!(listed == diffed, "cut {}: the list planned another envelope", seq);
-                let rebuilt = CutFrame::apply(&listed, 3, 0, role, held, layout).unwrap().image;
+                let mut rebuilt = base.clone();
+                CutFrame::rebuild(&listed, 3, 0, role, Some(*base_seq), &mut rebuilt, layout).unwrap();
                 prop_assert!(rebuilt == frame, "cut {}: the rebuild moved a byte", seq);
             }
             previous = Some((seq, frame));
@@ -177,7 +180,7 @@ fn applied(outcome: FeedOutcome) -> Option<(u64, u64)> {
 /// The bytes of the row delta the diff plans for `target` against `held`.
 fn diffed(held: &[u8], held_seq: u64, target: &[u8]) -> u64 {
     let held = Some(Held { seq: held_seq, image: held });
-    let wire = CutFrame::ship(3, 0, CutRole::Replica, 0, target, held, ShardCheckpoint::layout);
+    let wire = CutFrame::ship(3, 0, CutRole::Replica, 0, target, held, None, ShardCheckpoint::layout);
     match CutFrame::from_frame(&wire).unwrap().payload {
         CutPayload::Rows { rows, .. } => rows.len() as u64,
         CutPayload::Full(_) => panic!("real cuts lay out"),
@@ -305,7 +308,7 @@ fn a_list_against_a_cut_the_standby_missed_is_not_used() {
 /// encoding.
 fn removals(target: &[u8], base: &[u8]) -> Vec<Vec<u64>> {
     let held = Some(Held { seq: 1, image: base });
-    let wire = CutFrame::ship(3, 0, CutRole::Replica, 2, target, held, ShardCheckpoint::layout);
+    let wire = CutFrame::ship(3, 0, CutRole::Replica, 2, target, held, None, ShardCheckpoint::layout);
     let CutPayload::Rows { rows, .. } = CutFrame::from_frame(&wire).unwrap().payload else {
         panic!("a row delta was shipped")
     };

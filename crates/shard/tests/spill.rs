@@ -30,8 +30,8 @@ fn a_vanished_spill_dir_neither_hangs_finish_nor_kills_a_worker() {
         ..FleetConfig::default()
     };
     let faults = FaultPlan::new(vec![
-        FaultEvent { shard: 1, at: 2_500, kind: FaultKind::CorruptCheckpoint { torn: false } },
-        FaultEvent { shard: 0, at: 4_500, kind: FaultKind::Panic },
+        FaultEvent { unit: 1, at: 2_500, kind: FaultKind::CorruptCheckpoint { torn: false } },
+        FaultEvent { unit: 0, at: 4_500, kind: FaultKind::Panic },
     ]);
     let mut fleet = ShardedFleet::with_boot(
         cfg,
