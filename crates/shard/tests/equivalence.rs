@@ -6,7 +6,8 @@
 //!
 //! Verified at 1, 2 and 8 shards (`verify.sh` runs all three), with the full
 //! Darwin online controller per shard and, separately, with static experts
-//! on a longer trace.
+//! on a longer trace. At one shard the reference is also held against the
+//! paper's runner, `darwin::run_darwin`, over the whole trace.
 
 use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, OnlineConfig};
 use darwin_cache::{CacheConfig, ThresholdPolicy};
@@ -116,9 +117,19 @@ fn check_darwin_equivalence(shards: usize) {
         assert_eq!(f.dc_used_bytes, s.dc_used_bytes, "shard {shard}: DC occupancy");
         let fleet_seq =
             f.driver.expect("live shard keeps its driver").into_controller().expert_sequence();
-        let replay_seq = s.driver.into_controller().expert_sequence();
+        let replay = s.driver.into_controller();
+        let replay_seq = replay.expert_sequence();
         assert_eq!(fleet_seq, replay_seq, "shard {shard}: deployed-expert sequence");
         switched_anywhere |= fleet_seq.len() > 1;
+
+        // At one shard the partition is the whole trace, so the paper's
+        // runner over it must be the same run as the fleet's reference.
+        if shards == 1 {
+            let paper = darwin::run_darwin(&model, &online_cfg(), &trace, &cache_cfg());
+            assert_eq!(paper.metrics, s.cache, "run_darwin: cache metrics");
+            assert_eq!(paper.switches, replay.switches(), "run_darwin: switch sequence");
+            assert_eq!(paper.final_expert, replay.current_expert_index(), "run_darwin: final expert");
+        }
     }
     assert!(
         switched_anywhere,
