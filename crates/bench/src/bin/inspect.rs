@@ -19,11 +19,11 @@
 //! restart/warm counters and the last `--tail` journal events. The loop
 //! exits when the gateway stops answering (e.g. after a shutdown).
 
+use darwin::StaticDriver;
 use darwin_bench::{runs, watch, Scale, SharedContext};
 use darwin_cache::ThresholdPolicy;
 use darwin_gateway::loadgen;
 use darwin_shard::{FleetConfig, FleetMetrics, HashRouter, ShardedFleet};
-use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, TraceGenerator, TrafficClass};
 use std::time::Duration;
 

@@ -14,8 +14,8 @@ use crate::report::{f4, Report};
 use crate::runs::{self, tuning_sample, BaselineSuite};
 use crate::scale::Scale;
 use darwin::offline::OfflineTrainer;
-use darwin::ExpertGrid;
-use darwin_testbed::{DarwinDriver, StaticDriver, Testbed, TestbedConfig};
+use darwin::{DarwinDriver, ExpertGrid, StaticDriver};
+use darwin_testbed::{Testbed, TestbedConfig};
 use darwin_trace::{concat_traces, scale_trace};
 use std::path::Path;
 use std::sync::Arc;

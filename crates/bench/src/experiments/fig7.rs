@@ -11,8 +11,8 @@
 
 use crate::corpus::SharedContext;
 use crate::report::Report;
-use darwin::Expert;
-use darwin_testbed::{DarwinDriver, StaticDriver, Testbed, TestbedConfig};
+use darwin::{DarwinDriver, Expert, StaticDriver};
+use darwin_testbed::{Testbed, TestbedConfig};
 use darwin_trace::concat_traces;
 use std::path::Path;
 use std::sync::Arc;

@@ -18,12 +18,12 @@
 
 use crate::report::{f4, Report};
 use crate::scale::Scale;
+use darwin::DarwinDriver;
 use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, OnlineConfig};
 use darwin_cache::CacheConfig;
 use darwin_nn::TrainConfig;
 use darwin_obs::EventKind;
 use darwin_shard::{FleetConfig, HashRouter, ShardedFleet};
-use darwin_testbed::DarwinDriver;
 use darwin_trace::{concat_traces, MixSpec, Trace, TraceGenerator, TrafficClass};
 use serde::Serialize;
 use std::path::Path;

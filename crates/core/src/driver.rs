@@ -1,7 +1,7 @@
-//! Pluggable admission control for the testbed proxy.
+//! The admission seam: what decides a cache server's HOC policy over time.
 
-use darwin::online::OnlineController;
-use darwin::{DarwinModel, OnlineConfig};
+use crate::online::{ControlEvent, OnlineController};
+use crate::{DarwinModel, OnlineConfig};
 use darwin_cache::{CacheMetrics, ThresholdPolicy};
 use darwin_trace::Request;
 use std::sync::Arc;
@@ -31,7 +31,7 @@ pub trait AdmissionDriver {
     /// Takes the control-plane decisions (expert switches, drift
     /// detections) buffered since the last drain, for the serving layer's
     /// event journal. Drivers without a controller have none.
-    fn drain_events(&mut self) -> Vec<darwin::ControlEvent> {
+    fn drain_events(&mut self) -> Vec<ControlEvent> {
         Vec::new()
     }
 }
@@ -113,7 +113,7 @@ impl AdmissionDriver for DarwinDriver {
     fn load_state(&mut self, bytes: &[u8]) -> bool {
         self.controller.restore_state(bytes).is_ok()
     }
-    fn drain_events(&mut self) -> Vec<darwin::ControlEvent> {
+    fn drain_events(&mut self) -> Vec<ControlEvent> {
         self.controller.drain_control_events()
     }
 }

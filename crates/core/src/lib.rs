@@ -48,17 +48,19 @@
 //! ```
 
 pub mod bits;
+pub mod driver;
 pub mod expert;
 pub mod model;
 pub mod offline;
 pub mod online;
 pub mod runner;
 
+pub use driver::{AdmissionDriver, DarwinDriver, StaticDriver};
 pub use expert::{Expert, ExpertGrid};
 pub use model::{DarwinModel, PairPredictor};
 pub use offline::{EvaluatedTrace, OfflineConfig, OfflineTrainer};
 pub use online::{ControlEvent, ControllerPhase, OnlineConfig, OnlineController};
-pub use runner::{run_darwin, run_static, DarwinReport};
+pub use runner::{run_darwin, run_static, serve, DarwinReport};
 
 /// Convenient re-exports for downstream code and examples.
 pub mod prelude {

@@ -1,10 +1,11 @@
 //! Convenience drivers wiring a cache server to the online controller.
 
+use crate::driver::{AdmissionDriver, DarwinDriver};
 use crate::expert::Expert;
 use crate::model::DarwinModel;
-use crate::online::{EpochSummary, OnlineConfig, OnlineController, SwitchEvent};
+use crate::online::{EpochSummary, OnlineConfig, SwitchEvent};
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer};
-use darwin_trace::Trace;
+use darwin_trace::{Request, Trace};
 use std::sync::Arc;
 
 /// The outcome of running Darwin over a trace.
@@ -43,28 +44,39 @@ pub fn run_darwin_with_timeline(
     cache: &CacheConfig,
     timeline_window: usize,
 ) -> DarwinReport {
-    let mut ctrl = OnlineController::new(Arc::clone(model), *cfg);
+    let mut driver = DarwinDriver::new(Arc::clone(model), *cfg);
     let mut server = CacheServer::new(cache.clone());
-    server.set_policy(ctrl.current_expert().policy);
+    server.set_policy(driver.initial_policy());
     let mut timeline = Vec::new();
     let mut window_start = CacheMetrics::default();
-    for (i, r) in trace.iter().enumerate() {
-        server.process(r);
-        if let Some(e) = ctrl.observe(r, &server.metrics()) {
-            server.set_policy(e.policy);
-        }
-        if timeline_window > 0 && (i + 1) % timeline_window == 0 {
+    let chunk = if timeline_window == 0 { usize::MAX } else { timeline_window };
+    for (i, requests) in trace.requests().chunks(chunk).enumerate() {
+        serve(&mut server, &mut driver, requests);
+        if requests.len() == timeline_window {
             let now = server.metrics();
-            timeline.push((i as u64 + 1, now.diff(&window_start).hoc_ohr()));
+            timeline.push((((i + 1) * chunk) as u64, now.diff(&window_start).hoc_ohr()));
             window_start = now;
         }
     }
+    let ctrl = driver.controller();
     DarwinReport {
         metrics: server.metrics(),
         switches: ctrl.switches().to_vec(),
         epochs: ctrl.epochs().to_vec(),
         final_expert: ctrl.current_expert_index(),
         timeline,
+    }
+}
+
+/// Serves `requests` on `server`, each processed, then observed by `driver`,
+/// which may install a new policy before the next: the one sequential serve
+/// loop, shared by [`run_darwin`] and the shard fleet's replay reference.
+pub fn serve(server: &mut CacheServer, driver: &mut impl AdmissionDriver, requests: &[Request]) {
+    for req in requests {
+        server.process(req);
+        if let Some(policy) = driver.observe(req, &server.metrics()) {
+            server.set_policy(policy);
+        }
     }
 }
 

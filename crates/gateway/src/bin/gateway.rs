@@ -57,12 +57,12 @@
 mod cli;
 
 use cli::{fail, value};
+use darwin::StaticDriver;
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_gateway::{Gateway, GatewayConfig};
 use darwin_shard::{
     Backpressure, FleetConfig, HashRouter, JumpRouter, RestartBudget, Router, MAX_SHARDS,
 };
-use darwin_testbed::StaticDriver;
 use std::time::Duration;
 
 fn main() {

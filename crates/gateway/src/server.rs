@@ -31,6 +31,7 @@ use crate::conn::{
 };
 use crate::netfault::{accept_pause, NetFaultKind, NetFaultPlan};
 use crate::wire::{FrameReader, Message, RecvError, WireVerdict, MAX_BODY_LEN};
+use darwin::AdmissionDriver;
 use darwin_cache::CacheConfig;
 use darwin_obs::{EventKind, Journal};
 use darwin_shard::fault::{spin, Fault};
@@ -38,7 +39,6 @@ use darwin_shard::{
     ElasticFleet, ElasticReport, FaultPlan, FleetConfig, FleetMetrics, FleetReport, GatewaySnapshot,
     GenerationSummary, Router,
 };
-use darwin_testbed::AdmissionDriver;
 use serde::{Deserialize, Serialize};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -116,21 +116,15 @@ pub struct GatewayConfig {
     pub warm_boot: bool,
     /// Per-connection fair-share rate limit, in records per second (`None` =
     /// unlimited). Enforced by a token bucket with a one-second burst
-    /// allowance: a `GET` frame that would overdraw the bucket is answered
-    /// `Busy` for every record — without touching the fleet — so one greedy
-    /// client cannot starve its well-behaved neighbours (the `--conn-rate`
-    /// flag).
+    /// allowance: a `GET` frame that would overdraw a bucket that is not full
+    /// is answered `Busy` for every record — without touching the fleet — so
+    /// one greedy client cannot starve its well-behaved neighbours (the
+    /// `--conn-rate` flag). A full bucket admits any frame, going into debt.
     pub conn_rate: Option<u64>,
     /// How long a reply write may sit in the socket buffer before the
     /// connection is declared a slow client and evicted (`None` = wait
     /// forever, the historical behaviour; the `--write-stall-ms` flag).
     pub write_stall: Option<Duration>,
-    /// Bound on a connection's reply backlog, in frames: decoded frames
-    /// whose reply has not yet been written. At the bound, new `GET` frames
-    /// are answered `Busy` without fleet submission, so a client that
-    /// pipelines faster than it reads cannot grow the sink's reorder/reply
-    /// memory without bound.
-    pub sink_backlog: u64,
     /// Scripted transport-layer faults (resets, stalls, frame corruption,
     /// accept pauses), keyed off connection ids and frame sequence numbers —
     /// deterministic, no wall clock. The empty plan is the identity.
@@ -147,7 +141,6 @@ impl Default for GatewayConfig {
             warm_boot: true,
             conn_rate: None,
             write_stall: None,
-            sink_backlog: 1024,
             net_fault_plan: NetFaultPlan::default(),
         }
     }
@@ -469,10 +462,16 @@ fn acceptor_loop<D: AdmissionDriver + Send + 'static>(
     conns
 }
 
+/// Frames whose reply is not yet written at which a connection's new `GET`
+/// frames are answered `Busy`, so a client that pipelines faster than it
+/// reads cannot grow its sink's reorder/reply memory without bound.
+const SINK_BACKLOG: u64 = 1024;
+
 /// The per-connection fair-share limiter: a token bucket holding up to one
 /// second's worth of records, refilled continuously at `rate` records per
-/// second. A `GET` frame is admitted whole or shed whole — partial frames
-/// would break the one-reply-per-frame protocol invariant.
+/// second. A `GET` frame is admitted whole (a full bucket admits any size,
+/// into debt) or shed whole — partial frames would break the
+/// one-reply-per-frame protocol invariant.
 struct TokenBucket {
     rate: f64,
     tokens: f64,
@@ -490,7 +489,7 @@ impl TokenBucket {
         self.tokens =
             (self.tokens + now.duration_since(self.last).as_secs_f64() * self.rate).min(self.rate);
         self.last = now;
-        if self.tokens >= records as f64 {
+        if self.tokens >= (records as f64).min(self.rate) {
             self.tokens -= records as f64;
             true
         } else {
@@ -602,7 +601,7 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
                 // answered `Busy` for the whole frame without touching the
                 // fleet. The reply still occupies the frame's sequence slot,
                 // so pipelining clients keep their reply-order guarantee.
-                let backlogged = sink.backlog(seq) >= shared.cfg.sink_backlog.max(1);
+                let backlogged = sink.backlog(seq) >= SINK_BACKLOG;
                 let throttled =
                     !backlogged && !bucket.as_mut().is_none_or(|b| b.admit(records.len() as u64));
                 if throttled {
@@ -713,4 +712,16 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
         panic!("gateway connection writer panicked");
     }
     drop(sink_guard);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_full_bucket_admits_a_frame_larger_than_its_rate() {
+        let mut bucket = TokenBucket::new(10);
+        assert!(bucket.admit(64), "a full bucket must admit any frame");
+        assert!(!bucket.admit(1), "the overdrawn bucket must refuse until the debt is repaid");
+    }
 }

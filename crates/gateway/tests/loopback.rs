@@ -3,13 +3,13 @@
 //! in-process fleet, and the serving layer must stay live and consistent
 //! under shutdown, worker panics, shedding and client disconnects.
 
+use darwin::{AdmissionDriver, DarwinDriver, StaticDriver};
 use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, OnlineConfig};
 use darwin_cache::{CacheConfig, CacheMetrics, ThresholdPolicy};
 use darwin_gateway::wire::{encode_get, FrameReader, Message};
 use darwin_gateway::{loadgen, Gateway, LoadgenConfig};
 use darwin_nn::TrainConfig;
 use darwin_shard::{partition, run_sequential, Backpressure, FleetConfig, FleetMetrics, HashRouter};
-use darwin_testbed::{AdmissionDriver, DarwinDriver, StaticDriver};
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};
 use std::io::Write;
 use std::net::TcpStream;

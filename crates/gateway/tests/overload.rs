@@ -5,6 +5,7 @@
 //! stalls, corruption, accept pauses) are survived by the client's
 //! reconnect protocol and journaled byte-identically run to run.
 
+use darwin::{AdmissionDriver, StaticDriver};
 use darwin_cache::{CacheConfig, CacheMetrics, ThresholdPolicy};
 use darwin_gateway::netfault::{NetFaultEvent, NetFaultKind, NetFaultPlan};
 use darwin_gateway::wire::{encode, encode_get, FrameReader, Message};
@@ -13,7 +14,6 @@ use darwin_gateway::{
 };
 use darwin_obs::{encode_fleet_events, EventKind};
 use darwin_shard::{FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter};
-use darwin_testbed::{AdmissionDriver, StaticDriver};
 use darwin_trace::{
     compress_window, flash_crowd, popularity_inversion, MixSpec, Request, Trace, TraceGenerator,
     TrafficClass,

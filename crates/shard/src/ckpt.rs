@@ -22,10 +22,10 @@
 //!
 //! [`CacheServer::save_state`]: darwin_cache::CacheServer::save_state
 
+use darwin::AdmissionDriver;
 use darwin_cache::{CacheConfig, CacheServer, ThresholdPolicy};
 use darwin_ckpt::rows::{Changes, Layout};
 use darwin_ckpt::{open, peek, CkptError, Dec, Enc, HEADER_LEN};
-use darwin_testbed::AdmissionDriver;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;

@@ -31,10 +31,10 @@ use crate::fault::FaultPlan;
 use crate::fleet::{Envelope, FleetBoot, FleetConfig, FleetProducer, FleetReport, ShardedFleet};
 use crate::metrics::{FleetMetrics, GenerationSummary, MetricsHandle, ShardPhase};
 use crate::router::Router;
+use darwin::AdmissionDriver;
 use darwin_cache::CacheConfig;
 use darwin_ckpt::replica::{CutError, CutFrame, CutRole, Held, RebuiltCut};
 use darwin_obs::EventKind;
-use darwin_testbed::AdmissionDriver;
 use darwin_trace::Request;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;

@@ -3,9 +3,9 @@
 //! [`ShardedFleet`] hash-partitions the object space across `shards`
 //! independent [`CacheServer`](darwin_cache::CacheServer)s, each owned by a
 //! dedicated worker thread and each driven by its *own* [`AdmissionDriver`]
-//! — with [`DarwinDriver`] drivers this is one Darwin controller per shard,
-//! learning that shard's sub-workload (the paper's per-server deployment
-//! model, §5).
+//! — with [`DarwinDriver`](darwin::DarwinDriver) drivers this is one Darwin
+//! controller per shard, learning that shard's sub-workload (the paper's
+//! per-server deployment model, §5).
 //!
 //! # Ingest pipeline
 //!
@@ -78,8 +78,6 @@
 //! [`darwin_parallel::inline_sweeps`], so a per-shard Darwin controller that
 //! sweeps experts at an epoch boundary runs those sweeps inline instead of
 //! stacking `DARWIN_THREADS`-wide pools `shards` times over.
-//!
-//! [`DarwinDriver`]: darwin_testbed::DarwinDriver
 
 use crate::ckpt::CheckpointSlot;
 use crate::fault::FaultPlan;
@@ -88,8 +86,8 @@ use crate::metrics::{FleetMetrics, MetricsHandle, ShardPhase};
 use crate::router::Router;
 use crate::supervisor::RestartBudget;
 use crate::worker::{Incarnation, WorkerExit};
+use darwin::AdmissionDriver;
 use darwin_cache::{CacheConfig, CacheMetrics, RequestOutcome};
-use darwin_testbed::AdmissionDriver;
 use darwin_trace::{Request, Trace};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::Ordering;
@@ -676,8 +674,8 @@ mod tests {
     use super::*;
     use crate::fault::{FaultEvent, FaultKind};
     use crate::router::HashRouter;
+    use darwin::StaticDriver;
     use darwin_cache::ThresholdPolicy;
-    use darwin_testbed::StaticDriver;
     use darwin_trace::{MixSpec, TraceGenerator, TrafficClass};
 
     fn trace(n: usize, seed: u64) -> Trace {

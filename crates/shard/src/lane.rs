@@ -11,9 +11,9 @@ use crate::router::Router;
 use crate::standby::StandbySlot;
 use crate::supervisor::{Supervisor, SupervisorVerdict};
 use crate::worker::{worker, Incarnation, WorkerCtx, WorkerExit};
+use darwin::AdmissionDriver;
 use darwin_cache::CacheConfig;
 use darwin_obs::EventKind;
-use darwin_testbed::AdmissionDriver;
 use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::atomic::AtomicU64;

@@ -31,7 +31,7 @@
 //!   round per batch) with blocking or drop-with-counter backpressure and
 //!   occupancy gauges.
 //! * [`fleet`] — [`ShardedFleet`]: one worker thread, cache server, queue
-//!   and [`AdmissionDriver`](darwin_testbed::AdmissionDriver) per shard
+//!   and [`AdmissionDriver`](darwin::AdmissionDriver) per shard
 //!   (with `DarwinDriver` drivers that is one Darwin controller per shard,
 //!   each learning its own sub-workload).
 //! * [`metrics`] — [`FleetMetrics`]: per-shard and fleet-wide OHR / BMR /

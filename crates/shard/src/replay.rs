@@ -17,14 +17,10 @@
 //! exactly its partition in partition order however large the runs are
 //! (`tests/batched_ingest.rs` proptests this, including with concurrent
 //! producers over disjoint shard groups).
-//!
-//! The replay side is also the measurement instrument for scale-out
-//! projections: the wall time of the slowest partition bounds the fleet's
-//! serving time on one-core-per-shard hardware.
 
 use crate::router::Router;
+use darwin::AdmissionDriver;
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer};
-use darwin_testbed::AdmissionDriver;
 use darwin_trace::{Request, Trace};
 
 /// Splits `trace` into the per-shard sub-traces a fleet with this `router`
@@ -57,8 +53,9 @@ pub struct ShardRun<D> {
     pub driver: D,
 }
 
-/// Runs one shard's partition sequentially: the exact per-request loop of
-/// the fleet's worker thread (`fleet::worker`), minus the queue.
+/// Runs one shard's partition sequentially through [`darwin::serve`], the
+/// paper runner's loop: the exact per-request loop of the fleet's worker
+/// thread, minus the queue.
 pub fn run_partition<D: AdmissionDriver>(
     cache: CacheConfig,
     mut driver: D,
@@ -66,17 +63,10 @@ pub fn run_partition<D: AdmissionDriver>(
 ) -> ShardRun<D> {
     let mut server = CacheServer::new(cache);
     server.set_policy(driver.initial_policy());
-    let mut processed = 0u64;
-    for req in part.iter() {
-        server.process(req);
-        processed += 1;
-        if let Some(policy) = driver.observe(req, &server.metrics()) {
-            server.set_policy(policy);
-        }
-    }
+    darwin::serve(&mut server, &mut driver, part.requests());
     ShardRun {
         cache: server.metrics(),
-        processed,
+        processed: part.len() as u64,
         hoc_used_bytes: server.hoc_used_bytes(),
         dc_used_bytes: server.dc_used_bytes(),
         driver,
@@ -105,8 +95,8 @@ pub fn run_sequential<D: AdmissionDriver>(
 mod tests {
     use super::*;
     use crate::router::HashRouter;
+    use darwin::StaticDriver;
     use darwin_cache::ThresholdPolicy;
-    use darwin_testbed::StaticDriver;
     use darwin_trace::{MixSpec, TraceGenerator, TrafficClass};
 
     fn trace(n: usize, seed: u64) -> Trace {

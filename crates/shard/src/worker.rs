@@ -1,9 +1,5 @@
-//! A shard worker: one incarnation's serving loop.
-//!
-//! Worker threads wrap their serving loop in
-//! [`darwin_parallel::inline_sweeps`], so a per-shard Darwin controller that
-//! sweeps experts at an epoch boundary runs those sweeps inline instead of
-//! stacking `DARWIN_THREADS`-wide pools `shards` times over.
+//! A shard worker: one incarnation's serving loop (see the `fleet` module
+//! docs for why it runs under [`darwin_parallel::inline_sweeps`]).
 
 use crate::ckpt::{try_restore, CheckpointSlot, Restored, ShardCheckpoint};
 use crate::fault::{spin, Cursor, Fault, FaultKind};
@@ -11,9 +7,9 @@ use crate::fleet::{Envelope, Verdict};
 use crate::metrics::ShardCell;
 use crate::queue::Consumer;
 use crate::standby::{feed_standby, StandbySlot};
+use darwin::{AdmissionDriver, ControlEvent};
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, RequestOutcome};
 use darwin_obs::{EventKind, SwitchCostTracker};
-use darwin_testbed::{AdmissionDriver, ControlEvent};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -118,8 +114,8 @@ impl Drop for Serving<'_> {
 }
 
 /// The per-shard serving loop. Identical, request for request, to the
-/// sequential loop in `replay::run_partition` — that symmetry is the
-/// equivalence proof's other half. Each processed envelope is completed with
+/// sequential loop [`darwin::serve`] that `replay::run_partition` and the
+/// paper runner share — that symmetry is the equivalence proof's other half. Each processed envelope is completed with
 /// its [`Verdict`] before the driver observes the request.
 ///
 /// The whole loop runs under `catch_unwind`: a panic (organic or scripted)

@@ -11,11 +11,11 @@
 //! shard's stream) — the same topology a gateway reaches when connections
 //! are sharded by keyspace. `verify.sh` runs the named gates below.
 
+use darwin::{DarwinDriver, StaticDriver};
 use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, OnlineConfig};
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_nn::TrainConfig;
 use darwin_shard::{partition, run_sequential, FleetConfig, FleetReport, HashRouter, ShardedFleet};
-use darwin_testbed::{DarwinDriver, StaticDriver};
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};

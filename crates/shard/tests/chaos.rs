@@ -6,12 +6,12 @@
 //! plan leaves the fleet bitwise identical to the sequential replay the
 //! equivalence suite trusts.
 
+use darwin::StaticDriver;
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_shard::{
     run_sequential, Backpressure, Envelope, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter,
     RestartBudget, ShardedFleet, Verdict,
 };
-use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};

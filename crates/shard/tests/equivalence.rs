@@ -9,11 +9,11 @@
 //! on a longer trace. At one shard the reference is also held against the
 //! paper's runner, `darwin::run_darwin`, over the whole trace.
 
+use darwin::{DarwinDriver, StaticDriver};
 use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, OnlineConfig};
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_nn::TrainConfig;
 use darwin_shard::{run_sequential, FleetConfig, HashRouter, ShardedFleet};
-use darwin_testbed::{DarwinDriver, StaticDriver};
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
 use std::sync::{Arc, OnceLock};
 

@@ -17,6 +17,7 @@
 //! in the metrics) and the shard is buried exactly as an unreplicated
 //! fleet would — degraded, conserved, never silent.
 
+use darwin::{DarwinDriver, StaticDriver};
 use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, OnlineConfig};
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_nn::TrainConfig;
@@ -25,7 +26,6 @@ use darwin_shard::{
     partition, run_partition, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter, RestartBudget,
     ShardedFleet,
 };
-use darwin_testbed::{DarwinDriver, StaticDriver};
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
 use std::sync::{Arc, OnceLock};
 

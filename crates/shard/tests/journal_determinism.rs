@@ -10,6 +10,7 @@
 //! controllers so expert-switch, drift and switching-cost events are under
 //! the gate too. `verify.sh` runs all of it.
 
+use darwin::{DarwinDriver, StaticDriver};
 use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, OnlineConfig};
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_nn::TrainConfig;
@@ -17,7 +18,6 @@ use darwin_obs::{encode_fleet_events, EventKind, JournalSnapshot};
 use darwin_shard::{
     FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter, RestartBudget, ShardedFleet,
 };
-use darwin_testbed::{DarwinDriver, StaticDriver};
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
 use std::sync::{Arc, OnceLock};
 

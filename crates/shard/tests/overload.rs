@@ -10,12 +10,12 @@
 //! real — through a producer's frames and through the fleet's own
 //! `submit` alike. `verify.sh` runs these gates at 1, 2 and 8 shards.
 
+use darwin::StaticDriver;
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_shard::{
     Envelope, EventKind, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter, ShardedFleet,
     Verdict,
 };
-use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -8,12 +8,12 @@
 //! reproduces bit-for-bit when rerun from the same seed, and regains its
 //! hit ratio within one fleet-wide checkpoint window of each resize.
 
+use darwin::StaticDriver;
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_shard::{
     Backpressure, ElasticFleet, EventKind, FaultEvent, FaultKind, FaultPlan, FleetConfig, JumpRouter,
     MetricsHandle, ResizeRefused, Router, ShardPhase, MAX_SHARDS,
 };
-use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

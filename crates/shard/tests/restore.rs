@@ -21,13 +21,13 @@
 use darwin::{
     ControllerPhase, DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, OnlineConfig,
 };
+use darwin::{DarwinDriver, StaticDriver};
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, ThresholdPolicy};
 use darwin_nn::TrainConfig;
 use darwin_shard::{
     partition, run_partition, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig, HashRouter,
     ShardCheckpoint, ShardedFleet,
 };
-use darwin_testbed::{DarwinDriver, StaticDriver};
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
 use std::sync::{Arc, OnceLock};
 

@@ -14,6 +14,7 @@
 //! envelope planned from it is the one the diff plans, cut after cut, and a
 //! standby that holds another cut than the list's base gets the diff.
 
+use darwin::{AdmissionDriver, DarwinDriver};
 use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, OnlineConfig};
 use darwin_cache::{CacheConfig, CacheServer, EvictionKind, ThresholdPolicy};
 use darwin_ckpt::replica::{CutFrame, CutPayload, CutRole, Held};
@@ -21,7 +22,6 @@ use darwin_ckpt::rows::Changes;
 use darwin_ckpt::Dec;
 use darwin_nn::TrainConfig;
 use darwin_shard::{CheckpointSlot, FeedOutcome, ShardCheckpoint, StandbySlot};
-use darwin_testbed::{AdmissionDriver, DarwinDriver};
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};

@@ -3,11 +3,11 @@
 //! (What the file holds once a reader gets to it is pinned where the file is
 //! read: `ckpt.rs`'s unit tests, `restore.rs`, `warm_boot.rs`.)
 
+use darwin::StaticDriver;
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_shard::{
     Backpressure, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig, HashRouter, ShardedFleet,
 };
-use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, TraceGenerator, TrafficClass};
 
 /// The directory is gone before the first cut (so every spill fails), one

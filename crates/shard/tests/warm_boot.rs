@@ -8,6 +8,7 @@
 //! (journaled `RestoreCold`, spill removed) while intact shards still boot
 //! warm, and a spill of an older frame version is refused the same way.
 
+use darwin::StaticDriver;
 use darwin_cache::{CacheConfig, CacheServer, ThresholdPolicy};
 use darwin_ckpt::rows::Table;
 use darwin_ckpt::{open, seal, CkptError, Enc};
@@ -15,7 +16,6 @@ use darwin_shard::{
     partition, run_partition, EventKind, FaultPlan, FleetBoot, FleetConfig, HashRouter, ShardCheckpoint,
     ShardedFleet, CKPT_MAGIC, CKPT_VERSION,
 };
-use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
 
 const CKPT_EVERY: u64 = 1_000;

@@ -26,11 +26,9 @@
 //! implementations for static experts and the full Darwin online controller,
 //! so Fig 4c / 7a / 7b compare exactly the code paths the paper compares.
 
-pub mod driver;
 pub mod latency;
 pub mod sim;
 
-pub use darwin::ControlEvent;
-pub use driver::{AdmissionDriver, DarwinDriver, StaticDriver};
+pub use darwin::{AdmissionDriver, DarwinDriver, StaticDriver};
 pub use latency::LatencyStats;
 pub use sim::{Testbed, TestbedConfig, TestbedReport};

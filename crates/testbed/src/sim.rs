@@ -6,8 +6,8 @@
 //! critical section; misses traverse the origin link. Event ordering is
 //! managed with a binary heap keyed on simulated microseconds.
 
-use crate::driver::AdmissionDriver;
 use crate::latency::LatencyStats;
+use darwin::AdmissionDriver;
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, RequestOutcome};
 use darwin_trace::Trace;
 use serde::{Deserialize, Serialize};
@@ -194,7 +194,7 @@ impl Testbed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::StaticDriver;
+    use darwin::StaticDriver;
     use darwin_cache::ThresholdPolicy;
     use darwin_trace::{MixSpec, TraceGenerator, TrafficClass};
 
@@ -274,7 +274,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::driver::StaticDriver;
+    use darwin::StaticDriver;
     use darwin_cache::ThresholdPolicy;
     use darwin_trace::{MixSpec, TraceGenerator, TrafficClass};
     use proptest::prelude::*;

@@ -8,7 +8,8 @@
 //! ```
 
 use darwin::prelude::*;
-use darwin_testbed::{DarwinDriver, StaticDriver, Testbed, TestbedConfig};
+use darwin::{DarwinDriver, StaticDriver};
+use darwin_testbed::{Testbed, TestbedConfig};
 use darwin_trace::{concat_traces, MixSpec, TraceGenerator, TrafficClass};
 use std::sync::Arc;
 

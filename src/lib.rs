@@ -9,7 +9,8 @@
 //! the functionality lives in the workspace crates it re-exports:
 //!
 //! * [`darwin`] — the paper's contribution (offline trainer, model, online
-//!   controller, experts);
+//!   controller, experts) and the admission seam every cache server serves
+//!   through ([`darwin::AdmissionDriver`]);
 //! * [`darwin_trace`] — synthetic CDN traces, trace I/O and dynamics;
 //! * [`darwin_cache`] — the two-level HOC/DC cache simulator;
 //! * [`darwin_features`] — feature extraction, footprint descriptors, drift
@@ -20,7 +21,9 @@
 //! * [`darwin_bandit`] — Track-and-Stop with Side Information and baselines;
 //! * [`darwin_baselines`] — AdaptSize, Percentile, HillClimbing,
 //!   DirectMapping;
-//! * [`darwin_testbed`] — the discrete-event prototype testbed.
+//! * [`darwin_testbed`] — the discrete-event prototype testbed, a simulator
+//!   beside the serving path (`darwin-shard`, `darwin-gateway`), not under
+//!   it.
 //!
 //! See `README.md` for a tour and `DESIGN.md`/`EXPERIMENTS.md` for the
 //! reproduction methodology and results.

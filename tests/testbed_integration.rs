@@ -1,8 +1,9 @@
 //! Integration tests for the prototype testbed with the full Darwin driver.
 
 use darwin::prelude::*;
+use darwin::{DarwinDriver, StaticDriver};
 use darwin_nn::TrainConfig;
-use darwin_testbed::{DarwinDriver, StaticDriver, Testbed, TestbedConfig};
+use darwin_testbed::{Testbed, TestbedConfig};
 use darwin_trace::{concat_traces, MixSpec, TraceGenerator, TrafficClass};
 use std::sync::Arc;
 

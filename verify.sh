@@ -7,6 +7,15 @@ cd "$(dirname "$0")"
 echo "== build (release) =="
 cargo build --release --workspace
 
+echo "== the serving path does not link the simulator (darwin-shard, darwin-gateway: no darwin-testbed) =="
+for crate in darwin-shard darwin-gateway; do
+    tree=$(cargo tree --locked --offline -e normal -p "$crate")
+    if grep -q darwin-testbed <<< "$tree"; then
+        echo "$crate depends on darwin-testbed" >&2
+        exit 1
+    fi
+done
+
 echo "== tests (workspace: unit, property and integration suites of every crate) =="
 cargo test --workspace -q
 
