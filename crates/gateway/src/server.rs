@@ -30,7 +30,7 @@ use crate::conn::{
     writer_loop, ConnSink, GatewayEnvelope, PendingBatch, Reply, ReplyCounters, SinkGuard,
 };
 use crate::netfault::{accept_pause, NetFaultKind, NetFaultPlan};
-use crate::wire::{FrameReader, Message, RecvError, WireVerdict, MAX_BODY_LEN};
+use crate::wire::{retry_after_for, FrameReader, Message, RecvError, WireVerdict, MAX_BODY_LEN};
 use darwin::AdmissionDriver;
 use darwin_cache::CacheConfig;
 use darwin_obs::{EventKind, Journal};
@@ -471,7 +471,8 @@ const SINK_BACKLOG: u64 = 1024;
 /// second's worth of records, refilled continuously at `rate` records per
 /// second. A `GET` frame is admitted whole (a full bucket admits any size,
 /// into debt) or shed whole — partial frames would break the
-/// one-reply-per-frame protocol invariant.
+/// one-reply-per-frame protocol invariant — with a retry hint from the time
+/// the bucket needs to cover it ([`wait`](Self::wait)).
 struct TokenBucket {
     rate: f64,
     tokens: f64,
@@ -495,6 +496,14 @@ impl TokenBucket {
         } else {
             false
         }
+    }
+
+    /// How long after the last [`admit`](Self::admit) the bucket holds
+    /// enough to admit a frame of `records`: zero if it already does, longer
+    /// the deeper its debt.
+    fn wait(&self, records: u64) -> Duration {
+        let short = (records as f64).min(self.rate) - self.tokens;
+        Duration::from_secs_f64((short / self.rate).max(0.0))
     }
 }
 
@@ -602,18 +611,23 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
                 // fleet. The reply still occupies the frame's sequence slot,
                 // so pipelining clients keep their reply-order guarantee.
                 let backlogged = sink.backlog(seq) >= SINK_BACKLOG;
-                let throttled =
-                    !backlogged && !bucket.as_mut().is_none_or(|b| b.admit(records.len() as u64));
-                if throttled {
-                    Counters::add(&counters.throttled, records.len() as u64);
+                let n = records.len() as u64;
+                // A throttled frame's hint asks for the time the bucket
+                // needs to cover it; a backlogged one's, the shortest wait.
+                let throttled = match bucket.as_mut() {
+                    Some(b) if !backlogged => (!b.admit(n)).then(|| b.wait(n)),
+                    _ => None,
+                };
+                if throttled.is_some() {
+                    Counters::add(&counters.throttled, n);
                     if !throttled_logged {
                         throttled_logged = true;
                         shared.journal.record(seq, EventKind::ConnThrottled { conn: id });
                     }
                 }
-                if backlogged || throttled {
-                    Counters::add(&counters.shed, records.len() as u64);
-                    let busy = WireVerdict::busy(1).to_byte();
+                if backlogged || throttled.is_some() {
+                    Counters::add(&counters.shed, n);
+                    let busy = WireVerdict::busy(throttled.map_or(1, retry_after_for)).to_byte();
                     sink.push(seq, Reply::Verdicts(vec![busy; records.len()]));
                     seq += 1;
                     continue;
@@ -723,5 +737,27 @@ mod tests {
         let mut bucket = TokenBucket::new(10);
         assert!(bucket.admit(64), "a full bucket must admit any frame");
         assert!(!bucket.admit(1), "the overdrawn bucket must refuse until the debt is repaid");
+    }
+
+    /// The hint a refused frame gets asks for the time its bucket needs to
+    /// cover it: the deeper the debt, the longer — never shorter.
+    #[test]
+    fn the_retry_hint_never_falls_as_the_debt_grows() {
+        let mut bucket = TokenBucket::new(50);
+        let mut last = 0;
+        for debt in 0..=400 {
+            bucket.tokens = 50.0 - f64::from(debt);
+            let hint = retry_after_for(bucket.wait(64));
+            assert!(hint >= last, "debt {debt}: hint {hint} after {last}");
+            last = hint;
+        }
+        // A full bucket admits at once (its hint is the shortest); 64
+        // records against 50 a second, after a 64-record frame, wait 1.28 s.
+        bucket.tokens = 50.0;
+        assert_eq!((bucket.wait(64), retry_after_for(bucket.wait(64))), (Duration::ZERO, 1));
+        bucket.tokens = 50.0 - 64.0;
+        assert_eq!(bucket.wait(64), Duration::from_secs_f64(1.28));
+        assert_eq!(last, 7);
+        assert_eq!(retry_after_for(Duration::from_millis(15)), 2);
     }
 }

@@ -56,6 +56,7 @@
 use darwin_cache::RequestOutcome;
 use darwin_trace::Request;
 use std::io::Read;
+use std::time::Duration;
 
 /// First two header bytes of every frame.
 pub const MAGIC: u16 = 0xDA57;
@@ -116,8 +117,21 @@ pub struct WireVerdict {
     pub admitted: bool,
     /// Backoff exponent hint (0–7) carried by `Busy` verdicts: the server's
     /// estimate of overload severity, fed into the client's exponential
-    /// backoff. Always 0 for every other outcome.
+    /// backoff. A hint `h` ≥ 1 asks the client to back off for up to
+    /// [`RETRY_UNIT`]` · 2^(h − 1)` — 10 ms at 1, doubling to 640 ms at 7 —
+    /// the scale the loadgen's backoff reads it on (a 10 ms base doubled
+    /// `h − 1` times, full jitter). Always 0 for every other outcome.
     pub retry_after: u8,
+}
+
+/// The wait a `retry_after` hint of 1 asks for; each step up doubles it.
+pub const RETRY_UNIT: Duration = Duration::from_millis(10);
+
+/// The `retry_after` hint that asks for a wait of `wait`: the smallest
+/// whose wait ([`RETRY_UNIT`]` · 2^(h − 1)`) covers it, and 7 past 640 ms.
+/// A longer wait never gets a smaller hint.
+pub fn retry_after_for(wait: Duration) -> u8 {
+    (1..7).find(|&h| RETRY_UNIT * (1 << (h - 1)) >= wait).unwrap_or(7)
 }
 
 impl WireVerdict {

@@ -296,20 +296,24 @@ fn stats_frame_returns_parseable_snapshot() {
 /// A fleet whose journals are full still answers `STATS` within the frame
 /// bound: the reply is compact and leaves the journals to `EVENTS`, whose
 /// reply keeps the newest events that fit. Eight shards cutting a
-/// checkpoint every 10 requests fill each 1 024-event journal; pretty JSON
-/// of those journals is about 1.45 MB, past `MAX_BODY_LEN`.
+/// checkpoint at every request fill each 1 024-event journal; pretty JSON
+/// of those journals is about 1.45 MB, past `MAX_BODY_LEN`. The journals
+/// take as many cuts to fill at any interval, so each is kept cheap: a
+/// short trace leaves few objects to save, and a tiny Bloom filter few
+/// bytes to seal.
 #[test]
 fn stats_fits_the_wire_with_full_journals() {
     use darwin_gateway::wire::MAX_BODY_LEN;
 
     let policy = ThresholdPolicy::new(2, 100 * 1024);
-    let cfg = FleetConfig { checkpoint_every: Some(10), ..fleet_cfg(8) };
-    let gateway = Gateway::bind("127.0.0.1:0", cfg, cache_cfg(), Box::new(HashRouter), move |_| {
+    let cfg = FleetConfig { checkpoint_every: Some(1), ..fleet_cfg(8) };
+    let cache = CacheConfig { expected_unique_objects: 64, ..cache_cfg() };
+    let gateway = Gateway::bind("127.0.0.1:0", cfg, cache, Box::new(HashRouter), move |_| {
         StaticDriver::new(policy)
     })
     .expect("bind loopback gateway");
     let addr = gateway.local_addr();
-    let trace = test_trace(88_000);
+    let trace = test_trace(10_000);
     loadgen::run(addr, &trace, LoadgenConfig::default()).expect("loadgen replay");
 
     let journals = loadgen::fetch_events(addr).expect("events fetch");

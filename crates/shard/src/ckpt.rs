@@ -76,7 +76,7 @@ impl ShardCheckpoint {
     /// [`save_state`](CacheServer::save_state) for its `cache` — which the
     /// caller leaves empty: the state is encoded where the frame holds it,
     /// never into a buffer of its own that the frame then copies.
-    pub fn to_frame_of(&self, server: &CacheServer) -> Vec<u8> {
+    pub fn to_frame_of(&self, server: &mut CacheServer) -> Vec<u8> {
         self.cut_of(server, Vec::new()).0
     }
 
@@ -86,7 +86,7 @@ impl ShardCheckpoint {
     /// the frame's per-object tables that changed since the server's base
     /// ([`CacheServer::encode_state`]), for a row delta against the cut
     /// that holds that base.
-    pub fn cut_of(&self, server: &CacheServer, buf: Vec<u8>) -> (Vec<u8>, Option<Changes>) {
+    pub fn cut_of(&self, server: &mut CacheServer, buf: Vec<u8>) -> (Vec<u8>, Option<Changes>) {
         debug_assert!(self.cache.is_empty(), "the server's state stands in for `cache`");
         let len = server.state_len();
         self.seal(buf, len, |enc| {
@@ -639,9 +639,9 @@ mod tests {
         assert!(slot.take_inactive().is_empty(), "the restored server's base is the inactive frame");
         serve(&mut restored, 2_000, 5_000);
         let ckpt = ShardCheckpoint { cache: Vec::new(), ..sample(0, 5_000) };
-        let (frame, changes) = ckpt.cut_of(&restored, Vec::new());
+        let (frame, changes) = ckpt.cut_of(&mut restored, Vec::new());
         assert_eq!(changes.map(|c| c.base_seq), Some(2_000));
-        assert_eq!(frame, ckpt.to_frame_of(&restored), "merged into the base it kept");
+        assert_eq!(frame, ckpt.to_frame_of(&mut restored), "merged into the base it kept");
 
         let dir = SpillDir::new("inactive");
         let (slot, _wakeups) = stalled(0, &dir.0);
@@ -671,9 +671,9 @@ mod tests {
             let ckpt = ShardCheckpoint { cache: Vec::new(), ..sample(0, seq) };
             let buf = slot.take_inactive();
             let reused = !buf.is_empty();
-            let (frame, _) = ckpt.cut_of(&live, buf);
+            let (frame, _) = ckpt.cut_of(&mut live, buf);
             assert_eq!(slot.candidates().next().map(|f| f.to_vec()), active, "cut {seq}");
-            assert_eq!(frame, ckpt.to_frame_of(&fresh), "cut {seq}");
+            assert_eq!(frame, ckpt.to_frame_of(&mut fresh), "cut {seq}");
             assert_eq!(reused, k >= 2, "cut {seq}: the frame two cuts old is written over");
             let frame = slot.store(frame);
             live.record_base(seq, Arc::clone(&frame), ShardCheckpoint::layout(&frame));

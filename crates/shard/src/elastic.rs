@@ -525,7 +525,7 @@ mod tests {
             restarts: 0,
             budget_marks: Vec::new(),
         };
-        ckpt.to_frame_of(&server)
+        ckpt.to_frame_of(&mut server)
     }
 
     fn slot_with(frames: &[Vec<u8>]) -> CheckpointSlot {

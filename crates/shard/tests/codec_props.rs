@@ -63,7 +63,7 @@ fn real_cut(reqs: &[u64]) -> Vec<u8> {
         restarts: 0,
         budget_marks: vec![],
     }
-    .to_frame_of(&server)
+    .to_frame_of(&mut server)
 }
 
 /// A holder that borrows its base: rebuilds the shipment over its own copy

@@ -63,7 +63,7 @@ fn checkpoint(seq: u64, driver: Vec<u8>) -> ShardCheckpoint {
 }
 
 /// Shard 3's checkpoint of `server` after `seq` requests, carrying `driver`.
-fn cut(server: &CacheServer, seq: u64, driver: Vec<u8>) -> Vec<u8> {
+fn cut(server: &mut CacheServer, seq: u64, driver: Vec<u8>) -> Vec<u8> {
     checkpoint(seq, driver).to_frame_of(server)
 }
 
@@ -108,11 +108,11 @@ proptest! {
         for (i, &id) in prefix.iter().enumerate() {
             server.process(&request(i, id));
         }
-        let earlier = cut(&server, prefix.len() as u64, vec![1; 64]);
+        let earlier = cut(&mut server, prefix.len() as u64, vec![1; 64]);
         for (i, &id) in more.iter().enumerate() {
             server.process(&request(prefix.len() + i, id));
         }
-        let later = cut(&server, (prefix.len() + more.len()) as u64, vec![2; 64]);
+        let later = cut(&mut server, (prefix.len() + more.len()) as u64, vec![2; 64]);
         prop_assert!(ship(&earlier, &later).1 == later, "forward delta moved a byte");
         prop_assert!(ship(&later, &earlier).1 == earlier, "backward delta moved a byte");
     }
@@ -209,7 +209,7 @@ fn a_replaced_standby_takes_the_diff_until_the_list_is_against_its_cut() {
 
     slot.poison();
     serve(&mut server, 2_000, 3_000);
-    let unrecorded = checkpoint(3_000, vec![0; 48]).cut_of(&server, Vec::new());
+    let unrecorded = checkpoint(3_000, vec![0; 48]).cut_of(&mut server, Vec::new());
     assert!(matches!(fed(&slot, 3_000, &unrecorded), FeedOutcome::Replaced { .. }));
     serve(&mut server, 3_000, 4_000);
     let against_older = cut_and_record(&mut server, 4_000);
@@ -272,8 +272,8 @@ fn cuts_written_over_the_inactive_frame_are_the_fresh_cuts() {
         serve(&mut server, done, seq);
         done = seq;
         let ckpt = checkpoint(seq as u64, vec![seq as u8; 48]);
-        let (frame, changes) = ckpt.cut_of(&server, slot.take_inactive());
-        assert!(frame == ckpt.to_frame_of(&server), "cut {seq}");
+        let (frame, changes) = ckpt.cut_of(&mut server, slot.take_inactive());
+        assert!(frame == ckpt.to_frame_of(&mut server), "cut {seq}");
         let frame = slot.store(frame);
         server.record_base(seq as u64, Arc::clone(&frame), ShardCheckpoint::layout(&frame));
         let outcome = fed(&standby, seq as u64, &(frame.to_vec(), changes));
@@ -342,7 +342,7 @@ fn a_base_holding_ids_the_target_lacks_ships_removals() {
         with.process(&request(i, id));
     }
     without.process(&request(2_002, 4));
-    let (base, target) = (cut(&with, 2_004, vec![5; 32]), cut(&without, 2_003, vec![5; 32]));
+    let (base, target) = (cut(&mut with, 2_004, vec![5; 32]), cut(&mut without, 2_003, vec![5; 32]));
     assert_eq!(removals(&target, &base), vec![vec![9_001, 9_002, 9_003]]);
     assert!(ship(&base, &target).1 == target);
 }
@@ -357,7 +357,7 @@ fn the_frame_layout_is_the_cache_layout_where_the_frame_holds_it() {
     for i in 0..300 {
         server.process(&request(i, i as u64 % 90));
     }
-    let frame = cut(&server, 300, vec![9; 10]);
+    let frame = cut(&mut server, 300, vec![9; 10]);
     let image = server.save_state();
     let at = frame.windows(image.len()).position(|w| w == image).expect("the frame holds the image");
     let mut expected = CacheServer::state_layout(&image).unwrap();
@@ -433,7 +433,11 @@ fn a_darwin_driver_state_rides_in_the_untabled_bytes() {
             server.set_policy(policy);
         }
         if i + 1 == 2_000 || i + 1 == 3_000 {
-            frames.push(cut(&server, i as u64 + 1, driver.save_state().expect("Darwin state saves")));
+            frames.push(cut(
+                &mut server,
+                i as u64 + 1,
+                driver.save_state().expect("Darwin state saves"),
+            ));
         }
     }
     let (shipped, rebuilt) = ship(&frames[0], &frames[1]);
