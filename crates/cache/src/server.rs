@@ -222,28 +222,35 @@ impl ObjectTable {
         self.changed.dedup();
     }
 
-    /// Every id the table holds, sorted: the ids a full encode writes.
-    fn all_sorted(&self) -> Vec<ObjectId> {
+    /// Every row the table holds, sorted by id: what a full encode writes.
+    /// Read off the map's iterator, not looked up id by id: a full encode
+    /// of a 1 M-object table took 125–136 ms through sorted ids and one
+    /// lookup a row, and takes 75–87 this way.
+    fn sorted_rows(&self) -> Vec<[u8; ROW]> {
         // Sized up front: the map's iterator chains its segments and has
         // no exact size hint, so a `collect` would double its way up to as
-        // much as twice the ids it holds.
-        let mut ids = Vec::with_capacity(self.map.len());
-        ids.extend(self.map.keys());
-        ids.sort_unstable();
-        ids
+        // much as twice the rows it holds.
+        let mut rows = Vec::with_capacity(self.map.len());
+        rows.extend(self.map.iter().map(|(id, meta)| row(id, meta)));
+        rows.sort_unstable_by_key(|row| row_id(row));
+        rows
     }
+}
 
-    /// `id`'s row as the image holds it: `id u64, last_ts u64, count u32`.
-    #[inline]
-    fn row(&self, id: ObjectId) -> [u8; ROW] {
-        let meta = self.map.get(id).expect("a written id is held");
-        let (last_ts, count) = (meta.last_ts, meta.count);
-        let mut bytes = [0; ROW];
-        bytes[..8].copy_from_slice(&id.to_le_bytes());
-        bytes[8..16].copy_from_slice(&last_ts.to_le_bytes());
-        bytes[16..].copy_from_slice(&count.to_le_bytes());
-        bytes
-    }
+/// `id`'s row as the image holds it: `id u64, last_ts u64, count u32`.
+#[inline]
+fn row(id: ObjectId, meta: &ObjectMeta) -> [u8; ROW] {
+    let mut bytes = [0; ROW];
+    bytes[..8].copy_from_slice(&id.to_le_bytes());
+    bytes[8..16].copy_from_slice(&meta.last_ts.to_le_bytes());
+    bytes[16..].copy_from_slice(&meta.count.to_le_bytes());
+    bytes
+}
+
+/// The id a row of the image's per-object table holds.
+#[inline]
+fn row_id(row: &[u8]) -> ObjectId {
+    u64::from_le_bytes(row[..8].try_into().expect("8 bytes"))
 }
 
 /// Writes the id-sorted table's rows ([`ROW`] bytes each) onto `enc`: the
@@ -251,22 +258,14 @@ impl ObjectTable {
 /// rows of `ids` (sorted, no repeats) merged in, each read from `objects`
 /// as it is written and replacing the base row of its id or going in
 /// where its id sorts, and the runs of base rows between them copied as
-/// they are. With `track`, returns the positions of the rows written
-/// whose bytes `base` does not hold. (The width is a constant so that
-/// every row is a fixed-size copy: a full sort, merged into nothing,
-/// costs what writing the rows field by field did.)
-fn merge_rows(
-    enc: &mut Enc,
-    base: &[u8],
-    ids: &[ObjectId],
-    objects: &ObjectTable,
-    track: bool,
-) -> Vec<u32> {
+/// they are. Returns the positions of the rows written whose bytes `base`
+/// does not hold.
+fn merge_rows(enc: &mut Enc, base: &[u8], ids: &[ObjectId], objects: &ObjectTable) -> Vec<u32> {
     let held = base.len() / ROW;
     let base_row = |i: usize| &base[i * ROW..(i + 1) * ROW];
-    let key = |i: usize| u64::from_le_bytes(base_row(i)[..8].try_into().expect("8 bytes"));
+    let key = |i: usize| row_id(base_row(i));
     // Every merged row may differ from the base's: sized once, not doubled.
-    let mut changed = Vec::with_capacity(if track { ids.len() } else { 0 });
+    let mut changed = Vec::with_capacity(ids.len());
     // Base rows passed so far, and rows inserted before them: a row goes
     // to position `b + inserted`.
     let (mut b, mut inserted) = (0, 0);
@@ -279,8 +278,8 @@ fn merge_rows(
     const BLOCK: usize = 1024;
     let mut rows = [[0; ROW]; BLOCK];
     for block in ids.chunks(BLOCK) {
-        for (row, &id) in rows.iter_mut().zip(block) {
-            *row = objects.row(id);
+        for (new, &id) in rows.iter_mut().zip(block) {
+            *new = row(id, objects.map.get(id).expect("a listed id is held"));
         }
         for (&id, new) in block.iter().zip(&rows) {
             let from = b;
@@ -291,7 +290,7 @@ fn merge_rows(
                 enc.raw(&base[from * ROW..b * ROW]);
             }
             let replaces = b < held && key(b) == id;
-            if track && (!replaces || base_row(b) != new) {
+            if !replaces || base_row(b) != new {
                 changed.push(u32::try_from(b + inserted).expect("fewer than 2^32 rows"));
             }
             if replaces {
@@ -461,7 +460,7 @@ impl CacheServer {
         // The exact size is known before a byte is written, so the image —
         // megabytes of it — is written once, never regrown.
         let mut enc = Enc::with_capacity(self.state_len());
-        self.encode(&mut enc, None, &self.objects.all_sorted());
+        self.encode(&mut enc, None);
         enc.into_bytes()
     }
 
@@ -492,13 +491,10 @@ impl CacheServer {
     /// without a base.
     pub fn encode_state(&mut self, enc: &mut Enc) -> Option<Changes> {
         let start = enc.len();
-        let changes = match &self.base {
-            Some(base) => {
-                self.objects.sort_listed();
-                self.encode(enc, Some(base), &self.objects.changed)
-            }
-            None => self.encode(enc, None, &self.objects.all_sorted()),
-        };
+        if self.base.is_some() {
+            self.objects.sort_listed();
+        }
+        let changes = self.encode(enc, self.base.as_ref());
         debug_assert!(
             self.base.is_none() || enc.as_bytes()[start..] == self.save_state()[..],
             "the image merged into the base is not the full sort's"
@@ -506,22 +502,30 @@ impl CacheServer {
         changes
     }
 
-    /// The one encoder: the rows of `ids` (sorted, no repeats) merged into
-    /// `base` when there is one, written alone — every id — when there is
-    /// not.
-    fn encode(&self, enc: &mut Enc, base: Option<&Base>, ids: &[ObjectId]) -> Option<Changes> {
+    /// The one encoder: into `base` when there is one — the rows listed
+    /// since it, sorted in place by [`encode_state`](Self::encode_state),
+    /// merged in — from a full sort of the table when there is not.
+    fn encode(&self, enc: &mut Enc, base: Option<&Base>) -> Option<Changes> {
         enc.bytes(&config_fingerprint(&self.config));
         self.hoc.encode_state(enc);
         self.dc.encode_state(enc);
         // The frequency tracker's tag, kept so that no image byte moves.
         enc.u8(FREQUENCY_TAG);
         // The table is saved as one id-sorted sequence of rows.
-        let (held, track) = (base.map_or(&[][..], Base::rows), base.is_some());
         enc.usize(self.objects.map.len());
-        let upserts = merge_rows(enc, held, ids, &self.objects, track);
+        let changes = match base {
+            Some(base) => {
+                let upserts = merge_rows(enc, base.rows(), &self.objects.changed, &self.objects);
+                Some(Changes { base_seq: base.seq, upserts: vec![upserts] })
+            }
+            None => {
+                enc.raw(self.objects.sorted_rows().as_flattened());
+                None
+            }
+        };
         self.dc_filter.encode_state(enc);
         self.metrics.encode_state(enc);
-        base.map(|base| Changes { base_seq: base.seq, upserts: vec![upserts] })
+        changes
     }
 
     /// Records `frame` as the base the next [`encode_state`](Self::encode_state)
@@ -1188,8 +1192,10 @@ mod tests {
             let table =
                 Table { offset: table_span(&s, &image).start + 8, rows: s.objects.map.len(), width: 20 };
             assert_eq!(CacheServer::state_layout(&image), Some(vec![table]), "{eviction:?}");
-            for (i, id) in s.objects.all_sorted().into_iter().enumerate() {
-                let (last_ts, count) = s.objects.map.get(id).map(|m| (m.last_ts, m.count)).unwrap();
+            let mut rows: Vec<_> =
+                s.objects.map.iter().map(|(id, m)| (id, m.last_ts, m.count)).collect();
+            rows.sort_unstable();
+            for (i, (id, last_ts, count)) in rows.into_iter().enumerate() {
                 let row = [&id.to_le_bytes()[..], &last_ts.to_le_bytes(), &count.to_le_bytes()].concat();
                 let at = table.offset + 20 * i;
                 assert_eq!(image[at..at + 20], row[..], "{eviction:?} row {i}");

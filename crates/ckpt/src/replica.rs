@@ -230,19 +230,11 @@ struct CutRef<'a> {
     payload: PayloadRef<'a>,
 }
 
-/// Starts an envelope in the allocation of `buf` ([`Enc::frame_in`]):
-/// everything before the payload tag, with room for a payload of
-/// `payload_len` bytes. The caller writes the payload and seals.
-fn envelope(
-    buf: Vec<u8>,
-    payload_len: usize,
-    shard: usize,
-    generation: u32,
-    role: CutRole,
-    seq: u64,
-) -> Enc {
+/// Starts an envelope: everything before the payload tag, with room for a
+/// payload of `payload_len` bytes. The caller writes the payload and seals.
+fn envelope(payload_len: usize, shard: usize, generation: u32, role: CutRole, seq: u64) -> Enc {
     // shard, generation, role, seq, tag, base_seq, length prefix.
-    let mut e = Enc::frame_in(buf, 8 + 4 + 1 + 8 + 1 + 8 + 8 + payload_len);
+    let mut e = Enc::frame(8 + 4 + 1 + 8 + 1 + 8 + 8 + payload_len);
     e.usize(shard);
     e.u32(generation);
     e.u8(role.to_byte());
@@ -305,25 +297,6 @@ impl CutFrame {
         changes: Option<&Changes>,
         layout: LayoutFn,
     ) -> Vec<u8> {
-        Self::ship_in(Vec::new(), shard, generation, role, seq, image, held, changes, layout)
-    }
-
-    /// [`ship`](Self::ship), sealed in the allocation of `buf`, whose
-    /// contents are discarded ([`Enc::frame_in`]): a sender that ships at
-    /// every cut writes over an envelope it already owns. Grown, if it must
-    /// grow, to exactly the envelope's size; the bytes are `ship`'s.
-    #[allow(clippy::too_many_arguments)]
-    pub fn ship_in(
-        buf: Vec<u8>,
-        shard: usize,
-        generation: u32,
-        role: CutRole,
-        seq: u64,
-        image: &[u8],
-        held: Option<Held<'_>>,
-        changes: Option<&Changes>,
-        layout: LayoutFn,
-    ) -> Vec<u8> {
         // The rows are counted first, so the envelope is sized exactly.
         let plan = held.and_then(|base| {
             let listed = changes
@@ -332,7 +305,7 @@ impl CutFrame {
             Some((base.seq, listed.or_else(|| RowPlan::new(base.image, image, layout))?))
         });
         let room = plan.as_ref().map_or(image.len(), |(_, rows)| rows.len());
-        let mut e = envelope(buf, room, shard, generation, role, seq);
+        let mut e = envelope(room, shard, generation, role, seq);
         match plan {
             Some((base_seq, rows)) => {
                 e.u8(PAYLOAD_ROWS);
@@ -351,7 +324,7 @@ impl CutFrame {
     /// Serializes into a sealed, CRC-guarded envelope.
     pub fn to_frame(&self) -> Vec<u8> {
         let (CutPayload::Full(bytes) | CutPayload::Rows { rows: bytes, .. }) = &self.payload;
-        let mut e = envelope(Vec::new(), bytes.len(), self.shard, self.generation, self.role, self.seq);
+        let mut e = envelope(bytes.len(), self.shard, self.generation, self.role, self.seq);
         match &self.payload {
             CutPayload::Full(_) => e.u8(PAYLOAD_FULL),
             CutPayload::Rows { base_seq, .. } => {
@@ -624,26 +597,6 @@ mod tests {
         let mut exact = base.clone();
         rebuild(&wire, Some(1), &mut exact).unwrap();
         assert_eq!((exact.capacity(), &exact), (target.len(), &target));
-    }
-
-    /// A sender that keeps its envelope ships the next one in that
-    /// allocation when it fits, grows it to the envelope's size exactly when
-    /// it does not, and ships `ship`'s bytes either way, stale bytes in the
-    /// buffer notwithstanding.
-    #[test]
-    fn an_envelope_is_shipped_in_the_senders_buffer() {
-        let base = base();
-        let target = image((0..4_000).map(|id| (2 * id, id % 7)), &[0xB3; 300]);
-        let held = Some(Held { seq: 1, image: &base });
-        let ship_in =
-            |buf| CutFrame::ship_in(buf, 0, 0, CutRole::Replica, 2, &target, held, None, layout);
-        let fresh = CutFrame::ship(0, 0, CutRole::Replica, 2, &target, held, None, layout);
-        let roomy = vec![0xEE; fresh.len() + 100];
-        let at = roomy.as_ptr();
-        let wire = ship_in(roomy);
-        assert_eq!((wire.as_ptr(), &wire), (at, &fresh));
-        let grown = ship_in(vec![0xEE; 10]);
-        assert_eq!((grown.capacity(), &grown), (fresh.len(), &fresh));
     }
 
     /// A row delta's payload, to be forged: its base seq and bytes.

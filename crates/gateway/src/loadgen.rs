@@ -26,7 +26,9 @@
 //! [`VerdictTally::total`] still equals the trace length: shedding defers
 //! work, it never loses it.
 
-use crate::wire::{encode_get, FrameReader, Message, RecvError, VerdictOutcome, WireVerdict};
+use crate::wire::{
+    encode_get, FrameReader, Message, RecvError, VerdictOutcome, WireVerdict, RETRY_UNIT,
+};
 use darwin_obs::{decode_fleet_events, Histogram, HistogramSnapshot, JournalSnapshot};
 use darwin_shard::mix64;
 use darwin_trace::{Request, Trace};
@@ -49,7 +51,9 @@ pub struct LoadgenConfig {
     /// resets the count.
     pub retries: u32,
     /// Backoff before the first reconnect attempt; doubles per consecutive
-    /// failure.
+    /// failure. Also the unit a `Busy` verdict's retry hint is read in; the
+    /// default is the gateway's [`RETRY_UNIT`], so that a hint asks for the
+    /// wait the gateway meant.
     pub backoff: Duration,
     /// Ceiling on the (pre-jitter) backoff delay.
     pub backoff_cap: Duration,
@@ -69,7 +73,7 @@ impl Default for LoadgenConfig {
             batch: 64,
             window: 8,
             retries: 3,
-            backoff: Duration::from_millis(10),
+            backoff: RETRY_UNIT,
             backoff_cap: Duration::from_millis(500),
             read_timeout: None,
             seed: 0x5EED,

@@ -119,8 +119,9 @@ pub struct WireVerdict {
     /// estimate of overload severity, fed into the client's exponential
     /// backoff. A hint `h` ≥ 1 asks the client to back off for up to
     /// [`RETRY_UNIT`]` · 2^(h − 1)` — 10 ms at 1, doubling to 640 ms at 7 —
-    /// the scale the loadgen's backoff reads it on (a 10 ms base doubled
-    /// `h − 1` times, full jitter). Always 0 for every other outcome.
+    /// the scale the loadgen's backoff reads it on (its default base,
+    /// `RETRY_UNIT`, doubled `h − 1` times, full jitter). Always 0 for every
+    /// other outcome.
     pub retry_after: u8,
 }
 
@@ -128,8 +129,9 @@ pub struct WireVerdict {
 pub const RETRY_UNIT: Duration = Duration::from_millis(10);
 
 /// The `retry_after` hint that asks for a wait of `wait`: the smallest
-/// whose wait ([`RETRY_UNIT`]` · 2^(h − 1)`) covers it, and 7 past 640 ms.
-/// A longer wait never gets a smaller hint.
+/// whose wait ([`RETRY_UNIT`]` · 2^(h − 1)`) covers it. A longer wait never
+/// gets a smaller hint. The hint saturates: every wait past 640 ms gets 7,
+/// which asks for 640 ms, so a client told 7 may be refused again.
 pub fn retry_after_for(wait: Duration) -> u8 {
     (1..7).find(|&h| RETRY_UNIT * (1 << (h - 1)) >= wait).unwrap_or(7)
 }

@@ -86,15 +86,6 @@ struct StandbyState {
     /// True once the standby is known-bad: poisoned by a scripted fault or
     /// failed a feed's validation. A lost standby never serves a promotion.
     lost: bool,
-    /// The last envelope's allocation, which the next feed ships in: a
-    /// steady feed writes over an envelope the slot already owns. Kept
-    /// after a row delta, and after the full image of a cut that lists no
-    /// changes — the first cut of a state built cold, every row of which
-    /// its one window requested, so its image is the size of the deltas
-    /// after it. Empty after the full image of a cut that lists its
-    /// changes — a re-seed, whose image holds every window's rows — so
-    /// that a re-seed never pins a frame-sized buffer.
-    wire: Vec<u8>,
 }
 
 /// One shard's hot standby, shared between the shard's worker (feeder) and
@@ -132,18 +123,19 @@ impl StandbySlot {
     /// merged it into ([`ShardCheckpoint::cut_of`]): when that is the cut
     /// the standby holds, the delta is planned from them; otherwise — a
     /// re-seeded standby, a worker restored from an older cut — by diffing
-    /// the two images, and the envelope is the same bytes either way.
+    /// the two images, and the envelope is the same bytes either way. They
+    /// are dropped once the envelope is sealed, before the rebuild: the
+    /// rebuild grows the image while the envelope is held, the feed's peak.
     ///
     /// The image is rebuilt over the one the standby holds, in its own
-    /// allocation ([`CutFrame::rebuild`]), and a row delta is shipped in the
-    /// last one's envelope ([`CutFrame::ship_in`]), so a steady feed writes
-    /// over pages the standby already owns.
+    /// allocation ([`CutFrame::rebuild`]), so a steady feed writes over
+    /// pages the standby already owns.
     pub fn feed(
         &self,
         generation: u32,
         seq: u64,
         frame: &[u8],
-        changes: Option<&Changes>,
+        changes: Option<Changes>,
     ) -> FeedOutcome {
         let mut st = self.state.lock().expect("standby slot poisoned");
         let was_lost = std::mem::take(&mut st.lost);
@@ -154,8 +146,8 @@ impl StandbySlot {
         let mut image = st.frame.take().unwrap_or_default();
         let held = held_seq.map(|seq| Held { seq, image: &image });
         let (shard, role, layout) = (self.shard, CutRole::Replica, ShardCheckpoint::layout);
-        let buf = std::mem::take(&mut st.wire);
-        let wire = CutFrame::ship_in(buf, shard, generation, role, seq, frame, held, changes, layout);
+        let wire = CutFrame::ship(shard, generation, role, seq, frame, held, changes.as_ref(), layout);
+        drop(changes);
         let rebuilt = CutFrame::rebuild(&wire, shard, generation, role, held_seq, &mut image, layout)
             .ok()
             .filter(|_| ShardCheckpoint::header(&image) == Ok((shard, seq)));
@@ -163,9 +155,6 @@ impl StandbySlot {
             Some(cut) => {
                 st.frame = Some(image);
                 st.seq = seq;
-                if cut.base_seq.is_some() || changes.is_none() {
-                    st.wire = wire;
-                }
                 let shipped_bytes = cut.shipped_bytes;
                 match cut.base_seq {
                     None if was_lost => FeedOutcome::Replaced { shipped_bytes },
@@ -218,7 +207,8 @@ impl StandbySlot {
     /// budget-exhausting death before then falls back to burial.
     pub fn poison(&self) {
         let mut st = self.state.lock().expect("standby slot poisoned");
-        *st = StandbyState { lost: true, ..StandbyState::default() };
+        st.frame = None;
+        st.lost = true;
     }
 }
 
@@ -233,7 +223,7 @@ pub(crate) fn feed_standby(
     cell: &ShardCell,
     seq: u64,
     frame: &[u8],
-    changes: Option<&Changes>,
+    changes: Option<Changes>,
 ) {
     match standby.feed(cell.generation(), seq, frame, changes) {
         FeedOutcome::Seeded { shipped_bytes } => {
@@ -262,7 +252,6 @@ mod tests {
     use super::*;
     use darwin_cache::{CacheConfig, CacheServer, ThresholdPolicy};
     use darwin_trace::Request;
-    use std::sync::Arc;
 
     /// A real cut: shard `shard`'s checkpoint after `seq` requests over a
     /// catalogue of 5 000 objects — far more seen than resident, so the
@@ -322,93 +311,6 @@ mod tests {
         assert!(matches!(feed(&slot, 0, 22_000, &f3), FeedOutcome::Replaced { .. }));
         let (promoted, seq) = slot.take_for_promotion().expect("ready standby");
         assert_eq!((seq, &promoted, promoted.capacity()), (22_000, &f3, f3.len()));
-    }
-
-    /// Where the slot's kept envelope lies, and its room.
-    fn envelope(slot: &StandbySlot) -> (*const u8, usize) {
-        let st = slot.state.lock().unwrap();
-        (st.wire.as_ptr(), st.wire.capacity())
-    }
-
-    /// A worker's cuts of one server, each merged into the last and listing
-    /// the rows it changed: `(frame, changes)` at each `seq`.
-    struct Writer(CacheServer, u64);
-
-    impl Writer {
-        fn new() -> Self {
-            let config = CacheConfig {
-                dc_bytes: 4 * 1024 * 1024,
-                expected_unique_objects: 4096,
-                ..CacheConfig::small_test()
-            };
-            let mut server = CacheServer::new(config);
-            server.set_policy(ThresholdPolicy::new(1, 64 * 1024));
-            Writer(server, 0)
-        }
-
-        fn cut(&mut self, seq: u64) -> (Vec<u8>, Option<Changes>) {
-            for i in self.1..seq {
-                self.0.process(&Request::new(i.wrapping_mul(2_654_435_761) % 5_000, 20_000, i));
-            }
-            self.1 = seq;
-            let ckpt = ShardCheckpoint {
-                shard: 0,
-                seq,
-                policy: ThresholdPolicy::new(1, 64 * 1024),
-                cache: Vec::new(),
-                driver: vec![seq as u8; 128],
-                restarts: 1,
-                budget_marks: vec![seq / 2],
-            };
-            let (frame, changes) = ckpt.cut_of(&mut self.0, Vec::new());
-            self.0.record_base(seq, Arc::new(frame.clone()), ShardCheckpoint::layout(&frame));
-            (frame, changes)
-        }
-    }
-
-    /// A cold state's first cut, then row deltas of one size, ship in one
-    /// envelope allocation; the full image of a cut that lists its changes
-    /// — a replacement, a seed after a promotion — leaves none behind, and
-    /// neither does a loss.
-    #[test]
-    fn steady_feeds_ship_in_one_envelope() {
-        let slot = StandbySlot::new(0);
-        let mut writer = Writer::new();
-        let mut feed = |seq: u64| {
-            let (frame, changes) = writer.cut(seq);
-            slot.feed(0, seq, &frame, changes.as_ref())
-        };
-        // The catalogue's 5 000 objects are all seen by the first cut, and
-        // every window after it changes the same thousand rows: the deltas
-        // are one size, and fit in the first cut's envelope.
-        let FeedOutcome::Seeded { shipped_bytes: seeded } = feed(20_000) else {
-            panic!("the first cut seeds");
-        };
-        let first = envelope(&slot);
-        assert!(first.1 as u64 > seeded, "the first cut's envelope is kept");
-        let mut delta = None;
-        for seq in [21_000, 22_000, 23_000] {
-            let FeedOutcome::Applied { shipped_bytes, .. } = feed(seq) else {
-                panic!("cut {seq} is a row delta");
-            };
-            assert!(shipped_bytes < seeded / 2, "cut {seq}");
-            assert_eq!(*delta.get_or_insert(shipped_bytes), shipped_bytes, "cut {seq}");
-            assert_eq!(envelope(&slot), first, "cut {seq} shipped in the kept envelope");
-        }
-        slot.poison();
-        assert_eq!(envelope(&slot).1, 0, "a lost standby keeps no envelope");
-        assert!(matches!(feed(24_000), FeedOutcome::Replaced { .. }));
-        assert_eq!(envelope(&slot).1, 0, "a replacement keeps no envelope");
-        assert!(matches!(feed(25_000), FeedOutcome::Applied { .. }));
-        assert!(envelope(&slot).1 > 0);
-        assert_eq!(slot.feed(0, 26_000, &ckpt_frame(1, 26_000), None), FeedOutcome::Lost);
-        assert_eq!(envelope(&slot).1, 0, "a refused feed keeps no envelope");
-        feed(27_000);
-        feed(28_000);
-        assert!(slot.take_for_promotion().is_some());
-        assert_eq!(envelope(&slot).1, 0, "a promotion empties the slot");
-        assert!(matches!(feed(29_000), FeedOutcome::Seeded { .. }));
-        assert_eq!(envelope(&slot).1, 0, "a re-seed keeps no envelope");
     }
 
     #[test]

@@ -215,7 +215,7 @@ pub(crate) fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> W
                 cell.record_checkpoint(seq);
                 cell.obs().journal.record(seq, event);
                 if let Some(st) = &standby {
-                    feed_standby(st, &cell, seq, &frame, changes.as_ref());
+                    feed_standby(st, &cell, seq, &frame, changes);
                 }
                 if timed {
                     cell.obs().ckpt_pause.record_duration(pause.elapsed());

@@ -165,7 +165,7 @@ fn serve(server: &mut CacheServer, from: usize, to: usize) {
 
 /// Feeds a cut and its change list, as the worker does.
 fn fed(slot: &StandbySlot, seq: u64, (frame, changes): &(Vec<u8>, Option<Changes>)) -> FeedOutcome {
-    slot.feed(0, seq, frame, changes.as_ref())
+    slot.feed(0, seq, frame, changes.clone())
 }
 
 /// What a feed that applied a delta shipped, and the lag it closed; `None`
