@@ -74,8 +74,10 @@ impl Scale {
         CacheConfig { hoc_bytes: base.hoc_bytes * m, dc_bytes: base.dc_bytes * m, ..base }
     }
 
-    /// Online-phase configuration preserving the paper's epoch proportions
-    /// (warm-up = 3 % of the epoch, round = 0.5 %).
+    /// Online-phase configuration after the paper's epoch proportions:
+    /// warm-up = 3 % of the epoch, as in the paper; round = 1 %, twice the
+    /// paper's 0.5 % (0.5 M of 100 M), so that a round at this scale still
+    /// spans a cache turnover (DESIGN.md's substitution table).
     pub fn online_config(&self) -> OnlineConfig {
         let epoch = self.online_trace_len();
         OnlineConfig {
@@ -116,7 +118,7 @@ mod tests {
     fn proportions_follow_paper() {
         let s = Scale::new(1);
         let oc = s.online_config();
-        // Warm-up ≈ 3 % of epoch; round ≈ 0.5 %.
+        // Warm-up ≈ 3 % of epoch; round ≈ 1 % (the paper's 0.5 %, doubled).
         let warm_frac = oc.warmup_requests as f64 / oc.epoch_requests as f64;
         let round_frac = oc.round_requests as f64 / oc.epoch_requests as f64;
         assert!((warm_frac - 0.03).abs() < 0.001);

@@ -20,9 +20,10 @@
 //! **Why segments.** A standard table grows by allocating one twice its
 //! size and rehashing every entry into it: old and new live together, and
 //! the thread that owns the table does nothing else meanwhile. The
-//! per-object table holds an entry per object ever seen, so on a shard that
-//! was tens of megabytes of transient heap and tens of milliseconds in which
-//! no request was served. A segment grows alone: a step is 1/[`SEGMENTS`] of
+//! per-object table holds an entry per object seen (a server's up to 2²⁰
+//! buckets' worth, the simulator's without bound), so on a shard that was
+//! tens of megabytes of transient heap and tens of milliseconds in which no
+//! request was served. A segment grows alone: a step is 1/[`SEGMENTS`] of
 //! the table, the old table that lives on beside its successor
 //! 1/(2·[`SEGMENTS`]) of the result instead of half, and the longest rehash
 //! shorter by the same factor. Segments fill evenly, so they all double
@@ -109,6 +110,14 @@ impl Hasher for IdHasher {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C, packed(4))]
 pub(crate) struct Key(ObjectId);
+
+impl Key {
+    /// The id this key stores.
+    #[inline]
+    pub(crate) fn id(self) -> ObjectId {
+        self.0
+    }
+}
 
 impl Hash for Key {
     #[inline]
@@ -198,6 +207,21 @@ impl<V> IdMap<V> {
         self.iter().map(|(id, _)| id)
     }
 
+    /// Number of ids held in `id`'s segment.
+    #[inline]
+    pub(crate) fn segment_len(&self, id: ObjectId) -> usize {
+        self.segments[segment_of(id)].len()
+    }
+
+    /// Moves every entry of `id`'s segment onto the end of `out`, in
+    /// arbitrary order. The segment keeps its table, emptied and free of
+    /// tombstones — unlike a table thinned by `remove` or `retain`, whose
+    /// tombstones count as occupied until it runs out of room, and then
+    /// make it double where a rehash in place would have done.
+    pub(crate) fn drain_segment(&mut self, id: ObjectId, out: &mut Vec<(Key, V)>) {
+        out.extend(self.segments[segment_of(id)].drain());
+    }
+
     /// Forgets every id; the segments keep their allocations.
     pub fn clear(&mut self) {
         self.segments.iter_mut().for_each(HashMap::clear);
@@ -207,6 +231,13 @@ impl<V> IdMap<V> {
     #[cfg(test)]
     fn capacity(&self) -> usize {
         self.segments.iter().map(HashMap::capacity).sum()
+    }
+
+    /// Entries each segment can hold before it must grow: its bucket count
+    /// told in the standard table's terms.
+    #[cfg(test)]
+    pub(crate) fn segment_capacities(&self) -> [usize; SEGMENTS] {
+        std::array::from_fn(|i| self.segments[i].capacity())
     }
 }
 

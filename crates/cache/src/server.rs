@@ -10,10 +10,10 @@
 
 use crate::bloom::BloomFilter;
 use crate::eviction::{EvictionKind, Store};
-use crate::idmap::IdMap;
+use crate::idmap::{segment_of, IdMap, Key, SEGMENTS};
 use crate::metrics::CacheMetrics;
 use crate::policy::{Admission, ObjectView, ThresholdPolicy};
-use darwin_ckpt::rows::{Changes, Layout, Table};
+use darwin_ckpt::rows::{Changes, Layout, Table, TableChanges};
 use darwin_ckpt::{CkptError, Dec, Enc};
 use darwin_trace::{ObjectId, Request};
 use serde::{Deserialize, Serialize};
@@ -117,22 +117,51 @@ fn frequency_tag(dec: &mut Dec<'_>) -> Result<(), CkptError> {
     }
 }
 
-/// The per-object table both simulators keep: one entry per object ever
-/// requested, one probe per request for frequency and recency together.
+/// Rows a [`CacheServer`]'s per-object table keeps in each of its map's
+/// [`SEGMENTS`](crate::idmap::SEGMENTS) segments: ¾ of a 2¹⁵-bucket table,
+/// under the 7/8 at which the segment would double, so the table never
+/// passes 2²⁰ buckets (≈ 21 MiB) however many objects it sees.
+pub(crate) const SEGMENT_ROWS: usize = 24_576;
+
+/// The per-object table both simulators keep, one probe per request for
+/// frequency and recency together.
 ///
-/// With a base recorded it also lists the objects whose rows may differ
-/// from the base's: the rows a merged encode sorts. `base_ts` is the
-/// greatest timestamp recorded when the base was, so each row the base
-/// holds was last requested at or before `base_ts`. The first
-/// request for an object since the base therefore finds it new or last
-/// requested at or before `base_ts` — and exactly such requests are
-/// listed. Later ones find it requested after `base_ts` and are not,
-/// unless time went back to `base_ts` or before, which lists an object
-/// twice (the sort in place drops the repeat). No base, no list: a server
-/// that never cuts keeps none.
+/// **Forgetting.** The [`HocSim`] table keeps one entry per object ever
+/// requested. A [`CacheServer`]'s keeps at most `bound` rows in each
+/// segment of its map ([`SEGMENT_ROWS`]) between requests: when a new
+/// object's row overflows its segment, the segment forgets its least
+/// recently requested rows, ordered by `(last_ts, id)`, down to ¾ of the
+/// bound — a quarter of them, and one more — and a forgotten object reads
+/// as never seen. The rows forgotten are a pure function of the rows
+/// held and the request, so a table restored from an image forgets
+/// exactly as the one that wrote it would have, and the image needs no
+/// byte for it. The segment is
+/// emptied and refilled with the rows it keeps
+/// ([`IdMap::drain_segment`]), not thinned in place: in place, the
+/// tombstones left behind made the table double after a few million
+/// requests.
+///
+/// With a base recorded the table also lists the objects whose rows may
+/// differ from the base's: the rows a merged encode sorts. `base_ts` is
+/// the greatest timestamp recorded when the base was, so each row the base
+/// holds was last requested at or before `base_ts`. The first request for
+/// an object since the base therefore finds it new or last requested at or
+/// before `base_ts` — and exactly such requests are listed. Later ones find
+/// it requested after `base_ts` and are not, unless time went back to
+/// `base_ts` or before, which lists an object twice (the sort in place
+/// drops the repeat). No base, no list: a server that never cuts keeps
+/// none.
+///
+/// A base row whose object is not listed is the table's row unchanged,
+/// unless a forget since the base dropped it — and then its `(last_ts,
+/// id)` is at or below the greatest a forget of its segment dropped, which
+/// `forgot` keeps per segment. So the rows forgotten since the base are
+/// found from 32 numbers at the next cut, not listed one by one.
 #[derive(Debug, Default)]
 struct ObjectTable {
     map: IdMap<ObjectMeta>,
+    /// Rows each segment keeps; `None` keeps every row.
+    bound: Option<usize>,
     /// The greatest timestamp recorded (on a restore, the greatest among
     /// the rows).
     high_water: u64,
@@ -141,13 +170,34 @@ struct ObjectTable {
     base_ts: Option<u64>,
     /// Objects requested since the base, as described above.
     changed: Vec<ObjectId>,
+    /// Per segment, the greatest [`rank`] a forget since the base dropped.
+    forgot: [Option<u128>; SEGMENTS],
+    /// Rows forgotten since the base.
+    forgotten: usize,
+    /// A full segment's rows while it forgets: sized at the first forget
+    /// and reused until the next base is recorded.
+    draining: Vec<(Key, ObjectMeta)>,
+}
+
+/// A row's place in the order a segment forgets in: least recently
+/// requested first, ties by id.
+#[inline]
+fn rank(id: ObjectId, last_ts: u64) -> u128 {
+    (u128::from(last_ts) << 64) | u128::from(id)
 }
 
 impl ObjectTable {
+    /// A table that keeps at most `rows` rows in each segment.
+    fn bounded(rows: usize) -> Self {
+        Self { bound: Some(rows), ..Self::default() }
+    }
+
     /// Records a request for `id` at `now_us`. Returns the object's request
     /// count including this one, and the time since its previous request
-    /// (`None` on first sight).
-    #[inline]
+    /// (`None` on first sight). Always inlined: the forget's call made the
+    /// compiler stop inlining this, the request path's one probe of the
+    /// table, into [`CacheServer::process`], at 16–26 ns a request.
+    #[inline(always)]
     fn record(&mut self, id: ObjectId, now_us: u64) -> (u32, Option<u64>) {
         self.high_water = self.high_water.max(now_us);
         let (count, previous) = match self.map.entry(id) {
@@ -160,6 +210,9 @@ impl ObjectTable {
             }
             Entry::Vacant(slot) => {
                 slot.insert(ObjectMeta { last_ts: now_us, count: 1 });
+                if self.bound.is_some_and(|rows| self.map.segment_len(id) > rows) {
+                    self.forget(id);
+                }
                 (1, None)
             }
         };
@@ -180,11 +233,52 @@ impl ObjectTable {
         self.changed.push(id);
     }
 
+    /// Makes room in `id`'s overflowing segment: forgets its least recently
+    /// requested rows, down to ¾ of the bound (see the type's docs). The
+    /// segment's rows are ranked in the buffer the last forget left — made
+    /// at the first forget, and again at the first after a cut drops it —
+    /// and the rows kept go back into the segment's own table, so a forget
+    /// allocates nothing else.
+    #[cold]
+    #[inline(never)]
+    fn forget(&mut self, id: ObjectId) {
+        let keep = self.bound.map_or(usize::MAX, |rows| rows - rows.div_ceil(4));
+        let mut rows = std::mem::take(&mut self.draining);
+        rows.clear();
+        self.map.drain_segment(id, &mut rows);
+        let forgotten = rows.len().saturating_sub(keep);
+        if forgotten > 0 {
+            // The rows ranked up to the one at `forgotten - 1` go; the rest
+            // rank above it.
+            let by_rank = |&(key, meta): &(Key, ObjectMeta)| rank(key.id(), meta.last_ts);
+            let (_, last, _) = rows.select_nth_unstable_by_key(forgotten - 1, by_rank);
+            let last = by_rank(last);
+            if self.base_ts.is_some() {
+                let forgot = &mut self.forgot[segment_of(id)];
+                *forgot = (*forgot).max(Some(last));
+                self.forgotten += forgotten;
+            }
+        }
+        for &(key, meta) in &rows[forgotten..] {
+            self.map.insert(key.id(), meta);
+        }
+        self.draining = rows;
+    }
+
+    /// Whether the base row `row` is one a forget since the base dropped —
+    /// true only of a row whose object is not listed (see the type's docs).
+    #[inline]
+    fn forgot(&self, row: &[u8]) -> bool {
+        let id = row_id(row);
+        let last_ts = u64::from_le_bytes(row[8..16].try_into().expect("8 bytes"));
+        self.forgot[segment_of(id)].is_some_and(|last| rank(id, last_ts) <= last)
+    }
+
     /// Rebuilds the table from the saved sequence, walked where it lies in
     /// the frame: `rows` over `(id, last_ts, count)` rows strictly ascending
     /// by id, which is what [`CacheServer::encode_state`] writes; anything
-    /// else is a corrupt image.
-    fn from_rows(mut rows: Dec<'_>) -> Result<Self, CkptError> {
+    /// else is a corrupt image. The table keeps `bound` rows a segment.
+    fn from_rows(mut rows: Dec<'_>, bound: Option<usize>) -> Result<Self, CkptError> {
         /// Rows decoded and checked between two runs of inserts. An insert
         /// is a cache miss the processor overlaps with its neighbours' only
         /// when nothing else sits between them: decoding row by row between
@@ -210,7 +304,7 @@ impl ObjectTable {
                 map.insert(id, meta);
             }
         }
-        Ok(Self { map, high_water, base_ts: None, changed: Vec::new() })
+        Ok(Self { map, bound, high_water, ..Self::default() })
     }
 
     /// Sorts the list of objects requested since the base by id, where it
@@ -258,17 +352,47 @@ fn row_id(row: &[u8]) -> ObjectId {
 /// rows of `ids` (sorted, no repeats) merged in, each read from `objects`
 /// as it is written and replacing the base row of its id or going in
 /// where its id sorts, and the runs of base rows between them copied as
-/// they are. Returns the positions of the rows written whose bytes `base`
-/// does not hold.
-fn merge_rows(enc: &mut Enc, base: &[u8], ids: &[ObjectId], objects: &ObjectTable) -> Vec<u32> {
+/// they are. A listed id the table no longer holds was forgotten: its base
+/// row, if the base has one, is dropped, and so are the base rows between
+/// that a forget since the base dropped ([`ObjectTable::forgot`]). Fills
+/// `changes` with the positions of the rows written whose bytes `base`
+/// does not hold, and of the base rows dropped.
+fn merge_rows(
+    enc: &mut Enc,
+    base: &[u8],
+    ids: &[ObjectId],
+    objects: &ObjectTable,
+    changes: &mut TableChanges,
+) {
     let held = base.len() / ROW;
     let base_row = |i: usize| &base[i * ROW..(i + 1) * ROW];
     let key = |i: usize| row_id(base_row(i));
-    // Every merged row may differ from the base's: sized once, not doubled.
-    let mut changed = Vec::with_capacity(ids.len());
-    // Base rows passed so far, and rows inserted before them: a row goes
-    // to position `b + inserted`.
-    let (mut b, mut inserted) = (0, 0);
+    let position = |i: usize| u32::try_from(i).expect("fewer than 2^32 rows");
+    // Each listed id upserts at most one row, and each row dropped was
+    // forgotten since the base: both lists sized once, not doubled.
+    changes.upserts.reserve_exact(ids.len());
+    changes.removals.reserve_exact(objects.forgotten.min(held));
+    let forgets = objects.forgotten > 0;
+    // Writes the base rows `from..to`, which no listed id names; with no
+    // forget since the base, all of them in one copy.
+    let kept = |enc: &mut Enc, from: usize, to: usize, removals: &mut Vec<u32>| {
+        if !forgets {
+            enc.raw(&base[from * ROW..to * ROW]);
+            return to - from;
+        }
+        let (mut run, mut dropped) = (from, 0);
+        for i in from..to {
+            if objects.forgot(base_row(i)) {
+                enc.raw(&base[run * ROW..i * ROW]);
+                removals.push(position(i));
+                (run, dropped) = (i + 1, dropped + 1);
+            }
+        }
+        enc.raw(&base[run * ROW..to * ROW]);
+        to - from - dropped
+    };
+    // Base rows passed so far, and target rows written.
+    let (mut b, mut written) = (0, 0);
     // The rows are read from the table a block at a time, ahead of the
     // merge that writes them: a lookup is a cache miss, which the processor
     // overlaps with its neighbours' only when nothing else sits between
@@ -276,33 +400,34 @@ fn merge_rows(enc: &mut Enc, base: &[u8], ids: &[ObjectId], objects: &ObjectTabl
     // with the rows looked up one by one between its copies, and takes
     // 16–20 a block at a time.
     const BLOCK: usize = 1024;
-    let mut rows = [[0; ROW]; BLOCK];
+    let mut rows = [None; BLOCK];
     for block in ids.chunks(BLOCK) {
         for (new, &id) in rows.iter_mut().zip(block) {
-            *new = row(id, objects.map.get(id).expect("a listed id is held"));
+            *new = objects.map.get(id).map(|meta| row(id, meta));
         }
         for (&id, new) in block.iter().zip(&rows) {
             let from = b;
             while b < held && key(b) < id {
                 b += 1;
             }
-            if b > from {
-                enc.raw(&base[from * ROW..b * ROW]);
+            written += kept(enc, from, b, &mut changes.removals);
+            let holds = b < held && key(b) == id;
+            match new {
+                Some(new) => {
+                    if !holds || base_row(b) != new {
+                        changes.upserts.push(position(written));
+                    }
+                    enc.raw(new);
+                    written += 1;
+                }
+                None if holds => changes.removals.push(position(b)),
+                // Requested since the base, then forgotten: never written.
+                None => {}
             }
-            let replaces = b < held && key(b) == id;
-            if !replaces || base_row(b) != new {
-                changed.push(u32::try_from(b + inserted).expect("fewer than 2^32 rows"));
-            }
-            if replaces {
-                b += 1;
-            } else {
-                inserted += 1;
-            }
-            enc.raw(new);
+            b += usize::from(holds);
         }
     }
-    enc.raw(&base[b * ROW..]);
-    changed
+    kept(enc, b, held, &mut changes.removals);
 }
 
 /// The image of a cut this server's state was at: the base its next encode
@@ -332,7 +457,8 @@ pub struct CacheServer {
     dc: Store,
     policy: Admission,
     /// Request count and last request timestamp per object (the frequency
-    /// and recency knobs' inputs).
+    /// and recency knobs' inputs), for at most [`SEGMENT_ROWS`] objects in
+    /// each segment of its map: the least recently requested are forgotten.
     objects: ObjectTable,
     /// One-hit-wonder filter in front of the DC.
     dc_filter: BloomFilter,
@@ -353,7 +479,7 @@ impl CacheServer {
             hoc,
             dc,
             policy: ThresholdPolicy::new(2, 100 * 1024).into(),
-            objects: ObjectTable::default(),
+            objects: ObjectTable::bounded(SEGMENT_ROWS),
             dc_filter,
             metrics: CacheMetrics::default(),
             base: None,
@@ -484,17 +610,26 @@ impl CacheServer {
     /// per-object table is the base's with the rows requested since
     /// merged in: only their ids are sorted — the table's own list of
     /// them, in place, so a steady cut allocates no sorted copy — and the
-    /// rest are copied from the base as they lie. The bytes are the same
-    /// (debug builds check that against the full sort at every encode),
-    /// and the positions of the rows that differ from the base's come back
-    /// as the [`Changes`] a row delta against that base ships. `None`
-    /// without a base.
+    /// rest are copied from the base as they lie, but for those forgotten
+    /// since. The bytes are the same (debug builds check that against the
+    /// full sort at every encode), and the positions of the rows that
+    /// differ from the base's and of the base rows forgotten come back as
+    /// the [`Changes`] a row delta against that base ships. `None` without
+    /// a base.
     pub fn encode_state(&mut self, enc: &mut Enc) -> Option<Changes> {
         let start = enc.len();
-        if self.base.is_some() {
-            self.objects.sort_listed();
-        }
-        let changes = self.encode(enc, self.base.as_ref());
+        let changes = match &self.base {
+            Some(base) => {
+                self.objects.sort_listed();
+                let mut table = TableChanges::default();
+                self.encode(enc, Some((base, &mut table)));
+                Some(Changes { base_seq: base.seq, tables: vec![table] })
+            }
+            None => {
+                self.encode(enc, None);
+                None
+            }
+        };
         debug_assert!(
             self.base.is_none() || enc.as_bytes()[start..] == self.save_state()[..],
             "the image merged into the base is not the full sort's"
@@ -504,8 +639,9 @@ impl CacheServer {
 
     /// The one encoder: into `base` when there is one — the rows listed
     /// since it, sorted in place by [`encode_state`](Self::encode_state),
-    /// merged in — from a full sort of the table when there is not.
-    fn encode(&self, enc: &mut Enc, base: Option<&Base>) -> Option<Changes> {
+    /// merged in, and the rows that changed written to the table's lists —
+    /// from a full sort of the table when there is not.
+    fn encode(&self, enc: &mut Enc, base: Option<(&Base, &mut TableChanges)>) {
         enc.bytes(&config_fingerprint(&self.config));
         self.hoc.encode_state(enc);
         self.dc.encode_state(enc);
@@ -513,19 +649,14 @@ impl CacheServer {
         enc.u8(FREQUENCY_TAG);
         // The table is saved as one id-sorted sequence of rows.
         enc.usize(self.objects.map.len());
-        let changes = match base {
-            Some(base) => {
-                let upserts = merge_rows(enc, base.rows(), &self.objects.changed, &self.objects);
-                Some(Changes { base_seq: base.seq, upserts: vec![upserts] })
+        match base {
+            Some((base, changes)) => {
+                merge_rows(enc, base.rows(), &self.objects.changed, &self.objects, changes)
             }
-            None => {
-                enc.raw(self.objects.sorted_rows().as_flattened());
-                None
-            }
-        };
+            None => enc.raw(self.objects.sorted_rows().as_flattened()),
+        }
         self.dc_filter.encode_state(enc);
         self.metrics.encode_state(enc);
-        changes
     }
 
     /// Records `frame` as the base the next [`encode_state`](Self::encode_state)
@@ -556,6 +687,10 @@ impl CacheServer {
         self.base = table.map(|table| Base { seq, frame, table });
         let objects = &mut self.objects;
         objects.base_ts = self.base.is_some().then_some(objects.high_water);
+        (objects.forgot, objects.forgotten) = Default::default();
+        // The forget buffer goes with the window: the cut's feed is the
+        // heap's peak, and the next forget makes it again.
+        objects.draining = Vec::new();
         // Kept allocated: the last window's list sizes the next one's.
         objects.changed.clear();
     }
@@ -608,7 +743,7 @@ impl CacheServer {
         // The per-object table is not decoded into a vector of its own: it
         // is checked to fit, then walked in place.
         let rows = dec.seq_len(ROW)?;
-        let objects = ObjectTable::from_rows(dec.sub(ROW * rows)?)?;
+        let objects = ObjectTable::from_rows(dec.sub(ROW * rows)?, Some(SEGMENT_ROWS))?;
         let dc_filter = BloomFilter::decode_state(&mut dec)?;
         let metrics = CacheMetrics::decode_state(&mut dec)?;
         dec.finish()?;
@@ -1095,8 +1230,128 @@ mod tests {
         let image = enc.into_bytes();
         assert!(image == s.save_state(), "the merge wrote other bytes than the full sort");
         // Rows 10, 20, 30, 40, 50: the first, third and fifth changed.
-        assert_eq!(changes, Changes { base_seq: 7, upserts: vec![vec![0, 2, 4]] });
+        let tables = vec![TableChanges { upserts: vec![0, 2, 4], removals: Vec::new() }];
+        assert_eq!(changes, Changes { base_seq: 7, tables });
         assert_eq!(s.objects.changed, [10, 30, 50], "sorted in place, the repeat dropped");
+    }
+
+    /// A server's table is bounded, the HOC-only simulator's is not: fig2's
+    /// pinned grids run through the simulator.
+    #[test]
+    fn only_the_server_forgets() {
+        assert_eq!(CacheServer::new(CacheConfig::small_test()).objects.bound, Some(SEGMENT_ROWS));
+        let image = CacheServer::new(CacheConfig::small_test()).save_state();
+        let restored = CacheServer::restore_state(CacheConfig::small_test(), &image).unwrap();
+        assert_eq!(restored.objects.bound, Some(SEGMENT_ROWS));
+        let sim = HocSim::new(1024, EvictionKind::Lru, ThresholdPolicy::new(2, 1024));
+        assert_eq!(sim.objects.bound, None);
+        assert_eq!(SEGMENT_ROWS * 4 / 3, 1 << 15, "¾ of a 2¹⁵-bucket segment");
+    }
+
+    /// The plateau: fed forty times its bound in distinct ids, a bounded
+    /// table never holds more than the bound in a segment, and a segment
+    /// whose table has grown to the 2¹⁰ buckets the bound fits in keeps
+    /// exactly that room from then on, through about 150 forgets each. A
+    /// segment thinned in place (`HashMap::remove`, `retain`) fails this:
+    /// its tombstones eat the room `capacity` reports, and when none is
+    /// left the table doubles.
+    #[test]
+    fn a_full_table_stops_growing() {
+        use crate::idmap::SEGMENTS;
+        use darwin_trace::generator::object_id;
+        /// ¾ of a 2¹⁰-bucket segment: the server's bound, 32 times smaller.
+        const BOUND: usize = 768;
+        /// What a 2¹⁰-bucket segment holds before it must grow.
+        const ROOM: usize = 896;
+        let mut table = ObjectTable::bounded(BOUND);
+        let ids = 40 * BOUND * SEGMENTS;
+        // Ids shaped like the catalogue's, each requested twice, 1 000 apart,
+        // so that counts and times vary.
+        let id = |i: usize| object_id(i % 3, (i / 3) as u64);
+        let mut full = [false; SEGMENTS];
+        for i in 0..ids {
+            table.record(id(i), 2 * i as u64);
+            if let Some(again) = i.checked_sub(1_000) {
+                table.record(id(again), 2 * i as u64 + 1);
+            }
+            if i % 1_024 == 0 {
+                let capacities = table.map.segment_capacities();
+                for (segment, &room) in capacities.iter().enumerate() {
+                    assert!(room <= ROOM, "segment {segment} grew at {i} ids: {capacities:?}");
+                    assert!(!full[segment] || room == ROOM, "segment {segment} lost room at {i} ids");
+                    full[segment] |= room == ROOM;
+                }
+            }
+        }
+        assert_eq!(full, [true; SEGMENTS], "every segment filled");
+        assert!(table.map.keys().all(|id| table.map.segment_len(id) <= BOUND));
+        assert!(table.map.len() >= BOUND * SEGMENTS * 3 / 4);
+    }
+
+    /// A segment that a new object overflows forgets its least recently
+    /// requested rows down to ¾ of its bound, ties broken by id, the
+    /// newcomer among them; a forgotten object reads as never seen, and
+    /// the rows kept are untouched.
+    #[test]
+    fn a_full_segment_forgets_its_least_recent_quarter() {
+        const BOUND: usize = 8;
+        let mut table = ObjectTable::bounded(BOUND);
+        // Eight ids of one segment, by rank.
+        let segment = crate::idmap::segment_of(0);
+        let ids: Vec<ObjectId> =
+            (0u64..).filter(|&id| crate::idmap::segment_of(id) == segment).take(9).collect();
+        // Times 10, 10, 20, 30, …: the first two tie.
+        for (i, &id) in ids[..8].iter().enumerate() {
+            table.record(id, 10 * i.max(1) as u64);
+        }
+        table.record(ids[0], 100); // the first is now the most recent
+        assert_eq!(table.map.segment_len(ids[0]), BOUND);
+        table.record(ids[8], 200);
+        // The ninth row overflowed the segment: down to six, least recent
+        // first — ids[1] (10, tied with nothing now), ids[2] and ids[3].
+        let held: Vec<bool> = ids.iter().map(|&id| table.map.contains_key(id)).collect();
+        assert_eq!(held, [true, false, false, false, true, true, true, true, true]);
+        assert_eq!(table.record(ids[1], 300), (1, None), "forgotten reads as never seen");
+        assert_eq!(table.record(ids[0], 400), (3, Some(300)), "a kept row is untouched");
+        // Ties: rows of the same time go by id, and a newcomer that ranks
+        // lowest — time went back — is forgotten at once.
+        let mut tied = ObjectTable::bounded(4);
+        for &id in &ids[..4] {
+            tied.record(id, 5);
+        }
+        tied.record(ids[4], 6);
+        let held: Vec<bool> = ids[..5].iter().map(|&id| tied.map.contains_key(id)).collect();
+        assert_eq!(held, [false, false, true, true, true]);
+        tied.record(ids[5], 6);
+        assert_eq!(tied.record(ids[6], 1), (1, None));
+        assert!(!tied.map.contains_key(ids[6]) && tied.map.segment_len(ids[6]) == 3);
+    }
+
+    /// A server that has forgotten restores to one that re-saves the same
+    /// bytes and forgets as it would have: both process a tail that keeps
+    /// forgetting to the same outcomes and the same image.
+    #[test]
+    fn restore_after_a_forget_resaves_the_same_bytes() {
+        let trace = TraceGenerator::new(MixSpec::single(TrafficClass::image()), 21).generate(30_000);
+        let bounded = |mut s: CacheServer| {
+            s.objects.bound = Some(16);
+            s.set_policy(ThresholdPolicy::new(1, 100 * 1024));
+            s
+        };
+        let mut original = bounded(CacheServer::new(CacheConfig::small_test()));
+        let (head, tail) = trace.requests().split_at(15_000);
+        for r in head {
+            original.process(r);
+        }
+        assert!(original.objects.map.len() <= 16 * crate::idmap::SEGMENTS);
+        let bytes = original.save_state();
+        let mut restored =
+            bounded(CacheServer::restore_state(CacheConfig::small_test(), &bytes).unwrap());
+        assert_eq!(restored.save_state(), bytes);
+        for r in tail {
+            assert_eq!(original.process(r), restored.process(r), "diverged at {}", r.id);
+        }
+        assert_eq!(restored.save_state(), original.save_state());
     }
 
     /// Where `s`'s saved `image` holds its per-object table: from the
@@ -1247,6 +1502,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -1371,6 +1627,7 @@ mod proptests {
             skip in 0usize..8,
             restore in 0usize..8,
             time in 0usize..3,
+            bound in 0usize..3,
         ) {
             let cfg = CacheConfig {
                 hoc_bytes: 256 * 1024,
@@ -1384,8 +1641,15 @@ mod proptests {
                 ..CacheConfig::small_test()
             };
             let policy = ThresholdPolicy::new(1, 64 * 1024);
+            // The server's own bound, or one the stream's 300 ids overflow
+            // (128 or 256 rows in all), so that cuts merge forgotten rows.
+            let bound = [SEGMENT_ROWS, 4, 8][bound];
+            let start = |server: &mut CacheServer| {
+                server.set_policy(policy);
+                server.objects.bound = Some(bound);
+            };
             let mut server = CacheServer::new(cfg.clone());
-            server.set_policy(policy);
+            start(&mut server);
             cuts.sort_by(f64::total_cmp);
             let ends = cuts.iter().map(|c| (c * stream.len() as f64) as usize).chain([stream.len()]);
             // The base recorded last, by its boundary.
@@ -1420,16 +1684,17 @@ mod proptests {
                 prop_assert!(image == server.save_state(), "cut {} merged other bytes", k);
                 let expected = base.as_ref().map(|(seq, base)| Changes {
                     base_seq: *seq,
-                    upserts: diff_upserts(base, &image),
+                    tables: diff_changes(base, &image),
                 });
                 prop_assert_eq!(changes, expected, "cut {}", k);
                 // A merged encode sorts the list where it lies, allocating
                 // nothing, and drops its repeats — of which there are
-                // some only if time went back to the base.
+                // some only if time went back to the base, or a forgotten
+                // object was requested again.
                 let sorted = &server.objects.changed;
                 prop_assert_eq!(sorted.capacity(), room, "cut {}", k);
                 prop_assert!(sorted.windows(2).all(|w| w[0] < w[1]), "cut {}", k);
-                if time == 0 {
+                if time == 0 && bound == SEGMENT_ROWS {
                     prop_assert_eq!(sorted.len(), listed, "cut {}", k);
                 } else {
                     prop_assert!(sorted.len() <= listed, "cut {}", k);
@@ -1439,7 +1704,7 @@ mod proptests {
                 }
                 if k == restore {
                     server = CacheServer::restore_state(cfg.clone(), &image).unwrap();
-                    server.set_policy(policy);
+                    start(&mut server);
                 }
                 let tables = CacheServer::state_layout(&image);
                 server.record_base(k as u64, Arc::new(image.clone()), tables);
@@ -1452,14 +1717,16 @@ mod proptests {
             let changes = server.encode_state(&mut enc).expect("a base is recorded");
             prop_assert!(enc.into_bytes() == image);
             prop_assert_eq!(changes.base_seq, u64::MAX);
-            prop_assert!(changes.upserts.iter().all(Vec::is_empty), "{:?}", changes);
-            prop_assert_eq!(changes.upserts.len(), 1, "one table");
+            let unchanged = |t: &TableChanges| t.upserts.is_empty() && t.removals.is_empty();
+            prop_assert!(changes.tables.iter().all(unchanged), "{:?}", changes);
+            prop_assert_eq!(changes.tables.len(), 1, "one table");
         }
     }
 
     /// Per sequence, the positions of `target`'s rows that `base` lacks or
-    /// holds with other bytes, found by looking every row up.
-    fn diff_upserts(base: &[u8], target: &[u8]) -> Vec<Vec<u32>> {
+    /// holds with other bytes, and of `base`'s rows whose ids `target`
+    /// lacks, found by looking every row up.
+    fn diff_changes(base: &[u8], target: &[u8]) -> Vec<TableChanges> {
         let rows = |image: &[u8], t: &Table| -> Vec<Vec<u8>> {
             image[t.offset..t.offset + t.rows * t.width].chunks(t.width).map(<[u8]>::to_vec).collect()
         };
@@ -1468,9 +1735,16 @@ mod proptests {
         old.iter()
             .zip(&new)
             .map(|(o, n)| {
-                let held: std::collections::HashSet<Vec<u8>> = rows(base, o).into_iter().collect();
-                let target = rows(target, n);
-                (0..n.rows as u32).filter(|&i| !held.contains(&target[i as usize])).collect()
+                let (base, target) = (rows(base, o), rows(target, n));
+                let held: HashSet<&Vec<u8>> = base.iter().collect();
+                let ids: HashSet<ObjectId> = target.iter().map(|row| row_id(row)).collect();
+                let positions = |rows: &[Vec<u8>], pick: &dyn Fn(&Vec<u8>) -> bool| -> Vec<u32> {
+                    (0..rows.len() as u32).filter(|&i| pick(&rows[i as usize])).collect()
+                };
+                TableChanges {
+                    upserts: positions(&target, &|row| !held.contains(row)),
+                    removals: positions(&base, &|row| !ids.contains(&row_id(row))),
+                }
             })
             .collect()
     }

@@ -301,7 +301,7 @@ impl CutFrame {
         let plan = held.and_then(|base| {
             let listed = changes
                 .filter(|changes| changes.base_seq == base.seq)
-                .and_then(|changes| RowPlan::from_changes(base.image, image, layout, &changes.upserts));
+                .and_then(|changes| RowPlan::from_changes(base.image, image, layout, &changes.tables));
             Some((base.seq, listed.or_else(|| RowPlan::new(base.image, image, layout))?))
         });
         let room = plan.as_ref().map_or(image.len(), |(_, rows)| rows.len());
@@ -388,7 +388,7 @@ impl CutFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rows::{Layout, Table};
+    use crate::rows::{Layout, Table, TableChanges};
     use crate::{peek, HEADER_LEN};
 
     const MAGIC: u32 = 0x5445_5354;
@@ -507,11 +507,14 @@ mod tests {
         };
         let diffed = ship(None);
         let upserts: Vec<u32> = (0..4_000).filter(|id| id % 100 == 3).chain([4_000]).collect();
-        let changes = Changes { base_seq: 1_000, upserts: vec![upserts.clone()] };
-        assert_eq!(ship(Some(&changes)), diffed);
-        let elsewhere = Changes { base_seq: 999, upserts: vec![Vec::new()] };
+        let listed = |base_seq: u64, upserts: &[u32]| Changes {
+            base_seq,
+            tables: vec![TableChanges { upserts: upserts.to_vec(), removals: Vec::new() }],
+        };
+        assert_eq!(ship(Some(&listed(1_000, &upserts))), diffed);
+        let elsewhere = listed(999, &[]);
         assert_eq!(ship(Some(&elsewhere)), diffed, "a list against another base is not used");
-        let short = Changes { base_seq: 1_000, upserts: vec![upserts[1..].to_vec()] };
+        let short = listed(1_000, &upserts[1..]);
         assert_eq!(resolve(&ship(Some(&short)), held), Err(CutError::Frame(CkptError::BadCrc)));
         assert_eq!(resolve(&diffed, held), Ok(target.clone()));
     }

@@ -86,11 +86,12 @@
 //! (by one row), so once `F − P` exceeds the rows the table still removes,
 //! the stretch cannot close before the table's end, and the forward walk
 //! jumps there: `F` is where the table's declared rows end. A writer whose
-//! tables only grow — the standby feed — opens one stretch at its first
-//! inserted row and walks the rest once, backwards. Nothing per row is
-//! kept: the walk holds one cursor and the start of the open stretch, and a
-//! checked delta one entry per table. Each base key is read once by the
-//! check and at most once each by the forward walk and a stretch.
+//! tables only grow — the standby feed, until the cache's table starts to
+//! forget — opens one stretch at its first inserted row and walks the rest
+//! once, backwards. Nothing per row is kept: the walk holds one cursor and
+//! the start of the open stretch, and a checked delta one entry per table.
+//! Each base key is read once by the check and at most once each by the
+//! forward walk and a stretch.
 
 use crate::{CkptError, Dec, Enc};
 
@@ -202,17 +203,26 @@ fn diff<'r>(
 }
 
 /// What the writer of a target image knows changed since the base image it
-/// wrote before: per table of the layout, the positions of the target rows
-/// that the base lacks or holds with other bytes, ascending — the upserts a
-/// diff of the two images would find. There are no removals: the writer's
-/// tables only grow.
+/// wrote before: per table of the layout, the upserts and removals a diff
+/// of the two images would find, as positions ([`TableChanges`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Changes {
     /// Boundary of the base the positions were taken against: a receiver
     /// that holds that cut holds the base.
     pub base_seq: u64,
-    /// Per table, the changed rows' positions in the target.
-    pub upserts: Vec<Vec<u32>>,
+    /// Per table, its changes.
+    pub tables: Vec<TableChanges>,
+}
+
+/// One table's share of [`Changes`], each list ascending.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TableChanges {
+    /// Positions in the target of the rows the base lacks or holds with
+    /// other bytes.
+    pub upserts: Vec<u32>,
+    /// Positions in the base of the rows whose keys the target lacks: the
+    /// rows a writer with a bounded table forgot.
+    pub removals: Vec<u32>,
 }
 
 /// One table's share of a [`RowPlan`].
@@ -221,9 +231,9 @@ struct TablePlan<'a> {
     target: Table,
     upserts: usize,
     removals: usize,
-    /// The upserts' positions, when the writer named them; otherwise
+    /// The changes' positions, when the writer named them; otherwise
     /// [`write`](RowPlan::write) walks the diff again to find them.
-    known: Option<&'a [u32]>,
+    known: Option<&'a TableChanges>,
 }
 
 /// The sender's half: the changes that turn `base` into `target`, counted
@@ -260,37 +270,43 @@ impl<'a> RowPlan<'a> {
         Some(RowPlan { base, target, tables })
     }
 
-    /// Plans `base → target` from the `upserts` the target's writer names
-    /// ([`Changes::upserts`]), without walking either table. `None` when
-    /// the images do not lay out alike, or a list is not one per table,
-    /// ascending, inside the target, and enough for the rows the target
-    /// added — the sender then diffs. Whether the list is *true* of `base`
-    /// is the writer's word; a false one rebuilds an image whose holder's
-    /// open refuses it.
+    /// Plans `base → target` from the changes the target's writer names
+    /// ([`Changes::tables`]), without walking either table. `None` when
+    /// the images do not lay out alike, or the lists are not one per table,
+    /// each ascending and inside its table, with upserts enough for the
+    /// rows the target added past the base's kept ones — the sender then
+    /// diffs. Whether the lists are *true* of `base` is the writer's word;
+    /// a false one rebuilds an image its holder's open refuses, or is
+    /// refused by the holder's check.
     pub(crate) fn from_changes(
         base: &'a [u8],
         target: &'a [u8],
         layout: LayoutFn,
-        upserts: &'a [Vec<u32>],
+        changes: &'a [TableChanges],
     ) -> Option<Self> {
         let (old, new) = shapes(base, target, layout)?;
-        if upserts.len() != new.len() {
+        if changes.len() != new.len() {
             return None;
         }
+        let fits = |list: &[u32], rows: usize| {
+            list.windows(2).all(|w| w[0] < w[1]) && list.last().is_none_or(|&p| (p as usize) < rows)
+        };
         let mut tables = Vec::with_capacity(new.len());
-        for ((base_t, target_t), known) in old.into_iter().zip(new).zip(upserts) {
-            let ascends = known.windows(2).all(|w| w[0] < w[1]);
-            let inside = known.last().is_none_or(|&p| (p as usize) < target_t.rows);
-            let added = target_t.rows.checked_sub(base_t.rows)?;
-            if !ascends || !inside || added > known.len() {
+        for ((base_t, target_t), known) in old.into_iter().zip(new).zip(changes) {
+            let (upserts, removals) = (known.upserts.len(), known.removals.len());
+            let kept = base_t.rows.checked_sub(removals)?;
+            let added = target_t.rows.checked_sub(kept)?;
+            if !fits(&known.upserts, target_t.rows)
+                || !fits(&known.removals, base_t.rows)
+                || added > upserts
+            {
                 return None;
             }
-            let upserts = known.len();
             tables.push(TablePlan {
                 base: base_t,
                 target: target_t,
                 upserts,
-                removals: 0,
+                removals,
                 known: Some(known),
             });
         }
@@ -320,7 +336,7 @@ impl<'a> RowPlan<'a> {
             enc.usize(t.upserts);
             match t.known {
                 Some(known) => {
-                    for &at in known {
+                    for &at in &known.upserts {
                         let at = at as usize * width;
                         enc.raw(&new[at..at + width]);
                     }
@@ -334,12 +350,21 @@ impl<'a> RowPlan<'a> {
                 }
             }
             enc.usize(t.removals);
-            if t.removals > 0 {
-                diff(old, new, width, |change| {
-                    if let Change::Remove(row) = change {
-                        enc.raw(&row[..8]);
+            match t.known {
+                Some(known) => {
+                    for &at in &known.removals {
+                        let at = at as usize * width;
+                        enc.raw(&old[at..at + 8]);
                     }
-                });
+                }
+                None if t.removals > 0 => {
+                    diff(old, new, width, |change| {
+                        if let Change::Remove(row) = change {
+                            enc.raw(&row[..8]);
+                        }
+                    });
+                }
+                None => {}
             }
             end = t.target.end();
         }
@@ -781,22 +806,58 @@ mod tests {
         assert_eq!(rebuild_of(&base, &target).0, 8 + 8 + (8 + 8) + 3 * 8 + 12 + 8 + (8 + 5));
     }
 
+    /// `upserts` and `removals` as one table's [`TableChanges`].
+    fn listed(upserts: &[u32], removals: &[u32]) -> TableChanges {
+        TableChanges { upserts: upserts.to_vec(), removals: removals.to_vec() }
+    }
+
     #[test]
     fn a_named_change_list_writes_what_the_diff_writes() {
         let base = image(&[(1, 10), (3, 30), (5, 50), (7, 70)]);
         let target = image(&[(1, 10), (2, 20), (3, 31), (5, 50), (7, 70), (8, 80)]);
         let diffed = delta(&RowPlan::new(&base, &target, layout).unwrap());
-        let listed = [vec![1, 2, 5]];
-        assert_eq!(delta(&RowPlan::from_changes(&base, &target, layout, &listed).unwrap()), diffed);
+        let named = [listed(&[1, 2, 5], &[])];
+        assert_eq!(delta(&RowPlan::from_changes(&base, &target, layout, &named).unwrap()), diffed);
         // Lists no writer of these images could have made are not planned.
         for bad in [
-            vec![vec![2, 1, 5]],         // not ascending
-            vec![vec![1, 2, 6]],         // past the target's rows
-            vec![vec![1]],               // fewer upserts than rows added
-            vec![vec![1, 2, 5], vec![]], // a list for a table there is not
-            vec![],                      // no list for the table there is
+            vec![listed(&[2, 1, 5], &[])],                   // not ascending
+            vec![listed(&[1, 2, 6], &[])],                   // past the target's rows
+            vec![listed(&[1], &[])],                         // fewer upserts than rows added
+            vec![listed(&[1, 2, 5], &[]), listed(&[], &[])], // a list for a table there is not
+            vec![],                                          // no list for the table there is
         ] {
             assert!(RowPlan::from_changes(&base, &target, layout, &bad).is_none(), "{bad:?}");
+        }
+    }
+
+    /// Removals named by their base positions write the keys the diff
+    /// writes: a writer whose table forgot rows ships them without a walk
+    /// of either table.
+    #[test]
+    fn named_removals_write_what_the_diff_writes() {
+        let base = image(&[(1, 10), (3, 30), (5, 50), (7, 70), (9, 90)]);
+        // 1 and 7 forgotten, 4 added, 5 requested again.
+        let target = image(&[(3, 30), (4, 40), (5, 51), (9, 90)]);
+        let diffed = delta(&RowPlan::new(&base, &target, layout).unwrap());
+        let named = [listed(&[1, 2], &[0, 3])];
+        let plan = RowPlan::from_changes(&base, &target, layout, &named).unwrap();
+        assert_eq!(delta(&plan), diffed);
+        assert_eq!(applied(&diffed, &base, layout), Ok(target.clone()));
+        // Only forgotten: the table shrinks, and no upsert is needed.
+        let shrunk = image(&[(3, 30), (5, 50), (9, 90)]);
+        let diffed = delta(&RowPlan::new(&base, &shrunk, layout).unwrap());
+        let named = [listed(&[], &[0, 3])];
+        assert_eq!(delta(&RowPlan::from_changes(&base, &shrunk, layout, &named).unwrap()), diffed);
+        for bad in [
+            listed(&[1, 2], &[3, 0]), // not ascending
+            listed(&[1, 2], &[0, 5]), // past the base's rows
+            listed(&[1, 2], &[]),     // none, though the table lost a row
+            listed(&[], &[0, 3]),     // no upsert, though a row was added
+        ] {
+            assert!(
+                RowPlan::from_changes(&base, &target, layout, std::slice::from_ref(&bad)).is_none(),
+                "{bad:?}"
+            );
         }
     }
 

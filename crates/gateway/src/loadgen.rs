@@ -27,7 +27,8 @@
 //! work, it never loses it.
 
 use crate::wire::{
-    encode_get, FrameReader, Message, RecvError, VerdictOutcome, WireVerdict, RETRY_UNIT,
+    encode_get, retry_wait, FrameReader, Message, RecvError, VerdictOutcome, WireVerdict,
+    RETRY_HINT_MAX, RETRY_UNIT,
 };
 use darwin_obs::{decode_fleet_events, Histogram, HistogramSnapshot, JournalSnapshot};
 use darwin_shard::mix64;
@@ -55,7 +56,9 @@ pub struct LoadgenConfig {
     /// default is the gateway's [`RETRY_UNIT`], so that a hint asks for the
     /// wait the gateway meant.
     pub backoff: Duration,
-    /// Ceiling on the (pre-jitter) backoff delay.
+    /// Ceiling on the (pre-jitter) backoff delay. The default is the wait
+    /// the gateway's top retry hint asks for ([`retry_wait`]`(`[`RETRY_HINT_MAX`]`)`,
+    /// 640 ms), so that no hint is cut short.
     pub backoff_cap: Duration,
     /// Socket read timeout while awaiting replies (`None` = block forever).
     /// A timed-out read counts as a transport failure and triggers a
@@ -74,7 +77,7 @@ impl Default for LoadgenConfig {
             window: 8,
             retries: 3,
             backoff: RETRY_UNIT,
-            backoff_cap: Duration::from_millis(500),
+            backoff_cap: retry_wait(RETRY_HINT_MAX),
             read_timeout: None,
             seed: 0x5EED,
         }
@@ -416,7 +419,11 @@ fn replay_chunk(
                     // Every outstanding reply is in: honour the gateway's
                     // largest retry hint with a full-jitter backoff, then
                     // re-frame the shed records for resending.
-                    std::thread::sleep(backoff_delay(cfg, retry_hint.clamp(1, 7), &mut rng));
+                    std::thread::sleep(backoff_delay(
+                        cfg,
+                        retry_hint.clamp(1, u32::from(RETRY_HINT_MAX)),
+                        &mut rng,
+                    ));
                     retry_hint = 0;
                     for shed in retry.chunks(batch) {
                         resend.push_back(shed.to_vec());
@@ -641,6 +648,24 @@ mod tests {
         for failures in 1..=5 {
             assert_eq!(backoff_delay(&cfg, failures, &mut a), backoff_delay(&cfg, failures, &mut b));
         }
+    }
+
+    /// The default backoff reads every retry hint on the gateway's scale,
+    /// the top one included: the ceiling a hint of `h` draws under is the
+    /// wait the gateway asks for with it, 640 ms at the top.
+    #[test]
+    fn the_default_backoff_honours_the_top_retry_hint() {
+        let cfg = LoadgenConfig::default();
+        assert_eq!(cfg.backoff, RETRY_UNIT);
+        assert_eq!(cfg.backoff_cap, Duration::from_millis(640));
+        for hint in 1..=RETRY_HINT_MAX {
+            let ceiling = cfg.backoff.saturating_mul(1 << (hint - 1)).min(cfg.backoff_cap);
+            assert_eq!(ceiling, retry_wait(hint), "hint {hint}");
+        }
+        // The top hint's draws reach past the old 500 ms cap.
+        let mut rng = 1;
+        let longest = (0..200).map(|_| backoff_delay(&cfg, u32::from(RETRY_HINT_MAX), &mut rng)).max();
+        assert!(longest > Some(Duration::from_millis(500)), "{longest:?}");
     }
 
     /// A server that answers one frame then slams the door forces the client

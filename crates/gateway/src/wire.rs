@@ -128,12 +128,21 @@ pub struct WireVerdict {
 /// The wait a `retry_after` hint of 1 asks for; each step up doubles it.
 pub const RETRY_UNIT: Duration = Duration::from_millis(10);
 
+/// The greatest `retry_after` hint, all three bits of its field.
+pub const RETRY_HINT_MAX: u8 = 7;
+
+/// The wait a `retry_after` hint `hint` ≥ 1 asks for: [`RETRY_UNIT`]` ·
+/// 2^(hint − 1)`, 640 ms at [`RETRY_HINT_MAX`].
+pub const fn retry_wait(hint: u8) -> Duration {
+    Duration::from_nanos((RETRY_UNIT.as_nanos() as u64) << (hint - 1))
+}
+
 /// The `retry_after` hint that asks for a wait of `wait`: the smallest
-/// whose wait ([`RETRY_UNIT`]` · 2^(h − 1)`) covers it. A longer wait never
-/// gets a smaller hint. The hint saturates: every wait past 640 ms gets 7,
-/// which asks for 640 ms, so a client told 7 may be refused again.
+/// whose wait ([`retry_wait`]) covers it. A longer wait never gets a
+/// smaller hint. The hint saturates: every wait past 640 ms gets 7, which
+/// asks for 640 ms, so a client told 7 may be refused again.
 pub fn retry_after_for(wait: Duration) -> u8 {
-    (1..7).find(|&h| RETRY_UNIT * (1 << (h - 1)) >= wait).unwrap_or(7)
+    (1..RETRY_HINT_MAX).find(|&h| retry_wait(h) >= wait).unwrap_or(RETRY_HINT_MAX)
 }
 
 impl WireVerdict {
@@ -148,7 +157,11 @@ impl WireVerdict {
     /// The verdict an overloaded gateway sheds a request with, carrying a
     /// backoff exponent hint (clamped to the 3-bit wire field).
     pub fn busy(retry_after: u8) -> WireVerdict {
-        WireVerdict { outcome: VerdictOutcome::Busy, admitted: false, retry_after: retry_after.min(7) }
+        WireVerdict {
+            outcome: VerdictOutcome::Busy,
+            admitted: false,
+            retry_after: retry_after.min(RETRY_HINT_MAX),
+        }
     }
 
     /// Wire encoding (bits 0–2 outcome, bit 3 admitted, bits 4–6
