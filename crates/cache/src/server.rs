@@ -243,9 +243,9 @@ impl ObjectTable {
     #[inline(never)]
     fn forget(&mut self, id: ObjectId) {
         let keep = self.bound.map_or(usize::MAX, |rows| rows - rows.div_ceil(4));
-        let mut rows = std::mem::take(&mut self.draining);
+        let rows = &mut self.draining;
         rows.clear();
-        self.map.drain_segment(id, &mut rows);
+        self.map.drain_segment(id, rows);
         let forgotten = rows.len().saturating_sub(keep);
         if forgotten > 0 {
             // The rows ranked up to the one at `forgotten - 1` go; the rest
@@ -262,13 +262,12 @@ impl ObjectTable {
         for &(key, meta) in &rows[forgotten..] {
             self.map.insert(key.id(), meta);
         }
-        self.draining = rows;
     }
 
     /// Whether the base row `row` is one a forget since the base dropped —
     /// true only of a row whose object is not listed (see the type's docs).
     #[inline]
-    fn forgot(&self, row: &[u8]) -> bool {
+    fn dropped_since_base(&self, row: &[u8]) -> bool {
         let id = row_id(row);
         let last_ts = u64::from_le_bytes(row[8..16].try_into().expect("8 bytes"));
         self.forgot[segment_of(id)].is_some_and(|last| rank(id, last_ts) <= last)
@@ -354,7 +353,8 @@ fn row_id(row: &[u8]) -> ObjectId {
 /// where its id sorts, and the runs of base rows between them copied as
 /// they are. A listed id the table no longer holds was forgotten: its base
 /// row, if the base has one, is dropped, and so are the base rows between
-/// that a forget since the base dropped ([`ObjectTable::forgot`]). Fills
+/// that a forget since the base dropped
+/// ([`ObjectTable::dropped_since_base`]). Fills
 /// `changes` with the positions of the rows written whose bytes `base`
 /// does not hold, and of the base rows dropped.
 fn merge_rows(
@@ -382,7 +382,7 @@ fn merge_rows(
         }
         let (mut run, mut dropped) = (from, 0);
         for i in from..to {
-            if objects.forgot(base_row(i)) {
+            if objects.dropped_since_base(base_row(i)) {
                 enc.raw(&base[run * ROW..i * ROW]);
                 removals.push(position(i));
                 (run, dropped) = (i + 1, dropped + 1);
