@@ -400,30 +400,35 @@ fn merge_rows(
     // with the rows looked up one by one between its copies, and takes
     // 16–20 a block at a time.
     const BLOCK: usize = 1024;
-    let mut rows = [None; BLOCK];
+    let (mut rows, mut found) = ([[0; ROW]; BLOCK], [false; BLOCK]);
     for block in ids.chunks(BLOCK) {
-        for (new, &id) in rows.iter_mut().zip(block) {
-            *new = objects.map.get(id).map(|meta| row(id, meta));
+        for ((new, found), &id) in rows.iter_mut().zip(&mut found).zip(block) {
+            let meta = objects.map.get(id);
+            *found = meta.is_some();
+            if let Some(meta) = meta {
+                *new = row(id, meta);
+            }
         }
-        for (&id, new) in block.iter().zip(&rows) {
+        for ((&id, new), &found) in block.iter().zip(&rows).zip(&found) {
             let from = b;
             while b < held && key(b) < id {
                 b += 1;
             }
-            written += kept(enc, from, b, &mut changes.removals);
-            let holds = b < held && key(b) == id;
-            match new {
-                Some(new) => {
-                    if !holds || base_row(b) != new {
-                        changes.upserts.push(position(written));
-                    }
-                    enc.raw(new);
-                    written += 1;
-                }
-                None if holds => changes.removals.push(position(b)),
-                // Requested since the base, then forgotten: never written.
-                None => {}
+            if b > from {
+                written += kept(enc, from, b, &mut changes.removals);
             }
+            let holds = b < held && key(b) == id;
+            if found {
+                if !holds || base_row(b) != new {
+                    changes.upserts.push(position(written));
+                }
+                enc.raw(new);
+                written += 1;
+            } else if holds {
+                changes.removals.push(position(b));
+            }
+            // Neither found nor held: requested since the base, then
+            // forgotten, and never written.
             b += usize::from(holds);
         }
     }
