@@ -135,9 +135,8 @@ pub(crate) const SEGMENT_ROWS: usize = 24_576;
 /// as never seen. The rows forgotten are a pure function of the rows
 /// held and the request, so a table restored from an image forgets
 /// exactly as the one that wrote it would have, and the image needs no
-/// byte for it. The segment is
-/// emptied and refilled with the rows it keeps
-/// ([`IdMap::drain_segment`]), not thinned in place: in place, the
+/// byte for it. The segment is emptied and refilled with the rows it
+/// keeps ([`IdMap::drain_segment`]), not thinned in place: in place, the
 /// tombstones left behind made the table double after a few million
 /// requests.
 ///
@@ -174,7 +173,7 @@ struct ObjectTable {
     forgot: [Option<u128>; SEGMENTS],
     /// Rows forgotten since the base.
     forgotten: usize,
-    /// A full segment's rows while it forgets: sized at the first forget
+    /// An overflowing segment's rows while it forgets: sized at the first forget
     /// and reused until the next base is recorded.
     draining: Vec<(Key, ObjectMeta)>,
 }
