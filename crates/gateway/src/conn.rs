@@ -13,9 +13,18 @@
 //! envelope's `Drop` impl) into its slot of the batch; the last arrival
 //! pushes the assembled `VERDICTS` reply into the sink. Record order is
 //! preserved no matter how shards interleave.
+//!
+//! The writer polls while a reply is owed and parks only when none is, as
+//! a shard worker does with its queue: creating a `PendingBatch` tells the
+//! sink that its frame's reply will come, and a writer that finds the next
+//! reply missing while one is owed looks again, [`EMPTY_POLLS`] times one
+//! `yield_now` apart, before it parks. A push wakes the writer only when it
+//! is parked, so a pipelined connection's frames cost the shard workers no
+//! futex wake; a lone frame's writer owes nothing once its reply is written
+//! and parks at once.
 
 use crate::wire::{encode, encode_verdict_bytes, Message, WireVerdict};
-use darwin_shard::{Envelope, Verdict};
+use darwin_shard::{Envelope, Verdict, EMPTY_POLLS};
 use darwin_trace::Request;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -42,6 +51,13 @@ struct SinkState {
     next_write: u64,
     end_seq: Option<u64>,
     aborted: bool,
+    /// The writer waits on the condvar. Set by the writer as it parks and
+    /// cleared by the push that wakes it, both under this lock, so no
+    /// wake-up can be lost.
+    parked: bool,
+    /// Poll rounds the writer has spent, for the tests.
+    #[cfg(test)]
+    polls: u32,
 }
 
 /// The ordered reply buffer between a connection's frame decoding (and the
@@ -49,6 +65,9 @@ struct SinkState {
 pub(crate) struct ConnSink {
     state: Mutex<SinkState>,
     cv: Condvar,
+    /// One past the highest frame whose reply is owed: the reader has
+    /// numbered it and the shard workers will push its reply.
+    owed_below: AtomicU64,
 }
 
 impl ConnSink {
@@ -59,19 +78,34 @@ impl ConnSink {
                 next_write: 0,
                 end_seq: None,
                 aborted: false,
+                parked: false,
+                #[cfg(test)]
+                polls: 0,
             }),
             cv: Condvar::new(),
+            owed_below: AtomicU64::new(0),
         }
     }
 
-    /// Queues `reply` as the answer to frame `seq`. No-op after abort.
+    /// Reader side: frame `seq`'s reply is owed and will be pushed later.
+    /// Frames are owed in sequence order.
+    fn owe(&self, seq: u64) {
+        self.owed_below.store(seq + 1, Ordering::Release);
+    }
+
+    /// Queues `reply` as the answer to frame `seq`, waking the writer if it
+    /// is parked. No-op after abort.
     pub(crate) fn push(&self, seq: u64, reply: Reply) {
         let mut st = self.state.lock().expect("sink poisoned");
         if st.aborted {
             return;
         }
         st.ready.insert(seq, reply);
-        self.cv.notify_one();
+        // Cleared here, so that the pushes made before the writer runs
+        // again wake it once.
+        if std::mem::take(&mut st.parked) {
+            self.cv.notify_one();
+        }
     }
 
     /// Declares the stream complete: the writer exits once every reply below
@@ -104,7 +138,10 @@ impl ConnSink {
 
     /// Writer side: blocks for the next run of consecutive ready replies.
     /// Returns `None` once the sink is aborted or drained through `end_seq`.
+    /// While the next reply is owed it polls up to `EMPTY_POLLS` times
+    /// before it parks.
     fn next_run(&self) -> Option<Vec<Reply>> {
+        let mut polls = 0;
         let mut st = self.state.lock().expect("sink poisoned");
         loop {
             if st.aborted {
@@ -127,7 +164,20 @@ impl ConnSink {
             if st.end_seq.is_some_and(|end| st.next_write >= end) {
                 return None;
             }
+            if polls < EMPTY_POLLS && st.next_write < self.owed_below.load(Ordering::Acquire) {
+                polls += 1;
+                #[cfg(test)]
+                {
+                    st.polls += 1;
+                }
+                drop(st);
+                std::thread::yield_now();
+                st = self.state.lock().expect("sink poisoned");
+                continue;
+            }
+            st.parked = true;
             st = self.cv.wait(st).expect("sink poisoned");
+            st.parked = false;
         }
     }
 }
@@ -229,8 +279,10 @@ pub(crate) struct PendingBatch {
 }
 
 impl PendingBatch {
+    /// A batch for frame `seq`, whose reply `sink` now owes.
     pub(crate) fn new(seq: u64, sink: Arc<ConnSink>, records: usize) -> Arc<Self> {
         debug_assert!(records > 0);
+        sink.owe(seq);
         Arc::new(Self {
             seq,
             sink,
@@ -403,6 +455,119 @@ mod tests {
         sink.abort();
         sink.push(1, Reply::ShutdownAck);
         assert!(sink.next_run().is_none(), "aborted sink releases the writer");
+    }
+
+    /// Runs `next_run` on a thread of its own, sending what each call
+    /// returned (the run's length, or `None` at the end) until the end.
+    fn spawn_writer(sink: &Arc<ConnSink>) -> std::sync::mpsc::Receiver<Option<usize>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sink = Arc::clone(sink);
+        std::thread::spawn(move || loop {
+            let run = sink.next_run();
+            let end = run.is_none();
+            if tx.send(run.map(|r| r.len())).is_err() || end {
+                return;
+            }
+        });
+        rx
+    }
+
+    const BOUND: std::time::Duration = std::time::Duration::from_secs(10);
+
+    /// Waits (within `BOUND`) until the writer is parked on the condvar.
+    fn until_parked(sink: &ConnSink) {
+        let start = std::time::Instant::now();
+        while !sink.state.lock().unwrap().parked {
+            assert!(start.elapsed() < BOUND, "the writer never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_parked_writer_wakes_for_push_finish_and_abort() {
+        let sink = Arc::new(ConnSink::new());
+        let writer = spawn_writer(&sink);
+        until_parked(&sink);
+        sink.push(0, Reply::ShutdownAck);
+        assert_eq!(writer.recv_timeout(BOUND), Ok(Some(1)), "push wakes the writer");
+        until_parked(&sink);
+        sink.finish_at(1);
+        assert_eq!(writer.recv_timeout(BOUND), Ok(None), "finish_at wakes the writer");
+
+        let sink = Arc::new(ConnSink::new());
+        let writer = spawn_writer(&sink);
+        until_parked(&sink);
+        sink.abort();
+        assert_eq!(writer.recv_timeout(BOUND), Ok(None), "abort wakes the writer");
+    }
+
+    #[test]
+    fn a_writer_polls_only_while_a_reply_is_owed() {
+        let sink = Arc::new(ConnSink::new());
+        let writer = spawn_writer(&sink);
+        until_parked(&sink);
+        assert_eq!(sink.state.lock().unwrap().polls, 0, "nothing owed: park at once");
+
+        // Frame 0 answered inline, frame 1 owed: once 0 is written the
+        // writer polls for 1, then parks.
+        let batch = PendingBatch::new(1, Arc::clone(&sink), 1);
+        sink.push(0, Reply::ShutdownAck);
+        assert_eq!(writer.recv_timeout(BOUND), Ok(Some(1)));
+        until_parked(&sink);
+        assert_eq!(sink.state.lock().unwrap().polls, EMPTY_POLLS, "owed: poll, then park");
+        batch.fill(0, 0);
+        assert_eq!(writer.recv_timeout(BOUND), Ok(Some(1)), "the parked writer wakes for it");
+        until_parked(&sink);
+        assert_eq!(sink.state.lock().unwrap().polls, EMPTY_POLLS, "nothing owed once written");
+        sink.abort();
+    }
+
+    #[test]
+    fn shuffled_pushes_from_many_threads_are_written_once_in_order() {
+        const FRAMES: u64 = 4000;
+        const THREADS: u64 = 4;
+        let sink = Arc::new(ConnSink::new());
+        sink.owe(FRAMES - 1);
+        sink.finish_at(FRAMES);
+        let writer = {
+            let sink = Arc::clone(&sink);
+            std::thread::spawn(move || {
+                let mut written = Vec::new();
+                while let Some(run) = sink.next_run() {
+                    for reply in run {
+                        match reply {
+                            Reply::Verdicts(bytes) => {
+                                written.push(u64::from_le_bytes(bytes.try_into().unwrap()))
+                            }
+                            _ => panic!("only verdicts were pushed"),
+                        }
+                    }
+                }
+                written
+            })
+        };
+        let pushers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let sink = Arc::clone(&sink);
+                std::thread::spawn(move || {
+                    let mut seqs: Vec<u64> = (t..FRAMES).step_by(THREADS as usize).collect();
+                    // A seeded shuffle (Fisher–Yates over an LCG).
+                    let mut x = t.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                    for i in (1..seqs.len()).rev() {
+                        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        seqs.swap(i, (x >> 33) as usize % (i + 1));
+                    }
+                    for seq in seqs {
+                        sink.push(seq, Reply::Verdicts(seq.to_le_bytes().to_vec()));
+                    }
+                })
+            })
+            .collect();
+        for p in pushers {
+            p.join().unwrap();
+        }
+        let written = writer.join().unwrap();
+        assert_eq!(written, (0..FRAMES).collect::<Vec<_>>());
     }
 
     #[test]

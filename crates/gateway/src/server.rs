@@ -453,13 +453,31 @@ fn acceptor_loop<D: AdmissionDriver + Send + 'static>(
                     .expect("spawn gateway connection worker");
                 conns.push(handle);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
+            Err(e) if listener_unusable(&e) => break,
+            Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
     conns
+}
+
+/// Whether a failed `accept` says the listener itself is unusable, which
+/// ends the acceptor. Anything else is retried after the back-off: no
+/// pending connection (`WouldBlock`), one that failed before it was taken
+/// (aborted, reset, or a network error Linux passes on from the new
+/// socket), an interrupted call, and running out of descriptors or memory
+/// (`EMFILE`, `ENFILE`, `ENOBUFS`, `ENOMEM`), which closing connections
+/// undoes.
+fn listener_unusable(e: &std::io::Error) -> bool {
+    // EBADF, EFAULT and ENOTSOCK: the descriptor is not a socket, or gone.
+    // EINVAL (`InvalidInput`): the socket is not listening.
+    const EBADF: i32 = 9;
+    const EFAULT: i32 = 14;
+    #[cfg(target_os = "linux")]
+    const ENOTSOCK: i32 = 88;
+    #[cfg(not(target_os = "linux"))]
+    const ENOTSOCK: i32 = 38;
+    e.kind() == std::io::ErrorKind::InvalidInput
+        || matches!(e.raw_os_error(), Some(EBADF | EFAULT | ENOTSOCK))
 }
 
 /// Frames whose reply is not yet written at which a connection's new `GET`
@@ -731,6 +749,43 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One failed connection or a moment without descriptors must not stop
+    /// the gateway accepting; only a listener that cannot accept ends it.
+    #[test]
+    fn only_an_unusable_listener_ends_the_acceptor() {
+        use std::io::{Error, ErrorKind};
+        for kind in [
+            ErrorKind::WouldBlock,
+            ErrorKind::Interrupted,
+            ErrorKind::ConnectionAborted,
+            ErrorKind::ConnectionReset,
+            ErrorKind::TimedOut,
+            ErrorKind::OutOfMemory,
+            ErrorKind::NetworkDown,
+            ErrorKind::HostUnreachable,
+        ] {
+            assert!(!listener_unusable(&Error::from(kind)), "{kind:?} is retried");
+        }
+        assert!(listener_unusable(&Error::from(ErrorKind::InvalidInput)));
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn os_accept_errors_are_classified_by_errno() {
+        use std::io::Error;
+        // EAGAIN, EINTR, ENOMEM, ENFILE, EMFILE, EPROTO, ENETDOWN, ENOBUFS,
+        // ECONNABORTED, EHOSTUNREACH: retried.
+        for errno in [11, 4, 12, 23, 24, 71, 100, 105, 103, 113] {
+            let e = Error::from_raw_os_error(errno);
+            assert!(!listener_unusable(&e), "errno {errno} ({e}) is retried");
+        }
+        // EBADF, EFAULT, EINVAL, ENOTSOCK: the listener is unusable.
+        for errno in [9, 14, 22, 88] {
+            let e = Error::from_raw_os_error(errno);
+            assert!(listener_unusable(&e), "errno {errno} ({e}) ends the acceptor");
+        }
+    }
 
     #[test]
     fn a_full_bucket_admits_a_frame_larger_than_its_rate() {

@@ -444,9 +444,13 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Message, usize)>, WireError> {
         OP_STATS => Message::Stats,
         OP_SHUTDOWN => Message::Shutdown,
         OP_VERDICTS => {
-            let vs: Result<Vec<WireVerdict>, WireError> =
-                body.iter().map(|&b| WireVerdict::from_byte(b)).collect();
-            Message::Verdicts(vs?)
+            // Sized up front: collecting a `Result` iterator cannot see the
+            // length and regrows the `Vec` several times per reply.
+            let mut vs = Vec::with_capacity(len);
+            for &b in body {
+                vs.push(WireVerdict::from_byte(b)?);
+            }
+            Message::Verdicts(vs)
         }
         OP_STATS_REPLY => {
             Message::StatsReply(std::str::from_utf8(body).map_err(|_| WireError::BadUtf8)?.to_owned())
@@ -651,6 +655,26 @@ mod tests {
             assert_eq!(WireVerdict::from_byte(v.to_byte()).unwrap(), v);
         }
         assert_eq!(WireVerdict::busy(200).retry_after, 7, "hints clamp to the wire field");
+    }
+
+    #[test]
+    fn decoded_verdicts_are_allocated_once() {
+        for len in [64, 37] {
+            let vs = vec![WireVerdict::busy(1); len];
+            let (msg, _) = decode(&encoded(&Message::Verdicts(vs.clone()))).unwrap().unwrap();
+            match msg {
+                Message::Verdicts(decoded) => {
+                    assert_eq!(decoded, vs);
+                    assert_eq!(decoded.capacity(), len);
+                }
+                other => panic!("expected verdicts, got {other:?}"),
+            }
+        }
+        // The first bad byte still names the error.
+        let mut bad = encoded(&Message::Verdicts(vec![WireVerdict::busy(1); 64]));
+        bad[HEADER_LEN + 3] = 0x80;
+        bad[HEADER_LEN + 9] = 0xFF;
+        assert_eq!(decode(&bad), Err(WireError::BadVerdictByte(0x80)));
     }
 
     #[test]

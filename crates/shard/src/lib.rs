@@ -104,7 +104,7 @@ pub use metrics::{
     FleetMetrics, GatewaySnapshot, GenerationSummary, MetricsHandle, ShardCell, ShardPhase,
     ShardSnapshot,
 };
-pub use queue::{channel, Consumer, Producer, QueueGauges};
+pub use queue::{channel, Consumer, Producer, QueueGauges, EMPTY_POLLS};
 pub use replay::{partition, run_partition, run_sequential, ShardRun};
 pub use router::{mix64, HashRouter, JumpRouter, Router};
 pub use standby::{FeedOutcome, StandbySlot};

@@ -23,11 +23,13 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// How often a consumer that found its queue empty looks again, one
-/// `yield_now` apart, before it parks. Under load a shard's next batch is
-/// tens of microseconds away, less than a futex sleep and wake cost on a
-/// virtual core (measurements in DESIGN.md, "Cost of a request").
-const EMPTY_POLLS: u32 = 50;
+/// How often a waiter that found nothing to take looks again, one
+/// `yield_now` apart, before it parks: a shard consumer whose queue is
+/// empty, and a gateway connection's reply writer while a reply is owed.
+/// Under load the next batch is tens of microseconds away, less than a
+/// futex sleep and wake cost on a virtual core (measurements in DESIGN.md,
+/// "Cost of a request").
+pub const EMPTY_POLLS: u32 = 50;
 
 /// Live occupancy gauges of one queue, readable from any thread.
 #[derive(Debug, Default)]

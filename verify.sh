@@ -32,7 +32,7 @@ echo "== paper fidelity (experiments all at scale 1 writes the 33 pinned outputs
 ci/paper_fidelity.sh
 
 if cargo +nightly --version > /dev/null 2>&1; then
-    echo "== sanitizers (TSan over the shard queue, ASan over darwin-ckpt; nightly only) =="
+    echo "== sanitizers (TSan over the shard queue and the reply sink, ASan over darwin-ckpt; nightly only) =="
     ci/sanitize.sh
 fi
 
