@@ -20,7 +20,7 @@
 //! **Why segments.** A standard table grows by allocating one twice its
 //! size and rehashing every entry into it: old and new live together, and
 //! the thread that owns the table does nothing else meanwhile. The
-//! per-object table holds an entry per object seen (a server's up to 2²⁰
+//! per-object table holds an entry per object seen (a server's up to 2¹⁹
 //! buckets' worth, the simulator's without bound), so on a shard that was
 //! tens of megabytes of transient heap and tens of milliseconds in which no
 //! request was served. A segment grows alone: a step is 1/[`SEGMENTS`] of

@@ -117,11 +117,18 @@ fn frequency_tag(dec: &mut Dec<'_>) -> Result<(), CkptError> {
     }
 }
 
+/// Buckets a segment of a [`CacheServer`]'s per-object table stops at.
+const SEGMENT_BUCKETS: usize = 1 << 14;
+
 /// Rows a [`CacheServer`]'s per-object table keeps in each of its map's
-/// [`SEGMENTS`](crate::idmap::SEGMENTS) segments: ¾ of a 2¹⁵-bucket table,
-/// under the 7/8 at which the segment would double, so the table never
-/// passes 2²⁰ buckets (≈ 21 MiB) however many objects it sees.
-pub(crate) const SEGMENT_ROWS: usize = 24_576;
+/// [`SEGMENTS`] segments: ⅞ of a 2¹⁴-bucket table, the most it holds
+/// before it doubles, less one. The one is the newcomer's room: a new
+/// object's row is inserted before the segment forgets, so a full segment
+/// holds the bound and one more for a moment, and a bound of the whole ⅞
+/// (14 336) doubles every segment to 2¹⁵ buckets at its first forget. So
+/// the table never passes 2¹⁹ buckets (≈ 10.5 MiB) however many objects
+/// it sees.
+pub const SEGMENT_ROWS: usize = SEGMENT_BUCKETS / 8 * 7 - 1;
 
 /// The per-object table both simulators keep, one probe per request for
 /// frequency and recency together.
@@ -132,7 +139,10 @@ pub(crate) const SEGMENT_ROWS: usize = 24_576;
 /// object's row overflows its segment, the segment forgets its least
 /// recently requested rows, ordered by `(last_ts, id)`, down to ¾ of the
 /// bound — a quarter of them, and one more — and a forgotten object reads
-/// as never seen. The rows forgotten are a pure function of the rows
+/// as never seen. The newcomer's row is inserted before the segment
+/// forgets, so for a moment the segment holds the bound and one more:
+/// [`SEGMENT_ROWS`] leaves that room under the ⅞ at which a segment
+/// doubles. The rows forgotten are a pure function of the rows
 /// held and the request, so a table restored from an image forgets
 /// exactly as the one that wrote it would have, and the image needs no
 /// byte for it. The segment is emptied and refilled with the rows it
@@ -174,7 +184,8 @@ struct ObjectTable {
     /// Rows forgotten since the base.
     forgotten: usize,
     /// An overflowing segment's rows while it forgets: sized at the first forget
-    /// and reused until the next base is recorded.
+    /// (the bound and the newcomer, ≈ 287 KB at [`SEGMENT_ROWS`]) and reused
+    /// until the next base is recorded.
     draining: Vec<(Key, ObjectMeta)>,
 }
 
@@ -1249,13 +1260,39 @@ mod tests {
         assert_eq!(restored.objects.bound, Some(SEGMENT_ROWS));
         let sim = HocSim::new(1024, EvictionKind::Lru, ThresholdPolicy::new(2, 1024));
         assert_eq!(sim.objects.bound, None);
-        assert_eq!(SEGMENT_ROWS * 4 / 3, 1 << 15, "¾ of a 2¹⁵-bucket segment");
+        assert_eq!(SEGMENT_ROWS + 1, (1 << 14) / 8 * 7, "⅞ of a 2¹⁴-bucket segment, less one");
+    }
+
+    /// The server's geometry: fed distinct ids until every segment has
+    /// forgotten twice, a table bounded at [`SEGMENT_ROWS`] never gives a
+    /// segment more room than its 2¹⁴ buckets hold. The newcomer a segment
+    /// takes before it forgets is what the bound's −1 makes room for: at a
+    /// bound of 14 336 every segment doubles at its first forget.
+    #[test]
+    fn a_server_segment_stops_at_its_bucket_count() {
+        use crate::idmap::{segment_of, SEGMENTS};
+        use darwin_trace::generator::object_id;
+        /// What a 2¹⁴-bucket segment holds before it must grow.
+        const ROOM: usize = (1 << 14) / 8 * 7;
+        let mut table = ObjectTable::bounded(SEGMENT_ROWS);
+        let mut forgets = [0u32; SEGMENTS];
+        let mut i = 0;
+        while forgets.iter().any(|&f| f < 2) {
+            let id = object_id(i % 3, (i / 3) as u64);
+            let held = table.map.segment_len(id);
+            table.record(id, i as u64);
+            let segment = segment_of(id);
+            forgets[segment] += u32::from(table.map.segment_len(id) < held);
+            let room = table.map.segment_capacities()[segment];
+            assert!(room <= ROOM, "segment {segment} grew to {room} at {i} ids");
+            i += 1;
+        }
     }
 
     /// The plateau: fed forty times its bound in distinct ids, a bounded
     /// table never holds more than the bound in a segment, and a segment
     /// whose table has grown to the 2¹⁰ buckets the bound fits in keeps
-    /// exactly that room from then on, through about 150 forgets each. A
+    /// exactly that room from then on, through about 160 forgets each. A
     /// segment thinned in place (`HashMap::remove`, `retain`) fails this:
     /// its tombstones eat the room `capacity` reports, and when none is
     /// left the table doubles.
@@ -1263,8 +1300,9 @@ mod tests {
     fn a_full_table_stops_growing() {
         use crate::idmap::SEGMENTS;
         use darwin_trace::generator::object_id;
-        /// ¾ of a 2¹⁰-bucket segment: the server's bound, 32 times smaller.
-        const BOUND: usize = 768;
+        /// ⅞ of a 2¹⁰-bucket segment, less one: the server's geometry at a
+        /// sixteenth of its size.
+        const BOUND: usize = 895;
         /// What a 2¹⁰-bucket segment holds before it must grow.
         const ROOM: usize = 896;
         let mut table = ObjectTable::bounded(BOUND);

@@ -1,16 +1,20 @@
 //! A bounded per-object table forgets, and every state movement keeps up.
 //!
-//! A `CacheServer` keeps at most 24 576 rows in each of its table's 32
-//! segments, forgetting a full segment's least recently requested quarter
-//! when a new object arrives. These tests stream enough distinct objects
-//! through one shard to fill every segment and make it forget, then hold
-//! the cut path to it: a cut after a forget names the forgotten rows as
-//! removals, ships the envelope a diff of the two images ships, and the
-//! standby rebuilds the cut bit for bit; and a shard promoted from that
-//! standby, still forgetting after the promotion, ends bitwise where an
-//! uninterrupted sequential run of its partition does.
+//! A `CacheServer` keeps at most `SEGMENT_ROWS` (14 335) rows in each of
+//! its table's 32 segments, forgetting a full segment's least recently
+//! requested quarter when a new object arrives. These tests stream enough
+//! distinct objects through one shard to fill every segment and make it
+//! forget, then hold the cut path to it: a cut after a forget names the
+//! forgotten rows as removals, ships the envelope a diff of the two images
+//! ships, and the standby rebuilds the cut bit for bit; and a shard
+//! promoted from that standby, still forgetting after the promotion, ends
+//! bitwise where an uninterrupted sequential run of its partition does.
+//! The cut points are derived from the bound, so the table still fills
+//! between the second cut and the third if the bound moves.
 
 use darwin::StaticDriver;
+use darwin_cache::idmap::SEGMENTS;
+use darwin_cache::server::SEGMENT_ROWS;
 use darwin_cache::{CacheConfig, CacheServer, ThresholdPolicy};
 use darwin_ckpt::replica::{CutFrame, CutRole, Held};
 use darwin_shard::{
@@ -20,8 +24,14 @@ use darwin_shard::{
 use darwin_trace::{Request, Trace};
 use std::sync::Arc;
 
-/// Rows a server's table holds at most: 32 segments of 24 576.
-const BOUND: usize = 32 * 24_576;
+/// Rows a server's table holds at most.
+const BOUND: usize = SEGMENTS * SEGMENT_ROWS;
+
+/// Where [`a_cut_after_a_forget_ships_its_removals`] cuts, in requests: at
+/// ½, 1 and 1½ times the bound. Three requests in four are new objects, so
+/// the table holds ⅜ and ¾ of the bound at the first two cuts — no
+/// segment full — and at the third has seen 1⅛ of it and forgotten.
+const CUTS: [u64; 3] = [BOUND as u64 / 2, BOUND as u64, BOUND as u64 * 3 / 2];
 
 fn cache_cfg() -> CacheConfig {
     CacheConfig {
@@ -59,18 +69,18 @@ fn rows(frame: &[u8]) -> usize {
     ShardCheckpoint::layout(frame).expect("a cut lays out")[0].rows
 }
 
-/// Cuts at 400 k, 800 k and 1.2 M requests, each merged into the last and
-/// fed to a standby, as the worker does. The table fills between the
-/// second and the third, so the third cut's change list names removals;
-/// its envelope is the one the diff of the two images plans, and the
-/// standby rebuilds the cut bit for bit.
+/// Cuts at [`CUTS`], each merged into the last and fed to a standby, as
+/// the worker does. The table fills between the second and the third, so
+/// the third cut's change list names removals; its envelope is the one the
+/// diff of the two images plans, and the standby rebuilds the cut bit for
+/// bit.
 #[test]
 fn a_cut_after_a_forget_ships_its_removals() {
     let standby = StandbySlot::new(0);
     let mut server = CacheServer::new(cache_cfg());
     server.set_policy(policy());
     let (mut done, mut held): (u64, Option<(u64, Vec<u8>)>) = (0, None);
-    for seq in [400_000, 800_000, 1_200_000] {
+    for seq in CUTS {
         for i in done..seq {
             server.process(&request(i));
         }
@@ -105,7 +115,7 @@ fn a_cut_after_a_forget_ships_its_removals() {
         }
         let outcome = standby.feed(0, seq, &frame, changes);
         assert!(!matches!(outcome, FeedOutcome::Lost), "cut {seq}");
-        if seq < 1_200_000 {
+        if seq < CUTS[2] {
             assert_eq!(removed, 0, "cut {seq}: nothing is forgotten before the table fills");
             assert_eq!(rows(&frame) as u64, seq - seq / 4, "every object held");
         } else {
@@ -117,7 +127,7 @@ fn a_cut_after_a_forget_ships_its_removals() {
         held = Some((seq, frame));
     }
     let (frame, seq) = standby.take_for_promotion().expect("the standby holds the last cut");
-    assert_eq!((seq, &frame), (1_200_000, &held.unwrap().1), "the standby rebuilt the cut bitwise");
+    assert_eq!((seq, &frame), (CUTS[2], &held.unwrap().1), "the standby rebuilt the cut bitwise");
 }
 
 /// One death within the restart budget at 400 k requests, then at 1.2 M —

@@ -28,7 +28,7 @@ for workload in socket-bulk socket-pingpong socket-durable lanes-darwin; do
         | cargo run --release --quiet -p darwin-bench --bin perf_gate -- results/perf_baseline.json "$workload"
 done
 
-echo "== paper fidelity (experiments all at scale 1 writes the 33 pinned outputs, and no other file but overhead.csv) =="
+echo "== paper fidelity (experiments all at scales 1 and 2 each write their 33 pinned outputs, and no other file but overhead.csv) =="
 ci/paper_fidelity.sh
 
 if cargo +nightly --version > /dev/null 2>&1; then
