@@ -5,8 +5,8 @@
 //! deploys the expert (f, s) with f, s closest to the 60th, 90th percentiles
 //! (respectively) of the empirical distribution hitherto."
 
-use darwin::{Expert, ExpertGrid};
-use darwin_cache::{CacheConfig, CacheMetrics, CacheServer};
+use darwin::{AdmissionDriver, Expert, ExpertGrid};
+use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, ThresholdPolicy};
 use darwin_trace::{ObjectId, Request, Trace};
 use std::collections::HashMap;
 
@@ -73,57 +73,18 @@ impl Percentile {
     /// `freqs` is the per-request frequency sample (the within-window request
     /// count of each request's object), `sizes` the per-request sizes.
     fn choose(&self, freqs: &mut [u32], sizes: &mut [u64]) -> Expert {
-        let f = percentile_u32(freqs, self.f_percentile) as f64;
-        let s = percentile_u64(sizes, self.s_percentile) as f64;
+        let f = percentile(freqs, self.f_percentile) as f64;
+        let s = percentile(sizes, self.s_percentile) as f64;
         self.nearest_expert(f, s)
     }
 
     /// Runs the baseline over a trace on a fresh server.
     pub fn run(&self, trace: &Trace, cache: &CacheConfig) -> CacheMetrics {
+        let mut driver = PercentileState::new(self);
         let mut server = CacheServer::new(cache.clone());
-        // Start from the grid's first expert until the first window closes.
-        server.set_policy(self.grid.get(0).policy);
-
-        let mut counts: HashMap<ObjectId, u32> = HashMap::new();
-        let mut freqs: Vec<u32> = Vec::with_capacity(self.window);
-        let mut sizes: Vec<u64> = Vec::with_capacity(self.window);
-        let mut seen = 0usize;
-
-        for r in trace {
-            server.process(r);
-            let c = counts.entry(r.id).or_insert(0);
-            *c += 1;
-            freqs.push(*c);
-            sizes.push(r.size);
-            seen += 1;
-            if seen >= self.window {
-                let expert = self.choose(&mut freqs, &mut sizes);
-                server.set_policy(expert.policy);
-                counts.clear();
-                freqs.clear();
-                sizes.clear();
-                seen = 0;
-            }
-        }
+        server.set_policy(driver.initial_policy());
+        darwin::serve(&mut server, &mut driver, trace.requests());
         server.metrics()
-    }
-
-    /// Processes one request against an external server (for callers that
-    /// own the server, e.g. the testbed). Returns a new expert at window
-    /// boundaries.
-    pub fn observe(&self, state: &mut PercentileState, req: &Request) -> Option<Expert> {
-        let c = state.counts.entry(req.id).or_insert(0);
-        *c += 1;
-        state.freqs.push(*c);
-        state.sizes.push(req.size);
-        if state.freqs.len() >= self.window {
-            let e = self.choose(&mut state.freqs, &mut state.sizes);
-            state.counts.clear();
-            state.freqs.clear();
-            state.sizes.clear();
-            return Some(e);
-        }
-        None
     }
 }
 
@@ -133,25 +94,50 @@ fn dist(e: &Expert, f: f64, ls: f64) -> f64 {
     df * df + dls * dls
 }
 
-/// Streaming state for [`Percentile::observe`].
-#[derive(Debug, Default, Clone)]
-pub struct PercentileState {
+/// The baseline as an [`AdmissionDriver`], for any loop that owns the
+/// server: the grid's first expert until the first window closes, then at
+/// each window's end the expert chosen from that window.
+#[derive(Debug, Clone)]
+pub struct PercentileState<'a> {
+    baseline: &'a Percentile,
     counts: HashMap<ObjectId, u32>,
     freqs: Vec<u32>,
     sizes: Vec<u64>,
 }
 
-fn percentile_u32(v: &mut [u32], p: f64) -> u32 {
-    if v.is_empty() {
-        return 0;
+impl<'a> PercentileState<'a> {
+    /// An empty first window of `baseline`.
+    pub fn new(baseline: &'a Percentile) -> Self {
+        Self { baseline, counts: HashMap::new(), freqs: Vec::new(), sizes: Vec::new() }
     }
-    v.sort_unstable();
-    v[((p / 100.0) * (v.len() - 1) as f64).round() as usize]
 }
 
-fn percentile_u64(v: &mut [u64], p: f64) -> u64 {
+impl AdmissionDriver for PercentileState<'_> {
+    fn initial_policy(&mut self) -> ThresholdPolicy {
+        self.baseline.grid.get(0).policy
+    }
+    fn observe(&mut self, req: &Request, _cumulative: &CacheMetrics) -> Option<ThresholdPolicy> {
+        let c = self.counts.entry(req.id).or_insert(0);
+        *c += 1;
+        self.freqs.push(*c);
+        self.sizes.push(req.size);
+        if self.freqs.len() < self.baseline.window {
+            return None;
+        }
+        let expert = self.baseline.choose(&mut self.freqs, &mut self.sizes);
+        self.counts.clear();
+        self.freqs.clear();
+        self.sizes.clear();
+        Some(expert.policy)
+    }
+    fn label(&self) -> String {
+        "percentile".into()
+    }
+}
+
+fn percentile<T: Ord + Copy + Default>(v: &mut [T], p: f64) -> T {
     if v.is_empty() {
-        return 0;
+        return T::default();
     }
     v.sort_unstable();
     v[((p / 100.0) * (v.len() - 1) as f64).round() as usize]
@@ -165,10 +151,10 @@ mod tests {
     #[test]
     fn percentile_helpers() {
         let mut v: Vec<u32> = (1..=100).collect();
-        assert_eq!(percentile_u32(&mut v, 60.0), 60);
-        assert_eq!(percentile_u32(&mut v, 0.0), 1);
-        assert_eq!(percentile_u32(&mut v, 100.0), 100);
-        assert_eq!(percentile_u32(&mut [], 50.0), 0);
+        assert_eq!(percentile(&mut v, 60.0), 60);
+        assert_eq!(percentile(&mut v, 0.0), 1);
+        assert_eq!(percentile(&mut v, 100.0), 100);
+        assert_eq!(percentile::<u32>(&mut [], 50.0), 0);
     }
 
     #[test]
@@ -192,14 +178,56 @@ mod tests {
         assert!(m.hoc_ohr() >= 0.0);
     }
 
+    /// The loop `run` had before it drove `darwin::serve`, kept as the
+    /// reference its driver must match.
+    fn reference_run(p: &Percentile, trace: &Trace, cache: &CacheConfig) -> CacheMetrics {
+        let mut server = CacheServer::new(cache.clone());
+        server.set_policy(p.grid.get(0).policy);
+        let mut counts: HashMap<ObjectId, u32> = HashMap::new();
+        let mut freqs: Vec<u32> = Vec::with_capacity(p.window);
+        let mut sizes: Vec<u64> = Vec::with_capacity(p.window);
+        let mut seen = 0usize;
+        for r in trace {
+            server.process(r);
+            let c = counts.entry(r.id).or_insert(0);
+            *c += 1;
+            freqs.push(*c);
+            sizes.push(r.size);
+            seen += 1;
+            if seen >= p.window {
+                let expert = p.choose(&mut freqs, &mut sizes);
+                server.set_policy(expert.policy);
+                counts.clear();
+                freqs.clear();
+                sizes.clear();
+                seen = 0;
+            }
+        }
+        server.metrics()
+    }
+
+    #[test]
+    fn run_is_the_reference_loop_bitwise() {
+        let trace = TraceGenerator::new(
+            MixSpec::two_class(TrafficClass::image(), TrafficClass::download(), 0.5),
+            3,
+        )
+        .generate(17_500);
+        let cache = CacheConfig::small_test();
+        for window in [1, 2_000, 5_000] {
+            let p = Percentile::new(ExpertGrid::paper_grid(), window);
+            assert_eq!(p.run(&trace, &cache), reference_run(&p, &trace, &cache), "window {window}");
+        }
+    }
+
     #[test]
     fn observe_emits_expert_at_window_boundary() {
         let p = Percentile::new(ExpertGrid::paper_grid(), 10);
-        let mut st = PercentileState::default();
+        let mut st = PercentileState::new(&p);
         let trace = TraceGenerator::new(MixSpec::single(TrafficClass::image()), 2).generate(25);
         let mut emitted = 0;
         for r in &trace {
-            if p.observe(&mut st, r).is_some() {
+            if st.observe(r, &CacheMetrics::default()).is_some() {
                 emitted += 1;
             }
         }
@@ -235,8 +263,8 @@ mod proptests {
         fn percentile_is_monotone_order_statistic(
             mut v in proptest::collection::vec(0u32..1000, 1..100)
         ) {
-            let p30 = percentile_u32(&mut v, 30.0);
-            let p70 = percentile_u32(&mut v, 70.0);
+            let p30 = percentile(&mut v, 30.0);
+            let p70 = percentile(&mut v, 70.0);
             prop_assert!(v.contains(&p30));
             prop_assert!(p30 <= p70);
         }

@@ -13,8 +13,8 @@
 
 use crate::corpus::SharedContext;
 use crate::report::{f4, Report};
-use darwin::runner::run_darwin_with_timeline;
-use darwin::Expert;
+use darwin::runner::{run_darwin_with_timeline, serve_timeline};
+use darwin::{Expert, StaticDriver};
 use darwin_cache::CacheServer;
 use darwin_trace::{concat_traces, MixSpec, Trace, TraceGenerator, TrafficClass};
 use std::path::Path;
@@ -34,20 +34,10 @@ pub fn run(ctx: &SharedContext, out: &Path) {
     let drift = run_darwin_with_timeline(&ctx.model, &drift_cfg, &workload, &cache, window);
 
     // Static timelines.
-    let static_timeline = |e: Expert| -> Vec<(u64, f64)> {
+    let static_timeline = |e: Expert| {
         let mut server = CacheServer::new(cache.clone());
         server.set_policy(e.policy);
-        let mut out = Vec::new();
-        let mut start = server.metrics();
-        for (i, r) in workload.iter().enumerate() {
-            server.process(r);
-            if (i + 1) % window == 0 {
-                let now = server.metrics();
-                out.push((i as u64 + 1, now.diff(&start).hoc_ohr()));
-                start = now;
-            }
-        }
-        out
+        serve_timeline(&mut server, &mut StaticDriver::new(e.policy), workload.requests(), window)
     };
     let s_img = static_timeline(Expert::new(5, 20));
     let s_dl = static_timeline(Expert::new(2, 1000));

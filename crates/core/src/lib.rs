@@ -60,7 +60,7 @@ pub use expert::{Expert, ExpertGrid};
 pub use model::{DarwinModel, PairPredictor};
 pub use offline::{EvaluatedTrace, OfflineConfig, OfflineTrainer};
 pub use online::{ControlEvent, ControllerPhase, OnlineConfig, OnlineController};
-pub use runner::{run_darwin, run_static, serve, DarwinReport};
+pub use runner::{run_darwin, run_static, serve, step, DarwinReport};
 
 /// Convenient re-exports for downstream code and examples.
 pub mod prelude {

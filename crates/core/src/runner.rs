@@ -4,7 +4,7 @@ use crate::driver::{AdmissionDriver, DarwinDriver};
 use crate::expert::Expert;
 use crate::model::DarwinModel;
 use crate::online::{EpochSummary, OnlineConfig, SwitchEvent};
-use darwin_cache::{CacheConfig, CacheMetrics, CacheServer};
+use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, RequestOutcome, ThresholdPolicy};
 use darwin_trace::{Request, Trace};
 use std::sync::Arc;
 
@@ -47,17 +47,7 @@ pub fn run_darwin_with_timeline(
     let mut driver = DarwinDriver::new(Arc::clone(model), *cfg);
     let mut server = CacheServer::new(cache.clone());
     server.set_policy(driver.initial_policy());
-    let mut timeline = Vec::new();
-    let mut window_start = CacheMetrics::default();
-    let chunk = if timeline_window == 0 { usize::MAX } else { timeline_window };
-    for (i, requests) in trace.requests().chunks(chunk).enumerate() {
-        serve(&mut server, &mut driver, requests);
-        if requests.len() == timeline_window {
-            let now = server.metrics();
-            timeline.push((((i + 1) * chunk) as u64, now.diff(&window_start).hoc_ohr()));
-            window_start = now;
-        }
-    }
+    let timeline = serve_timeline(&mut server, &mut driver, trace.requests(), timeline_window);
     let ctrl = driver.controller();
     DarwinReport {
         metrics: server.metrics(),
@@ -68,16 +58,58 @@ pub fn run_darwin_with_timeline(
     }
 }
 
-/// Serves `requests` on `server`, each processed, then observed by `driver`,
-/// which may install a new policy before the next: the one sequential serve
-/// loop, shared by [`run_darwin`] and the shard fleet's replay reference.
-pub fn serve(server: &mut CacheServer, driver: &mut impl AdmissionDriver, requests: &[Request]) {
-    for req in requests {
-        server.process(req);
-        if let Some(policy) = driver.observe(req, &server.metrics()) {
-            server.set_policy(policy);
+/// [`serve`], sampling `(requests served, HOC OHR of the window)` after
+/// every full `window` requests (0: no samples).
+pub fn serve_timeline(
+    server: &mut CacheServer,
+    driver: &mut impl AdmissionDriver,
+    requests: &[Request],
+    window: usize,
+) -> Vec<(u64, f64)> {
+    let mut timeline = Vec::new();
+    let mut start = server.metrics();
+    for (i, chunk) in requests.chunks(if window == 0 { usize::MAX } else { window }).enumerate() {
+        serve(server, driver, chunk);
+        if chunk.len() == window {
+            let now = server.metrics();
+            timeline.push((((i + 1) * window) as u64, now.diff(&start).hoc_ohr()));
+            start = now;
         }
     }
+    timeline
+}
+
+/// Serves `requests` on `server` under `driver`, one [`step`] each: the
+/// sequential serve loop of [`run_darwin`] and the shard fleet's replay
+/// reference.
+pub fn serve(server: &mut CacheServer, driver: &mut impl AdmissionDriver, requests: &[Request]) {
+    for req in requests {
+        step(server, driver, req, |_, _| {});
+    }
+}
+
+/// The one place a request is processed, answered and observed, which every
+/// loop running an [`AdmissionDriver`] drives. In order: process `req`; call
+/// `served(outcome, admitted)`, `admitted` meaning the HOC's write count
+/// grew; let `driver` observe the raw cumulative metrics; install the policy
+/// it returns, if any. Answering first means a reply never waits on a
+/// controller round and a driver that panics leaves its request answered.
+#[inline]
+pub fn step(
+    server: &mut CacheServer,
+    driver: &mut impl AdmissionDriver,
+    req: &Request,
+    served: impl FnOnce(RequestOutcome, bool),
+) -> (RequestOutcome, Option<ThresholdPolicy>) {
+    let writes = server.metrics().hoc_writes;
+    let outcome = server.process(req);
+    let metrics = server.metrics();
+    served(outcome, metrics.hoc_writes > writes);
+    let policy = driver.observe(req, &metrics);
+    if let Some(policy) = policy {
+        server.set_policy(policy);
+    }
+    (outcome, policy)
 }
 
 /// Runs a fixed expert over `trace` on a fresh server (the static baseline).
@@ -142,6 +174,96 @@ mod tests {
             worst.hoc_ohr()
         );
         assert!(report.epochs.first().map(|e| e.set_size >= 1).unwrap_or(false));
+    }
+
+    /// Admit-all and admit-nothing, swapped after every request.
+    struct Flip {
+        n: u64,
+    }
+
+    fn open() -> ThresholdPolicy {
+        ThresholdPolicy::new(0, u64::MAX)
+    }
+
+    fn shut() -> ThresholdPolicy {
+        ThresholdPolicy::new(u32::MAX, 1)
+    }
+
+    impl AdmissionDriver for Flip {
+        fn initial_policy(&mut self) -> ThresholdPolicy {
+            shut()
+        }
+        fn observe(&mut self, _req: &Request, _m: &CacheMetrics) -> Option<ThresholdPolicy> {
+            self.n += 1;
+            Some(if self.n % 2 == 1 { open() } else { shut() })
+        }
+        fn label(&self) -> String {
+            "flip".into()
+        }
+    }
+
+    #[test]
+    fn step_answers_then_observes_then_installs() {
+        let trace = TraceGenerator::new(MixSpec::single(TrafficClass::image()), 9).generate(4_000);
+        let cache = darwin_cache::CacheConfig::small_test();
+        // The protocol written out by hand.
+        let mut reference = Vec::new();
+        let (mut server, mut driver) = (CacheServer::new(cache.clone()), Flip { n: 0 });
+        server.set_policy(driver.initial_policy());
+        for req in trace.requests() {
+            let writes = server.metrics().hoc_writes;
+            let outcome = server.process(req);
+            let m = server.metrics();
+            let policy = driver.observe(req, &m);
+            server.set_policy(policy.unwrap());
+            reference.push((outcome, m.hoc_writes > writes, policy));
+        }
+        let mut stepped = Vec::new();
+        let (mut server2, mut driver2) = (CacheServer::new(cache), Flip { n: 0 });
+        let mut in_force = driver2.initial_policy();
+        server2.set_policy(in_force);
+        for req in trace.requests() {
+            let mut answer = None;
+            let (outcome, policy) = step(&mut server2, &mut driver2, req, |o, admitted| {
+                answer = Some((o, admitted));
+            });
+            let (o, admitted) = answer.expect("served runs inside the step");
+            assert_eq!(o, outcome);
+            assert!(!admitted || in_force == open(), "admitted under {in_force:?}");
+            in_force = policy.unwrap();
+            stepped.push((outcome, admitted, policy));
+        }
+        assert_eq!(stepped, reference);
+        assert_eq!(server2.metrics(), server.metrics());
+        assert!(stepped.iter().any(|&(_, admitted, _)| admitted), "nothing was admitted");
+    }
+
+    struct Panics;
+
+    impl AdmissionDriver for Panics {
+        fn initial_policy(&mut self) -> ThresholdPolicy {
+            open()
+        }
+        fn observe(&mut self, _req: &Request, _m: &CacheMetrics) -> Option<ThresholdPolicy> {
+            panic!("driver fault")
+        }
+        fn label(&self) -> String {
+            "panics".into()
+        }
+    }
+
+    #[test]
+    fn a_driver_that_panics_leaves_its_request_answered() {
+        let mut server = CacheServer::new(darwin_cache::CacheConfig::small_test());
+        server.set_policy(open());
+        let mut answer = None;
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            step(&mut server, &mut Panics, &Request::new(7, 100, 0), |o, admitted| {
+                answer = Some((o, admitted));
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(answer, Some((RequestOutcome::OriginFetch, true)));
     }
 
     #[test]

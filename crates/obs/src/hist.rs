@@ -254,8 +254,9 @@ impl HistogramSnapshot {
 /// The three per-shard latency histograms the fleet records.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct LatencySnapshot {
-    /// Serve-path latency: one `CacheServer::process` call. The shard worker
-    /// times one request in 16 and records it with weight 16
+    /// Serve-path latency: one `CacheServer::process` call plus the read of
+    /// its admission bit, not the driver's observe. The shard worker times
+    /// one request in 16 and records it with weight 16
     /// ([`Histogram::record_n`]), so `count` and `sum` estimate every request.
     pub serve: HistogramSnapshot,
     /// Producer-side queue wait: time a delivery blocked on a full shard

@@ -44,7 +44,7 @@ pub use switch::{SwitchCostConfig, SwitchCostTracker};
 /// incarnations, like every other per-shard counter).
 #[derive(Debug)]
 pub struct ShardObs {
-    /// Request service time (the `process` call itself).
+    /// Request service time: the `process` call and the admission-bit read.
     pub serve: Histogram,
     /// Producer-side blocking time on a full shard queue.
     pub queue_wait: Histogram,

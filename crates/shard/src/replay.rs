@@ -54,8 +54,8 @@ pub struct ShardRun<D> {
 }
 
 /// Runs one shard's partition sequentially through [`darwin::serve`], the
-/// paper runner's loop: the exact per-request loop of the fleet's worker
-/// thread, minus the queue.
+/// paper runner's loop: one [`darwin::step`] per request, the step the
+/// fleet's worker thread takes, minus the queue.
 pub fn run_partition<D: AdmissionDriver>(
     cache: CacheConfig,
     mut driver: D,

@@ -7,7 +7,7 @@ use crate::fleet::{Envelope, Verdict};
 use crate::metrics::ShardCell;
 use crate::queue::Consumer;
 use crate::standby::{feed_standby, StandbySlot};
-use darwin::{AdmissionDriver, ControlEvent};
+use darwin::{step, AdmissionDriver, ControlEvent};
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, RequestOutcome};
 use darwin_obs::{EventKind, SwitchCostTracker};
 use std::panic::AssertUnwindSafe;
@@ -113,10 +113,11 @@ impl Drop for Serving<'_> {
     }
 }
 
-/// The per-shard serving loop. Identical, request for request, to the
-/// sequential loop [`darwin::serve`] that `replay::run_partition` and the
-/// paper runner share — that symmetry is the equivalence proof's other half. Each processed envelope is completed with
-/// its [`Verdict`] before the driver observes the request.
+/// The per-shard serving loop. Each request is one [`darwin::step`], the
+/// same step the sequential [`darwin::serve`] of `replay::run_partition`
+/// and the paper runner takes — so the two sides are identical request for
+/// request, the equivalence proof's other half. The envelope is completed
+/// with its [`Verdict`] inside the step, before the driver observes.
 ///
 /// The whole loop runs under `catch_unwind`: a panic (organic or scripted)
 /// drops the in-hand envelope, the drain buffer and the consumer endpoint —
@@ -255,30 +256,22 @@ pub(crate) fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> W
                         }
                     }
                     let req = *env.request();
-                    let writes_before = serving.server.metrics().hoc_writes;
-                    let served = at.is_multiple_of(SERVE_SAMPLE).then(Instant::now);
-                    let outcome = serving.server.process(&req);
-                    if let Some(served) = served {
-                        let ns = u64::try_from(served.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        cell.obs().serve.record_n(ns, SERVE_SAMPLE);
-                    }
-                    serving.processed += 1;
-                    // The *raw* cumulative metrics drive the driver and the
-                    // admission indicator — they are part of the determinism
-                    // contract. Only the published copy is re-based.
-                    let metrics = serving.server.metrics();
-                    env.complete(Verdict {
-                        shard,
-                        outcome,
-                        admitted: metrics.hoc_writes > writes_before,
-                    });
-                    // The count is exact at any crash point — the
-                    // conservation law depends on it; the counters follow
-                    // per batch and from `Serving`'s drop.
-                    cell.publish_processed(serving.processed);
-                    if let Some(policy) = driver.observe(&req, &metrics) {
+                    let timer = at.is_multiple_of(SERVE_SAMPLE).then(Instant::now);
+                    let (outcome, policy) =
+                        step(&mut serving.server, &mut driver, &req, |outcome, admitted| {
+                            if let Some(timer) = timer {
+                                let ns = u64::try_from(timer.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                                cell.obs().serve.record_n(ns, SERVE_SAMPLE);
+                            }
+                            serving.processed += 1;
+                            env.complete(Verdict { shard, outcome, admitted });
+                            // The count is exact at any crash point — the
+                            // conservation law depends on it; the counters
+                            // follow per batch and from `Serving`'s drop.
+                            cell.publish_processed(serving.processed);
+                        });
+                    if let Some(policy) = policy {
                         current_policy = policy;
-                        serving.server.set_policy(policy);
                         cell.publish_policy(policy);
                     }
                     let seq = at + 1;

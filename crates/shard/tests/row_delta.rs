@@ -428,10 +428,7 @@ fn a_darwin_driver_state_rides_in_the_untabled_bytes() {
     .generate(3_000);
     let mut frames = Vec::new();
     for (i, r) in trace.requests().iter().enumerate() {
-        server.process(r);
-        if let Some(policy) = driver.observe(r, &server.metrics()) {
-            server.set_policy(policy);
-        }
+        darwin::step(&mut server, &mut driver, r, |_, _| {});
         if i + 1 == 2_000 || i + 1 == 3_000 {
             frames.push(cut(
                 &mut server,

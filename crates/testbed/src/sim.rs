@@ -147,10 +147,7 @@ impl Testbed {
             let start = arrive.max(lock_free_at);
             lock_free_at = start + hoc_service;
             lock_busy_us += hoc_service;
-            let outcome = server.process(req);
-            if let Some(policy) = driver.observe(req, &server.metrics()) {
-                server.set_policy(policy);
-            }
+            let (outcome, _) = darwin::step(&mut server, driver, req, |_, _| {});
 
             // Where the first byte comes from. DC reads queue on the shared
             // disk; origin fetches queue on the shared origin link.
