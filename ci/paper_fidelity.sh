@@ -12,6 +12,11 @@
 # 7 820 rows at scale 2, under `SEGMENT_ROWS`), so a bound that starts
 # forgetting there moves scale-2 outputs and fails here.
 #
+# The thread count does not change the outputs: `DARWIN_THREADS=1
+# ci/paper_fidelity.sh` at commit 5c6607d matched 33/33 at both scales,
+# 307 s wall on 2 cores with the build warm; the same checksums hold at the
+# default thread count.
+#
 # One output is not pinned: overhead.csv holds wall-clock timings (ns per
 # request of the controller and the static baseline), which differ from run
 # to run. Every other file the run writes must be pinned, so an output added
