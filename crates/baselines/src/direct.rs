@@ -85,16 +85,7 @@ impl DirectMapping {
         let f = denorm(out[0], self.f_range);
         let ls = denorm(out[1], self.ls_range);
         // Snap to the nearest grid expert in (f, ln s).
-        *self
-            .grid
-            .experts()
-            .iter()
-            .min_by(|a, b| {
-                let da = snap_dist(a, f, ls);
-                let db = snap_dist(b, f, ls);
-                da.partial_cmp(&db).unwrap()
-            })
-            .expect("non-empty grid")
+        self.grid.nearest(f, ls)
     }
 
     /// Runs the baseline over a trace on a fresh server.
@@ -135,12 +126,6 @@ fn norm_to(v: f64, (lo, hi): (f64, f64)) -> f64 {
 
 fn denorm(v: f64, (lo, hi): (f64, f64)) -> f64 {
     lo + v.clamp(0.0, 1.0) * (hi - lo)
-}
-
-fn snap_dist(e: &Expert, f: f64, ls: f64) -> f64 {
-    let df = e.f() as f64 - f;
-    let dls = (e.s_bytes() as f64).ln() - ls;
-    df * df + dls * dls
 }
 
 #[cfg(test)]

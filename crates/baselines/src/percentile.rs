@@ -56,17 +56,7 @@ impl Percentile {
     /// The expert in the grid nearest to thresholds (f, s) (Euclidean in
     /// (f, log s) space — sizes span orders of magnitude).
     fn nearest_expert(&self, f: f64, s: f64) -> Expert {
-        let ls = s.max(1.0).ln();
-        *self
-            .grid
-            .experts()
-            .iter()
-            .min_by(|a, b| {
-                let da = dist(a, f, ls);
-                let db = dist(b, f, ls);
-                da.partial_cmp(&db).unwrap()
-            })
-            .expect("non-empty grid")
+        self.grid.nearest(f, s.max(1.0).ln())
     }
 
     /// Chooses the expert for the distribution observed in a window.
@@ -86,12 +76,6 @@ impl Percentile {
         darwin::serve(&mut server, &mut driver, trace.requests());
         server.metrics()
     }
-}
-
-fn dist(e: &Expert, f: f64, ls: f64) -> f64 {
-    let df = e.f() as f64 - f;
-    let dls = (e.s_bytes() as f64).ln() - ls;
-    df * df + dls * dls
 }
 
 /// The baseline as an [`AdmissionDriver`], for any loop that owns the
@@ -239,6 +223,13 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Squared distance in (f, ln s) space, written out as the oracle.
+    fn dist(e: &Expert, f: f64, ls: f64) -> f64 {
+        let df = e.f() as f64 - f;
+        let dls = (e.s_bytes() as f64).ln() - ls;
+        df * df + dls * dls
+    }
 
     proptest! {
         /// The snapped expert is genuinely the nearest grid point in

@@ -41,8 +41,8 @@
 //! seals to identical frames — the property the roundtrip proptests pin.
 //!
 //! The codecs that move sealed checkpoints between holders live on top of
-//! the envelope; `darwin-shard` ships with them twice, to its standbys and
-//! in its resize handoff:
+//! the envelope; `darwin-shard` moves cuts with them twice, to its standbys
+//! in process and in its resize handoff:
 //!
 //! * [`rows`] — the row delta: the rows of an image's id-sorted tables that
 //!   changed since a base image, plus the image's other bytes whole. The
@@ -55,7 +55,10 @@
 //!   with its one sender ([`ship`](replica::CutFrame::ship), taking the
 //!   writer's list when it has one) and one receiver
 //!   ([`rebuild`](replica::CutFrame::rebuild)): a gate with one rebuild
-//!   behind it, in place over an image the receiver owns.
+//!   behind it, in place over an image the receiver owns. Only the resize
+//!   handoff serializes; the replica feed's receiver shares the sender's
+//!   process, and [`apply`](replica::CutFrame::apply) runs the same plan,
+//!   check and rebuild with the rows read where they lie.
 //! * [`delta`] — the rsync-style block diff the row delta replaced,
 //!   retired from serving (see its docs).
 

@@ -1,22 +1,26 @@
 //! The cut envelope: the one sealed shipment a checkpoint cut travels in
-//! whenever learned state moves between holders.
+//! whenever learned state moves between processes.
 //!
-//! Two flows ship cuts, and both speak this format: a primary shard feeds
-//! its hot standby at every checkpoint cut ([`CutRole::Replica`]), and a
-//! resize hands each surviving shard's final cut to the successor
-//! generation ([`CutRole::Handoff`]). Either way the sender calls
-//! [`CutFrame::ship`] — a [`CutPayload::Rows`] delta against the image the
-//! receiver already holds when there is one and both images lay out, so a
-//! steady cut ships the rows that changed plus the image's other bytes, and
-//! a [`CutPayload::Full`] image otherwise — and the receiver calls
-//! [`CutFrame::rebuild`], which rebuilds the cut over the image it owns, in
-//! that image's allocation: the standby's held image, or a resize
-//! handoff's copy of its base. Both ends take the holder's [`LayoutFn`]:
-//! this crate does not know what a checkpoint looks like inside. A sender
-//! that knows which rows its image changed since the cut the receiver
-//! holds — the replica feed, whose writer merged the image into that cut —
-//! passes its list to `ship`, which then ships the same bytes without
-//! walking either image.
+//! Two flows move cuts. A resize hands each surviving shard's final cut to
+//! the successor generation ([`CutRole::Handoff`]) in this format: the
+//! sender calls [`CutFrame::ship`] — a [`CutPayload::Rows`] delta against
+//! the image the receiver already holds when there is one and both images
+//! lay out, so a steady cut ships the rows that changed plus the image's
+//! other bytes, and a [`CutPayload::Full`] image otherwise — and the
+//! receiver calls [`CutFrame::rebuild`], which rebuilds the cut over the
+//! image it owns, in that image's allocation. A primary shard feeds its hot
+//! standby at every checkpoint cut ([`CutRole::Replica`]); the standby
+//! lives in the primary's process, so the feed calls [`CutFrame::apply`],
+//! which plans the cut as `ship` does and checks and rebuilds it as
+//! `rebuild` does, but reads the rows where they lie in the sender's image
+//! instead of sealing them into an envelope only to open it again. A
+//! standby in another process would take the envelope, and
+//! [`CutRole::Replica`] keeps its place in the format for it. All three
+//! calls take the holder's [`LayoutFn`]: this crate does not know what a
+//! checkpoint looks like inside. A sender that knows which rows its image
+//! changed since the cut the receiver holds — the replica feed, whose
+//! writer merged the image into that cut — passes its list, and the delta
+//! is planned from it without walking either image, to the same rows.
 //!
 //! ## Frame format (magic `DRBR`, version 3, CRC-64 sealed)
 //!
@@ -276,6 +280,31 @@ impl<'a> CutRef<'a> {
     }
 }
 
+/// How the cut `image` reaches a receiver that holds `held`: a row plan
+/// against it — from `changes` when they were taken against the held cut
+/// (`held.seq == changes.base_seq`), walking neither image, by diffing
+/// otherwise — or `None`, the whole image, when nothing is held or the two
+/// images do not lay out alike.
+fn plan<'b, 't>(
+    image: &'t [u8],
+    held: Option<Held<'b>>,
+    changes: Option<&'t Changes>,
+    layout: LayoutFn,
+) -> Option<(Held<'b>, RowPlan<'t>)> {
+    let base = held?;
+    let listed = changes
+        .filter(|changes| changes.base_seq == base.seq)
+        .and_then(|changes| RowPlan::from_changes(base.image, image, layout, &changes.tables));
+    Some((base, listed.or_else(|| RowPlan::new(base.image, image, layout))?))
+}
+
+/// A full payload in the holder's allocation.
+fn fill(holder: &mut Vec<u8>, bytes: &[u8]) {
+    holder.clear();
+    holder.reserve_exact(bytes.len());
+    holder.extend_from_slice(bytes);
+}
+
 impl CutFrame {
     /// The sender: seals `image` (the cut at `seq`) into wire bytes — as a
     /// row delta against `held`, the cut the receiver already holds, when
@@ -298,20 +327,15 @@ impl CutFrame {
         layout: LayoutFn,
     ) -> Vec<u8> {
         // The rows are counted first, so the envelope is sized exactly.
-        let plan = held.and_then(|base| {
-            let listed = changes
-                .filter(|changes| changes.base_seq == base.seq)
-                .and_then(|changes| RowPlan::from_changes(base.image, image, layout, &changes.tables));
-            Some((base.seq, listed.or_else(|| RowPlan::new(base.image, image, layout))?))
-        });
+        let plan = plan(image, held, changes, layout);
         let room = plan.as_ref().map_or(image.len(), |(_, rows)| rows.len());
         let mut e = envelope(room, shard, generation, role, seq);
         match plan {
-            Some((base_seq, rows)) => {
+            Some((base, rows)) => {
                 e.u8(PAYLOAD_ROWS);
-                e.u64(base_seq);
+                e.u64(base.seq);
                 e.usize(rows.len());
-                rows.write(&mut e);
+                rows.write(base.image, &mut e);
             }
             None => {
                 e.u8(PAYLOAD_FULL);
@@ -319,6 +343,35 @@ impl CutFrame {
             }
         }
         e.seal(CUT_MAGIC, CUT_VERSION)
+    }
+
+    /// [`ship`](Self::ship) then [`rebuild`](Self::rebuild) for a receiver
+    /// in the sender's process, with no envelope between them: `image`, the
+    /// cut at `seq`, is planned against the cut at `held` that `holder`
+    /// owns exactly as `ship` plans it, and the plan goes through the same
+    /// check and in-place rebuild as a shipped delta, its rows read where
+    /// they lie — the upserts and untabled bytes in `image`, the removed
+    /// keys in `holder`. `holder` ends as `rebuild` would leave it, and the
+    /// result is what `rebuild` reports, `shipped_bytes` included: the
+    /// payload the envelope would have carried. Every refusal leaves
+    /// `holder` as it was, byte for byte. Nothing is addressed: the one
+    /// caller is both ends.
+    pub fn apply(
+        seq: u64,
+        image: &[u8],
+        held: Option<u64>,
+        holder: &mut Vec<u8>,
+        changes: Option<&Changes>,
+        layout: LayoutFn,
+    ) -> Result<RebuiltCut, CutError> {
+        let base = held.map(|seq| Held { seq, image: holder });
+        let Some((Held { seq: base_seq, .. }, rows)) = plan(image, base, changes, layout) else {
+            fill(holder, image);
+            return Ok(RebuiltCut { seq, base_seq: None, shipped_bytes: image.len() as u64 });
+        };
+        let checked = rows.check(holder)?;
+        rows::rebuild(holder, &checked);
+        Ok(RebuiltCut { seq, base_seq: Some(base_seq), shipped_bytes: rows.len() as u64 })
     }
 
     /// Serializes into a sealed, CRC-guarded envelope.
@@ -367,9 +420,7 @@ impl CutFrame {
         let cut = CutRef::gate(wire, shard, generation, role)?;
         let (base_seq, shipped) = match cut.payload {
             PayloadRef::Full(bytes) => {
-                image.clear();
-                image.reserve_exact(bytes.len());
-                image.extend_from_slice(bytes);
+                fill(image, bytes);
                 (None, bytes)
             }
             PayloadRef::Rows { base_seq, rows } => {
@@ -552,6 +603,58 @@ mod tests {
         assert!(matches!(resolve(&wire, Some(short)), Err(CutError::Frame(CkptError::Malformed(_)))));
     }
 
+    /// What [`CutFrame::apply`] makes of `image` over a copy of `base`,
+    /// opened under the holder's seal.
+    fn resolve_in_process(
+        image: &[u8],
+        held: Option<Held<'_>>,
+        changes: Option<&Changes>,
+    ) -> Result<Vec<u8>, CutError> {
+        let mut holder = held.map_or_else(Vec::new, |h| h.image.to_vec());
+        CutFrame::apply(2_000, image, held.map(|h| h.seq), &mut holder, changes, layout)?;
+        open(&holder, MAGIC, 1)?;
+        Ok(holder)
+    }
+
+    /// A list that is false of the held image fails in the sender's
+    /// process where it fails shipped: in the check, leaving the holder as
+    /// it was, or at the holder's open.
+    #[test]
+    fn a_false_change_list_is_refused_in_process_as_shipped() {
+        let base = base();
+        let target = image(
+            (0..4_000).map(|id| (2 * id, if id % 100 == 3 { id + 1 } else { id })).chain([(9_000, 1)]),
+            &[0xB2; 300],
+        );
+        let held = Some(Held { seq: 1_000, image: &base });
+        let listed = |upserts: Vec<u32>, removals: Vec<u32>| Changes {
+            base_seq: 1_000,
+            tables: vec![TableChanges { upserts, removals }],
+        };
+        let upserts: Vec<u32> = (0..4_000).filter(|id| id % 100 == 3).chain([4_000]).collect();
+        let ship = |changes: &Changes| {
+            let wire =
+                CutFrame::ship(0, 0, CutRole::Replica, 2_000, &target, held, Some(changes), layout);
+            resolve(&wire, held)
+        };
+        let true_list = listed(upserts.clone(), Vec::new());
+        assert_eq!(resolve_in_process(&target, held, Some(&true_list)), Ok(target.clone()));
+        // A changed row left out: the rows merge, the open refuses them.
+        let short = listed(upserts[1..].to_vec(), Vec::new());
+        assert_eq!(ship(&short), Err(CutError::Frame(CkptError::BadCrc)));
+        assert_eq!(resolve_in_process(&target, held, Some(&short)), ship(&short));
+        // Key 10 both upserted and removed: the check refuses it, and the
+        // holder's image has not moved.
+        let mut upserts = upserts;
+        upserts.insert(1, 5);
+        let both = listed(upserts, vec![5]);
+        assert!(matches!(ship(&both), Err(CutError::Frame(CkptError::Malformed(_)))));
+        let mut holder = base.clone();
+        let refused = CutFrame::apply(2_000, &target, Some(1_000), &mut holder, Some(&both), layout);
+        assert!(matches!(refused, Err(CutError::Frame(CkptError::Malformed(_)))), "{refused:?}");
+        assert!(holder == base, "a refused plan moved a byte");
+    }
+
     #[test]
     fn an_image_that_does_not_lay_out_ships_full() {
         let base = base();
@@ -660,5 +763,106 @@ mod tests {
         let mut flipped = wire.clone();
         flipped[wire.len() / 2] ^= 0x10;
         assert!(matches!(receive(&flipped, 3, 2, CutRole::Handoff, None), Err(CutError::Frame(_))));
+    }
+
+    /// A sealed frame with two id-sorted tables — 16-byte `(id, value)`
+    /// rows, then 12-byte `(id, value as u32)` rows — each followed by a
+    /// blob.
+    fn image2(a: &[(u64, u64)], blob: &[u8], b: &[(u64, u64)], tail: &[u8]) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.u64(7);
+        e.seq(a, |e, &(id, v)| {
+            e.u64(id);
+            e.u64(v);
+        });
+        e.bytes(blob);
+        e.seq(b, |e, &(id, v)| {
+            e.u64(id);
+            e.u32(v as u32);
+        });
+        e.bytes(tail);
+        e.seal(MAGIC, 1)
+    }
+
+    fn layout2(frame: &[u8]) -> Option<Layout> {
+        let body = peek(frame, MAGIC, 1).ok()?;
+        let mut d = Dec::new(body);
+        d.u64().ok()?;
+        let mut tables = Vec::with_capacity(2);
+        for width in [16, 12] {
+            let rows = d.seq_len(width).ok()?;
+            tables.push(Table { offset: HEADER_LEN + body.len() - d.remaining(), rows, width });
+            d.sub(rows * width).ok()?;
+            d.bytes().ok()?;
+        }
+        Some(tables)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any two id-sorted images — rows kept, changed, removed and
+        /// inserted, some inserted below every base row so the rebuild
+        /// opens a stretch at once, blobs grown and shrunk — come out of
+        /// [`CutFrame::apply`] as they come out of `ship` then `rebuild`,
+        /// for each way a cut is planned: from the writer's list, by
+        /// diffing, whole. The same image bytes and the same report,
+        /// `shipped_bytes` included.
+        #[test]
+        fn the_in_process_apply_is_ship_then_rebuild(
+            ops in proptest::collection::vec((0u8..5, 0u8..5), 0..150),
+            leads in (0u64..4, 0u64..4),
+            blobs in (0usize..40, 0usize..40, 0usize..40, 0usize..40),
+        ) {
+            // Per table: the base's rows, the target's, and the changes.
+            let mut rows = [(Vec::new(), Vec::new(), TableChanges::default()), Default::default()];
+            for (t, lead) in [leads.0, leads.1].into_iter().enumerate() {
+                let (_, target, changes) = &mut rows[t];
+                for id in 0..lead {
+                    changes.upserts.push(target.len() as u32);
+                    target.push((id, id));
+                }
+            }
+            for (k, &(a, b)) in ops.iter().enumerate() {
+                let id = 8 + 2 * k as u64;
+                for (op, (base, target, changes)) in [a, b].into_iter().zip(&mut rows) {
+                    // 0: in neither; 1: removed; 2: inserted; 3: kept; 4: changed.
+                    if op == 1 {
+                        changes.removals.push(base.len() as u32);
+                    }
+                    if matches!(op, 2 | 4) {
+                        changes.upserts.push(target.len() as u32);
+                    }
+                    if matches!(op, 1 | 3 | 4) {
+                        base.push((id, id));
+                    }
+                    if matches!(op, 2..=4) {
+                        target.push((id, id + u64::from(op == 4)));
+                    }
+                }
+            }
+            let [(ba, ta, ca), (bb, tb, cb)] = rows;
+            let base = image2(&ba, &vec![0xB1; blobs.0], &bb, &vec![0xB2; blobs.1]);
+            let target = image2(&ta, &vec![0xC1; blobs.2], &tb, &vec![0xC2; blobs.3]);
+            let listed = Changes { base_seq: 1, tables: vec![ca, cb] };
+            let held = Held { seq: 1, image: &base };
+            for (held, changes, planned) in [
+                (Some(held), Some(&listed), Some(1)),
+                (Some(held), None, Some(1)),
+                (None, Some(&listed), None),
+            ] {
+                let wire = CutFrame::ship(0, 0, CutRole::Replica, 2, &target, held, changes, layout2);
+                let held_seq = held.map(|h| h.seq);
+                let mut shipped = base.clone();
+                let rebuilt =
+                    CutFrame::rebuild(&wire, 0, 0, CutRole::Replica, held_seq, &mut shipped, layout2);
+                let mut applied = base.clone();
+                let in_process = CutFrame::apply(2, &target, held_seq, &mut applied, changes, layout2);
+                proptest::prop_assert_eq!(&in_process, &rebuilt);
+                proptest::prop_assert_eq!(in_process.map(|cut| cut.base_seq), Ok(planned));
+                proptest::prop_assert!(applied == shipped, "the two receivers hold other bytes");
+                proptest::prop_assert!(applied == target, "the receivers do not hold the target");
+            }
+        }
     }
 }

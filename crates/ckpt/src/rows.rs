@@ -28,11 +28,14 @@
 //! | `removals`      | `u64` + keys  | count, then `count × 8` bytes             |
 //! | `tail`          | bytes         | target bytes after the last table         |
 //!
-//! The sender (`RowPlan`) merge-walks the two images' tables side by side,
-//! counts the changes in one pass and writes them in the next, into an
-//! envelope sized exactly — or, when the target's writer names the rows it
-//! changed since the base ([`Changes`]), takes them from that list and
-//! walks neither table, writing the same bytes. The receiver rebuilds the
+//! The sender (`RowPlan`) merge-walks the two images' tables side by side
+//! and lists the changes by position, then writes them into an envelope
+//! sized exactly — or, when the target's writer names the rows it changed
+//! since the base ([`Changes`]), takes that list and walks neither table,
+//! writing the same bytes. A receiver in the sender's own process takes
+//! the plan as it is, with no encoding between: its rows are read where
+//! they lie, the upserts and spans in the target, the removed keys in the
+//! base. The receiver rebuilds the
 //! target over the base itself, in the base's own allocation: a read-only
 //! walk (`check`) first refuses a base of another length, a table of
 //! another width, counts the payload cannot hold and row counts that could
@@ -47,9 +50,9 @@
 //! ## Rebuilding in place
 //!
 //! The target is a sequence of *items*, each writing the next target
-//! bytes: a span (from the wire), then its table's merge steps — a run of
-//! kept base rows, an upsert (from the wire), a removal (writes nothing) —
-//! and at the end the tail. Walking them in order keeps two positions: the
+//! bytes: a span (from the wire, or the target), then its table's merge
+//! steps — a run of kept base rows, an upsert (likewise), a removal
+//! (writes nothing) — and at the end the tail. Walking them in order keeps two positions: the
 //! write frontier `F` (where the next item's bytes go) and the first base
 //! byte a later item still reads, `P` — the next unmerged base row, or,
 //! before a span, the first row of the base's next table (the base's own
@@ -92,8 +95,16 @@
 //! the start of the open stretch, and a checked delta one entry per table.
 //! Each base key is read once by the check and at most once each by the
 //! forward walk and a stretch.
+//!
+//! A removal named by its base position has its key read in the base
+//! where it lies, as the walks read every other base key, and under the
+//! same rule: the forward walk reads the next removal, a base row not yet
+//! merged, at or past `P`; a stretch, walking back, reads the one just
+//! before its cursor, a base row of an item to the left of a boundary
+//! whose `P` it lies before. Neither is a byte any write has reached.
 
 use crate::{CkptError, Dec, Enc};
+use std::borrow::Cow;
 
 /// One id-sorted table inside an image: `rows` rows of `width` bytes each,
 /// from byte `offset`. The first 8 bytes of a row are its key, little-endian.
@@ -145,23 +156,19 @@ fn key(row: &[u8]) -> u64 {
     u64::from_le_bytes(row[..8].try_into().expect("8 bytes"))
 }
 
-/// One difference between a base table and a target table.
-enum Change<'r> {
-    /// A target row the base lacks, or holds with other bytes.
-    Upsert(&'r [u8]),
-    /// A base row whose key the target lacks.
-    Remove(&'r [u8]),
+/// One difference between a base table and a target table, by row.
+enum Change {
+    /// The target's row `i`: a key the base lacks, or holds with other
+    /// bytes.
+    Upsert(usize),
+    /// The base's row `i`, whose key the target lacks.
+    Remove(usize),
 }
 
 /// Walks two tables of `width`-byte rows side by side in key order and hands
 /// `each` every change. `None` if either table's keys do not strictly ascend.
-fn diff<'r>(
-    base: &'r [u8],
-    target: &'r [u8],
-    width: usize,
-    mut each: impl FnMut(Change<'r>),
-) -> Option<()> {
-    let (mut b, mut t) = (base.chunks_exact(width), target.chunks_exact(width));
+fn diff(base: &[u8], target: &[u8], width: usize, mut each: impl FnMut(Change)) -> Option<()> {
+    let (mut b, mut t) = (base.chunks_exact(width).enumerate(), target.chunks_exact(width).enumerate());
     let (mut rb, mut rt) = (b.next(), t.next());
     // The key of the row consumed last on each side: the next must exceed it.
     let (mut last_b, mut last_t) = (None, None);
@@ -174,27 +181,27 @@ fn diff<'r>(
     loop {
         match (rb, rt) {
             (None, None) => return Some(()),
-            (Some(old), Some(new)) if key(old) == key(new) => {
+            (Some((_, old)), Some((i, new))) if key(old) == key(new) => {
                 if !ascends(&mut last_b, old) || !ascends(&mut last_t, new) {
                     return None;
                 }
                 if old != new {
-                    each(Change::Upsert(new));
+                    each(Change::Upsert(i));
                 }
                 (rb, rt) = (b.next(), t.next());
             }
-            (Some(old), new) if new.is_none_or(|new| key(old) < key(new)) => {
+            (Some((i, old)), new) if new.is_none_or(|(_, new)| key(old) < key(new)) => {
                 if !ascends(&mut last_b, old) {
                     return None;
                 }
-                each(Change::Remove(old));
+                each(Change::Remove(i));
                 rb = b.next();
             }
-            (_, Some(new)) => {
+            (_, Some((i, new))) => {
                 if !ascends(&mut last_t, new) {
                     return None;
                 }
-                each(Change::Upsert(new));
+                each(Change::Upsert(i));
                 rt = t.next();
             }
             (Some(_), None) => unreachable!("matched by the removal arm"),
@@ -225,49 +232,52 @@ pub struct TableChanges {
     pub removals: Vec<u32>,
 }
 
-/// One table's share of a [`RowPlan`].
-struct TablePlan<'a> {
-    base: Table,
-    target: Table,
-    upserts: usize,
-    removals: usize,
-    /// The changes' positions, when the writer named them; otherwise
-    /// [`write`](RowPlan::write) walks the diff again to find them.
-    known: Option<&'a TableChanges>,
-}
-
-/// The sender's half: the changes that turn `base` into `target`, counted
-/// but not yet written, so the writer sizes its buffer exactly.
-pub(crate) struct RowPlan<'a> {
-    base: &'a [u8],
-    target: &'a [u8],
-    tables: Vec<TablePlan<'a>>,
+/// The sender's half: the changes that turn a base image into `target`,
+/// as positions ([`TableChanges`]), so the writer sizes its buffer exactly
+/// and a receiver in the same process reads the rows where they lie. It
+/// keeps nothing of the base but its length and layout: the base is named
+/// again to each call that reads it.
+pub(crate) struct RowPlan<'t> {
+    base_len: usize,
+    target: &'t [u8],
+    /// Per table, the base's and the target's.
+    tables: Vec<(Table, Table)>,
+    /// Per table, its changes: the writer's list, or the diff's.
+    changes: Cow<'t, [TableChanges]>,
 }
 
 /// Both images' layouts, if they have the same shape: as many tables, of
 /// the same widths.
-fn shapes(base: &[u8], target: &[u8], layout: LayoutFn) -> Option<(Layout, Layout)> {
+fn shapes(base: &[u8], target: &[u8], layout: LayoutFn) -> Option<Vec<(Table, Table)>> {
     let (old, new) = (tables(layout, base)?, tables(layout, target)?);
     let same = old.len() == new.len() && old.iter().zip(&new).all(|(o, n)| o.width == n.width);
-    same.then_some((old, new))
+    same.then(|| old.into_iter().zip(new).collect())
 }
 
-impl<'a> RowPlan<'a> {
-    /// Plans `base → target`. `None` when either image does not lay out,
-    /// their layouts differ in shape, or a table's keys do not ascend: the
+/// Row `i` of a table's `rows`, `width` bytes each.
+fn row(rows: &[u8], i: u32, width: usize) -> &[u8] {
+    let at = i as usize * width;
+    &rows[at..at + width]
+}
+
+impl<'t> RowPlan<'t> {
+    /// Plans `base → target` by diffing their tables. `None` when either
+    /// image does not lay out, their layouts differ in shape, a table's
+    /// keys do not ascend or its rows do not fit a `u32` position: the
     /// target then ships whole.
-    pub(crate) fn new(base: &'a [u8], target: &'a [u8], layout: LayoutFn) -> Option<Self> {
-        let (old, new) = shapes(base, target, layout)?;
-        let mut tables = Vec::with_capacity(new.len());
-        for (base_t, target_t) in old.into_iter().zip(new) {
-            let (mut upserts, mut removals) = (0, 0);
-            diff(base_t.bytes(base), target_t.bytes(target), target_t.width, |change| match change {
-                Change::Upsert(_) => upserts += 1,
-                Change::Remove(_) => removals += 1,
+    pub(crate) fn new(base: &[u8], target: &'t [u8], layout: LayoutFn) -> Option<Self> {
+        let tables = shapes(base, target, layout)?;
+        let mut changes = Vec::with_capacity(tables.len());
+        for (old, new) in &tables {
+            u32::try_from(old.rows.max(new.rows)).ok()?;
+            let mut listed = TableChanges::default();
+            diff(old.bytes(base), new.bytes(target), new.width, |change| match change {
+                Change::Upsert(i) => listed.upserts.push(i as u32),
+                Change::Remove(i) => listed.removals.push(i as u32),
             })?;
-            tables.push(TablePlan { base: base_t, target: target_t, upserts, removals, known: None });
+            changes.push(listed);
         }
-        Some(RowPlan { base, target, tables })
+        Some(RowPlan { base_len: base.len(), target, tables, changes: Cow::Owned(changes) })
     }
 
     /// Plans `base → target` from the changes the target's writer names
@@ -279,96 +289,92 @@ impl<'a> RowPlan<'a> {
     /// a false one rebuilds an image its holder's open refuses, or is
     /// refused by the holder's check.
     pub(crate) fn from_changes(
-        base: &'a [u8],
-        target: &'a [u8],
+        base: &[u8],
+        target: &'t [u8],
         layout: LayoutFn,
-        changes: &'a [TableChanges],
+        changes: &'t [TableChanges],
     ) -> Option<Self> {
-        let (old, new) = shapes(base, target, layout)?;
-        if changes.len() != new.len() {
+        let tables = shapes(base, target, layout)?;
+        if changes.len() != tables.len() {
             return None;
         }
         let fits = |list: &[u32], rows: usize| {
             list.windows(2).all(|w| w[0] < w[1]) && list.last().is_none_or(|&p| (p as usize) < rows)
         };
-        let mut tables = Vec::with_capacity(new.len());
-        for ((base_t, target_t), known) in old.into_iter().zip(new).zip(changes) {
-            let (upserts, removals) = (known.upserts.len(), known.removals.len());
-            let kept = base_t.rows.checked_sub(removals)?;
-            let added = target_t.rows.checked_sub(kept)?;
-            if !fits(&known.upserts, target_t.rows)
-                || !fits(&known.removals, base_t.rows)
-                || added > upserts
+        for ((old, new), known) in tables.iter().zip(changes) {
+            let kept = old.rows.checked_sub(known.removals.len())?;
+            let added = new.rows.checked_sub(kept)?;
+            if !fits(&known.upserts, new.rows)
+                || !fits(&known.removals, old.rows)
+                || added > known.upserts.len()
             {
                 return None;
             }
-            tables.push(TablePlan {
-                base: base_t,
-                target: target_t,
-                upserts,
-                removals,
-                known: Some(known),
-            });
         }
-        Some(RowPlan { base, target, tables })
+        Some(RowPlan { base_len: base.len(), target, tables, changes: Cow::Borrowed(changes) })
+    }
+
+    /// Per table, the base's and the target's, and its changes.
+    fn each(&self) -> impl Iterator<Item = (&Table, &Table, &TableChanges)> {
+        self.tables.iter().zip(self.changes.iter()).map(|((old, new), listed)| (old, new, listed))
     }
 
     /// Encoded length of the delta.
     pub(crate) fn len(&self) -> usize {
-        let tables: usize =
-            self.tables.iter().map(|t| 5 * 8 + t.upserts * t.target.width + t.removals * 8).sum();
-        let spans = self.target.len()
-            - self.tables.iter().map(|t| t.target.rows * t.target.width).sum::<usize>();
+        let tables: usize = self
+            .each()
+            .map(|(_, new, c)| 5 * 8 + c.upserts.len() * new.width + c.removals.len() * 8)
+            .sum();
+        let spans =
+            self.target.len() - self.tables.iter().map(|(_, new)| new.rows * new.width).sum::<usize>();
         8 + 8 + tables + spans + 8
     }
 
-    /// Writes the delta onto `enc` ([`len`](Self::len) bytes).
-    pub(crate) fn write(&self, enc: &mut Enc) {
-        enc.usize(self.base.len());
+    /// Writes the delta onto `enc` ([`len`](Self::len) bytes), reading the
+    /// removed keys in `base`, the image it was planned against.
+    pub(crate) fn write(&self, base: &[u8], enc: &mut Enc) {
+        debug_assert_eq!(base.len(), self.base_len, "the base it was planned against");
+        enc.usize(self.base_len);
         enc.usize(self.tables.len());
         let mut end = 0;
-        for t in &self.tables {
-            let (old, new, width) =
-                (t.base.bytes(self.base), t.target.bytes(self.target), t.target.width);
-            enc.bytes(&self.target[end..t.target.offset]);
+        for (old, new, listed) in self.each() {
+            let (rows, width) = (new.bytes(self.target), new.width);
+            enc.bytes(&self.target[end..new.offset]);
             enc.usize(width);
-            enc.usize(t.target.rows);
-            enc.usize(t.upserts);
-            match t.known {
-                Some(known) => {
-                    for &at in &known.upserts {
-                        let at = at as usize * width;
-                        enc.raw(&new[at..at + width]);
-                    }
-                }
-                None => {
-                    diff(old, new, width, |change| {
-                        if let Change::Upsert(row) = change {
-                            enc.raw(row);
-                        }
-                    });
-                }
+            enc.usize(new.rows);
+            enc.usize(listed.upserts.len());
+            for &at in &listed.upserts {
+                enc.raw(row(rows, at, width));
             }
-            enc.usize(t.removals);
-            match t.known {
-                Some(known) => {
-                    for &at in &known.removals {
-                        let at = at as usize * width;
-                        enc.raw(&old[at..at + 8]);
-                    }
-                }
-                None if t.removals > 0 => {
-                    diff(old, new, width, |change| {
-                        if let Change::Remove(row) = change {
-                            enc.raw(&row[..8]);
-                        }
-                    });
-                }
-                None => {}
+            enc.usize(listed.removals.len());
+            for &at in &listed.removals {
+                enc.raw(&row(old.bytes(base), at, width)[..8]);
             }
-            end = t.target.end();
+            end = new.end();
         }
         enc.bytes(&self.target[end..]);
+    }
+
+    /// The check of a receiver in the same process: the plan read against
+    /// `base`, the image it was planned against, with its rows where they
+    /// lie — the upserts in the target's tables, the removed keys in
+    /// `base`'s — through the same merge walk a shipped delta's [`check`]
+    /// takes, refusing what it refuses. The checked delta borrows the plan
+    /// and the target, not `base`, which [`rebuild`] then rewrites.
+    pub(crate) fn check(&self, base: &[u8]) -> Result<Checked<'_>, CkptError> {
+        same_base(self.base_len, base)?;
+        let mut tables = Vec::with_capacity(self.tables.len());
+        let mut end = 0;
+        for (old, new, listed) in self.each() {
+            let source = RowSource::Positions {
+                rows: new.bytes(self.target),
+                upserts: &listed.upserts,
+                removals: &listed.removals,
+            };
+            tables.push(TableDelta::new(*old, &self.target[end..new.offset], new.rows, source)?);
+            end = new.end();
+        }
+        Checked::walked(base, tables, &self.target[end..])
     }
 }
 
@@ -411,24 +417,51 @@ impl Edit<'_> {
     }
 }
 
-/// One table of a delta, read where it lies in the wire bytes, against the
-/// base table it rebuilds.
+/// Where a table's upserted rows and removed keys are read.
+#[derive(Debug, Clone, Copy)]
+enum RowSource<'a> {
+    /// Packed in a shipped delta: the upserted rows, `width` bytes each,
+    /// and the removed keys, 8 bytes each.
+    Packed { upserts: &'a [u8], removals: &'a [u8] },
+    /// Where they lie: the upserts by position among the target table's
+    /// `rows`, the removals by position in the base table, whose keys are
+    /// read there.
+    Positions { rows: &'a [u8], upserts: &'a [u32], removals: &'a [u32] },
+}
+
+/// One table of a delta, read where it lies — in the wire bytes, or in the
+/// target and the base — against the base table it rebuilds.
 struct TableDelta<'a> {
     base: Table,
     span: &'a [u8],
     rows: usize,
-    upserts: &'a [u8],
-    removals: &'a [u8],
+    source: RowSource<'a>,
     /// Upserts and removals listed.
     upserted: usize,
     removed: usize,
 }
 
 impl<'a> TableDelta<'a> {
+    /// A table of `rows` rows, after `span`, rebuilt over `base` from
+    /// `source`. Refuses more rows than the base and the upserts together
+    /// could make.
+    fn new(base: Table, span: &'a [u8], rows: usize, source: RowSource<'a>) -> Result<Self, CkptError> {
+        let (upserted, removed) = match source {
+            RowSource::Packed { upserts, removals } => (upserts.len() / base.width, removals.len() / 8),
+            RowSource::Positions { upserts, removals, .. } => (upserts.len(), removals.len()),
+        };
+        if rows > base.rows + upserted {
+            return Err(malformed(format!(
+                "{rows} rows from {} base rows and {upserted} upserts",
+                base.rows
+            )));
+        }
+        Ok(TableDelta { base, span, rows, source, upserted, removed })
+    }
+
     /// Reads the next table of a delta against `base`, the base's table in
     /// the same place, refusing a width other than the base's, lists the
-    /// payload cannot hold, and more rows than the base and the upserts
-    /// together could make.
+    /// payload cannot hold, and what [`new`](Self::new) refuses.
     fn read(d: &mut Dec<'a>, base: &Table) -> Result<Self, CkptError> {
         let span = d.bytes()?;
         let width = d.usize()?;
@@ -440,21 +473,28 @@ impl<'a> TableDelta<'a> {
         let upserts = d.sub(upserted * width)?.rest();
         let removed = d.seq_len(8)?;
         let removals = d.sub(removed * 8)?.rest();
-        if rows > base.rows + upserted {
-            return Err(malformed(format!(
-                "{rows} rows from {} base rows and {upserted} upserts",
-                base.rows
-            )));
-        }
-        Ok(TableDelta { base: *base, span, rows, upserts, removals, upserted, removed })
+        TableDelta::new(*base, span, rows, RowSource::Packed { upserts, removals })
     }
 
     fn upsert(&self, i: usize) -> &'a [u8] {
-        &self.upserts[i * self.base.width..(i + 1) * self.base.width]
+        let (rows, at) = match self.source {
+            RowSource::Packed { upserts, .. } => (upserts, i),
+            RowSource::Positions { rows, upserts, .. } => (rows, upserts[i] as usize),
+        };
+        let w = self.base.width;
+        &rows[at * w..(at + 1) * w]
     }
 
-    fn removal(&self, i: usize) -> u64 {
-        key(&self.removals[8 * i..])
+    /// The key of removal `i`; by position, read where the base table lies
+    /// in `image` — a row the rebuild has not yet moved (see the module
+    /// docs).
+    fn removal(&self, image: &[u8], i: usize) -> u64 {
+        match self.source {
+            RowSource::Packed { removals, .. } => key(&removals[8 * i..]),
+            RowSource::Positions { removals, .. } => {
+                key(&self.base.bytes(image)[removals[i] as usize * self.base.width..])
+            }
+        }
     }
 
     /// The cursor past the last step.
@@ -468,9 +508,9 @@ impl<'a> TableDelta<'a> {
     /// and lists whose keys do not ascend.
     fn next(&self, image: &[u8], at: &mut Cursor) -> Result<Option<Step<'a>>, CkptError> {
         let (w, rows) = (self.base.width, self.base.bytes(image));
-        let upsert = (at.u < self.upserted).then(|| key(self.upsert(at.u)));
-        let remove = (at.r < self.removed).then(|| self.removal(at.r));
-        let Some(stop) = upsert.into_iter().chain(remove).min() else {
+        let upsert = (at.u < self.upserted).then(|| self.upsert(at.u));
+        let remove = (at.r < self.removed).then(|| self.removal(image, at.r));
+        let Some(stop) = upsert.map(key).into_iter().chain(remove).min() else {
             let kept = self.base.rows - at.b;
             at.b = self.base.rows;
             return Ok((kept > 0).then_some(Step { kept, edit: Edit::End }));
@@ -483,19 +523,19 @@ impl<'a> TableDelta<'a> {
         at.b += kept;
         let held = row < rows.len() && key(&rows[row..]) == stop;
         if remove == Some(stop) {
-            if upsert == Some(stop) {
+            if upsert.is_some_and(|row| key(row) == stop) {
                 return Err(malformed(format!("key {stop} both upserted and removed")));
             }
             if !held {
                 return Err(malformed(format!("removal of key {stop}, which the base does not hold")));
             }
             (at.b, at.r) = (at.b + 1, at.r + 1);
-            if at.r < self.removed && self.removal(at.r) <= stop {
+            if at.r < self.removed && self.removal(image, at.r) <= stop {
                 return Err(malformed("removed keys do not ascend"));
             }
             Ok(Some(Step { kept, edit: Edit::Remove }))
         } else {
-            let upserted = self.upsert(at.u);
+            let upserted = upsert.expect("the next change, not a removal, is an upsert");
             (at.b, at.u) = (at.b + usize::from(held), at.u + 1);
             if at.u < self.upserted && key(self.upsert(at.u)) <= stop {
                 return Err(malformed("upserted keys do not ascend"));
@@ -515,7 +555,7 @@ impl<'a> TableDelta<'a> {
             }
         }
         let upsert = (at.u > floor.u).then(|| key(self.upsert(at.u - 1)));
-        let remove = (at.r > floor.r).then(|| self.removal(at.r - 1));
+        let remove = (at.r > floor.r).then(|| self.removal(image, at.r - 1));
         let stop = upsert.into_iter().chain(remove).max()?;
         let edit = if remove == Some(stop) {
             (at.b, at.r) = (at.b - 1, at.r - 1);
@@ -534,7 +574,7 @@ impl<'a> TableDelta<'a> {
     fn kept_before(&self, image: &[u8], at: &mut Cursor, floor: Cursor) -> usize {
         let (w, rows) = (self.base.width, self.base.bytes(image));
         let upsert = (at.u > floor.u).then(|| key(self.upsert(at.u - 1)));
-        let remove = (at.r > floor.r).then(|| self.removal(at.r - 1));
+        let remove = (at.r > floor.r).then(|| self.removal(image, at.r - 1));
         let stop = upsert.into_iter().chain(remove).max();
         let (mut kept, mut row, low) = (0, at.b * w, floor.b * w);
         while row > low && stop.is_none_or(|stop| key(&rows[row - w..]) > stop) {
@@ -556,6 +596,26 @@ pub(crate) struct Checked<'a> {
 }
 
 impl<'a> Checked<'a> {
+    /// `tables` and `tail`, every table's merge walked to its end against
+    /// `base`: refuses unsorted or repeated keys, a removal of a key the
+    /// base lacks and a merge that does not produce the declared rows.
+    fn walked(base: &[u8], tables: Vec<TableDelta<'a>>, tail: &'a [u8]) -> Result<Self, CkptError> {
+        let mut len = tail.len();
+        for t in &tables {
+            len += t.span.len() + t.rows * t.base.width;
+            let (mut at, mut left) = (Cursor::default(), t.rows);
+            while let Some(step) = t.next(base, &mut at)? {
+                left = left
+                    .checked_sub(step.kept + step.edit.rows())
+                    .ok_or_else(|| malformed("a table merges to more rows than it declared"))?;
+            }
+            if left != 0 {
+                return Err(malformed(format!("a table merges to {left} rows fewer than it declared")));
+            }
+        }
+        Ok(Checked { base_len: base.len(), tables, tail, len })
+    }
+
     /// Bytes a rebuild needs while its bytes move: the base and the target
     /// each fit — at most `base.len() + delta.len()`.
     pub(crate) fn room(&self) -> usize {
@@ -569,55 +629,41 @@ impl<'a> Checked<'a> {
     }
 }
 
-/// The receiver's check: reads `delta` against `base` without writing a
-/// byte or sizing anything. Refuses — each a typed error (see the module
-/// docs) — a base of another length or that does not lay out, a table of
-/// another width, counts the payload cannot hold, row counts that could not
-/// add up, and, walking each table's merge once, unsorted or repeated keys,
-/// a removal of a key the base lacks and a merge that does not produce the
-/// declared rows.
-pub(crate) fn check<'a>(
-    delta: &'a [u8],
-    base: &[u8],
-    layout: LayoutFn,
-) -> Result<Checked<'a>, CkptError> {
-    let mut d = Dec::new(delta);
-    let base_len = d.usize()?;
+/// Refuses a base of another length than the `base_len` a delta was cut
+/// against.
+fn same_base(base_len: usize, base: &[u8]) -> Result<(), CkptError> {
     if base_len != base.len() {
         return Err(malformed(format!(
             "cut against a {base_len}-byte base, the holder's is {} bytes",
             base.len()
         )));
     }
+    Ok(())
+}
+
+/// The receiver's check: reads `delta` against `base` without writing a
+/// byte or sizing anything. Refuses — each a typed error (see the module
+/// docs) — a base of another length or that does not lay out, a table of
+/// another width, counts the payload cannot hold, row counts that could not
+/// add up, and, walking each table's merge once ([`Checked::walked`]),
+/// unsorted or repeated keys, a removal of a key the base lacks and a merge
+/// that does not produce the declared rows.
+pub(crate) fn check<'a>(
+    delta: &'a [u8],
+    base: &[u8],
+    layout: LayoutFn,
+) -> Result<Checked<'a>, CkptError> {
+    let mut d = Dec::new(delta);
+    same_base(d.usize()?, base)?;
     let layout = tables(layout, base).ok_or_else(|| malformed("the base does not lay out"))?;
     let count = d.usize()?;
     if count != layout.len() {
         return Err(malformed(format!("{count} tables against a base of {}", layout.len())));
     }
-    // First the lengths: every table's header checked.
-    let mut tables = Vec::with_capacity(layout.len());
-    let mut len = 0;
-    for table in &layout {
-        let t = TableDelta::read(&mut d, table)?;
-        len += t.span.len() + t.rows * table.width;
-        tables.push(t);
-    }
+    let tables = layout.iter().map(|table| TableDelta::read(&mut d, table)).collect::<Result<_, _>>()?;
     let tail = d.bytes()?;
     d.finish()?;
-    len += tail.len();
-    // Then every merge, walked to its end.
-    for t in &tables {
-        let (mut at, mut left) = (Cursor::default(), t.rows);
-        while let Some(step) = t.next(base, &mut at)? {
-            left = left
-                .checked_sub(step.kept + step.edit.rows())
-                .ok_or_else(|| malformed("a table merges to more rows than it declared"))?;
-        }
-        if left != 0 {
-            return Err(malformed(format!("a table merges to {left} rows fewer than it declared")));
-        }
-    }
-    Ok(Checked { base_len: base.len(), tables, tail, len })
+    Checked::walked(base, tables, tail)
 }
 
 /// Where a walk over the target stands: before table `table`'s span, or
@@ -775,15 +821,24 @@ mod tests {
         }
     }
 
-    fn delta(plan: &RowPlan<'_>) -> Vec<u8> {
+    fn delta(plan: &RowPlan<'_>, base: &[u8]) -> Vec<u8> {
         let mut e = Enc::new();
-        plan.write(&mut e);
+        plan.write(base, &mut e);
         assert_eq!(e.len(), plan.len(), "the plan sizes its encoding exactly");
         e.into_bytes()
     }
 
+    /// The holder's side in the sender's process: `plan` checked and
+    /// rebuilt over a copy of `base`, its rows read where they lie.
+    fn applied_in_place(plan: &RowPlan<'_>, base: &[u8]) -> Result<Vec<u8>, CkptError> {
+        let mut image = base.to_vec();
+        let checked = plan.check(&image)?;
+        rebuild(&mut image, &checked);
+        Ok(image)
+    }
+
     fn rebuild_of(base: &[u8], target: &[u8]) -> (usize, Vec<u8>) {
-        let delta = delta(&RowPlan::new(base, target, layout).expect("both lay out"));
+        let delta = delta(&RowPlan::new(base, target, layout).expect("both lay out"), base);
         (delta.len(), applied(&delta, base, layout).expect("an honest delta applies"))
     }
 
@@ -815,9 +870,12 @@ mod tests {
     fn a_named_change_list_writes_what_the_diff_writes() {
         let base = image(&[(1, 10), (3, 30), (5, 50), (7, 70)]);
         let target = image(&[(1, 10), (2, 20), (3, 31), (5, 50), (7, 70), (8, 80)]);
-        let diffed = delta(&RowPlan::new(&base, &target, layout).unwrap());
+        let diffed = delta(&RowPlan::new(&base, &target, layout).unwrap(), &base);
         let named = [listed(&[1, 2, 5], &[])];
-        assert_eq!(delta(&RowPlan::from_changes(&base, &target, layout, &named).unwrap()), diffed);
+        assert_eq!(
+            delta(&RowPlan::from_changes(&base, &target, layout, &named).unwrap(), &base),
+            diffed
+        );
         // Lists no writer of these images could have made are not planned.
         for bad in [
             vec![listed(&[2, 1, 5], &[])],                   // not ascending
@@ -838,16 +896,19 @@ mod tests {
         let base = image(&[(1, 10), (3, 30), (5, 50), (7, 70), (9, 90)]);
         // 1 and 7 forgotten, 4 added, 5 requested again.
         let target = image(&[(3, 30), (4, 40), (5, 51), (9, 90)]);
-        let diffed = delta(&RowPlan::new(&base, &target, layout).unwrap());
+        let diffed = delta(&RowPlan::new(&base, &target, layout).unwrap(), &base);
         let named = [listed(&[1, 2], &[0, 3])];
         let plan = RowPlan::from_changes(&base, &target, layout, &named).unwrap();
-        assert_eq!(delta(&plan), diffed);
+        assert_eq!(delta(&plan, &base), diffed);
         assert_eq!(applied(&diffed, &base, layout), Ok(target.clone()));
         // Only forgotten: the table shrinks, and no upsert is needed.
         let shrunk = image(&[(3, 30), (5, 50), (9, 90)]);
-        let diffed = delta(&RowPlan::new(&base, &shrunk, layout).unwrap());
+        let diffed = delta(&RowPlan::new(&base, &shrunk, layout).unwrap(), &base);
         let named = [listed(&[], &[0, 3])];
-        assert_eq!(delta(&RowPlan::from_changes(&base, &shrunk, layout, &named).unwrap()), diffed);
+        assert_eq!(
+            delta(&RowPlan::from_changes(&base, &shrunk, layout, &named).unwrap(), &base),
+            diffed
+        );
         for bad in [
             listed(&[1, 2], &[3, 0]), // not ascending
             listed(&[1, 2], &[0, 5]), // past the base's rows
@@ -951,7 +1012,7 @@ mod tests {
     fn the_output_buffer_is_reused() {
         let base = image(&[(1, 10), (3, 30)]);
         let target = image(&[(1, 10), (2, 20), (3, 30)]);
-        let delta = delta(&RowPlan::new(&base, &target, layout).unwrap());
+        let delta = delta(&RowPlan::new(&base, &target, layout).unwrap(), &base);
         let mut held = Vec::with_capacity(256);
         held.extend_from_slice(&base);
         let at = held.as_ptr();
@@ -1023,8 +1084,11 @@ mod tests {
     /// truncated version of the delta (at `pick`) to the same rules: a typed
     /// error that moved no byte, or an image.
     fn rebuilds_in_place(base: &[u8], target: &[u8], pick: usize) {
-        let delta = delta(&RowPlan::new(base, target, layout2).expect("both lay out"));
+        let plan = RowPlan::new(base, target, layout2).expect("both lay out");
+        let delta = delta(&plan, base);
         assert!(applied(&delta, base, layout2) == Ok(target.to_vec()), "the rebuild moved a byte");
+        let in_place = applied_in_place(&plan, base);
+        assert!(in_place == Ok(target.to_vec()), "the rows where they lie rebuilt another image");
         let at = pick % delta.len();
         let mut flipped = delta.clone();
         flipped[at] ^= 1 << (pick % 8);

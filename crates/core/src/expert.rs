@@ -121,6 +121,22 @@ impl ExpertGrid {
     pub fn index_of(&self, expert: &Expert) -> Option<usize> {
         self.experts.iter().position(|e| e == expert)
     }
+
+    /// The expert nearest to thresholds `(f, ln s)`, Euclidean in
+    /// `(f, ln s)` space (sizes span orders of magnitude); the first of
+    /// equally near ones.
+    pub fn nearest(&self, f: f64, ln_s: f64) -> Expert {
+        let dist = |e: &Expert| {
+            let df = e.f() as f64 - f;
+            let dls = (e.s_bytes() as f64).ln() - ln_s;
+            df * df + dls * dls
+        };
+        *self
+            .experts
+            .iter()
+            .min_by(|a, b| dist(a).partial_cmp(&dist(b)).unwrap())
+            .expect("non-empty grid")
+    }
 }
 
 #[cfg(test)]

@@ -80,12 +80,7 @@ impl SwitchCostTracker {
     /// Trailing hit ratio over the retained bins plus the current partial
     /// bin; `None` until the first request.
     pub fn trailing_ratio(&self) -> Option<f64> {
-        let (mut hits, mut total) = (self.cur_hits, self.cur_total);
-        for &(h, t) in &self.done_bins {
-            hits += h;
-            total += t;
-        }
-        (total > 0).then(|| hits as f64 / total as f64)
+        trailing(&self.done_bins, self.cur_hits, self.cur_total)
     }
 
     /// Feeds one served request (`hit` = HOC or DC hit). Returns the
@@ -104,8 +99,9 @@ impl SwitchCostTracker {
             self.cur_hits = 0;
             self.cur_total = 0;
         }
-        let ratio = self.trailing_ratio().unwrap_or(0.0);
+        // Only an open post-switch window reads the ratio.
         let w = self.active.as_mut()?;
+        let ratio = trailing(&self.done_bins, self.cur_hits, self.cur_total).unwrap_or(0.0);
         w.seen += 1;
         if ratio < w.min_ratio {
             w.min_ratio = ratio;
@@ -147,6 +143,17 @@ impl SwitchCostTracker {
             },
         }
     }
+}
+
+/// The hit ratio over the completed bins plus the partial one; `None`
+/// before any request.
+fn trailing(done_bins: &VecDeque<(u64, u64)>, cur_hits: u64, cur_total: u64) -> Option<f64> {
+    let (mut hits, mut total) = (cur_hits, cur_total);
+    for &(h, t) in done_bins {
+        hits += h;
+        total += t;
+    }
+    (total > 0).then(|| hits as f64 / total as f64)
 }
 
 #[cfg(test)]
@@ -212,6 +219,65 @@ mod tests {
         let mut t = SwitchCostTracker::default();
         assert!(drive(&mut t, &[true, false, true, false], 0).is_empty());
         assert!(t.finish(4).is_none());
+    }
+
+    /// `observe` as it was when it computed the trailing ratio on every
+    /// request, open window or not: the reference the lazy one must match.
+    fn observe_eagerly(t: &mut SwitchCostTracker, hit: bool, seq: u64) -> Option<Event> {
+        t.cur_total += 1;
+        if hit {
+            t.cur_hits += 1;
+        }
+        if t.cur_total >= t.cfg.bin_size {
+            t.done_bins.push_back((t.cur_hits, t.cur_total));
+            if t.done_bins.len() > t.cfg.bins {
+                t.done_bins.pop_front();
+            }
+            t.cur_hits = 0;
+            t.cur_total = 0;
+        }
+        let ratio = t.trailing_ratio().unwrap_or(0.0);
+        let w = t.active.as_mut()?;
+        w.seen += 1;
+        if ratio < w.min_ratio {
+            w.min_ratio = ratio;
+        }
+        if w.recovered_after.is_none() && ratio >= w.baseline {
+            w.recovered_after = Some(w.seen);
+        }
+        if w.seen >= t.cfg.window {
+            return Some(t.close(seq));
+        }
+        None
+    }
+
+    #[test]
+    fn the_ratio_taken_only_in_a_window_yields_the_reference_events() {
+        let cfg = SwitchCostConfig { bin_size: 16, bins: 4, window: 200 };
+        // Switches close together (one preempts the next), far apart (the
+        // window closes on its own first) and at the very start.
+        let switches = [0, 150, 260, 1_000, 1_050, 1_120, 3_000, 4_990];
+        let run = |observe: fn(&mut SwitchCostTracker, bool, u64) -> Option<Event>| {
+            let mut t = SwitchCostTracker::new(cfg);
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+            let mut events = Vec::new();
+            for i in 0..5_000u64 {
+                if let Ok(k) = switches.binary_search(&i) {
+                    events.extend(t.on_switch(i, k as u32));
+                }
+                // A hit ratio that drifts between 20 % and 80 % over the run.
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let p = 20 + (i / 50) % 61;
+                events.extend(observe(&mut t, rng % 100 < p, i + 1));
+            }
+            events.extend(t.finish(5_000));
+            events
+        };
+        let lazy = run(SwitchCostTracker::observe);
+        assert_eq!(lazy.len(), switches.len());
+        assert_eq!(lazy, run(observe_eagerly));
     }
 
     #[test]

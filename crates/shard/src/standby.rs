@@ -1,16 +1,18 @@
 //! Hot-standby replication state for one shard.
 //!
 //! A [`StandbySlot`] is the in-process stand-in for a standby cache node:
-//! the primary's worker *feeds* it every checkpoint cut, and the slot plays
-//! both ends of the replication channel — it ships the cut in a
-//! [`CutRole::Replica`] [`CutFrame`] exactly as a primary would put it on
-//! the wire, then decodes, address-checks and applies it exactly as a remote
-//! standby would (the format and the gate are in [`darwin_ckpt::replica`];
-//! a resize handoff goes through the same two calls). The first cut (and
-//! every re-seed after a promotion or a detected loss) ships the full
-//! checkpoint image; steady-state cuts ship a row delta against the frame
-//! the standby already holds — the per-object rows that changed in the
-//! window, plus the image's other bytes — laid out by
+//! the primary's worker *feeds* it every checkpoint cut. The slot plans
+//! each cut against the frame it holds exactly as a primary would for a
+//! remote standby, and checks and rebuilds it through the same calls a
+//! shipped [`CutRole::Replica`](darwin_ckpt::replica::CutRole) envelope
+//! takes — [`CutFrame::apply`], beside the format and the gate in
+//! [`darwin_ckpt::replica`] — but reads the rows where they lie in the
+//! primary's frame: no envelope is sealed only to be opened again in the
+//! same process. The resize handoff is the flow that serializes. The first
+//! cut (and every re-seed after a promotion or a detected loss) copies the
+//! full checkpoint image; steady-state cuts apply a row delta against the
+//! frame the standby already holds — the per-object rows that changed in
+//! the window, plus the image's other bytes — laid out by
 //! [`ShardCheckpoint::layout`], and planned from the worker's own list of
 //! the rows it changed when the standby holds the cut that list is against
 //! (by diffing the two frames otherwise). The standby therefore always
@@ -29,15 +31,15 @@
 //! fresh standby (full image) in the background.
 //!
 //! Every failure mode is detected and surfaced, never silent: a feed whose
-//! envelope fails decoding, addressing or checkpoint validation marks the
-//! standby *lost* ([`FeedOutcome::Lost`]); the next feed replaces it with a
+//! row delta fails the check, or whose image fails checkpoint validation,
+//! marks the standby *lost* ([`FeedOutcome::Lost`]); the next feed replaces it with a
 //! fresh full seed ([`FeedOutcome::Replaced`]). A scripted
 //! [`CorruptStandby`](crate::fault::FaultKind::CorruptStandby) fault drives
 //! the same path deterministically via [`poison`](StandbySlot::poison).
 
 use crate::ckpt::ShardCheckpoint;
 use crate::metrics::ShardCell;
-use darwin_ckpt::replica::{CutFrame, CutRole, Held};
+use darwin_ckpt::replica::CutFrame;
 use darwin_ckpt::rows::Changes;
 use darwin_obs::EventKind;
 use std::sync::Mutex;
@@ -45,16 +47,16 @@ use std::sync::Mutex;
 /// What one replication feed did to the standby.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeedOutcome {
-    /// The standby held no base: a full image was shipped and applied
-    /// (first cut, or the background re-seed after a promotion).
+    /// The standby held no base: a full image was copied in (first cut,
+    /// or the background re-seed after a promotion).
     Seeded {
-        /// Payload bytes the envelope shipped.
+        /// Payload bytes an envelope would ship: the image's length.
         shipped_bytes: u64,
     },
     /// Steady state: a row delta against the standby's held frame was
-    /// shipped and applied.
+    /// applied.
     Applied {
-        /// Payload bytes the envelope shipped (the changed rows, not the
+        /// Payload bytes an envelope would ship (the changed rows, not the
         /// whole image).
         shipped_bytes: u64,
         /// Sequence distance the delta covered (`seq - base_seq`) — bounded
@@ -65,10 +67,10 @@ pub enum FeedOutcome {
     /// validation); this feed detected the loss and seeded a fresh standby
     /// with a full image.
     Replaced {
-        /// Payload bytes the replacement seed shipped.
+        /// Payload bytes an envelope would ship for the replacement seed.
         shipped_bytes: u64,
     },
-    /// This feed's envelope failed decoding, addressing or checkpoint
+    /// This feed's row delta failed the check, or its image checkpoint
     /// validation: the standby is now lost (nothing was applied). The next
     /// feed will replace it.
     Lost,
@@ -107,32 +109,33 @@ impl StandbySlot {
         self.shard
     }
 
-    /// Feeds the checkpoint cut at `seq` (the sealed
-    /// [`ShardCheckpoint`] frame bytes) through the replication channel:
-    /// [`CutFrame::ship`] seals a [`CutRole::Replica`] envelope on the
-    /// primary side, then [`CutFrame::rebuild`] decodes, address-checks and
-    /// resolves it on the standby side, and the image is opened as this
-    /// shard's checkpoint at `seq` before it is stored — the one hash of
-    /// the image on this side, and the check of a row delta's rebuild. The
-    /// loopback is deliberate — the bytes that reach the standby's state are
-    /// exactly the bytes that survived the wire format's gauntlet, so a
-    /// corrupted or misrouted envelope can fail loudly but never silently
-    /// mis-apply.
+    /// Feeds the checkpoint cut at `seq` (the sealed [`ShardCheckpoint`]
+    /// frame bytes) to the standby: [`CutFrame::apply`] plans it against
+    /// the frame the standby holds exactly as [`CutFrame::ship`] would for
+    /// a remote standby, and checks and rebuilds it over that frame through
+    /// the same calls a shipped row delta takes, reading the rows where
+    /// they lie in `frame` instead of from a sealed envelope. Then the image
+    /// is opened as this shard's checkpoint at `seq` before it is stored —
+    /// the one hash of the image on this side, and the check of every
+    /// rebuilt byte — so a false plan or a damaged base can fail loudly but
+    /// never silently mis-apply. The standby belongs to the generation
+    /// that feeds it, so `_generation`, which an envelope would carry,
+    /// addresses nothing here.
     ///
     /// `changes` are the rows the cut changed since the one its writer
     /// merged it into ([`ShardCheckpoint::cut_of`]): when that is the cut
     /// the standby holds, the delta is planned from them; otherwise — a
     /// re-seeded standby, a worker restored from an older cut — by diffing
-    /// the two images, and the envelope is the same bytes either way. They
-    /// are dropped once the envelope is sealed, before the rebuild: the
-    /// rebuild grows the image while the envelope is held, the feed's peak.
+    /// the two images, to the same rows either way. The rebuild reads the
+    /// list, so it is held until the image is rebuilt.
     ///
     /// The image is rebuilt over the one the standby holds, in its own
-    /// allocation ([`CutFrame::rebuild`]), so a steady feed writes over
-    /// pages the standby already owns.
+    /// allocation, so a steady feed writes over pages the standby already
+    /// owns, and the reported `shipped_bytes` are the row delta's length
+    /// as an envelope would carry it.
     pub fn feed(
         &self,
-        generation: u32,
+        _generation: u32,
         seq: u64,
         frame: &[u8],
         changes: Option<Changes>,
@@ -142,15 +145,12 @@ impl StandbySlot {
         if was_lost {
             st.frame = None;
         }
-        let held_seq = st.frame.as_ref().map(|_| st.seq);
+        let held = st.frame.as_ref().map(|_| st.seq);
         let mut image = st.frame.take().unwrap_or_default();
-        let held = held_seq.map(|seq| Held { seq, image: &image });
-        let (shard, role, layout) = (self.shard, CutRole::Replica, ShardCheckpoint::layout);
-        let wire = CutFrame::ship(shard, generation, role, seq, frame, held, changes.as_ref(), layout);
-        drop(changes);
-        let rebuilt = CutFrame::rebuild(&wire, shard, generation, role, held_seq, &mut image, layout)
+        let layout = ShardCheckpoint::layout;
+        let rebuilt = CutFrame::apply(seq, frame, held, &mut image, changes.as_ref(), layout)
             .ok()
-            .filter(|_| ShardCheckpoint::header(&image) == Ok((shard, seq)));
+            .filter(|_| ShardCheckpoint::header(&image) == Ok((self.shard, seq)));
         match rebuilt {
             Some(cut) => {
                 st.frame = Some(image);
@@ -391,6 +391,49 @@ mod tests {
         damaged[mid] ^= 0x10;
         assert_eq!(feed(&slot, 0, 1_000, &damaged), FeedOutcome::Lost);
         assert!(!slot.ready());
+    }
+
+    /// A change list that is false of the standby's frame is refused by
+    /// the check or by the open, and the feed loses the standby as a
+    /// damaged envelope would; the next feed replaces it.
+    #[test]
+    fn a_false_change_list_loses_the_standby() {
+        let mut server = CacheServer::new(CacheConfig {
+            dc_bytes: 4 * 1024 * 1024,
+            expected_unique_objects: 4096,
+            ..CacheConfig::small_test()
+        });
+        server.set_policy(ThresholdPolicy::new(1, 64 * 1024));
+        let mut cut = |from: u64, to: u64| {
+            for i in from..to {
+                server.process(&Request::new(i.wrapping_mul(2_654_435_761) % 5_000, 20_000, i));
+            }
+            let ckpt = ShardCheckpoint {
+                shard: 0,
+                seq: to,
+                policy: ThresholdPolicy::new(1, 64 * 1024),
+                cache: Vec::new(),
+                driver: Vec::new(),
+                restarts: 0,
+                budget_marks: Vec::new(),
+            };
+            let (frame, changes) = ckpt.cut_of(&mut server, Vec::new());
+            server.record_base(to, std::sync::Arc::new(frame.clone()), ShardCheckpoint::layout(&frame));
+            (frame, changes)
+        };
+        let slot = StandbySlot::new(0);
+        let (f1, _) = cut(0, 20_000);
+        assert!(matches!(slot.feed(0, 20_000, &f1, None), FeedOutcome::Seeded { .. }));
+        let (f2, changes) = cut(20_000, 21_000);
+        let mut changes = changes.expect("a cut merged into the one before");
+        assert_eq!(changes.base_seq, 20_000);
+        let table = changes.tables.iter_mut().find(|t| t.upserts.len() > 1).expect("rows changed");
+        table.upserts.remove(0);
+        assert_eq!(slot.feed(0, 21_000, &f2, Some(changes)), FeedOutcome::Lost);
+        assert!(!slot.ready());
+        let (f3, changes) = cut(21_000, 22_000);
+        assert!(matches!(slot.feed(0, 22_000, &f3, changes), FeedOutcome::Replaced { .. }));
+        assert_eq!(slot.take_for_promotion(), Some((f3, 22_000)));
     }
 
     #[test]
